@@ -147,6 +147,13 @@ def _load_model(cfg: RunConfig, checkpoint: Optional[Path]) -> ScoringModel:
     )
 
 
+def _hit_rate_curve(cfg: RunConfig, graphs, gts) -> list[tuple[int, float]]:
+    """GT hit rate at the curve budgets up to the mode's schema budget, read
+    from the graphs built at that budget."""
+    budgets = [b for b in cfg.curve_budgets if b <= cfg.budget] or [cfg.budget]
+    return hit_rate_curve(budgets, graphs, gts)
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -173,7 +180,6 @@ def cmd_schema(args: argparse.Namespace) -> int:
     gt_by_qid = {}
     skipped = 0
     candidates = rt.candidate_set() if cfg.mode == "closed" else None
-    usable = []
     for rec in rt.queries:
         sg = schema_for_record(rt, rec, candidates=candidates)
         if sg is None:
@@ -181,19 +187,10 @@ def cmd_schema(args: argparse.Namespace) -> int:
             continue
         graphs.append(sg)
         gt_by_qid[rec.qid] = ground_truth_ids(rt.g, rec)
-        usable.append(rec)
     dump_path = out / "schema_graphs.jsonl"
     dump_schema_graphs(dump_path, rt.g, graphs, gt_by_qid)
 
-    budgets = [b for b in cfg.curve_budgets if b <= cfg.budget] or [cfg.budget]
-    per_budget = []
-    for budget in budgets:
-        per_budget.append(
-            [schema_for_record(rt, rec, budget=budget, candidates=candidates) for rec in usable]
-        )
-    curve = hit_rate_curve(
-        budgets, per_budget, [gt_by_qid[r.qid] for r in usable], assert_nested=True
-    )
+    curve = _hit_rate_curve(cfg, graphs, [gt_by_qid[sg.qid] for sg in graphs])
     write_curve_csv(out / "hit_rate.csv", curve)
     write_manifest(
         out,
@@ -293,19 +290,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
     rt = load_runtime(cfg)
     model = _load_model(cfg, args.checkpoint)
     out = _out_dir(args, cfg)
-    records = rt.test_records()
-    candidates = rt.candidate_set() if cfg.mode == "closed" else None
-    samples, skipped = prepare_samples(rt, model, records, candidates=candidates)
+    samples, skipped = prepare_samples(rt, model, rt.test_records())
     results = evaluate_queries(model, samples, cfg)
-
-    usable = [r for r in records if any(s.qid == r.qid for s in samples)]
-    budgets = [b for b in cfg.curve_budgets if b <= cfg.budget] or [cfg.budget]
-    per_budget = [
-        [schema_for_record(rt, rec, budget=b, candidates=candidates) for rec in usable]
-        for b in budgets
-    ]
-    gts = [ground_truth_ids(rt.g, rec) for rec in usable]
-    curve = hit_rate_curve(budgets, per_budget, gts, assert_nested=True)
+    curve = _hit_rate_curve(cfg, [s.sg for s in samples], [s.gt for s in samples])
 
     train_answers = frozenset().union(
         *[ground_truth_ids(rt.g, r) for r in rt.train_records()] or [frozenset()]

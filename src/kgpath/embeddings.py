@@ -86,18 +86,20 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
             eid = g.match_entity(surface)
             if eid is None:
                 continue  # vectors for entities outside this graph are ignored
-            vec = np.fromstring(rest, dtype=np.float64, sep=" ")
+            where = f"{path}:{lineno}: entity {surface!r}"
+            try:
+                vec = np.fromstring(rest, dtype=np.float64, sep=" ")
+            except ValueError:
+                raise EmbeddingError(f"{where}: row is not a list of numbers") from None
             if dim < 0:
                 dim = vec.shape[0]
                 if dim == 0:
-                    raise EmbeddingError(f"line {lineno}: empty embedding row")
+                    raise EmbeddingError(f"{where}: empty embedding row")
                 matrix = np.zeros((g.n_entities, dim), dtype=np.float64)
             if vec.shape[0] != dim:
-                raise EmbeddingError(
-                    f"entity {surface!r}: expected {dim} values, got {vec.shape[0]}"
-                )
+                raise EmbeddingError(f"{where}: expected {dim} values, got {vec.shape[0]}")
             if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"entity {surface!r}: non-finite embedding value")
+                raise EmbeddingError(f"{where}: non-finite embedding value")
             matrix[eid] = vec
             seen[eid] = True
     if matrix is None:

@@ -14,7 +14,7 @@ import logging
 import re
 from array import array
 from pathlib import Path
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -120,9 +120,6 @@ class RelationTable:
 
     def rev(self, rid: int) -> int:
         return rid - self.n_forward if rid >= self.n_forward else rid + self.n_forward
-
-    def is_reversed(self, rid: int) -> bool:
-        return rid >= self.n_forward
 
     def priority(self, rid: int) -> int:
         # Ids are assigned in priority-file order, so the id is the rank.
@@ -270,6 +267,29 @@ class KnowledgeGraph:
         )
 
 
+def dedup_max_weight(
+    h: np.ndarray,
+    r: np.ndarray,
+    t: np.ndarray,
+    w: np.ndarray,
+    n_entities: int,
+    n_relations: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Collapse duplicate (head, relation, tail) int64 rows to their max weight.
+
+    Rows come back sorted by (head, tail, relation). Key packing stays well
+    inside int64 for ~500k entities and ~100 relations.
+    """
+    if not h.size:
+        return h, r, t, w
+    key = (h * n_entities + t) * n_relations + r
+    uniq, inverse = np.unique(key, return_inverse=True)
+    wmax = np.full(uniq.shape[0], -np.inf)
+    np.maximum.at(wmax, inverse, w)
+    ht = uniq // n_relations
+    return ht // n_entities, uniq % n_relations, ht % n_entities, wmax
+
+
 def load_graph(
     edge_file: Path | str,
     relation_priority_file: Optional[Path | str] = None,
@@ -335,18 +355,7 @@ def load_graph(
     t = np.frombuffer(tails, dtype=np.int32).astype(np.int64)
     w = np.frombuffer(weights, dtype=np.float64)
 
-    # Max-weight dedup on (head, relation, tail). Key packing stays well
-    # inside int64 for ~500k entities and ~100 relations.
-    if h.size:
-        key = (h * n_ent + t) * relations.n_total + r
-        uniq, inverse = np.unique(key, return_inverse=True)
-        wmax = np.full(uniq.shape[0], -np.inf)
-        np.maximum.at(wmax, inverse, w)
-        r = (uniq % relations.n_total).astype(np.int64)
-        ht = uniq // relations.n_total
-        t = ht % n_ent
-        h = ht // n_ent
-        w = wmax
+    h, r, t, w = dedup_max_weight(h, r, t, w, n_ent, relations.n_total)
 
     # Materialize reversals, then build the CSR adjacency sorted by
     # (head, neighbor, relation).
@@ -377,10 +386,3 @@ def load_graph(
         relations.n_total,
     )
     return graph
-
-
-def write_edge_tsv(path: Path | str, edges: Iterable[tuple[str, str, str, float]]) -> None:
-    """Write (head, relation, tail, weight) rows as a loadable edge TSV."""
-    with open(path, "w", encoding="utf-8") as f:
-        for hs, rn, ts, w in edges:
-            f.write(f"{hs}\t{rn}\t{ts}\t{w:g}\n")

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
+from .config import ConfigError
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
 #: Question words discarded before matching. The exact list is configuration,
@@ -101,11 +102,16 @@ def load_synonyms(path: Optional[Path | str]) -> dict[str, str]:
         return {}
     table = {}
     with open(path, encoding="utf-8") as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.rstrip("\n")
             if not line or line.startswith("#"):
                 continue
-            surface, entity = line.split("\t")
+            fields = line.split("\t")
+            if len(fields) != 2:
+                raise ConfigError(
+                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+                )
+            surface, entity = fields
             table[normalize_surface(surface)] = normalize_surface(entity)
     return table
 

@@ -4,7 +4,9 @@ The answer score follows the crowd-annotation protocol: min(#annotators / 3,
 1), except that questions with a single annotated answer entity score 1
 regardless of count. Recall@k is a per-query hit indicator averaged over the
 suite. Test questions are tagged closed / partial_open / open depending on how
-many of their ground-truth entities were ever seen as training answers.
+many of their ground-truth entities were ever seen as training answers. The
+ground-truth hit-rate curve over node budgets is read from the construction
+ranks of one full-budget schema graph per query, not from rebuilds.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
-from .schema import SchemaGraph, gt_hit
+from .schema import SchemaGraph
 
 
 @dataclass(frozen=True)
@@ -38,18 +40,9 @@ def annotation_scores(answers: Sequence[tuple[int, int]]) -> list[AnswerAnnotati
     ]
 
 
-def vqa_score(predicted: Optional[int], annotations: Iterable[AnswerAnnotation]) -> float:
-    """Annotation score of the predicted entity, 0 if not annotated."""
-    if predicted is None:
-        return 0.0
-    for ann in annotations:
-        if ann.entity == int(predicted):
-            return ann.score
-    return 0.0
-
-
-def vqa_score_from_map(predicted: Optional[int], score_map: dict[int, float]) -> float:
-    """Same protocol over a precomputed entity -> score mapping."""
+def vqa_score(predicted: Optional[int], score_map: dict[int, float]) -> float:
+    """Annotation score of the predicted entity (entity -> score map), 0 if
+    not annotated."""
     if predicted is None:
         return 0.0
     return score_map.get(int(predicted), 0.0)
@@ -80,40 +73,31 @@ def split_open(train_answers: Iterable[int], gt: Iterable[int]) -> str:
 
 def hit_rate_curve(
     budgets: Sequence[int],
-    graphs_per_budget: Sequence[Sequence[SchemaGraph]],
+    graphs: Sequence[SchemaGraph],
     gts: Sequence[Iterable[int]],
-    assert_nested: bool = True,
 ) -> list[tuple[int, float]]:
-    """Fraction of queries whose ground truth appears at each budget.
+    """Fraction of queries whose ground truth the schema graph holds at each budget.
 
-    When ``assert_nested`` is set, every query's node set must grow with the
-    budget (which the builder guarantees for a fixed one-hop cap); violations
-    raise instead of producing a silently non-monotone curve.
+    ``graphs`` hold one build per query at a budget no smaller than the
+    largest curve budget. For a fixed one-hop cap the graph built at budget b
+    is exactly the nodes of construction rank < b, so a query hits at b iff
+    one of its ground-truth nodes has rank < b.
     """
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
-    if len(graphs_per_budget) != len(budgets):
-        raise ValueError("one graph list per budget required")
+    if len(graphs) != len(gts):
+        raise ValueError("the graph list must align with the query list")
+    first_hit = []
+    for sg, gt in zip(graphs, gts):
+        if sg.build_rank is None:
+            raise ValueError(f"schema graph {sg.qid!r} carries no construction ranks")
+        pos = sg.positions()
+        ranks = [int(sg.build_rank[pos[int(e)]]) for e in gt if int(e) in pos]
+        first_hit.append(min(ranks, default=None))
     n_queries = len(gts)
-    for graphs in graphs_per_budget:
-        if len(graphs) != n_queries:
-            raise ValueError("graph lists must align with the query list")
-
-    if assert_nested:
-        for qi in range(n_queries):
-            prev: frozenset[int] = frozenset()
-            for bi, graphs in enumerate(graphs_per_budget):
-                cur = graphs[qi].node_set()
-                if not prev <= cur:
-                    raise ValueError(
-                        f"graphs for query {qi} are not nested between budgets "
-                        f"{budgets[bi - 1]} and {budgets[bi]}"
-                    )
-                prev = cur
-
     curve = []
-    for budget, graphs in zip(budgets, graphs_per_budget):
-        hits = sum(gt_hit(sg, gt) for sg, gt in zip(graphs, gts))
+    for budget in budgets:
+        hits = sum(r is not None and r < budget for r in first_hit)
         curve.append((int(budget), hits / n_queries if n_queries else 0.0))
     return curve
 

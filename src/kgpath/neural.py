@@ -333,17 +333,6 @@ class ScoringModel:
         self.f_p.zero_grad()
         self.f_bi.zero_grad()
 
-    def set_param(self, name: str, value: np.ndarray) -> None:
-        for pname, arr in self.param_items():
-            if pname == name:
-                if arr.shape != value.shape:
-                    raise CheckpointError(
-                        f"parameter {name} has shape {arr.shape}, got {value.shape}"
-                    )
-                arr[...] = value
-                return
-        raise CheckpointError(f"unknown parameter {name}")
-
     # -- persistence ---------------------------------------------------------
 
     def save_checkpoint(self, path: Path | str) -> None:

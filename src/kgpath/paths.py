@@ -1,13 +1,15 @@
-"""Inference-path sampling, encoding, scoring, and joint training.
+"""Inference-path sampling, scoring, and joint training.
 
 Paths are simple walks of at most k steps rooted at key nodes of the pruned
 graph, gathered by seeded random walks (uniform start among key nodes, uniform
 edge choice among edges that do not revisit a node, 1/3 stop chance after each
-step). A path is encoded by concatenating the encoder outputs of its walked
-nodes (zero-padded to k blocks), passing them through f_t, joining the textual
-and visual context through f_p, and scoring against the query context with the
-bilinear layer. Training couples the binary cross-entropy path loss with the
-pruning triplet loss as an unweighted sum.
+step). ``_forward_paths`` is the one scoring route, shared by inference
+(``run_query``) and training (``train_joint_step``): it concatenates the
+encoder outputs of each path's walked nodes (zero-padded to k blocks), passes
+them through f_t, joins the textual and visual context through f_p, and scores
+against the query context with the bilinear layer. Training labels a path 1
+iff its terminal entity is a ground-truth answer and couples the binary
+cross-entropy path loss with the pruning triplet loss as an unweighted sum.
 """
 
 from __future__ import annotations
@@ -16,10 +18,11 @@ import hashlib
 import json
 import random
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .metrics import recall_at_k
 from .neural import Adam, ScoringModel, bce_loss_backward, cosine_rows, make_optimizer
 from .pruning import (
     PrunedGraph,
@@ -48,7 +51,6 @@ class InferencePath:
     nodes: tuple[int, ...]
     relations: tuple[int, ...]
     score: Optional[float] = None
-    label: Optional[int] = None
 
     @property
     def terminal(self) -> int:
@@ -142,15 +144,6 @@ def sample_paths(
     return PathBatch(qid=base.qid, paths=paths)
 
 
-def label_paths(batch: PathBatch, gt: Iterable[int]) -> PathBatch:
-    """Label each path 1 iff its terminal entity is a ground-truth answer."""
-    gt = set(int(e) for e in gt)
-    return PathBatch(
-        qid=batch.qid,
-        paths=[replace(p, label=int(p.terminal in gt)) for p in batch.paths],
-    )
-
-
 # ---------------------------------------------------------------------------
 # encoding and scoring
 # ---------------------------------------------------------------------------
@@ -216,39 +209,6 @@ def _backward_paths(
             dh[positions[eid]] += dblocks[j, step * d : (step + 1) * d]
 
 
-def encode_path(
-    model: ScoringModel,
-    path: InferencePath,
-    node_vectors: dict[int, np.ndarray],
-    ctx,
-) -> np.ndarray:
-    """Eval-mode embedding h_p of a single path."""
-    ids = sorted(node_vectors)
-    h = np.stack([node_vectors[i] for i in ids])
-    positions = {eid: i for i, eid in enumerate(ids)}
-    _, h_p, _ = _forward_paths(model, [path], h, positions, ctx, train=False)
-    return h_p[0]
-
-
-def score_paths(
-    model: ScoringModel,
-    batch: PathBatch,
-    node_vectors: dict[int, np.ndarray],
-    ctx,
-) -> PathBatch:
-    """Eval-mode scoring of a whole batch; returns a new scored batch."""
-    if not batch.paths:
-        return PathBatch(qid=batch.qid, paths=[])
-    ids = sorted(node_vectors)
-    h = np.stack([node_vectors[i] for i in ids])
-    positions = {eid: i for i, eid in enumerate(ids)}
-    scores, _, _ = _forward_paths(model, batch.paths, h, positions, ctx, train=False)
-    return PathBatch(
-        qid=batch.qid,
-        paths=[replace(p, score=float(s)) for p, s in zip(batch.paths, scores)],
-    )
-
-
 def aggregate_answers(batch: PathBatch) -> list[tuple[int, float]]:
     """Rank terminal entities by their best path score (ties: lower id first)."""
     best: dict[int, float] = {}
@@ -282,13 +242,13 @@ def run_query(
 ) -> tuple[PrunedGraph, PathBatch, np.ndarray]:
     """Eval-mode pipeline for one query: prune, sample, score.
 
-    Returns the pruned graph, the scored+labeled path batch, and the
-    schema-node cosine scores (for node-level ranking).
+    Returns the pruned graph, the scored path batch, and the schema-node
+    cosine scores (for node-level ranking).
     """
     h, _ = model.f_n.forward(sample.x, train=False)
     s_cos = cosine_rows(sample.ctx.z, h)
     pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
-    batch = label_paths(sample_paths(pg, n_paths, k, seed), sample.gt)
+    batch = sample_paths(pg, n_paths, k, seed)
     if batch.paths:
         positions = sample.sg.positions()
         scores, _, _ = _forward_paths(model, batch.paths, h, positions, sample.ctx)
@@ -486,6 +446,5 @@ def node_recall_rate(model: ScoringModel, samples: Sequence[QuerySample], k: int
     for sample in samples:
         h, _ = model.f_n.forward(sample.x, train=False)
         s_cos = cosine_rows(sample.ctx.z, h)
-        ranked = rank_by_score(sample.sg.nodes, s_cos)
-        hits += any(int(e) in sample.gt for e in ranked[:k])
+        hits += recall_at_k(rank_by_score(sample.sg.nodes, s_cos), sample.gt, k)
     return hits / len(samples)

@@ -30,7 +30,7 @@ from .metrics import (
     annotation_scores,
     recall_at_k,
     split_open,
-    vqa_score_from_map,
+    vqa_score,
 )
 from .neural import ScoringModel
 from .paths import aggregate_answers, mix_seed, ranked_paths, run_query
@@ -276,7 +276,7 @@ def build_report(
     scores = []
     for r in results:
         predicted = r.answer_ranking[0][0] if r.answer_ranking else None
-        scores.append(vqa_score_from_map(predicted, r.annotations))
+        scores.append(vqa_score(predicted, r.annotations))
     report.vqa = float(np.mean(scores))
     counts: dict[str, int] = {}
     for r in results:

@@ -31,17 +31,6 @@ from .schema import SchemaGraph
 
 
 @dataclass
-class NodeEncoding:
-    """Per-node view of the encoder output and scores (scores may be unset)."""
-
-    entity: int
-    h_n: np.ndarray
-    s_cos: float = float("nan")
-    s_bfs: float = float("nan")
-    s_prune: float = float("nan")
-
-
-@dataclass
 class PrunedGraph:
     """Surviving nodes ordered by descending prune score, with their scores."""
 
@@ -82,19 +71,6 @@ def node_input_matrix(
     u_rows = np.zeros((n, 4))
     u_rows[np.arange(n), sg.types.astype(np.int64)] = 1.0
     return np.concatenate([z_tile, e_rows, p_rows, u_rows], axis=1)
-
-
-def encode_nodes(
-    model: ScoringModel,
-    sg: SchemaGraph,
-    ctx: QueryContext,
-    emb: EntityEmbeddingTable,
-    textfeat: TextFeatureProvider,
-) -> list[NodeEncoding]:
-    """Eval-mode node encodings, one per schema node (scores unset)."""
-    x = node_input_matrix(model, sg, ctx, emb, textfeat)
-    h, _ = model.f_n.forward(x, train=False)
-    return [NodeEncoding(entity=int(e), h_n=h[i]) for i, e in enumerate(sg.nodes)]
 
 
 def bfs_scores(sg: SchemaGraph) -> np.ndarray:
@@ -319,20 +295,6 @@ def rank_by_score(entity_ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Entity ids sorted by descending score, ascending id on ties."""
     order = np.lexsort((entity_ids, -scores))
     return entity_ids[order]
-
-
-def node_recall(
-    entity_ids: np.ndarray,
-    scores: np.ndarray,
-    gt: Iterable[int],
-    k: int,
-) -> bool:
-    """True iff a ground-truth entity ranks in the top k by the given score."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    gt = set(int(e) for e in gt)
-    ranked = rank_by_score(np.asarray(entity_ids, dtype=np.int64), scores)
-    return any(int(e) in gt for e in ranked[:k])
 
 
 def dump_pruned_graphs(

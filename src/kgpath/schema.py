@@ -18,7 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .kg import Edge, KnowledgeGraph
+from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
 
@@ -41,7 +41,10 @@ class SchemaGraph:
 
     ``nodes``/``types`` are aligned arrays whose order is a seeded shuffle of
     construction order; ``edges_*`` hold all directed edges (reversals
-    included) among the nodes, plus any scene edges.
+    included) among the nodes, plus any scene edges. ``build_rank[i]`` is the
+    construction rank of ``nodes[i]``: for a fixed one-hop cap, the graph
+    built at any smaller budget b holds exactly the nodes of rank < b. It is
+    None for graphs loaded from a dump or restricted to a subset.
     """
 
     qid: str
@@ -53,6 +56,7 @@ class SchemaGraph:
     edges_weight: np.ndarray
     q_nodes: frozenset[int]
     v_nodes: frozenset[int]
+    build_rank: Optional[np.ndarray] = None
     _node_set: Optional[frozenset[int]] = field(default=None, repr=False)
     _positions: Optional[dict[int, int]] = field(default=None, repr=False)
 
@@ -77,14 +81,6 @@ class SchemaGraph:
 
     def key_ids(self) -> frozenset[int]:
         return (self.q_nodes | self.v_nodes) & self.node_set()
-
-    def edge_list(self) -> list[Edge]:
-        return [
-            Edge(int(h), int(r), int(t), float(w))
-            for h, r, t, w in zip(
-                self.edges_head, self.edges_rel, self.edges_tail, self.edges_weight
-            )
-        ]
 
     def restricted_to(self, kept: np.ndarray, qid: Optional[str] = None) -> "SchemaGraph":
         """Copy with nodes restricted to ``kept`` (given order preserved)."""
@@ -148,12 +144,6 @@ class SchemaGraph:
             q_nodes=frozenset(g.entity_id(s) for s in obj["key_q"]),
             v_nodes=frozenset(g.entity_id(s) for s in obj["key_v"]),
         )
-
-
-def gt_hit(sg: SchemaGraph, ground_truth: Iterable[int]) -> bool:
-    """True iff any ground-truth entity made it into the schema graph."""
-    nodes = sg.node_set()
-    return any(int(e) in nodes for e in ground_truth)
 
 
 def gt_provenance(sg: SchemaGraph, gt: int) -> str:
@@ -327,6 +317,7 @@ def _build(
         edges_weight=ew,
         q_nodes=frozenset(keys.q_nodes),
         v_nodes=frozenset(keys.v_nodes),
+        build_rank=perm,
     )
 
 
@@ -359,7 +350,6 @@ def _collect_edges(
 
     if scene_edges:
         node_set = set(int(n) for n in nodes)
-        nf = g.relations.n_forward
         sh, st, sr, sw = [], [], [], []
         for e in scene_edges:
             if e.head in node_set and e.tail in node_set:
@@ -373,17 +363,7 @@ def _collect_edges(
             er = np.concatenate([er, np.array(sr, dtype=np.int64)])
             ew = np.concatenate([ew, np.array(sw, dtype=np.float64)])
 
-    if eh.size:
-        key = (eh * g.n_entities + et) * g.relations.n_total + er
-        uniq, inverse = np.unique(key, return_inverse=True)
-        wmax = np.full(uniq.shape[0], -np.inf)
-        np.maximum.at(wmax, inverse, ew)
-        er = (uniq % g.relations.n_total).astype(np.int64)
-        ht = uniq // g.relations.n_total
-        et = ht % g.n_entities
-        eh = ht // g.n_entities
-        ew = wmax
-    return eh, er, et, ew
+    return dedup_max_weight(eh, er, et, ew, g.n_entities, g.relations.n_total)
 
 
 def dump_schema_graphs(

@@ -218,6 +218,38 @@ def test_dimension_mismatch_refused(suite):
     assert rc == 1
 
 
+def error_lines(capsys):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    return [line for line in err.splitlines() if line.startswith("error:")]
+
+
+def test_malformed_embedding_row_is_one_line_error(suite, tmp_path, capsys):
+    root, out = suite
+    lines = (out / "entity_embeddings.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+    surface, _, rest = lines[2].partition("\t")
+    values = rest.split(" ")
+    values[1] = "x"
+    lines[2] = surface + "\t" + " ".join(values)
+    bad = tmp_path / "emb.tsv"
+    bad.write_text("".join(lines), encoding="utf-8")
+    rc = main(["train", *run_args(tmp_path / "o", out), "--set", f"entity_embeddings={bad}"])
+    assert rc == 1
+    (line,) = error_lines(capsys)
+    assert line.startswith(f"error: {bad}:3: entity {surface!r}: ")
+
+
+def test_bad_synonyms_file_is_one_line_error(suite, tmp_path, capsys):
+    root, out = suite
+    syn = tmp_path / "syn.tsv"
+    syn.write_text("# surface -> entity\na\tb\tc\n", encoding="utf-8")
+    rc = main(["schema", *run_args(tmp_path / "o", out), "--set", f"synonyms={syn}"])
+    assert rc == 1
+    assert error_lines(capsys) == [
+        f"error: {syn}:2: expected 2 tab-separated fields, got 3"
+    ]
+
+
 def test_export_dot_structure(tmp_path):
     dump = {
         "qid": "q1",

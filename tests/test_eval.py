@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
 
+from kgpath.config import load_config
+from kgpath.linking import ground_truth_ids
 from kgpath.metrics import (
-    AnswerAnnotation,
     EvalReport,
     annotation_scores,
     hit_rate_curve,
     recall_at_k,
     split_open,
     vqa_score,
-    vqa_score_from_map,
     write_curve_csv,
 )
+from kgpath.pipeline import load_runtime, schema_for_record
 from kgpath.schema import SchemaGraph
+from kgpath.synth import SuiteSpec, generate_suite
+
+
+def score_map(anns):
+    return {a.entity: a.score for a in anns}
 
 
 def test_annotation_score_protocol():
@@ -26,12 +32,11 @@ def test_single_entity_answer_overrides_to_one():
 
 
 def test_vqa_score_lookup():
-    anns = annotation_scores([(1, 3), (2, 1)])
-    assert vqa_score(1, anns) == 1.0
-    assert vqa_score(2, anns) == pytest.approx(1 / 3)
-    assert vqa_score(99, anns) == 0.0
-    assert vqa_score(None, anns) == 0.0
-    assert vqa_score_from_map(2, {a.entity: a.score for a in anns}) == pytest.approx(1 / 3)
+    scores = score_map(annotation_scores([(1, 3), (2, 1)]))
+    assert vqa_score(1, scores) == 1.0
+    assert vqa_score(2, scores) == pytest.approx(1 / 3)
+    assert vqa_score(99, scores) == 0.0
+    assert vqa_score(None, scores) == 0.0
 
 
 def test_recall_positions():
@@ -77,7 +82,7 @@ def test_split_open_rules():
     assert split_open(train, set()) == "closed"
 
 
-def _sg(nodes, qid="q"):
+def _sg(nodes, build_rank=None, qid="q"):
     n = len(nodes)
     return SchemaGraph(
         qid=qid,
@@ -89,36 +94,69 @@ def _sg(nodes, qid="q"):
         edges_weight=np.empty(0, dtype=np.float64),
         q_nodes=frozenset({nodes[0]}) if nodes else frozenset(),
         v_nodes=frozenset(),
+        build_rank=None if build_rank is None else np.asarray(build_rank),
     )
 
 
 def test_hit_rate_curve_monotone_on_nested():
     budgets = [2, 4]
-    graphs = [
-        [_sg([1, 2]), _sg([5, 6])],
-        [_sg([1, 2, 3, 4]), _sg([5, 6, 7, 8])],
-    ]
+    # shuffled storage order: the construction rank, not the row, decides
+    graphs = [_sg([3, 1, 4, 2], [2, 0, 3, 1]), _sg([8, 6, 7, 5], [3, 1, 2, 0])]
     gts = [{3}, {9}]
     curve = hit_rate_curve(budgets, graphs, gts)
     assert curve == [(2, 0.0), (4, 0.5)]
     assert curve[0][1] <= curve[1][1]
-
-
-def test_hit_rate_curve_rejects_non_nested():
-    budgets = [2, 4]
-    graphs = [[_sg([1, 2])], [_sg([3, 4, 5, 6])]]  # smaller graph not a subset
-    with pytest.raises(ValueError, match="nested"):
-        hit_rate_curve(budgets, graphs, [{1}])
-    # without the assertion it computes anyway
-    curve = hit_rate_curve(budgets, graphs, [{1}], assert_nested=False)
-    assert curve == [(2, 1.0), (4, 0.0)]
+    assert hit_rate_curve([1, 2], [_sg([3, 1], [1, 0])], [{1, 3}]) == [(1, 1.0), (2, 1.0)]
 
 
 def test_hit_rate_curve_validates_shape():
     with pytest.raises(ValueError, match="sorted"):
-        hit_rate_curve([4, 2], [[], []], [])
-    with pytest.raises(ValueError, match="per budget"):
-        hit_rate_curve([2], [[], []], [])
+        hit_rate_curve([4, 2], [], [])
+    with pytest.raises(ValueError, match="align"):
+        hit_rate_curve([2], [_sg([1], [0])], [])
+    with pytest.raises(ValueError, match="construction ranks"):
+        hit_rate_curve([2], [_sg([1])], [{1}])
+
+
+@pytest.fixture(scope="module")
+def small_suite(tmp_path_factory):
+    out = tmp_path_factory.mktemp("curve_suite")
+    generate_suite(out, SuiteSpec(seed=3, n_entities=150, n_edges=600, n_queries=24, dim=8))
+    return out
+
+
+def test_hit_rate_curve_matches_rebuild_oracle(small_suite):
+    """The curve read from one max-budget build equals a recount over real
+    per-budget rebuilds, and every rebuild is the construction-rank prefix."""
+    # a one-hop cap of 6 makes the larger budgets recruit two-hop nodes
+    rt = load_runtime(
+        load_config(small_suite / "suite.config", {"one_hop_cap": "6"}), need_vectors=False
+    )
+    budgets = [2, 3, 4, 5, 8, 13, 20, 40, 60]
+    candidates = rt.candidate_set()
+    for mode in ("open", "closed"):
+
+        def build(rec, budget):
+            return schema_for_record(rt, rec, budget=budget, mode=mode, candidates=candidates)
+
+        records = [rec for rec in rt.queries if build(rec, budgets[-1]) is not None]
+        full = [build(rec, budgets[-1]) for rec in records]
+        gts = [ground_truth_ids(rt.g, rec) for rec in records]
+        expected = []
+        for b in budgets:
+            rebuilt = [build(rec, b) for rec in records]
+            for sg, big in zip(rebuilt, full):
+                in_prefix = big.build_rank < b
+                assert sg.node_set() == {int(n) for n in big.nodes[in_prefix]}
+                sub = big.restricted_to(big.nodes[in_prefix])
+                assert set(zip(sg.edges_head, sg.edges_rel, sg.edges_tail, sg.edges_weight)) == set(
+                    zip(sub.edges_head, sub.edges_rel, sub.edges_tail, sub.edges_weight)
+                )
+            hits = sum(bool(sg.node_set() & gt) for sg, gt in zip(rebuilt, gts))
+            expected.append((b, hits / len(records)))
+        curve = hit_rate_curve(budgets, full, gts)
+        assert curve == expected
+        assert curve[0][1] < curve[-1][1], f"{mode} curve too flat to test anything: {curve}"
 
 
 def test_perfect_oracle_equals_mean_max_annotation_score():
@@ -131,7 +169,9 @@ def test_perfect_oracle_equals_mean_max_annotation_score():
         questions.append(annotation_scores(answers))
     # the oracle predicts each question's best-scored annotated entity
     suite = float(
-        np.mean([vqa_score(max(anns, key=lambda a: a.score).entity, anns) for anns in questions])
+        np.mean(
+            [vqa_score(max(anns, key=lambda a: a.score).entity, score_map(anns)) for anns in questions]
+        )
     )
     upper = float(np.mean([max(a.score for a in anns) for anns in questions]))
     assert suite == pytest.approx(upper)

@@ -2,25 +2,31 @@ import numpy as np
 import pytest
 
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
-from kgpath.neural import Adam, ScoringModel
+from kgpath.neural import Adam, ScoringModel, bce_loss, cosine_rows
 from kgpath.paths import (
     InferencePath,
     PathBatch,
+    _forward_paths,
     aggregate_answers,
-    encode_path,
-    label_paths,
     mix_seed,
     ranked_paths,
     run_query,
     sample_paths,
-    score_paths,
     staged_training,
     train_joint_step,
 )
-from kgpath.pruning import PrunedGraph, QuerySample, bfs_scores
-from kgpath.schema import SchemaGraph
+from kgpath.pruning import PrunedGraph, QuerySample, prune_from_scores
 
 from test_pruning import make_sg, providers, sym
+
+
+def forward(model, paths, vectors, ctx):
+    """Eval-mode (scores, h_p) of ``paths`` over node vectors keyed by entity id."""
+    ids = sorted(vectors)
+    h = np.stack([vectors[i] for i in ids])
+    positions = {eid: i for i, eid in enumerate(ids)}
+    scores, h_p, _ = _forward_paths(model, paths, h, positions, ctx)
+    return scores, h_p
 
 
 def as_pruned(sg):
@@ -120,10 +126,24 @@ def test_sampling_deterministic_per_seed():
 
 
 def test_labels_mark_gt_terminals():
-    pg = triangle_pg()
-    batch = label_paths(sample_paths(pg, 50, 3, seed=2), gt={2})
-    for p in batch.paths:
-        assert p.label == int(p.terminal == 2)
+    # train_joint_step labels a path 1 iff its terminal is a ground-truth
+    # answer: its BCE term equals the loss recomputed under that rule.
+    model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.0, seed=23)
+    samples = make_samples(model, seed=24)
+    step_seed = 5
+    scores, labels = [], []
+    for s in samples:
+        h, _ = model.f_n.forward(s.x, train=False)
+        pg = prune_from_scores(s.sg, cosine_rows(s.ctx.z, h), s.s_bfs, 0.3, 100)
+        batch = sample_paths(pg, 200, 3, mix_seed(step_seed, s.qid))
+        scores.append(_forward_paths(model, batch.paths, h, s.sg.positions(), s.ctx)[0])
+        labels += [p.terminal in s.gt for p in batch.paths]
+    scores = np.concatenate(scores)
+    labels = np.array(labels, dtype=np.float64)
+    assert 0 < labels.sum() < labels.size
+    loss_cls, _ = train_joint_step(model, samples, Adam(lr=1e-3), step_seed=step_seed)
+    assert loss_cls == pytest.approx(bce_loss(scores, labels), rel=1e-12)
+    assert loss_cls != pytest.approx(bce_loss(scores, 1.0 - labels))
 
 
 def test_encode_path_padding_and_output():
@@ -133,7 +153,8 @@ def test_encode_path_padding_and_output():
     z = rng.standard_normal(4)
     ctx = QueryContext(qid="q", z=z / np.linalg.norm(z), v=z, t=z)
     path = InferencePath(nodes=(7, 8), relations=(0,))
-    got = encode_path(model, path, vectors, ctx)
+    _, h_p = forward(model, [path], vectors, ctx)
+    got = h_p[0]
     assert got.shape == (4,)
     # manual forward: one block then zero padding
     blocks = np.concatenate([vectors[8], np.zeros(4), np.zeros(4)])[None, :]
@@ -149,7 +170,7 @@ def test_path_too_long_rejected():
     ctx = QueryContext(qid="q", z=np.ones(4), v=np.ones(4), t=np.ones(4))
     path = InferencePath(nodes=(0, 1, 2, 3), relations=(0, 0, 0))
     with pytest.raises(ValueError, match="exceeds"):
-        encode_path(model, path, vectors, ctx)
+        forward(model, [path], vectors, ctx)
 
 
 def test_identical_paths_same_encoding_order_sensitivity():
@@ -161,21 +182,23 @@ def test_identical_paths_same_encoding_order_sensitivity():
     p1 = InferencePath(nodes=(0, 1, 2), relations=(0, 1))
     p1_again = InferencePath(nodes=(0, 1, 2), relations=(0, 1))
     p_swapped = InferencePath(nodes=(0, 2, 1), relations=(0, 1))
-    e1 = encode_path(model, p1, vectors, ctx)
-    assert np.array_equal(e1, encode_path(model, p1_again, vectors, ctx))
-    assert not np.allclose(e1, encode_path(model, p_swapped, vectors, ctx))
+    _, (e1, e1_again, e_swapped) = forward(model, [p1, p1_again, p_swapped], vectors, ctx)
+    assert np.array_equal(e1, e1_again)
+    assert not np.allclose(e1, e_swapped)
 
 
 def test_score_paths_empty_and_duplicates():
     model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=5)
-    ctx = QueryContext(qid="q", z=np.ones(4), v=np.ones(4), t=np.ones(4))
-    assert score_paths(model, PathBatch(qid="q"), {}, ctx).paths == []
+    # a graph without edges yields no path, and run_query scores none
+    emb, ctx, tf = providers(4, 3, 3, seed=5)
+    sg = make_sg([0, 1], [0, 2], [], q_nodes={0})
+    sample = QuerySample.build(model, sg, ctx, [1], emb, tf)
+    assert run_query(model, sample, target=2, n_paths=10, seed=0)[1].paths == []
     rng = np.random.default_rng(6)
     vectors = {i: rng.standard_normal(4) for i in range(3)}
     dup = InferencePath(nodes=(0, 1), relations=(2,))
-    batch = PathBatch(qid="q", paths=[dup, InferencePath(nodes=(0, 2), relations=(0,)), dup])
-    scored = score_paths(model, batch, vectors, ctx)
-    assert scored.paths[0].score == scored.paths[2].score
+    scores, _ = forward(model, [dup, InferencePath(nodes=(0, 2), relations=(0,)), dup], vectors, ctx)
+    assert scores[0] == scores[2]
 
 
 def test_argmax_invariant_to_bias_shift():
@@ -183,17 +206,12 @@ def test_argmax_invariant_to_bias_shift():
     rng = np.random.default_rng(8)
     vectors = {i: rng.standard_normal(4) for i in range(5)}
     ctx = QueryContext(qid="q", z=rng.standard_normal(4), v=np.ones(4), t=np.ones(4))
-    batch = PathBatch(
-        qid="q",
-        paths=[InferencePath(nodes=(0, i), relations=(0,)) for i in range(1, 5)],
-    )
-    s1 = score_paths(model, batch, vectors, ctx)
+    paths = [InferencePath(nodes=(0, i), relations=(0,)) for i in range(1, 5)]
+    s1, _ = forward(model, paths, vectors, ctx)
     model.f_bi.b[0] += 3.7
-    s2 = score_paths(model, batch, vectors, ctx)
-    assert np.argmax([p.score for p in s1.paths]) == np.argmax([p.score for p in s2.paths])
-    assert np.allclose(
-        np.diff([p.score for p in s1.paths]), np.diff([p.score for p in s2.paths])
-    )
+    s2, _ = forward(model, paths, vectors, ctx)
+    assert np.argmax(s1) == np.argmax(s2)
+    assert np.allclose(np.diff(s1), np.diff(s2))
 
 
 def test_aggregate_answers_max_rule():
@@ -317,7 +335,6 @@ def test_run_query_returns_consistent_bundle():
     surv = set(int(e) for e in pg.survivors)
     for p in batch.paths:
         assert set(p.nodes) <= surv
-        assert p.label == int(p.terminal in sample.gt)
         assert p.score is not None
     rp = ranked_paths(batch)
     assert all(rp[i].score >= rp[i + 1].score for i in range(len(rp) - 1))

@@ -4,13 +4,12 @@ import pytest
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from kgpath.kg import load_graph
 from kgpath.linking import KeyNodeSet
+from kgpath.metrics import recall_at_k
 from kgpath.neural import Adam, ScoringModel, cosine, cosine_rows, mine_semi_hard, triplet_loss
 from kgpath.pruning import (
     QuerySample,
     bfs_scores,
-    encode_nodes,
     node_input_matrix,
-    node_recall,
     prune,
     prune_from_scores,
     rank_by_score,
@@ -49,6 +48,12 @@ def sym(edges):
     return out
 
 
+def encode(model, sg, ctx, emb, tf):
+    """Eval-mode node encodings, the way QuerySample.build and run_query get them."""
+    h, _ = model.f_n.forward(node_input_matrix(model, sg, ctx, emb, tf), train=False)
+    return h
+
+
 def providers(dim_d, dim_D, n_entities, seed=0):
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((n_entities, dim_D))
@@ -68,8 +73,7 @@ def test_encode_dimension_bookkeeping():
     sg = make_sg([0, 1, 2], [0, 1, 2], sym([(0, 1, 1, 1.0)]), q_nodes={0}, v_nodes={1})
     x = node_input_matrix(model, sg, ctx, emb, tf)
     assert x.shape == (3, 15)
-    encs = encode_nodes(model, sg, ctx, emb, tf)
-    assert len(encs) == 3 and all(e.h_n.shape == (4,) for e in encs)
+    assert encode(model, sg, ctx, emb, tf).shape == (3, 4)
 
 
 def test_identical_inputs_identical_encodings():
@@ -78,8 +82,8 @@ def test_identical_inputs_identical_encodings():
     emb.matrix[2] = emb.matrix[1]  # same feature vector
     tf_zero = TextFeatureProvider(dim=4, mode="zero")
     sg = make_sg([1, 2], [2, 2], [], q_nodes={1})
-    encs = encode_nodes(model, sg, ctx, emb, tf_zero)
-    assert np.array_equal(encs[0].h_n, encs[1].h_n)
+    h = encode(model, sg, ctx, emb, tf_zero)
+    assert np.array_equal(h[0], h[1])
 
 
 def test_permutation_equivariance():
@@ -87,8 +91,8 @@ def test_permutation_equivariance():
     emb, ctx, tf = providers(5, 4, 12, seed=2)
     sg1 = make_sg([3, 5, 7, 9], [0, 1, 2, 3], [], q_nodes={3}, v_nodes={5})
     sg2 = make_sg([9, 3, 7, 5], [3, 0, 2, 1], [], q_nodes={3}, v_nodes={5})
-    e1 = {e.entity: e.h_n for e in encode_nodes(model, sg1, ctx, emb, tf)}
-    e2 = {e.entity: e.h_n for e in encode_nodes(model, sg2, ctx, emb, tf)}
+    e1 = dict(zip(sg1.nodes.tolist(), encode(model, sg1, ctx, emb, tf)))
+    e2 = dict(zip(sg2.nodes.tolist(), encode(model, sg2, ctx, emb, tf)))
     for eid in e1:
         assert np.array_equal(e1[eid], e2[eid])
 
@@ -297,11 +301,12 @@ def test_node_recall_and_rank_by_score():
     ids = np.array([10, 20, 30, 40])
     scores = np.array([0.1, 0.9, 0.9, 0.5])
     assert rank_by_score(ids, scores).tolist() == [20, 30, 40, 10]  # tie -> lower id
-    assert node_recall(ids, scores, {20}, 1)
-    assert not node_recall(ids, scores, {10}, 3)
-    assert node_recall(ids, scores, {10}, 4)
+    ranked = rank_by_score(ids, scores)
+    assert recall_at_k(ranked, {20}, 1)
+    assert not recall_at_k(ranked, {10}, 3)
+    assert recall_at_k(ranked, {10}, 4)
     with pytest.raises(ValueError):
-        node_recall(ids, scores, {10}, 0)
+        recall_at_k(ranked, {10}, 0)
 
 
 def test_node_recall_matches_full_sort_oracle():
@@ -314,4 +319,4 @@ def test_node_recall_matches_full_sort_oracle():
         k = int(rng.integers(1, n + 1))
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
         expected = any(int(ids[i]) in gt for i in order[:k])
-        assert node_recall(ids, scores, gt, k) == expected
+        assert recall_at_k(rank_by_score(ids, scores), gt, k) == expected

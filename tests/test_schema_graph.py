@@ -3,13 +3,13 @@ import pytest
 
 from kgpath.kg import Edge, load_graph
 from kgpath.linking import KeyNodeSet
+from kgpath.metrics import hit_rate_curve
 from kgpath.schema import (
     NodeType,
     SchemaGraph,
     build_schema,
     build_schema_closed,
     dump_schema_graphs,
-    gt_hit,
     gt_provenance,
     load_schema_graphs,
     rank_candidates,
@@ -211,9 +211,13 @@ def test_closed_mode_restricts_recruitment(tmp_path):
 def test_gt_hit(tmp_path):
     edges = write_edges(tmp_path / "e.tsv", [("k", "isa", "x", 1.0)])
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
-    sg = build_schema(g, keyset(q={g.entity_id("k")}), budget=10, seed=0)
-    assert gt_hit(sg, {g.entity_id("x")})
-    assert not gt_hit(sg, set())
+    k, x = g.entity_id("k"), g.entity_id("x")
+    sg = build_schema(g, keyset(q={k}), budget=10, seed=0)
+    # the key node is built first, its neighbour second
+    assert sg.build_rank[sg.positions()[k]] == 0
+    assert sg.build_rank[sg.positions()[x]] == 1
+    assert hit_rate_curve([1, 2], [sg], [{x}]) == [(1, 0.0), (2, 1.0)]
+    assert hit_rate_curve([1, 2], [sg, sg], [{x}, set()]) == [(1, 0.0), (2, 0.5)]
 
 
 def test_dump_round_trip(tmp_path):
@@ -228,6 +232,7 @@ def test_dump_round_trip(tmp_path):
     assert loaded.q_nodes == sg.q_nodes and loaded.v_nodes == sg.v_nodes
     assert np.array_equal(loaded.edges_head, sg.edges_head)
     assert np.allclose(loaded.edges_weight, sg.edges_weight)
+    assert loaded.build_rank is None  # dumps do not record construction order
 
 
 def test_self_loop_never_recruits(tmp_path):
