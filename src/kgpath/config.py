@@ -15,7 +15,9 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional, TypeVar
+
+T = TypeVar("T")
 
 
 class ConfigError(ValueError):
@@ -161,6 +163,29 @@ def load_config(path: Optional[Path | str], overrides: Optional[dict[str, str]] 
         cfg.set_field(key, raw)
     cfg.validate()
     return cfg
+
+
+def read_jsonl(path: Path | str, build: Callable[[dict], T], error: type = ConfigError) -> list[T]:
+    """``build`` applied to each object of a JSON Lines file, blank lines skipped.
+
+    Bad JSON, a missing field and any ``TypeError``/``ValueError`` from
+    ``build`` become one ``error("<path>:<line>: ...")``.
+    """
+    items = []
+    with open(path, encoding="utf-8") as f:
+        for lineno, line in enumerate(f, 1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                items.append(build(json.loads(line)))
+            except json.JSONDecodeError as exc:
+                raise error(f"{path}:{lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
+            except KeyError as exc:
+                raise error(f"{path}:{lineno}: missing field {exc}") from None
+            except (TypeError, ValueError) as exc:
+                raise error(f"{path}:{lineno}: {exc}") from None
+    return items
 
 
 def sha256_file(path: Path | str) -> str:

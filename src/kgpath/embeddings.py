@@ -6,18 +6,25 @@ precomputed vectors through the loaders here. A hash-stub mode and a zero mode
 stand in for the text-feature file when none is available; the synthetic
 provider in :mod:`kgpath.synth` plants learnable query/entity alignments for
 tests and demos.
+
+The hash stub's stream is defined here, not by a numpy generator: one
+blake2b of ``seed|qid`` keys the question, a splitmix64 mix of (question key,
+entity id, component) gives the uniform bits, Box-Muller turns them into
+normals and each row is scaled to unit norm. Its values therefore do not
+depend on the numpy version, and a row does not depend on which other
+entities are gathered with it.
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
+from .config import read_jsonl
 from .kg import KnowledgeGraph
 
 
@@ -35,6 +42,8 @@ class QueryContext:
     t: np.ndarray
 
     def __post_init__(self):
+        if self.z.ndim != 1 or self.z.size == 0:
+            raise EmbeddingError(f"{self.qid}: z is not a non-empty list of numbers")
         d = self.z.shape[0]
         if self.v.shape != (d,) or self.t.shape != (d,):
             raise EmbeddingError(f"{self.qid}: context vectors disagree on dimension")
@@ -115,21 +124,16 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
 
 def load_contexts(path: Path | str) -> dict[str, QueryContext]:
     """Read the ``{qid, z, v, t}`` JSON Lines context file."""
-    contexts = {}
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            ctx = QueryContext(
-                qid=str(obj["qid"]),
-                z=np.asarray(obj["z"], dtype=np.float64),
-                v=np.asarray(obj["v"], dtype=np.float64),
-                t=np.asarray(obj["t"], dtype=np.float64),
-            )
-            contexts[ctx.qid] = ctx
-    return contexts
+
+    def build(obj: dict) -> QueryContext:
+        return QueryContext(
+            qid=str(obj["qid"]),
+            z=np.asarray(obj["z"], dtype=np.float64),
+            v=np.asarray(obj["v"], dtype=np.float64),
+            t=np.asarray(obj["t"], dtype=np.float64),
+        )
+
+    return {ctx.qid: ctx for ctx in read_jsonl(path, build, EmbeddingError)}
 
 
 class TextFeatureProvider:
@@ -140,7 +144,7 @@ class TextFeatureProvider:
     * ``file``: vectors from a ``{qid, entity, p}`` JSON Lines file; pairs
       absent from the file fall back to the hash stub.
     * ``hash``: a deterministic unit-norm pseudo-random vector derived from
-      (seed, qid, entity).
+      (seed, qid, entity) by the stream in the module docstring.
     * ``zero``: all zeros, reproducing the no-text-feature ablation.
     """
 
@@ -162,42 +166,63 @@ class TextFeatureProvider:
         self._table: dict[tuple[str, int], np.ndarray] = {}
         if mode == "file":
             assert g is not None, "file mode needs the graph to resolve entities"
-            with open(path, encoding="utf-8") as f:
-                for line in f:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    obj = json.loads(line)
-                    eid = g.match_entity(obj["entity"])
-                    if eid is None:
-                        continue
-                    vec = np.asarray(obj["p"], dtype=np.float64)
-                    if vec.shape != (dim,):
-                        raise EmbeddingError(
-                            f"text feature for ({obj['qid']}, {obj['entity']}) has "
-                            f"dimension {vec.shape[0]}, expected {dim}"
-                        )
-                    self._table[(str(obj["qid"]), eid)] = vec
 
-    def get(self, qid: str, eid: int) -> np.ndarray:
-        if self.mode == "zero":
-            return np.zeros(self.dim)
-        if self.mode == "file":
-            vec = self._table.get((qid, eid))
-            if vec is not None:
-                return vec
-        return self._hash_vector(qid, eid)
+            def build(obj: dict):
+                eid = g.match_entity(obj["entity"])
+                vec = np.asarray(obj["p"], dtype=np.float64)
+                if vec.shape != (dim,):
+                    raise EmbeddingError(
+                        f"text feature for ({obj['qid']}, {obj['entity']}) has "
+                        f"shape {vec.shape}, expected dimension {dim}"
+                    )
+                return (str(obj["qid"]), eid), vec
+
+            for key, vec in read_jsonl(path, build, EmbeddingError):
+                if key[1] is not None:
+                    self._table[key] = vec
 
     def gather(self, qid: str, ids: np.ndarray) -> np.ndarray:
-        return np.stack([self.get(qid, int(e)) for e in ids])
+        """One row per entity id, shape ``(len(ids), dim)``."""
+        ids = np.asarray(ids, dtype=np.int64)
+        if self.mode == "zero":
+            return np.zeros((ids.size, self.dim))
+        if self.mode == "hash":
+            return self._hash_rows(qid, ids)
+        rows = np.empty((ids.size, self.dim))
+        misses = []
+        for i, eid in enumerate(ids.tolist()):
+            vec = self._table.get((qid, eid))
+            if vec is None:
+                misses.append(i)
+            else:
+                rows[i] = vec
+        if misses:
+            rows[misses] = self._hash_rows(qid, ids[misses])
+        return rows
 
-    def _hash_vector(self, qid: str, eid: int) -> np.ndarray:
-        digest = hashlib.blake2b(
-            f"{self.seed}|{qid}|{eid}".encode(), digest_size=8
-        ).digest()
-        rng = np.random.default_rng(int.from_bytes(digest, "little"))
-        vec = rng.standard_normal(self.dim)
-        return vec / np.linalg.norm(vec)
+    def _hash_rows(self, qid: str, ids: np.ndarray) -> np.ndarray:
+        digest = hashlib.blake2b(f"{self.seed}|{qid}".encode(), digest_size=8).digest()
+        q_key = np.uint64(int.from_bytes(digest, "little"))
+        n_pairs = (self.dim + 1) // 2
+        row_key = _splitmix64(q_key ^ _splitmix64(ids.astype(np.uint64)))
+        counter = row_key[:, None] + np.arange(2 * n_pairs, dtype=np.uint64)
+        # top 53 bits -> uniforms in (0, 1]; the log below never sees 0
+        unif = ((_splitmix64(counter) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
+        radius = np.sqrt(-2.0 * np.log(unif[:, 0::2]))
+        angle = 2.0 * np.pi * unif[:, 1::2]
+        vec = np.empty((ids.size, 2 * n_pairs))
+        vec[:, 0::2] = radius * np.cos(angle)
+        vec[:, 1::2] = radius * np.sin(angle)
+        vec = vec[:, : self.dim]
+        return vec / np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
+
+
+def _splitmix64(x: np.ndarray) -> np.ndarray:
+    """One splitmix64 step (Steele et al. 2014) on uint64 arrays, wrapping."""
+    z = x + np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
 
 
 def unit_random(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -10,12 +10,11 @@ optional synonym table.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .config import ConfigError
+from .config import ConfigError, read_jsonl
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
 #: Question words discarded before matching. The exact list is configuration,
@@ -74,26 +73,20 @@ class KeyNodeSet:
 
 def load_queries(path: Path | str) -> list[QueryRecord]:
     """Parse the JSON Lines query file."""
-    records = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            records.append(
-                QueryRecord(
-                    qid=str(obj["qid"]),
-                    question_tokens=[(t, p) for t, p in obj.get("question_tokens", [])],
-                    scene_labels=[(l, float(c)) for l, c in obj.get("scene_labels", [])],
-                    scene_triplets=[
-                        (s, p, o, float(c)) for s, p, o, c in obj.get("scene_triplets", [])
-                    ],
-                    answers=[(a, int(c)) for a, c in obj.get("answers", [])],
-                    split=obj.get("split", "train"),
-                )
-            )
-    return records
+
+    def build(obj: dict) -> QueryRecord:
+        return QueryRecord(
+            qid=str(obj["qid"]),
+            question_tokens=[(t, p) for t, p in obj.get("question_tokens", [])],
+            scene_labels=[(l, float(c)) for l, c in obj.get("scene_labels", [])],
+            scene_triplets=[
+                (s, p, o, float(c)) for s, p, o, c in obj.get("scene_triplets", [])
+            ],
+            answers=[(a, int(c)) for a, c in obj.get("answers", [])],
+            split=obj.get("split", "train"),
+        )
+
+    return read_jsonl(path, build)
 
 
 def load_synonyms(path: Optional[Path | str]) -> dict[str, str]:

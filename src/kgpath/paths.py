@@ -32,6 +32,7 @@ from .pruning import (
     train_prune_step,
     triplet_terms,
 )
+from .schema import LocalAdjacency
 
 WALK_STOP_PROB = 1.0 / 3.0
 MAX_ATTEMPT_FACTOR = 20
@@ -70,6 +71,39 @@ class PathBatch:
         return len(self.paths)
 
 
+def count_walks(adj: LocalAdjacency, roots: Sequence[int], k: int, cap: int) -> int:
+    """Number of simple walks of 1..k edges from ``roots`` (row positions)
+    over ``adj``, counted up to ``cap``.
+
+    Walks are counted as edge sequences. A schema graph holds each (head,
+    relation, tail) once, so each one is a distinct path.
+    """
+    indptr = adj.indptr.tolist()
+    nbr = adj.nbr.tolist()
+    count = 0
+
+    def extend(u: int, depth: int, on_walk: set[int]) -> bool:
+        nonlocal count
+        for j in range(indptr[u], indptr[u + 1]):
+            v = nbr[j]
+            if v in on_walk:
+                continue
+            count += 1
+            if count >= cap:
+                return True
+            if depth + 1 < k:
+                on_walk.add(v)
+                if extend(v, depth + 1, on_walk):
+                    return True
+                on_walk.discard(v)
+        return False
+
+    for root in roots:
+        if count >= cap or extend(root, 0, {root}):
+            break
+    return count
+
+
 def sample_paths(
     pg: PrunedGraph,
     n_paths: int = 200,
@@ -78,69 +112,70 @@ def sample_paths(
 ) -> PathBatch:
     """Collect up to ``n_paths`` distinct simple walks from the key nodes.
 
-    Sampling stops after ``n_paths`` distinct paths or ``20 * n_paths``
-    attempts, whichever comes first. Zero-length walks (immediate dead end)
-    are discarded; a graph without usable edges yields an empty batch.
+    Sampling stops after ``n_paths`` distinct paths, after every walk the
+    graph holds has been found, or after ``20 * n_paths`` attempts, whichever
+    comes first. Zero-length walks (immediate dead end) are discarded; a graph
+    without usable edges yields an empty batch.
     """
     base = pg.base
     keys = sorted(base.key_ids())
     if not keys:
         raise ValueError("pruned graph has no key node to root paths at")
     pos = base.positions()
-    adj: list[list[tuple[int, int]]] = [[] for _ in range(base.n_nodes)]
-    for h, r, t in zip(base.edges_head, base.edges_rel, base.edges_tail):
-        if h != t:
-            adj[pos[int(h)]].append((pos[int(t)], int(r)))
+    adj = base.adjacency()
+    indptr = adj.indptr.tolist()
+    nbr = adj.nbr.tolist()
+    rel = adj.rel.tolist()
 
     key_pos = [pos[k_] for k_ in keys]
-    node_ids = [int(n) for n in base.nodes]
+    # Every counted walk has a positive chance on each attempt and no other
+    # walk exists, so stopping once all are found returns the same batch as
+    # sampling on to the attempt cap. A repeated edge only raises the count,
+    # which at worst leaves the loop running to the cap.
+    target = count_walks(adj, key_pos, k, n_paths)
+    node_ids = base.nodes.tolist()
     unit = random.Random(seed).random  # scaled unit draws beat randrange here
     n_keys = len(key_pos)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     paths: list[InferencePath] = []
     attempts = 0
     max_attempts = MAX_ATTEMPT_FACTOR * n_paths
-    while len(paths) < n_paths and attempts < max_attempts:
+    while len(paths) < target and attempts < max_attempts:
         attempts += 1
         cur = key_pos[int(unit() * n_keys)]
-        visited = {cur}
-        node_seq = [cur]
+        walk = [cur]  # row positions; at most k + 1, so a list beats a set
         rel_seq: list[int] = []
         while True:
-            out_edges = adj[cur]
+            lo = indptr[cur]
+            n_out = indptr[cur + 1] - lo
             # Rejection sampling stays uniform over non-revisiting edges and
             # avoids building a filtered list on every hop; fall back to the
             # explicit filter when rejections pile up.
-            step = None
-            if out_edges:
-                n_out = len(out_edges)
+            step = -1
+            if n_out:
                 for _ in range(8):
-                    cand = out_edges[int(unit() * n_out)]
-                    if cand[0] not in visited:
-                        step = cand
+                    j = lo + int(unit() * n_out)
+                    if nbr[j] not in walk:
+                        step = j
                         break
                 else:
-                    options = [e for e in out_edges if e[0] not in visited]
+                    options = [j for j in range(lo, lo + n_out) if nbr[j] not in walk]
                     if options:
                         step = options[int(unit() * len(options))]
-            if step is None:
+            if step < 0:
                 break
-            nxt, rel = step
-            node_seq.append(nxt)
-            rel_seq.append(rel)
-            visited.add(nxt)
-            cur = nxt
-            if len(rel_seq) >= k:
-                break
-            if unit() < WALK_STOP_PROB:
+            cur = nbr[step]
+            walk.append(cur)
+            rel_seq.append(rel[step])
+            if len(rel_seq) >= k or unit() < WALK_STOP_PROB:
                 break
         if not rel_seq:
             continue
-        sig = (tuple(node_ids[p] for p in node_seq), tuple(rel_seq))
+        sig = (tuple(walk), tuple(rel_seq))
         if sig in seen:
             continue
         seen.add(sig)
-        paths.append(InferencePath(nodes=sig[0], relations=sig[1]))
+        paths.append(InferencePath(nodes=tuple([node_ids[p] for p in walk]), relations=sig[1]))
     return PathBatch(qid=base.qid, paths=paths)
 
 

@@ -12,7 +12,6 @@ as positives and (by default) semi-hard mined negatives.
 from __future__ import annotations
 
 import json
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -78,24 +77,18 @@ def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     keys = sg.key_ids()
     if not keys:
         raise ValueError("schema graph has no key nodes")
+    adj = sg.adjacency()
     pos = sg.positions()
-    adj: list[list[int]] = [[] for _ in range(sg.n_nodes)]
-    for h, t in zip(sg.edges_head, sg.edges_tail):
-        if h != t:
-            adj[pos[int(h)]].append(pos[int(t)])
     dist = np.full(sg.n_nodes, -1, dtype=np.int64)
-    queue = deque()
-    for k in sorted(keys):
-        dist[pos[k]] = 0
-        queue.append(pos[k])
-    while queue:
-        u = queue.popleft()
-        for w in adj[u]:
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
-    scores = np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
-    return scores
+    frontier = np.array(sorted(pos[k] for k in keys), dtype=np.int64)
+    dist[frontier] = 0
+    hops = 0
+    while frontier.size:
+        hops += 1
+        reached = adj.nbr[adj.out_slots(frontier)]
+        dist[reached[dist[reached] < 0]] = hops
+        frontier = np.flatnonzero(dist == hops)
+    return np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
 
 
 def prune(

@@ -35,6 +35,23 @@ _TYPE_NAMES = {t: t.name for t in NodeType}
 _TYPE_BY_NAME = {t.name: t for t in NodeType}
 
 
+@dataclass(frozen=True)
+class LocalAdjacency:
+    """CSR over a schema graph's row positions: the out-edges of row ``i``
+    go to rows ``nbr[indptr[i]:indptr[i + 1]]`` by relations ``rel[...]``."""
+
+    indptr: np.ndarray
+    nbr: np.ndarray
+    rel: np.ndarray
+
+    def out_slots(self, rows: np.ndarray) -> np.ndarray:
+        """Indices into ``nbr``/``rel`` of every out-edge of ``rows``, row by row."""
+        starts = self.indptr[rows]
+        counts = self.indptr[rows + 1] - starts
+        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        return offsets + np.arange(offsets.size)
+
+
 @dataclass
 class SchemaGraph:
     """A question-conditioned subgraph of the KG.
@@ -59,6 +76,7 @@ class SchemaGraph:
     build_rank: Optional[np.ndarray] = None
     _node_set: Optional[frozenset[int]] = field(default=None, repr=False)
     _positions: Optional[dict[int, int]] = field(default=None, repr=False)
+    _adjacency: Optional[LocalAdjacency] = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -70,14 +88,39 @@ class SchemaGraph:
 
     def node_set(self) -> frozenset[int]:
         if self._node_set is None:
-            self._node_set = frozenset(int(n) for n in self.nodes)
+            self._node_set = frozenset(self.nodes.tolist())
         return self._node_set
 
     def positions(self) -> dict[int, int]:
         """Entity id -> row index into ``nodes``."""
         if self._positions is None:
-            self._positions = {int(n): i for i, n in enumerate(self.nodes)}
+            self._positions = dict(zip(self.nodes.tolist(), range(self.n_nodes)))
         return self._positions
+
+    def adjacency(self) -> LocalAdjacency:
+        """Out-edges by row position, self-loops left out.
+
+        Each row's edges keep their order in the ``edges_*`` arrays, so a
+        walk that picks the j-th out-edge picks the same edge either way.
+        """
+        if self._adjacency is None:
+            ends = np.concatenate([self.nodes, self.edges_head, self.edges_tail])
+            # int32 rows halve the cache every prepared sample keeps
+            row_of = np.full(int(ends.max(initial=-1)) + 1, -1, dtype=np.int32)
+            row_of[self.nodes] = np.arange(self.n_nodes)
+            head, tail = row_of[self.edges_head], row_of[self.edges_tail]
+            if (head < 0).any() or (tail < 0).any():
+                raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
+            keep = head != tail
+            head, tail, rel = head[keep], tail[keep], self.edges_rel[keep]
+            # numpy's stable sort is a radix sort for 8- and 16-bit keys
+            by_head = np.argsort(head.astype(np.min_scalar_type(self.n_nodes)), kind="stable")
+            indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+            np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
+            self._adjacency = LocalAdjacency(
+                indptr=indptr, nbr=tail[by_head], rel=rel[by_head].astype(np.int32)
+            )
+        return self._adjacency
 
     def key_ids(self) -> frozenset[int]:
         return (self.q_nodes | self.v_nodes) & self.node_set()

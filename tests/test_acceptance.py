@@ -636,16 +636,18 @@ def test_criterion_7_scale(tmp_path_factory):
     assert load_time < 60.0, f"ingest took {load_time:.1f}s"
     assert rss_gb < 4.0, f"peak resident memory {rss_gb:.2f} GB"
 
-    from kgpath.linking import extract_key_nodes, load_queries
+    from kgpath.linking import KeyNodeSet, extract_key_nodes, load_queries
     from kgpath.schema import build_schema
 
     records = load_queries(out / "queries.jsonl")
     assert len(records) == 100
     timings = []
     sizes = []
+    linked = []
     for rec in records:
         keys, scene_edges = extract_key_nodes(g, rec)
         assert keys
+        linked.append((rec.qid, keys, scene_edges))
         t0 = time.time()
         sg = build_schema(g, keys, scene_edges, budget=1000, one_hop_cap=500,
                           seed=mix_seed(0, rec.qid), qid=rec.qid)
@@ -653,8 +655,33 @@ def test_criterion_7_scale(tmp_path_factory):
         sizes.append(sg.n_nodes)
     median_ms = float(np.median(timings)) * 1000
     assert median_ms < 200.0, f"median schema build {median_ms:.1f} ms"
+
+    # Dense case: one record's keys rarely fill the budget, so pool the keys
+    # of consecutive records until about 8 are linked, and build from those.
+    dense_timings = []
+    dense_sizes = []
+    q_pool, v_pool, scene_pool = set(), set(), []
+    for qid, keys, scene_edges in linked:
+        q_pool |= keys.q_nodes
+        v_pool |= keys.v_nodes
+        scene_pool += scene_edges
+        if len(q_pool | v_pool) < 8:
+            continue
+        pooled = KeyNodeSet(q_nodes=frozenset(q_pool), v_nodes=frozenset(v_pool))
+        t0 = time.time()
+        sg = build_schema(g, pooled, scene_pool, budget=1000, one_hop_cap=500,
+                          seed=mix_seed(0, "dense", qid), qid=qid)
+        dense_timings.append(time.time() - t0)
+        dense_sizes.append(sg.n_nodes)
+        q_pool, v_pool, scene_pool = set(), set(), []
+    assert len(dense_sizes) >= 10
+    dense_median_ms = float(np.median(dense_timings)) * 1000
+    assert np.median(dense_sizes) == 1000, f"median dense graph size {np.median(dense_sizes)}"
+    assert dense_median_ms < 200.0, f"median dense schema build {dense_median_ms:.1f} ms"
     print(
         f"\n  generate {gen_time:.0f}s, ingest {load_time:.1f}s, peak rss {rss_gb:.2f} GB, "
-        f"median build {median_ms:.1f} ms, median graph size {int(np.median(sizes))}"
+        f"median build {median_ms:.1f} ms, median graph size {int(np.median(sizes))}, "
+        f"dense: {len(dense_sizes)} builds, median {dense_median_ms:.1f} ms, "
+        f"median size {int(np.median(dense_sizes))}"
     )
     report(7, "scale")

@@ -250,6 +250,62 @@ def test_bad_synonyms_file_is_one_line_error(suite, tmp_path, capsys):
     ]
 
 
+def without(key):
+    return lambda obj: json.dumps({k: v for k, v in obj.items() if k != key})
+
+
+def replaced(key, value):
+    return lambda obj: json.dumps({**obj, key: value})
+
+
+# (file, edit of its second line, message after "error: <path>:2: ")
+MALFORMED_JSONL = {
+    "query-bad-json": ("queries", lambda obj: "{not json", "bad JSON: "),
+    "query-missing-qid": ("queries", without("qid"), "missing field 'qid'"),
+    "query-label-confidence": (
+        "queries", replaced("scene_labels", [["x", 1.5]]),
+        "q0001: label confidence 1.5 outside [0,1]",
+    ),
+    "query-triplet-confidence": (
+        "queries", replaced("scene_triplets", [["x", "has", "y", -0.25]]),
+        "q0001: triplet confidence -0.25 outside [0,1]",
+    ),
+    "context-bad-json": ("contexts", lambda obj: json.dumps(obj)[:-1], "bad JSON: "),
+    "context-missing-qid": ("contexts", without("qid"), "missing field 'qid'"),
+    "context-missing-vector": ("contexts", without("z"), "missing field 'z'"),
+    "textfeat-bad-json": ("text_features", lambda obj: "[1, 2", "bad JSON: "),
+    "textfeat-missing-qid": ("text_features", without("qid"), "missing field 'qid'"),
+    "textfeat-missing-vector": ("text_features", without("p"), "missing field 'p'"),
+    "textfeat-wrong-dimension": (
+        "text_features", replaced("p", [1.0, 2.0]),
+        "text feature for (q0001, ent_0007) has shape (2,), expected dimension 12",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_JSONL))
+def test_malformed_jsonl_is_one_line_error(suite, tmp_path, capsys, case):
+    root, out = suite
+    key, edit, message = MALFORMED_JSONL[case]
+    if key == "text_features":
+        lines = [
+            json.dumps({"qid": f"q000{i}", "entity": "ent_0007", "p": [0.5] * 12}) + "\n"
+            for i in range(3)
+        ]
+    else:
+        lines = (out / f"{key}.jsonl").read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = edit(json.loads(lines[1])) + "\n"
+    bad = tmp_path / f"{key}.jsonl"
+    bad.write_text("".join(lines), encoding="utf-8")
+    extra = ["--set", f"{key}={bad}"]
+    if key == "text_features":
+        extra += ["--set", "ptm_mode=file"]
+    rc = main(["train", *run_args(tmp_path / "o", out), *extra])
+    assert rc == 1
+    (line,) = error_lines(capsys)
+    assert line.startswith(f"error: {bad}:2: {message}")
+
+
 def test_export_dot_structure(tmp_path):
     dump = {
         "qid": "q1",

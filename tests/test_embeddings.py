@@ -1,4 +1,7 @@
+import hashlib
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -89,22 +92,76 @@ def test_context_dimension_and_finiteness_validated():
         QueryContext(qid="q", z=np.ones(3), v=np.ones(2), t=np.ones(3))
     with pytest.raises(EmbeddingError, match="non-finite"):
         QueryContext(qid="q", z=np.array([1.0, np.nan]), v=np.ones(2), t=np.ones(2))
+    with pytest.raises(EmbeddingError, match="non-empty list"):
+        QueryContext(qid="q", z=np.asarray(1.0), v=np.ones(1), t=np.ones(1))
 
 
 def test_text_feature_zero_mode():
     tf = TextFeatureProvider(dim=5, mode="zero")
-    assert tf.get("q", 3).tolist() == [0.0] * 5
+    assert tf.gather("q", [3]).tolist() == [[0.0] * 5]
+    assert tf.gather("q", []).shape == (0, 5)
+
+
+def row(tf, qid, eid):
+    return tf.gather(qid, [eid])[0]
 
 
 def test_text_feature_hash_mode_deterministic_unit_norm():
     tf1 = TextFeatureProvider(dim=16, mode="hash", seed=3)
     tf2 = TextFeatureProvider(dim=16, mode="hash", seed=3)
     tf3 = TextFeatureProvider(dim=16, mode="hash", seed=4)
-    v1 = tf1.get("q9", 17)
-    assert np.array_equal(v1, tf2.get("q9", 17))
-    assert not np.array_equal(v1, tf3.get("q9", 17))
-    assert not np.array_equal(v1, tf1.get("q9", 18))
+    v1 = row(tf1, "q9", 17)
+    assert np.array_equal(v1, row(tf2, "q9", 17))
+    assert not np.array_equal(v1, row(tf3, "q9", 17))
+    assert not np.array_equal(v1, row(tf1, "q8", 17))
+    assert not np.array_equal(v1, row(tf1, "q9", 18))
     assert abs(np.linalg.norm(v1) - 1.0) < 1e-6
+
+
+def reference_hash_row(seed, qid, eid, dim):
+    """The hash stub's stream in plain Python integers and ``math``."""
+    mask = 2**64 - 1
+
+    def splitmix64(x):
+        z = (x + 0x9E3779B97F4A7C15) & mask
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        return z ^ (z >> 31)
+
+    digest = hashlib.blake2b(f"{seed}|{qid}".encode(), digest_size=8).digest()
+    row_key = splitmix64(int.from_bytes(digest, "little") ^ splitmix64(eid))
+    vec = []
+    for pair in range((dim + 1) // 2):
+        u1, u2 = (((splitmix64((row_key + c) & mask) >> 11) + 1) * 2.0**-53
+                  for c in (2 * pair, 2 * pair + 1))
+        radius = math.sqrt(-2.0 * math.log(u1))
+        vec += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    vec = vec[:dim]
+    norm = math.sqrt(sum(x * x for x in vec))
+    return [x / norm for x in vec]
+
+
+def test_hash_stream_is_pinned():
+    v = row(TextFeatureProvider(dim=16, mode="hash", seed=3), "q9", 17)
+    golden = {0: -0.3404932195530422, 1: -0.2669064424217665,
+              7: -0.07017306192630808, 15: 0.3617006211014673}
+    for i, want in golden.items():
+        assert abs(v[i] - want) < 1e-12
+    for seed, qid, eid, dim in [(3, "q9", 17, 16), (0, "q1", 0, 5), (11, "x", 516_781, 64)]:
+        tf = TextFeatureProvider(dim=dim, mode="hash", seed=seed)
+        assert np.abs(row(tf, qid, eid) - reference_hash_row(seed, qid, eid, dim)).max() < 1e-12
+
+
+def test_hash_row_independent_of_batch():
+    tf = TextFeatureProvider(dim=64, mode="hash", seed=5)
+    ids = np.random.default_rng(0).choice(20_000, size=300, replace=False)
+    batch = tf.gather("q", ids)
+    perm = np.random.default_rng(1).permutation(ids.size)
+    shuffled = tf.gather("q", ids[perm])
+    for i in (0, 57, 299):
+        assert np.array_equal(row(tf, "q", int(ids[i])), batch[i])
+    assert np.array_equal(shuffled, batch[perm])
+    assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
 
 
 def test_text_feature_file_mode_with_fallback(tmp_path, abc_graph):
@@ -113,9 +170,13 @@ def test_text_feature_file_mode_with_fallback(tmp_path, abc_graph):
         json.dumps({"qid": "q1", "entity": "a", "p": [1.0, 0.0]}) + "\n", encoding="utf-8"
     )
     tf = TextFeatureProvider(dim=2, mode="file", seed=0, path=path, g=abc_graph)
-    assert tf.get("q1", abc_graph.entity_id("a")).tolist() == [1.0, 0.0]
-    fallback = tf.get("q1", abc_graph.entity_id("b"))  # absent pair -> hash stub
-    assert abs(np.linalg.norm(fallback) - 1.0) < 1e-6
+    a, b = abc_graph.entity_id("a"), abc_graph.entity_id("b")
+    rows = tf.gather("q1", [b, a])
+    assert rows[1].tolist() == [1.0, 0.0]
+    # absent pair -> hash stub, the same row the hash mode gives
+    assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-6
+    hashed = TextFeatureProvider(dim=2, mode="hash", seed=0)
+    assert np.array_equal(rows[0], row(hashed, "q1", b))
 
 
 def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
@@ -124,7 +185,7 @@ def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
         json.dumps({"qid": "q1", "entity": "a", "p": [1.0, 0.0, 3.0]}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(EmbeddingError, match="dimension"):
+    with pytest.raises(EmbeddingError, match=re.escape(f"{path}:1: ") + ".*dimension"):
         TextFeatureProvider(dim=2, mode="file", seed=0, path=path, g=abc_graph)
 
 
@@ -152,7 +213,7 @@ def test_synth_provider_bit_identical_reruns(abc_graph):
     b = synth_provider(9, abc_graph, {"q": [0, 2]}, alignment=0.5, dim=12)
     assert np.array_equal(a[0].matrix, b[0].matrix)
     assert np.array_equal(a[1]["q"].z, b[1]["q"].z)
-    assert np.array_equal(a[2].get("q", 1), b[2].get("q", 1))
+    assert np.array_equal(a[2].gather("q", [1]), b[2].gather("q", [1]))
 
 
 def test_planted_context_validates_alignment():

@@ -1,3 +1,6 @@
+import itertools
+import random
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from kgpath.paths import (
     PathBatch,
     _forward_paths,
     aggregate_answers,
+    count_walks,
     mix_seed,
     ranked_paths,
     run_query,
@@ -17,7 +21,7 @@ from kgpath.paths import (
 )
 from kgpath.pruning import PrunedGraph, QuerySample, prune_from_scores
 
-from test_pruning import make_sg, providers, sym
+from test_pruning import make_sg, providers, random_local_graph, sym
 
 
 def forward(model, paths, vectors, ctx):
@@ -114,6 +118,111 @@ def test_paths_subset_of_exhaustive_enumeration():
             got = {(p.nodes, p.relations) for p in batch.paths}
             assert got <= universe
             assert len(got) == len(batch.paths)  # dedup held
+
+
+def reference_sample_paths(pg, n_paths, k, seed):
+    """The sampler as first written, over a hand-built adjacency list and
+    without the early stop: the oracle the CSR walk must reproduce exactly."""
+    base = pg.base
+    keys = sorted(base.key_ids())
+    pos = base.positions()
+    adj = [[] for _ in range(base.n_nodes)]
+    for h, r, t in zip(base.edges_head, base.edges_rel, base.edges_tail):
+        if h != t:
+            adj[pos[int(h)]].append((pos[int(t)], int(r)))
+
+    key_pos = [pos[k_] for k_ in keys]
+    node_ids = [int(n) for n in base.nodes]
+    unit = random.Random(seed).random
+    n_keys = len(key_pos)
+    seen = set()
+    paths = []
+    attempts = 0
+    max_attempts = 20 * n_paths
+    while len(paths) < n_paths and attempts < max_attempts:
+        attempts += 1
+        cur = key_pos[int(unit() * n_keys)]
+        visited = {cur}
+        node_seq = [cur]
+        rel_seq = []
+        while True:
+            out_edges = adj[cur]
+            step = None
+            if out_edges:
+                n_out = len(out_edges)
+                for _ in range(8):
+                    cand = out_edges[int(unit() * n_out)]
+                    if cand[0] not in visited:
+                        step = cand
+                        break
+                else:
+                    options = [e for e in out_edges if e[0] not in visited]
+                    if options:
+                        step = options[int(unit() * len(options))]
+            if step is None:
+                break
+            nxt, rel = step
+            node_seq.append(nxt)
+            rel_seq.append(rel)
+            visited.add(nxt)
+            cur = nxt
+            if len(rel_seq) >= k:
+                break
+            if unit() < 1.0 / 3.0:
+                break
+        if not rel_seq:
+            continue
+        sig = (tuple(node_ids[p] for p in node_seq), tuple(rel_seq))
+        if sig in seen:
+            continue
+        seen.add(sig)
+        paths.append(InferencePath(nodes=sig[0], relations=sig[1]))
+    return PathBatch(qid=base.qid, paths=paths)
+
+
+def test_sampler_matches_reference_loop():
+    rng = np.random.default_rng(41)
+    stopped_early = 0
+    for trial in range(30):
+        sg = random_local_graph(rng, duplicates=trial % 5 == 0)
+        pg = as_pruned(sg)
+        for k in (1, 2, 3):
+            total = len(enumerate_simple_walks(sg, k))
+            for n_paths in sorted({1, max(1, total // 2), max(1, total), total + 1, 60}):
+                for seed in (0, 1):
+                    got = sample_paths(pg, n_paths=n_paths, k=k, seed=seed)
+                    want = reference_sample_paths(pg, n_paths, k, seed)
+                    assert got.paths == want.paths, (trial, k, n_paths, seed)
+                    stopped_early += 0 < len(got.paths) == total < n_paths
+    assert stopped_early > 50  # the early stop is exercised, not just the cap
+
+
+def itertools_walk_count(sg, k):
+    """Distinct key-rooted simple walks of 1..k edges, by brute-force product."""
+    edges = [(int(h), int(r), int(t)) for h, r, t in
+             zip(sg.edges_head, sg.edges_rel, sg.edges_tail) if h != t]
+    keys = sg.key_ids()
+    walks = set()
+    for length in range(1, k + 1):
+        for seq in itertools.product(edges, repeat=length):
+            nodes = (seq[0][0],) + tuple(t for _, _, t in seq)
+            if (nodes[0] in keys
+                    and all(a[2] == b[0] for a, b in zip(seq, seq[1:]))
+                    and len(set(nodes)) == len(nodes)):
+                walks.add((nodes, tuple(r for _, r, _ in seq)))
+    return len(walks)
+
+
+def test_count_walks_matches_itertools_enumeration():
+    rng = np.random.default_rng(43)
+    for trial in range(40):
+        sg = random_local_graph(rng, max_nodes=6, max_edges=12)
+        roots = [sg.positions()[key] for key in sorted(sg.key_ids())]
+        for k in (1, 2, 3):
+            total = itertools_walk_count(sg, k)
+            assert total == len(enumerate_simple_walks(sg, k))
+            for cap in (0, 1, total, total + 1, 10**6):
+                assert count_walks(sg.adjacency(), roots, k, cap) == min(total, cap)
 
 
 def test_sampling_deterministic_per_seed():

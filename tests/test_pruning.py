@@ -1,3 +1,5 @@
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -46,6 +48,44 @@ def sym(edges):
         out.append((h, r, t, w))
         out.append((t, r + 100, h, w))
     return out
+
+
+def random_local_graph(rng, max_nodes=8, max_edges=16, duplicates=False):
+    """Small directed schema graph with shuffled, non-contiguous ids, self-loops,
+    parallel relations and (often) a key node without out-edges."""
+    n = int(rng.integers(2, max_nodes + 1))
+    ids = [int(i) for i in rng.choice(10_000, size=n, replace=False)]
+    triples = {
+        (ids[a], int(rng.integers(3)), ids[b])
+        for a, b in rng.integers(n, size=(int(rng.integers(0, max_edges + 1)), 2))
+    }
+    edges = [(h, r, t, 1.0) for h, r, t in triples]
+    rng.shuffle(edges)
+    if duplicates and edges:
+        edges.append(edges[int(rng.integers(len(edges)))])
+    keys = {ids[int(i)] for i in rng.choice(n, size=int(rng.integers(1, 3)), replace=False)}
+    return make_sg(ids, [0 if i in keys else 2 for i in ids], edges, q_nodes=keys)
+
+
+def reference_bfs_scores(sg):
+    """Queue BFS over a hand-built adjacency list: the oracle for ``bfs_scores``."""
+    pos = sg.positions()
+    adj = [[] for _ in range(sg.n_nodes)]
+    for h, t in zip(sg.edges_head, sg.edges_tail):
+        if h != t:
+            adj[pos[int(h)]].append(pos[int(t)])
+    dist = np.full(sg.n_nodes, -1, dtype=np.int64)
+    queue = deque()
+    for k in sorted(sg.key_ids()):
+        dist[pos[k]] = 0
+        queue.append(pos[k])
+    while queue:
+        u = queue.popleft()
+        for w in adj[u]:
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
 
 
 def encode(model, sg, ctx, emb, tf):
@@ -141,6 +181,13 @@ def test_bfs_matches_floyd_warshall_oracle():
             d = min(dist[k][i] for k in keys)
             expected = 0.0 if d == inf else 1.0 / (1.0 + d)
             assert got[i] == pytest.approx(expected)
+
+
+def test_bfs_matches_queue_bfs_oracle():
+    rng = np.random.default_rng(22)
+    for trial in range(200):
+        sg = random_local_graph(rng, max_nodes=12, max_edges=30)
+        assert np.array_equal(bfs_scores(sg), reference_bfs_scores(sg))
 
 
 def test_prune_score_arithmetic():

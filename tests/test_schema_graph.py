@@ -16,6 +16,7 @@ from kgpath.schema import (
 )
 
 from conftest import random_graph, write_edges, write_relations
+from test_pruning import make_sg, random_local_graph
 
 
 def keyset(q=(), v=()):
@@ -240,3 +241,26 @@ def test_self_loop_never_recruits(tmp_path):
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     sg = build_schema(g, keyset(q={g.entity_id("k")}), budget=10, seed=0)
     assert sg.node_set() == {g.entity_id("k"), g.entity_id("x")}
+
+
+def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
+    rng = np.random.default_rng(47)
+    for trial in range(50):
+        sg = random_local_graph(rng, max_nodes=10, max_edges=40, duplicates=True)
+        adj = sg.adjacency()
+        assert adj is sg.adjacency()  # cached
+        for i, eid in enumerate(sg.nodes.tolist()):
+            lo, hi = adj.indptr[i], adj.indptr[i + 1]
+            got = [(int(sg.nodes[t]), int(r)) for t, r in zip(adj.nbr[lo:hi], adj.rel[lo:hi])]
+            want = [(int(t), int(r)) for h, r, t in
+                    zip(sg.edges_head, sg.edges_rel, sg.edges_tail) if h == eid and t != eid]
+            assert got == want
+        rows = np.arange(sg.n_nodes)[rng.random(sg.n_nodes) < 0.5]
+        slots = adj.out_slots(rows)
+        assert slots.tolist() == [j for i in rows for j in range(adj.indptr[i], adj.indptr[i + 1])]
+
+
+def test_adjacency_rejects_edge_outside_the_nodes():
+    sg = make_sg([1, 2], [0, 2], [(1, 0, 2, 1.0), (2, 0, 3, 1.0)], q_nodes={1})
+    with pytest.raises(ValueError, match="not a node"):
+        sg.adjacency()
