@@ -13,9 +13,11 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Optional, TypeVar
+from typing import IO, Callable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -188,6 +190,24 @@ def read_jsonl(path: Path | str, build: Callable[[dict], T], error: type = Confi
     return items
 
 
+@contextmanager
+def atomic_write(path: Path | str, mode: str = "w") -> Iterator[IO]:
+    """Open ``<path>.tmp`` for writing and ``os.replace`` it onto ``path`` once
+    the block ends without error.
+
+    A write that fails partway leaves ``path`` as it was and no ``.tmp``
+    behind. Text mode writes UTF-8.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as f:
+            yield f
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def sha256_file(path: Path | str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as f:
@@ -218,7 +238,7 @@ def write_manifest(
         },
     }
     path = out_dir / "manifest.json"
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return path

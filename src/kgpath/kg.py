@@ -221,13 +221,13 @@ class KnowledgeGraph:
         """Concatenated (source, neighbor, relation, weight) rows for many entities."""
         eids = np.asarray(eids, dtype=np.int64)
         lo = self._offsets[eids]
-        hi = self._offsets[eids + 1]
-        counts = hi - lo
+        counts = self._offsets[eids + 1] - lo
         total = int(counts.sum())
         if total == 0:
             empty = np.empty(0, dtype=np.int32)
             return empty, empty, empty.copy(), np.empty(0, dtype=np.float64)
-        take = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+        # every entity's row indices lo..hi-1, end to end
+        take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
         src = np.repeat(eids.astype(np.int32), counts)
         return src, self._nbr[take], self._rel[take], self._weight[take].astype(np.float64)
 

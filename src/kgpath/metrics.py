@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+from .config import atomic_write
 from .schema import SchemaGraph
 
 
@@ -150,17 +151,17 @@ class EvalReport:
         return "\n".join(lines)
 
     def save(self, json_path, text_path=None) -> None:
-        with open(json_path, "w", encoding="utf-8") as f:
+        with atomic_write(json_path) as f:
             json.dump(self.to_json_obj(), f, indent=2, sort_keys=True)
             f.write("\n")
         if text_path is not None:
-            with open(text_path, "w", encoding="utf-8") as f:
+            with atomic_write(text_path) as f:
                 f.write(self.to_table() + "\n")
 
 
 def write_curve_csv(path, curve: Sequence[tuple[int, float]]) -> None:
     """``budget,rate`` rows for external plotting."""
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         f.write("budget,rate\n")
         for budget, rate in curve:
             f.write(f"{budget},{rate:.6f}\n")

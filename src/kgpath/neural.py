@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .config import atomic_write
+
 CHECKPOINT_MAGIC = b"GPR1"
 
 
@@ -337,7 +339,7 @@ class ScoringModel:
 
     def save_checkpoint(self, path: Path | str) -> None:
         """Versioned binary: magic, (d, D, k), then little-endian f32 blocks."""
-        with open(path, "wb") as f:
+        with atomic_write(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<III", self.d, self.D, self.k))
             for _, arr in self.param_items():

@@ -1,15 +1,17 @@
 """Inference-path sampling, scoring, and joint training.
 
 Paths are simple walks of at most k steps rooted at key nodes of the pruned
-graph, gathered by seeded random walks (uniform start among key nodes, uniform
-edge choice among edges that do not revisit a node, 1/3 stop chance after each
-step). ``_forward_paths`` is the one scoring route, shared by inference
-(``run_query``) and training (``train_joint_step``): it concatenates the
-encoder outputs of each path's walked nodes (zero-padded to k blocks), passes
-them through f_t, joins the textual and visual context through f_p, and scores
-against the query context with the bilinear layer. Training labels a path 1
-iff its terminal entity is a ground-truth answer and couples the binary
-cross-entropy path loss with the pruning triplet loss as an unweighted sum.
+graph. A graph holding at most ``n_paths`` distinct walks yields all of them,
+listed by DFS; a larger one yields seeded random walks (uniform start among
+key nodes, uniform edge choice among edges that do not revisit a node, 1/3
+stop chance after each step). ``_forward_paths`` is the one scoring route,
+shared by inference (``run_query``) and training (``train_joint_step``): it
+concatenates the encoder outputs of each path's walked nodes (zero-padded to
+k blocks), passes them through f_t, joins the textual and visual context
+through f_p, and scores against the query context with the bilinear layer.
+Training labels a path 1 iff its terminal entity is a ground-truth answer and
+couples the binary cross-entropy path loss with the pruning triplet loss as an
+unweighted sum.
 """
 
 from __future__ import annotations
@@ -71,37 +73,43 @@ class PathBatch:
         return len(self.paths)
 
 
-def count_walks(adj: LocalAdjacency, roots: Sequence[int], k: int, cap: int) -> int:
-    """Number of simple walks of 1..k edges from ``roots`` (row positions)
-    over ``adj``, counted up to ``cap``.
+def simple_walks(
+    adj: LocalAdjacency, roots: Sequence[int], k: int, cap: int
+) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The first ``cap`` distinct simple walks of 1..k edges from ``roots``
+    over ``adj``, as (row positions, relations) pairs in DFS order.
 
-    Walks are counted as edge sequences. A schema graph holds each (head,
-    relation, tail) once, so each one is a distinct path.
+    The DFS takes the roots in the given order and each row's edges in
+    adjacency order, and lists a walk before its extensions. A repeated
+    (head, relation, tail) edge would give the same walk twice, so each row
+    takes only the first of its equal (neighbour, relation) edges.
     """
     indptr = adj.indptr.tolist()
     nbr = adj.nbr.tolist()
-    count = 0
+    rel = adj.rel.tolist()
+    rows: dict[int, list[tuple[int, int]]] = {}  # row -> distinct (neighbour, relation)
+    walks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
-    def extend(u: int, depth: int, on_walk: set[int]) -> bool:
-        nonlocal count
-        for j in range(indptr[u], indptr[u + 1]):
-            v = nbr[j]
-            if v in on_walk:
+    def extend(nodes: tuple[int, ...], rels: tuple[int, ...]) -> bool:
+        u = nodes[-1]
+        out = rows.get(u)
+        if out is None:
+            lo, hi = indptr[u], indptr[u + 1]
+            out = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
+        for v, r in out:
+            if v in nodes:
                 continue
-            count += 1
-            if count >= cap:
+            walk = (nodes + (v,), rels + (r,))
+            walks.append(walk)
+            if len(walks) >= cap or (len(walk[1]) < k and extend(*walk)):
                 return True
-            if depth + 1 < k:
-                on_walk.add(v)
-                if extend(v, depth + 1, on_walk):
-                    return True
-                on_walk.discard(v)
         return False
 
-    for root in roots:
-        if count >= cap or extend(root, 0, {root}):
-            break
-    return count
+    if cap > 0:
+        for root in roots:
+            if extend((root,), ()):
+                break
+    return walks
 
 
 def sample_paths(
@@ -110,12 +118,14 @@ def sample_paths(
     k: int = 3,
     seed: int = 0,
 ) -> PathBatch:
-    """Collect up to ``n_paths`` distinct simple walks from the key nodes.
+    """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
 
-    Sampling stops after ``n_paths`` distinct paths, after every walk the
-    graph holds has been found, or after ``20 * n_paths`` attempts, whichever
-    comes first. Zero-length walks (immediate dead end) are discarded; a graph
-    without usable edges yields an empty batch.
+    A graph that holds at most ``n_paths`` such walks yields all of them, in
+    ``simple_walks`` order from the sorted key nodes, and draws no random
+    number. A larger graph yields seeded random walks: sampling stops after
+    ``n_paths`` distinct paths or after ``20 * n_paths`` attempts, and
+    zero-length walks (immediate dead end) are discarded. A graph without
+    usable edges yields an empty batch.
     """
     base = pg.base
     keys = sorted(base.key_ids())
@@ -123,24 +133,29 @@ def sample_paths(
         raise ValueError("pruned graph has no key node to root paths at")
     pos = base.positions()
     adj = base.adjacency()
+    node_ids = base.nodes.tolist()
+    key_pos = [pos[k_] for k_ in keys]
+
+    walks = simple_walks(adj, key_pos, k, n_paths + 1)
+    if len(walks) <= n_paths:
+        return PathBatch(
+            qid=base.qid,
+            paths=[
+                InferencePath(nodes=tuple([node_ids[p] for p in walk]), relations=rels)
+                for walk, rels in walks
+            ],
+        )
+
     indptr = adj.indptr.tolist()
     nbr = adj.nbr.tolist()
     rel = adj.rel.tolist()
-
-    key_pos = [pos[k_] for k_ in keys]
-    # Every counted walk has a positive chance on each attempt and no other
-    # walk exists, so stopping once all are found returns the same batch as
-    # sampling on to the attempt cap. A repeated edge only raises the count,
-    # which at worst leaves the loop running to the cap.
-    target = count_walks(adj, key_pos, k, n_paths)
-    node_ids = base.nodes.tolist()
     unit = random.Random(seed).random  # scaled unit draws beat randrange here
     n_keys = len(key_pos)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
     paths: list[InferencePath] = []
     attempts = 0
     max_attempts = MAX_ATTEMPT_FACTOR * n_paths
-    while len(paths) < target and attempts < max_attempts:
+    while len(paths) < n_paths and attempts < max_attempts:
         attempts += 1
         cur = key_pos[int(unit() * n_keys)]
         walk = [cur]  # row positions; at most k + 1, so a list beats a set
@@ -257,7 +272,7 @@ def aggregate_answers(batch: PathBatch) -> list[tuple[int, float]]:
 
 
 def ranked_paths(batch: PathBatch) -> list[InferencePath]:
-    """Paths by descending score; ties keep sampling order."""
+    """Paths by descending score; ties keep batch order."""
     return sorted(batch.paths, key=lambda p: -p.score)
 
 

@@ -17,6 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import atomic_write
 from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
 from .neural import (
@@ -129,19 +130,12 @@ def prune_from_scores(
     s_prune = theta_p * s_bfs + (1.0 - theta_p) * s_cos
     order = np.lexsort((sg.nodes, -s_bfs, -s_prune))
 
-    n_total = min(target, sg.n_nodes)
-    non_key_quota = n_total - len(keys)
-    picked: list[int] = []
-    for i in order:
-        eid = int(sg.nodes[i])
-        if eid in keys:
-            picked.append(i)
-        elif non_key_quota > 0:
-            picked.append(i)
-            non_key_quota -= 1
-        if len(picked) == n_total:
-            break
-    idx = np.array(picked, dtype=np.int64)
+    # every key, plus the best non-keys up to the target, in score order
+    pos = sg.positions()
+    key_row = np.zeros(sg.n_nodes, dtype=bool)
+    key_row[[pos[k] for k in keys]] = True
+    is_key = key_row[order]
+    idx = order[is_key | (np.cumsum(~is_key) <= min(target, sg.n_nodes) - len(keys))]
     base = sg.restricted_to(sg.nodes[idx])
     return PrunedGraph(
         base=base,
@@ -297,7 +291,7 @@ def dump_pruned_graphs(
     gt_by_qid: Optional[dict[str, frozenset[int]]] = None,
 ) -> None:
     gt_by_qid = gt_by_qid or {}
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for pg in pruned:
             obj = pg.to_json_obj(g, gt_by_qid.get(pg.base.qid, ()))
             f.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -18,6 +18,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
+from .config import atomic_write
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -128,9 +129,10 @@ class SchemaGraph:
     def restricted_to(self, kept: np.ndarray, qid: Optional[str] = None) -> "SchemaGraph":
         """Copy with nodes restricted to ``kept`` (given order preserved)."""
         kept = np.asarray(kept, dtype=np.int64)
-        kept_set = set(int(k) for k in kept)
-        type_of = {int(n): int(t) for n, t in zip(self.nodes, self.types)}
-        types = np.array([type_of[int(k)] for k in kept], dtype=np.int8)
+        kept_list = kept.tolist()
+        kept_set = set(kept_list)
+        pos = self.positions()
+        types = self.types[[pos[k] for k in kept_list]]
         mask = np.isin(self.edges_head, kept) & np.isin(self.edges_tail, kept)
         return SchemaGraph(
             qid=qid if qid is not None else self.qid,
@@ -209,21 +211,24 @@ def rank_candidates(
     connected nodes, connected question nodes), ascending entity id last.
     """
     cand = np.array(sorted(set(int(c) for c in candidates)), dtype=np.int64)
-    ranked = _rank_candidates(g, current.nodes.astype(np.int64), current.q_nodes, cand)
+    ranked = _rank_candidates(g, g.edges_from(current.nodes), current.q_nodes, cand)
     return [int(c) for c in ranked]
+
+
+Gather = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 def _rank_candidates(
     g: KnowledgeGraph,
-    current_ids: np.ndarray,
+    gathered: Gather,
     q_nodes: frozenset[int],
     candidates: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized ranking; ``candidates`` must be sorted, unique, disjoint
-    from ``current_ids``."""
-    if candidates.size == 0 or current_ids.size == 0:
+    """Vectorized ranking over ``gathered = g.edges_from(current ids)``;
+    ``candidates`` must be sorted, unique, disjoint from the current ids."""
+    if candidates.size == 0:
         return np.empty(0, dtype=np.int64)
-    src, nbr, rel, w = g.edges_from(current_ids)
+    src, nbr, rel, w = gathered
     nbr = nbr.astype(np.int64)
     keep = nbr != src.astype(np.int64)  # self-loops never extend a path
     pos = np.searchsorted(candidates, nbr)
@@ -321,12 +326,14 @@ def _build(
     node_types = [NodeType.Q] * len(q_sorted) + [NodeType.V] * len(v_sorted)
     current = np.array(key_ids, dtype=np.int64)
 
-    # One-hop stage: every KG neighbor of a key node competes.
-    hop1_all = _neighbor_set(g, current)
+    # One-hop stage: every KG neighbor of a key node competes. Each stage
+    # gathers the neighbourhood of the graph so far once.
+    gathered = g.edges_from(current)
+    hop1_all = _neighbor_set(gathered)
     cand1 = np.setdiff1d(hop1_all, current, assume_unique=False)
     if allowed is not None:
         cand1 = np.intersect1d(cand1, allowed, assume_unique=True)
-    ranked1 = _rank_candidates(g, current, keys.q_nodes, cand1)
+    ranked1 = _rank_candidates(g, gathered, keys.q_nodes, cand1)
     n1 = ranked1[: max(0, min(one_hop_cap, budget - len(node_ids)))]
     node_ids.extend(int(n) for n in n1)
     node_types.extend([NodeType.N1] * n1.size)
@@ -335,11 +342,11 @@ def _build(
     # Two-hop stage: neighbors of the graph so far, excluding anything at
     # hop distance 1 (one-hop candidates that missed the cap do not return).
     if len(node_ids) < budget and n1.size:
-        hop2 = _neighbor_set(g, current)
-        cand2 = np.setdiff1d(hop2, np.union1d(hop1_all, current))
+        gathered = g.edges_from(current)
+        cand2 = np.setdiff1d(_neighbor_set(gathered), np.union1d(hop1_all, current))
         if allowed is not None:
             cand2 = np.intersect1d(cand2, allowed, assume_unique=True)
-        ranked2 = _rank_candidates(g, current, keys.q_nodes, cand2)
+        ranked2 = _rank_candidates(g, gathered, keys.q_nodes, cand2)
         n2 = ranked2[: budget - len(node_ids)]
         node_ids.extend(int(n) for n in n2)
         node_types.extend([NodeType.N2] * n2.size)
@@ -364,8 +371,8 @@ def _build(
     )
 
 
-def _neighbor_set(g: KnowledgeGraph, ids: np.ndarray) -> np.ndarray:
-    src, nbr, _, _ = g.edges_from(ids)
+def _neighbor_set(gathered: Gather) -> np.ndarray:
+    src, nbr, _, _ = gathered
     nbr = nbr.astype(np.int64)
     return np.unique(nbr[nbr != src.astype(np.int64)])
 
@@ -417,7 +424,7 @@ def dump_schema_graphs(
 ) -> None:
     """Write one JSON object per line (one schema graph per qid)."""
     gt_by_qid = gt_by_qid or {}
-    with open(path, "w", encoding="utf-8") as f:
+    with atomic_write(path) as f:
         for sg in graphs:
             obj = sg.to_json_obj(g, gt_by_qid.get(sg.qid, ()))
             f.write(json.dumps(obj, sort_keys=True) + "\n")

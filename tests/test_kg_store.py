@@ -107,6 +107,52 @@ def test_thousand_edge_hub_matches_file_scan(tmp_path):
     assert {(e.tail, e.relation): e.weight for e in got} == expected
 
 
+def reference_edges_from(g, eids):
+    """``edges_from`` as first written: one ``np.arange`` per entity."""
+    eids = np.asarray(eids, dtype=np.int64)
+    lo = g._offsets[eids]
+    hi = g._offsets[eids + 1]
+    counts = hi - lo
+    total = int(counts.sum())
+    if total == 0:
+        empty = np.empty(0, dtype=np.int32)
+        return empty, empty, empty.copy(), np.empty(0, dtype=np.float64)
+    take = np.concatenate([np.arange(a, b) for a, b in zip(lo, hi)])
+    src = np.repeat(eids.astype(np.int32), counts)
+    return src, g._nbr[take], g._rel[take], g._weight[take].astype(np.float64)
+
+
+def test_edges_from_matches_arange_loop(tmp_path):
+    rng = np.random.default_rng(12)
+    g, _ = random_graph(tmp_path, rng, n_entities=40, n_edges=90)
+    # entities 1 and 3 have no edge at all
+    sparse = KnowledgeGraph(
+        ["a", "lonely", "b", "alone"],
+        load_relations(None),
+        np.array([0, 1, 1, 2, 2], dtype=np.int64),
+        np.array([2, 0], dtype=np.int32),
+        np.array([0, 21], dtype=np.int32),
+        np.array([1.0, 0.5], dtype=np.float32),
+    )
+    cases = [
+        (g, []),
+        (g, [5]),
+        (g, [3, 3, 3]),  # repeated ids
+        (g, [30, 2, 17, 2, 0]),  # unsorted ids
+        (g, rng.integers(g.n_entities, size=60)),
+        (g, np.arange(g.n_entities)[::-1]),
+        (sparse, [1]),  # zero-degree only: the empty result
+        (sparse, [1, 3, 1]),
+        (sparse, [3, 0, 1, 2, 1, 0]),
+    ]
+    for graph, eids in cases:
+        got = graph.edges_from(np.asarray(eids, dtype=np.int64))
+        want = reference_edges_from(graph, eids)
+        for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
 def test_match_entity_normalizes():
     assert normalize_surface("  Fire  Hydrant ") == "fire_hydrant"
     assert normalize_surface("fire_hydrant") == "fire_hydrant"  # idempotent

@@ -11,11 +11,11 @@ from kgpath.paths import (
     PathBatch,
     _forward_paths,
     aggregate_answers,
-    count_walks,
     mix_seed,
     ranked_paths,
     run_query,
     sample_paths,
+    simple_walks,
     staged_training,
     train_joint_step,
 )
@@ -180,24 +180,35 @@ def reference_sample_paths(pg, n_paths, k, seed):
     return PathBatch(qid=base.qid, paths=paths)
 
 
+def walk_ids(sg, walks):
+    """``simple_walks`` output with row positions mapped to entity ids."""
+    nodes = sg.nodes.tolist()
+    return [(tuple(nodes[p] for p in walk), rels) for walk, rels in walks]
+
+
 def test_sampler_matches_reference_loop():
     rng = np.random.default_rng(41)
-    stopped_early = 0
+    exact = 0
     for trial in range(30):
         sg = random_local_graph(rng, duplicates=trial % 5 == 0)
         pg = as_pruned(sg)
         for k in (1, 2, 3):
-            total = len(enumerate_simple_walks(sg, k))
+            universe = enumerate_simple_walks(sg, k)
+            total = len(universe)
             for n_paths in sorted({1, max(1, total // 2), max(1, total), total + 1, 60}):
                 for seed in (0, 1):
                     got = sample_paths(pg, n_paths=n_paths, k=k, seed=seed)
-                    want = reference_sample_paths(pg, n_paths, k, seed)
-                    assert got.paths == want.paths, (trial, k, n_paths, seed)
-                    stopped_early += 0 < len(got.paths) == total < n_paths
-    assert stopped_early > 50  # the early stop is exercised, not just the cap
+                    if n_paths < total:
+                        want = reference_sample_paths(pg, n_paths, k, seed)
+                        assert got.paths == want.paths, (trial, k, n_paths, seed)
+                    else:
+                        sigs = [(p.nodes, p.relations) for p in got.paths]
+                        assert len(sigs) == total and set(sigs) == universe
+                        exact += total > 0
+    assert exact > 50  # the exact route is exercised, not just the sampler
 
 
-def itertools_walk_count(sg, k):
+def itertools_walks(sg, k):
     """Distinct key-rooted simple walks of 1..k edges, by brute-force product."""
     edges = [(int(h), int(r), int(t)) for h, r, t in
              zip(sg.edges_head, sg.edges_rel, sg.edges_tail) if h != t]
@@ -210,28 +221,60 @@ def itertools_walk_count(sg, k):
                     and all(a[2] == b[0] for a, b in zip(seq, seq[1:]))
                     and len(set(nodes)) == len(nodes)):
                 walks.add((nodes, tuple(r for _, r, _ in seq)))
-    return len(walks)
+    return walks
 
 
 def test_count_walks_matches_itertools_enumeration():
+    # simple_walks, the enumerator behind the exact route, against brute force
     rng = np.random.default_rng(43)
     for trial in range(40):
         sg = random_local_graph(rng, max_nodes=6, max_edges=12)
         roots = [sg.positions()[key] for key in sorted(sg.key_ids())]
         for k in (1, 2, 3):
-            total = itertools_walk_count(sg, k)
-            assert total == len(enumerate_simple_walks(sg, k))
+            universe = itertools_walks(sg, k)
+            total = len(universe)
+            assert universe == enumerate_simple_walks(sg, k)
+            every = walk_ids(sg, simple_walks(sg.adjacency(), roots, k, 10**6))
             for cap in (0, 1, total, total + 1, 10**6):
-                assert count_walks(sg.adjacency(), roots, k, cap) == min(total, cap)
+                got = walk_ids(sg, simple_walks(sg.adjacency(), roots, k, cap))
+                assert len(got) == min(total, cap)
+                assert got == every[:cap]  # a cap cuts the DFS order, nothing else
+                assert set(got) <= universe
+                if cap >= total:
+                    assert set(got) == universe
+
+
+def test_exact_route_has_no_duplicate_on_repeated_triples():
+    edges = sym([(0, 0, 1, 1.0), (1, 1, 2, 1.0)])
+    sg = make_sg([0, 1, 2], [0, 2, 2], edges + edges + [edges[2]], q_nodes={0})
+    pg = as_pruned(sg)
+    # 2 distinct walks, 6 edge sequences: the cap counts distinct walks
+    for n_paths in (2, 3, 200):
+        for seed in range(3):
+            sigs = [(p.nodes, p.relations) for p in sample_paths(pg, n_paths, 3, seed).paths]
+            assert sigs == [((0, 1), (0,)), ((0, 1, 2), (0, 1))]
+    rng = np.random.default_rng(44)
+    for trial in range(40):
+        sg = random_local_graph(rng, duplicates=True)
+        for k in (1, 2, 3):
+            universe = enumerate_simple_walks(sg, k)
+            batch = sample_paths(as_pruned(sg), len(universe), k, seed=trial)
+            sigs = [(p.nodes, p.relations) for p in batch.paths]
+            assert len(sigs) == len(set(sigs)) == len(universe)
+            assert set(sigs) == universe
 
 
 def test_sampling_deterministic_per_seed():
-    pg = triangle_pg()
-    a = sample_paths(pg, n_paths=30, k=3, seed=9)
-    b = sample_paths(pg, n_paths=30, k=3, seed=9)
-    c = sample_paths(pg, n_paths=30, k=3, seed=10)
+    pg = triangle_pg()  # 4 walks: 0-1, 0-1-2, 0-2, 0-2-1
+    a = sample_paths(pg, n_paths=3, k=3, seed=9)
+    b = sample_paths(pg, n_paths=3, k=3, seed=9)
+    c = sample_paths(pg, n_paths=3, k=3, seed=10)
     assert [(p.nodes, p.relations) for p in a.paths] == [(p.nodes, p.relations) for p in b.paths]
     assert [(p.nodes, p.relations) for p in a.paths] != [(p.nodes, p.relations) for p in c.paths]
+    # at n_paths >= 4 every walk fits, so the batch no longer depends on the seed
+    d = sample_paths(pg, n_paths=30, k=3, seed=9)
+    e = sample_paths(pg, n_paths=30, k=3, seed=10)
+    assert d.paths == e.paths and len(d.paths) == 4
 
 
 def test_labels_mark_gt_terminals():

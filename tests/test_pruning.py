@@ -227,6 +227,61 @@ def test_prune_theta_zero_matches_cosine_sort_oracle():
     )
 
 
+def reference_prune_selection(sg, s_cos, s_bfs, theta_p, target):
+    """Row indices the selection loop first written for ``prune_from_scores``
+    picks, and the types its ``restricted_to`` dict lookup gave them."""
+    keys = sg.key_ids()
+    s_prune = theta_p * s_bfs + (1.0 - theta_p) * s_cos
+    order = np.lexsort((sg.nodes, -s_bfs, -s_prune))
+
+    n_total = min(target, sg.n_nodes)
+    non_key_quota = n_total - len(keys)
+    picked = []
+    for i in order:
+        eid = int(sg.nodes[i])
+        if eid in keys:
+            picked.append(i)
+        elif non_key_quota > 0:
+            picked.append(i)
+            non_key_quota -= 1
+        if len(picked) == n_total:
+            break
+    idx = np.array(picked, dtype=np.int64)
+    type_of = {int(n): int(t) for n, t in zip(sg.nodes, sg.types)}
+    types = np.array([type_of[int(k)] for k in sg.nodes[idx]], dtype=np.int8)
+    return idx, types
+
+
+def test_prune_selection_matches_reference_loop():
+    rng = np.random.default_rng(17)
+    cases = 0
+    for trial in range(150):
+        sg = random_local_graph(rng, max_nodes=14, max_edges=30)
+        n = sg.n_nodes
+        # coarse scores make ties in s_prune and s_bfs common
+        s_cos = rng.integers(-2, 3, size=n) / 2.0
+        s_bfs = bfs_scores(sg)
+        if trial % 3 == 0:  # keys ranked last
+            rows = [sg.positions()[k] for k in sg.key_ids()]
+            s_cos[rows] = -10.0
+            s_bfs = s_bfs.copy()
+            s_bfs[rows] = 0.0
+        n_keys = len(sg.key_ids())
+        for target in sorted({n_keys, n_keys + 1, (n + n_keys) // 2, n, n + 3}):
+            for theta in (0.0, 0.3, 1.0):
+                pg = prune_from_scores(sg, s_cos, s_bfs, theta, target)
+                idx, types = reference_prune_selection(sg, s_cos, s_bfs, theta, target)
+                assert np.array_equal(pg.survivors, sg.nodes[idx])
+                assert pg.base.types.dtype == types.dtype
+                assert np.array_equal(pg.base.types, types)
+                s_prune = theta * s_bfs + (1.0 - theta) * s_cos
+                assert np.array_equal(pg.s_prune, s_prune[idx])
+                assert np.array_equal(pg.s_cos, s_cos[idx])
+                assert np.array_equal(pg.s_bfs, s_bfs[idx])
+                cases += 1
+    assert cases > 1000
+
+
 def test_prune_keeps_key_nodes():
     n = 15
     edges = sym([(i, 0, i + 1, 1.0) for i in range(n - 1)])

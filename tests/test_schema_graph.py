@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from kgpath.config import atomic_write
 from kgpath.kg import Edge, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.metrics import hit_rate_curve
+from kgpath.neural import ScoringModel
 from kgpath.schema import (
     NodeType,
     SchemaGraph,
@@ -234,6 +236,35 @@ def test_dump_round_trip(tmp_path):
     assert np.array_equal(loaded.edges_head, sg.edges_head)
     assert np.allclose(loaded.edges_weight, sg.edges_weight)
     assert loaded.build_rank is None  # dumps do not record construction order
+
+
+def test_failed_write_keeps_previous_file(tmp_path):
+    rng = np.random.default_rng(31)
+    g, _ = random_graph(tmp_path, rng)
+    sg = build_schema(g, keyset(q={3}, v={8}), budget=15, seed=2, qid="q9")
+    out = tmp_path / "out"
+    out.mkdir()
+    dump, ckpt = out / "dump.jsonl", out / "checkpoint.gpr"
+    dump_schema_graphs(dump, g, [sg])
+    model = ScoringModel(d=4, D=3, k=2, seed=0)
+    model.save_checkpoint(ckpt)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    def then_crash(items):
+        yield from items  # these reach the temp file first
+        raise RuntimeError("disk gone")
+
+    with pytest.raises(RuntimeError, match="disk gone"):
+        dump_schema_graphs(dump, g, then_crash([sg, sg]))
+    params = list(model.param_items())
+    model.param_items = lambda: then_crash(params[:2])
+    with pytest.raises(RuntimeError, match="disk gone"):
+        model.save_checkpoint(ckpt)
+    with pytest.raises(RuntimeError, match="disk gone"):
+        with atomic_write(out / "new.txt") as f:
+            f.write("partial")
+            raise RuntimeError("disk gone")
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_self_loop_never_recruits(tmp_path):
