@@ -118,8 +118,9 @@ class RelationTable:
             return self.names[rid]
         return "rev_" + self.names[rid - self.n_forward]
 
-    def rev(self, rid: int) -> int:
-        return rid - self.n_forward if rid >= self.n_forward else rid + self.n_forward
+    def rev(self, rid):
+        """The reversal of ``rid``, an id or an array of ids."""
+        return (rid + self.n_forward) % self.n_total
 
     def priority(self, rid: int) -> int:
         # Ids are assigned in priority-file order, so the id is the rank.
@@ -192,10 +193,6 @@ class KnowledgeGraph:
 
     def has_surface(self, surface: str) -> bool:
         return surface in self._index
-
-    def degree(self, eid: int) -> int:
-        self._check_id(eid)
-        return int(self._offsets[eid + 1] - self._offsets[eid])
 
     def _check_id(self, eid: int) -> None:
         if not 0 <= eid < self.n_entities:

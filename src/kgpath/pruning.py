@@ -183,7 +183,7 @@ class QuerySample:
     ) -> "QuerySample":
         gt = frozenset(int(e) for e in gt)
         x = node_input_matrix(model, sg, ctx, emb, textfeat)
-        is_gt = np.array([int(e) in gt for e in sg.nodes], dtype=bool)
+        is_gt = np.isin(sg.nodes, np.fromiter(gt, dtype=np.int64, count=len(gt)))
         return cls(
             qid=sg.qid or ctx.qid,
             sg=sg,

@@ -7,6 +7,12 @@ edge weight into the current graph, best relation priority among those edges,
 number of distinct connected schema nodes, and number of connected question
 nodes, with entity id as the final tie-break. Close-set mode runs the same
 procedure but only recruits entities from a fixed candidate set.
+
+Each stage gathers the KG rows of its new nodes only: the keys, then the
+one-hop nodes, then the two-hop nodes. ``edges_from`` concatenates per-entity
+runs, so together these are the rows of the whole graph, each gathered once,
+and the final edge collection filters them instead of gathering again. Every
+"is this id in that set" test is one lookup into a boolean mask over entities.
 """
 
 from __future__ import annotations
@@ -199,22 +205,6 @@ def gt_provenance(sg: SchemaGraph, gt: int) -> str:
     return {0: "q", 1: "v", 2: "n-1", 3: "n-2"}[int(sg.types[pos])]
 
 
-def rank_candidates(
-    g: KnowledgeGraph,
-    current: SchemaGraph,
-    candidates: Iterable[int],
-) -> list[int]:
-    """Rank recruitment candidates against the current schema graph.
-
-    Candidates without any KG edge into the graph are dropped; the rest sort
-    by descending (summed edge weight, negated relation priority, distinct
-    connected nodes, connected question nodes), ascending entity id last.
-    """
-    cand = np.array(sorted(set(int(c) for c in candidates)), dtype=np.int64)
-    ranked = _rank_candidates(g, g.edges_from(current.nodes), current.q_nodes, cand)
-    return [int(c) for c in ranked]
-
-
 Gather = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
@@ -224,27 +214,32 @@ def _rank_candidates(
     q_nodes: frozenset[int],
     candidates: np.ndarray,
 ) -> np.ndarray:
-    """Vectorized ranking over ``gathered = g.edges_from(current ids)``;
-    ``candidates`` must be sorted, unique, disjoint from the current ids."""
+    """Rank recruitment candidates against the current schema graph.
+
+    ``gathered`` is ``g.edges_from`` over distinct current ids and must hold
+    every edge from the graph into a candidate. ``candidates`` may come in
+    any order and repeat, but must be disjoint from the current ids: no
+    candidate is then ever a row's source, so the one entity mask that
+    tests candidate membership can mark the question nodes as well.
+    Candidates without any KG edge into the graph are dropped; the rest
+    sort by descending (summed edge weight, negated relation priority,
+    distinct connected nodes, connected question nodes), ascending entity
+    id last.
+    """
     if candidates.size == 0:
         return np.empty(0, dtype=np.int64)
     src, nbr, rel, w = gathered
-    nbr = nbr.astype(np.int64)
-    keep = nbr != src.astype(np.int64)  # self-loops never extend a path
-    pos = np.searchsorted(candidates, nbr)
-    pos_clip = np.minimum(pos, candidates.size - 1)
-    keep &= candidates[pos_clip] == nbr
-    if not keep.any():
+    member = np.zeros(g.n_entities, dtype=bool)
+    member[candidates] = True
+    keep = np.flatnonzero(member[nbr] & (nbr != src))  # self-loops never extend a path
+    if not keep.size:
         return np.empty(0, dtype=np.int64)
     src = src[keep].astype(np.int64)
-    nbr = nbr[keep]
-    rel = rel[keep].astype(np.int64)
-    w = w[keep]
-
+    nbr = nbr[keep].astype(np.int64)
     # Edges were gathered from the graph side; from the candidate's
     # perspective the connecting relation is the reversal.
-    nf = g.relations.n_forward
-    rel_from_cand = np.where(rel >= nf, rel - nf, rel + nf)
+    rel_from_cand = g.relations.rev(rel[keep].astype(np.int64))
+    w = w[keep]
 
     cand_u, inv = np.unique(nbr, return_inverse=True)
     sum_w = np.zeros(cand_u.size, dtype=np.float64)
@@ -252,18 +247,13 @@ def _rank_candidates(
     best_prio = np.full(cand_u.size, g.relations.n_total, dtype=np.int64)
     np.minimum.at(best_prio, inv, rel_from_cand)
 
-    pair_key = nbr * g.n_entities + src
-    pairs = np.unique(pair_key)
-    pair_cand = pairs // g.n_entities
-    pair_src = pairs % g.n_entities
-    idx = np.searchsorted(cand_u, pair_cand)
-    n_conn = np.bincount(idx, minlength=cand_u.size)
-    if q_nodes:
-        q_arr = np.array(sorted(q_nodes), dtype=np.int64)
-        in_q = np.isin(pair_src, q_arr)
-        n_q = np.bincount(idx[in_q], minlength=cand_u.size)
-    else:
-        n_q = np.zeros(cand_u.size, dtype=np.int64)
+    # edges_from keeps each source's rows together and sorted by neighbor,
+    # so the rows of one (source, candidate) pair are adjacent
+    first = np.ones(nbr.size, dtype=bool)
+    first[1:] = (nbr[1:] != nbr[:-1]) | (src[1:] != src[:-1])
+    n_conn = np.bincount(inv[first], minlength=cand_u.size)
+    member[np.fromiter(q_nodes, dtype=np.int64, count=len(q_nodes))] = True
+    n_q = np.bincount(inv[first & member[src]], minlength=cand_u.size)
 
     order = np.lexsort((cand_u, -n_q, -n_conn, best_prio, -sum_w))
     return cand_u[order]
@@ -294,9 +284,12 @@ def build_schema_closed(
 ) -> SchemaGraph:
     """Close-set construction: only candidate entities can be recruited.
 
-    Key nodes stay in the graph whether or not they are candidates.
+    Key nodes stay in the graph whether or not they are candidates. Candidate
+    ids outside the graph are ignored.
     """
-    allowed = np.array(sorted(set(int(c) for c in candidate_set)), dtype=np.int64)
+    ids = np.fromiter(candidate_set, dtype=np.int64)
+    allowed = np.zeros(g.n_entities, dtype=bool)
+    allowed[ids[(ids >= 0) & (ids < g.n_entities)]] = True
     return _build(g, keys, scene_edges, budget, one_hop_cap, seed, qid, allowed=allowed)
 
 
@@ -312,49 +305,48 @@ def _build(
 ) -> SchemaGraph:
     if not keys:
         raise ValueError("cannot build a schema graph from an empty key node set")
-    q_sorted = sorted(keys.q_nodes)
-    v_sorted = sorted(keys.v_nodes - keys.q_nodes)  # overlap resolves to Q
-    key_ids = q_sorted + v_sorted
-    if budget < len(key_ids):
+    q_ids = np.array(sorted(keys.q_nodes), dtype=np.int64)
+    v_ids = np.array(sorted(keys.v_nodes - keys.q_nodes), dtype=np.int64)  # overlap resolves to Q
+    key_ids = np.concatenate([q_ids, v_ids])
+    if budget < key_ids.size:
         raise ValueError(
-            f"budget {budget} cannot hold the {len(key_ids)} key nodes"
+            f"budget {budget} cannot hold the {key_ids.size} key nodes"
         )
-    for eid in key_ids:
+    for eid in key_ids.tolist():
         g._check_id(eid)
 
-    node_ids = list(key_ids)
-    node_types = [NodeType.Q] * len(q_sorted) + [NodeType.V] * len(v_sorted)
-    current = np.array(key_ids, dtype=np.int64)
+    # blocked[e]: e can no longer be recruited. That holds for the keys, for
+    # every one-hop neighbour once the one-hop stage is ranked (candidates
+    # that missed the cap do not return) and, in close-set mode, for every
+    # entity outside the candidate set.
+    blocked = np.zeros(g.n_entities, dtype=bool) if allowed is None else ~allowed
+    blocked[key_ids] = True
 
-    # One-hop stage: every KG neighbor of a key node competes. Each stage
-    # gathers the neighbourhood of the graph so far once.
-    gathered = g.edges_from(current)
-    hop1_all = _neighbor_set(gathered)
-    cand1 = np.setdiff1d(hop1_all, current, assume_unique=False)
-    if allowed is not None:
-        cand1 = np.intersect1d(cand1, allowed, assume_unique=True)
-    ranked1 = _rank_candidates(g, gathered, keys.q_nodes, cand1)
-    n1 = ranked1[: max(0, min(one_hop_cap, budget - len(node_ids)))]
-    node_ids.extend(int(n) for n in n1)
-    node_types.extend([NodeType.N1] * n1.size)
-    current = np.array(node_ids, dtype=np.int64)
+    # One-hop stage: every KG neighbor of a key node competes.
+    gathers = [g.edges_from(key_ids)]
+    hop1 = gathers[0][1]
+    n1 = _rank_candidates(g, gathers[0], keys.q_nodes, hop1[~blocked[hop1]])
+    n1 = n1[: max(0, min(one_hop_cap, budget - key_ids.size))]
+    blocked[hop1] = True
 
-    # Two-hop stage: neighbors of the graph so far, excluding anything at
-    # hop distance 1 (one-hop candidates that missed the cap do not return).
-    if len(node_ids) < budget and n1.size:
-        gathered = g.edges_from(current)
-        cand2 = np.setdiff1d(_neighbor_set(gathered), np.union1d(hop1_all, current))
-        if allowed is not None:
-            cand2 = np.intersect1d(cand2, allowed, assume_unique=True)
-        ranked2 = _rank_candidates(g, gathered, keys.q_nodes, cand2)
-        n2 = ranked2[: budget - len(node_ids)]
-        node_ids.extend(int(n) for n in n2)
-        node_types.extend([NodeType.N2] * n2.size)
+    # Two-hop stage: neighbors of the one-hop nodes. Only their rows can reach
+    # a two-hop candidate: a key's edge to it would make it a one-hop neighbor.
+    n2 = np.empty(0, dtype=np.int64)
+    if n1.size:
+        gathers.append(g.edges_from(n1))
+        if key_ids.size + n1.size < budget:
+            hop2 = gathers[1][1]
+            n2 = _rank_candidates(g, gathers[1], keys.q_nodes, hop2[~blocked[hop2]])
+            n2 = n2[: budget - key_ids.size - n1.size]
+            if n2.size:
+                gathers.append(g.edges_from(n2))
 
-    nodes = np.array(node_ids, dtype=np.int64)
-    types = np.array([int(t) for t in node_types], dtype=np.int8)
-
-    eh, er, et, ew = _collect_edges(g, nodes, scene_edges)
+    nodes = np.concatenate([key_ids, n1, n2])
+    types = np.repeat(
+        np.array([NodeType.Q, NodeType.V, NodeType.N1, NodeType.N2], dtype=np.int8),
+        [q_ids.size, v_ids.size, n1.size, n2.size],
+    )
+    eh, er, et, ew = _collect_edges(g, nodes, gathers, scene_edges)
 
     perm = np.random.default_rng(seed).permutation(nodes.size)
     return SchemaGraph(
@@ -371,47 +363,36 @@ def _build(
     )
 
 
-def _neighbor_set(gathered: Gather) -> np.ndarray:
-    src, nbr, _, _ = gathered
-    nbr = nbr.astype(np.int64)
-    return np.unique(nbr[nbr != src.astype(np.int64)])
-
-
 def _collect_edges(
     g: KnowledgeGraph,
     nodes: np.ndarray,
+    gathers: Sequence[Gather],
     scene_edges: Sequence[Edge],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All KG edges among ``nodes`` plus scene edges (and their reversals).
 
+    ``gathers`` are the ``g.edges_from`` rows of ``nodes``, in any split.
     Scene edges may duplicate KG edges; the max-weight rule from graph
     loading applies here too.
     """
-    nodes_sorted = np.sort(nodes)
-    src, nbr, rel, w = g.edges_from(nodes)
-    nbr64 = nbr.astype(np.int64)
-    pos = np.searchsorted(nodes_sorted, nbr64)
-    pos_clip = np.minimum(pos, nodes_sorted.size - 1)
-    keep = nodes_sorted[pos_clip] == nbr64
+    in_graph = np.zeros(g.n_entities, dtype=bool)
+    in_graph[nodes] = True
+    src, nbr, rel, w = (np.concatenate(col) for col in zip(*gathers))
+    keep = np.flatnonzero(in_graph[nbr])
     eh = src[keep].astype(np.int64)
-    et = nbr64[keep]
+    et = nbr[keep].astype(np.int64)
     er = rel[keep].astype(np.int64)
     ew = w[keep]
 
     if scene_edges:
-        node_set = set(int(n) for n in nodes)
-        sh, st, sr, sw = [], [], [], []
-        for e in scene_edges:
-            if e.head in node_set and e.tail in node_set:
-                sh += [e.head, e.tail]
-                st += [e.tail, e.head]
-                sr += [e.relation, g.relations.rev(e.relation)]
-                sw += [e.weight, e.weight]
-        if sh:
-            eh = np.concatenate([eh, np.array(sh, dtype=np.int64)])
-            et = np.concatenate([et, np.array(st, dtype=np.int64)])
-            er = np.concatenate([er, np.array(sr, dtype=np.int64)])
-            ew = np.concatenate([ew, np.array(sw, dtype=np.float64)])
+        scene = np.array(scene_edges, dtype=np.float64)  # (head, relation, tail, weight) rows
+        sh, sr, st = scene[:, :3].T.astype(np.int64)
+        keep = in_graph[sh] & in_graph[st]
+        sh, sr, st, sw = sh[keep], sr[keep], st[keep], scene[keep, 3]
+        eh = np.concatenate([eh, sh, st])
+        et = np.concatenate([et, st, sh])
+        er = np.concatenate([er, sr, g.relations.rev(sr)])
+        ew = np.concatenate([ew, sw, sw])
 
     return dedup_max_weight(eh, er, et, ew, g.n_entities, g.relations.n_total)
 

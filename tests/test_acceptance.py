@@ -52,7 +52,7 @@ from kgpath.pruning import (
     rank_by_score,
     triplet_terms,
 )
-from kgpath.schema import SchemaGraph, gt_provenance, rank_candidates
+from kgpath.schema import SchemaGraph, _rank_candidates, gt_provenance
 from kgpath.synth import SuiteSpec, generate_suite
 
 from conftest import random_graph
@@ -427,20 +427,8 @@ def test_criterion_4_oracle_equivalences(tmp_path):
         rest = sorted(set(range(g.n_entities)) - set(int(c) for c in current))
         cands = rng.choice(rest, size=min(len(rest), 20), replace=False)
         q_nodes = frozenset(int(c) for c in current[: max(1, len(current) // 3)])
-        sg = SchemaGraph(
-            qid="o",
-            nodes=np.asarray(current, dtype=np.int64),
-            types=np.zeros(len(current), dtype=np.int8),
-            edges_head=np.empty(0, dtype=np.int64),
-            edges_rel=np.empty(0, dtype=np.int64),
-            edges_tail=np.empty(0, dtype=np.int64),
-            edges_weight=np.empty(0, dtype=np.float64),
-            q_nodes=q_nodes,
-            v_nodes=frozenset(int(c) for c in current) - q_nodes,
-        )
-        assert rank_candidates(g, sg, [int(c) for c in cands]) == brute_force_rank(
-            g, current, q_nodes, cands
-        )
+        ranked = _rank_candidates(g, g.edges_from(current), q_nodes, np.unique(cands))
+        assert ranked.tolist() == brute_force_rank(g, current, q_nodes, cands)
 
     # semi-hard mining vs exhaustive scan, 100 batches
     for _ in range(100):

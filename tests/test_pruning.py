@@ -379,6 +379,23 @@ def test_train_prune_step_skips_gt_absent_samples():
         train_prune_step(model, [without_gt], Adam(lr=1e-3))
 
 
+def test_sample_gt_positions_match_membership_loop():
+    model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=13)
+    emb, ctx, tf = providers(4, 3, 12, seed=14)
+    nodes = [4, 0, 7, 2, 9]
+    sg = make_sg(nodes, [0, 2, 2, 3, 3], sym([(4, 0, 0, 1.0), (0, 0, 7, 1.0), (7, 0, 9, 1.0)]),
+                 q_nodes={4})
+    # empty, outside the graph, every node, and a mix with repeats
+    for gt in ([], [11], [1, 3, 5], nodes, [9, 9, 6, 2]):
+        sample = QuerySample.build(model, sg, ctx, gt, emb, tf)
+        gt_set = frozenset(gt)
+        is_gt = np.array([int(e) in gt_set for e in sg.nodes], dtype=bool)  # the former loop
+        for got, want in ((sample.gt_pos, np.flatnonzero(is_gt)),
+                          (sample.neg_pos, np.flatnonzero(~is_gt))):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
 def test_train_prune_step_learns_direction():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.0, seed=11)
     rng = np.random.default_rng(12)

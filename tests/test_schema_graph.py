@@ -8,13 +8,12 @@ from kgpath.metrics import hit_rate_curve
 from kgpath.neural import ScoringModel
 from kgpath.schema import (
     NodeType,
-    SchemaGraph,
     build_schema,
     build_schema_closed,
     dump_schema_graphs,
     gt_provenance,
+    _rank_candidates,
     load_schema_graphs,
-    rank_candidates,
 )
 
 from conftest import random_graph, write_edges, write_relations
@@ -59,7 +58,8 @@ def test_rank_sum_of_weights_dominates(tmp_path):
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     keys = keyset(q={g.entity_id("k1"), g.entity_id("k2")})
     sg = build_schema(g, keys, budget=2, seed=0)  # keys only
-    ranked = rank_candidates(g, sg, {g.entity_id("x"), g.entity_id("y")})
+    cands = np.unique([g.entity_id("x"), g.entity_id("y")])
+    ranked = _rank_candidates(g, g.edges_from(sg.nodes), sg.q_nodes, cands).tolist()
     assert ranked == [g.entity_id("x"), g.entity_id("y")]  # 3.0 beats 2.5
 
 
@@ -70,7 +70,8 @@ def test_rank_drops_unconnected_candidates(tmp_path):
     )
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     sg = build_schema(g, keyset(q={g.entity_id("k")}), budget=1, seed=0)
-    ranked = rank_candidates(g, sg, {g.entity_id("x"), g.entity_id("faraway")})
+    cands = np.unique([g.entity_id("x"), g.entity_id("faraway")])
+    ranked = _rank_candidates(g, g.edges_from(sg.nodes), sg.q_nodes, cands).tolist()
     assert ranked == [g.entity_id("x")]
 
 
@@ -82,18 +83,7 @@ def test_rank_matches_brute_force_oracle(tmp_path):
         rest = sorted(set(range(g.n_entities)) - set(int(c) for c in current))
         cands = rng.choice(rest, size=min(len(rest), 25), replace=False)
         q_nodes = frozenset(int(c) for c in current[: max(1, len(current) // 2)])
-        sg = SchemaGraph(
-            qid="t",
-            nodes=np.asarray(current, dtype=np.int64),
-            types=np.zeros(len(current), dtype=np.int8),
-            edges_head=np.empty(0, dtype=np.int64),
-            edges_rel=np.empty(0, dtype=np.int64),
-            edges_tail=np.empty(0, dtype=np.int64),
-            edges_weight=np.empty(0, dtype=np.float64),
-            q_nodes=q_nodes,
-            v_nodes=frozenset(int(c) for c in current) - q_nodes,
-        )
-        got = rank_candidates(g, sg, [int(c) for c in cands])
+        got = _rank_candidates(g, g.edges_from(current), q_nodes, np.unique(cands)).tolist()
         assert got == brute_force_rank(g, current, q_nodes, cands)
 
 
