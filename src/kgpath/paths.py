@@ -4,14 +4,24 @@ Paths are simple walks of at most k steps rooted at key nodes of the pruned
 graph. A graph holding at most ``n_paths`` distinct walks yields all of them,
 listed by DFS; a larger one yields seeded random walks (uniform start among
 key nodes, uniform edge choice among edges that do not revisit a node, 1/3
-stop chance after each step). ``_forward_paths`` is the one scoring route,
-shared by inference (``run_query``) and training (``train_joint_step``): it
-concatenates the encoder outputs of each path's walked nodes (zero-padded to
-k blocks), passes them through f_t, joins the textual and visual context
-through f_p, and scores against the query context with the bilinear layer.
-Training labels a path 1 iff its terminal entity is a ground-truth answer and
-couples the binary cross-entropy path loss with the pruning triplet loss as an
-unweighted sum.
+stop chance after each step).
+
+A batch of n paths is held as padded arrays, one row per path: ``rows``
+(n, k+1) are the walked nodes' row positions in the unpruned schema graph,
+root first, ``paths`` (n, k+1) their entity ids and ``rels`` (n, k) the
+relation of each step. A path of L steps fills the first L+1 cells of its
+``rows``/``paths`` row and the first L of its ``rels`` row; every other cell
+is -1. The sampler appends every path to flat lists and ``pack_paths``
+scatters them into these arrays once per batch.
+
+``_forward_paths`` is the one scoring route, shared by inference
+(``run_query``) and training (``train_joint_step``): it gathers the encoder
+outputs of each path's walked nodes (a -1 cell reads a zero row, so short
+paths are zero-padded to k blocks), passes them through f_t, joins the
+textual and visual context through f_p, and scores against the query context
+with the bilinear layer. Training labels a path 1 iff its terminal entity is
+a ground-truth answer and couples the binary cross-entropy path loss with the
+pruning triplet loss as an unweighted sum.
 """
 
 from __future__ import annotations
@@ -19,7 +29,7 @@ from __future__ import annotations
 import hashlib
 import json
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -47,37 +57,69 @@ def mix_seed(*parts) -> int:
     return int.from_bytes(digest, "little") >> 1
 
 
-@dataclass(frozen=True)
-class InferencePath:
-    """A key-node-rooted simple walk with its relations and (optional) score."""
-
-    nodes: tuple[int, ...]
-    relations: tuple[int, ...]
-    score: Optional[float] = None
-
-    @property
-    def terminal(self) -> int:
-        return self.nodes[-1]
-
-    @property
-    def length(self) -> int:
-        return len(self.relations)
-
-
 @dataclass
 class PathBatch:
+    """One question's paths as -1 padded arrays, one row per path.
+
+    ``rows`` (n, k+1): row positions in the unpruned schema graph of each
+    path's nodes, root first. ``paths`` (n, k+1): the entity ids of the same
+    nodes. ``rels`` (n, k): the relation of each step. A path of L steps
+    fills cells 0..L of its ``rows`` and ``paths`` rows and 0..L-1 of its
+    ``rels`` row; every other cell is -1. ``scores`` (n,) is None until the
+    batch is scored.
+    """
+
     qid: str
-    paths: list[InferencePath] = field(default_factory=list)
+    rows: np.ndarray
+    paths: np.ndarray
+    rels: np.ndarray
+    scores: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return int(self.rows.shape[0])
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """Steps per path."""
+        return np.count_nonzero(self.rels >= 0, axis=1)
+
+    def last(self, cells: np.ndarray) -> np.ndarray:
+        """Each path's terminal cell of ``rows`` or ``paths``."""
+        return cells[np.arange(len(self)), self.lengths]
+
+
+def pack_paths(
+    pg: PrunedGraph,
+    nodes: Sequence[int],
+    rels: Sequence[int],
+    lengths: Sequence[int],
+    k: int,
+) -> PathBatch:
+    """A batch from flat lists, path after path: ``nodes`` holds each path's
+    row positions in ``pg.base`` (root first), ``rels`` its relations and
+    ``lengths`` its step count (at most ``k``)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    at = np.asarray(nodes, dtype=np.intp)
+    node_cells = np.arange(k + 1) <= lengths[:, None]
+    rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
+    rows[node_cells] = pg.rows[at]
+    paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
+    paths[node_cells] = pg.base.nodes[at]
+    rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
+    rel_cells[np.arange(k) < lengths[:, None]] = rels
+    return PathBatch(qid=pg.base.qid, rows=rows, paths=paths, rels=rel_cells)
 
 
 def simple_walks(
-    adj: LocalAdjacency, roots: Sequence[int], k: int, cap: int
-) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """The first ``cap`` distinct simple walks of 1..k edges from ``roots``
-    over ``adj``, as (row positions, relations) pairs in DFS order.
+    adj: LocalAdjacency,
+    roots: Sequence[int],
+    k: int,
+    cap: int,
+    out: Optional[tuple[list[int], list[int], list[int]]] = None,
+) -> int:
+    """Count the first ``cap`` distinct simple walks of 1..k edges from
+    ``roots`` over ``adj``; given ``out`` = (nodes, rels, lengths) flat lists,
+    also append each walk's row positions, relations and step count.
 
     The DFS takes the roots in the given order and each row's edges in
     adjacency order, and lists a walk before its extensions. A repeated
@@ -88,20 +130,30 @@ def simple_walks(
     nbr = adj.nbr.tolist()
     rel = adj.rel.tolist()
     rows: dict[int, list[tuple[int, int]]] = {}  # row -> distinct (neighbour, relation)
-    walks: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+    count = 0
 
     def extend(nodes: tuple[int, ...], rels: tuple[int, ...]) -> bool:
+        nonlocal count
         u = nodes[-1]
-        out = rows.get(u)
-        if out is None:
+        steps = rows.get(u)
+        if steps is None:
             lo, hi = indptr[u], indptr[u + 1]
-            out = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
-        for v, r in out:
+            steps = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
+        if out is None and len(rels) + 1 == k:
+            # counting at the last step: each edge that does not revisit ends a walk
+            count += sum([v not in nodes for v, _ in steps])
+            return count >= cap
+        for v, r in steps:
             if v in nodes:
                 continue
-            walk = (nodes + (v,), rels + (r,))
-            walks.append(walk)
-            if len(walks) >= cap or (len(walk[1]) < k and extend(*walk)):
+            count += 1
+            if out is not None:
+                out[0].extend(nodes)
+                out[0].append(v)
+                out[1].extend(rels)
+                out[1].append(r)
+                out[2].append(len(rels) + 1)
+            if count >= cap or (len(rels) + 1 < k and extend(nodes + (v,), rels + (r,))):
                 return True
         return False
 
@@ -109,7 +161,7 @@ def simple_walks(
         for root in roots:
             if extend((root,), ()):
                 break
-    return walks
+    return min(count, cap)
 
 
 def sample_paths(
@@ -121,30 +173,25 @@ def sample_paths(
     """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
 
     A graph that holds at most ``n_paths`` such walks yields all of them, in
-    ``simple_walks`` order from the sorted key nodes, and draws no random
-    number. A larger graph yields seeded random walks: sampling stops after
-    ``n_paths`` distinct paths or after ``20 * n_paths`` attempts, and
-    zero-length walks (immediate dead end) are discarded. A graph without
-    usable edges yields an empty batch.
+    ``simple_walks`` order from the key nodes sorted by id, and draws no
+    random number; the walks are counted before any is listed. A larger graph
+    yields seeded random walks: sampling stops after ``n_paths`` distinct
+    paths or after ``20 * n_paths`` attempts, and zero-length walks
+    (immediate dead end) are discarded. A graph without usable edges yields
+    an empty batch.
     """
     base = pg.base
-    keys = sorted(base.key_ids())
-    if not keys:
+    key_pos = base.key_rows().tolist()
+    if not key_pos:
         raise ValueError("pruned graph has no key node to root paths at")
-    pos = base.positions()
     adj = base.adjacency()
-    node_ids = base.nodes.tolist()
-    key_pos = [pos[k_] for k_ in keys]
+    flat_nodes: list[int] = []
+    flat_rels: list[int] = []
+    lengths: list[int] = []
 
-    walks = simple_walks(adj, key_pos, k, n_paths + 1)
-    if len(walks) <= n_paths:
-        return PathBatch(
-            qid=base.qid,
-            paths=[
-                InferencePath(nodes=tuple([node_ids[p] for p in walk]), relations=rels)
-                for walk, rels in walks
-            ],
-        )
+    if simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths:
+        simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
+        return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
 
     indptr = adj.indptr.tolist()
     nbr = adj.nbr.tolist()
@@ -152,10 +199,9 @@ def sample_paths(
     unit = random.Random(seed).random  # scaled unit draws beat randrange here
     n_keys = len(key_pos)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    paths: list[InferencePath] = []
     attempts = 0
     max_attempts = MAX_ATTEMPT_FACTOR * n_paths
-    while len(paths) < n_paths and attempts < max_attempts:
+    while len(lengths) < n_paths and attempts < max_attempts:
         attempts += 1
         cur = key_pos[int(unit() * n_keys)]
         walk = [cur]  # row positions; at most k + 1, so a list beats a set
@@ -190,8 +236,10 @@ def sample_paths(
         if sig in seen:
             continue
         seen.add(sig)
-        paths.append(InferencePath(nodes=tuple([node_ids[p] for p in walk]), relations=sig[1]))
-    return PathBatch(qid=base.qid, paths=paths)
+        flat_nodes += walk
+        flat_rels += rel_seq
+        lengths.append(len(rel_seq))
+    return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
 
 
 # ---------------------------------------------------------------------------
@@ -199,40 +247,34 @@ def sample_paths(
 # ---------------------------------------------------------------------------
 
 
-def _path_blocks(
-    model: ScoringModel,
-    paths: Sequence[InferencePath],
-    h: np.ndarray,
-    positions: dict[int, int],
-) -> np.ndarray:
-    """Stack walked-node encodings per path, zero-padded to k blocks.
+def _step_rows(batch: PathBatch, k: int) -> np.ndarray:
+    """(n, k) rows of each path's walked nodes, -1 padded.
 
     The root key node is excluded: a k-step path contributes exactly k node
     vectors, and the root's information reaches the scorer through the query
     context instead.
     """
-    d, k = model.d, model.k
-    blocks = np.zeros((len(paths), k * d))
-    for j, path in enumerate(paths):
-        if path.length > k:
-            raise ValueError(f"path of length {path.length} exceeds k={k}")
-        for step, eid in enumerate(path.nodes[1:]):
-            blocks[j, step * d : (step + 1) * d] = h[positions[eid]]
-    return blocks
+    steps = batch.rows[:, 1:]
+    if steps.shape[1] > k:
+        raise ValueError(f"a batch of paths up to {steps.shape[1]} steps exceeds k={k}")
+    return steps
 
 
 def _forward_paths(
     model: ScoringModel,
-    paths: Sequence[InferencePath],
+    batch: PathBatch,
     h: np.ndarray,
-    positions: dict[int, int],
     ctx,
     train: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
-    """Run f_t, f_p, f_bi over a path list; returns (scores, h_p, cache)."""
-    blocks = _path_blocks(model, paths, h, positions)
+    """Run f_t, f_p, f_bi over a path batch; returns (scores, h_p, cache).
+
+    ``h`` holds the node encodings of the unpruned schema graph, by row.
+    """
+    d, n = model.d, len(batch)
+    padded = np.concatenate([h, np.zeros((1, d))])  # row -1 reads zeros
+    blocks = padded[_step_rows(batch, model.k)].reshape(n, model.k * d)
     h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
-    n = len(paths)
     feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
     h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
     scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
@@ -241,39 +283,50 @@ def _forward_paths(
 
 def _backward_paths(
     model: ScoringModel,
-    paths: Sequence[InferencePath],
+    batch: PathBatch,
     dscores: np.ndarray,
     cache: tuple,
-    positions: dict[int, int],
     dh: np.ndarray,
 ) -> None:
-    """Propagate score gradients back into the node-encoding gradient ``dh``."""
+    """Propagate score gradients back into the node-encoding gradient ``dh``.
+
+    One ``bincount`` adds each walked cell's block in (path, step) order, so
+    every entry of ``dh`` sums its terms in that order.
+    """
     cache_t, cache_p, cache_bi = cache
     _, dh_p = model.f_bi.backward(dscores, cache_bi)
     dfeat = model.f_p.backward(dh_p, cache_p)
     d = model.d
     dh_t = dfeat[:, 2 * d : 3 * d]
     dblocks = model.f_t.backward(dh_t, cache_t)
-    for j, path in enumerate(paths):
-        for step, eid in enumerate(path.nodes[1:]):
-            dh[positions[eid]] += dblocks[j, step * d : (step + 1) * d]
+    cells = _step_rows(batch, model.k).ravel()
+    walked = cells >= 0
+    slots = (cells[walked, None] * d + np.arange(d)).ravel()
+    grads = dblocks.reshape(-1, d)[walked].ravel()
+    dh += np.bincount(slots, weights=grads, minlength=dh.size).reshape(dh.shape)
+
+
+def _path_labels(batch: PathBatch, gt_pos: np.ndarray, n_rows: int) -> np.ndarray:
+    """1.0 for each path that ends on a ground-truth row, else 0.0."""
+    is_gt = np.zeros(n_rows, dtype=bool)
+    is_gt[gt_pos] = True
+    return is_gt[batch.last(batch.rows)].astype(np.float64)
 
 
 def aggregate_answers(batch: PathBatch) -> list[tuple[int, float]]:
     """Rank terminal entities by their best path score (ties: lower id first)."""
-    best: dict[int, float] = {}
-    for p in batch.paths:
-        if p.score is None:
-            raise ValueError("aggregate_answers needs a scored batch")
-        cur = best.get(p.terminal)
-        if cur is None or p.score > cur:
-            best[p.terminal] = p.score
-    return sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
+    if batch.scores is None:
+        raise ValueError("aggregate_answers needs a scored batch")
+    terminals = batch.last(batch.paths)
+    order = np.lexsort((terminals, -batch.scores))
+    _, first = np.unique(terminals[order], return_index=True)
+    best = order[np.sort(first)]
+    return list(zip(terminals[best].tolist(), batch.scores[best].tolist()))
 
 
-def ranked_paths(batch: PathBatch) -> list[InferencePath]:
-    """Paths by descending score; ties keep batch order."""
-    return sorted(batch.paths, key=lambda p: -p.score)
+def ranked_paths(batch: PathBatch) -> np.ndarray:
+    """Path indices by descending score; ties keep batch order."""
+    return np.argsort(-batch.scores, kind="stable")
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +352,7 @@ def run_query(
     s_cos = cosine_rows(sample.ctx.z, h)
     pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
     batch = sample_paths(pg, n_paths, k, seed)
-    if batch.paths:
-        positions = sample.sg.positions()
-        scores, _, _ = _forward_paths(model, batch.paths, h, positions, sample.ctx)
-        batch = PathBatch(
-            qid=batch.qid,
-            paths=[replace(p, score=float(s)) for p, s in zip(batch.paths, scores)],
-        )
+    batch.scores = _forward_paths(model, batch, h, sample.ctx)[0] if len(batch) else np.empty(0)
     return pg, batch, s_cos
 
 
@@ -344,17 +391,14 @@ def train_joint_step(
             s_cos = cosine_rows(sample.ctx.z, h)
         pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
         pbatch = sample_paths(pg, n_paths, k, mix_seed(step_seed, sample.qid))
-        positions = sample.sg.positions()
         path_cache = None
         scores = np.empty(0)
-        if pbatch.paths:
+        if len(pbatch):
             scores, _, path_cache = _forward_paths(
-                model, pbatch.paths, h, positions, sample.ctx, train=train_mode
+                model, pbatch, h, sample.ctx, train=train_mode
             )
             all_scores.append(scores)
-            all_labels.append(
-                np.array([p.terminal in sample.gt for p in pbatch.paths], dtype=np.float64)
-            )
+            all_labels.append(_path_labels(pbatch, sample.gt_pos, sample.sg.n_nodes))
         loss_sum, n_terms, dh_trip = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
         )
@@ -372,9 +416,7 @@ def train_joint_step(
         if n_scores:
             dscores = dscore_flat[offset : offset + n_scores]
             offset += n_scores
-            _backward_paths(
-                model, pbatch.paths, dscores, path_cache, sample.sg.positions(), dh
-            )
+            _backward_paths(model, pbatch, dscores, path_cache, dh)
         if n_terms_total:
             dh += dh_trip / n_terms_total
             loss_prune += loss_sum

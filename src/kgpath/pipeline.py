@@ -214,19 +214,27 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
         k=cfg.k,
         seed=mix_seed(cfg.seed, "eval-paths", sample.qid),
     )
-    node_ranking = [int(e) for e in rank_by_score(sample.sg.nodes, s_cos)]
-    answers = aggregate_answers(batch) if batch.paths else []
-    ordered = ranked_paths(batch) if batch.paths else []
+    order = ranked_paths(batch)
+    top = order[:10]
+    top_paths = [
+        (tuple(nodes[: n + 1]), tuple(rels[:n]), score)
+        for nodes, rels, n, score in zip(
+            batch.paths[top].tolist(),
+            batch.rels[top].tolist(),
+            batch.lengths[top].tolist(),
+            batch.scores[top].tolist(),
+        )
+    ]
     return QueryResult(
         qid=sample.qid,
         split=sample.split,
         gt=sample.gt,
         annotations=sample.annotations,
-        node_ranking=node_ranking,
-        answer_ranking=answers,
-        path_terminals=[p.terminal for p in ordered],
+        node_ranking=rank_by_score(sample.sg.nodes, s_cos).tolist(),
+        answer_ranking=aggregate_answers(batch),
+        path_terminals=batch.last(batch.paths)[order].tolist(),
         gt_in_schema=bool(sample.gt_pos.size),
-        top_paths=[(p.nodes, p.relations, p.score) for p in ordered[:10]],
+        top_paths=top_paths,
     )
 
 

@@ -32,9 +32,13 @@ from .schema import SchemaGraph
 
 @dataclass
 class PrunedGraph:
-    """Surviving nodes ordered by descending prune score, with their scores."""
+    """Surviving nodes ordered by descending prune score, with their scores.
+
+    ``rows[i]`` is the row of ``base.nodes[i]`` in the unpruned schema graph.
+    """
 
     base: SchemaGraph
+    rows: np.ndarray
     s_cos: np.ndarray
     s_bfs: np.ndarray
     s_prune: np.ndarray
@@ -75,13 +79,11 @@ def node_input_matrix(
 
 def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     """Multi-source BFS proximity from the key nodes, aligned to ``sg.nodes``."""
-    keys = sg.key_ids()
-    if not keys:
+    frontier = sg.key_rows()
+    if not frontier.size:
         raise ValueError("schema graph has no key nodes")
     adj = sg.adjacency()
-    pos = sg.positions()
     dist = np.full(sg.n_nodes, -1, dtype=np.int64)
-    frontier = np.array(sorted(pos[k] for k in keys), dtype=np.int64)
     dist[frontier] = 0
     hops = 0
     while frontier.size:
@@ -122,23 +124,22 @@ def prune_from_scores(
     theta_p: float,
     target: int,
 ) -> PrunedGraph:
-    keys = sg.key_ids()
-    if target < len(keys):
+    key_rows = sg.key_rows()
+    if target < key_rows.size:
         raise ValueError(
-            f"prune target {target} cannot hold the {len(keys)} key nodes"
+            f"prune target {target} cannot hold the {key_rows.size} key nodes"
         )
     s_prune = theta_p * s_bfs + (1.0 - theta_p) * s_cos
     order = np.lexsort((sg.nodes, -s_bfs, -s_prune))
 
     # every key, plus the best non-keys up to the target, in score order
-    pos = sg.positions()
     key_row = np.zeros(sg.n_nodes, dtype=bool)
-    key_row[[pos[k] for k in keys]] = True
+    key_row[key_rows] = True
     is_key = key_row[order]
-    idx = order[is_key | (np.cumsum(~is_key) <= min(target, sg.n_nodes) - len(keys))]
-    base = sg.restricted_to(sg.nodes[idx])
+    idx = order[is_key | (np.cumsum(~is_key) <= min(target, sg.n_nodes) - key_rows.size)]
     return PrunedGraph(
-        base=base,
+        base=sg.restricted_to(idx),
+        rows=idx,
         s_cos=s_cos[idx],
         s_bfs=s_bfs[idx],
         s_prune=s_prune[idx],

@@ -83,7 +83,9 @@ class SchemaGraph:
     build_rank: Optional[np.ndarray] = None
     _node_set: Optional[frozenset[int]] = field(default=None, repr=False)
     _positions: Optional[dict[int, int]] = field(default=None, repr=False)
+    _edge_rows: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     _adjacency: Optional[LocalAdjacency] = field(default=None, repr=False)
+    _key_rows: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -104,13 +106,9 @@ class SchemaGraph:
             self._positions = dict(zip(self.nodes.tolist(), range(self.n_nodes)))
         return self._positions
 
-    def adjacency(self) -> LocalAdjacency:
-        """Out-edges by row position, self-loops left out.
-
-        Each row's edges keep their order in the ``edges_*`` arrays, so a
-        walk that picks the j-th out-edge picks the same edge either way.
-        """
-        if self._adjacency is None:
+    def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row positions of every edge's head and tail, in edge order."""
+        if self._edge_rows is None:
             ends = np.concatenate([self.nodes, self.edges_head, self.edges_tail])
             # int32 rows halve the cache every prepared sample keeps
             row_of = np.full(int(ends.max(initial=-1)) + 1, -1, dtype=np.int32)
@@ -118,6 +116,17 @@ class SchemaGraph:
             head, tail = row_of[self.edges_head], row_of[self.edges_tail]
             if (head < 0).any() or (tail < 0).any():
                 raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
+            self._edge_rows = head, tail
+        return self._edge_rows
+
+    def adjacency(self) -> LocalAdjacency:
+        """Out-edges by row position, self-loops left out.
+
+        Each row's edges keep their order in the ``edges_*`` arrays, so a
+        walk that picks the j-th out-edge picks the same edge either way.
+        """
+        if self._adjacency is None:
+            head, tail = self.edge_rows()
             keep = head != tail
             head, tail, rel = head[keep], tail[keep], self.edges_rel[keep]
             # numpy's stable sort is a radix sort for 8- and 16-bit keys
@@ -132,24 +141,33 @@ class SchemaGraph:
     def key_ids(self) -> frozenset[int]:
         return (self.q_nodes | self.v_nodes) & self.node_set()
 
-    def restricted_to(self, kept: np.ndarray, qid: Optional[str] = None) -> "SchemaGraph":
-        """Copy with nodes restricted to ``kept`` (given order preserved)."""
-        kept = np.asarray(kept, dtype=np.int64)
-        kept_list = kept.tolist()
-        kept_set = set(kept_list)
-        pos = self.positions()
-        types = self.types[[pos[k] for k in kept_list]]
-        mask = np.isin(self.edges_head, kept) & np.isin(self.edges_tail, kept)
+    def key_rows(self) -> np.ndarray:
+        """Row positions of the key nodes, in ascending entity-id order."""
+        if self._key_rows is None:
+            keys = np.fromiter(self.q_nodes | self.v_nodes, dtype=np.int64)
+            rows = np.flatnonzero(np.isin(self.nodes, keys))
+            self._key_rows = rows[np.argsort(self.nodes[rows])]
+        return self._key_rows
+
+    def restricted_to(self, rows: np.ndarray, qid: Optional[str] = None) -> "SchemaGraph":
+        """Copy keeping the nodes at row positions ``rows``, in that order,
+        and the edges between them."""
+        kept = np.zeros(self.n_nodes, dtype=bool)
+        kept[rows] = True
+        head, tail = self.edge_rows()
+        mask = kept[head] & kept[tail]
+        key_rows = self.key_rows()
+        keys = self.nodes[key_rows[kept[key_rows]]].tolist()
         return SchemaGraph(
             qid=qid if qid is not None else self.qid,
-            nodes=kept,
-            types=types,
+            nodes=self.nodes[rows],
+            types=self.types[rows],
             edges_head=self.edges_head[mask],
             edges_rel=self.edges_rel[mask],
             edges_tail=self.edges_tail[mask],
             edges_weight=self.edges_weight[mask],
-            q_nodes=frozenset(q for q in self.q_nodes if q in kept_set),
-            v_nodes=frozenset(v for v in self.v_nodes if v in kept_set),
+            q_nodes=self.q_nodes.intersection(keys),
+            v_nodes=self.v_nodes.intersection(keys),
         )
 
     # -- serialization -------------------------------------------------------

@@ -35,8 +35,6 @@ from kgpath.neural import (
     triplet_loss_backward,
 )
 from kgpath.paths import (
-    InferencePath,
-    PathBatch,
     _backward_paths,
     _forward_paths,
     aggregate_answers,
@@ -57,7 +55,7 @@ from kgpath.synth import SuiteSpec, generate_suite
 
 from conftest import random_graph
 from test_neural import _oracle_semi_hard
-from test_path_ranker import as_pruned, enumerate_simple_walks
+from test_path_ranker import as_pruned, enumerate_simple_walks, pack, sigs
 from test_pruning import make_sg, sym
 from test_schema_graph import brute_force_rank
 
@@ -138,18 +136,15 @@ def _joint_instance(seed):
     z = rng.standard_normal(d)
     z /= np.linalg.norm(z)
     ctx = QueryContext(qid="g", z=z, v=rng.standard_normal(d), t=rng.standard_normal(d))
-    paths = [
-        InferencePath(nodes=(10, 11), relations=(0,)),
-        InferencePath(nodes=(10, 12, 11), relations=(1, 2)),
-    ]
-    positions = {10: 0, 11: 1, 12: 2}
+    # rows 0, 1, 2 of h belong to entities 10, 11, 12
+    paths = pack([((10, 11), (0,)), ((10, 12, 11), (1, 2))], k)
     labels = np.array([1.0, 0.0])
     gt_pos = np.array([1])
     neg_pos = np.array([0, 2])
 
     def loss():
         h, cache_n = model.f_n.forward(x, train=False)
-        scores, _, path_cache = _forward_paths(model, paths, h, positions, ctx, train=False)
+        scores, _, path_cache = _forward_paths(model, paths, h, ctx, train=False)
         l_cls = bce_loss(scores, labels)
         t_sum, t_cnt, _ = triplet_terms(z, h, gt_pos, neg_pos, 0.5, semi_hard=True)
         cache_t, cache_p, _ = path_cache
@@ -160,11 +155,11 @@ def _joint_instance(seed):
     def analytic():
         model.zero_grad()
         h, cache_n = model.f_n.forward(x, train=False)
-        scores, _, path_cache = _forward_paths(model, paths, h, positions, ctx, train=False)
+        scores, _, path_cache = _forward_paths(model, paths, h, ctx, train=False)
         _, dscores = bce_loss_backward(scores, labels)
         t_sum, t_cnt, dh_t = triplet_terms(z, h, gt_pos, neg_pos, 0.5, semi_hard=True)
         dh = np.zeros_like(h)
-        _backward_paths(model, paths, dscores, path_cache, positions, dh)
+        _backward_paths(model, paths, dscores, path_cache, dh)
         dh += dh_t / max(t_cnt, 1)
         model.f_n.backward(dh, cache_n)
         return {name: g.copy() for name, g in model.grad_items()}
@@ -460,23 +455,22 @@ def test_criterion_4_oracle_equivalences(tmp_path):
         universe = enumerate_simple_walks(sg, 3)
         for seed in range(10):
             batch = sample_paths(as_pruned(sg), n_paths=200, k=3, seed=seed)
-            assert {(p.nodes, p.relations) for p in batch.paths} <= universe
+            assert set(sigs(batch)) <= universe
 
     # aggregate_answers vs group-by-max oracle
     for _ in range(50):
-        paths = [
-            InferencePath(
-                nodes=(0, int(rng.integers(10))),
-                relations=(0,),
-                score=float(np.round(rng.standard_normal(), 3)),
-            )
+        scored = [
+            (int(rng.integers(10)), float(np.round(rng.standard_normal(), 3)))
             for _ in range(int(rng.integers(1, 80)))
         ]
         best = {}
-        for p in paths:
-            best[p.terminal] = max(best.get(p.terminal, -np.inf), p.score)
+        for t, score in scored:
+            best[t] = max(best.get(t, -np.inf), score)
         expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert aggregate_answers(PathBatch(qid="o", paths=paths)) == expected
+        batch = pack(
+            [((0, t), (0,)) for t, _ in scored], 3, ids=range(10), scores=[s for _, s in scored]
+        )
+        assert aggregate_answers(batch) == expected
 
     report(4, "oracle equivalences")
 

@@ -7,11 +7,10 @@ import pytest
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from kgpath.neural import Adam, ScoringModel, bce_loss, cosine_rows
 from kgpath.paths import (
-    InferencePath,
-    PathBatch,
     _forward_paths,
     aggregate_answers,
     mix_seed,
+    pack_paths,
     ranked_paths,
     run_query,
     sample_paths,
@@ -24,18 +23,50 @@ from kgpath.pruning import PrunedGraph, QuerySample, prune_from_scores
 from test_pruning import make_sg, providers, random_local_graph, sym
 
 
-def forward(model, paths, vectors, ctx):
-    """Eval-mode (scores, h_p) of ``paths`` over node vectors keyed by entity id."""
-    ids = sorted(vectors)
-    h = np.stack([vectors[i] for i in ids])
-    positions = {eid: i for i, eid in enumerate(ids)}
-    scores, h_p, _ = _forward_paths(model, paths, h, positions, ctx)
-    return scores, h_p
-
-
 def as_pruned(sg):
     n = sg.n_nodes
-    return PrunedGraph(base=sg, s_cos=np.zeros(n), s_bfs=np.zeros(n), s_prune=np.zeros(n))
+    return PrunedGraph(
+        base=sg, rows=np.arange(n), s_cos=np.zeros(n), s_bfs=np.zeros(n), s_prune=np.zeros(n)
+    )
+
+
+def pack(walks, k, ids=None, scores=None):
+    """A batch of (nodes, relations) entity-id walks, built by ``pack_paths``
+    over a graph whose row i holds ``sorted(ids)[i]`` (default: every id the
+    walks touch)."""
+    ids = sorted(ids if ids is not None else {e for nodes, _ in walks for e in nodes})
+    pos = {e: i for i, e in enumerate(ids)}
+    pg = as_pruned(make_sg(ids, [2] * len(ids), [], q_nodes=set()))
+    batch = pack_paths(
+        pg,
+        [pos[e] for nodes, _ in walks for e in nodes],
+        [r for _, rels in walks for r in rels],
+        [len(rels) for _, rels in walks],
+        k,
+    )
+    if scores is not None:
+        batch.scores = np.asarray(scores, dtype=np.float64)
+    return batch
+
+
+def sigs(batch):
+    """Each path of ``batch`` as a (node ids, relations) pair of tuples."""
+    return [
+        (tuple(nodes[: n + 1]), tuple(rels[:n]))
+        for nodes, rels, n in zip(
+            batch.paths.tolist(), batch.rels.tolist(), batch.lengths.tolist()
+        )
+    ]
+
+
+def forward(model, paths, vectors, ctx, k=None):
+    """Eval-mode (scores, h_p) of (nodes, relations) ``paths`` over node
+    vectors keyed by entity id, packed ``k`` steps wide (default model.k)."""
+    ids = sorted(vectors)
+    h = np.stack([vectors[i] for i in ids])
+    batch = pack(paths, k or model.k, ids)
+    scores, h_p, _ = _forward_paths(model, batch, h, ctx)
+    return scores, h_p
 
 
 def triangle_pg():
@@ -69,16 +100,16 @@ def enumerate_simple_walks(sg, k):
 def test_sampled_paths_are_valid_simple_walks():
     pg = triangle_pg()
     batch = sample_paths(pg, n_paths=50, k=3, seed=1)
-    assert batch.paths
+    assert len(batch)
     edge_set = {
         (int(h), int(r), int(t))
         for h, r, t in zip(pg.base.edges_head, pg.base.edges_rel, pg.base.edges_tail)
     }
-    for p in batch.paths:
-        assert p.nodes[0] == 0  # rooted at the only key
-        assert len(set(p.nodes)) == len(p.nodes)  # simple
-        assert 1 <= p.length <= 3
-        for a, r, b in zip(p.nodes, p.relations, p.nodes[1:]):
+    for nodes, rels in sigs(batch):
+        assert nodes[0] == 0  # rooted at the only key
+        assert len(set(nodes)) == len(nodes)  # simple
+        assert 1 <= len(rels) <= 3
+        for a, r, b in zip(nodes, rels, nodes[1:]):
             assert (a, r, b) in edge_set
 
 
@@ -86,12 +117,12 @@ def test_single_edge_graph_exhausts_to_one_path():
     sg = make_sg([5, 9], [0, 2], sym([(5, 0, 9, 1.0)]), q_nodes={5})
     batch = sample_paths(as_pruned(sg), n_paths=200, k=3, seed=0)
     # the reversal roots at the non-key node, so one distinct path exists
-    assert [(p.nodes, p.relations) for p in batch.paths] == [((5, 9), (0,))]
+    assert sigs(batch) == [((5, 9), (0,))]
 
 
 def test_zero_edge_graph_yields_empty_batch():
     sg = make_sg([1, 2], [0, 2], [], q_nodes={1})
-    assert sample_paths(as_pruned(sg), n_paths=10, k=3, seed=0).paths == []
+    assert sigs(sample_paths(as_pruned(sg), n_paths=10, k=3, seed=0)) == []
 
 
 def test_no_key_node_is_an_error():
@@ -115,14 +146,15 @@ def test_paths_subset_of_exhaustive_enumeration():
         universe = enumerate_simple_walks(sg, 3)
         for seed in range(10):
             batch = sample_paths(pg, n_paths=200, k=3, seed=seed)
-            got = {(p.nodes, p.relations) for p in batch.paths}
+            got = set(sigs(batch))
             assert got <= universe
-            assert len(got) == len(batch.paths)  # dedup held
+            assert len(got) == len(batch)  # dedup held
 
 
 def reference_sample_paths(pg, n_paths, k, seed):
     """The sampler as first written, over a hand-built adjacency list and
-    without the early stop: the oracle the CSR walk must reproduce exactly."""
+    without the early stop: the oracle the CSR walk must reproduce exactly.
+    Returns each path as a (node ids, relations) pair of tuples."""
     base = pg.base
     keys = sorted(base.key_ids())
     pos = base.positions()
@@ -176,14 +208,24 @@ def reference_sample_paths(pg, n_paths, k, seed):
         if sig in seen:
             continue
         seen.add(sig)
-        paths.append(InferencePath(nodes=sig[0], relations=sig[1]))
-    return PathBatch(qid=base.qid, paths=paths)
+        paths.append(sig)
+    return paths
 
 
-def walk_ids(sg, walks):
-    """``simple_walks`` output with row positions mapped to entity ids."""
-    nodes = sg.nodes.tolist()
-    return [(tuple(nodes[p] for p in walk), rels) for walk, rels in walks]
+def listed_walks(sg, roots, k, cap):
+    """The walks ``simple_walks`` lists, with row positions mapped to entity
+    ids; its count must match the list and a counting-only run."""
+    flat_nodes, flat_rels, lengths = [], [], []
+    count = simple_walks(sg.adjacency(), roots, k, cap, (flat_nodes, flat_rels, lengths))
+    assert count == len(lengths) == simple_walks(sg.adjacency(), roots, k, cap)
+    ids = sg.nodes.tolist()
+    walks, at_node, at_rel = [], 0, 0
+    for n in lengths:
+        nodes = tuple(ids[p] for p in flat_nodes[at_node : at_node + n + 1])
+        walks.append((nodes, tuple(flat_rels[at_rel : at_rel + n])))
+        at_node += n + 1
+        at_rel += n
+    return walks
 
 
 def test_sampler_matches_reference_loop():
@@ -200,10 +242,9 @@ def test_sampler_matches_reference_loop():
                     got = sample_paths(pg, n_paths=n_paths, k=k, seed=seed)
                     if n_paths < total:
                         want = reference_sample_paths(pg, n_paths, k, seed)
-                        assert got.paths == want.paths, (trial, k, n_paths, seed)
+                        assert sigs(got) == want, (trial, k, n_paths, seed)
                     else:
-                        sigs = [(p.nodes, p.relations) for p in got.paths]
-                        assert len(sigs) == total and set(sigs) == universe
+                        assert len(sigs(got)) == total and set(sigs(got)) == universe
                         exact += total > 0
     assert exact > 50  # the exact route is exercised, not just the sampler
 
@@ -234,9 +275,9 @@ def test_count_walks_matches_itertools_enumeration():
             universe = itertools_walks(sg, k)
             total = len(universe)
             assert universe == enumerate_simple_walks(sg, k)
-            every = walk_ids(sg, simple_walks(sg.adjacency(), roots, k, 10**6))
+            every = listed_walks(sg, roots, k, 10**6)
             for cap in (0, 1, total, total + 1, 10**6):
-                got = walk_ids(sg, simple_walks(sg.adjacency(), roots, k, cap))
+                got = listed_walks(sg, roots, k, cap)
                 assert len(got) == min(total, cap)
                 assert got == every[:cap]  # a cap cuts the DFS order, nothing else
                 assert set(got) <= universe
@@ -251,17 +292,17 @@ def test_exact_route_has_no_duplicate_on_repeated_triples():
     # 2 distinct walks, 6 edge sequences: the cap counts distinct walks
     for n_paths in (2, 3, 200):
         for seed in range(3):
-            sigs = [(p.nodes, p.relations) for p in sample_paths(pg, n_paths, 3, seed).paths]
-            assert sigs == [((0, 1), (0,)), ((0, 1, 2), (0, 1))]
+            got = sigs(sample_paths(pg, n_paths, 3, seed))
+            assert got == [((0, 1), (0,)), ((0, 1, 2), (0, 1))]
     rng = np.random.default_rng(44)
     for trial in range(40):
         sg = random_local_graph(rng, duplicates=True)
         for k in (1, 2, 3):
             universe = enumerate_simple_walks(sg, k)
             batch = sample_paths(as_pruned(sg), len(universe), k, seed=trial)
-            sigs = [(p.nodes, p.relations) for p in batch.paths]
-            assert len(sigs) == len(set(sigs)) == len(universe)
-            assert set(sigs) == universe
+            got = sigs(batch)
+            assert len(got) == len(set(got)) == len(universe)
+            assert set(got) == universe
 
 
 def test_sampling_deterministic_per_seed():
@@ -269,12 +310,12 @@ def test_sampling_deterministic_per_seed():
     a = sample_paths(pg, n_paths=3, k=3, seed=9)
     b = sample_paths(pg, n_paths=3, k=3, seed=9)
     c = sample_paths(pg, n_paths=3, k=3, seed=10)
-    assert [(p.nodes, p.relations) for p in a.paths] == [(p.nodes, p.relations) for p in b.paths]
-    assert [(p.nodes, p.relations) for p in a.paths] != [(p.nodes, p.relations) for p in c.paths]
+    assert sigs(a) == sigs(b)
+    assert sigs(a) != sigs(c)
     # at n_paths >= 4 every walk fits, so the batch no longer depends on the seed
     d = sample_paths(pg, n_paths=30, k=3, seed=9)
     e = sample_paths(pg, n_paths=30, k=3, seed=10)
-    assert d.paths == e.paths and len(d.paths) == 4
+    assert sigs(d) == sigs(e) and len(d) == 4
 
 
 def test_labels_mark_gt_terminals():
@@ -288,8 +329,8 @@ def test_labels_mark_gt_terminals():
         h, _ = model.f_n.forward(s.x, train=False)
         pg = prune_from_scores(s.sg, cosine_rows(s.ctx.z, h), s.s_bfs, 0.3, 100)
         batch = sample_paths(pg, 200, 3, mix_seed(step_seed, s.qid))
-        scores.append(_forward_paths(model, batch.paths, h, s.sg.positions(), s.ctx)[0])
-        labels += [p.terminal in s.gt for p in batch.paths]
+        scores.append(_forward_paths(model, batch, h, s.ctx)[0])
+        labels += [t in s.gt for t in batch.last(batch.paths).tolist()]
     scores = np.concatenate(scores)
     labels = np.array(labels, dtype=np.float64)
     assert 0 < labels.sum() < labels.size
@@ -304,7 +345,7 @@ def test_encode_path_padding_and_output():
     vectors = {7: rng.standard_normal(4), 8: rng.standard_normal(4)}
     z = rng.standard_normal(4)
     ctx = QueryContext(qid="q", z=z / np.linalg.norm(z), v=z, t=z)
-    path = InferencePath(nodes=(7, 8), relations=(0,))
+    path = ((7, 8), (0,))
     _, h_p = forward(model, [path], vectors, ctx)
     got = h_p[0]
     assert got.shape == (4,)
@@ -320,9 +361,9 @@ def test_path_too_long_rejected():
     model = ScoringModel(d=4, D=3, k=2, dropout_rate=0.0, seed=1)
     vectors = {i: np.zeros(4) for i in range(5)}
     ctx = QueryContext(qid="q", z=np.ones(4), v=np.ones(4), t=np.ones(4))
-    path = InferencePath(nodes=(0, 1, 2, 3), relations=(0, 0, 0))
+    path = ((0, 1, 2, 3), (0, 0, 0))
     with pytest.raises(ValueError, match="exceeds"):
-        forward(model, [path], vectors, ctx)
+        forward(model, [path], vectors, ctx, k=3)
 
 
 def test_identical_paths_same_encoding_order_sensitivity():
@@ -331,9 +372,9 @@ def test_identical_paths_same_encoding_order_sensitivity():
     vectors = {i: rng.standard_normal(5) for i in range(4)}
     z = rng.standard_normal(5)
     ctx = QueryContext(qid="q", z=z, v=rng.standard_normal(5), t=rng.standard_normal(5))
-    p1 = InferencePath(nodes=(0, 1, 2), relations=(0, 1))
-    p1_again = InferencePath(nodes=(0, 1, 2), relations=(0, 1))
-    p_swapped = InferencePath(nodes=(0, 2, 1), relations=(0, 1))
+    p1 = ((0, 1, 2), (0, 1))
+    p1_again = ((0, 1, 2), (0, 1))
+    p_swapped = ((0, 2, 1), (0, 1))
     _, (e1, e1_again, e_swapped) = forward(model, [p1, p1_again, p_swapped], vectors, ctx)
     assert np.array_equal(e1, e1_again)
     assert not np.allclose(e1, e_swapped)
@@ -345,11 +386,11 @@ def test_score_paths_empty_and_duplicates():
     emb, ctx, tf = providers(4, 3, 3, seed=5)
     sg = make_sg([0, 1], [0, 2], [], q_nodes={0})
     sample = QuerySample.build(model, sg, ctx, [1], emb, tf)
-    assert run_query(model, sample, target=2, n_paths=10, seed=0)[1].paths == []
+    assert sigs(run_query(model, sample, target=2, n_paths=10, seed=0)[1]) == []
     rng = np.random.default_rng(6)
     vectors = {i: rng.standard_normal(4) for i in range(3)}
-    dup = InferencePath(nodes=(0, 1), relations=(2,))
-    scores, _ = forward(model, [dup, InferencePath(nodes=(0, 2), relations=(0,)), dup], vectors, ctx)
+    dup = ((0, 1), (2,))
+    scores, _ = forward(model, [dup, ((0, 2), (0,)), dup], vectors, ctx)
     assert scores[0] == scores[2]
 
 
@@ -358,7 +399,7 @@ def test_argmax_invariant_to_bias_shift():
     rng = np.random.default_rng(8)
     vectors = {i: rng.standard_normal(4) for i in range(5)}
     ctx = QueryContext(qid="q", z=rng.standard_normal(4), v=np.ones(4), t=np.ones(4))
-    paths = [InferencePath(nodes=(0, i), relations=(0,)) for i in range(1, 5)]
+    paths = [((0, i), (0,)) for i in range(1, 5)]
     s1, _ = forward(model, paths, vectors, ctx)
     model.f_bi.b[0] += 3.7
     s2, _ = forward(model, paths, vectors, ctx)
@@ -367,31 +408,25 @@ def test_argmax_invariant_to_bias_shift():
 
 
 def test_aggregate_answers_max_rule():
-    batch = PathBatch(
-        qid="q",
-        paths=[
-            InferencePath(nodes=(0, 1), relations=(0,), score=0.9),
-            InferencePath(nodes=(0, 2, 1), relations=(0, 1), score=0.2),
-            InferencePath(nodes=(0, 2), relations=(1,), score=0.5),
-        ],
+    batch = pack(
+        [((0, 1), (0,)), ((0, 2, 1), (0, 1)), ((0, 2), (1,))], 3, scores=[0.9, 0.2, 0.5]
     )
     assert aggregate_answers(batch) == [(1, 0.9), (2, 0.5)]
-    assert aggregate_answers(PathBatch(qid="q")) == []
+    assert aggregate_answers(pack([], 3, ids=[0], scores=[])) == []
 
 
 def test_aggregate_matches_group_by_max_oracle():
     rng = np.random.default_rng(9)
     for _ in range(40):
-        paths = []
+        paths, scores = [], []
         for _ in range(int(rng.integers(1, 60))):
             terminal = int(rng.integers(8))
-            paths.append(
-                InferencePath(nodes=(99, terminal), relations=(0,), score=float(np.round(rng.standard_normal(), 3)))
-            )
-        batch = PathBatch(qid="q", paths=paths)
+            paths.append(((99, terminal), (0,)))
+            scores.append(float(np.round(rng.standard_normal(), 3)))
+        batch = pack(paths, 3, ids=[99, *range(8)], scores=scores)
         best = {}
-        for p in paths:
-            best[p.terminal] = max(best.get(p.terminal, -np.inf), p.score)
+        for (nodes, _), score in zip(paths, scores):
+            best[nodes[-1]] = max(best.get(nodes[-1], -np.inf), score)
         expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
         assert aggregate_answers(batch) == expected
 
@@ -485,11 +520,11 @@ def test_run_query_returns_consistent_bundle():
     assert len(pg.survivors) == 5
     assert s_cos.shape == (sample.sg.n_nodes,)
     surv = set(int(e) for e in pg.survivors)
-    for p in batch.paths:
-        assert set(p.nodes) <= surv
-        assert p.score is not None
-    rp = ranked_paths(batch)
-    assert all(rp[i].score >= rp[i + 1].score for i in range(len(rp) - 1))
+    for nodes, _ in sigs(batch):
+        assert set(nodes) <= surv
+    assert batch.scores is not None and batch.scores.shape == (len(batch),)
+    rp = batch.scores[ranked_paths(batch)]
+    assert all(rp[i] >= rp[i + 1] for i in range(len(rp) - 1))
 
 
 def test_mix_seed_stable():
