@@ -207,25 +207,16 @@ def cmd_schema(args: argparse.Namespace) -> int:
 def cmd_prune(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg, need_queries=False)
+    graphs, gt_by_qid = load_schema_graphs(args.schemas, rt.g)
     model = _load_model(cfg, args.checkpoint)
-    graphs = load_schema_graphs(args.schemas, rt.g)
     out = _out_dir(args, cfg)
     pruned = []
-    gt_by_qid = {}
-    with open(args.schemas, encoding="utf-8") as f:
-        dumped_gt = {
-            obj["qid"]: obj.get("gt", [])
-            for obj in (json.loads(line) for line in f if line.strip())
-        }
     for sg in graphs:
         ctx = rt.contexts.get(sg.qid)
         if ctx is None:
             logger.warning("%s: no query context, skipping", sg.qid)
             continue
         pruned.append(prune(model, sg, ctx, rt.emb, rt.textfeat, cfg.theta_p, cfg.prune_target))
-        gt_by_qid[sg.qid] = frozenset(
-            rt.g.entity_id(s) for s in dumped_gt.get(sg.qid, []) if rt.g.has_surface(s)
-        )
     dump_path = out / "pruned_graphs.jsonl"
     dump_pruned_graphs(dump_path, rt.g, pruned, gt_by_qid)
     write_manifest(out, "prune", cfg, {"schemas": args.schemas})

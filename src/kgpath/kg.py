@@ -11,12 +11,15 @@ workers.
 from __future__ import annotations
 
 import logging
+import math
 import re
-from array import array
+from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
+
+from .config import atomic_write
 
 logger = logging.getLogger(__name__)
 
@@ -50,12 +53,11 @@ _WS = re.compile(r"\s+")
 
 
 class GraphLoadError(ValueError):
-    """Raised for malformed edge files; carries the offending line number."""
+    """A malformed edge file: ``<path>:<line>: <reason>``."""
 
-    def __init__(self, message: str, lineno: Optional[int] = None):
-        if lineno is not None:
-            message = f"line {lineno}: {message}"
-        super().__init__(message)
+    def __init__(self, path: Path | str, lineno: int, reason: str):
+        super().__init__(f"{path}:{lineno}: {reason}")
+        self.path = path
         self.lineno = lineno
 
 
@@ -234,19 +236,15 @@ class KnowledgeGraph:
         """Write the built index to a directory (entities, relations, arrays)."""
         index_dir = Path(index_dir)
         index_dir.mkdir(parents=True, exist_ok=True)
-        (index_dir / "entities.txt").write_text(
-            "\n".join(self.surfaces) + "\n", encoding="utf-8"
-        )
-        (index_dir / "relations.txt").write_text(
-            "\n".join(self.relations.names) + "\n", encoding="utf-8"
-        )
-        np.savez(
-            index_dir / "adjacency.npz",
-            offsets=self._offsets,
-            nbr=self._nbr,
-            rel=self._rel,
-            weight=self._weight,
-        )
+        # no file is replaced unless all three were written in full
+        with (
+            atomic_write(index_dir / "entities.txt") as ents,
+            atomic_write(index_dir / "relations.txt") as rels,
+            atomic_write(index_dir / "adjacency.npz", "wb") as adj,
+        ):
+            ents.write("\n".join(self.surfaces) + "\n")
+            rels.write("\n".join(self.relations.names) + "\n")
+            np.savez(adj, offsets=self._offsets, nbr=self._nbr, rel=self._rel, weight=self._weight)
 
     @classmethod
     def load_index(cls, index_dir: Path | str) -> "KnowledgeGraph":
@@ -287,6 +285,67 @@ def dedup_max_weight(
     return ht // n_entities, uniq % n_relations, ht % n_entities, wmax
 
 
+#: Characters of the edge file read per block; each block is parsed in bulk.
+_BLOCK_CHARS = 1 << 16
+
+
+def _parse_edge_line(line: str, rel_index: dict[str, int]) -> Optional[tuple[str, int, str, float]]:
+    """One edge line as (head, relation id, tail, weight), surfaces normalized.
+
+    None for a ``#`` comment or a blank line. This is the one statement of
+    the line rules: a ``ValueError`` names the first rule the line breaks.
+    """
+    if not line.strip() or line.startswith("#"):
+        return None
+    parts = line.rstrip("\n").split("\t")
+    if len(parts) != 4:
+        raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
+    hs, rname, ts, wtext = parts
+    rid = rel_index.get(rname)
+    if rid is None:
+        raise ValueError(f"unknown relation {rname!r}")
+    try:
+        w = float(wtext)
+    except ValueError:
+        raise ValueError(f"weight {wtext!r} is not a number") from None
+    if not math.isfinite(w) or w < 0:
+        raise ValueError(f"weight {wtext!r} is not a non-negative real")
+    hs = normalize_surface(hs)
+    ts = normalize_surface(ts)
+    if not hs or not ts:
+        raise ValueError("empty entity surface")
+    return hs, rid, ts, w
+
+
+def _bulk_rows(lines: list[str], rel_index: dict[str, int]) -> Optional[tuple[list, list, np.ndarray]]:
+    """A block's (interleaved head/tail surfaces, relation ids, weights).
+
+    Surfaces come back as written. None when a line is a comment or may
+    break a rule: the caller then re-reads the block line by line. A blank
+    or whitespace-only line never gets through, since its relation field
+    would be blank and no relation name is.
+    """
+    text = "".join(lines)
+    if text.startswith("#") or "\n#" in text:
+        return None
+    if set(map(str.count, lines, repeat("\t"))) != {3}:
+        return None
+    # head, relation, tail, weight of every line, end to end
+    fields = text.replace("\n", "\t").split("\t")
+    end = 4 * len(lines)
+    rids = list(map(rel_index.get, fields[1:end:4]))
+    if None in rids:
+        return None
+    wtexts = fields[3:end:4]
+    try:
+        w = np.fromiter(map(float, wtexts), dtype=np.float64, count=len(wtexts))
+    except ValueError:
+        return None
+    if not ((w >= 0) & (w < np.inf)).all():  # also false for nan
+        return None
+    return fields[0:end:2], rids, w
+
+
 def load_graph(
     edge_file: Path | str,
     relation_priority_file: Optional[Path | str] = None,
@@ -296,86 +355,103 @@ def load_graph(
     Rules: surfaces are normalized, entity ids are assigned by first
     appearance, duplicate (head, relation, tail) triples keep the maximum
     weight, and every forward edge also yields ``tail --rev_r--> head`` with
-    the same weight. ``#`` comment lines and blank lines are skipped.
+    the same weight. ``#`` comment lines and blank lines are skipped. A line
+    that breaks a rule raises ``GraphLoadError("<path>:<line>: <reason>")``
+    for the first such line in the file.
+
+    The file is read in blocks that are parsed in bulk; a block with a
+    comment or a bad line is re-read line by line with ``_parse_edge_line``.
     """
     relations = load_relations(relation_priority_file)
     rel_index = {n: i for i, n in enumerate(relations.names)}
 
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # normalized surface -> id
+    raw_ids: dict[str, int] = {}  # surface as written -> id
     surfaces: list[str] = []
-    heads = array("i")
-    rels = array("i")
-    tails = array("i")
-    weights = array("d")
+    id_blocks, rel_blocks, weight_blocks = [], [], []
 
-    with open(edge_file, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.rstrip("\n").split("\t")
-            if len(parts) != 4:
-                raise GraphLoadError(
-                    f"expected 4 tab-separated fields, got {len(parts)}", lineno
-                )
-            hs, rname, ts, wtext = parts
-            rid = rel_index.get(rname)
-            if rid is None:
-                raise GraphLoadError(f"unknown relation {rname!r}", lineno)
+    def per_line(lines: list[str], first_lineno: int) -> tuple[list, list, np.ndarray]:
+        surf, rids, ws = [], [], []
+        for lineno, line in enumerate(lines, first_lineno):
             try:
-                w = float(wtext)
-            except ValueError:
-                raise GraphLoadError(f"weight {wtext!r} is not a number", lineno) from None
-            if not np.isfinite(w) or w < 0:
-                raise GraphLoadError(f"weight {wtext!r} is not a non-negative real", lineno)
-            hs = normalize_surface(hs)
-            ts = normalize_surface(ts)
-            if not hs or not ts:
-                raise GraphLoadError("empty entity surface", lineno)
-            eid = index.get(hs)
+                row = _parse_edge_line(line, rel_index)
+            except ValueError as exc:
+                raise GraphLoadError(edge_file, lineno, str(exc)) from None
+            if row is not None:
+                surf += (row[0], row[2])
+                rids.append(row[1])
+                ws.append(row[3])
+        return surf, rids, np.array(ws, dtype=np.float64)
+
+    def ids_of(surf: list[str]) -> Optional[np.ndarray]:
+        """Ids of surfaces as written, numbering new normalized surfaces by
+        first appearance; None if one normalizes to nothing."""
+        try:
+            return np.fromiter(map(raw_ids.__getitem__, surf), dtype=np.int32, count=len(surf))
+        except KeyError:
+            pass
+        new = list(filterfalse(raw_ids.__contains__, dict.fromkeys(surf)))
+        normalized = list(map(normalize_surface, new))
+        if "" in normalized:
+            return None
+        for raw, norm in zip(new, normalized):
+            eid = index.get(norm)
             if eid is None:
-                eid = len(surfaces)
-                index[hs] = eid
-                surfaces.append(hs)
-            heads.append(eid)
-            eid = index.get(ts)
-            if eid is None:
-                eid = len(surfaces)
-                index[ts] = eid
-                surfaces.append(ts)
-            tails.append(eid)
-            rels.append(rid)
-            weights.append(w)
+                eid = index[norm] = len(surfaces)
+                surfaces.append(norm)
+            raw_ids[raw] = eid
+        return np.fromiter(map(raw_ids.__getitem__, surf), dtype=np.int32, count=len(surf))
+
+    n_lines = 0
+    with open(edge_file, encoding="utf-8") as f:
+        while lines := f.readlines(_BLOCK_CHARS):
+            rows = _bulk_rows(lines, rel_index)
+            ids = None if rows is None else ids_of(rows[0])
+            if ids is None:
+                rows = per_line(lines, n_lines + 1)
+                ids = ids_of(rows[0])
+            n_lines += len(lines)
+            id_blocks.append(ids)
+            rel_blocks.append(np.array(rows[1], dtype=np.int32))
+            weight_blocks.append(rows[2])
+
+    def joined(blocks: list[np.ndarray], dtype) -> np.ndarray:
+        return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
 
     n_ent = len(surfaces)
-    h = np.frombuffer(heads, dtype=np.int32).astype(np.int64)
-    r = np.frombuffer(rels, dtype=np.int32).astype(np.int64)
-    t = np.frombuffer(tails, dtype=np.int32).astype(np.int64)
-    w = np.frombuffer(weights, dtype=np.float64)
+    ht = joined(id_blocks, np.int32)
+    del id_blocks
+    h = ht[0::2].astype(np.int64)
+    t = ht[1::2].astype(np.int64)
+    del ht
+    r = joined(rel_blocks, np.int32).astype(np.int64)
+    w = joined(weight_blocks, np.float64)
+    del rel_blocks, weight_blocks
 
     h, r, t, w = dedup_max_weight(h, r, t, w, n_ent, relations.n_total)
 
     # Materialize reversals, then build the CSR adjacency sorted by
-    # (head, neighbor, relation).
+    # (head, neighbor, relation). Each column is reordered and cast alone,
+    # and its int64 form dropped, to keep the transient memory down.
     nf = relations.n_forward
     h2 = np.concatenate([h, t])
     t2 = np.concatenate([t, h])
+    del h, t
     r2 = np.concatenate([r, r + nf])
-    w2 = np.concatenate([w, w])
+    del r
     order = np.lexsort((r2, t2, h2))
-    h2, t2, r2, w2 = h2[order], t2[order], r2[order], w2[order]
-
     offsets = np.zeros(n_ent + 1, dtype=np.int64)
     if h2.size:
         np.cumsum(np.bincount(h2, minlength=n_ent), out=offsets[1:])
+    del h2
+    adj_nbr = t2.astype(np.int32)[order]
+    del t2
+    adj_rel = r2.astype(np.int32)[order]
+    del r2
+    adj_weight = np.concatenate([w, w]).astype(np.float32)[order]
+    del w, order
 
-    graph = KnowledgeGraph(
-        surfaces,
-        relations,
-        offsets,
-        t2.astype(np.int32),
-        r2.astype(np.int32),
-        w2.astype(np.float32),
-    )
+    graph = KnowledgeGraph(surfaces, relations, offsets, adj_nbr, adj_rel, adj_weight)
     logger.info(
         "loaded graph: %d entities, %d directed edges (%d relations)",
         graph.n_entities,

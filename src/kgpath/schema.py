@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import atomic_write
+from .config import atomic_write, read_jsonl
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -193,14 +193,18 @@ class SchemaGraph:
 
     @classmethod
     def from_json_obj(cls, g: KnowledgeGraph, obj: dict) -> "SchemaGraph":
-        rel = g.relations
-        nodes = np.array([g.entity_id(s) for s, _ in obj["nodes"]], dtype=np.int64)
-        types = np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8)
+        """Inverse of ``to_json_obj``; a ``ValueError`` names an unknown
+        entity, relation or node type."""
+        nodes = np.array([_entity_id(g, s) for s, _ in obj["nodes"]], dtype=np.int64)
+        types = np.array(
+            [_lookup(_TYPE_BY_NAME.__getitem__, t, "node type") for _, t in obj["nodes"]],
+            dtype=np.int8,
+        )
         eh, er, et, ew = [], [], [], []
         for hs, rn, ts, w in obj["edges"]:
-            eh.append(g.entity_id(hs))
-            er.append(rel.id_of(rn))
-            et.append(g.entity_id(ts))
+            eh.append(_entity_id(g, hs))
+            er.append(_lookup(g.relations.id_of, rn, "relation"))
+            et.append(_entity_id(g, ts))
             ew.append(float(w))
         return cls(
             qid=obj["qid"],
@@ -210,9 +214,20 @@ class SchemaGraph:
             edges_rel=np.array(er, dtype=np.int64),
             edges_tail=np.array(et, dtype=np.int64),
             edges_weight=np.array(ew, dtype=np.float64),
-            q_nodes=frozenset(g.entity_id(s) for s in obj["key_q"]),
-            v_nodes=frozenset(g.entity_id(s) for s in obj["key_v"]),
+            q_nodes=frozenset(_entity_id(g, s) for s in obj["key_q"]),
+            v_nodes=frozenset(_entity_id(g, s) for s in obj["key_v"]),
         )
+
+
+def _lookup(table, key, what: str):
+    try:
+        return table(key)
+    except (KeyError, AttributeError):  # AttributeError: a relation that is no string
+        raise ValueError(f"unknown {what} {key!r}") from None
+
+
+def _entity_id(g: KnowledgeGraph, surface: str) -> int:
+    return _lookup(g.entity_id, surface, "entity")
 
 
 def gt_provenance(sg: SchemaGraph, gt: int) -> str:
@@ -273,7 +288,14 @@ def _rank_candidates(
     member[np.fromiter(q_nodes, dtype=np.int64, count=len(q_nodes))] = True
     n_q = np.bincount(inv[first & member[src]], minlength=cand_u.size)
 
-    order = np.lexsort((cand_u, -n_q, -n_conn, best_prio, -sum_w))
+    # (best_prio, -n_conn, -n_q) packed into one non-negative int, in mixed
+    # radix, then narrowed: numpy sorts 16-bit keys stably by radix sort
+    c, q = int(n_conn.max()) + 1, int(n_q.max()) + 1
+    key = (best_prio * c + (c - 1 - n_conn)) * q + (q - 1 - n_q)
+    key = key.astype(np.min_scalar_type(int(key.max())))
+    # stable sorts, and cand_u is ascending: equal keys keep id order
+    order = np.argsort(key, kind="stable")
+    order = order[np.argsort(-sum_w[order], kind="stable")]
     return cand_u[order]
 
 
@@ -429,11 +451,18 @@ def dump_schema_graphs(
             f.write(json.dumps(obj, sort_keys=True) + "\n")
 
 
-def load_schema_graphs(path, g: KnowledgeGraph) -> list[SchemaGraph]:
-    graphs = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                graphs.append(SchemaGraph.from_json_obj(g, json.loads(line)))
-    return graphs
+def load_schema_graphs(
+    path, g: KnowledgeGraph
+) -> tuple[list[SchemaGraph], dict[str, frozenset[int]]]:
+    """The graphs of a ``dump_schema_graphs`` file and each qid's ground truth.
+
+    Bad JSON, a missing key, or an unknown entity, relation or node type
+    raises one ``ConfigError("<path>:<line>: ...")``.
+    """
+
+    def build(obj: dict) -> tuple[SchemaGraph, frozenset[int]]:
+        sg = SchemaGraph.from_json_obj(g, obj)
+        return sg, frozenset(_entity_id(g, s) for s in obj.get("gt", []))
+
+    rows = read_jsonl(path, build)
+    return [sg for sg, _ in rows], {sg.qid: gt for sg, gt in rows}

@@ -306,6 +306,69 @@ def test_malformed_jsonl_is_one_line_error(suite, tmp_path, capsys, case):
     assert line.startswith(f"error: {bad}:2: {message}")
 
 
+@pytest.fixture(scope="module")
+def schema_dump(suite):
+    root, out = suite
+    assert main(["schema", *run_args(root / "dump", out)]) == 0
+    return root / "dump" / "schema_graphs.jsonl"
+
+
+def json_edit(edit):
+    return lambda line: edit(json.loads(line))
+
+
+# (command, input, edit of its second line, message after "error: <path>:2: ")
+MALFORMED_INPUT = {
+    "kg_edges-field-count": (
+        "schema", "kg_edges", lambda line: "broken line",
+        "expected 4 tab-separated fields, got 1",
+    ),
+    "kg_edges-bad-weight": (
+        "schema", "kg_edges", lambda line: line.rsplit("\t", 1)[0] + "\tnan",
+        "weight 'nan' is not a non-negative real",
+    ),
+    "prune-bad-json": ("prune", "schemas", lambda line: line[:-1], "bad JSON: "),
+    "prune-missing-key": (
+        "prune", "schemas", json_edit(without("key_q")), "missing field 'key_q'"
+    ),
+    "prune-unknown-entity": (
+        "prune", "schemas", json_edit(replaced("key_v", ["nowhere"])),
+        "unknown entity 'nowhere'",
+    ),
+    "prune-unknown-gt": (
+        "prune", "schemas", json_edit(replaced("gt", ["nowhere"])),
+        "unknown entity 'nowhere'",
+    ),
+    "prune-unknown-relation": (
+        "prune", "schemas",
+        json_edit(lambda obj: json.dumps(
+            {**obj, "edges": [[h, "mystery", t, w] for h, _, t, w in obj["edges"]]}
+        )),
+        "unknown relation 'mystery'",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUT))
+def test_malformed_input_is_one_line_error(suite, schema_dump, tmp_path, capsys, case):
+    root, out = suite
+    command, key, edit, message = MALFORMED_INPUT[case]
+    source = out / "kg_edges.tsv" if key == "kg_edges" else schema_dump
+    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[1] = edit(lines[1].rstrip("\n")) + "\n"
+    bad = tmp_path / source.name
+    bad.write_text("".join(lines), encoding="utf-8")
+    if key == "kg_edges":
+        extra = ["--set", f"kg_edges={bad}"]
+    else:  # the dump is read before a checkpoint is needed
+        extra = ["--schemas", str(bad)]
+    capsys.readouterr()
+    rc = main([command, *run_args(tmp_path / "o", out), *extra])
+    assert rc == 1
+    (line,) = error_lines(capsys)
+    assert line.startswith(f"error: {bad}:2: {message}")
+
+
 def test_export_dot_structure(tmp_path):
     dump = {
         "qid": "q1",

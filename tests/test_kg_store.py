@@ -203,8 +203,10 @@ def test_malformed_line_reports_lineno(tmp_path):
     edges = (tmp_path / "bad.tsv")
     edges.write_text("a\trelatedto\tb\t1.0\nbroken line\n", encoding="utf-8")
     rels = write_relations(tmp_path / "r.txt", ["relatedto"])
-    with pytest.raises(GraphLoadError, match="line 2"):
+    with pytest.raises(GraphLoadError) as exc:
         load_graph(edges, rels)
+    assert str(exc.value) == f"{edges}:2: expected 4 tab-separated fields, got 1"
+    assert exc.value.lineno == 2
 
 
 def test_unknown_relation_rejected(tmp_path):
@@ -247,6 +249,24 @@ def test_index_save_load_round_trip(tmp_path):
     assert g2.relations.names == g.relations.names
     for eid in range(g.n_entities):
         assert g2.neighbors(eid) == g.neighbors(eid)
+
+
+def test_failed_save_keeps_existing_index(tmp_path, monkeypatch):
+    rng = np.random.default_rng(9)
+    g, _ = random_graph(tmp_path, rng)
+    index = tmp_path / "index"
+    g.save(index)
+    before = {p.name: p.read_bytes() for p in index.iterdir()}
+    other, _ = random_graph(tmp_path, rng, n_entities=12, n_edges=30, relations=("q0",))
+
+    def failing_savez(file, **arrays):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(np, "savez", failing_savez)
+    with pytest.raises(OSError, match="disk full"):
+        other.save(index)
+    # the same three files, byte for byte, and no .tmp
+    assert {p.name: p.read_bytes() for p in index.iterdir()} == before
 
 
 def test_explicit_rev_relation_in_priority_file_rejected(tmp_path):

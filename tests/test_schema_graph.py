@@ -218,7 +218,8 @@ def test_dump_round_trip(tmp_path):
     g, _ = random_graph(tmp_path, rng)
     sg = build_schema(g, keyset(q={3}, v={8}), budget=15, seed=2, qid="q9")
     dump_schema_graphs(tmp_path / "dump.jsonl", g, [sg], {"q9": frozenset({4})})
-    (loaded,) = load_schema_graphs(tmp_path / "dump.jsonl", g)
+    (loaded,), gt = load_schema_graphs(tmp_path / "dump.jsonl", g)
+    assert gt == {"q9": frozenset({4})}
     assert loaded.qid == "q9"
     assert np.array_equal(loaded.nodes, sg.nodes)
     assert np.array_equal(loaded.types, sg.types)
