@@ -18,13 +18,12 @@ from typing import Optional
 
 import numpy as np
 
-from .config import ConfigError, RunConfig, load_config, write_manifest
+from .config import InputError, RunConfig, load_config, read_jsonl, write_manifest
 from .dot import export_dot
-from .embeddings import EmbeddingError
-from .kg import GraphLoadError, load_graph
+from .kg import load_graph
 from .linking import ground_truth_ids
 from .metrics import hit_rate_curve, write_curve_csv
-from .neural import CheckpointError, ScoringModel
+from .neural import ScoringModel
 from .paths import mix_seed, staged_training
 from .pipeline import (
     build_report,
@@ -120,7 +119,7 @@ def resolve_config(args: argparse.Namespace) -> RunConfig:
     overrides: dict[str, str] = {}
     for item in args.set:
         if "=" not in item:
-            raise ConfigError(f"--set expects KEY=VALUE, got {item!r}")
+            raise InputError(msg=f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value
     if args.seed is not None:
@@ -141,7 +140,7 @@ def _out_dir(args: argparse.Namespace, cfg: RunConfig) -> Path:
 def _load_model(cfg: RunConfig, checkpoint: Optional[Path]) -> ScoringModel:
     path = checkpoint or cfg.checkpoint
     if path is None:
-        raise ConfigError("no checkpoint given (flag --checkpoint or config key)")
+        raise InputError(msg="no checkpoint given (flag --checkpoint or config key)")
     return ScoringModel.load_checkpoint(
         path, dropout_rate=cfg.dropout, expect_dims=(cfg.d, cfg.D, cfg.k)
     )
@@ -162,7 +161,7 @@ def _hit_rate_curve(cfg: RunConfig, graphs, gts) -> list[tuple[int, float]]:
 def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if cfg.kg_edges is None:
-        raise ConfigError("build-index needs kg_edges in the config")
+        raise InputError(msg="build-index needs kg_edges in the config")
     g = load_graph(cfg.kg_edges, cfg.relations)
     out = args.out or (cfg.out_dir / "index")
     g.save(out)
@@ -228,14 +227,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg)
     if rt.emb.dim != cfg.D:
-        raise ConfigError(
-            f"entity embeddings have dimension {rt.emb.dim}; set D = {rt.emb.dim}"
-        )
+        raise InputError(msg=f"entity embeddings have dimension {rt.emb.dim}; set D = {rt.emb.dim}")
     out = _out_dir(args, cfg)
     model = ScoringModel(cfg.d, cfg.D, cfg.k, dropout_rate=cfg.dropout, seed=cfg.seed)
     samples, skipped = prepare_samples(rt, model, rt.train_records())
     if not samples:
-        raise ConfigError("no trainable queries (check linking inputs)")
+        raise InputError(msg="no trainable queries (check linking inputs)")
     logger.info("training on %d queries (%d skipped)", len(samples), skipped)
     metrics = staged_training(
         model,
@@ -313,10 +310,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     model = _load_model(cfg, args.checkpoint)
     matches = [r for r in rt.queries if r.qid == args.qid]
     if not matches:
-        raise ConfigError(f"qid {args.qid!r} not found in {cfg.queries}")
+        raise InputError(msg=f"qid {args.qid!r} not found in {cfg.queries}")
     samples, _ = prepare_samples(rt, model, matches)
     if not samples:
-        raise ConfigError(f"qid {args.qid!r} has no linkable key nodes")
+        raise InputError(msg=f"qid {args.qid!r} has no linkable key nodes")
     result = evaluate_query(model, samples[0], cfg)
     g = rt.g
     rel = rt.g.relations
@@ -344,28 +341,31 @@ def _flatten_path(g, rel, nodes, rels) -> list[str]:
     return flat
 
 
+def _dot_graph(obj: dict) -> dict:
+    """A schema or pruned dump record with the fields ``export_dot`` reads; a
+    record of another shape raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    return {
+        "qid": obj["qid"],
+        "nodes": [(str(surface), str(kind)) for surface, kind in obj["nodes"]],
+        "edges": [(str(h), str(r), str(t), float(w)) for h, r, t, w in obj["edges"]],
+        "gt": [str(surface) for surface in obj.get("gt", [])],
+    }
+
+
+def _dot_paths(obj: dict) -> tuple:
+    """An inference output record as (qid, [(flat path, score), ...])."""
+    return obj["qid"], [([str(x) for x in flat], float(score)) for flat, score in obj["paths"]]
+
+
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    dump = None
-    with open(args.dump, encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            obj = json.loads(line)
-            if args.qid is None or obj["qid"] == args.qid:
-                dump = obj
-                break
+    graphs = read_jsonl(args.dump, _dot_graph)
+    dump = next((d for d in graphs if args.qid is None or d["qid"] == args.qid), None)
     if dump is None:
-        raise ConfigError(f"qid {args.qid!r} not found in {args.dump}")
+        raise InputError(msg=f"qid {args.qid!r} not found in {args.dump}")
     paths = None
     if args.paths:
-        with open(args.paths, encoding="utf-8") as f:
-            for line in f:
-                if not line.strip():
-                    continue
-                obj = json.loads(line)
-                if obj["qid"] == dump["qid"]:
-                    paths = obj["paths"]
-                    break
+        records = read_jsonl(args.paths, _dot_paths)
+        paths = next((p for qid, p in records if qid == dump["qid"]), None)
     text = export_dot(dump, paths, args.max_paths)
     if args.out:
         args.out.write_text(text, encoding="utf-8")
@@ -416,10 +416,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (ConfigError, GraphLoadError, EmbeddingError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (InputError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

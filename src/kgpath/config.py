@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -22,8 +23,24 @@ from typing import IO, Callable, Iterator, Optional, TypeVar
 T = TypeVar("T")
 
 
-class ConfigError(ValueError):
-    pass
+class InputError(ValueError):
+    """Malformed input: ``<path>:<line>: <msg>``, or ``<path>: <msg>`` for a
+    fault with no line, or ``<msg>`` alone for one with no file."""
+
+    def __init__(
+        self, path: Optional[Path | str] = None, lineno: Optional[int] = None, msg: str = ""
+    ):
+        super().__init__(path, lineno, msg)
+        self.path = path
+        self.lineno = lineno
+        self.msg = msg
+
+    def __str__(self) -> str:
+        if self.path is None:
+            return self.msg
+        if self.lineno is None:
+            return f"{self.path}: {self.msg}"
+        return f"{self.path}:{self.lineno}: {self.msg}"
 
 
 @dataclass
@@ -69,23 +86,23 @@ class RunConfig:
 
     def validate(self) -> None:
         if self.mode not in ("open", "closed"):
-            raise ConfigError(f"mode must be open or closed, got {self.mode!r}")
+            raise InputError(msg=f"mode must be open or closed, got {self.mode!r}")
         if not 0.0 <= self.theta_p <= 1.0:
-            raise ConfigError("theta_p must lie in [0, 1]")
+            raise InputError(msg="theta_p must lie in [0, 1]")
         if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError("dropout must lie in [0, 1)")
+            raise InputError(msg="dropout must lie in [0, 1)")
         if self.ptm_mode not in ("file", "hash", "zero"):
-            raise ConfigError(f"ptm_mode must be file, hash, or zero, got {self.ptm_mode!r}")
+            raise InputError(msg=f"ptm_mode must be file, hash, or zero, got {self.ptm_mode!r}")
         if self.optimizer not in ("adam", "sgd"):
-            raise ConfigError(f"optimizer must be adam or sgd, got {self.optimizer!r}")
+            raise InputError(msg=f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.k < 1 or self.n_paths < 1 or self.batch_size < 1:
-            raise ConfigError("k, n_paths, and batch_size must be positive")
+            raise InputError(msg="k, n_paths, and batch_size must be positive")
         if min(self.d, self.D, self.schema_budget, self.prune_target) < 1:
-            raise ConfigError("dimensions and budgets must be positive")
+            raise InputError(msg="dimensions and budgets must be positive")
         if self.workers < 1:
-            raise ConfigError("workers must be >= 1")
+            raise InputError(msg="workers must be >= 1")
         if list(self.curve_budgets) != sorted(self.curve_budgets):
-            raise ConfigError("curve_budgets must be sorted ascending")
+            raise InputError(msg="curve_budgets must be sorted ascending")
 
     @property
     def budget(self) -> int:
@@ -96,7 +113,7 @@ class RunConfig:
         """Assign one field from its textual form, coercing to the field type."""
         field_map = {f.name: f for f in dataclasses.fields(self)}
         if key not in field_map:
-            raise ConfigError(f"unknown configuration key {key!r}")
+            raise InputError(msg=f"unknown configuration key {key!r}")
         default = field_map[key].default
         raw = raw.strip()
         if key == "curve_budgets":
@@ -107,7 +124,7 @@ class RunConfig:
             elif raw.lower() in ("0", "false", "no", "off"):
                 value = False
             else:
-                raise ConfigError(f"{key}: cannot parse boolean from {raw!r}")
+                raise InputError(msg=f"{key}: cannot parse boolean from {raw!r}")
         elif isinstance(default, int):
             value = int(raw)
         elif isinstance(default, float):
@@ -139,54 +156,76 @@ class RunConfig:
 def load_config(path: Optional[Path | str], overrides: Optional[dict[str, str]] = None) -> RunConfig:
     """Build a config from an optional file plus textual overrides.
 
-    File format is ``key = value`` lines with ``#`` comments; relative paths
-    are resolved against the config file's directory.
+    File format is ``key = value`` lines, read by ``read_lines``; relative
+    paths are resolved against the config file's directory.
     """
     cfg = RunConfig()
     if path is not None:
         path = Path(path)
         if not path.exists():
-            raise ConfigError(f"config file {path} does not exist")
-        base_dir = path.parent
-        for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, raw = line.partition("=")
+            raise InputError(msg=f"config file {path} does not exist")
+        for lineno, line in read_lines(path):
+            key, eq, raw = line.partition("=")
+            if not eq:
+                raise InputError(path, lineno, "expected 'key = value'")
             try:
-                cfg.set_field(key.strip(), raw, base_dir)
-            except ConfigError:
-                raise
+                cfg.set_field(key.strip(), raw, path.parent)
             except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: {exc}") from None
+                raise InputError(path, lineno, str(exc)) from None
     for key, raw in (overrides or {}).items():
         cfg.set_field(key, raw)
     cfg.validate()
     return cfg
 
 
-def read_jsonl(path: Path | str, build: Callable[[dict], T], error: type = ConfigError) -> list[T]:
-    """``build`` applied to each object of a JSON Lines file, blank lines skipped.
+#: The characters ``errors="surrogateescape"`` decodes undecodable bytes to.
+_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
+
+
+def not_utf8(path: Path | str) -> InputError:
+    """The error for a file that does not decode as UTF-8, naming the line of
+    its first bad byte as universal-newline reading counts lines."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        lineno = next(n for n, line in enumerate(f, 1) if _ESCAPED_BYTE.search(line))
+    return InputError(path, lineno, "not UTF-8 text")
+
+
+def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of a UTF-8 text file, the line
+    ending removed.
+
+    Blank lines (empty or whitespace only) and comments (first non-blank
+    character ``#``) are skipped. A byte that is not UTF-8 raises
+    ``InputError(path, lineno, "not UTF-8 text")``.
+    """
+    try:
+        with open(path, encoding="utf-8") as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.rstrip("\n")
+                head = line.lstrip()
+                if head and head[0] != "#":
+                    yield lineno, line
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
+def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:
+    """``build`` applied to each object of a JSON Lines file read by
+    ``read_lines``.
 
     Bad JSON, a missing field and any ``TypeError``/``ValueError`` from
-    ``build`` become one ``error("<path>:<line>: ...")``.
+    ``build`` become one ``InputError(path, lineno, ...)``.
     """
     items = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                items.append(build(json.loads(line)))
-            except json.JSONDecodeError as exc:
-                raise error(f"{path}:{lineno}: bad JSON: {exc.msg} at column {exc.colno}") from None
-            except KeyError as exc:
-                raise error(f"{path}:{lineno}: missing field {exc}") from None
-            except (TypeError, ValueError) as exc:
-                raise error(f"{path}:{lineno}: {exc}") from None
+    for lineno, line in read_lines(path):
+        try:
+            items.append(build(json.loads(line)))
+        except json.JSONDecodeError as exc:
+            raise InputError(path, lineno, f"bad JSON: {exc.msg} at column {exc.colno}") from None
+        except KeyError as exc:
+            raise InputError(path, lineno, f"missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            raise InputError(path, lineno, str(exc)) from None
     return items
 
 

@@ -24,12 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .config import read_jsonl
+from .config import InputError, read_jsonl, read_lines
 from .kg import KnowledgeGraph
-
-
-class EmbeddingError(ValueError):
-    pass
 
 
 @dataclass
@@ -43,13 +39,13 @@ class QueryContext:
 
     def __post_init__(self):
         if self.z.ndim != 1 or self.z.size == 0:
-            raise EmbeddingError(f"{self.qid}: z is not a non-empty list of numbers")
+            raise InputError(msg=f"{self.qid}: z is not a non-empty list of numbers")
         d = self.z.shape[0]
         if self.v.shape != (d,) or self.t.shape != (d,):
-            raise EmbeddingError(f"{self.qid}: context vectors disagree on dimension")
+            raise InputError(msg=f"{self.qid}: context vectors disagree on dimension")
         for name, vec in (("z", self.z), ("v", self.v), ("t", self.t)):
             if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{self.qid}: non-finite value in {name}")
+                raise InputError(msg=f"{self.qid}: non-finite value in {name}")
 
     @property
     def dim(self) -> int:
@@ -70,15 +66,13 @@ class EntityEmbeddingTable:
     def n_entities(self) -> int:
         return int(self.matrix.shape[0])
 
-    def get(self, eid: int) -> np.ndarray:
-        return self.matrix[eid]
-
     def gather(self, ids: np.ndarray) -> np.ndarray:
         return self.matrix[np.asarray(ids, dtype=np.int64)]
 
 
 def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddingTable:
-    """Load ``entity<TAB>f1 f2 ... fD`` rows covering every graph entity.
+    """Load ``entity<TAB>f1 f2 ... fD`` rows covering every graph entity,
+    read with ``read_lines``.
 
     The dimension is inferred from the first row and enforced on the rest;
     missing entities, ragged rows, and non-finite values are errors.
@@ -86,38 +80,38 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
     matrix: Optional[np.ndarray] = None
     seen = np.zeros(g.n_entities, dtype=bool)
     dim = -1
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            surface, _, rest = line.partition("\t")
-            eid = g.match_entity(surface)
-            if eid is None:
-                continue  # vectors for entities outside this graph are ignored
-            where = f"{path}:{lineno}: entity {surface!r}"
-            try:
-                vec = np.fromstring(rest, dtype=np.float64, sep=" ")
-            except ValueError:
-                raise EmbeddingError(f"{where}: row is not a list of numbers") from None
-            if dim < 0:
-                dim = vec.shape[0]
-                if dim == 0:
-                    raise EmbeddingError(f"{where}: empty embedding row")
-                matrix = np.zeros((g.n_entities, dim), dtype=np.float64)
-            if vec.shape[0] != dim:
-                raise EmbeddingError(f"{where}: expected {dim} values, got {vec.shape[0]}")
-            if not np.all(np.isfinite(vec)):
-                raise EmbeddingError(f"{where}: non-finite embedding value")
-            matrix[eid] = vec
-            seen[eid] = True
+    for lineno, line in read_lines(path):
+        surface, _, rest = line.partition("\t")
+        eid = g.match_entity(surface)
+        if eid is None:
+            continue  # vectors for entities outside this graph are ignored
+        try:
+            vec = np.fromstring(rest, dtype=np.float64, sep=" ")
+        except ValueError:
+            raise InputError(
+                path, lineno, f"entity {surface!r}: row is not a list of numbers"
+            ) from None
+        if dim < 0:
+            dim = vec.shape[0]
+            if dim == 0:
+                raise InputError(path, lineno, f"entity {surface!r}: empty embedding row")
+            matrix = np.zeros((g.n_entities, dim), dtype=np.float64)
+        if vec.shape[0] != dim:
+            raise InputError(
+                path, lineno, f"entity {surface!r}: expected {dim} values, got {vec.shape[0]}"
+            )
+        if not np.all(np.isfinite(vec)):
+            raise InputError(path, lineno, f"entity {surface!r}: non-finite embedding value")
+        matrix[eid] = vec
+        seen[eid] = True
     if matrix is None:
-        raise EmbeddingError("embedding file holds no usable rows")
+        raise InputError(path, msg="embedding file holds no usable rows")
     if not seen.all():
         missing = int(np.argmin(seen))
-        raise EmbeddingError(
-            f"no embedding for entity {g.surface(missing)!r} "
-            f"({int((~seen).sum())} missing in total)"
+        raise InputError(
+            path,
+            msg=f"no embedding for entity {g.surface(missing)!r} "
+            f"({int((~seen).sum())} missing in total)",
         )
     return EntityEmbeddingTable(matrix)
 
@@ -133,7 +127,7 @@ def load_contexts(path: Path | str) -> dict[str, QueryContext]:
             t=np.asarray(obj["t"], dtype=np.float64),
         )
 
-    return {ctx.qid: ctx for ctx in read_jsonl(path, build, EmbeddingError)}
+    return {ctx.qid: ctx for ctx in read_jsonl(path, build)}
 
 
 class TextFeatureProvider:
@@ -171,13 +165,13 @@ class TextFeatureProvider:
                 eid = g.match_entity(obj["entity"])
                 vec = np.asarray(obj["p"], dtype=np.float64)
                 if vec.shape != (dim,):
-                    raise EmbeddingError(
-                        f"text feature for ({obj['qid']}, {obj['entity']}) has "
+                    raise InputError(
+                        msg=f"text feature for ({obj['qid']}, {obj['entity']}) has "
                         f"shape {vec.shape}, expected dimension {dim}"
                     )
                 return (str(obj["qid"]), eid), vec
 
-            for key, vec in read_jsonl(path, build, EmbeddingError):
+            for key, vec in read_jsonl(path, build):
                 if key[1] is not None:
                     self._table[key] = vec
 

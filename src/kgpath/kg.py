@@ -19,7 +19,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import atomic_write
+from .config import InputError, atomic_write, not_utf8, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -52,15 +52,6 @@ DEFAULT_RELATIONS = (
 _WS = re.compile(r"\s+")
 
 
-class GraphLoadError(ValueError):
-    """A malformed edge file: ``<path>:<line>: <reason>``."""
-
-    def __init__(self, path: Path | str, lineno: int, reason: str):
-        super().__init__(f"{path}:{lineno}: {reason}")
-        self.path = path
-        self.lineno = lineno
-
-
 def normalize_surface(text: str) -> str:
     """Normalize an entity surface form: lowercase, trim, whitespace -> ``_``.
 
@@ -85,20 +76,7 @@ class RelationTable:
     """
 
     def __init__(self, names: Sequence[str]):
-        names = list(names)
-        if not names:
-            raise ValueError("relation table needs at least one relation")
-        seen = set()
-        for name in names:
-            if name.startswith("rev_"):
-                raise ValueError(
-                    f"reversed relation {name!r} may not be listed explicitly; "
-                    "reversals are implicit"
-                )
-            if name in seen:
-                raise ValueError(f"duplicate relation name {name!r}")
-            seen.add(name)
-        self.names = names
+        self.names = list(names)
         self.n_forward = len(names)
         self._index = {n: i for i, n in enumerate(names)}
 
@@ -130,20 +108,28 @@ class RelationTable:
 
 
 def load_relations(path: Optional[Path | str]) -> RelationTable:
-    """Read a priority file (one relation per line, highest first).
+    """Read a priority file (one relation per line, highest first) with
+    ``read_lines``. With no path, the default vocabulary above is used.
 
-    Blank lines and ``#`` comments are skipped. With no path, the default
-    vocabulary above is used.
+    A duplicate name or an explicit ``rev_`` name raises
+    ``InputError(path, lineno, ...)``, a file with no name ``InputError(path)``.
     """
     if path is None:
         return RelationTable(DEFAULT_RELATIONS)
-    names = []
-    with open(path, encoding="utf-8") as f:
-        for line in f:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            names.append(line)
+    names: list[str] = []
+    for lineno, line in read_lines(path):
+        name = line.strip()
+        if name.startswith("rev_"):
+            raise InputError(
+                path,
+                lineno,
+                f"reversed relation {name!r} may not be listed explicitly; reversals are implicit",
+            )
+        if name in names:
+            raise InputError(path, lineno, f"duplicate relation name {name!r}")
+        names.append(name)
+    if not names:
+        raise InputError(path, msg="relation table needs at least one relation")
     return RelationTable(names)
 
 
@@ -202,16 +188,9 @@ class KnowledgeGraph:
 
     # -- adjacency ---------------------------------------------------------
 
-    def neighbors(self, eid: int) -> list[Edge]:
-        """All outgoing edges of ``eid`` (reversals included), sorted."""
-        nbr, rel, w = self.neighbor_arrays(eid)
-        return [
-            Edge(eid, int(r), int(n), float(wt))
-            for n, r, wt in zip(nbr, rel, w)
-        ]
-
     def neighbor_arrays(self, eid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(neighbor ids, relation ids, weights) views for one entity."""
+        """(neighbor ids, relation ids, weights) views of all outgoing edges of
+        one entity (reversals included), sorted."""
         self._check_id(eid)
         lo, hi = int(self._offsets[eid]), int(self._offsets[eid + 1])
         return self._nbr[lo:hi], self._rel[lo:hi], self._weight[lo:hi]
@@ -355,9 +334,10 @@ def load_graph(
     Rules: surfaces are normalized, entity ids are assigned by first
     appearance, duplicate (head, relation, tail) triples keep the maximum
     weight, and every forward edge also yields ``tail --rev_r--> head`` with
-    the same weight. ``#`` comment lines and blank lines are skipped. A line
-    that breaks a rule raises ``GraphLoadError("<path>:<line>: <reason>")``
-    for the first such line in the file.
+    the same weight. ``#`` comment lines (``#`` in the first column) and blank
+    lines are skipped. A line that breaks a rule raises
+    ``InputError(path, lineno, reason)`` for the first such line in the file;
+    a byte that is not UTF-8 raises it for that byte's line.
 
     The file is read in blocks that are parsed in bulk; a block with a
     comment or a bad line is re-read line by line with ``_parse_edge_line``.
@@ -376,7 +356,7 @@ def load_graph(
             try:
                 row = _parse_edge_line(line, rel_index)
             except ValueError as exc:
-                raise GraphLoadError(edge_file, lineno, str(exc)) from None
+                raise InputError(edge_file, lineno, str(exc)) from None
             if row is not None:
                 surf += (row[0], row[2])
                 rids.append(row[1])
@@ -403,17 +383,20 @@ def load_graph(
         return np.fromiter(map(raw_ids.__getitem__, surf), dtype=np.int32, count=len(surf))
 
     n_lines = 0
-    with open(edge_file, encoding="utf-8") as f:
-        while lines := f.readlines(_BLOCK_CHARS):
-            rows = _bulk_rows(lines, rel_index)
-            ids = None if rows is None else ids_of(rows[0])
-            if ids is None:
-                rows = per_line(lines, n_lines + 1)
-                ids = ids_of(rows[0])
-            n_lines += len(lines)
-            id_blocks.append(ids)
-            rel_blocks.append(np.array(rows[1], dtype=np.int32))
-            weight_blocks.append(rows[2])
+    try:
+        with open(edge_file, encoding="utf-8") as f:
+            while lines := f.readlines(_BLOCK_CHARS):
+                rows = _bulk_rows(lines, rel_index)
+                ids = None if rows is None else ids_of(rows[0])
+                if ids is None:
+                    rows = per_line(lines, n_lines + 1)
+                    ids = ids_of(rows[0])
+                n_lines += len(lines)
+                id_blocks.append(ids)
+                rel_blocks.append(np.array(rows[1], dtype=np.int32))
+                weight_blocks.append(rows[2])
+    except UnicodeDecodeError:
+        raise not_utf8(edge_file) from None
 
     def joined(blocks: list[np.ndarray], dtype) -> np.ndarray:
         return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .config import ConfigError, read_jsonl
+from .config import InputError, read_jsonl, read_lines
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
 #: Question words discarded before matching. The exact list is configuration,
@@ -90,22 +90,17 @@ def load_queries(path: Path | str) -> list[QueryRecord]:
 
 
 def load_synonyms(path: Optional[Path | str]) -> dict[str, str]:
-    """Optional TSV of ``surface<TAB>entity`` pairs; absent file means none."""
+    """Optional TSV of ``surface<TAB>entity`` pairs read with ``read_lines``;
+    absent file means none."""
     if path is None:
         return {}
     table = {}
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise ConfigError(
-                    f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
-                )
-            surface, entity = fields
-            table[normalize_surface(surface)] = normalize_surface(entity)
+    for lineno, line in read_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise InputError(path, lineno, f"expected 2 tab-separated fields, got {len(fields)}")
+        surface, entity = fields
+        table[normalize_surface(surface)] = normalize_surface(entity)
     return table
 
 

@@ -21,13 +21,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import atomic_write
+from .config import InputError, atomic_write
 
 CHECKPOINT_MAGIC = b"GPR1"
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 # ---------------------------------------------------------------------------
@@ -354,11 +350,14 @@ class ScoringModel:
     ) -> "ScoringModel":
         raw = Path(path).read_bytes()
         if raw[:4] != CHECKPOINT_MAGIC:
-            raise CheckpointError(f"{path}: not a model checkpoint (bad magic)")
+            raise InputError(path, msg="not a model checkpoint (bad magic)")
+        if len(raw) < 16:
+            raise InputError(path, msg="truncated header")
         d, D, k = struct.unpack("<III", raw[4:16])
         if expect_dims is not None and (d, D, k) != tuple(expect_dims):
-            raise CheckpointError(
-                f"{path}: checkpoint dims (d={d}, D={D}, k={k}) do not match "
+            raise InputError(
+                path,
+                msg=f"checkpoint dims (d={d}, D={D}, k={k}) do not match "
                 f"configured dims (d={expect_dims[0]}, D={expect_dims[1]}, "
                 f"k={expect_dims[2]}); refusing to load"
             )
@@ -368,11 +367,11 @@ class ScoringModel:
             nbytes = arr.size * 4
             block = raw[offset : offset + nbytes]
             if len(block) != nbytes:
-                raise CheckpointError(f"{path}: truncated at parameter {name}")
+                raise InputError(path, msg=f"truncated at parameter {name}")
             arr[...] = np.frombuffer(block, dtype="<f4").reshape(arr.shape)
             offset += nbytes
         if offset != len(raw):
-            raise CheckpointError(f"{path}: {len(raw) - offset} trailing bytes")
+            raise InputError(path, msg=f"{len(raw) - offset} trailing bytes")
         return model
 
 

@@ -367,7 +367,6 @@ def train_joint_step(
     margin: float = 0.5,
     semi_hard: bool = True,
     step_seed: int = 0,
-    train_mode: bool = True,
 ) -> tuple[float, float]:
     """One optimizer step of the joint loss (path BCE + pruning triplets).
 
@@ -383,8 +382,8 @@ def train_joint_step(
     all_labels: list[np.ndarray] = []
     n_terms_total = 0
     for sample in batch:
-        h, cache_n = model.f_n.forward(sample.x, train=train_mode, rng=model.rng)
-        if train_mode and model.dropout_rate > 0.0:
+        h, cache_n = model.f_n.forward(sample.x, train=True, rng=model.rng)
+        if model.dropout_rate > 0.0:
             h_select, _ = model.f_n.forward(sample.x, train=False)
             s_cos = cosine_rows(sample.ctx.z, h_select)
         else:
@@ -394,9 +393,7 @@ def train_joint_step(
         path_cache = None
         scores = np.empty(0)
         if len(pbatch):
-            scores, _, path_cache = _forward_paths(
-                model, pbatch, h, sample.ctx, train=train_mode
-            )
+            scores, _, path_cache = _forward_paths(model, pbatch, h, sample.ctx, train=True)
             all_scores.append(scores)
             all_labels.append(_path_labels(pbatch, sample.gt_pos, sample.sg.n_nodes))
         loss_sum, n_terms, dh_trip = triplet_terms(

@@ -246,7 +246,6 @@ def train_prune_step(
     optimizer: Adam,
     margin: float = 0.5,
     semi_hard: bool = True,
-    train_mode: bool = True,
 ) -> tuple[float, int]:
     """One optimizer step of the pruning loss over a batch.
 
@@ -262,7 +261,7 @@ def train_prune_step(
     staged = []
     n_terms_total = 0
     for sample in usable:
-        h, cache = model.f_n.forward(sample.x, train=train_mode, rng=model.rng)
+        h, cache = model.f_n.forward(sample.x, train=True, rng=model.rng)
         loss_sum, n_terms, dh = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
         )

@@ -457,7 +457,7 @@ def load_schema_graphs(
     """The graphs of a ``dump_schema_graphs`` file and each qid's ground truth.
 
     Bad JSON, a missing key, or an unknown entity, relation or node type
-    raises one ``ConfigError("<path>:<line>: ...")``.
+    raises one ``InputError(path, lineno, ...)``.
     """
 
     def build(obj: dict) -> tuple[SchemaGraph, frozenset[int]]:

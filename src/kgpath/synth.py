@@ -15,7 +15,6 @@ timestamp, so a suite is regenerable byte-for-byte from (seed, parameters).
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -23,6 +22,7 @@ from typing import Optional
 
 import numpy as np
 
+from .config import sha256_file
 from .embeddings import (
     EntityEmbeddingTable,
     QueryContext,
@@ -314,7 +314,7 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
             "train": n_train,
             "test": spec.n_queries - n_train,
         },
-        "files": {name: _sha256(path) for name, path in sorted(files.items())},
+        "files": {name: sha256_file(path) for name, path in sorted(files.items())},
     }
     with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
@@ -336,14 +336,6 @@ def _spec_to_json(spec: SuiteSpec) -> dict:
     obj = asdict(spec)
     obj["hop_mix"] = {str(h): p for h, p in spec.hop_mix.items()}
     return obj
-
-
-def _sha256(path: Path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as f:
-        for chunk in iter(lambda: f.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
 
 
 def synth_provider(

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgpath.kg import load_graph
+from kgpath.kg import Edge, load_graph
 
 
 def write_edges(path, rows):
@@ -23,6 +23,12 @@ def tiny_graph(tmp_path):
     )
     rels = write_relations(tmp_path / "relations.txt", ["relatedto", "isa"])
     return load_graph(edges, rels)
+
+
+def out_edges(g, eid):
+    """Every edge out of ``eid`` as an ``Edge``, read through ``neighbor_arrays``."""
+    nbr, rel, w = g.neighbor_arrays(eid)
+    return [Edge(eid, r, n, wt) for n, r, wt in zip(nbr.tolist(), rel.tolist(), w.tolist())]
 
 
 def random_graph(tmp_path, rng, n_entities=30, n_edges=120, relations=("r0", "r1", "r2")):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from kgpath.cli import main
+from kgpath.neural import ScoringModel
 
 
 @pytest.fixture(scope="module")
@@ -317,56 +318,178 @@ def json_edit(edit):
     return lambda line: edit(json.loads(line))
 
 
-# (command, input, edit of its second line, message after "error: <path>:2: ")
+def not_utf8(line):
+    return b"\xff" + line.encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def good_inputs(suite, schema_dump):
+    """A well-formed file for each input that MALFORMED_INPUT edits."""
+    root, out = suite
+    extra = root / "inputs"
+    extra.mkdir()
+    (extra / "synonyms.tsv").write_text(
+        "# surface -> entity\nent_0001\tent_0002\n", encoding="utf-8"
+    )
+    (extra / "text_features.jsonl").write_text(
+        "".join(
+            json.dumps({"qid": f"q000{i}", "entity": "ent_0007", "p": [0.5] * 12}) + "\n"
+            for i in range(3)
+        ),
+        encoding="utf-8",
+    )
+    (extra / "paths.jsonl").write_text(
+        "".join(
+            json.dumps({"qid": f"q000{i}", "paths": [[["ent_0000", "isa", "ent_0001"], 0.5]]})
+            + "\n"
+            for i in range(3)
+        ),
+        encoding="utf-8",
+    )
+    ScoringModel(12, 12, 3, seed=0).save_checkpoint(extra / "checkpoint.gpr")
+    return {
+        "config": out / "suite.config",
+        "kg_edges": out / "kg_edges.tsv",
+        "relations": out / "relations.txt",
+        "synonyms": extra / "synonyms.tsv",
+        "entity_embeddings": out / "entity_embeddings.tsv",
+        "contexts": out / "contexts.jsonl",
+        "queries": out / "queries.jsonl",
+        "text_features": extra / "text_features.jsonl",
+        "schemas": schema_dump,
+        "dump": schema_dump,
+        "paths": extra / "paths.jsonl",
+        "checkpoint": extra / "checkpoint.gpr",
+    }
+
+
+def input_args(key, bad, good_inputs):
+    """The flags that hand ``bad`` to a command as input ``key``."""
+    if key == "config":
+        return ["--config", str(bad)]
+    if key == "schemas":  # the dump is read before a checkpoint is needed
+        return ["--schemas", str(bad)]
+    if key == "dump":
+        return ["--dump", str(bad), "--qid", "q0002"]
+    if key == "paths":
+        return ["--dump", str(good_inputs["dump"]), "--qid", "q0002", "--paths", str(bad)]
+    if key == "checkpoint":
+        return ["--checkpoint", str(bad)]
+    if key == "text_features":
+        return ["--set", f"{key}={bad}", "--set", "ptm_mode=file"]
+    return ["--set", f"{key}={bad}"]
+
+
+# (command, input, line, edit, message after "error: <path>:<line>: "). With
+# a line, the edit maps that line's text to its replacement; with None it maps
+# the whole file's bytes, and the error names the file alone.
 MALFORMED_INPUT = {
+    "config-unknown-key": (
+        "schema", "config", 2, lambda line: "no_such_key = 1",
+        "unknown configuration key 'no_such_key'",
+    ),
+    "config-not-utf8": ("schema", "config", 2, not_utf8, "not UTF-8 text"),
     "kg_edges-field-count": (
-        "schema", "kg_edges", lambda line: "broken line",
+        "schema", "kg_edges", 2, lambda line: "broken line",
         "expected 4 tab-separated fields, got 1",
     ),
     "kg_edges-bad-weight": (
-        "schema", "kg_edges", lambda line: line.rsplit("\t", 1)[0] + "\tnan",
+        "schema", "kg_edges", 2, lambda line: line.rsplit("\t", 1)[0] + "\tnan",
         "weight 'nan' is not a non-negative real",
     ),
-    "prune-bad-json": ("prune", "schemas", lambda line: line[:-1], "bad JSON: "),
+    "kg_edges-not-utf8": ("schema", "kg_edges", 2, not_utf8, "not UTF-8 text"),
+    "relations-duplicate": (
+        "schema", "relations", 2, lambda line: "antonym", "duplicate relation name 'antonym'"
+    ),
+    "relations-reversed": (
+        "schema", "relations", 2, lambda line: "rev_" + line,
+        "reversed relation 'rev_atlocation' may not be listed explicitly",
+    ),
+    "relations-empty": (
+        "schema", "relations", None, lambda data: b"# no relations\n",
+        "relation table needs at least one relation",
+    ),
+    "relations-not-utf8": ("schema", "relations", 2, not_utf8, "not UTF-8 text"),
+    "synonyms-field-count": (
+        "schema", "synonyms", 2, lambda line: line + "\tx", "expected 2 tab-separated fields, got 3"
+    ),
+    "synonyms-not-utf8": ("schema", "synonyms", 2, not_utf8, "not UTF-8 text"),
+    "entity_embeddings-ragged": (
+        "train", "entity_embeddings", 2, lambda line: line.rsplit(" ", 1)[0],
+        "entity 'ent_0001': expected 12 values, got 11",
+    ),
+    "entity_embeddings-not-utf8": ("train", "entity_embeddings", 2, not_utf8, "not UTF-8 text"),
+    "contexts-dimension": (
+        "train", "contexts", 2, json_edit(replaced("v", [1.0])),
+        "q0001: context vectors disagree on dimension",
+    ),
+    "contexts-not-utf8": ("train", "contexts", 2, not_utf8, "not UTF-8 text"),
+    "queries-answer-count": (
+        "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", 0]])),
+        "q0001: answer count must be >= 1",
+    ),
+    "queries-not-utf8": ("train", "queries", 2, not_utf8, "not UTF-8 text"),
+    "text_features-missing-entity": (
+        "train", "text_features", 2, json_edit(without("entity")), "missing field 'entity'"
+    ),
+    "text_features-not-utf8": ("train", "text_features", 2, not_utf8, "not UTF-8 text"),
+    "prune-bad-json": ("prune", "schemas", 2, lambda line: line[:-1], "bad JSON: "),
     "prune-missing-key": (
-        "prune", "schemas", json_edit(without("key_q")), "missing field 'key_q'"
+        "prune", "schemas", 2, json_edit(without("key_q")), "missing field 'key_q'"
     ),
     "prune-unknown-entity": (
-        "prune", "schemas", json_edit(replaced("key_v", ["nowhere"])),
+        "prune", "schemas", 2, json_edit(replaced("key_v", ["nowhere"])),
         "unknown entity 'nowhere'",
     ),
     "prune-unknown-gt": (
-        "prune", "schemas", json_edit(replaced("gt", ["nowhere"])),
+        "prune", "schemas", 2, json_edit(replaced("gt", ["nowhere"])),
         "unknown entity 'nowhere'",
     ),
     "prune-unknown-relation": (
-        "prune", "schemas",
+        "prune", "schemas", 2,
         json_edit(lambda obj: json.dumps(
             {**obj, "edges": [[h, "mystery", t, w] for h, _, t, w in obj["edges"]]}
         )),
         "unknown relation 'mystery'",
     ),
+    "prune-not-utf8": ("prune", "schemas", 2, not_utf8, "not UTF-8 text"),
+    "export-dot-dump-bad-json": ("export-dot", "dump", 2, lambda line: line[:-1], "bad JSON: "),
+    "export-dot-dump-missing-nodes": (
+        "export-dot", "dump", 2, json_edit(without("nodes")), "missing field 'nodes'"
+    ),
+    "export-dot-dump-not-utf8": ("export-dot", "dump", 2, not_utf8, "not UTF-8 text"),
+    "export-dot-paths-bad-json": (
+        "export-dot", "paths", 2, lambda line: line[:-1], "bad JSON: "
+    ),
+    "export-dot-paths-not-utf8": ("export-dot", "paths", 2, not_utf8, "not UTF-8 text"),
+    "checkpoint-truncated-header": (
+        "eval", "checkpoint", None, lambda data: data[:6], "truncated header"
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED_INPUT))
-def test_malformed_input_is_one_line_error(suite, schema_dump, tmp_path, capsys, case):
+def test_malformed_input_is_one_line_error(suite, good_inputs, tmp_path, capsys, case):
     root, out = suite
-    command, key, edit, message = MALFORMED_INPUT[case]
-    source = out / "kg_edges.tsv" if key == "kg_edges" else schema_dump
-    lines = source.read_text(encoding="utf-8").splitlines(keepends=True)
-    lines[1] = edit(lines[1].rstrip("\n")) + "\n"
+    command, key, lineno, edit, message = MALFORMED_INPUT[case]
+    source = good_inputs[key]
     bad = tmp_path / source.name
-    bad.write_text("".join(lines), encoding="utf-8")
-    if key == "kg_edges":
-        extra = ["--set", f"kg_edges={bad}"]
-    else:  # the dump is read before a checkpoint is needed
-        extra = ["--schemas", str(bad)]
+    data = source.read_bytes()
+    if lineno is None:
+        data = edit(data)
+        where = f"{bad}"
+    else:
+        lines = data.splitlines(keepends=True)
+        new = edit(lines[lineno - 1].decode("utf-8").rstrip("\n"))
+        lines[lineno - 1] = (new if isinstance(new, bytes) else new.encode("utf-8")) + b"\n"
+        data = b"".join(lines)
+        where = f"{bad}:{lineno}"
+    bad.write_bytes(data)
     capsys.readouterr()
-    rc = main([command, *run_args(tmp_path / "o", out), *extra])
+    rc = main([command, *run_args(tmp_path / "o", out), *input_args(key, bad, good_inputs)])
     assert rc == 1
     (line,) = error_lines(capsys)
-    assert line.startswith(f"error: {bad}:2: {message}")
+    assert line.startswith(f"error: {where}: {message}")
 
 
 def test_export_dot_structure(tmp_path):

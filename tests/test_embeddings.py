@@ -6,8 +6,8 @@ import re
 import numpy as np
 import pytest
 
+from kgpath.config import InputError
 from kgpath.embeddings import (
-    EmbeddingError,
     QueryContext,
     TextFeatureProvider,
     load_contexts,
@@ -45,20 +45,20 @@ def test_loader_happy_path(tmp_path, abc_graph):
     table = load_entity_embeddings(path, abc_graph)
     assert table.dim == 4
     assert table.n_entities == 3
-    assert table.get(abc_graph.entity_id("b")).tolist() == [0, 0, 1, 0]
+    assert table.gather([abc_graph.entity_id("b")])[0].tolist() == [0, 0, 1, 0]
 
 
 def test_loader_ragged_row_names_entity(tmp_path, abc_graph):
     path = write_embeddings(
         tmp_path / "emb.tsv", [("a", [1, 2, 3]), ("b", [1, 2]), ("c", [1, 2, 3])]
     )
-    with pytest.raises(EmbeddingError, match="'b'"):
+    with pytest.raises(InputError, match="'b'"):
         load_entity_embeddings(path, abc_graph)
 
 
 def test_loader_missing_entity(tmp_path, abc_graph):
     path = write_embeddings(tmp_path / "emb.tsv", [("a", [1.0]), ("b", [2.0])])
-    with pytest.raises(EmbeddingError, match="'c'"):
+    with pytest.raises(InputError, match="'c'"):
         load_entity_embeddings(path, abc_graph)
 
 
@@ -66,7 +66,7 @@ def test_loader_non_finite(tmp_path, abc_graph):
     path = write_embeddings(
         tmp_path / "emb.tsv", [("a", [1.0]), ("b", ["inf"]), ("c", [1.0])]
     )
-    with pytest.raises(EmbeddingError, match="non-finite"):
+    with pytest.raises(InputError, match="non-finite"):
         load_entity_embeddings(path, abc_graph)
 
 
@@ -88,11 +88,11 @@ def test_context_loader(tmp_path):
 
 
 def test_context_dimension_and_finiteness_validated():
-    with pytest.raises(EmbeddingError, match="dimension"):
+    with pytest.raises(InputError, match="dimension"):
         QueryContext(qid="q", z=np.ones(3), v=np.ones(2), t=np.ones(3))
-    with pytest.raises(EmbeddingError, match="non-finite"):
+    with pytest.raises(InputError, match="non-finite"):
         QueryContext(qid="q", z=np.array([1.0, np.nan]), v=np.ones(2), t=np.ones(2))
-    with pytest.raises(EmbeddingError, match="non-empty list"):
+    with pytest.raises(InputError, match="non-empty list"):
         QueryContext(qid="q", z=np.asarray(1.0), v=np.ones(1), t=np.ones(1))
 
 
@@ -185,14 +185,14 @@ def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
         json.dumps({"qid": "q1", "entity": "a", "p": [1.0, 0.0, 3.0]}) + "\n",
         encoding="utf-8",
     )
-    with pytest.raises(EmbeddingError, match=re.escape(f"{path}:1: ") + ".*dimension"):
+    with pytest.raises(InputError, match=re.escape(f"{path}:1: ") + ".*dimension"):
         TextFeatureProvider(dim=2, mode="file", seed=0, path=path, g=abc_graph)
 
 
 def test_synth_provider_alignment_one_gives_unit_cosine(abc_graph):
     emb, contexts, tf = synth_provider(5, abc_graph, {"q1": [1]}, alignment=1.0, dim=8)
     z = contexts["q1"].z
-    e = emb.get(1)
+    e = emb.gather([1])[0]
     cos = float(z @ e / (np.linalg.norm(z) * np.linalg.norm(e)))
     assert cos == pytest.approx(1.0, abs=1e-12)
 
@@ -203,7 +203,7 @@ def test_synth_provider_alignment_zero_uncorrelated(abc_graph):
     cosines = []
     for qid, gts in planted.items():
         z = contexts[qid].z
-        e = emb.get(gts[0])
+        e = emb.gather([gts[0]])[0]
         cosines.append(float(z @ e))
     assert abs(float(np.mean(cosines))) < 0.02
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from kgpath import kg
+from kgpath.config import InputError
 from kgpath.kg import KnowledgeGraph, dedup_max_weight, load_relations, normalize_surface
 
 from conftest import write_relations
@@ -22,8 +23,8 @@ RELATIONS = ["isa", "relatedto", "partof"]
 
 
 def reference_load_graph(edge_file, relation_priority_file=None) -> KnowledgeGraph:
-    def GraphLoadError(message, lineno):
-        return kg.GraphLoadError(edge_file, lineno, message)
+    def load_error(message, lineno):
+        return InputError(edge_file, lineno, message)
 
     relations = load_relations(relation_priority_file)
     rel_index = {n: i for i, n in enumerate(relations.names)}
@@ -41,23 +42,23 @@ def reference_load_graph(edge_file, relation_priority_file=None) -> KnowledgeGra
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4:
-                raise GraphLoadError(
+                raise load_error(
                     f"expected 4 tab-separated fields, got {len(parts)}", lineno
                 )
             hs, rname, ts, wtext = parts
             rid = rel_index.get(rname)
             if rid is None:
-                raise GraphLoadError(f"unknown relation {rname!r}", lineno)
+                raise load_error(f"unknown relation {rname!r}", lineno)
             try:
                 w = float(wtext)
             except ValueError:
-                raise GraphLoadError(f"weight {wtext!r} is not a number", lineno) from None
+                raise load_error(f"weight {wtext!r} is not a number", lineno) from None
             if not np.isfinite(w) or w < 0:
-                raise GraphLoadError(f"weight {wtext!r} is not a non-negative real", lineno)
+                raise load_error(f"weight {wtext!r} is not a non-negative real", lineno)
             hs = normalize_surface(hs)
             ts = normalize_surface(ts)
             if not hs or not ts:
-                raise GraphLoadError("empty entity surface", lineno)
+                raise load_error("empty entity surface", lineno)
             eid = index.get(hs)
             if eid is None:
                 eid = len(surfaces)
@@ -160,7 +161,7 @@ def random_edge_file(path, rng, n_lines: int, n_faults: int) -> None:
 def load_outcome(loader, edges, rels):
     try:
         return loader(edges, rels)
-    except kg.GraphLoadError as exc:
+    except InputError as exc:
         return exc
 
 
@@ -212,7 +213,7 @@ def test_first_fault_in_file_order_wins(tmp_path, monkeypatch):
             for block in (16, 64, 1 << 16):
                 monkeypatch.setattr(kg, "_BLOCK_CHARS", block)
                 got = load_outcome(kg.load_graph, edges, rels)
-                assert isinstance(got, kg.GraphLoadError) and got.lineno == 6
+                assert isinstance(got, InputError) and got.lineno == 6
                 assert_same_outcome(load_outcome(reference_load_graph, edges, rels), got)
 
 

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
+from kgpath.config import InputError
 from kgpath.kg import (
     DEFAULT_RELATIONS,
-    GraphLoadError,
     KnowledgeGraph,
     RelationTable,
     load_graph,
@@ -11,7 +11,7 @@ from kgpath.kg import (
     normalize_surface,
 )
 
-from conftest import random_graph, write_edges, write_relations
+from conftest import out_edges, random_graph, write_edges, write_relations
 
 
 def test_reversal_doubling(tiny_graph):
@@ -39,7 +39,7 @@ def test_duplicate_edges_keep_max_weight(tmp_path):
     g = load_graph(edges, rels)
     assert g.n_edges == 6
     weights = {
-        (e.head, e.relation, e.tail): e.weight for e in g.neighbors(g.entity_id("a"))
+        (e.head, e.relation, e.tail): e.weight for e in out_edges(g, g.entity_id("a"))
     }
     rid = g.relations.id_of("relatedto")
     assert weights[(0, rid, 1)] == 1.0
@@ -47,7 +47,7 @@ def test_duplicate_edges_keep_max_weight(tmp_path):
 
 def test_neighbors_sorted_by_neighbor_then_relation(tiny_graph):
     g = tiny_graph
-    edges = g.neighbors(g.entity_id("a"))
+    edges = out_edges(g, g.entity_id("a"))
     # b has id 1, c has id 2, so the relatedto edge to b comes first
     assert [(g.surface(e.tail), g.relations.name_of(e.relation)) for e in edges] == [
         ("b", "relatedto"),
@@ -65,14 +65,14 @@ def test_neighbors_of_isolated_node():
         np.empty(0, dtype=np.int32),
         np.empty(0, dtype=np.float32),
     )
-    assert g.neighbors(0) == []
+    assert out_edges(g, 0) == []
 
 
 def test_neighbors_invalid_id(tiny_graph):
     with pytest.raises(IndexError):
-        tiny_graph.neighbors(99)
+        out_edges(tiny_graph, 99)
     with pytest.raises(IndexError):
-        tiny_graph.neighbors(-1)
+        out_edges(tiny_graph, -1)
 
 
 def test_neighbors_match_brute_force_scan(tmp_path):
@@ -89,10 +89,10 @@ def test_neighbors_match_brute_force_scan(tmp_path):
             if t == surface:
                 key = (g.entity_id(h), g.relations.id_of("rev_" + r))
                 expected[key] = max(expected.get(key, -1.0), w)
-        got = {(e.tail, e.relation): e.weight for e in g.neighbors(eid)}
+        got = {(e.tail, e.relation): e.weight for e in out_edges(g, eid)}
         assert got == expected
         # sorted order
-        keys = [(e.tail, e.relation) for e in g.neighbors(eid)]
+        keys = [(e.tail, e.relation) for e in out_edges(g, eid)]
         assert keys == sorted(keys)
 
 
@@ -101,7 +101,7 @@ def test_thousand_edge_hub_matches_file_scan(tmp_path):
     rows = [("hub", "r0", f"leaf{i}", (i % 8 + 1) / 4) for i in range(1000)]
     edges = write_edges(tmp_path / "hub.tsv", rows)
     g = load_graph(edges, write_relations(tmp_path / "hub_r.txt", ["r0"]))
-    got = g.neighbors(g.entity_id("hub"))
+    got = out_edges(g, g.entity_id("hub"))
     assert len(got) == 1000
     expected = {(g.entity_id(t), g.relations.id_of(r)): w for _, r, t, w in rows}
     assert {(e.tail, e.relation): e.weight for e in got} == expected
@@ -196,14 +196,14 @@ def test_deterministic_load(tmp_path):
     assert g1.surfaces == g2.surfaces
     assert g1.n_edges == g2.n_edges
     for eid in range(g1.n_entities):
-        assert g1.neighbors(eid) == g2.neighbors(eid)
+        assert out_edges(g1, eid) == out_edges(g2, eid)
 
 
 def test_malformed_line_reports_lineno(tmp_path):
     edges = (tmp_path / "bad.tsv")
     edges.write_text("a\trelatedto\tb\t1.0\nbroken line\n", encoding="utf-8")
     rels = write_relations(tmp_path / "r.txt", ["relatedto"])
-    with pytest.raises(GraphLoadError) as exc:
+    with pytest.raises(InputError) as exc:
         load_graph(edges, rels)
     assert str(exc.value) == f"{edges}:2: expected 4 tab-separated fields, got 1"
     assert exc.value.lineno == 2
@@ -212,7 +212,7 @@ def test_malformed_line_reports_lineno(tmp_path):
 def test_unknown_relation_rejected(tmp_path):
     edges = write_edges(tmp_path / "e.tsv", [("a", "mystery", "b", 1.0)])
     rels = write_relations(tmp_path / "r.txt", ["relatedto"])
-    with pytest.raises(GraphLoadError, match="mystery"):
+    with pytest.raises(InputError, match="mystery"):
         load_graph(edges, rels)
 
 
@@ -221,7 +221,7 @@ def test_bad_weights_rejected(tmp_path, weight):
     edges = (tmp_path / "e.tsv")
     edges.write_text(f"a\trelatedto\tb\t{weight}\n", encoding="utf-8")
     rels = write_relations(tmp_path / "r.txt", ["relatedto"])
-    with pytest.raises(GraphLoadError):
+    with pytest.raises(InputError):
         load_graph(edges, rels)
 
 
@@ -237,7 +237,7 @@ def test_self_loop_kept_in_storage(tmp_path):
     rels = write_relations(tmp_path / "r.txt", ["relatedto"])
     g = load_graph(edges, rels)
     assert g.n_edges == 2  # loop plus its reversal
-    assert all(e.tail == 0 for e in g.neighbors(0))
+    assert all(e.tail == 0 for e in out_edges(g, 0))
 
 
 def test_index_save_load_round_trip(tmp_path):
@@ -248,7 +248,7 @@ def test_index_save_load_round_trip(tmp_path):
     assert g2.surfaces == g.surfaces
     assert g2.relations.names == g.relations.names
     for eid in range(g.n_entities):
-        assert g2.neighbors(eid) == g.neighbors(eid)
+        assert out_edges(g2, eid) == out_edges(g, eid)
 
 
 def test_failed_save_keeps_existing_index(tmp_path, monkeypatch):

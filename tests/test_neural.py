@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from kgpath.config import InputError
 from kgpath.neural import (
     Adam,
     BilinearLayer,
-    CheckpointError,
     DenseLayer,
     MLP2,
     ScoringModel,
@@ -350,20 +350,20 @@ def test_checkpoint_dim_mismatch_refused(tmp_path):
     model = ScoringModel(d=5, D=4, k=3, seed=0)
     path = tmp_path / "model.gpr"
     model.save_checkpoint(path)
-    with pytest.raises(CheckpointError, match="refusing"):
+    with pytest.raises(InputError, match="refusing"):
         ScoringModel.load_checkpoint(path, expect_dims=(6, 4, 3))
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.gpr"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
-    with pytest.raises(CheckpointError, match="magic"):
+    with pytest.raises(InputError, match="magic"):
         ScoringModel.load_checkpoint(path)
     model = ScoringModel(d=5, D=4, k=3, seed=0)
     good = tmp_path / "good.gpr"
     model.save_checkpoint(good)
     (tmp_path / "trunc.gpr").write_bytes(good.read_bytes()[:-10])
-    with pytest.raises(CheckpointError, match="truncated"):
+    with pytest.raises(InputError, match="truncated"):
         ScoringModel.load_checkpoint(tmp_path / "trunc.gpr")
 
 

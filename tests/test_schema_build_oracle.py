@@ -14,7 +14,7 @@ from kgpath.kg import Edge, KnowledgeGraph, dedup_max_weight, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.schema import Gather, NodeType, SchemaGraph, build_schema, build_schema_closed
 
-from conftest import write_edges, write_relations
+from conftest import out_edges, write_edges, write_relations
 
 
 def reference_rank_candidates(
@@ -223,7 +223,7 @@ def random_case(tmp_path, rng, trial):
 
     scene = []
     for k in sorted(q | v):
-        for e in g.neighbors(k):
+        for e in out_edges(g, k):
             if e.relation < g.relations.n_forward and rng.random() < 0.5:
                 scene.append(Edge(e.head, e.relation, e.tail, e.weight * 2))  # wins the dedup
                 scene.append(Edge(e.head, e.relation, e.tail, e.weight / 2))  # loses it

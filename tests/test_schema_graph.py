@@ -16,7 +16,7 @@ from kgpath.schema import (
     load_schema_graphs,
 )
 
-from conftest import random_graph, write_edges, write_relations
+from conftest import out_edges, random_graph, write_edges, write_relations
 from test_pruning import make_sg, random_local_graph
 
 
@@ -32,7 +32,7 @@ def brute_force_rank(g, current_ids, q_nodes, candidates):
         sum_w = 0.0
         best_prio = None
         connected = set()
-        for e in g.neighbors(cand):
+        for e in out_edges(g, cand):
             if e.tail in current and e.tail != cand:
                 sum_w += e.weight
                 prio = g.relations.priority(e.relation)
@@ -140,16 +140,16 @@ def test_n1_adjacent_to_keys_n2_adjacent_to_graph(tmp_path):
     n1 = {int(n) for n, t in zip(sg.nodes, sg.types) if t == NodeType.N1}
     n2 = {int(n) for n, t in zip(sg.nodes, sg.types) if t == NodeType.N2}
     for node in n1:
-        nbrs = {e.tail for e in g.neighbors(node) if e.tail != node}
+        nbrs = {e.tail for e in out_edges(g, node) if e.tail != node}
         assert nbrs & key_ids
     for node in n2:
-        nbrs = {e.tail for e in g.neighbors(node) if e.tail != node}
+        nbrs = {e.tail for e in out_edges(g, node) if e.tail != node}
         assert nbrs & (key_ids | n1)
         assert not nbrs & key_ids or True  # n2 may also touch keys via later edges
     # n2 nodes are never at hop distance 1 from the keys
     hop1 = set()
     for k in key_ids:
-        hop1 |= {e.tail for e in g.neighbors(k) if e.tail != k}
+        hop1 |= {e.tail for e in out_edges(g, k) if e.tail != k}
     assert not n2 & hop1
 
 
