@@ -9,7 +9,7 @@ from .kg import Edge, KnowledgeGraph, load_graph
 from .linking import KeyNodeSet, QueryRecord
 from .neural import ScoringModel
 from .pruning import PrunedGraph
-from .schema import NodeType, SchemaGraph, build_schema, build_schema_closed
+from .schema import NodeType, SchemaGraph, build_schema
 
 __version__ = "0.1.0"
 
@@ -23,7 +23,6 @@ __all__ = [
     "SchemaGraph",
     "ScoringModel",
     "build_schema",
-    "build_schema_closed",
     "load_graph",
     "__version__",
 ]

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import InputError, RunConfig, load_config, read_jsonl, write_manifest
+from .config import InputError, RunConfig, atomic_write, load_config, read_jsonl, write_manifest
 from .dot import export_dot
 from .kg import load_graph
 from .linking import ground_truth_ids
@@ -33,7 +33,7 @@ from .pipeline import (
     prepare_samples,
     schema_for_record,
 )
-from .pruning import dump_pruned_graphs, prune
+from .pruning import QuerySample, dump_pruned_graphs, prune
 from .schema import dump_schema_graphs, load_schema_graphs
 from .synth import SuiteSpec, generate_suite
 
@@ -215,7 +215,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
         if ctx is None:
             logger.warning("%s: no query context, skipping", sg.qid)
             continue
-        pruned.append(prune(model, sg, ctx, rt.emb, rt.textfeat, cfg.theta_p, cfg.prune_target))
+        sample = QuerySample.build(model, sg, ctx, gt_by_qid[sg.qid], rt.emb, rt.textfeat)
+        pruned.append(prune(model, sample, cfg.theta_p, cfg.prune_target)[0])
     dump_path = out / "pruned_graphs.jsonl"
     dump_pruned_graphs(dump_path, rt.g, pruned, gt_by_qid)
     write_manifest(out, "prune", cfg, {"schemas": args.schemas})
@@ -307,10 +308,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_infer(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg)
-    model = _load_model(cfg, args.checkpoint)
     matches = [r for r in rt.queries if r.qid == args.qid]
     if not matches:
         raise InputError(msg=f"qid {args.qid!r} not found in {cfg.queries}")
+    if args.qid not in rt.contexts:
+        raise InputError(cfg.contexts, msg=f"no query context for qid {args.qid!r}")
+    model = _load_model(cfg, args.checkpoint)
     samples, _ = prepare_samples(rt, model, matches)
     if not samples:
         raise InputError(msg=f"qid {args.qid!r} has no linkable key nodes")
@@ -368,7 +371,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         paths = next((p for qid, p in records if qid == dump["qid"]), None)
     text = export_dot(dump, paths, args.max_paths)
     if args.out:
-        args.out.write_text(text, encoding="utf-8")
+        with atomic_write(args.out) as f:
+            f.write(text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -376,24 +380,26 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    hop_mix = {}
-    for part in args.hop_mix.split(","):
-        hop, _, weight = part.partition(":")
-        hop_mix[int(hop)] = float(weight)
-    seed = args.seed if args.seed is not None else 7
-    spec = SuiteSpec(
-        seed=seed,
-        n_entities=args.n_entities,
-        n_edges=args.n_edges,
-        n_queries=args.n_queries,
-        hop_mix=hop_mix,
-        alignment=args.alignment,
-        dim=args.dim,
-        train_fraction=args.train_fraction,
-        n_question_keys=args.question_keys,
-        n_visual_keys=args.visual_keys,
-        emit_vectors=not args.no_vectors,
-    )
+    try:
+        hop_mix = {}
+        for part in args.hop_mix.split(","):
+            hop, _, weight = part.partition(":")
+            hop_mix[int(hop)] = float(weight)
+        spec = SuiteSpec(
+            seed=args.seed if args.seed is not None else 7,
+            n_entities=args.n_entities,
+            n_edges=args.n_edges,
+            n_queries=args.n_queries,
+            hop_mix=hop_mix,
+            alignment=args.alignment,
+            dim=args.dim,
+            train_fraction=args.train_fraction,
+            n_question_keys=args.question_keys,
+            n_visual_keys=args.visual_keys,
+            emit_vectors=not args.no_vectors,
+        )
+    except ValueError as exc:
+        raise InputError(msg=f"--hop-mix {args.hop_mix}: {exc}") from None
     manifest = generate_suite(args.out, spec)
     counts = manifest["counts"]
     print(

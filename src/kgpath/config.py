@@ -173,7 +173,10 @@ def load_config(path: Optional[Path | str], overrides: Optional[dict[str, str]] 
             except ValueError as exc:
                 raise InputError(path, lineno, str(exc)) from None
     for key, raw in (overrides or {}).items():
-        cfg.set_field(key, raw)
+        try:
+            cfg.set_field(key, raw)
+        except ValueError as exc:
+            raise InputError(msg=f"--set {key}: {exc}") from None
     cfg.validate()
     return cfg
 

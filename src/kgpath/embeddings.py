@@ -3,9 +3,8 @@
 All neural encoders upstream of this pipeline (the multimodal query encoder,
 the KG entity embedding, the question/answer text encoder) are consumed as
 precomputed vectors through the loaders here. A hash-stub mode and a zero mode
-stand in for the text-feature file when none is available; the synthetic
-provider in :mod:`kgpath.synth` plants learnable query/entity alignments for
-tests and demos.
+stand in for the text-feature file when none is available; ``planted_context``
+plants the learnable query/entity alignments of :mod:`kgpath.synth` suites.
 
 The hash stub's stream is defined here, not by a numpy generator: one
 blake2b of ``seed|qid`` keys the question, a splitmix64 mix of (question key,

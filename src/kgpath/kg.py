@@ -13,6 +13,7 @@ from __future__ import annotations
 import logging
 import math
 import re
+import zipfile
 from itertools import filterfalse, repeat
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence
@@ -102,10 +103,6 @@ class RelationTable:
         """The reversal of ``rid``, an id or an array of ids."""
         return (rid + self.n_forward) % self.n_total
 
-    def priority(self, rid: int) -> int:
-        # Ids are assigned in priority-file order, so the id is the rank.
-        return rid
-
 
 def load_relations(path: Optional[Path | str]) -> RelationTable:
     """Read a priority file (one relation per line, highest first) with
@@ -182,22 +179,16 @@ class KnowledgeGraph:
     def has_surface(self, surface: str) -> bool:
         return surface in self._index
 
-    def _check_id(self, eid: int) -> None:
-        if not 0 <= eid < self.n_entities:
-            raise IndexError(f"invalid entity id {eid}")
-
     # -- adjacency ---------------------------------------------------------
 
-    def neighbor_arrays(self, eid: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(neighbor ids, relation ids, weights) views of all outgoing edges of
-        one entity (reversals included), sorted."""
-        self._check_id(eid)
-        lo, hi = int(self._offsets[eid]), int(self._offsets[eid + 1])
-        return self._nbr[lo:hi], self._rel[lo:hi], self._weight[lo:hi]
-
     def edges_from(self, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Concatenated (source, neighbor, relation, weight) rows for many entities."""
+        """Concatenated (source, neighbor, relation, weight) rows for many
+        entities, each entity's rows sorted; an id outside
+        ``0..n_entities-1`` raises ``IndexError``."""
         eids = np.asarray(eids, dtype=np.int64)
+        bad = eids[(eids < 0) | (eids >= self.n_entities)]
+        if bad.size:
+            raise IndexError(f"invalid entity id {bad[0]}")
         lo = self._offsets[eids]
         counts = self._offsets[eids + 1] - lo
         total = int(counts.sum())
@@ -227,18 +218,36 @@ class KnowledgeGraph:
 
     @classmethod
     def load_index(cls, index_dir: Path | str) -> "KnowledgeGraph":
+        """Read an index written by ``save``; an unreadable file, or arrays that
+        disagree with each other or with the entity list, raise ``InputError``."""
         index_dir = Path(index_dir)
-        surfaces = (index_dir / "entities.txt").read_text(encoding="utf-8").splitlines()
+        ent_path, adj_path = index_dir / "entities.txt", index_dir / "adjacency.npz"
+        try:
+            # not read_lines: a normalized surface may start with "#"
+            surfaces = ent_path.read_text(encoding="utf-8").splitlines()
+        except UnicodeDecodeError:
+            raise not_utf8(ent_path) from None
         relations = load_relations(index_dir / "relations.txt")
-        arrays = np.load(index_dir / "adjacency.npz")
-        return cls(
-            surfaces,
-            relations,
-            arrays["offsets"],
-            arrays["nbr"],
-            arrays["rel"],
-            arrays["weight"],
-        )
+        try:
+            with np.load(adj_path) as arrays:
+                offsets, nbr, rel, weight = (arrays[k] for k in ("offsets", "nbr", "rel", "weight"))
+        except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
+            raise InputError(adj_path, msg=f"unreadable index arrays ({exc})") from None
+
+        n = len(surfaces)
+        if not (nbr.ndim == 1 and nbr.shape == rel.shape == weight.shape):
+            raise InputError(adj_path, msg="nbr, rel and weight differ in length")
+        if offsets.ndim != 1 or offsets[:1].tolist() != [0] or (np.diff(offsets) < 0).any():
+            raise InputError(adj_path, msg="offsets are not monotone from 0")
+        if offsets[-1] != nbr.size:
+            raise InputError(adj_path, msg=f"offsets end at {offsets[-1]}, not at {nbr.size}")
+        if n != offsets.size - 1:
+            raise InputError(ent_path, msg=f"{n} entities, but the arrays hold {offsets.size - 1}")
+        if nbr.size and not (0 <= nbr.min() and nbr.max() < n):
+            raise InputError(adj_path, msg=f"a neighbour id lies outside 0..{n - 1}")
+        if rel.size and not (0 <= rel.min() and rel.max() < relations.n_total):
+            raise InputError(adj_path, msg=f"a relation id lies outside 0..{relations.n_total - 1}")
+        return cls(surfaces, relations, offsets, nbr, rel, weight)
 
 
 def dedup_max_weight(
@@ -271,10 +280,12 @@ _BLOCK_CHARS = 1 << 16
 def _parse_edge_line(line: str, rel_index: dict[str, int]) -> Optional[tuple[str, int, str, float]]:
     """One edge line as (head, relation id, tail, weight), surfaces normalized.
 
-    None for a ``#`` comment or a blank line. This is the one statement of
-    the line rules: a ``ValueError`` names the first rule the line breaks.
+    None for a blank line or a comment (first non-blank character ``#``), as
+    ``config.read_lines`` skips them. This is the one statement of the line
+    rules: a ``ValueError`` names the first rule the line breaks.
     """
-    if not line.strip() or line.startswith("#"):
+    head = line.lstrip()
+    if not head or head[0] == "#":
         return None
     parts = line.rstrip("\n").split("\t")
     if len(parts) != 4:
@@ -305,7 +316,7 @@ def _bulk_rows(lines: list[str], rel_index: dict[str, int]) -> Optional[tuple[li
     would be blank and no relation name is.
     """
     text = "".join(lines)
-    if text.startswith("#") or "\n#" in text:
+    if "#" in text and any(line.lstrip().startswith("#") for line in lines):
         return None
     if set(map(str.count, lines, repeat("\t"))) != {3}:
         return None
@@ -334,8 +345,8 @@ def load_graph(
     Rules: surfaces are normalized, entity ids are assigned by first
     appearance, duplicate (head, relation, tail) triples keep the maximum
     weight, and every forward edge also yields ``tail --rev_r--> head`` with
-    the same weight. ``#`` comment lines (``#`` in the first column) and blank
-    lines are skipped. A line that breaks a rule raises
+    the same weight. Blank lines and comments (first non-blank character
+    ``#``) are skipped. A line that breaks a rule raises
     ``InputError(path, lineno, reason)`` for the first such line in the file;
     a byte that is not UTF-8 raises it for that byte's line.
 

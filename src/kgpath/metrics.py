@@ -15,6 +15,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
+import numpy as np
+
 from .config import atomic_write
 from .schema import SchemaGraph
 
@@ -92,9 +94,8 @@ def hit_rate_curve(
     for sg, gt in zip(graphs, gts):
         if sg.build_rank is None:
             raise ValueError(f"schema graph {sg.qid!r} carries no construction ranks")
-        pos = sg.positions()
-        ranks = [int(sg.build_rank[pos[int(e)]]) for e in gt if int(e) in pos]
-        first_hit.append(min(ranks, default=None))
+        hit = np.isin(sg.nodes, np.fromiter(gt, dtype=np.int64))
+        first_hit.append(int(sg.build_rank[hit].min()) if hit.any() else None)
     n_queries = len(gts)
     curve = []
     for budget in budgets:

@@ -228,9 +228,6 @@ class MLP2:
             dh = dh * mask
         return self.hidden.backward(dh, cache_h)
 
-    def layers(self) -> list[DenseLayer]:
-        return [self.hidden, self.out]
-
     def zero_grad(self) -> None:
         self.hidden.zero_grad()
         self.out.zero_grad()
@@ -290,7 +287,7 @@ class ScoringModel:
         self.dropout_rate = dropout_rate
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.f_n = MLP2(rng, 2 * d + D + 4, d, d, dropout_rate)
+        self.f_n = MLP2(rng, self.node_input_dim, d, d, dropout_rate)
         self.f_t = MLP2(rng, k * d, d, d, dropout_rate)
         self.f_p = MLP2(rng, 3 * d, d, d, dropout_rate)
         self.f_bi = BilinearLayer(rng, d)
@@ -300,36 +297,27 @@ class ScoringModel:
     def node_input_dim(self) -> int:
         return 2 * self.d + self.D + 4
 
+    def layers(self) -> list[tuple[str, DenseLayer | BilinearLayer]]:
+        """(name, layer) pairs in the fixed checkpoint order."""
+        mlps = (("f_n", self.f_n), ("f_t", self.f_t), ("f_p", self.f_p))
+        dense = [(f"{n}.{part}", getattr(mlp, part)) for n, mlp in mlps for part in ("hidden", "out")]
+        return dense + [("f_bi", self.f_bi)]
+
     def param_items(self) -> list[tuple[str, np.ndarray]]:
         """(name, array) pairs in the fixed checkpoint order."""
-        items = []
-        for mlp_name, mlp in (("f_n", self.f_n), ("f_t", self.f_t), ("f_p", self.f_p)):
-            for layer_name, layer in (("hidden", mlp.hidden), ("out", mlp.out)):
-                items.append((f"{mlp_name}.{layer_name}.W", layer.W))
-                items.append((f"{mlp_name}.{layer_name}.b", layer.b))
-        items.append(("f_bi.W", self.f_bi.W))
-        items.append(("f_bi.b", self.f_bi.b))
-        return items
+        return [(f"{n}.{p}", getattr(layer, p)) for n, layer in self.layers() for p in "Wb"]
 
     def grad_items(self) -> list[tuple[str, np.ndarray]]:
-        items = []
-        for mlp_name, mlp in (("f_n", self.f_n), ("f_t", self.f_t), ("f_p", self.f_p)):
-            for layer_name, layer in (("hidden", mlp.hidden), ("out", mlp.out)):
-                items.append((f"{mlp_name}.{layer_name}.W", layer.dW))
-                items.append((f"{mlp_name}.{layer_name}.b", layer.db))
-        items.append(("f_bi.W", self.f_bi.dW))
-        items.append(("f_bi.b", self.f_bi.db))
-        return items
+        """(name, gradient buffer) pairs, aligned with ``param_items``."""
+        return [(f"{n}.{p}", getattr(layer, "d" + p)) for n, layer in self.layers() for p in "Wb"]
 
     def prune_param_names(self) -> list[str]:
         """Parameters trained during the prune-only phase (the node encoder)."""
         return [name for name, _ in self.param_items() if name.startswith("f_n.")]
 
     def zero_grad(self) -> None:
-        self.f_n.zero_grad()
-        self.f_t.zero_grad()
-        self.f_p.zero_grad()
-        self.f_bi.zero_grad()
+        for _, layer in self.layers():
+            layer.zero_grad()
 
     # -- persistence ---------------------------------------------------------
 

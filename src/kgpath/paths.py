@@ -39,7 +39,7 @@ from .neural import Adam, ScoringModel, bce_loss_backward, cosine_rows, make_opt
 from .pruning import (
     PrunedGraph,
     QuerySample,
-    prune_from_scores,
+    prune,
     rank_by_score,
     train_prune_step,
     triplet_terms,
@@ -348,9 +348,7 @@ def run_query(
     Returns the pruned graph, the scored path batch, and the schema-node
     cosine scores (for node-level ranking).
     """
-    h, _ = model.f_n.forward(sample.x, train=False)
-    s_cos = cosine_rows(sample.ctx.z, h)
-    pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
+    pg, h, s_cos = prune(model, sample, theta_p, target)
     batch = sample_paths(pg, n_paths, k, seed)
     batch.scores = _forward_paths(model, batch, h, sample.ctx)[0] if len(batch) else np.empty(0)
     return pg, batch, s_cos
@@ -383,12 +381,7 @@ def train_joint_step(
     n_terms_total = 0
     for sample in batch:
         h, cache_n = model.f_n.forward(sample.x, train=True, rng=model.rng)
-        if model.dropout_rate > 0.0:
-            h_select, _ = model.f_n.forward(sample.x, train=False)
-            s_cos = cosine_rows(sample.ctx.z, h_select)
-        else:
-            s_cos = cosine_rows(sample.ctx.z, h)
-        pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
+        pg = prune(model, sample, theta_p, target)[0]
         pbatch = sample_paths(pg, n_paths, k, mix_seed(step_seed, sample.qid))
         path_cache = None
         scores = np.empty(0)

@@ -35,7 +35,7 @@ from .metrics import (
 from .neural import ScoringModel
 from .paths import aggregate_answers, mix_seed, ranked_paths, run_query
 from .pruning import QuerySample, rank_by_score
-from .schema import SchemaGraph, build_schema, build_schema_closed
+from .schema import SchemaGraph, build_schema
 
 logger = logging.getLogger(__name__)
 
@@ -102,36 +102,28 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
 def schema_for_record(
     rt: Runtime,
     rec: QueryRecord,
-    budget: Optional[int] = None,
-    mode: Optional[str] = None,
     candidates: Optional[frozenset[int]] = None,
 ) -> Optional[SchemaGraph]:
-    """Build one record's schema graph; None when no key node links."""
+    """Build one record's schema graph at ``cfg.budget``; None when no key
+    node links. Close-set mode recruits from ``candidates``, by default
+    ``rt.candidate_set()``."""
     cfg = rt.cfg
     keys, scene_edges = extract_key_nodes(rt.g, rec, synonyms=rt.synonyms)
     if not keys:
         return None
-    mode = mode or cfg.mode
-    seed = mix_seed(cfg.seed, "schema", rec.qid)
-    if mode == "closed":
-        return build_schema_closed(
-            rt.g,
-            keys,
-            scene_edges,
-            candidates if candidates is not None else rt.candidate_set(),
-            budget=budget if budget is not None else cfg.closed_budget,
-            one_hop_cap=cfg.one_hop_cap,
-            seed=seed,
-            qid=rec.qid,
-        )
+    if cfg.mode == "open":
+        candidates = None
+    elif candidates is None:
+        candidates = rt.candidate_set()
     return build_schema(
         rt.g,
         keys,
         scene_edges,
-        budget=budget if budget is not None else cfg.schema_budget,
+        budget=cfg.budget,
         one_hop_cap=cfg.one_hop_cap,
-        seed=seed,
+        seed=mix_seed(cfg.seed, "schema", rec.qid),
         qid=rec.qid,
+        candidates=candidates,
     )
 
 

@@ -43,10 +43,6 @@ class PrunedGraph:
     s_bfs: np.ndarray
     s_prune: np.ndarray
 
-    @property
-    def survivors(self) -> np.ndarray:
-        return self.base.nodes
-
     def to_json_obj(self, g: KnowledgeGraph, gt: Iterable[int] = ()) -> dict:
         obj = self.base.to_json_obj(g, gt)
         obj["scores"] = [
@@ -96,25 +92,20 @@ def bfs_scores(sg: SchemaGraph) -> np.ndarray:
 
 def prune(
     model: ScoringModel,
-    sg: SchemaGraph,
-    ctx: QueryContext,
-    emb: EntityEmbeddingTable,
-    textfeat: TextFeatureProvider,
+    sample: QuerySample,
     theta_p: float = 0.3,
     target: int = 100,
-) -> PrunedGraph:
-    """Keep the ``target`` best nodes under the blended prune score.
+) -> tuple[PrunedGraph, np.ndarray, np.ndarray]:
+    """Eval-mode node selection for one prepared query.
 
-    Key nodes are always retained; ties break toward higher BFS score, then
-    lower entity id. Edges are restricted to the survivors.
+    Returns the pruned graph, the node encodings of the unpruned schema graph
+    and their cosine scores against the query context.
     """
     if not 0.0 <= theta_p <= 1.0:
         raise ValueError("theta_p must lie in [0, 1]")
-    x = node_input_matrix(model, sg, ctx, emb, textfeat)
-    h, _ = model.f_n.forward(x, train=False)
-    s_cos = cosine_rows(ctx.z, h)
-    s_bfs = bfs_scores(sg)
-    return prune_from_scores(sg, s_cos, s_bfs, theta_p, target)
+    h, _ = model.f_n.forward(sample.x, train=False)
+    s_cos = cosine_rows(sample.ctx.z, h)
+    return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos
 
 
 def prune_from_scores(
@@ -124,6 +115,11 @@ def prune_from_scores(
     theta_p: float,
     target: int,
 ) -> PrunedGraph:
+    """Keep the ``target`` best nodes under the blended prune score.
+
+    Key nodes are always retained; ties break toward higher BFS score, then
+    lower entity id. Edges are restricted to the survivors.
+    """
     key_rows = sg.key_rows()
     if target < key_rows.size:
         raise ValueError(

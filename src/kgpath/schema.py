@@ -82,7 +82,6 @@ class SchemaGraph:
     v_nodes: frozenset[int]
     build_rank: Optional[np.ndarray] = None
     _node_set: Optional[frozenset[int]] = field(default=None, repr=False)
-    _positions: Optional[dict[int, int]] = field(default=None, repr=False)
     _edge_rows: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     _adjacency: Optional[LocalAdjacency] = field(default=None, repr=False)
     _key_rows: Optional[np.ndarray] = field(default=None, repr=False)
@@ -99,12 +98,6 @@ class SchemaGraph:
         if self._node_set is None:
             self._node_set = frozenset(self.nodes.tolist())
         return self._node_set
-
-    def positions(self) -> dict[int, int]:
-        """Entity id -> row index into ``nodes``."""
-        if self._positions is None:
-            self._positions = dict(zip(self.nodes.tolist(), range(self.n_nodes)))
-        return self._positions
 
     def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Row positions of every edge's head and tail, in edge order."""
@@ -232,10 +225,10 @@ def _entity_id(g: KnowledgeGraph, surface: str) -> int:
 
 def gt_provenance(sg: SchemaGraph, gt: int) -> str:
     """Classify one ground-truth entity as q / v / n-1 / n-2 / absent."""
-    pos = sg.positions().get(int(gt))
-    if pos is None:
+    rows = np.flatnonzero(sg.nodes == int(gt))
+    if not rows.size:
         return "absent"
-    return {0: "q", 1: "v", 2: "n-1", 3: "n-2"}[int(sg.types[pos])]
+    return {0: "q", 1: "v", 2: "n-1", 3: "n-2"}[int(sg.types[rows[0]])]
 
 
 Gather = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -307,42 +300,14 @@ def build_schema(
     one_hop_cap: int = 500,
     seed: int = 0,
     qid: str = "",
+    candidates: Optional[Iterable[int]] = None,
 ) -> SchemaGraph:
-    """Open-set construction: recruit from the whole KG."""
-    return _build(g, keys, scene_edges, budget, one_hop_cap, seed, qid, allowed=None)
-
-
-def build_schema_closed(
-    g: KnowledgeGraph,
-    keys: KeyNodeSet,
-    scene_edges: Sequence[Edge] = (),
-    candidate_set: Iterable[int] = (),
-    budget: int = 500,
-    one_hop_cap: int = 500,
-    seed: int = 0,
-    qid: str = "",
-) -> SchemaGraph:
-    """Close-set construction: only candidate entities can be recruited.
+    """Open-set construction recruits from the whole KG; given ``candidates``,
+    close-set construction recruits only candidate entities.
 
     Key nodes stay in the graph whether or not they are candidates. Candidate
     ids outside the graph are ignored.
     """
-    ids = np.fromiter(candidate_set, dtype=np.int64)
-    allowed = np.zeros(g.n_entities, dtype=bool)
-    allowed[ids[(ids >= 0) & (ids < g.n_entities)]] = True
-    return _build(g, keys, scene_edges, budget, one_hop_cap, seed, qid, allowed=allowed)
-
-
-def _build(
-    g: KnowledgeGraph,
-    keys: KeyNodeSet,
-    scene_edges: Sequence[Edge],
-    budget: int,
-    one_hop_cap: int,
-    seed: int,
-    qid: str,
-    allowed: Optional[np.ndarray],
-) -> SchemaGraph:
     if not keys:
         raise ValueError("cannot build a schema graph from an empty key node set")
     q_ids = np.array(sorted(keys.q_nodes), dtype=np.int64)
@@ -352,18 +317,20 @@ def _build(
         raise ValueError(
             f"budget {budget} cannot hold the {key_ids.size} key nodes"
         )
-    for eid in key_ids.tolist():
-        g._check_id(eid)
+
+    # One-hop stage: every KG neighbor of a key node competes.
+    gathers = [g.edges_from(key_ids)]  # an IndexError names a bad key id
 
     # blocked[e]: e can no longer be recruited. That holds for the keys, for
     # every one-hop neighbour once the one-hop stage is ranked (candidates
     # that missed the cap do not return) and, in close-set mode, for every
     # entity outside the candidate set.
-    blocked = np.zeros(g.n_entities, dtype=bool) if allowed is None else ~allowed
+    blocked = np.full(g.n_entities, candidates is not None)
+    if candidates is not None:
+        ids = np.fromiter(candidates, dtype=np.int64)
+        blocked[ids[(ids >= 0) & (ids < g.n_entities)]] = False
     blocked[key_ids] = True
 
-    # One-hop stage: every KG neighbor of a key node competes.
-    gathers = [g.edges_from(key_ids)]
     hop1 = gathers[0][1]
     n1 = _rank_candidates(g, gathers[0], keys.q_nodes, hop1[~blocked[hop1]])
     n1 = n1[: max(0, min(one_hop_cap, budget - key_ids.size))]

@@ -22,14 +22,9 @@ from typing import Optional
 
 import numpy as np
 
-from .config import sha256_file
-from .embeddings import (
-    EntityEmbeddingTable,
-    QueryContext,
-    TextFeatureProvider,
-    planted_context,
-)
-from .kg import DEFAULT_RELATIONS, KnowledgeGraph
+from .config import atomic_write, sha256_file
+from .embeddings import planted_context
+from .kg import DEFAULT_RELATIONS
 
 _FILLER_TOKENS = (
     ("what", "other"),
@@ -240,7 +235,7 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
 
     files = {}
     edge_path = out_dir / "kg_edges.tsv"
-    with open(edge_path, "w", encoding="utf-8") as f:
+    with atomic_write(edge_path) as f:
         _write_edge_block(f, surfaces, rel_names, chain_h, chain_r, chain_t, chain_w)
         for a, rel, b, w in planted:
             f.write(f"{surfaces[a]}\t{rel_names[rel]}\t{surfaces[b]}\t{w:g}\n")
@@ -248,11 +243,12 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
     files["kg_edges.tsv"] = edge_path
 
     rel_path = out_dir / "relations.txt"
-    rel_path.write_text("\n".join(rel_names) + "\n", encoding="utf-8")
+    with atomic_write(rel_path) as f:
+        f.write("\n".join(rel_names) + "\n")
     files["relations.txt"] = rel_path
 
     queries_path = out_dir / "queries.jsonl"
-    with open(queries_path, "w", encoding="utf-8") as f:
+    with atomic_write(queries_path) as f:
         for q in queries:
             f.write(json.dumps(q, sort_keys=True) + "\n")
     files["queries.jsonl"] = queries_path
@@ -260,13 +256,13 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
     if spec.emit_vectors:
         surf_id = {s: i for i, s in enumerate(surfaces)}
         emb_path = out_dir / "entity_embeddings.tsv"
-        with open(emb_path, "w", encoding="utf-8") as f:
+        with atomic_write(emb_path) as f:
             for i in range(n):
                 f.write(surfaces[i] + "\t" + " ".join(f"{x:.8f}" for x in matrix[i]) + "\n")
         files["entity_embeddings.tsv"] = emb_path
 
         ctx_path = out_dir / "contexts.jsonl"
-        with open(ctx_path, "w", encoding="utf-8") as f:
+        with atomic_write(ctx_path) as f:
             for q in queries:
                 gt_rows = np.stack([matrix[surf_id[a]] for a, _ in q["answers"]])
                 ctx = planted_context(rng, q["qid"], gt_rows, spec.alignment)
@@ -285,22 +281,22 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
         files["contexts.jsonl"] = ctx_path
 
         config_path = out_dir / "suite.config"
-        config_path.write_text(
-            "\n".join(
-                [
-                    "kg_edges = kg_edges.tsv",
-                    "relations = relations.txt",
-                    "queries = queries.jsonl",
-                    "entity_embeddings = entity_embeddings.tsv",
-                    "contexts = contexts.jsonl",
-                    f"d = {spec.dim}",
-                    f"D = {spec.dim}",
-                    f"seed = {spec.seed}",
-                    "",
-                ]
-            ),
-            encoding="utf-8",
-        )
+        with atomic_write(config_path) as f:
+            f.write(
+                "\n".join(
+                    [
+                        "kg_edges = kg_edges.tsv",
+                        "relations = relations.txt",
+                        "queries = queries.jsonl",
+                        "entity_embeddings = entity_embeddings.tsv",
+                        "contexts = contexts.jsonl",
+                        f"d = {spec.dim}",
+                        f"D = {spec.dim}",
+                        f"seed = {spec.seed}",
+                        "",
+                    ]
+                )
+            )
         files["suite.config"] = config_path
 
     manifest = {
@@ -316,7 +312,7 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
         },
         "files": {name: sha256_file(path) for name, path in sorted(files.items())},
     }
-    with open(out_dir / "manifest.json", "w", encoding="utf-8") as f:
+    with atomic_write(out_dir / "manifest.json") as f:
         json.dump(manifest, f, indent=2, sort_keys=True)
         f.write("\n")
     return manifest
@@ -337,26 +333,3 @@ def _spec_to_json(spec: SuiteSpec) -> dict:
     obj["hop_mix"] = {str(h): p for h, p in spec.hop_mix.items()}
     return obj
 
-
-def synth_provider(
-    seed: int,
-    g: KnowledgeGraph,
-    planted: Optional[dict[str, list[int]]] = None,
-    alignment: float = 0.9,
-    dim: int = 64,
-) -> tuple[EntityEmbeddingTable, dict[str, QueryContext], TextFeatureProvider]:
-    """In-memory provider double: embeddings, per-qid contexts, text features.
-
-    Entity vectors are seeded unit-norm noise; each planted qid gets a context
-    whose z blends the mean of its ground-truth vectors with noise at the
-    given alignment, renormalized, so the cosine scorer has signal to learn.
-    """
-    rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((g.n_entities, dim))
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    table = EntityEmbeddingTable(matrix)
-    contexts = {}
-    for qid in sorted(planted or {}):
-        gt_rows = table.gather(np.asarray(sorted(planted[qid]), dtype=np.int64))
-        contexts[qid] = planted_context(rng, qid, gt_rows, alignment)
-    return table, contexts, TextFeatureProvider(dim=dim, mode="hash", seed=seed)

@@ -26,8 +26,8 @@ def tiny_graph(tmp_path):
 
 
 def out_edges(g, eid):
-    """Every edge out of ``eid`` as an ``Edge``, read through ``neighbor_arrays``."""
-    nbr, rel, w = g.neighbor_arrays(eid)
+    """Every edge out of ``eid`` as an ``Edge``, read through ``edges_from``."""
+    _, nbr, rel, w = g.edges_from([eid])
     return [Edge(eid, r, n, wt) for n, r, wt in zip(nbr.tolist(), rel.tolist(), w.tolist())]
 
 

@@ -6,6 +6,7 @@ suite (the second run exists to check bit-for-bit reproducibility), so this
 module takes several minutes end to end.
 """
 
+import dataclasses
 import resource
 import sys
 import time
@@ -368,7 +369,8 @@ def test_criterion_3_retrieval_structure(toy_runtime):
     candidates = rt.candidate_set()
 
     def build(rec, budget, mode):
-        return schema_for_record(rt, rec, budget=budget, mode=mode, candidates=candidates)
+        cfg = dataclasses.replace(rt.cfg, mode=mode, schema_budget=budget, closed_budget=budget)
+        return schema_for_record(dataclasses.replace(rt, cfg=cfg), rec, candidates=candidates)
 
     def rebuild_oracle(mode):
         """Recount the curve over real per-budget rebuilds."""
@@ -488,8 +490,8 @@ def test_criterion_5_pruning_contract(toy_runtime, staged_runs):
 
     # key nodes always survive
     for sample in test_samples:
-        pg = prune(model, sample.sg, sample.ctx, rt.emb, rt.textfeat, cfg.theta_p, cfg.prune_target)
-        assert sample.sg.key_ids() <= set(int(e) for e in pg.survivors)
+        pg = prune(model, sample, cfg.theta_p, cfg.prune_target)[0]
+        assert sample.sg.key_ids() <= set(int(e) for e in pg.base.nodes)
 
     # theta limiting cases match their closed-form orderings
     for sample in test_samples[:10]:
@@ -505,7 +507,7 @@ def test_criterion_5_pruning_contract(toy_runtime, staged_runs):
         pg1 = prune_from_scores(sample.sg, s_cos, s_bfs, 1.0, target)
         by_bfs = sorted(range(len(nodes)), key=lambda i: (-s_bfs[i], nodes[i]))
         expected1 = sorted(int(nodes[i]) for i in by_bfs[: min(target, len(nodes))])
-        assert sorted(int(e) for e in pg1.survivors) == expected1
+        assert sorted(int(e) for e in pg1.base.nodes) == expected1
 
         pg0 = prune_from_scores(sample.sg, s_cos, s_bfs, 0.0, target)
         non_key_sorted = [
@@ -514,15 +516,15 @@ def test_criterion_5_pruning_contract(toy_runtime, staged_runs):
             if int(nodes[i]) not in keys
         ]
         expected0 = set(keys) | set(non_key_sorted[: min(target, len(nodes)) - len(keys)])
-        assert set(int(e) for e in pg0.survivors) == expected0
+        assert set(int(e) for e in pg0.base.nodes) == expected0
 
     # R@100 varies by < 5 points across theta_p
     rates = {}
     for theta in (0.1, 0.3, 0.5, 0.7, 0.9):
         hits = 0
         for sample in test_samples:
-            pg = prune(model, sample.sg, sample.ctx, rt.emb, rt.textfeat, theta, 100)
-            hits += bool(sample.gt & set(int(e) for e in pg.survivors))
+            pg = prune(model, sample, theta, 100)[0]
+            hits += bool(sample.gt & set(int(e) for e in pg.base.nodes))
         rates[theta] = hits / len(test_samples)
     spread = max(rates.values()) - min(rates.values())
     assert spread < 0.05, f"R@100 spread {spread:.3f} across theta: {rates}"
@@ -545,8 +547,9 @@ def test_criterion_5_pruning_contract(toy_runtime, staged_runs):
                 q_nodes=sg.q_nodes,
                 v_nodes=sg.v_nodes,
             )
-            pg = prune(model, shuffled, ctx, rt.emb, rt.textfeat, cfg.theta_p, cfg.prune_target)
-            survivor_seqs.append([int(e) for e in pg.survivors])
+            sample = QuerySample.build(model, shuffled, ctx, (), rt.emb, rt.textfeat)
+            pg = prune(model, sample, cfg.theta_p, cfg.prune_target)[0]
+            survivor_seqs.append([int(e) for e in pg.base.nodes])
         assert survivor_seqs[0] == survivor_seqs[1]
 
     print(f"\n  R@100 by theta: { {t: round(r, 3) for t, r in rates.items()} }")

@@ -1,5 +1,7 @@
+import io
 import json
 import re
+import shutil
 
 import numpy as np
 import pytest
@@ -322,6 +324,26 @@ def not_utf8(line):
     return b"\xff" + line.encode("utf-8")
 
 
+def npz_edit(change):
+    """An edit of a saved index's ``adjacency.npz`` bytes: ``change`` mutates
+    the dict of its arrays."""
+
+    def edit(data):
+        with np.load(io.BytesIO(data)) as f:
+            arrays = dict(f)
+        change(arrays)
+        buf = io.BytesIO()
+        np.savez(buf, **arrays)
+        return buf.getvalue()
+
+    return edit
+
+
+def dropping(marker):
+    """A whole-file edit that drops every line holding ``marker``."""
+    return lambda data: b"".join(l for l in data.splitlines(True) if marker not in l)
+
+
 @pytest.fixture(scope="module")
 def good_inputs(suite, schema_dump):
     """A well-formed file for each input that MALFORMED_INPUT edits."""
@@ -347,6 +369,7 @@ def good_inputs(suite, schema_dump):
         encoding="utf-8",
     )
     ScoringModel(12, 12, 3, seed=0).save_checkpoint(extra / "checkpoint.gpr")
+    assert main(["build-index", *run_args(root / "bi_inputs", out), "--out", str(extra / "index")]) == 0
     return {
         "config": out / "suite.config",
         "kg_edges": out / "kg_edges.tsv",
@@ -360,6 +383,8 @@ def good_inputs(suite, schema_dump):
         "dump": schema_dump,
         "paths": extra / "paths.jsonl",
         "checkpoint": extra / "checkpoint.gpr",
+        "index_entities": extra / "index" / "entities.txt",
+        "index_arrays": extra / "index" / "adjacency.npz",
     }
 
 
@@ -377,12 +402,26 @@ def input_args(key, bad, good_inputs):
         return ["--checkpoint", str(bad)]
     if key == "text_features":
         return ["--set", f"{key}={bad}", "--set", "ptm_mode=file"]
+    if key.startswith("index_"):  # one file of a saved index, beside good copies of the rest
+        for other in good_inputs[key].parent.iterdir():
+            if not (bad.parent / other.name).exists():
+                shutil.copy(other, bad.parent)
+        return ["--set", f"kg_index={bad.parent}"]
     return ["--set", f"{key}={bad}"]
+
+
+def flag_args(flag, value, tmp_path):
+    """The flags that hand a command ``value`` for ``flag``."""
+    if flag == "--hop-mix":
+        return ["--out", str(tmp_path / "suite"), flag, value]
+    return [flag, value]
 
 
 # (command, input, line, edit, message after "error: <path>:<line>: "). With
 # a line, the edit maps that line's text to its replacement; with None it maps
-# the whole file's bytes, and the error names the file alone.
+# the whole file's bytes, and the error names the file alone. An input that is
+# a flag ("--set", "--hop-mix") takes the edit as its value, and the error
+# names no file. A command may carry flags of its own after its name.
 MALFORMED_INPUT = {
     "config-unknown-key": (
         "schema", "config", 2, lambda line: "no_such_key = 1",
@@ -465,6 +504,60 @@ MALFORMED_INPUT = {
     "checkpoint-truncated-header": (
         "eval", "checkpoint", None, lambda data: data[:6], "truncated header"
     ),
+    "set-int-not-a-number": (
+        "schema", "--set", None, "k=abc",
+        "--set k: invalid literal for int() with base 10: 'abc'",
+    ),
+    "set-curve-budgets-not-numbers": (
+        "schema", "--set", None, "curve_budgets=a,b",
+        "--set curve_budgets: invalid literal for int() with base 10: 'a'",
+    ),
+    "synth-hop-mix-not-a-number": (
+        "synth", "--hop-mix", None, "x:1",
+        "--hop-mix x:1: invalid literal for int() with base 10: 'x'",
+    ),
+    "synth-hop-mix-unsupported-hop": (
+        "synth", "--hop-mix", None, "3:1",
+        "--hop-mix 3:1: hop_mix supports hop distances 1 and 2 only",
+    ),
+    "infer-no-context": (
+        "infer --qid q0002", "contexts", None, dropping(b'"q0002"'),
+        "no query context for qid 'q0002'",
+    ),
+    "index-entities-not-utf8": ("schema", "index_entities", 2, not_utf8, "not UTF-8 text"),
+    "index-entity-count": (
+        "schema", "index_entities", None, dropping(b"ent_0149"),
+        "149 entities, but the arrays hold 150",
+    ),
+    "index-arrays-truncated": (
+        "schema", "index_arrays", None, lambda data: data[: len(data) // 2],
+        "unreadable index arrays",
+    ),
+    "index-array-lengths": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a.update(rel=a["rel"][:-1])),
+        "nbr, rel and weight differ in length",
+    ),
+    "index-offsets-not-monotone": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a["offsets"].__setitem__(5, a["offsets"][6] + 1)),
+        "offsets are not monotone from 0",
+    ),
+    "index-offsets-end": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a.update(offsets=np.append(a["offsets"][:-1], a["offsets"][-1] - 1))),
+        "offsets end at",
+    ),
+    "index-neighbour-range": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a["nbr"].__setitem__(0, 150)),
+        "a neighbour id lies outside 0..149",
+    ),
+    "index-relation-range": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a["rel"].__setitem__(0, 42)),
+        "a relation id lies outside 0..41",
+    ),
 }
 
 
@@ -472,24 +565,29 @@ MALFORMED_INPUT = {
 def test_malformed_input_is_one_line_error(suite, good_inputs, tmp_path, capsys, case):
     root, out = suite
     command, key, lineno, edit, message = MALFORMED_INPUT[case]
-    source = good_inputs[key]
-    bad = tmp_path / source.name
-    data = source.read_bytes()
-    if lineno is None:
-        data = edit(data)
-        where = f"{bad}"
+    if key.startswith("--"):
+        args, prefix = flag_args(key, edit, tmp_path), "error: "
     else:
-        lines = data.splitlines(keepends=True)
-        new = edit(lines[lineno - 1].decode("utf-8").rstrip("\n"))
-        lines[lineno - 1] = (new if isinstance(new, bytes) else new.encode("utf-8")) + b"\n"
-        data = b"".join(lines)
-        where = f"{bad}:{lineno}"
-    bad.write_bytes(data)
+        source = good_inputs[key]
+        bad = tmp_path / source.name
+        data = source.read_bytes()
+        if lineno is None:
+            data = edit(data)
+            where = f"{bad}"
+        else:
+            lines = data.splitlines(keepends=True)
+            new = edit(lines[lineno - 1].decode("utf-8").rstrip("\n"))
+            lines[lineno - 1] = (new if isinstance(new, bytes) else new.encode("utf-8")) + b"\n"
+            data = b"".join(lines)
+            where = f"{bad}:{lineno}"
+        bad.write_bytes(data)
+        args, prefix = input_args(key, bad, good_inputs), f"error: {where}: "
     capsys.readouterr()
-    rc = main([command, *run_args(tmp_path / "o", out), *input_args(key, bad, good_inputs)])
+    name, *own = command.split()
+    rc = main([name, *run_args(tmp_path / "o", out), *own, *args])
     assert rc == 1
     (line,) = error_lines(capsys)
-    assert line.startswith(f"error: {where}: {message}")
+    assert line.startswith(prefix + message)
 
 
 def test_export_dot_structure(tmp_path):

@@ -14,7 +14,6 @@ from kgpath.embeddings import (
     load_entity_embeddings,
     planted_context,
 )
-from kgpath.synth import synth_provider
 
 from conftest import write_edges, write_relations
 from kgpath.kg import load_graph
@@ -189,29 +188,43 @@ def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
         TextFeatureProvider(dim=2, mode="file", seed=0, path=path, g=abc_graph)
 
 
-def test_synth_provider_alignment_one_gives_unit_cosine(abc_graph):
-    emb, contexts, tf = synth_provider(5, abc_graph, {"q1": [1]}, alignment=1.0, dim=8)
+def planted_suite(seed, g, planted, alignment, dim):
+    """Unit-norm entity vectors and one ``planted_context`` per qid, drawn from
+    one generator the way ``synth.generate_suite`` draws them, plus the
+    hash-mode text features."""
+    rng = np.random.default_rng(seed)
+    matrix = rng.standard_normal((g.n_entities, dim))
+    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
+    contexts = {
+        qid: planted_context(rng, qid, matrix[sorted(planted[qid])], alignment)
+        for qid in sorted(planted)
+    }
+    return matrix, contexts, TextFeatureProvider(dim=dim, mode="hash", seed=seed)
+
+
+def test_planted_context_alignment_one_gives_unit_cosine(abc_graph):
+    matrix, contexts, tf = planted_suite(5, abc_graph, {"q1": [1]}, alignment=1.0, dim=8)
     z = contexts["q1"].z
-    e = emb.gather([1])[0]
+    e = matrix[1]
     cos = float(z @ e / (np.linalg.norm(z) * np.linalg.norm(e)))
     assert cos == pytest.approx(1.0, abs=1e-12)
 
 
-def test_synth_provider_alignment_zero_uncorrelated(abc_graph):
+def test_planted_context_alignment_zero_uncorrelated(abc_graph):
     planted = {f"q{i}": [i % 3] for i in range(10_000)}
-    emb, contexts, _ = synth_provider(6, abc_graph, planted, alignment=0.0, dim=64)
+    matrix, contexts, _ = planted_suite(6, abc_graph, planted, alignment=0.0, dim=64)
     cosines = []
     for qid, gts in planted.items():
         z = contexts[qid].z
-        e = emb.gather([gts[0]])[0]
+        e = matrix[gts[0]]
         cosines.append(float(z @ e))
     assert abs(float(np.mean(cosines))) < 0.02
 
 
-def test_synth_provider_bit_identical_reruns(abc_graph):
-    a = synth_provider(9, abc_graph, {"q": [0, 2]}, alignment=0.5, dim=12)
-    b = synth_provider(9, abc_graph, {"q": [0, 2]}, alignment=0.5, dim=12)
-    assert np.array_equal(a[0].matrix, b[0].matrix)
+def test_planted_context_bit_identical_reruns(abc_graph):
+    a = planted_suite(9, abc_graph, {"q": [0, 2]}, alignment=0.5, dim=12)
+    b = planted_suite(9, abc_graph, {"q": [0, 2]}, alignment=0.5, dim=12)
+    assert np.array_equal(a[0], b[0])
     assert np.array_equal(a[1]["q"].z, b[1]["q"].z)
     assert np.array_equal(a[2].gather("q", [1]), b[2].gather("q", [1]))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,7 +139,8 @@ def test_hit_rate_curve_matches_rebuild_oracle(small_suite):
     for mode in ("open", "closed"):
 
         def build(rec, budget):
-            return schema_for_record(rt, rec, budget=budget, mode=mode, candidates=candidates)
+            cfg = dataclasses.replace(rt.cfg, mode=mode, schema_budget=budget, closed_budget=budget)
+            return schema_for_record(dataclasses.replace(rt, cfg=cfg), rec, candidates=candidates)
 
         records = [rec for rec in rt.queries if build(rec, budgets[-1]) is not None]
         full = [build(rec, budgets[-1]) for rec in records]

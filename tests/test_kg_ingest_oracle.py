@@ -2,7 +2,8 @@
 
 ``reference_load_graph`` is a verbatim copy of ``load_graph`` as it was
 before the bulk parse, except that its errors are built in today's
-``<path>:<line>: <reason>`` form. On random edge files with comments, blank
+``<path>:<line>: <reason>`` form and that it skips a comment by today's rule
+(first non-blank character ``#``, as ``config.read_lines`` does). On random edge files with comments, blank
 lines, mixed line ends, surfaces that normalize together, odd weights and
 faults anywhere, both loaders must build byte-identical graphs or raise the
 same error.
@@ -38,7 +39,7 @@ def reference_load_graph(edge_file, relation_priority_file=None) -> KnowledgeGra
 
     with open(edge_file, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            if not line.strip() or line.startswith("#"):
+            if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.rstrip("\n").split("\t")
             if len(parts) != 4:
@@ -130,7 +131,10 @@ FAULTS = [
     "a\tisa\t \u3000\t1",
     "a\tisa\t\t-1",  # bad weight and empty tail: the weight is checked first
 ]
-SKIPPED = ["", "   ", "\t\t\t", "\u3000", " \t \t\t", "#", "# note", "#a\tisa\tb\t1", "#\t\t\t"]
+SKIPPED = [
+    "", "   ", "\t\t\t", "\u3000", " \t \t\t", "#", "# note", "#a\tisa\tb\t1", "#\t\t\t",
+    "  # note\tisa\tc\t1", "\u3000#a\tisa\tb\t1", "\t#\tisa\tb\t1",
+]
 
 
 def random_line(rng) -> str:
@@ -219,7 +223,8 @@ def test_first_fault_in_file_order_wins(tmp_path, monkeypatch):
 
 def test_files_larger_than_one_block(tmp_path):
     """At the real block size: a clean file of several blocks, then the same
-    file with one comment, then with a fault near its end."""
+    file with one comment, with one indented comment, and with a fault near
+    its end."""
     rng = np.random.default_rng(7)
     rels = write_relations(tmp_path / "r.txt", RELATIONS)
     edges = tmp_path / "e.tsv"
@@ -228,6 +233,7 @@ def test_files_larger_than_one_block(tmp_path):
     variants = [
         lines,
         lines[:7000] + ["# a comment\n"] + lines[7000:],
+        lines[:7000] + ["  # note\tisa\tc\t1\n"] + lines[7000:],
         lines[:8500] + ["a\tisa\tb\t-2\n"] + lines[8500:],
     ]
     for variant in variants:

@@ -75,6 +75,13 @@ def test_neighbors_invalid_id(tiny_graph):
         out_edges(tiny_graph, -1)
 
 
+def test_indented_comment_line_is_skipped(tmp_path):
+    edges = tmp_path / "e.tsv"
+    edges.write_text("  # note\tisa\tc\t1\na\tisa\tb\t1\n", encoding="utf-8")
+    g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
+    assert g.surfaces == ["a", "b"]
+
+
 def test_neighbors_match_brute_force_scan(tmp_path):
     rng = np.random.default_rng(11)
     g, rows = random_graph(tmp_path, rng, n_entities=25, n_edges=1000)
@@ -184,9 +191,10 @@ def test_rev_is_involution():
 
 def test_relation_priority_is_file_order():
     table = RelationTable(["zeta", "alpha"])
-    assert table.priority(table.id_of("zeta")) < table.priority(table.id_of("alpha"))
+    # a relation's id is its priority rank
+    assert table.id_of("zeta") < table.id_of("alpha")
     # reversed relations all rank after forward ones
-    assert table.priority(table.id_of("rev_zeta")) > table.priority(table.id_of("alpha"))
+    assert table.id_of("rev_zeta") > table.id_of("alpha")
 
 
 def test_deterministic_load(tmp_path):

@@ -157,7 +157,7 @@ def reference_sample_paths(pg, n_paths, k, seed):
     Returns each path as a (node ids, relations) pair of tuples."""
     base = pg.base
     keys = sorted(base.key_ids())
-    pos = base.positions()
+    pos = {int(n): i for i, n in enumerate(base.nodes)}
     adj = [[] for _ in range(base.n_nodes)]
     for h, r, t in zip(base.edges_head, base.edges_rel, base.edges_tail):
         if h != t:
@@ -270,7 +270,7 @@ def test_count_walks_matches_itertools_enumeration():
     rng = np.random.default_rng(43)
     for trial in range(40):
         sg = random_local_graph(rng, max_nodes=6, max_edges=12)
-        roots = [sg.positions()[key] for key in sorted(sg.key_ids())]
+        roots = [sg.nodes.tolist().index(key) for key in sorted(sg.key_ids())]
         for k in (1, 2, 3):
             universe = itertools_walks(sg, k)
             total = len(universe)
@@ -517,9 +517,9 @@ def test_run_query_returns_consistent_bundle():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.0, seed=21)
     (sample,) = make_samples(model, n_queries=1, seed=22)
     pg, batch, s_cos = run_query(model, sample, theta_p=0.3, target=5, n_paths=50, k=3, seed=3)
-    assert len(pg.survivors) == 5
+    assert len(pg.base.nodes) == 5
     assert s_cos.shape == (sample.sg.n_nodes,)
-    surv = set(int(e) for e in pg.survivors)
+    surv = set(int(e) for e in pg.base.nodes)
     for nodes, _ in sigs(batch):
         assert set(nodes) <= surv
     assert batch.scores is not None and batch.scores.shape == (len(batch),)

@@ -69,7 +69,7 @@ def random_local_graph(rng, max_nodes=8, max_edges=16, duplicates=False):
 
 def reference_bfs_scores(sg):
     """Queue BFS over a hand-built adjacency list: the oracle for ``bfs_scores``."""
-    pos = sg.positions()
+    pos = {int(n): i for i, n in enumerate(sg.nodes)}
     adj = [[] for _ in range(sg.n_nodes)]
     for h, t in zip(sg.edges_head, sg.edges_tail):
         if h != t:
@@ -194,7 +194,7 @@ def test_prune_score_arithmetic():
     sg = make_sg([0, 1], [0, 2], sym([(0, 0, 1, 1.0)]), q_nodes={0})
     pg = prune_from_scores(sg, np.array([0.1, 0.5]), np.array([1.0, 1.0]), 0.3, 2)
     assert pg.s_prune[0] == pytest.approx(0.3 * 1.0 + 0.7 * 0.5)  # node 1 ranks first
-    assert pg.survivors.tolist() == [1, 0]
+    assert pg.base.nodes.tolist() == [1, 0]
 
 
 def test_prune_theta_one_is_bfs_closest():
@@ -204,7 +204,7 @@ def test_prune_theta_one_is_bfs_closest():
     sg = make_sg(list(range(n)), [0] + [2] * (n - 1), sym(edges), q_nodes={0})
     s_cos = rng.standard_normal(n)  # irrelevant at theta 1
     pg = prune_from_scores(sg, s_cos, bfs_scores(sg), 1.0, 8)
-    assert sorted(pg.survivors.tolist()) == list(range(8))  # the 8 chain-closest
+    assert sorted(pg.base.nodes.tolist()) == list(range(8))  # the 8 chain-closest
 
 
 def test_prune_theta_zero_matches_cosine_sort_oracle():
@@ -219,11 +219,11 @@ def test_prune_theta_zero_matches_cosine_sort_oracle():
     order = sorted(range(n), key=lambda i: (-s_cos[i], -s_bfs[i], i))
     expected = [i for i in order if i in keys] + [i for i in order if i not in keys]
     expected = sorted(keys) + [i for i in order if i not in keys][: 10 - len(keys)]
-    assert set(pg.survivors.tolist()) == set(expected)
+    assert set(pg.base.nodes.tolist()) == set(expected)
     # survivor ORDER is by descending blended score regardless of key status
-    blended = {int(e): c for e, c in zip(pg.survivors, pg.s_prune)}
-    assert list(pg.survivors) == sorted(
-        pg.survivors, key=lambda e: (-blended[int(e)], -s_bfs[int(e)], e)
+    blended = {int(e): c for e, c in zip(pg.base.nodes, pg.s_prune)}
+    assert list(pg.base.nodes) == sorted(
+        pg.base.nodes, key=lambda e: (-blended[int(e)], -s_bfs[int(e)], e)
     )
 
 
@@ -262,7 +262,7 @@ def test_prune_selection_matches_reference_loop():
         s_cos = rng.integers(-2, 3, size=n) / 2.0
         s_bfs = bfs_scores(sg)
         if trial % 3 == 0:  # keys ranked last
-            rows = [sg.positions()[k] for k in sg.key_ids()]
+            rows = [sg.nodes.tolist().index(k) for k in sg.key_ids()]
             s_cos[rows] = -10.0
             s_bfs = s_bfs.copy()
             s_bfs[rows] = 0.0
@@ -271,7 +271,7 @@ def test_prune_selection_matches_reference_loop():
             for theta in (0.0, 0.3, 1.0):
                 pg = prune_from_scores(sg, s_cos, s_bfs, theta, target)
                 idx, types = reference_prune_selection(sg, s_cos, s_bfs, theta, target)
-                assert np.array_equal(pg.survivors, sg.nodes[idx])
+                assert np.array_equal(pg.base.nodes, sg.nodes[idx])
                 assert pg.base.types.dtype == types.dtype
                 assert np.array_equal(pg.base.types, types)
                 s_prune = theta * s_bfs + (1.0 - theta) * s_cos
@@ -290,8 +290,8 @@ def test_prune_keeps_key_nodes():
     s_cos[0] = -1.0  # key scores terribly
     s_cos[-1] = -1.0
     pg = prune_from_scores(sg, s_cos, bfs_scores(sg), 0.0, 5)
-    assert {0, n - 1} <= set(pg.survivors.tolist())
-    assert len(pg.survivors) == 5
+    assert {0, n - 1} <= set(pg.base.nodes.tolist())
+    assert len(pg.base.nodes) == 5
 
 
 def test_prune_target_too_small_rejected():
@@ -319,8 +319,9 @@ def test_prune_argsort_invariant_to_node_shuffle(tmp_path):
     orders = []
     for seed in (100, 200, 300):  # same graph, different node shuffles
         sg = build_schema(g, keys, budget=25, seed=seed)
-        pg = prune(model, sg, ctx, emb, tf, theta_p=0.3, target=10)
-        orders.append(pg.survivors.tolist())
+        sample = QuerySample.build(model, sg, ctx, (), emb, tf)
+        pg = prune(model, sample, theta_p=0.3, target=10)[0]
+        orders.append(pg.base.nodes.tolist())
     assert orders[0] == orders[1] == orders[2]
 
 

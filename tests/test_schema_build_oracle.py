@@ -12,7 +12,7 @@ import numpy as np
 
 from kgpath.kg import Edge, KnowledgeGraph, dedup_max_weight, load_graph
 from kgpath.linking import KeyNodeSet
-from kgpath.schema import Gather, NodeType, SchemaGraph, build_schema, build_schema_closed
+from kgpath.schema import Gather, NodeType, SchemaGraph, build_schema
 
 from conftest import out_edges, write_edges, write_relations
 
@@ -88,7 +88,8 @@ def reference_build(
             f"budget {budget} cannot hold the {len(key_ids)} key nodes"
         )
     for eid in key_ids:
-        g._check_id(eid)
+        if not 0 <= eid < g.n_entities:
+            raise IndexError(f"invalid entity id {eid}")
 
     node_ids = list(key_ids)
     node_types = [NodeType.Q] * len(q_sorted) + [NodeType.V] * len(v_sorted)
@@ -273,7 +274,8 @@ def test_build_matches_reference_route(tmp_path):
         cands.add(g.n_entities + 5)
         allowed = np.array(sorted(set(int(c) for c in cands)), dtype=np.int64)
         want = reference_build(g, keys, scene, budget, cap, seed, "t", allowed=allowed)
-        assert_same_graph(build_schema_closed(g, keys, scene, cands, budget, cap, seed, "t"), want)
+        got = build_schema(g, keys, scene, budget, cap, seed, "t", candidates=cands)
+        assert_same_graph(got, want)
     assert filled_in_stage1 >= 5
 
 
@@ -293,7 +295,7 @@ def test_each_build_gathers_every_row_once(tmp_path, monkeypatch):
         cands = rng.choice(g.n_entities, size=g.n_entities // 2, replace=False)
         for build in (
             lambda: build_schema(g, keys, scene, budget, cap, seed=trial),
-            lambda: build_schema_closed(g, keys, scene, cands, budget, cap, seed=trial),
+            lambda: build_schema(g, keys, scene, budget, cap, seed=trial, candidates=cands),
         ):
             calls.clear()
             sg = build()

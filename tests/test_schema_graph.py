@@ -9,7 +9,6 @@ from kgpath.neural import ScoringModel
 from kgpath.schema import (
     NodeType,
     build_schema,
-    build_schema_closed,
     dump_schema_graphs,
     gt_provenance,
     _rank_candidates,
@@ -35,7 +34,7 @@ def brute_force_rank(g, current_ids, q_nodes, candidates):
         for e in out_edges(g, cand):
             if e.tail in current and e.tail != cand:
                 sum_w += e.weight
-                prio = g.relations.priority(e.relation)
+                prio = e.relation  # a relation's id is its priority rank
                 best_prio = prio if best_prio is None else min(best_prio, prio)
                 connected.add(e.tail)
         if not connected:
@@ -196,9 +195,15 @@ def test_closed_mode_restricts_recruitment(tmp_path):
     )
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     k, gt_id = g.entity_id("k"), g.entity_id("gt")
-    sg = build_schema_closed(g, keyset(q={k}), candidate_set={gt_id}, budget=500, seed=0)
+    sg = build_schema(g, keyset(q={k}), budget=500, seed=0, candidates={gt_id})
     assert sg.node_set() == {k, gt_id}
     assert g.entity_id("noise") not in sg.node_set()
+
+
+def test_key_id_outside_graph_rejected(tiny_graph):
+    for bad in (-1, tiny_graph.n_entities):
+        with pytest.raises(IndexError, match=f"invalid entity id {bad}"):
+            build_schema(tiny_graph, keyset(q={bad}), budget=10)
 
 
 def test_gt_hit(tmp_path):
@@ -207,8 +212,8 @@ def test_gt_hit(tmp_path):
     k, x = g.entity_id("k"), g.entity_id("x")
     sg = build_schema(g, keyset(q={k}), budget=10, seed=0)
     # the key node is built first, its neighbour second
-    assert sg.build_rank[sg.positions()[k]] == 0
-    assert sg.build_rank[sg.positions()[x]] == 1
+    assert sg.build_rank[sg.nodes == k].tolist() == [0]
+    assert sg.build_rank[sg.nodes == x].tolist() == [1]
     assert hit_rate_curve([1, 2], [sg], [{x}]) == [(1, 0.0), (2, 1.0)]
     assert hit_rate_curve([1, 2], [sg, sg], [{x}, set()]) == [(1, 0.0), (2, 0.5)]
 

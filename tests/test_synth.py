@@ -83,7 +83,7 @@ def test_planted_gt_within_hop_bound(small_suite):
             u = queue.popleft()
             if dist[u] >= bound:
                 continue
-            nbr, _, _ = g.neighbor_arrays(u)
+            _, nbr, _, _ = g.edges_from([u])
             for t in nbr:
                 t = int(t)
                 if t not in dist:
