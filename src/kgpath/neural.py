@@ -156,14 +156,27 @@ def _init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
 
 
 class DenseLayer:
-    """y = activation(x W^T + b), activation in {relu, identity}."""
+    """y = activation(x W^T + b), activation in {relu, identity}.
 
-    def __init__(self, rng: np.random.Generator, n_in: int, n_out: int, activation: str = "relu"):
+    A layer built with ``input_grad=False`` reads data, not another layer's
+    output: its backward pass accumulates dW and db and returns None instead
+    of the unused dL/dx.
+    """
+
+    def __init__(
+        self,
+        rng: np.random.Generator,
+        n_in: int,
+        n_out: int,
+        activation: str = "relu",
+        input_grad: bool = True,
+    ):
         if activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
         self.n_in = n_in
         self.n_out = n_out
         self.activation = activation
+        self.input_grad = input_grad
         self.W = _init_uniform(rng, (n_out, n_in), n_in)
         self.b = _init_uniform(rng, (n_out,), n_in)
         self.dW = np.zeros_like(self.W)
@@ -178,13 +191,13 @@ class DenseLayer:
             return out, (x, pre > 0)
         return pre, (x, None)
 
-    def backward(self, dout: np.ndarray, cache: tuple) -> np.ndarray:
+    def backward(self, dout: np.ndarray, cache: tuple) -> Optional[np.ndarray]:
         x, relu_mask = cache
         if relu_mask is not None:
             dout = dout * relu_mask
         self.dW += dout.T @ x
         self.db += dout.sum(axis=0)
-        return dout @ self.W
+        return dout @ self.W if self.input_grad else None
 
     def zero_grad(self) -> None:
         self.dW.fill(0.0)
@@ -192,7 +205,11 @@ class DenseLayer:
 
 
 class MLP2:
-    """Two dense layers: ReLU hidden with inverted dropout, identity output."""
+    """Two dense layers: ReLU hidden with inverted dropout, identity output.
+
+    ``input_grad=False`` makes ``backward`` skip dL/dx and return None (see
+    :class:`DenseLayer`).
+    """
 
     def __init__(
         self,
@@ -201,8 +218,9 @@ class MLP2:
         n_hidden: int,
         n_out: int,
         dropout: float = 0.0,
+        input_grad: bool = True,
     ):
-        self.hidden = DenseLayer(rng, n_in, n_hidden, "relu")
+        self.hidden = DenseLayer(rng, n_in, n_hidden, "relu", input_grad)
         self.out = DenseLayer(rng, n_hidden, n_out, "identity")
         self.dropout = dropout
 
@@ -211,17 +229,28 @@ class MLP2:
         x: np.ndarray,
         train: bool = False,
         rng: Optional[np.random.Generator] = None,
-    ) -> tuple[np.ndarray, tuple]:
+        with_eval: bool = False,
+    ) -> tuple:
+        """``(y, cache)``; with ``with_eval``, ``(y, cache, y_eval)``.
+
+        ``y_eval`` is the eval-mode output of the same hidden pass: dropout
+        acts only after the hidden layer, so a training pass that also needs
+        eval-mode outputs runs that layer once, not twice.
+        """
         h, cache_h = self.hidden.forward(x)
+        h_eval = h
         mask = None
         if train and self.dropout > 0.0:
             keep = 1.0 - self.dropout
             mask = (rng.random(h.shape) < keep) / keep
             h = h * mask
         y, cache_o = self.out.forward(h)
-        return y, (cache_h, mask, cache_o)
+        if not with_eval:
+            return y, (cache_h, mask, cache_o)
+        y_eval = y if mask is None else self.out.forward(h_eval)[0]
+        return y, (cache_h, mask, cache_o), y_eval
 
-    def backward(self, dy: np.ndarray, cache: tuple) -> np.ndarray:
+    def backward(self, dy: np.ndarray, cache: tuple) -> Optional[np.ndarray]:
         cache_h, mask, cache_o = cache
         dh = self.out.backward(dy, cache_o)
         if mask is not None:
@@ -271,7 +300,8 @@ class BilinearLayer:
 class ScoringModel:
     """Node encoder f_n, path encoders f_t / f_p, and bilinear scorer f_bi.
 
-    * f_n : (d + D + d + 4) -> d -> d, consuming [z || e_i || p_i || u_i]
+    * f_n : (d + D + d + 4) -> d -> d, consuming [z || e_i || p_i || u_i];
+      its input is data, so its backward pass returns no input gradient
     * f_t : (k * d) -> d -> d, consuming the padded node-vector blocks
     * f_p : (3 d) -> d -> d, consuming [t || v || h_t]
     * f_bi: d x d bilinear scorer against z
@@ -287,7 +317,7 @@ class ScoringModel:
         self.dropout_rate = dropout_rate
         self.seed = seed
         rng = np.random.default_rng(seed)
-        self.f_n = MLP2(rng, self.node_input_dim, d, d, dropout_rate)
+        self.f_n = MLP2(rng, self.node_input_dim, d, d, dropout_rate, input_grad=False)
         self.f_t = MLP2(rng, k * d, d, d, dropout_rate)
         self.f_p = MLP2(rng, 3 * d, d, d, dropout_rate)
         self.f_bi = BilinearLayer(rng, d)

@@ -40,6 +40,7 @@ from .pruning import (
     PrunedGraph,
     QuerySample,
     prune,
+    prune_from_scores,
     rank_by_score,
     train_prune_step,
     triplet_terms,
@@ -372,7 +373,8 @@ def train_joint_step(
     Queries with no positive path still contribute negative labels to the
     BCE term. Node selection for pruning always uses eval-mode scores:
     dropout regularizes the gradients, but letting it randomize which nodes
-    survive would starve the path loss of positives.
+    survive would starve the path loss of positives. Both come from one f_n
+    pass, since dropout acts only after its hidden layer.
     """
     model.zero_grad()
     staged = []
@@ -380,8 +382,11 @@ def train_joint_step(
     all_labels: list[np.ndarray] = []
     n_terms_total = 0
     for sample in batch:
-        h, cache_n = model.f_n.forward(sample.x, train=True, rng=model.rng)
-        pg = prune(model, sample, theta_p, target)[0]
+        h, cache_n, h_eval = model.f_n.forward(
+            sample.x, train=True, rng=model.rng, with_eval=True
+        )
+        s_cos = cosine_rows(sample.ctx.z, h_eval)
+        pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
         pbatch = sample_paths(pg, n_paths, k, mix_seed(step_seed, sample.qid))
         path_cache = None
         scores = np.empty(0)

@@ -1,7 +1,7 @@
 """Shared orchestration for the CLI: runtime loading, sample prep, eval loops.
 
 The runtime bundles the loaded graph and providers; samples pair each query
-with its schema graph and precomputed encoder inputs. Evaluation can fan out
+with its schema graph, text features and BFS scores. Evaluation can fan out
 per-query work over forked workers; results are always reduced in query order
 so the worker count never changes the report.
 """
@@ -133,7 +133,7 @@ def prepare_samples(
     records: Sequence[QueryRecord],
     candidates: Optional[frozenset[int]] = None,
 ) -> tuple[list[QuerySample], int]:
-    """Schema graphs plus encoder inputs for each linkable record.
+    """A prepared ``QuerySample`` for each linkable record.
 
     Records without key nodes or without a query context are skipped and
     counted (they cannot enter the pipeline at all).

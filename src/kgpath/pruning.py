@@ -7,6 +7,11 @@ nodes 0). The prune score blends them, s_prune = theta_p * s_bfs +
 (1 - theta_p) * s_cos, and the top-scoring nodes survive with key nodes always
 retained. The encoder trains on triplets anchored at z with ground-truth nodes
 as positives and (by default) semi-hard mined negatives.
+
+A prepared question (``QuerySample``) keeps only the input rows it alone
+owns, its text features p_i. The encoder input is assembled from z, the
+shared entity table, p_i and the node types each time f_n runs, so a question
+holds n x d input floats between epochs instead of n x (2d + D + 4).
 """
 
 from __future__ import annotations
@@ -52,27 +57,6 @@ class PrunedGraph:
         return obj
 
 
-def node_input_matrix(
-    model: ScoringModel,
-    sg: SchemaGraph,
-    ctx: QueryContext,
-    emb: EntityEmbeddingTable,
-    textfeat: TextFeatureProvider,
-) -> np.ndarray:
-    """Stack [z || e_i || p_i || u_i] rows for every schema node."""
-    n = sg.n_nodes
-    if ctx.dim != model.d:
-        raise ValueError(f"context dim {ctx.dim} != model d {model.d}")
-    if emb.dim != model.D:
-        raise ValueError(f"entity embedding dim {emb.dim} != model D {model.D}")
-    z_tile = np.tile(ctx.z, (n, 1))
-    e_rows = emb.gather(sg.nodes)
-    p_rows = textfeat.gather(ctx.qid, sg.nodes)
-    u_rows = np.zeros((n, 4))
-    u_rows[np.arange(n), sg.types.astype(np.int64)] = 1.0
-    return np.concatenate([z_tile, e_rows, p_rows, u_rows], axis=1)
-
-
 def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     """Multi-source BFS proximity from the key nodes, aligned to ``sg.nodes``."""
     frontier = sg.key_rows()
@@ -101,8 +85,6 @@ def prune(
     Returns the pruned graph, the node encodings of the unpruned schema graph
     and their cosine scores against the query context.
     """
-    if not 0.0 <= theta_p <= 1.0:
-        raise ValueError("theta_p must lie in [0, 1]")
     h, _ = model.f_n.forward(sample.x, train=False)
     s_cos = cosine_rows(sample.ctx.z, h)
     return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos
@@ -120,6 +102,8 @@ def prune_from_scores(
     Key nodes are always retained; ties break toward higher BFS score, then
     lower entity id. Edges are restricted to the survivors.
     """
+    if not 0.0 <= theta_p <= 1.0:
+        raise ValueError("theta_p must lie in [0, 1]")
     key_rows = sg.key_rows()
     if target < key_rows.size:
         raise ValueError(
@@ -151,20 +135,42 @@ def prune_from_scores(
 class QuerySample:
     """One query prepared for training/inference against a fixed model shape.
 
-    The encoder input matrix and BFS scores depend only on the data, not on
-    the model parameters, so both are precomputed here and reused every epoch.
+    BFS scores and ground-truth positions depend only on the data, so they are
+    computed once here. Of the encoder input, the sample keeps only its own
+    text-feature rows ``p`` (one per schema node) and a reference to the
+    shared entity table ``emb``; ``x`` assembles the full input on each read.
     """
 
     qid: str
     sg: SchemaGraph
     ctx: QueryContext
     gt: frozenset[int]
-    x: np.ndarray
+    p: np.ndarray
+    emb: EntityEmbeddingTable
     gt_pos: np.ndarray
     neg_pos: np.ndarray
     s_bfs: np.ndarray
     split: str = "train"
     annotations: dict[int, float] = field(default_factory=dict)
+
+    @property
+    def x(self) -> np.ndarray:
+        """The f_n input, [z || e_i || p_i || u_i] for every schema node.
+
+        Written into one fresh array: z broadcast, entity rows gathered from
+        the table, the text-feature rows, and the one-hot node type u_i.
+        """
+        n, d = self.p.shape
+        lo_p = d + self.emb.dim  # first column of p_i
+        lo_u = lo_p + d  # first column of u_i
+        x = np.empty((n, lo_u + 4))
+        x[:, :d] = self.ctx.z
+        x[:, d:lo_p] = self.emb.gather(self.sg.nodes)
+        x[:, lo_p:lo_u] = self.p
+        u = x[:, lo_u:]
+        u.fill(0.0)
+        u[np.arange(n), self.sg.types] = 1.0
+        return x
 
     @classmethod
     def build(
@@ -178,15 +184,21 @@ class QuerySample:
         split: str = "train",
         annotations: Optional[dict[int, float]] = None,
     ) -> "QuerySample":
+        if ctx.dim != model.d:
+            raise ValueError(f"context dim {ctx.dim} != model d {model.d}")
+        if emb.dim != model.D:
+            raise ValueError(f"entity embedding dim {emb.dim} != model D {model.D}")
+        if textfeat.dim != model.d:
+            raise ValueError(f"text feature dim {textfeat.dim} != model d {model.d}")
         gt = frozenset(int(e) for e in gt)
-        x = node_input_matrix(model, sg, ctx, emb, textfeat)
         is_gt = np.isin(sg.nodes, np.fromiter(gt, dtype=np.int64, count=len(gt)))
         return cls(
             qid=sg.qid or ctx.qid,
             sg=sg,
             ctx=ctx,
             gt=gt,
-            x=x,
+            p=textfeat.gather(ctx.qid, sg.nodes),
+            emb=emb,
             gt_pos=np.flatnonzero(is_gt),
             neg_pos=np.flatnonzero(~is_gt),
             s_bfs=bfs_scores(sg),

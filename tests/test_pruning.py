@@ -11,7 +11,6 @@ from kgpath.neural import Adam, ScoringModel, cosine, cosine_rows, mine_semi_har
 from kgpath.pruning import (
     QuerySample,
     bfs_scores,
-    node_input_matrix,
     prune,
     prune_from_scores,
     rank_by_score,
@@ -88,9 +87,14 @@ def reference_bfs_scores(sg):
     return np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
 
 
+def node_inputs(model, sg, ctx, emb, tf):
+    """The f_n input of a prepared sample, as ``prune`` and training read it."""
+    return QuerySample.build(model, sg, ctx, (), emb, tf).x
+
+
 def encode(model, sg, ctx, emb, tf):
-    """Eval-mode node encodings, the way QuerySample.build and run_query get them."""
-    h, _ = model.f_n.forward(node_input_matrix(model, sg, ctx, emb, tf), train=False)
+    """Eval-mode node encodings, the way run_query gets them."""
+    h, _ = model.f_n.forward(node_inputs(model, sg, ctx, emb, tf), train=False)
     return h
 
 
@@ -111,7 +115,7 @@ def test_encode_dimension_bookkeeping():
     assert model.node_input_dim == 4 + 3 + 4 + 4 == 15
     emb, ctx, tf = providers(4, 3, 10)
     sg = make_sg([0, 1, 2], [0, 1, 2], sym([(0, 1, 1, 1.0)]), q_nodes={0}, v_nodes={1})
-    x = node_input_matrix(model, sg, ctx, emb, tf)
+    x = node_inputs(model, sg, ctx, emb, tf)
     assert x.shape == (3, 15)
     assert encode(model, sg, ctx, emb, tf).shape == (3, 4)
 
@@ -331,7 +335,7 @@ def test_triplet_terms_match_all_pairs_oracle():
     model = ScoringModel(d=5, D=4, k=3, dropout_rate=0.0, seed=5)
     emb, ctx, tf = providers(5, 4, 10, seed=6)
     sg = make_sg(list(range(10)), [0] * 2 + [2] * 8, [], q_nodes={0, 1})
-    x = node_input_matrix(model, sg, ctx, emb, tf)
+    x = node_inputs(model, sg, ctx, emb, tf)
     h, _ = model.f_n.forward(x, train=False)
     gt_pos = np.array([3, 7])
     neg_pos = np.array([i for i in range(10) if i not in (3, 7)])
@@ -440,3 +444,21 @@ def test_node_recall_matches_full_sort_oracle():
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
         expected = any(int(ids[i]) in gt for i in order[:k])
         assert recall_at_k(rank_by_score(ids, scores), gt, k) == expected
+
+
+def test_prepared_sample_keeps_only_its_text_feature_rows():
+    """A prepared question holds no encoder-width array: its float input rows
+    total n_nodes x d (the text features), while ``x`` still reads at full
+    width, [z || e_i || p_i || u_i]."""
+    model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=0)
+    emb, ctx, tf = providers(4, 3, 12, seed=1)
+    nodes = [4, 0, 7, 2, 9, 11]
+    sg = make_sg(nodes, [0, 1, 2, 3, 2, 2], sym([(4, 0, 0, 1.0), (0, 0, 7, 1.0)]),
+                 q_nodes={4}, v_nodes={0})
+    sample = QuerySample.build(model, sg, ctx, [7], emb, tf)
+    arrays = [v for v in vars(sample).values() if isinstance(v, np.ndarray)]
+    assert all(a.shape[-1] != model.node_input_dim for a in arrays)
+    rows = [a for a in arrays if a.ndim == 2 and a.dtype.kind == "f"]
+    assert sum(a.size for a in rows) <= sg.n_nodes * model.d
+    assert sample.emb is emb  # a reference to the shared table, not a copy of rows
+    assert sample.x.shape == (sg.n_nodes, 2 * model.d + model.D + 4)
