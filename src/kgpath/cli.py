@@ -178,9 +178,8 @@ def cmd_schema(args: argparse.Namespace) -> int:
     graphs = []
     gt_by_qid = {}
     skipped = 0
-    candidates = rt.candidate_set() if cfg.mode == "closed" else None
     for rec in rt.queries:
-        sg = schema_for_record(rt, rec, candidates=candidates)
+        sg = schema_for_record(rt, rec)
         if sg is None:
             skipped += 1
             continue

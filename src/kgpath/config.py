@@ -97,8 +97,10 @@ class RunConfig:
             raise InputError(msg=f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.k < 1 or self.n_paths < 1 or self.batch_size < 1:
             raise InputError(msg="k, n_paths, and batch_size must be positive")
-        if min(self.d, self.D, self.schema_budget, self.prune_target) < 1:
+        if min(self.d, self.D, self.schema_budget, self.closed_budget, self.prune_target) < 1:
             raise InputError(msg="dimensions and budgets must be positive")
+        if min(self.one_hop_cap, self.epochs_prune, self.epochs_joint) < 0:
+            raise InputError(msg="one_hop_cap and epoch counts must be >= 0")
         if self.workers < 1:
             raise InputError(msg="workers must be >= 1")
         if list(self.curve_budgets) != sorted(self.curve_budgets):

@@ -116,11 +116,12 @@ def simple_walks(
     roots: Sequence[int],
     k: int,
     cap: int,
-    out: Optional[tuple[list[int], list[int], list[int]]] = None,
+    out: tuple[list[int], list[int], list[int]],
 ) -> int:
-    """Count the first ``cap`` distinct simple walks of 1..k edges from
-    ``roots`` over ``adj``; given ``out`` = (nodes, rels, lengths) flat lists,
-    also append each walk's row positions, relations and step count.
+    """List the first ``cap`` distinct simple walks of 1..k edges from
+    ``roots`` over ``adj``: append each walk's row positions, relations and
+    step count to the flat lists ``out`` = (nodes, rels, lengths) as the DFS
+    finds it, and return how many walks were appended.
 
     The DFS takes the roots in the given order and each row's edges in
     adjacency order, and lists a walk before its extensions. A repeated
@@ -130,6 +131,7 @@ def simple_walks(
     indptr = adj.indptr.tolist()
     nbr = adj.nbr.tolist()
     rel = adj.rel.tolist()
+    flat_nodes, flat_rels, lengths = out
     rows: dict[int, list[tuple[int, int]]] = {}  # row -> distinct (neighbour, relation)
     count = 0
 
@@ -140,20 +142,15 @@ def simple_walks(
         if steps is None:
             lo, hi = indptr[u], indptr[u + 1]
             steps = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
-        if out is None and len(rels) + 1 == k:
-            # counting at the last step: each edge that does not revisit ends a walk
-            count += sum([v not in nodes for v, _ in steps])
-            return count >= cap
         for v, r in steps:
             if v in nodes:
                 continue
             count += 1
-            if out is not None:
-                out[0].extend(nodes)
-                out[0].append(v)
-                out[1].extend(rels)
-                out[1].append(r)
-                out[2].append(len(rels) + 1)
+            flat_nodes.extend(nodes)
+            flat_nodes.append(v)
+            flat_rels.extend(rels)
+            flat_rels.append(r)
+            lengths.append(len(rels) + 1)
             if count >= cap or (len(rels) + 1 < k and extend(nodes + (v,), rels + (r,))):
                 return True
         return False
@@ -162,7 +159,7 @@ def simple_walks(
         for root in roots:
             if extend((root,), ()):
                 break
-    return min(count, cap)
+    return count
 
 
 def sample_paths(
@@ -173,30 +170,29 @@ def sample_paths(
 ) -> PathBatch:
     """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
 
-    A graph that holds at most ``n_paths`` such walks yields all of them, in
-    ``simple_walks`` order from the key nodes sorted by id, and draws no
-    random number; the walks are counted before any is listed. A larger graph
-    yields seeded random walks: sampling stops after ``n_paths`` distinct
-    paths or after ``20 * n_paths`` attempts, and zero-length walks
-    (immediate dead end) are discarded. A graph without usable edges yields
-    an empty batch.
+    One ``simple_walks`` pass lists up to ``n_paths + 1`` walks from the key
+    nodes sorted by id. If it finds at most ``n_paths``, the graph holds no
+    more, and those walks, in DFS order, are the batch; no random number is
+    drawn. Otherwise the listing is dropped and the batch is seeded random
+    walks: sampling stops after ``n_paths`` distinct paths or after
+    ``20 * n_paths`` attempts, and zero-length walks (immediate dead end) are
+    discarded. A graph without usable edges yields an empty batch.
     """
     base = pg.base
     key_pos = base.key_rows().tolist()
     if not key_pos:
         raise ValueError("pruned graph has no key node to root paths at")
     adj = base.adjacency()
-    flat_nodes: list[int] = []
-    flat_rels: list[int] = []
-    lengths: list[int] = []
-
-    if simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths:
-        simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
-        return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
+    listed: tuple[list[int], list[int], list[int]] = ([], [], [])
+    if simple_walks(adj, key_pos, k, n_paths + 1, listed) <= n_paths:
+        return pack_paths(pg, *listed, k)
 
     indptr = adj.indptr.tolist()
     nbr = adj.nbr.tolist()
     rel = adj.rel.tolist()
+    flat_nodes: list[int] = []
+    flat_rels: list[int] = []
+    lengths: list[int] = []
     unit = random.Random(seed).random  # scaled unit draws beat randrange here
     n_keys = len(key_pos)
     seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()

@@ -54,6 +54,7 @@ class Runtime:
     emb: Optional[EntityEmbeddingTable] = None
     contexts: dict[str, QueryContext] = field(default_factory=dict)
     textfeat: Optional[TextFeatureProvider] = None
+    _candidates: Optional[frozenset[int]] = field(default=None, repr=False)
 
     def train_records(self) -> list[QueryRecord]:
         return [r for r in self.queries if r.split == "train"]
@@ -62,11 +63,14 @@ class Runtime:
         return [r for r in self.queries if r.split == "test"]
 
     def candidate_set(self) -> frozenset[int]:
-        """Close-set vocabulary: every answer entity across all splits."""
-        ids: set[int] = set()
-        for rec in self.queries:
-            ids |= ground_truth_ids(self.g, rec)
-        return frozenset(ids)
+        """Close-set vocabulary: every answer entity across all splits,
+        collected on the first call and kept."""
+        if self._candidates is None:
+            ids: set[int] = set()
+            for rec in self.queries:
+                ids |= ground_truth_ids(self.g, rec)
+            self._candidates = frozenset(ids)
+        return self._candidates
 
 
 def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool = True) -> Runtime:
@@ -99,22 +103,13 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
     return rt
 
 
-def schema_for_record(
-    rt: Runtime,
-    rec: QueryRecord,
-    candidates: Optional[frozenset[int]] = None,
-) -> Optional[SchemaGraph]:
+def schema_for_record(rt: Runtime, rec: QueryRecord) -> Optional[SchemaGraph]:
     """Build one record's schema graph at ``cfg.budget``; None when no key
-    node links. Close-set mode recruits from ``candidates``, by default
-    ``rt.candidate_set()``."""
+    node links. Close-set mode recruits from ``rt.candidate_set()``."""
     cfg = rt.cfg
     keys, scene_edges = extract_key_nodes(rt.g, rec, synonyms=rt.synonyms)
     if not keys:
         return None
-    if cfg.mode == "open":
-        candidates = None
-    elif candidates is None:
-        candidates = rt.candidate_set()
     return build_schema(
         rt.g,
         keys,
@@ -123,7 +118,7 @@ def schema_for_record(
         one_hop_cap=cfg.one_hop_cap,
         seed=mix_seed(cfg.seed, "schema", rec.qid),
         qid=rec.qid,
-        candidates=candidates,
+        candidates=rt.candidate_set() if cfg.mode == "closed" else None,
     )
 
 
@@ -131,15 +126,12 @@ def prepare_samples(
     rt: Runtime,
     model: ScoringModel,
     records: Sequence[QueryRecord],
-    candidates: Optional[frozenset[int]] = None,
 ) -> tuple[list[QuerySample], int]:
     """A prepared ``QuerySample`` for each linkable record.
 
     Records without key nodes or without a query context are skipped and
     counted (they cannot enter the pipeline at all).
     """
-    if candidates is None and rt.cfg.mode == "closed":
-        candidates = rt.candidate_set()
     samples = []
     skipped = 0
     for rec in records:
@@ -148,7 +140,7 @@ def prepare_samples(
             logger.warning("%s: no query context, skipping", rec.qid)
             skipped += 1
             continue
-        sg = schema_for_record(rt, rec, candidates=candidates)
+        sg = schema_for_record(rt, rec)
         if sg is None:
             logger.warning("%s: no key nodes linked, skipping", rec.qid)
             skipped += 1

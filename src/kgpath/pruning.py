@@ -22,7 +22,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import atomic_write
+from .config import InputError, atomic_write
 from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
 from .neural import (
@@ -106,8 +106,8 @@ def prune_from_scores(
         raise ValueError("theta_p must lie in [0, 1]")
     key_rows = sg.key_rows()
     if target < key_rows.size:
-        raise ValueError(
-            f"prune target {target} cannot hold the {key_rows.size} key nodes"
+        raise InputError(
+            msg=f"{sg.qid}: prune target {target} cannot hold the {key_rows.size} key nodes"
         )
     s_prune = theta_p * s_bfs + (1.0 - theta_p) * s_cos
     order = np.lexsort((sg.nodes, -s_bfs, -s_prune))

@@ -24,7 +24,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import atomic_write, read_jsonl
+from .config import InputError, atomic_write, read_jsonl
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -142,7 +142,7 @@ class SchemaGraph:
             self._key_rows = rows[np.argsort(self.nodes[rows])]
         return self._key_rows
 
-    def restricted_to(self, rows: np.ndarray, qid: Optional[str] = None) -> "SchemaGraph":
+    def restricted_to(self, rows: np.ndarray) -> "SchemaGraph":
         """Copy keeping the nodes at row positions ``rows``, in that order,
         and the edges between them."""
         kept = np.zeros(self.n_nodes, dtype=bool)
@@ -152,7 +152,7 @@ class SchemaGraph:
         key_rows = self.key_rows()
         keys = self.nodes[key_rows[kept[key_rows]]].tolist()
         return SchemaGraph(
-            qid=qid if qid is not None else self.qid,
+            qid=self.qid,
             nodes=self.nodes[rows],
             types=self.types[rows],
             edges_head=self.edges_head[mask],
@@ -314,9 +314,7 @@ def build_schema(
     v_ids = np.array(sorted(keys.v_nodes - keys.q_nodes), dtype=np.int64)  # overlap resolves to Q
     key_ids = np.concatenate([q_ids, v_ids])
     if budget < key_ids.size:
-        raise ValueError(
-            f"budget {budget} cannot hold the {key_ids.size} key nodes"
-        )
+        raise InputError(msg=f"{qid}: budget {budget} cannot hold the {key_ids.size} key nodes")
 
     # One-hop stage: every KG neighbor of a key node competes.
     gathers = [g.edges_from(key_ids)]  # an IndexError names a bad key id

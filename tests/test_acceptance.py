@@ -366,11 +366,10 @@ def test_criterion_3_retrieval_structure(toy_runtime):
     records = rt.test_records()
     budgets = [50, 100, 250, 500, 1000]
     gts = [ground_truth_ids(rt.g, rec) for rec in records]
-    candidates = rt.candidate_set()
 
     def build(rec, budget, mode):
         cfg = dataclasses.replace(rt.cfg, mode=mode, schema_budget=budget, closed_budget=budget)
-        return schema_for_record(dataclasses.replace(rt, cfg=cfg), rec, candidates=candidates)
+        return schema_for_record(dataclasses.replace(rt, cfg=cfg), rec)
 
     def rebuild_oracle(mode):
         """Recount the curve over real per-budget rebuilds."""

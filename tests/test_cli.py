@@ -512,6 +512,20 @@ MALFORMED_INPUT = {
         "schema", "--set", None, "curve_budgets=a,b",
         "--set curve_budgets: invalid literal for int() with base 10: 'a'",
     ),
+    "set-closed-budget-zero": (
+        "schema --mode closed", "--set", None, "closed_budget=0",
+        "dimensions and budgets must be positive",
+    ),
+    "set-one-hop-cap-negative": (
+        "schema", "--set", None, "one_hop_cap=-1", "one_hop_cap and epoch counts must be >= 0"
+    ),
+    "set-schema-budget-below-key-count": (
+        "schema", "--set", None, "schema_budget=1", "q0000: budget 1 cannot hold the 2 key nodes"
+    ),
+    "set-prune-target-below-key-count": (
+        "train", "--set", None, "prune_target=1",
+        "q0016: prune target 1 cannot hold the 2 key nodes",
+    ),
     "synth-hop-mix-not-a-number": (
         "synth", "--hop-mix", None, "x:1",
         "--hop-mix x:1: invalid literal for int() with base 10: 'x'",

@@ -135,12 +135,11 @@ def test_hit_rate_curve_matches_rebuild_oracle(small_suite):
         load_config(small_suite / "suite.config", {"one_hop_cap": "6"}), need_vectors=False
     )
     budgets = [2, 3, 4, 5, 8, 13, 20, 40, 60]
-    candidates = rt.candidate_set()
     for mode in ("open", "closed"):
 
         def build(rec, budget):
             cfg = dataclasses.replace(rt.cfg, mode=mode, schema_budget=budget, closed_budget=budget)
-            return schema_for_record(dataclasses.replace(rt, cfg=cfg), rec, candidates=candidates)
+            return schema_for_record(dataclasses.replace(rt, cfg=cfg), rec)
 
         records = [rec for rec in rt.queries if build(rec, budgets[-1]) is not None]
         full = [build(rec, budgets[-1]) for rec in records]

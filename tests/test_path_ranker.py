@@ -1,5 +1,6 @@
 import itertools
 import random
+from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -7,6 +8,9 @@ import pytest
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from kgpath.neural import Adam, ScoringModel, bce_loss, cosine_rows
 from kgpath.paths import (
+    MAX_ATTEMPT_FACTOR,
+    WALK_STOP_PROB,
+    PathBatch,
     _forward_paths,
     aggregate_answers,
     mix_seed,
@@ -18,7 +22,8 @@ from kgpath.paths import (
     staged_training,
     train_joint_step,
 )
-from kgpath.pruning import PrunedGraph, QuerySample, prune_from_scores
+from kgpath.pruning import PrunedGraph, QuerySample, bfs_scores, prune_from_scores
+from kgpath.schema import LocalAdjacency
 
 from test_pruning import make_sg, providers, random_local_graph, sym
 
@@ -214,10 +219,10 @@ def reference_sample_paths(pg, n_paths, k, seed):
 
 def listed_walks(sg, roots, k, cap):
     """The walks ``simple_walks`` lists, with row positions mapped to entity
-    ids; its count must match the list and a counting-only run."""
+    ids; its count must match the list."""
     flat_nodes, flat_rels, lengths = [], [], []
     count = simple_walks(sg.adjacency(), roots, k, cap, (flat_nodes, flat_rels, lengths))
-    assert count == len(lengths) == simple_walks(sg.adjacency(), roots, k, cap)
+    assert count == len(lengths)
     ids = sg.nodes.tolist()
     walks, at_node, at_rel = [], 0, 0
     for n in lengths:
@@ -247,6 +252,175 @@ def test_sampler_matches_reference_loop():
                         assert len(sigs(got)) == total and set(sigs(got)) == universe
                         exact += total > 0
     assert exact > 50  # the exact route is exercised, not just the sampler
+
+
+# The two-pass route as it stood before the walk collector became one listing
+# DFS, copied verbatim: a counting-only pass up to ``n_paths + 1`` walks, then
+# a listing pass when the graph fits. The one-pass route must give the same
+# batch bytes on both the exact and the sampled route.
+
+
+def two_pass_simple_walks(
+    adj: LocalAdjacency,
+    roots: Sequence[int],
+    k: int,
+    cap: int,
+    out: Optional[tuple[list[int], list[int], list[int]]] = None,
+) -> int:
+    """Count the first ``cap`` distinct simple walks of 1..k edges from
+    ``roots`` over ``adj``; given ``out`` = (nodes, rels, lengths) flat lists,
+    also append each walk's row positions, relations and step count.
+
+    The DFS takes the roots in the given order and each row's edges in
+    adjacency order, and lists a walk before its extensions. A repeated
+    (head, relation, tail) edge would give the same walk twice, so each row
+    takes only the first of its equal (neighbour, relation) edges.
+    """
+    indptr = adj.indptr.tolist()
+    nbr = adj.nbr.tolist()
+    rel = adj.rel.tolist()
+    rows: dict[int, list[tuple[int, int]]] = {}  # row -> distinct (neighbour, relation)
+    count = 0
+
+    def extend(nodes: tuple[int, ...], rels: tuple[int, ...]) -> bool:
+        nonlocal count
+        u = nodes[-1]
+        steps = rows.get(u)
+        if steps is None:
+            lo, hi = indptr[u], indptr[u + 1]
+            steps = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
+        if out is None and len(rels) + 1 == k:
+            # counting at the last step: each edge that does not revisit ends a walk
+            count += sum([v not in nodes for v, _ in steps])
+            return count >= cap
+        for v, r in steps:
+            if v in nodes:
+                continue
+            count += 1
+            if out is not None:
+                out[0].extend(nodes)
+                out[0].append(v)
+                out[1].extend(rels)
+                out[1].append(r)
+                out[2].append(len(rels) + 1)
+            if count >= cap or (len(rels) + 1 < k and extend(nodes + (v,), rels + (r,))):
+                return True
+        return False
+
+    if cap > 0:
+        for root in roots:
+            if extend((root,), ()):
+                break
+    return min(count, cap)
+
+
+def two_pass_sample_paths(
+    pg: PrunedGraph,
+    n_paths: int = 200,
+    k: int = 3,
+    seed: int = 0,
+) -> PathBatch:
+    """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
+
+    A graph that holds at most ``n_paths`` such walks yields all of them, in
+    ``simple_walks`` order from the key nodes sorted by id, and draws no
+    random number; the walks are counted before any is listed. A larger graph
+    yields seeded random walks: sampling stops after ``n_paths`` distinct
+    paths or after ``20 * n_paths`` attempts, and zero-length walks
+    (immediate dead end) are discarded. A graph without usable edges yields
+    an empty batch.
+    """
+    base = pg.base
+    key_pos = base.key_rows().tolist()
+    if not key_pos:
+        raise ValueError("pruned graph has no key node to root paths at")
+    adj = base.adjacency()
+    flat_nodes: list[int] = []
+    flat_rels: list[int] = []
+    lengths: list[int] = []
+
+    if two_pass_simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths:
+        two_pass_simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
+        return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
+
+    indptr = adj.indptr.tolist()
+    nbr = adj.nbr.tolist()
+    rel = adj.rel.tolist()
+    unit = random.Random(seed).random  # scaled unit draws beat randrange here
+    n_keys = len(key_pos)
+    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
+    attempts = 0
+    max_attempts = MAX_ATTEMPT_FACTOR * n_paths
+    while len(lengths) < n_paths and attempts < max_attempts:
+        attempts += 1
+        cur = key_pos[int(unit() * n_keys)]
+        walk = [cur]  # row positions; at most k + 1, so a list beats a set
+        rel_seq: list[int] = []
+        while True:
+            lo = indptr[cur]
+            n_out = indptr[cur + 1] - lo
+            # Rejection sampling stays uniform over non-revisiting edges and
+            # avoids building a filtered list on every hop; fall back to the
+            # explicit filter when rejections pile up.
+            step = -1
+            if n_out:
+                for _ in range(8):
+                    j = lo + int(unit() * n_out)
+                    if nbr[j] not in walk:
+                        step = j
+                        break
+                else:
+                    options = [j for j in range(lo, lo + n_out) if nbr[j] not in walk]
+                    if options:
+                        step = options[int(unit() * len(options))]
+            if step < 0:
+                break
+            cur = nbr[step]
+            walk.append(cur)
+            rel_seq.append(rel[step])
+            if len(rel_seq) >= k or unit() < WALK_STOP_PROB:
+                break
+        if not rel_seq:
+            continue
+        sig = (tuple(walk), tuple(rel_seq))
+        if sig in seen:
+            continue
+        seen.add(sig)
+        flat_nodes += walk
+        flat_rels += rel_seq
+        lengths.append(len(rel_seq))
+    return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
+
+
+def batch_bytes(batch):
+    """dtype, shape and bytes of each array of a batch."""
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (batch.rows, batch.paths, batch.rels)]
+
+
+def test_one_pass_walks_match_two_pass_route_bytes():
+    rng = np.random.default_rng(46)
+    routes = {"exact": 0, "sampled": 0}
+    for trial in range(60):
+        sg = random_local_graph(
+            rng,
+            max_nodes=(8, 14)[trial % 2],
+            max_edges=(16, 40)[trial % 2],
+            duplicates=trial % 3 == 0,
+        )
+        # a real pruned graph: a shuffled subset of the rows, keys kept
+        n_keys = len(sg.key_ids())
+        target = int(rng.integers(n_keys, sg.n_nodes + 1))
+        pg = prune_from_scores(sg, rng.uniform(-1, 1, sg.n_nodes), bfs_scores(sg), 0.3, target)
+        for k in (1, 2, 3):
+            total = len(enumerate_simple_walks(pg.base, k))
+            for n_paths in sorted({1, total - 1, total, total + 1} - {-1, 0}):
+                for seed in (0, 1, 2):
+                    got = sample_paths(pg, n_paths, k, seed)
+                    want = two_pass_sample_paths(pg, n_paths, k, seed)
+                    assert got.qid == want.qid
+                    assert batch_bytes(got) == batch_bytes(want), (trial, k, n_paths, seed)
+                    routes["exact" if n_paths >= total else "sampled"] += total > 0
+    assert min(routes.values()) > 200, routes  # both routes are exercised
 
 
 def itertools_walks(sg, k):
