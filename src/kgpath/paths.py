@@ -97,18 +97,18 @@ def pack_paths(
     k: int,
 ) -> PathBatch:
     """A batch from flat lists, path after path: ``nodes`` holds each path's
-    row positions in ``pg.base`` (root first), ``rels`` its relations and
-    ``lengths`` its step count (at most ``k``)."""
+    row positions in the schema graph ``pg.sg`` (root first), ``rels`` its
+    relations and ``lengths`` its step count (at most ``k``)."""
     lengths = np.asarray(lengths, dtype=np.intp)
     at = np.asarray(nodes, dtype=np.intp)
     node_cells = np.arange(k + 1) <= lengths[:, None]
     rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
-    rows[node_cells] = pg.rows[at]
+    rows[node_cells] = at
     paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
-    paths[node_cells] = pg.base.nodes[at]
+    paths[node_cells] = pg.sg.nodes[at]
     rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
     rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(qid=pg.base.qid, rows=rows, paths=paths, rels=rel_cells)
+    return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=rel_cells)
 
 
 def simple_walks(
@@ -178,11 +178,10 @@ def sample_paths(
     ``20 * n_paths`` attempts, and zero-length walks (immediate dead end) are
     discarded. A graph without usable edges yields an empty batch.
     """
-    base = pg.base
-    key_pos = base.key_rows().tolist()
+    key_pos = pg.sg.key_rows().tolist()
     if not key_pos:
         raise ValueError("pruned graph has no key node to root paths at")
-    adj = base.adjacency()
+    adj = pg.sg.adjacency().restricted(pg.rows)
     listed: tuple[list[int], list[int], list[int]] = ([], [], [])
     if simple_walks(adj, key_pos, k, n_paths + 1, listed) <= n_paths:
         return pack_paths(pg, *listed, k)

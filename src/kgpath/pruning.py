@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -37,16 +38,18 @@ from .schema import SchemaGraph
 
 @dataclass
 class PrunedGraph:
-    """Surviving nodes ordered by descending prune score, with their scores.
+    """Surviving rows of the schema graph ``sg``, ordered by descending prune
+    score, with their scores; ``base`` is built from them on first read."""
 
-    ``rows[i]`` is the row of ``base.nodes[i]`` in the unpruned schema graph.
-    """
-
-    base: SchemaGraph
+    sg: SchemaGraph
     rows: np.ndarray
     s_cos: np.ndarray
     s_bfs: np.ndarray
     s_prune: np.ndarray
+
+    @cached_property
+    def base(self) -> SchemaGraph:
+        return self.sg.restricted_to(self.rows)
 
     def to_json_obj(self, g: KnowledgeGraph, gt: Iterable[int] = ()) -> dict:
         obj = self.base.to_json_obj(g, gt)
@@ -59,18 +62,17 @@ class PrunedGraph:
 
 def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     """Multi-source BFS proximity from the key nodes, aligned to ``sg.nodes``."""
-    frontier = sg.key_rows()
-    if not frontier.size:
+    keys = sg.key_rows()
+    if not keys.size:
         raise ValueError("schema graph has no key nodes")
     adj = sg.adjacency()
     dist = np.full(sg.n_nodes, -1, dtype=np.int64)
-    dist[frontier] = 0
+    dist[keys] = 0
     hops = 0
-    while frontier.size:
+    while (dist == hops).any():
         hops += 1
-        reached = adj.nbr[adj.out_slots(frontier)]
+        reached = adj.nbr[dist[adj.head] == hops - 1]
         dist[reached[dist[reached] < 0]] = hops
-        frontier = np.flatnonzero(dist == hops)
     return np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
 
 
@@ -100,7 +102,7 @@ def prune_from_scores(
     """Keep the ``target`` best nodes under the blended prune score.
 
     Key nodes are always retained; ties break toward higher BFS score, then
-    lower entity id. Edges are restricted to the survivors.
+    lower entity id.
     """
     if not 0.0 <= theta_p <= 1.0:
         raise ValueError("theta_p must lie in [0, 1]")
@@ -118,7 +120,7 @@ def prune_from_scores(
     is_key = key_row[order]
     idx = order[is_key | (np.cumsum(~is_key) <= min(target, sg.n_nodes) - key_rows.size)]
     return PrunedGraph(
-        base=sg.restricted_to(idx),
+        sg=sg,
         rows=idx,
         s_cos=s_cos[idx],
         s_bfs=s_bfs[idx],
@@ -301,5 +303,5 @@ def dump_pruned_graphs(
     gt_by_qid = gt_by_qid or {}
     with atomic_write(path) as f:
         for pg in pruned:
-            obj = pg.to_json_obj(g, gt_by_qid.get(pg.base.qid, ()))
+            obj = pg.to_json_obj(g, gt_by_qid.get(pg.sg.qid, ()))
             f.write(json.dumps(obj, sort_keys=True) + "\n")

@@ -44,19 +44,22 @@ _TYPE_BY_NAME = {t.name: t for t in NodeType}
 
 @dataclass(frozen=True)
 class LocalAdjacency:
-    """CSR over a schema graph's row positions: the out-edges of row ``i``
-    go to rows ``nbr[indptr[i]:indptr[i + 1]]`` by relations ``rel[...]``."""
+    """CSR over a schema graph's row positions: slots ``indptr[i]:indptr[i + 1]``
+    are the out-edges of row ``i``, from ``head`` to ``nbr`` by ``rel``."""
 
     indptr: np.ndarray
+    head: np.ndarray
     nbr: np.ndarray
     rel: np.ndarray
 
-    def out_slots(self, rows: np.ndarray) -> np.ndarray:
-        """Indices into ``nbr``/``rel`` of every out-edge of ``rows``, row by row."""
-        starts = self.indptr[rows]
-        counts = self.indptr[rows + 1] - starts
-        offsets = np.repeat(starts - (np.cumsum(counts) - counts), counts)
-        return offsets + np.arange(offsets.size)
+    def restricted(self, rows: np.ndarray) -> "LocalAdjacency":
+        """The edges between ``rows`` only, same row numbering and slot order."""
+        kept = np.zeros(self.indptr.size - 1, dtype=bool)
+        kept[rows] = True
+        keep = kept[self.head] & kept[self.nbr]
+        indptr = np.zeros_like(self.indptr)
+        np.cumsum(np.bincount(self.head[keep], minlength=kept.size), out=indptr[1:])
+        return LocalAdjacency(indptr, self.head[keep], self.nbr[keep], self.rel[keep])
 
 
 @dataclass
@@ -82,7 +85,6 @@ class SchemaGraph:
     v_nodes: frozenset[int]
     build_rank: Optional[np.ndarray] = None
     _node_set: Optional[frozenset[int]] = field(default=None, repr=False)
-    _edge_rows: Optional[tuple[np.ndarray, np.ndarray]] = field(default=None, repr=False)
     _adjacency: Optional[LocalAdjacency] = field(default=None, repr=False)
     _key_rows: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -101,16 +103,14 @@ class SchemaGraph:
 
     def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Row positions of every edge's head and tail, in edge order."""
-        if self._edge_rows is None:
-            ends = np.concatenate([self.nodes, self.edges_head, self.edges_tail])
-            # int32 rows halve the cache every prepared sample keeps
-            row_of = np.full(int(ends.max(initial=-1)) + 1, -1, dtype=np.int32)
-            row_of[self.nodes] = np.arange(self.n_nodes)
-            head, tail = row_of[self.edges_head], row_of[self.edges_tail]
-            if (head < 0).any() or (tail < 0).any():
-                raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
-            self._edge_rows = head, tail
-        return self._edge_rows
+        ends = np.concatenate([self.nodes, self.edges_head, self.edges_tail])
+        # int32 rows halve the adjacency every prepared sample keeps
+        row_of = np.full(int(ends.max(initial=-1)) + 1, -1, dtype=np.int32)
+        row_of[self.nodes] = np.arange(self.n_nodes)
+        head, tail = row_of[self.edges_head], row_of[self.edges_tail]
+        if (head < 0).any() or (tail < 0).any():
+            raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
+        return head, tail
 
     def adjacency(self) -> LocalAdjacency:
         """Out-edges by row position, self-loops left out.
@@ -127,7 +127,7 @@ class SchemaGraph:
             indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
             np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
             self._adjacency = LocalAdjacency(
-                indptr=indptr, nbr=tail[by_head], rel=rel[by_head].astype(np.int32)
+                indptr, head[by_head], tail[by_head], rel[by_head].astype(np.int32)
             )
         return self._adjacency
 
@@ -149,8 +149,7 @@ class SchemaGraph:
         kept[rows] = True
         head, tail = self.edge_rows()
         mask = kept[head] & kept[tail]
-        key_rows = self.key_rows()
-        keys = self.nodes[key_rows[kept[key_rows]]].tolist()
+        keys = self.nodes[rows].tolist()
         return SchemaGraph(
             qid=self.qid,
             nodes=self.nodes[rows],

@@ -135,15 +135,15 @@ N_BATCHES = 240
 
 def random_case(rng, trial):
     """An unpruned graph of entity ids, a pruned graph over a shuffled subset
-    of its rows, and a batch of paths over the pruned rows, as flat lists
-    and as reference objects. Paths need not be simple: the scoring route
+    of its rows, and a batch of paths over the kept rows, as flat lists of
+    unpruned row positions and as reference objects. Paths need not be simple: the scoring route
     does not care, and repeats make one row appear at several steps."""
     n_rows = int(rng.integers(1, 9))
     ids = rng.choice(10_000, size=n_rows, replace=False).astype(np.int64)
     kept = rng.permutation(n_rows)[: int(rng.integers(1, n_rows + 1))]
     sg = SimpleNamespace(nodes=ids, qid=f"q{trial}")
     pg = PrunedGraph(
-        base=SimpleNamespace(nodes=ids[kept], qid=sg.qid),
+        sg=sg,
         rows=kept,
         s_cos=np.zeros(kept.size),
         s_bfs=np.zeros(kept.size),
@@ -162,16 +162,16 @@ def random_case(rng, trial):
         lengths = [K] * n  # only k-step paths
     else:
         lengths = [int(x) for x in rng.integers(1, K + 1, size=n)]
-    hot = int(rng.integers(kept.size))
+    hot = int(kept[rng.integers(kept.size)])
     flat_nodes, flat_rels, paths = [], [], []
     for length in lengths:
-        walk = [int(x) for x in rng.integers(kept.size, size=length + 1)]
+        walk = [int(kept[x]) for x in rng.integers(kept.size, size=length + 1)]
         if shape == 3:  # one row reached by many paths at different steps
             walk[int(rng.integers(1, length + 1))] = hot
         rels = [int(x) for x in rng.integers(5, size=length)]
         flat_nodes += walk
         flat_rels += rels
-        paths.append((tuple(int(ids[kept[p]]) for p in walk), tuple(rels)))
+        paths.append((tuple(int(ids[p]) for p in walk), tuple(rels)))
     # scores from a small set, signed zeros included, so ties are common
     scores = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0], size=n)
     if trial % 2:

@@ -31,7 +31,7 @@ from test_pruning import make_sg, providers, random_local_graph, sym
 def as_pruned(sg):
     n = sg.n_nodes
     return PrunedGraph(
-        base=sg, rows=np.arange(n), s_cos=np.zeros(n), s_bfs=np.zeros(n), s_prune=np.zeros(n)
+        sg=sg, rows=np.arange(n), s_cos=np.zeros(n), s_bfs=np.zeros(n), s_prune=np.zeros(n)
     )
 
 
@@ -257,7 +257,31 @@ def test_sampler_matches_reference_loop():
 # The two-pass route as it stood before the walk collector became one listing
 # DFS, copied verbatim: a counting-only pass up to ``n_paths + 1`` walks, then
 # a listing pass when the graph fits. The one-pass route must give the same
-# batch bytes on both the exact and the sampled route.
+# batch bytes on both the exact and the sampled route. The copy walks the
+# pruned graph's own ``base`` numbering, so it keeps the ``pack_paths`` of its
+# time, which maps those positions back through ``pg.rows``.
+
+
+def two_pass_pack_paths(
+    pg: PrunedGraph,
+    nodes: Sequence[int],
+    rels: Sequence[int],
+    lengths: Sequence[int],
+    k: int,
+) -> PathBatch:
+    """A batch from flat lists, path after path: ``nodes`` holds each path's
+    row positions in ``pg.base`` (root first), ``rels`` its relations and
+    ``lengths`` its step count (at most ``k``)."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    at = np.asarray(nodes, dtype=np.intp)
+    node_cells = np.arange(k + 1) <= lengths[:, None]
+    rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
+    rows[node_cells] = pg.rows[at]
+    paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
+    paths[node_cells] = pg.base.nodes[at]
+    rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
+    rel_cells[np.arange(k) < lengths[:, None]] = rels
+    return PathBatch(qid=pg.base.qid, rows=rows, paths=paths, rels=rel_cells)
 
 
 def two_pass_simple_walks(
@@ -341,7 +365,7 @@ def two_pass_sample_paths(
 
     if two_pass_simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths:
         two_pass_simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
-        return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
+        return two_pass_pack_paths(pg, flat_nodes, flat_rels, lengths, k)
 
     indptr = adj.indptr.tolist()
     nbr = adj.nbr.tolist()
@@ -389,7 +413,7 @@ def two_pass_sample_paths(
         flat_nodes += walk
         flat_rels += rel_seq
         lengths.append(len(rel_seq))
-    return pack_paths(pg, flat_nodes, flat_rels, lengths, k)
+    return two_pass_pack_paths(pg, flat_nodes, flat_rels, lengths, k)
 
 
 def batch_bytes(batch):

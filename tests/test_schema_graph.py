@@ -282,9 +282,19 @@ def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
             want = [(int(t), int(r)) for h, r, t in
                     zip(sg.edges_head, sg.edges_rel, sg.edges_tail) if h == eid and t != eid]
             assert got == want
+        heads = [i for i in range(sg.n_nodes) for _ in range(adj.indptr[i], adj.indptr[i + 1])]
+        assert adj.head.tolist() == heads
         rows = np.arange(sg.n_nodes)[rng.random(sg.n_nodes) < 0.5]
-        slots = adj.out_slots(rows)
-        assert slots.tolist() == [j for i in rows for j in range(adj.indptr[i], adj.indptr[i + 1])]
+        sub = adj.restricted(rows)
+        kept = set(rows.tolist())
+        for i in range(sg.n_nodes):
+            lo, hi = adj.indptr[i], adj.indptr[i + 1]
+            want = [(int(t), int(r)) for t, r in zip(adj.nbr[lo:hi], adj.rel[lo:hi])
+                    if i in kept and int(t) in kept]
+            lo, hi = sub.indptr[i], sub.indptr[i + 1]
+            assert [(int(t), int(r)) for t, r in zip(sub.nbr[lo:hi], sub.rel[lo:hi])] == want
+            assert (sub.head[lo:hi] == i).all()
+        assert sub.indptr[-1] == sub.head.size == sub.nbr.size == sub.rel.size
 
 
 def test_adjacency_rejects_edge_outside_the_nodes():
