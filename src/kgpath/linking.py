@@ -44,6 +44,8 @@ class QueryRecord:
     split: str = "train"
 
     def __post_init__(self):
+        if self.split not in ("train", "test"):
+            raise ValueError(f"{self.qid}: split must be train or test, got {self.split!r}")
         for _, conf in self.scene_labels:
             if not 0.0 <= conf <= 1.0:
                 raise ValueError(f"{self.qid}: label confidence {conf} outside [0,1]")

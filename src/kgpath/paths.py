@@ -1,10 +1,12 @@
 """Inference-path sampling, scoring, and joint training.
 
 Paths are simple walks of at most k steps rooted at key nodes of the pruned
-graph. A graph holding at most ``n_paths`` distinct walks yields all of them,
-listed by DFS; a larger one yields seeded random walks (uniform start among
-key nodes, uniform edge choice among edges that do not revisit a node, 1/3
-stop chance after each step).
+graph. A pruned graph is a set of surviving rows over its schema graph, so
+walks run over the schema graph's one adjacency restricted to those rows, and
+a walk's nodes are schema-graph rows from the start. A graph holding at most
+``n_paths`` distinct walks yields all of them, listed by DFS; a larger one
+yields seeded random walks (uniform start among key nodes, uniform edge choice
+among edges that do not revisit a node, 1/3 stop chance after each step).
 
 A batch of n paths is held as padded arrays, one row per path: ``rows``
 (n, k+1) are the walked nodes' row positions in the unpruned schema graph,
@@ -39,6 +41,7 @@ from .neural import Adam, ScoringModel, bce_loss_backward, cosine_rows, make_opt
 from .pruning import (
     PrunedGraph,
     QuerySample,
+    check_prune_target,
     prune,
     prune_from_scores,
     rank_by_score,
@@ -98,7 +101,8 @@ def pack_paths(
 ) -> PathBatch:
     """A batch from flat lists, path after path: ``nodes`` holds each path's
     row positions in the schema graph ``pg.sg`` (root first), ``rels`` its
-    relations and ``lengths`` its step count (at most ``k``)."""
+    relations and ``lengths`` its step count (at most ``k``). The rows are
+    stored as they are and their entity ids read from ``pg.sg.nodes``."""
     lengths = np.asarray(lengths, dtype=np.intp)
     at = np.asarray(nodes, dtype=np.intp)
     node_cells = np.arange(k + 1) <= lengths[:, None]
@@ -446,8 +450,11 @@ def staged_training(
     During phase one only the node encoder is updated; the path networks stay
     bit-identical to their initialization. Per-epoch metrics (losses and
     training node R@1) are returned and, when ``log_path`` is given, appended
-    there as JSON lines.
+    there as JSON lines. A ``target`` too small for some sample's key nodes
+    is an ``InputError`` before any epoch runs.
     """
+    for sample in train_samples:
+        check_prune_target(sample.sg, target)
     optimizer = make_optimizer(optimizer, lr)
     order_rng = np.random.default_rng(mix_seed(seed, "epoch-order"))
     metrics: list[dict] = []

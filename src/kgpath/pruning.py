@@ -39,7 +39,13 @@ from .schema import SchemaGraph
 @dataclass
 class PrunedGraph:
     """Surviving rows of the schema graph ``sg``, ordered by descending prune
-    score, with their scores; ``base`` is built from them on first read."""
+    score, with their scores.
+
+    ``rows`` index ``sg`` and hold every key row; walks run over
+    ``sg.adjacency().restricted(rows)``. ``base``, the survivors as a graph
+    of their own (``base.nodes[i]`` is ``sg.nodes[rows[i]]``), is built the
+    first time it is read.
+    """
 
     sg: SchemaGraph
     rows: np.ndarray
@@ -92,6 +98,14 @@ def prune(
     return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos
 
 
+def check_prune_target(sg: SchemaGraph, target: int) -> None:
+    """An ``InputError`` naming the question if ``target`` nodes cannot hold
+    its key nodes, which pruning always keeps."""
+    n_keys = sg.key_rows().size
+    if target < n_keys:
+        raise InputError(msg=f"{sg.qid}: prune target {target} cannot hold the {n_keys} key nodes")
+
+
 def prune_from_scores(
     sg: SchemaGraph,
     s_cos: np.ndarray,
@@ -106,11 +120,8 @@ def prune_from_scores(
     """
     if not 0.0 <= theta_p <= 1.0:
         raise ValueError("theta_p must lie in [0, 1]")
+    check_prune_target(sg, target)
     key_rows = sg.key_rows()
-    if target < key_rows.size:
-        raise InputError(
-            msg=f"{sg.qid}: prune target {target} cannot hold the {key_rows.size} key nodes"
-        )
     s_prune = theta_p * s_bfs + (1.0 - theta_p) * s_cos
     order = np.lexsort((sg.nodes, -s_bfs, -s_prune))
 

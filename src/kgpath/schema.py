@@ -45,7 +45,8 @@ _TYPE_BY_NAME = {t.name: t for t in NodeType}
 @dataclass(frozen=True)
 class LocalAdjacency:
     """CSR over a schema graph's row positions: slots ``indptr[i]:indptr[i + 1]``
-    are the out-edges of row ``i``, from ``head`` to ``nbr`` by ``rel``."""
+    are the out-edges of row ``i``, from ``head`` to ``nbr`` by ``rel``. Each
+    schema graph builds one; a pruned graph walks a ``restricted`` copy."""
 
     indptr: np.ndarray
     head: np.ndarray

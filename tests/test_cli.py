@@ -468,6 +468,10 @@ MALFORMED_INPUT = {
         "q0001: answer count must be >= 1",
     ),
     "queries-not-utf8": ("train", "queries", 2, not_utf8, "not UTF-8 text"),
+    "queries-split": (
+        "train", "queries", 2, json_edit(replaced("split", "tset")),
+        "q0001: split must be train or test, got 'tset'",
+    ),
     "text_features-missing-entity": (
         "train", "text_features", 2, json_edit(without("entity")), "missing field 'entity'"
     ),
@@ -524,7 +528,7 @@ MALFORMED_INPUT = {
     ),
     "set-prune-target-below-key-count": (
         "train", "--set", None, "prune_target=1",
-        "q0016: prune target 1 cannot hold the 2 key nodes",
+        "q0000: prune target 1 cannot hold the 2 key nodes",
     ),
     "synth-hop-mix-not-a-number": (
         "synth", "--hop-mix", None, "x:1",
@@ -602,6 +606,18 @@ def test_malformed_input_is_one_line_error(suite, good_inputs, tmp_path, capsys,
     assert rc == 1
     (line,) = error_lines(capsys)
     assert line.startswith(prefix + message)
+
+
+def test_prune_target_below_key_count_fails_before_any_epoch(suite, tmp_path, capsys):
+    root, out = suite
+    train_out = tmp_path / "train"
+    capsys.readouterr()
+    rc = main(["train", *run_args(train_out, out, ["--set", "prune_target=1"])])
+    assert rc == 1
+    metrics = train_out / "metrics.jsonl"
+    assert not metrics.exists() or metrics.read_text() == ""  # no epoch ran
+    (line,) = error_lines(capsys)
+    assert line == "error: q0000: prune target 1 cannot hold the 2 key nodes"
 
 
 def test_export_dot_structure(tmp_path):
