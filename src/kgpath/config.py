@@ -214,6 +214,29 @@ def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
         raise not_utf8(path) from None
 
 
+#: Characters per block of the loaders that read with ``read_blocks``.
+BLOCK_CHARS = 1 << 16
+
+
+def read_blocks(path: Path | str, chars: int) -> Iterator[tuple[int, list[str]]]:
+    """``(number of the first line, lines)`` for each block of whole lines of
+    about ``chars`` characters of a UTF-8 text file.
+
+    Lines keep their ending and nothing is skipped, so a caller parsing a
+    block in bulk applies the blank-line and comment rules of ``read_lines``
+    itself. A byte that is not UTF-8 raises ``InputError(path, lineno,
+    "not UTF-8 text")`` when its block is read.
+    """
+    lineno = 1
+    try:
+        with open(path, encoding="utf-8") as f:
+            while lines := f.readlines(chars):
+                yield lineno, lines
+                lineno += len(lines)
+    except UnicodeDecodeError:
+        raise not_utf8(path) from None
+
+
 def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:
     """``build`` applied to each object of a JSON Lines file read by
     ``read_lines``.

@@ -6,6 +6,12 @@ precomputed vectors through the loaders here. A hash-stub mode and a zero mode
 stand in for the text-feature file when none is available; ``planted_context``
 plants the learnable query/entity alignments of :mod:`kgpath.synth` suites.
 
+The entity-embedding file is read in blocks (``config.read_blocks``): each
+block drops the rows of surfaces outside the graph and parses the rest with
+one ``np.loadtxt``. A block with a comment or a row that may break a rule is
+re-read line by line, so the first bad line in the file is the one reported.
+An entity given several rows keeps the last one.
+
 The hash stub's stream is defined here, not by a numpy generator: one
 blake2b of ``seed|qid`` keys the question, a splitmix64 mix of (question key,
 entity id, component) gives the uniform bits, Box-Muller turns them into
@@ -18,12 +24,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .config import InputError, read_jsonl, read_lines
+from .config import BLOCK_CHARS, InputError, read_blocks, read_jsonl
 from .kg import KnowledgeGraph
 
 
@@ -69,40 +76,127 @@ class EntityEmbeddingTable:
         return self.matrix[np.asarray(ids, dtype=np.int64)]
 
 
+#: Characters of the embedding file read per block; each block is parsed in bulk.
+_BLOCK_CHARS = BLOCK_CHARS
+
+#: Whitespace that ``np.loadtxt`` splits on among ASCII text and
+#: ``np.fromstring`` does not: a block holding one is read line by line.
+_LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
+
+
+def _parse_row(line: str, g: KnowledgeGraph, dim: int) -> Optional[tuple[int, np.ndarray]]:
+    """One embedding line as (entity id, vector); ``dim`` is the row length
+    set by the first usable row, or -1 before it.
+
+    None for a blank line or a comment (first non-blank character ``#``), as
+    ``config.read_lines`` skips them, and for a surface that names no entity
+    of ``g``: that row is ignored unparsed. This is the one statement of the
+    row rules: a ``ValueError`` names the first rule the line breaks.
+    """
+    head = line.lstrip()
+    if not head or head[0] == "#":
+        return None
+    surface, _, rest = line.rstrip("\n").partition("\t")
+    eid = g.match_entity(surface)
+    if eid is None:
+        return None
+    try:
+        vec = np.fromstring(rest, dtype=np.float64, sep=" ")
+    except ValueError:
+        raise ValueError(f"entity {surface!r}: row is not a list of numbers") from None
+    if dim < 0 and vec.shape[0] == 0:
+        raise ValueError(f"entity {surface!r}: empty embedding row")
+    if dim >= 0 and vec.shape[0] != dim:
+        raise ValueError(f"entity {surface!r}: expected {dim} values, got {vec.shape[0]}")
+    if not np.all(np.isfinite(vec)):
+        raise ValueError(f"entity {surface!r}: non-finite embedding value")
+    return eid, vec
+
+
+def _bulk_rows(
+    lines: list[str], g: KnowledgeGraph, dim: int
+) -> Optional[tuple[list, Optional[np.ndarray]]]:
+    """A block's entity ids and their rows (None if it has none), in file
+    order, as ``_parse_row`` reads them line by line.
+
+    Rows of surfaces outside ``g`` are dropped before any number is parsed;
+    the rest are parsed by one ``np.loadtxt``. None when a line is a comment
+    or a kept row may break a rule: the caller then re-reads the block line
+    by line. A blank kept row never gets through, since ``np.loadtxt`` skips
+    it and the row count then falls short.
+    """
+    text = "".join(lines)
+    if "#" in text and any(line.lstrip().startswith("#") for line in lines):
+        return None
+    parts = list(map(str.partition, lines, repeat("\t")))
+    found = g.match_entities([p[0] for p in parts])
+    ids = [eid for eid in found if eid is not None]
+    if not ids:
+        return ids, None
+    rests = [p[2] for p, eid in zip(parts, found) if eid is not None]
+    kept = "".join(rests)
+    if not kept.strip():  # loadtxt would warn of no data
+        return None
+    # loadtxt splits on more whitespace than fromstring; on ASCII text
+    # without these four they split alike and give the same values
+    if not kept.isascii() or any(c in kept for c in _LOADTXT_ONLY_SPACE):
+        return None
+    try:
+        rows = np.loadtxt(rests, dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        return None
+    if rows.shape[0] != len(ids) or (dim >= 0 and rows.shape[1] != dim):
+        return None
+    if not np.isfinite(rows).all():
+        return None
+    return ids, rows
+
+
 def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddingTable:
-    """Load ``entity<TAB>f1 f2 ... fD`` rows covering every graph entity,
-    read with ``read_lines``.
+    """Load ``entity<TAB>f1 f2 ... fD`` rows covering every graph entity.
 
     The dimension is inferred from the first row and enforced on the rest;
-    missing entities, ragged rows, and non-finite values are errors.
+    missing entities, ragged rows, and non-finite values are errors. Rows
+    whose surface names no graph entity are ignored unparsed, and an entity
+    given several rows keeps the last one. Blank lines and comments are
+    skipped as by ``read_lines``. A line that breaks a rule raises
+    ``InputError(path, lineno, reason)`` for the first such line in the file.
+
+    The file is read in blocks (``read_blocks``) that are parsed in bulk; a
+    block with a comment or a row that may break a rule is re-read line by
+    line with ``_parse_row``.
     """
     matrix: Optional[np.ndarray] = None
     seen = np.zeros(g.n_entities, dtype=bool)
-    dim = -1
-    for lineno, line in read_lines(path):
-        surface, _, rest = line.partition("\t")
-        eid = g.match_entity(surface)
-        if eid is None:
-            continue  # vectors for entities outside this graph are ignored
-        try:
-            vec = np.fromstring(rest, dtype=np.float64, sep=" ")
-        except ValueError:
-            raise InputError(
-                path, lineno, f"entity {surface!r}: row is not a list of numbers"
-            ) from None
-        if dim < 0:
-            dim = vec.shape[0]
-            if dim == 0:
-                raise InputError(path, lineno, f"entity {surface!r}: empty embedding row")
-            matrix = np.zeros((g.n_entities, dim), dtype=np.float64)
-        if vec.shape[0] != dim:
-            raise InputError(
-                path, lineno, f"entity {surface!r}: expected {dim} values, got {vec.shape[0]}"
-            )
-        if not np.all(np.isfinite(vec)):
-            raise InputError(path, lineno, f"entity {surface!r}: non-finite embedding value")
-        matrix[eid] = vec
-        seen[eid] = True
+
+    def per_line(
+        lines: list[str], first_lineno: int, dim: int
+    ) -> tuple[list, Optional[np.ndarray]]:
+        ids, vecs = [], []
+        for lineno, line in enumerate(lines, first_lineno):
+            try:
+                row = _parse_row(line, g, dim)
+            except ValueError as exc:
+                raise InputError(path, lineno, str(exc)) from None
+            if row is not None:
+                ids.append(row[0])
+                vecs.append(row[1])
+                dim = row[1].shape[0]
+        return ids, np.stack(vecs) if vecs else None
+
+    for first_lineno, lines in read_blocks(path, _BLOCK_CHARS):
+        dim = -1 if matrix is None else matrix.shape[1]
+        rows = _bulk_rows(lines, g, dim)
+        ids, vecs = rows if rows is not None else per_line(lines, first_lineno, dim)
+        if not ids:
+            continue
+        if matrix is None:
+            matrix = np.zeros((g.n_entities, vecs.shape[1]), dtype=np.float64)
+        # the last row of a repeated entity wins; numpy leaves unspecified
+        # which value a repeated index takes in one assignment
+        last = dict(zip(ids, range(len(ids))))
+        matrix[list(last)] = vecs[list(last.values())]
+        seen[ids] = True
     if matrix is None:
         raise InputError(path, msg="embedding file holds no usable rows")
     if not seen.all():

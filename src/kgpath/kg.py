@@ -6,6 +6,11 @@ neighbor queries over a ~500k-entity / ~6M-edge graph stay cheap. Every forward
 edge gets a reversed twin (``rev_<relation>``) at load time; after construction
 the graph never changes and can be shared freely across threads or forked
 workers.
+
+The edge file is read in blocks (``config.read_blocks``) that are parsed in
+bulk; a block with a comment or a bad line is re-read line by line, so the
+first bad line in the file is the one reported. One sort of packed int64
+edge keys orders the CSR.
 """
 
 from __future__ import annotations
@@ -20,7 +25,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, atomic_write, not_utf8, read_lines
+from .config import BLOCK_CHARS, InputError, atomic_write, not_utf8, read_blocks, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -176,6 +181,14 @@ class KnowledgeGraph:
         """Normalize ``text`` and return the exact-match entity id, if any."""
         return self._index.get(normalize_surface(text))
 
+    def match_entities(self, texts: list[str]) -> list[Optional[int]]:
+        """``match_entity`` of each text. A text found as written is already a
+        normalized surface, so only the others are normalized."""
+        ids = list(map(self._index.get, texts))
+        if None in ids:
+            ids = [self.match_entity(t) if i is None else i for t, i in zip(texts, ids)]
+        return ids
+
     def has_surface(self, surface: str) -> bool:
         return surface in self._index
 
@@ -260,9 +273,15 @@ def dedup_max_weight(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Collapse duplicate (head, relation, tail) int64 rows to their max weight.
 
-    Rows come back sorted by (head, tail, relation). Key packing stays well
-    inside int64 for ~500k entities and ~100 relations.
+    Rows come back sorted by (head, tail, relation). Each row is packed into
+    one int64 key ``(head * n_entities + tail) * n_relations + relation``;
+    sizes where that could overflow (``n_entities**2 * n_relations >= 2**63``)
+    raise ``InputError``.
     """
+    if n_entities**2 * n_relations >= 1 << 63:
+        raise InputError(
+            msg=f"{n_entities} entities with {n_relations} relations overflow the int64 edge key"
+        )
     if not h.size:
         return h, r, t, w
     key = (h * n_entities + t) * n_relations + r
@@ -274,7 +293,7 @@ def dedup_max_weight(
 
 
 #: Characters of the edge file read per block; each block is parsed in bulk.
-_BLOCK_CHARS = 1 << 16
+_BLOCK_CHARS = BLOCK_CHARS
 
 
 def _parse_edge_line(line: str, rel_index: dict[str, int]) -> Optional[tuple[str, int, str, float]]:
@@ -393,21 +412,15 @@ def load_graph(
             raw_ids[raw] = eid
         return np.fromiter(map(raw_ids.__getitem__, surf), dtype=np.int32, count=len(surf))
 
-    n_lines = 0
-    try:
-        with open(edge_file, encoding="utf-8") as f:
-            while lines := f.readlines(_BLOCK_CHARS):
-                rows = _bulk_rows(lines, rel_index)
-                ids = None if rows is None else ids_of(rows[0])
-                if ids is None:
-                    rows = per_line(lines, n_lines + 1)
-                    ids = ids_of(rows[0])
-                n_lines += len(lines)
-                id_blocks.append(ids)
-                rel_blocks.append(np.array(rows[1], dtype=np.int32))
-                weight_blocks.append(rows[2])
-    except UnicodeDecodeError:
-        raise not_utf8(edge_file) from None
+    for first_lineno, lines in read_blocks(edge_file, _BLOCK_CHARS):
+        rows = _bulk_rows(lines, rel_index)
+        ids = None if rows is None else ids_of(rows[0])
+        if ids is None:
+            rows = per_line(lines, first_lineno)
+            ids = ids_of(rows[0])
+        id_blocks.append(ids)
+        rel_blocks.append(np.array(rows[1], dtype=np.int32))
+        weight_blocks.append(rows[2])
 
     def joined(blocks: list[np.ndarray], dtype) -> np.ndarray:
         return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)
@@ -424,26 +437,30 @@ def load_graph(
 
     h, r, t, w = dedup_max_weight(h, r, t, w, n_ent, relations.n_total)
 
-    # Materialize reversals, then build the CSR adjacency sorted by
-    # (head, neighbor, relation). Each column is reordered and cast alone,
-    # and its int64 form dropped, to keep the transient memory down.
-    nf = relations.n_forward
-    h2 = np.concatenate([h, t])
-    t2 = np.concatenate([t, h])
-    del h, t
-    r2 = np.concatenate([r, r + nf])
-    del r
-    order = np.lexsort((r2, t2, h2))
-    offsets = np.zeros(n_ent + 1, dtype=np.int64)
-    if h2.size:
-        np.cumsum(np.bincount(h2, minlength=n_ent), out=offsets[1:])
-    del h2
-    adj_nbr = t2.astype(np.int32)[order]
-    del t2
-    adj_rel = r2.astype(np.int32)[order]
-    del r2
-    adj_weight = np.concatenate([w, w]).astype(np.float32)[order]
+    # Materialize reversals and sort once into the CSR adjacency, ordered by
+    # (head, neighbor, relation). Each directed edge is one int64 key
+    # (head * n + neighbor) * R + relation, a reversal's relation being its
+    # forward one + n_forward. The keys are distinct, so the order is unique;
+    # neighbor, relation and row offsets are decoded from the sorted keys.
+    n_rel, nf = relations.n_total, relations.n_forward
+    key = np.concatenate([(h * n_ent + t) * n_rel + r, (t * n_ent + h) * n_rel + r + nf])
+    del h, r, t
+    order = np.argsort(key)
+    key = key[order]
+    adj_weight = np.concatenate([w, w], dtype=np.float32)[order]
     del w, order
+    # The statement order is chosen for memory: gathering the weights first
+    # and decoding straight into int32 left the least freed heap behind of
+    # the orders measured on a 600k-edge graph.
+    adj_rel = np.empty(key.size, dtype=np.int32)
+    adj_nbr = np.empty(key.size, dtype=np.int32)
+    np.remainder(key, n_rel, out=adj_rel, casting="unsafe")
+    key //= n_rel
+    np.remainder(key, n_ent, out=adj_nbr, casting="unsafe")
+    key //= n_ent
+    offsets = np.zeros(n_ent + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=n_ent), out=offsets[1:])
+    del key
 
     graph = KnowledgeGraph(surfaces, relations, offsets, adj_nbr, adj_rel, adj_weight)
     logger.info(

@@ -74,11 +74,16 @@ def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     adj = sg.adjacency()
     dist = np.full(sg.n_nodes, -1, dtype=np.int64)
     dist[keys] = 0
-    hops = 0
-    while (dist == hops).any():
+    frontier, hops = keys, 0
+    while frontier.size:
         hops += 1
-        reached = adj.nbr[dist[adj.head] == hops - 1]
+        lo = adj.indptr[frontier]
+        counts = adj.indptr[frontier + 1] - lo
+        # the frontier's slots lo..hi-1, end to end
+        slots = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
+        reached = adj.nbr[slots]
         dist[reached[dist[reached] < 0]] = hops
+        frontier = np.flatnonzero(dist == hops)
     return np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
 
 

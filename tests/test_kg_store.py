@@ -6,6 +6,7 @@ from kgpath.kg import (
     DEFAULT_RELATIONS,
     KnowledgeGraph,
     RelationTable,
+    dedup_max_weight,
     load_graph,
     load_relations,
     normalize_surface,
@@ -43,6 +44,16 @@ def test_duplicate_edges_keep_max_weight(tmp_path):
     }
     rid = g.relations.id_of("relatedto")
     assert weights[(0, rid, 1)] == 1.0
+
+
+def test_edge_key_overflow_is_refused():
+    """(head * n + tail) * n_relations + relation must fit in int64."""
+    one = np.array([1], dtype=np.int64)
+    w = np.array([1.0])
+    with pytest.raises(InputError, match="2147483648 entities"):
+        dedup_max_weight(one, one, one, w, 2**31, 2)  # 2**62 * 2 == 2**63
+    h, r, t, wmax = dedup_max_weight(one, 0 * one, one, w, 2**31, 1)  # 2**62 fits
+    assert (h.tolist(), r.tolist(), t.tolist(), wmax.tolist()) == ([1], [0], [1], [1.0])
 
 
 def test_neighbors_sorted_by_neighbor_then_relation(tiny_graph):
