@@ -6,6 +6,10 @@ theta_p 0.3, dropout 0.5, lr 1e-4, 200 paths of length <= 3, 1000-node schema
 graphs with a 500-node one-hop cap, prune target 100, 40 prune + 30 joint
 epochs). Every command echoes the resolved configuration into a manifest next
 to its outputs, together with a config hash and digests of its input files.
+
+Every text input is read by ``read_blocks``, the one reader. ``read_lines``
+adds the one comment rule, and ``read_bulk`` is the one driver of the loaders
+that parse a block at once and re-parse it line by line when that declines.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import re
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -183,58 +186,82 @@ def load_config(path: Optional[Path | str], overrides: Optional[dict[str, str]] 
     return cfg
 
 
-#: The characters ``errors="surrogateescape"`` decodes undecodable bytes to.
-_ESCAPED_BYTE = re.compile("[\udc80-\udcff]")
-
-
-def not_utf8(path: Path | str) -> InputError:
-    """The error for a file that does not decode as UTF-8, naming the line of
-    its first bad byte as universal-newline reading counts lines."""
-    with open(path, encoding="utf-8", errors="surrogateescape") as f:
-        lineno = next(n for n, line in enumerate(f, 1) if _ESCAPED_BYTE.search(line))
-    return InputError(path, lineno, "not UTF-8 text")
-
-
-def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
-    """``(line number, line)`` for each line of a UTF-8 text file, the line
-    ending removed.
-
-    Blank lines (empty or whitespace only) and comments (first non-blank
-    character ``#``) are skipped. A byte that is not UTF-8 raises
-    ``InputError(path, lineno, "not UTF-8 text")``.
-    """
-    try:
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
-                head = line.lstrip()
-                if head and head[0] != "#":
-                    yield lineno, line
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
-
-
-#: Characters per block of the loaders that read with ``read_blocks``.
+#: Characters per block that ``read_blocks`` reads, looked up at each call.
 BLOCK_CHARS = 1 << 16
 
 
-def read_blocks(path: Path | str, chars: int) -> Iterator[tuple[int, list[str]]]:
+def read_blocks(path: Path | str) -> Iterator[tuple[int, list[str]]]:
     """``(number of the first line, lines)`` for each block of whole lines of
-    about ``chars`` characters of a UTF-8 text file.
+    about ``BLOCK_CHARS`` characters of a UTF-8 text file, each line with its
+    ending (``"\\n"``, by universal newlines), none skipped: the one reader.
 
-    Lines keep their ending and nothing is skipped, so a caller parsing a
-    block in bulk applies the blank-line and comment rules of ``read_lines``
-    itself. A byte that is not UTF-8 raises ``InputError(path, lineno,
-    "not UTF-8 text")`` when its block is read.
+    A line holding a byte that is not UTF-8 raises ``InputError(path,
+    lineno, "not UTF-8 text")`` after the lines before it are yielded, so
+    the first bad line in file order is the one reported.
     """
     lineno = 1
-    try:
-        with open(path, encoding="utf-8") as f:
-            while lines := f.readlines(chars):
-                yield lineno, lines
-                lineno += len(lines)
-    except UnicodeDecodeError:
-        raise not_utf8(path) from None
+    with open(path, encoding="utf-8", errors="surrogateescape") as f:
+        while lines := f.readlines(BLOCK_CHARS):
+            text = "".join(lines)
+            if not text.isascii():  # an escaped byte is a lone surrogate
+                try:
+                    text.encode("utf-8")
+                except UnicodeEncodeError as exc:
+                    bad = text.count("\n", 0, exc.start)
+                    if bad:
+                        yield lineno, lines[:bad]
+                    raise InputError(path, lineno + bad, "not UTF-8 text") from None
+            yield lineno, lines
+            lineno += len(lines)
+
+
+def _content(first_lineno: int, lines: list[str]) -> Iterator[tuple[int, str]]:
+    """The numbered lines of a block that are neither blank (whitespace only)
+    nor a comment (first non-blank character ``#``), without their ending."""
+    for lineno, line in enumerate(lines, first_lineno):
+        head = line.lstrip()
+        if head and head[0] != "#":
+            yield lineno, line.rstrip("\n")
+
+
+def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
+    """``(line number, line)`` for each line of ``read_blocks(path)`` that is
+    neither blank nor a comment, its ending removed."""
+    for first_lineno, lines in read_blocks(path):
+        yield from _content(first_lineno, lines)
+
+
+def read_bulk(path: Path | str, bulk: Callable, parse_line: Callable, gather: Callable) -> Iterator:
+    """``bulk(lines)`` for each block of ``read_blocks(path)``: the one
+    driver of the loaders that parse a block at once.
+
+    A block holding a comment, or one ``bulk`` declines (None), is parsed
+    line by line instead: ``gather`` of the ``parse_line`` results other
+    than None over the lines ``read_lines`` would yield, a ``ValueError``
+    becoming ``InputError(path, lineno, msg)``. ``bulk`` must decline a block
+    with a line that ``parse_line`` refuses, so that line is the one named.
+    """
+    for first_lineno, lines in read_blocks(path):
+        comment = "#" in "".join(lines) and any(line.lstrip()[:1] == "#" for line in lines)
+        block = None if comment else bulk(lines)
+        if block is None:
+            rows = []
+            for lineno, line in _content(first_lineno, lines):
+                try:
+                    rows.append(parse_line(line))
+                except ValueError as exc:
+                    raise InputError(path, lineno, str(exc)) from None
+            block = gather([row for row in rows if row is not None])
+        yield block
+
+
+def new_qid(obj: dict, seen: set[str]) -> str:
+    """``obj["qid"]`` as a string, added to ``seen``; a repeat raises ``ValueError``."""
+    qid = str(obj["qid"])
+    if qid in seen:
+        raise ValueError(f"duplicate qid {qid!r}")
+    seen.add(qid)
+    return qid
 
 
 def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:

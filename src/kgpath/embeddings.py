@@ -6,11 +6,13 @@ precomputed vectors through the loaders here. A hash-stub mode and a zero mode
 stand in for the text-feature file when none is available; ``planted_context``
 plants the learnable query/entity alignments of :mod:`kgpath.synth` suites.
 
-The entity-embedding file is read in blocks (``config.read_blocks``): each
-block drops the rows of surfaces outside the graph and parses the rest with
-one ``np.loadtxt``. A block with a comment or a row that may break a rule is
-re-read line by line, so the first bad line in the file is the one reported.
-An entity given several rows keeps the last one.
+The entity-embedding file is read through ``config.read_bulk``, the one
+driver of the block loaders, over the blocks of ``config.read_blocks``, the
+one reader: each block drops the rows of surfaces outside the graph and
+parses the rest with one ``np.loadtxt``. A block with a comment or a row that
+may break a rule is re-parsed line by line, so the first bad line in the file
+is the one reported. An entity given several rows keeps the last one. The
+JSON Lines inputs are read with ``config.read_jsonl`` over the same reader.
 
 The hash stub's stream is defined here, not by a numpy generator: one
 blake2b of ``seed|qid`` keys the question, a splitmix64 mix of (question key,
@@ -30,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import BLOCK_CHARS, InputError, read_blocks, read_jsonl
+from .config import InputError, new_qid, read_bulk, read_jsonl
 from .kg import KnowledgeGraph
 
 
@@ -76,27 +78,20 @@ class EntityEmbeddingTable:
         return self.matrix[np.asarray(ids, dtype=np.int64)]
 
 
-#: Characters of the embedding file read per block; each block is parsed in bulk.
-_BLOCK_CHARS = BLOCK_CHARS
-
 #: Whitespace that ``np.loadtxt`` splits on among ASCII text and
 #: ``np.fromstring`` does not: a block holding one is read line by line.
 _LOADTXT_ONLY_SPACE = "\x1c\x1d\x1e\x1f"
 
 
 def _parse_row(line: str, g: KnowledgeGraph, dim: int) -> Optional[tuple[int, np.ndarray]]:
-    """One embedding line as (entity id, vector); ``dim`` is the row length
-    set by the first usable row, or -1 before it.
+    """One embedding line, its ending removed, as (entity id, vector);
+    ``dim`` is the row length set by the first usable row, or -1 before it.
 
-    None for a blank line or a comment (first non-blank character ``#``), as
-    ``config.read_lines`` skips them, and for a surface that names no entity
-    of ``g``: that row is ignored unparsed. This is the one statement of the
-    row rules: a ``ValueError`` names the first rule the line breaks.
+    None for a surface that names no entity of ``g``: that row is ignored
+    unparsed. This is the one statement of the row rules: a ``ValueError``
+    names the first rule the line breaks.
     """
-    head = line.lstrip()
-    if not head or head[0] == "#":
-        return None
-    surface, _, rest = line.rstrip("\n").partition("\t")
+    surface, _, rest = line.partition("\t")
     eid = g.match_entity(surface)
     if eid is None:
         return None
@@ -120,14 +115,11 @@ def _bulk_rows(
     order, as ``_parse_row`` reads them line by line.
 
     Rows of surfaces outside ``g`` are dropped before any number is parsed;
-    the rest are parsed by one ``np.loadtxt``. None when a line is a comment
-    or a kept row may break a rule: the caller then re-reads the block line
-    by line. A blank kept row never gets through, since ``np.loadtxt`` skips
-    it and the row count then falls short.
+    the rest are parsed by one ``np.loadtxt``. None when a kept row may
+    break a rule: the block is then parsed line by line. A blank kept row
+    never gets through, since ``np.loadtxt`` skips it and the row count then
+    falls short.
     """
-    text = "".join(lines)
-    if "#" in text and any(line.lstrip().startswith("#") for line in lines):
-        return None
     parts = list(map(str.partition, lines, repeat("\t")))
     found = g.match_entities([p[0] for p in parts])
     ids = [eid for eid in found if eid is not None]
@@ -160,38 +152,33 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
     whose surface names no graph entity are ignored unparsed, and an entity
     given several rows keeps the last one. Blank lines and comments are
     skipped as by ``read_lines``. A line that breaks a rule raises
-    ``InputError(path, lineno, reason)`` for the first such line in the file.
+    ``InputError(path, lineno, reason)`` for the first such line in the file,
+    a line holding a byte that is not UTF-8 among them.
 
-    The file is read in blocks (``read_blocks``) that are parsed in bulk; a
-    block with a comment or a row that may break a rule is re-read line by
+    The file is read by ``read_bulk`` in blocks that are parsed in bulk; a
+    block with a comment or a row that may break a rule is re-parsed line by
     line with ``_parse_row``.
     """
     matrix: Optional[np.ndarray] = None
     seen = np.zeros(g.n_entities, dtype=bool)
+    dim = -1  # the row length, once a row has set it
 
-    def per_line(
-        lines: list[str], first_lineno: int, dim: int
-    ) -> tuple[list, Optional[np.ndarray]]:
-        ids, vecs = [], []
-        for lineno, line in enumerate(lines, first_lineno):
-            try:
-                row = _parse_row(line, g, dim)
-            except ValueError as exc:
-                raise InputError(path, lineno, str(exc)) from None
-            if row is not None:
-                ids.append(row[0])
-                vecs.append(row[1])
-                dim = row[1].shape[0]
-        return ids, np.stack(vecs) if vecs else None
+    def parse(line: str) -> Optional[tuple[int, np.ndarray]]:
+        nonlocal dim
+        row = _parse_row(line, g, dim)
+        if row is not None:
+            dim = row[1].shape[0]
+        return row
 
-    for first_lineno, lines in read_blocks(path, _BLOCK_CHARS):
-        dim = -1 if matrix is None else matrix.shape[1]
-        rows = _bulk_rows(lines, g, dim)
-        ids, vecs = rows if rows is not None else per_line(lines, first_lineno, dim)
+    def gather(rows: list[tuple[int, np.ndarray]]) -> tuple[list, Optional[np.ndarray]]:
+        return [row[0] for row in rows], np.stack([row[1] for row in rows]) if rows else None
+
+    for ids, vecs in read_bulk(path, lambda lines: _bulk_rows(lines, g, dim), parse, gather):
         if not ids:
             continue
         if matrix is None:
-            matrix = np.zeros((g.n_entities, vecs.shape[1]), dtype=np.float64)
+            dim = vecs.shape[1]
+            matrix = np.zeros((g.n_entities, dim), dtype=np.float64)
         # the last row of a repeated entity wins; numpy leaves unspecified
         # which value a repeated index takes in one assignment
         last = dict(zip(ids, range(len(ids))))
@@ -210,11 +197,13 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
 
 
 def load_contexts(path: Path | str) -> dict[str, QueryContext]:
-    """Read the ``{qid, z, v, t}`` JSON Lines context file."""
+    """Read the ``{qid, z, v, t}`` JSON Lines context file; a qid given
+    twice is refused at its second line."""
+    seen: set[str] = set()
 
     def build(obj: dict) -> QueryContext:
         return QueryContext(
-            qid=str(obj["qid"]),
+            qid=new_qid(obj, seen),
             z=np.asarray(obj["z"], dtype=np.float64),
             v=np.asarray(obj["v"], dtype=np.float64),
             t=np.asarray(obj["t"], dtype=np.float64),
@@ -257,11 +246,11 @@ class TextFeatureProvider:
             def build(obj: dict):
                 eid = g.match_entity(obj["entity"])
                 vec = np.asarray(obj["p"], dtype=np.float64)
+                where = f"text feature for ({obj['qid']}, {obj['entity']})"
                 if vec.shape != (dim,):
-                    raise InputError(
-                        msg=f"text feature for ({obj['qid']}, {obj['entity']}) has "
-                        f"shape {vec.shape}, expected dimension {dim}"
-                    )
+                    raise InputError(msg=f"{where} has shape {vec.shape}, expected dimension {dim}")
+                if not np.isfinite(vec).all():
+                    raise InputError(msg=f"{where} has a non-finite value")
                 return (str(obj["qid"]), eid), vec
 
             for key, vec in read_jsonl(path, build):

@@ -7,10 +7,11 @@ edge gets a reversed twin (``rev_<relation>``) at load time; after construction
 the graph never changes and can be shared freely across threads or forked
 workers.
 
-The edge file is read in blocks (``config.read_blocks``) that are parsed in
-bulk; a block with a comment or a bad line is re-read line by line, so the
-first bad line in the file is the one reported. One sort of packed int64
-edge keys orders the CSR.
+The edge file is read through ``config.read_bulk``, the one driver of the
+block loaders: each block of ``config.read_blocks``, the one reader, is
+parsed in bulk, and a block with a comment or a bad line is re-parsed line by
+line, so the first bad line in the file is the one reported. One sort of
+packed int64 edge keys orders the CSR.
 """
 
 from __future__ import annotations
@@ -21,11 +22,11 @@ import re
 import zipfile
 from itertools import filterfalse, repeat
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .config import BLOCK_CHARS, InputError, atomic_write, not_utf8, read_blocks, read_lines
+from .config import InputError, atomic_write, read_blocks, read_bulk, read_lines
 
 logger = logging.getLogger(__name__)
 
@@ -235,11 +236,8 @@ class KnowledgeGraph:
         disagree with each other or with the entity list, raise ``InputError``."""
         index_dir = Path(index_dir)
         ent_path, adj_path = index_dir / "entities.txt", index_dir / "adjacency.npz"
-        try:
-            # not read_lines: a normalized surface may start with "#"
-            surfaces = ent_path.read_text(encoding="utf-8").splitlines()
-        except UnicodeDecodeError:
-            raise not_utf8(ent_path) from None
+        # every line is a surface, with no comment rule: one may start with "#"
+        surfaces = [line.rstrip("\n") for _, lines in read_blocks(ent_path) for line in lines]
         relations = load_relations(index_dir / "relations.txt")
         try:
             with np.load(adj_path) as arrays:
@@ -292,21 +290,14 @@ def dedup_max_weight(
     return ht // n_entities, uniq % n_relations, ht % n_entities, wmax
 
 
-#: Characters of the edge file read per block; each block is parsed in bulk.
-_BLOCK_CHARS = BLOCK_CHARS
+def _parse_edge_line(line: str, rel_index: dict[str, int]) -> tuple[str, int, str, float]:
+    """One edge line, its ending removed, as (head, relation id, tail,
+    weight), surfaces normalized.
 
-
-def _parse_edge_line(line: str, rel_index: dict[str, int]) -> Optional[tuple[str, int, str, float]]:
-    """One edge line as (head, relation id, tail, weight), surfaces normalized.
-
-    None for a blank line or a comment (first non-blank character ``#``), as
-    ``config.read_lines`` skips them. This is the one statement of the line
-    rules: a ``ValueError`` names the first rule the line breaks.
+    This is the one statement of the line rules: a ``ValueError`` names the
+    first rule the line breaks.
     """
-    head = line.lstrip()
-    if not head or head[0] == "#":
-        return None
-    parts = line.rstrip("\n").split("\t")
+    parts = line.split("\t")
     if len(parts) != 4:
         raise ValueError(f"expected 4 tab-separated fields, got {len(parts)}")
     hs, rname, ts, wtext = parts
@@ -326,21 +317,20 @@ def _parse_edge_line(line: str, rel_index: dict[str, int]) -> Optional[tuple[str
     return hs, rid, ts, w
 
 
-def _bulk_rows(lines: list[str], rel_index: dict[str, int]) -> Optional[tuple[list, list, np.ndarray]]:
-    """A block's (interleaved head/tail surfaces, relation ids, weights).
+def _bulk_rows(
+    lines: list[str], rel_index: dict[str, int], ids_of: Callable[[list[str]], Optional[np.ndarray]]
+) -> Optional[tuple[np.ndarray, list, np.ndarray]]:
+    """A block's (interleaved head/tail ids, relation ids, weights), the ids
+    given by ``ids_of`` from the surfaces as written.
 
-    Surfaces come back as written. None when a line is a comment or may
-    break a rule: the caller then re-reads the block line by line. A blank
-    or whitespace-only line never gets through, since its relation field
-    would be blank and no relation name is.
+    None when a line may break a rule: the block is then parsed line by line.
+    A blank or whitespace-only line never gets through, since its relation
+    field would be blank and no relation name is.
     """
-    text = "".join(lines)
-    if "#" in text and any(line.lstrip().startswith("#") for line in lines):
-        return None
     if set(map(str.count, lines, repeat("\t"))) != {3}:
         return None
     # head, relation, tail, weight of every line, end to end
-    fields = text.replace("\n", "\t").split("\t")
+    fields = "".join(lines).replace("\n", "\t").split("\t")
     end = 4 * len(lines)
     rids = list(map(rel_index.get, fields[1:end:4]))
     if None in rids:
@@ -352,7 +342,8 @@ def _bulk_rows(lines: list[str], rel_index: dict[str, int]) -> Optional[tuple[li
         return None
     if not ((w >= 0) & (w < np.inf)).all():  # also false for nan
         return None
-    return fields[0:end:2], rids, w
+    ids = ids_of(fields[0:end:2])
+    return None if ids is None else (ids, rids, w)
 
 
 def load_graph(
@@ -366,11 +357,12 @@ def load_graph(
     weight, and every forward edge also yields ``tail --rev_r--> head`` with
     the same weight. Blank lines and comments (first non-blank character
     ``#``) are skipped. A line that breaks a rule raises
-    ``InputError(path, lineno, reason)`` for the first such line in the file;
-    a byte that is not UTF-8 raises it for that byte's line.
+    ``InputError(path, lineno, reason)`` for the first such line in the file,
+    a line holding a byte that is not UTF-8 among them.
 
-    The file is read in blocks that are parsed in bulk; a block with a
-    comment or a bad line is re-read line by line with ``_parse_edge_line``.
+    The file is read by ``read_bulk`` in blocks that are parsed in bulk; a
+    block with a comment or a bad line is re-parsed line by line with
+    ``_parse_edge_line``.
     """
     relations = load_relations(relation_priority_file)
     rel_index = {n: i for i, n in enumerate(relations.names)}
@@ -379,19 +371,6 @@ def load_graph(
     raw_ids: dict[str, int] = {}  # surface as written -> id
     surfaces: list[str] = []
     id_blocks, rel_blocks, weight_blocks = [], [], []
-
-    def per_line(lines: list[str], first_lineno: int) -> tuple[list, list, np.ndarray]:
-        surf, rids, ws = [], [], []
-        for lineno, line in enumerate(lines, first_lineno):
-            try:
-                row = _parse_edge_line(line, rel_index)
-            except ValueError as exc:
-                raise InputError(edge_file, lineno, str(exc)) from None
-            if row is not None:
-                surf += (row[0], row[2])
-                rids.append(row[1])
-                ws.append(row[3])
-        return surf, rids, np.array(ws, dtype=np.float64)
 
     def ids_of(surf: list[str]) -> Optional[np.ndarray]:
         """Ids of surfaces as written, numbering new normalized surfaces by
@@ -412,15 +391,19 @@ def load_graph(
             raw_ids[raw] = eid
         return np.fromiter(map(raw_ids.__getitem__, surf), dtype=np.int32, count=len(surf))
 
-    for first_lineno, lines in read_blocks(edge_file, _BLOCK_CHARS):
-        rows = _bulk_rows(lines, rel_index)
-        ids = None if rows is None else ids_of(rows[0])
-        if ids is None:
-            rows = per_line(lines, first_lineno)
-            ids = ids_of(rows[0])
+    def gather(rows: list[tuple[str, int, str, float]]) -> tuple[np.ndarray, tuple, np.ndarray]:
+        hs, rids, ts, ws = zip(*rows) if rows else ((),) * 4
+        return ids_of([s for ht in zip(hs, ts) for s in ht]), rids, np.array(ws, dtype=np.float64)
+
+    for ids, rids, w in read_bulk(
+        edge_file,
+        lambda lines: _bulk_rows(lines, rel_index, ids_of),
+        lambda line: _parse_edge_line(line, rel_index),
+        gather,
+    ):
         id_blocks.append(ids)
-        rel_blocks.append(np.array(rows[1], dtype=np.int32))
-        weight_blocks.append(rows[2])
+        rel_blocks.append(np.array(rids, dtype=np.int32))
+        weight_blocks.append(w)
 
     def joined(blocks: list[np.ndarray], dtype) -> np.ndarray:
         return np.concatenate(blocks) if blocks else np.empty(0, dtype=dtype)

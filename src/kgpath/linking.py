@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .config import InputError, read_jsonl, read_lines
+from .config import InputError, new_qid, read_jsonl, read_lines
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
 #: Question words discarded before matching. The exact list is configuration,
@@ -74,11 +74,13 @@ class KeyNodeSet:
 
 
 def load_queries(path: Path | str) -> list[QueryRecord]:
-    """Parse the JSON Lines query file."""
+    """Parse the JSON Lines query file; a qid given twice, whatever the
+    splits, is refused at its second line."""
+    seen: set[str] = set()
 
     def build(obj: dict) -> QueryRecord:
         return QueryRecord(
-            qid=str(obj["qid"]),
+            qid=new_qid(obj, seen),
             question_tokens=[(t, p) for t, p in obj.get("question_tokens", [])],
             scene_labels=[(l, float(c)) for l, c in obj.get("scene_labels", [])],
             scene_triplets=[

@@ -463,11 +463,17 @@ MALFORMED_INPUT = {
         "q0001: context vectors disagree on dimension",
     ),
     "contexts-not-utf8": ("train", "contexts", 2, not_utf8, "not UTF-8 text"),
+    "contexts-duplicate-qid": (
+        "train", "contexts", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
+    ),
     "queries-answer-count": (
         "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", 0]])),
         "q0001: answer count must be >= 1",
     ),
     "queries-not-utf8": ("train", "queries", 2, not_utf8, "not UTF-8 text"),
+    "queries-duplicate-qid": (
+        "train", "queries", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
+    ),
     "queries-split": (
         "train", "queries", 2, json_edit(replaced("split", "tset")),
         "q0001: split must be train or test, got 'tset'",
@@ -476,6 +482,10 @@ MALFORMED_INPUT = {
         "train", "text_features", 2, json_edit(without("entity")), "missing field 'entity'"
     ),
     "text_features-not-utf8": ("train", "text_features", 2, not_utf8, "not UTF-8 text"),
+    "text_features-non-finite": (
+        "train", "text_features", 2, json_edit(replaced("p", [0.5] * 11 + [float("nan")])),
+        "text feature for (q0001, ent_0007) has a non-finite value",
+    ),
     "prune-bad-json": ("prune", "schemas", 2, lambda line: line[:-1], "bad JSON: "),
     "prune-missing-key": (
         "prune", "schemas", 2, json_edit(without("key_q")), "missing field 'key_q'"

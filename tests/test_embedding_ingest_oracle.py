@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 import pytest
 
-from kgpath import embeddings
+from kgpath import config, embeddings
 from kgpath.config import InputError, read_lines
 from kgpath.embeddings import EntityEmbeddingTable, load_entity_embeddings
 from kgpath.kg import KnowledgeGraph, load_graph
@@ -203,7 +203,7 @@ def test_random_embedding_files_match_per_line_loader(tmp_path, monkeypatch, gra
     for _ in range(80):
         dim = int(rng.integers(1, 6))
         random_embedding_file(path, rng, dim, n_faults=int(rng.choice([0, 0, 0, 1, 2])))
-        monkeypatch.setattr(embeddings, "_BLOCK_CHARS", int(rng.integers(16, 400)))
+        monkeypatch.setattr(config, "BLOCK_CHARS", int(rng.integers(16, 400)))
         want = load_outcome(reference_load_entity_embeddings, path, graph)
         assert_same_outcome(want, load_outcome(load_entity_embeddings, path, graph))
         counts["error" if isinstance(want, Exception) else "matrix"] += 1
@@ -216,7 +216,7 @@ def test_repeated_entity_keeps_its_last_row(tmp_path, monkeypatch, graph):
     path = tmp_path / "emb.tsv"
     path.write_text("".join(rows) + "Foo\t7 7\nfoo\t8 8\nFOO\t9 9\n", encoding="utf-8")
     for block in (16, 64, 1 << 16):
-        monkeypatch.setattr(embeddings, "_BLOCK_CHARS", block)
+        monkeypatch.setattr(config, "BLOCK_CHARS", block)
         table = load_entity_embeddings(path, graph)
         assert table.matrix[graph.entity_id("foo")].tolist() == [9.0, 9.0]
         assert_same_outcome(reference_load_entity_embeddings(path, graph), table)
@@ -232,7 +232,7 @@ def test_comment_naming_an_entity_is_skipped(tmp_path, monkeypatch):
     for comment in ("#tag\t1 2\n", "  #tag\t1 2\n", "#Tag\t1 2\n"):
         path.write_text("x\t3 4\n" + comment, encoding="utf-8")
         for block in (16, 1 << 16):
-            monkeypatch.setattr(embeddings, "_BLOCK_CHARS", block)
+            monkeypatch.setattr(config, "BLOCK_CHARS", block)
             got = load_outcome(load_entity_embeddings, path, g)
             assert isinstance(got, InputError) and "'#tag'" in got.msg
             assert_same_outcome(load_outcome(reference_load_entity_embeddings, path, g), got)
@@ -254,7 +254,7 @@ def test_clean_file_is_parsed_in_bulk(tmp_path, monkeypatch, graph):
 
     monkeypatch.setattr(embeddings, "_parse_row", no_per_line)
     for block in (64, 1 << 16):
-        monkeypatch.setattr(embeddings, "_BLOCK_CHARS", block)
+        monkeypatch.setattr(config, "BLOCK_CHARS", block)
         assert_same_outcome(want, load_entity_embeddings(path, graph))
 
 
@@ -264,7 +264,7 @@ def test_files_larger_than_one_block(tmp_path, graph):
     rng = np.random.default_rng(7)
     lines = [f"{g[rng.integers(len(g))]}\t{row_text(rng, random_values(rng, 16))}\n"
              for g in GROUPS * 150]
-    assert sum(map(len, lines)) > 3 * embeddings._BLOCK_CHARS
+    assert sum(map(len, lines)) > 3 * config.BLOCK_CHARS
     variants = [
         lines,
         lines[:1000] + ["# a comment\n"] + lines[1000:],

@@ -14,7 +14,7 @@ from array import array
 import numpy as np
 import pytest
 
-from kgpath import kg
+from kgpath import config, kg
 from kgpath.config import InputError
 from kgpath.kg import KnowledgeGraph, dedup_max_weight, load_relations, normalize_surface
 
@@ -194,7 +194,7 @@ def test_random_edge_files_match_per_line_loader(tmp_path, monkeypatch, seed):
         n_lines = int(rng.integers(1, 120))
         n_faults = int(rng.choice([0, 0, 1, 2]))
         random_edge_file(edges, rng, n_lines, n_faults)
-        monkeypatch.setattr(kg, "_BLOCK_CHARS", int(rng.integers(16, 400)))
+        monkeypatch.setattr(config, "BLOCK_CHARS", int(rng.integers(16, 400)))
         want = load_outcome(reference_load_graph, edges, rels)
         assert_same_outcome(want, load_outcome(kg.load_graph, edges, rels))
         counts["error" if isinstance(want, Exception) else "graph"] += 1
@@ -215,7 +215,7 @@ def test_first_fault_in_file_order_wins(tmp_path, monkeypatch):
         for gap in (0, 3, 40):
             edges.write_text(good * 5 + first + good * gap + second + good, encoding="utf-8")
             for block in (16, 64, 1 << 16):
-                monkeypatch.setattr(kg, "_BLOCK_CHARS", block)
+                monkeypatch.setattr(config, "BLOCK_CHARS", block)
                 got = load_outcome(kg.load_graph, edges, rels)
                 assert isinstance(got, InputError) and got.lineno == 6
                 assert_same_outcome(load_outcome(reference_load_graph, edges, rels), got)
@@ -229,7 +229,7 @@ def test_files_larger_than_one_block(tmp_path):
     rels = write_relations(tmp_path / "r.txt", RELATIONS)
     edges = tmp_path / "e.tsv"
     lines = [random_line(rng) + "\n" for _ in range(9000)]
-    assert sum(map(len, lines)) > 3 * kg._BLOCK_CHARS
+    assert sum(map(len, lines)) > 3 * config.BLOCK_CHARS
     variants = [
         lines,
         lines[:7000] + ["# a comment\n"] + lines[7000:],
