@@ -4,7 +4,7 @@ Subcommands: build-index, schema, prune, train, eval, infer, export-dot,
 synth. Global flags (--config, --seed, --mode, --workers, --set KEY=VALUE)
 layer on top of the config file, which layers on top of built-in defaults.
 Every command that produces outputs also writes a manifest with the resolved
-config hash, seed, and input file digests.
+config hash, seed, and a digest of each input file it read.
 """
 
 from __future__ import annotations
@@ -16,19 +16,21 @@ import sys
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
-from .config import InputError, RunConfig, atomic_write, load_config, read_jsonl, write_manifest
+from .config import (
+    InputError, RunConfig, atomic_write, load_config, read_blocks, read_jsonl, write_jsonl,
+    write_manifest,
+)
 from .dot import export_dot
-from .kg import load_graph
 from .linking import ground_truth_ids
 from .metrics import hit_rate_curve, write_curve_csv
 from .neural import ScoringModel
-from .paths import mix_seed, staged_training
+from .paths import staged_training
 from .pipeline import (
+    Runtime,
     build_report,
     evaluate_queries,
     evaluate_query,
+    load_edge_graph,
     load_runtime,
     prepare_samples,
     schema_for_record,
@@ -137,10 +139,13 @@ def _out_dir(args: argparse.Namespace, cfg: RunConfig) -> Path:
     return out
 
 
-def _load_model(cfg: RunConfig, checkpoint: Optional[Path]) -> ScoringModel:
+def _load_model(rt: Runtime, checkpoint: Optional[Path]) -> ScoringModel:
+    """The model of ``--checkpoint`` or the config key, entered in ``rt.inputs``."""
+    cfg = rt.cfg
     path = checkpoint or cfg.checkpoint
     if path is None:
         raise InputError(msg="no checkpoint given (flag --checkpoint or config key)")
+    rt.inputs["checkpoint"] = path
     return ScoringModel.load_checkpoint(
         path, dropout_rate=cfg.dropout, expect_dims=(cfg.d, cfg.D, cfg.k)
     )
@@ -162,10 +167,10 @@ def cmd_build_index(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     if cfg.kg_edges is None:
         raise InputError(msg="build-index needs kg_edges in the config")
-    g = load_graph(cfg.kg_edges, cfg.relations)
+    g, inputs = load_edge_graph(cfg)
     out = args.out or (cfg.out_dir / "index")
     g.save(out)
-    write_manifest(out, "build-index", cfg, {"kg_edges": cfg.kg_edges, "relations": cfg.relations})
+    write_manifest(out, "build-index", cfg, inputs)
     print(f"indexed {g.n_entities} entities, {g.n_edges} directed edges -> {out}")
     return 0
 
@@ -190,12 +195,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
 
     curve = _hit_rate_curve(cfg, graphs, [gt_by_qid[sg.qid] for sg in graphs])
     write_curve_csv(out / "hit_rate.csv", curve)
-    write_manifest(
-        out,
-        "schema",
-        cfg,
-        {"kg_edges": cfg.kg_edges, "relations": cfg.relations, "queries": cfg.queries},
-    )
+    write_manifest(out, "schema", cfg, rt.inputs)
     print(f"wrote {len(graphs)} schema graphs ({skipped} skipped) -> {dump_path}")
     for budget, rate in curve:
         print(f"  gt hit rate @ {budget:>5} nodes: {rate:6.2%}")
@@ -206,7 +206,8 @@ def cmd_prune(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg, need_queries=False)
     graphs, gt_by_qid = load_schema_graphs(args.schemas, rt.g)
-    model = _load_model(cfg, args.checkpoint)
+    rt.inputs["schemas"] = args.schemas
+    model = _load_model(rt, args.checkpoint)
     out = _out_dir(args, cfg)
     pruned = []
     for sg in graphs:
@@ -218,7 +219,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
         pruned.append(prune(model, sample, cfg.theta_p, cfg.prune_target)[0])
     dump_path = out / "pruned_graphs.jsonl"
     dump_pruned_graphs(dump_path, rt.g, pruned, gt_by_qid)
-    write_manifest(out, "prune", cfg, {"schemas": args.schemas})
+    write_manifest(out, "prune", cfg, rt.inputs)
     print(f"pruned {len(pruned)} graphs to <= {cfg.prune_target} nodes -> {dump_path}")
     return 0
 
@@ -249,22 +250,12 @@ def cmd_train(args: argparse.Namespace) -> int:
         semi_hard=cfg.semi_hard,
         seed=cfg.seed,
         optimizer=cfg.optimizer,
-        log_path=out / "metrics.jsonl",
         progress=args.progress,
     )
+    write_jsonl(out / "metrics.jsonl", metrics)
     ckpt = out / "checkpoint.gpr"
     model.save_checkpoint(ckpt)
-    write_manifest(
-        out,
-        "train",
-        cfg,
-        {
-            "kg_edges": cfg.kg_edges,
-            "queries": cfg.queries,
-            "entity_embeddings": cfg.entity_embeddings,
-            "contexts": cfg.contexts,
-        },
-    )
+    write_manifest(out, "train", cfg, rt.inputs)
     final = metrics[-1] if metrics else {}
     print(
         f"trained {cfg.epochs_prune}+{cfg.epochs_joint} epochs on {len(samples)} queries; "
@@ -276,7 +267,7 @@ def cmd_train(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg)
-    model = _load_model(cfg, args.checkpoint)
+    model = _load_model(rt, args.checkpoint)
     out = _out_dir(args, cfg)
     samples, skipped = prepare_samples(rt, model, rt.test_records())
     results = evaluate_queries(model, samples, cfg)
@@ -288,16 +279,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = build_report(results, train_answers, dict(curve))
     report.save(out / "report.json", out / "report.txt")
     write_curve_csv(out / "hit_rate.csv", curve)
-    write_manifest(
-        out,
-        "eval",
-        cfg,
-        {
-            "checkpoint": args.checkpoint or cfg.checkpoint,
-            "queries": cfg.queries,
-            "kg_edges": cfg.kg_edges,
-        },
-    )
+    write_manifest(out, "eval", cfg, rt.inputs)
     print(report.to_table())
     if skipped:
         print(f"({skipped} queries skipped before evaluation)")
@@ -312,7 +294,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
         raise InputError(msg=f"qid {args.qid!r} not found in {cfg.queries}")
     if args.qid not in rt.contexts:
         raise InputError(cfg.contexts, msg=f"no query context for qid {args.qid!r}")
-    model = _load_model(cfg, args.checkpoint)
+    model = _load_model(rt, args.checkpoint)
     samples, _ = prepare_samples(rt, model, matches)
     if not samples:
         raise InputError(msg=f"qid {args.qid!r} has no linkable key nodes")
@@ -329,9 +311,10 @@ def cmd_infer(args: argparse.Namespace) -> int:
     }
     line = json.dumps(obj, sort_keys=True)
     print(line)
-    if args.out:
-        with open(args.out, "a", encoding="utf-8") as f:
-            f.write(line + "\n")
+    if args.out:  # the earlier lines and this one, renamed into place together
+        earlier = [e for _, block in read_blocks(args.out) for e in block] if args.out.exists() else []
+        with atomic_write(args.out) as f:
+            f.writelines([*earlier, line + "\n"])
     return 0
 
 

@@ -5,11 +5,14 @@ defaults are the published operating point of the pipeline (margin 0.5,
 theta_p 0.3, dropout 0.5, lr 1e-4, 200 paths of length <= 3, 1000-node schema
 graphs with a 500-node one-hop cap, prune target 100, 40 prune + 30 joint
 epochs). Every command echoes the resolved configuration into a manifest next
-to its outputs, together with a config hash and digests of its input files.
+to its outputs, together with a config hash and a digest of each file it read.
 
 Every text input is read by ``read_blocks``, the one reader. ``read_lines``
 adds the one comment rule, and ``read_bulk`` is the one driver of the loaders
 that parse a block at once and re-parse it line by line when that declines.
+Every output is written by ``atomic_write``, the one writer, which renames a
+finished file into place; ``write_json`` and ``write_jsonl`` are the one JSON
+format on top of it.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import os
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional, TypeVar
+from typing import IO, Callable, Iterable, Iterator, Optional, TypeVar
 
 T = TypeVar("T")
 
@@ -310,13 +313,22 @@ def sha256_file(path: Path | str) -> str:
     return h.hexdigest()
 
 
-def write_manifest(
-    out_dir: Path | str,
-    command: str,
-    cfg: RunConfig,
-    inputs: Optional[dict[str, Path]] = None,
-) -> Path:
-    """Record provenance (config hash, seed, input digests) beside outputs."""
+def write_json(path: Path | str, obj) -> None:
+    """``obj`` as indented JSON with sorted keys and a final newline."""
+    with atomic_write(path) as f:
+        f.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+
+
+def write_jsonl(path: Path | str, objs: Iterable) -> None:
+    """One JSON object with sorted keys per line, for each of ``objs``."""
+    with atomic_write(path) as f:
+        for obj in objs:
+            f.write(json.dumps(obj, sort_keys=True) + "\n")
+
+
+def write_manifest(out_dir: Path | str, command: str, cfg: RunConfig, inputs: dict[str, Path]) -> Path:
+    """Record provenance (config hash, seed, a digest of each input file read)
+    beside outputs."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -325,14 +337,8 @@ def write_manifest(
         "mode": cfg.mode,
         "config": cfg.to_json_obj(),
         "config_hash": cfg.config_hash(),
-        "inputs": {
-            name: sha256_file(p)
-            for name, p in sorted((inputs or {}).items())
-            if p is not None and Path(p).exists()
-        },
+        "inputs": {name: sha256_file(p) for name, p in sorted(inputs.items())},
     }
     path = out_dir / "manifest.json"
-    with atomic_write(path) as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(path, manifest)
     return path

@@ -240,7 +240,7 @@ class KnowledgeGraph:
         surfaces = [line.rstrip("\n") for _, lines in read_blocks(ent_path) for line in lines]
         relations = load_relations(index_dir / "relations.txt")
         try:
-            with np.load(adj_path) as arrays:
+            with open(adj_path, "rb") as f, np.load(f) as arrays:
                 offsets, nbr, rel, weight = (arrays[k] for k in ("offsets", "nbr", "rel", "weight"))
         except (OSError, EOFError, KeyError, ValueError, zipfile.BadZipFile) as exc:
             raise InputError(adj_path, msg=f"unreadable index arrays ({exc})") from None

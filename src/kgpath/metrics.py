@@ -11,13 +11,12 @@ ranks of one full-budget schema graph per query, not from rebuilds.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import atomic_write
+from .config import atomic_write, write_json
 from .schema import SchemaGraph
 
 
@@ -152,9 +151,7 @@ class EvalReport:
         return "\n".join(lines)
 
     def save(self, json_path, text_path=None) -> None:
-        with atomic_write(json_path) as f:
-            json.dump(self.to_json_obj(), f, indent=2, sort_keys=True)
-            f.write("\n")
+        write_json(json_path, self.to_json_obj())
         if text_path is not None:
             with atomic_write(text_path) as f:
                 f.write(self.to_table() + "\n")

@@ -29,7 +29,6 @@ pruning triplet loss as an unweighted sum.
 from __future__ import annotations
 
 import hashlib
-import json
 import random
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -442,88 +441,79 @@ def staged_training(
     semi_hard: bool = True,
     seed: int = 0,
     optimizer: str = "adam",
-    log_path=None,
     progress: bool = False,
 ) -> list[dict]:
     """Two-phase schedule: prune-only epochs, then joint epochs.
 
     During phase one only the node encoder is updated; the path networks stay
     bit-identical to their initialization. Per-epoch metrics (losses and
-    training node R@1) are returned and, when ``log_path`` is given, appended
-    there as JSON lines. A ``target`` too small for some sample's key nodes
-    is an ``InputError`` before any epoch runs.
+    training node R@1) are returned, one dict per epoch, for the caller to
+    write once the schedule has ended. A ``target`` too small for some
+    sample's key nodes is an ``InputError`` before any epoch runs.
     """
     for sample in train_samples:
         check_prune_target(sample.sg, target)
     optimizer = make_optimizer(optimizer, lr)
     order_rng = np.random.default_rng(mix_seed(seed, "epoch-order"))
     metrics: list[dict] = []
-    log_file = open(log_path, "w", encoding="utf-8") if log_path else None
 
     def emit(entry: dict) -> None:
         metrics.append(entry)
-        if log_file:
-            log_file.write(json.dumps(entry, sort_keys=True) + "\n")
-            log_file.flush()
         if progress:
             print(
                 f"[{entry['phase']}] epoch {entry['epoch']:3d} "
                 f"loss={entry['loss']:.4f} train-node-R@1={entry['node_r1']:.3f}"
             )
 
-    try:
-        trainable = [s for s in train_samples if s.gt_pos.size and s.neg_pos.size]
-        for epoch in range(epochs_prune):
-            order = order_rng.permutation(len(trainable))
-            losses = []
-            for lo in range(0, len(trainable), batch_size):
-                chunk = [trainable[i] for i in order[lo : lo + batch_size]]
-                loss, _ = train_prune_step(
-                    model, chunk, optimizer, margin, semi_hard
-                )
-                losses.append(loss)
-            emit(
-                {
-                    "phase": "prune",
-                    "epoch": epoch,
-                    "loss": float(np.mean(losses)) if losses else 0.0,
-                    "node_r1": node_recall_rate(model, train_samples, 1),
-                }
+    trainable = [s for s in train_samples if s.gt_pos.size and s.neg_pos.size]
+    for epoch in range(epochs_prune):
+        order = order_rng.permutation(len(trainable))
+        losses = []
+        for lo in range(0, len(trainable), batch_size):
+            chunk = [trainable[i] for i in order[lo : lo + batch_size]]
+            loss, _ = train_prune_step(
+                model, chunk, optimizer, margin, semi_hard
             )
-        for epoch in range(epochs_joint):
-            order = order_rng.permutation(len(train_samples))
-            losses_cls, losses_prune = [], []
-            for step, lo in enumerate(range(0, len(train_samples), batch_size)):
-                chunk = [train_samples[i] for i in order[lo : lo + batch_size]]
-                loss_cls, loss_prune = train_joint_step(
-                    model,
-                    chunk,
-                    optimizer,
-                    theta_p,
-                    target,
-                    n_paths,
-                    k,
-                    margin,
-                    semi_hard,
-                    step_seed=mix_seed(seed, "joint", epoch, step),
-                )
-                losses_cls.append(loss_cls)
-                losses_prune.append(loss_prune)
-            emit(
-                {
-                    "phase": "joint",
-                    "epoch": epoch,
-                    "loss": float(np.mean(losses_cls) + np.mean(losses_prune))
-                    if losses_cls
-                    else 0.0,
-                    "loss_cls": float(np.mean(losses_cls)) if losses_cls else 0.0,
-                    "loss_prune": float(np.mean(losses_prune)) if losses_prune else 0.0,
-                    "node_r1": node_recall_rate(model, train_samples, 1),
-                }
+            losses.append(loss)
+        emit(
+            {
+                "phase": "prune",
+                "epoch": epoch,
+                "loss": float(np.mean(losses)) if losses else 0.0,
+                "node_r1": node_recall_rate(model, train_samples, 1),
+            }
+        )
+    for epoch in range(epochs_joint):
+        order = order_rng.permutation(len(train_samples))
+        losses_cls, losses_prune = [], []
+        for step, lo in enumerate(range(0, len(train_samples), batch_size)):
+            chunk = [train_samples[i] for i in order[lo : lo + batch_size]]
+            loss_cls, loss_prune = train_joint_step(
+                model,
+                chunk,
+                optimizer,
+                theta_p,
+                target,
+                n_paths,
+                k,
+                margin,
+                semi_hard,
+                step_seed=mix_seed(seed, "joint", epoch, step),
             )
-    finally:
-        if log_file:
-            log_file.close()
+            losses_cls.append(loss_cls)
+            losses_prune.append(loss_prune)
+        emit(
+            {
+                "phase": "joint",
+                "epoch": epoch,
+                "loss": float(np.mean(losses_cls) + np.mean(losses_prune))
+                if losses_cls
+                else 0.0,
+                "loss_cls": float(np.mean(losses_cls)) if losses_cls else 0.0,
+                "loss_prune": float(np.mean(losses_prune)) if losses_prune else 0.0,
+                "node_r1": node_recall_rate(model, train_samples, 1),
+            }
+        )
     return metrics
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from pathlib import Path
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -45,12 +46,14 @@ PATH_RECALL_KS = (10, 20)
 
 @dataclass
 class Runtime:
-    """Everything a command needs after loading: graph, vectors, queries."""
+    """Everything a command needs after loading: graph, vectors, queries, and
+    ``inputs``, each file read keyed by its config key."""
 
     cfg: RunConfig
     g: KnowledgeGraph
     queries: list[QueryRecord]
     synonyms: dict[str, str]
+    inputs: dict[str, Path] = field(default_factory=dict)
     emb: Optional[EntityEmbeddingTable] = None
     contexts: dict[str, QueryContext] = field(default_factory=dict)
     textfeat: Optional[TextFeatureProvider] = None
@@ -73,31 +76,47 @@ class Runtime:
         return self._candidates
 
 
+def load_edge_graph(cfg: RunConfig) -> tuple[KnowledgeGraph, dict[str, Path]]:
+    """The graph of ``cfg.kg_edges`` and the files read: ``kg_edges``, ``relations`` when set."""
+    inputs = {"kg_edges": cfg.kg_edges}
+    if cfg.relations is not None:
+        inputs["relations"] = cfg.relations
+    return load_graph(cfg.kg_edges, cfg.relations), inputs
+
+
 def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool = True) -> Runtime:
+    """The graph, queries and vectors a command needs; ``rt.inputs`` names each
+    file read by its config key, an index by its three files."""
     if cfg.kg_index is not None and (cfg.kg_index / "adjacency.npz").exists():
         logger.info("loading prebuilt index from %s", cfg.kg_index)
         g = KnowledgeGraph.load_index(cfg.kg_index)
+        files = ("entities.txt", "relations.txt", "adjacency.npz")
+        inputs = {f"kg_index/{name}": cfg.kg_index / name for name in files}
     elif cfg.kg_edges is not None:
-        g = load_graph(cfg.kg_edges, cfg.relations)
+        g, inputs = load_edge_graph(cfg)
     else:
         raise FileNotFoundError("config needs kg_edges or a built kg_index")
 
-    queries = load_queries(cfg.queries) if (need_queries and cfg.queries) else []
-    synonyms = load_synonyms(cfg.synonyms) if cfg.synonyms else {}
+    def read(key: str) -> Path:
+        inputs[key] = getattr(cfg, key)
+        return inputs[key]
 
-    rt = Runtime(cfg=cfg, g=g, queries=queries, synonyms=synonyms)
+    queries = load_queries(read("queries")) if (need_queries and cfg.queries) else []
+    synonyms = load_synonyms(read("synonyms")) if cfg.synonyms else {}
+
+    rt = Runtime(cfg=cfg, g=g, queries=queries, synonyms=synonyms, inputs=inputs)
     if need_vectors:
         if cfg.entity_embeddings is None or cfg.contexts is None:
             raise FileNotFoundError(
                 "config needs entity_embeddings and contexts for this command"
             )
-        rt.emb = load_entity_embeddings(cfg.entity_embeddings, g)
-        rt.contexts = load_contexts(cfg.contexts)
+        rt.emb = load_entity_embeddings(read("entity_embeddings"), g)
+        rt.contexts = load_contexts(read("contexts"))
         rt.textfeat = TextFeatureProvider(
             dim=cfg.d,
             mode=cfg.ptm_mode,
             seed=cfg.seed,
-            path=cfg.text_features,
+            path=read("text_features") if cfg.ptm_mode == "file" else None,
             g=g,
         )
     return rt

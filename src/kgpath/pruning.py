@@ -16,14 +16,13 @@ holds n x d input floats between epochs instead of n x (2d + D + 4).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, atomic_write
+from .config import InputError, write_jsonl
 from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
 from .neural import (
@@ -317,7 +316,4 @@ def dump_pruned_graphs(
     gt_by_qid: Optional[dict[str, frozenset[int]]] = None,
 ) -> None:
     gt_by_qid = gt_by_qid or {}
-    with atomic_write(path) as f:
-        for pg in pruned:
-            obj = pg.to_json_obj(g, gt_by_qid.get(pg.sg.qid, ()))
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
+    write_jsonl(path, (pg.to_json_obj(g, gt_by_qid.get(pg.sg.qid, ())) for pg in pruned))

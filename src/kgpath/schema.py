@@ -17,14 +17,13 @@ and the final edge collection filters them instead of gathering again. Every
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, atomic_write, read_jsonl
+from .config import InputError, read_jsonl, write_jsonl
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -410,10 +409,7 @@ def dump_schema_graphs(
 ) -> None:
     """Write one JSON object per line (one schema graph per qid)."""
     gt_by_qid = gt_by_qid or {}
-    with atomic_write(path) as f:
-        for sg in graphs:
-            obj = sg.to_json_obj(g, gt_by_qid.get(sg.qid, ()))
-            f.write(json.dumps(obj, sort_keys=True) + "\n")
+    write_jsonl(path, (sg.to_json_obj(g, gt_by_qid.get(sg.qid, ())) for sg in graphs))
 
 
 def load_schema_graphs(

@@ -15,14 +15,13 @@ timestamp, so a suite is regenerable byte-for-byte from (seed, parameters).
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
-from .config import atomic_write, sha256_file
+from .config import atomic_write, sha256_file, write_json, write_jsonl
 from .embeddings import planted_context
 from .kg import DEFAULT_RELATIONS
 
@@ -248,9 +247,7 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
     files["relations.txt"] = rel_path
 
     queries_path = out_dir / "queries.jsonl"
-    with atomic_write(queries_path) as f:
-        for q in queries:
-            f.write(json.dumps(q, sort_keys=True) + "\n")
+    write_jsonl(queries_path, queries)
     files["queries.jsonl"] = queries_path
 
     if spec.emit_vectors:
@@ -261,23 +258,13 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
                 f.write(surfaces[i] + "\t" + " ".join(f"{x:.8f}" for x in matrix[i]) + "\n")
         files["entity_embeddings.tsv"] = emb_path
 
+        def context(q: dict) -> dict:
+            gt_rows = np.stack([matrix[surf_id[a]] for a, _ in q["answers"]])
+            ctx = planted_context(rng, q["qid"], gt_rows, spec.alignment)
+            return {"qid": ctx.qid, "z": ctx.z.tolist(), "v": ctx.v.tolist(), "t": ctx.t.tolist()}
+
         ctx_path = out_dir / "contexts.jsonl"
-        with atomic_write(ctx_path) as f:
-            for q in queries:
-                gt_rows = np.stack([matrix[surf_id[a]] for a, _ in q["answers"]])
-                ctx = planted_context(rng, q["qid"], gt_rows, spec.alignment)
-                f.write(
-                    json.dumps(
-                        {
-                            "qid": ctx.qid,
-                            "z": ctx.z.tolist(),
-                            "v": ctx.v.tolist(),
-                            "t": ctx.t.tolist(),
-                        },
-                        sort_keys=True,
-                    )
-                    + "\n"
-                )
+        write_jsonl(ctx_path, map(context, queries))
         files["contexts.jsonl"] = ctx_path
 
         config_path = out_dir / "suite.config"
@@ -312,9 +299,7 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
         },
         "files": {name: sha256_file(path) for name, path in sorted(files.items())},
     }
-    with atomic_write(out_dir / "manifest.json") as f:
-        json.dump(manifest, f, indent=2, sort_keys=True)
-        f.write("\n")
+    write_json(out_dir / "manifest.json", manifest)
     return manifest
 
 

@@ -1,12 +1,15 @@
 import io
 import json
+import os
 import re
 import shutil
 
 import numpy as np
 import pytest
 
+from kgpath import paths
 from kgpath.cli import main
+from kgpath.config import InputError, sha256_file
 from kgpath.neural import ScoringModel
 
 
@@ -628,6 +631,89 @@ def test_prune_target_below_key_count_fails_before_any_epoch(suite, tmp_path, ca
     assert not metrics.exists() or metrics.read_text() == ""  # no epoch ran
     (line,) = error_lines(capsys)
     assert line == "error: q0000: prune target 1 cannot hold the 2 key nodes"
+
+
+# the files each command reads besides the graph, with the suite's config
+COMMAND_INPUTS = {
+    "schema": {"queries"},
+    "train": {"queries", "entity_embeddings", "contexts"},
+    "eval": {"queries", "entity_embeddings", "contexts", "checkpoint"},
+    "prune": {"entity_embeddings", "contexts", "checkpoint", "schemas"},
+}
+INDEX_FILES = ("entities.txt", "relations.txt", "adjacency.npz")
+
+
+@pytest.mark.parametrize("command", sorted(COMMAND_INPUTS))
+@pytest.mark.parametrize("route", ["edges", "index", "edges+synonyms+text_features"])
+def test_manifest_hashes_exactly_the_files_read(suite, good_inputs, tmp_path, route, command):
+    """The index route reads (and hashes) the index's three files, never the
+    edge file the config also names; synonyms are read by every command, and
+    text features only under ``ptm_mode=file`` by the commands with vectors."""
+    root, out = suite
+    index = good_inputs["index_arrays"].parent
+    files = {f"kg_index/{name}": index / name for name in INDEX_FILES}
+    files.update(good_inputs)
+    extra = []
+    if command in ("eval", "prune"):
+        extra += ["--checkpoint", str(files["checkpoint"])]
+    if command == "prune":
+        extra += ["--schemas", str(files["schemas"])]
+    want = set(COMMAND_INPUTS[command])
+    if route == "index":
+        extra += ["--set", f"kg_index={index}"]
+        want |= {f"kg_index/{name}" for name in INDEX_FILES}
+    else:
+        want |= {"kg_edges", "relations"}
+    if route == "edges+synonyms+text_features":
+        extra += ["--set", f"synonyms={files['synonyms']}"]
+        extra += ["--set", f"text_features={files['text_features']}", "--set", "ptm_mode=file"]
+        want |= {"synonyms"} | ({"text_features"} if command != "schema" else set())
+    assert main([command, *run_args(tmp_path, out, extra)]) == 0
+    inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
+    assert set(inputs) == want
+    assert inputs == {key: sha256_file(files[key]) for key in want}
+    assert ("kg_edges" in inputs) == (route != "index")
+
+
+def test_failed_training_leaves_no_output(suite, tmp_path, monkeypatch, capsys):
+    """A train that fails in its joint phase leaves no ``metrics.jsonl`` of
+    the finished prune epochs, and no ``.tmp`` file."""
+    root, out = suite
+
+    def fail(*args, **kwargs):
+        raise InputError(msg="joint step failed")
+
+    monkeypatch.setattr(paths, "train_joint_step", fail)
+    train_out = tmp_path / "train"
+    assert main(["train", *run_args(train_out, out)]) == 1
+    assert error_lines(capsys) == ["error: joint step failed"]
+    assert list(train_out.iterdir()) == []
+
+
+def test_infer_out_appends_atomically(suite, good_inputs, tmp_path, monkeypatch):
+    """``infer --out`` adds one line per run; a write that fails before its
+    rename leaves the earlier lines as they were, and no ``.tmp`` file."""
+    root, out = suite
+    dest = tmp_path / "infer.jsonl"
+    args = [
+        "infer", *run_args(tmp_path / "o", out),
+        "--checkpoint", str(good_inputs["checkpoint"]),
+        "--qid", "q0001",
+        "--out", str(dest),
+    ]
+    assert main(args) == 0 and main(args) == 0
+    lines = dest.read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 2 and lines[0] == lines[1]
+    assert json.loads(lines[0])["qid"] == "q0001"
+
+    def fail(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(os, "replace", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        main(args)
+    assert dest.read_text(encoding="utf-8").splitlines() == lines
+    assert list(tmp_path.iterdir()) == [dest]
 
 
 def test_export_dot_structure(tmp_path):

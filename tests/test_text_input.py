@@ -2,8 +2,8 @@
 
 A line holding a byte that is not UTF-8 is a bad line like any other: the
 first bad line in file order is the one reported, also when a later line of
-the same block holds the bad byte. A structural check keeps text input in
-that one reader.
+the same block holds the bad byte. Structural checks keep text input in that
+one reader and every output in the one writer, ``config.atomic_write``.
 """
 
 import ast
@@ -96,8 +96,9 @@ def open_mode(call: ast.Call):
 def test_text_input_is_opened_only_by_read_blocks():
     """``config.read_blocks`` is the one place a file is opened for reading
     text; the others write (``atomic_write`` opens in the mode it is given,
-    for writing) or read bytes (``sha256_file``)."""
-    allowed_reads = {("config", "read_blocks"), ("config", "sha256_file")}
+    for writing) or read bytes (``sha256_file``, and ``load_index`` for the
+    index arrays)."""
+    allowed_reads = {("config", "read_blocks"), ("config", "sha256_file"), ("kg", "load_index")}
     reads = set()
     for path in sorted(Path(kgpath.__file__).parent.glob("*.py")):
         module = path.stem
@@ -108,6 +109,18 @@ def test_text_input_is_opened_only_by_read_blocks():
             if (module, where) == ("config", "atomic_write") or set(mode or "") & set("wax"):
                 continue
             assert (module, where) in allowed_reads, f"{site} opens a file for reading"
-            assert (where == "sha256_file") == (mode == "rb"), site
+            assert (where != "read_blocks") == (mode == "rb"), site
             reads.add((module, where))
     assert reads == allowed_reads
+
+
+def test_output_is_opened_only_by_atomic_write():
+    """``config.atomic_write`` is the one place a file is opened for writing,
+    so every output is renamed into place only once it is whole."""
+    writes = []
+    for path in sorted(Path(kgpath.__file__).parent.glob("*.py")):
+        for where, name, call in opened_files(path.read_text(encoding="utf-8")):
+            mode = open_mode(call)
+            if name == "open" and (mode is None or set(mode) & set("wax+")):
+                writes.append(f"{path.stem}.{where}")
+    assert writes == ["config.atomic_write"], f"opened for writing in {', '.join(writes)}"
