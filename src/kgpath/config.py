@@ -84,7 +84,7 @@ class RunConfig:
     epochs_joint: int = 30
     batch_size: int = 8
     semi_hard: bool = True
-    ptm_mode: str = "hash"
+    ptm_mode: str = "zero"
     # run control
     seed: int = 0
     mode: str = "open"
@@ -97,8 +97,10 @@ class RunConfig:
             raise InputError(msg="theta_p must lie in [0, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError(msg="dropout must lie in [0, 1)")
-        if self.ptm_mode not in ("file", "hash", "zero"):
-            raise InputError(msg=f"ptm_mode must be file, hash, or zero, got {self.ptm_mode!r}")
+        if self.ptm_mode not in ("file", "zero"):
+            raise InputError(msg=f"ptm_mode must be file or zero, got {self.ptm_mode!r}")
+        if self.ptm_mode == "file" and self.text_features is None:
+            raise InputError(msg="ptm_mode=file needs a text_features path")
         if self.optimizer not in ("adam", "sgd"):
             raise InputError(msg=f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.k < 1 or self.n_paths < 1 or self.batch_size < 1:

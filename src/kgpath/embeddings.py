@@ -2,9 +2,9 @@
 
 All neural encoders upstream of this pipeline (the multimodal query encoder,
 the KG entity embedding, the question/answer text encoder) are consumed as
-precomputed vectors through the loaders here. A hash-stub mode and a zero mode
-stand in for the text-feature file when none is available; ``planted_context``
-plants the learnable query/entity alignments of :mod:`kgpath.synth` suites.
+precomputed vectors through the loaders here. A text feature is read from
+the text-feature file or is a zero row; ``planted_context`` plants the
+learnable query/entity alignments of :mod:`kgpath.synth` suites.
 
 The entity-embedding file is read through ``config.read_bulk``, the one
 driver of the block loaders, over the blocks of ``config.read_blocks``, the
@@ -13,18 +13,10 @@ parses the rest with one ``np.loadtxt``. A block with a comment or a row that
 may break a rule is re-parsed line by line, so the first bad line in the file
 is the one reported. An entity given several rows keeps the last one. The
 JSON Lines inputs are read with ``config.read_jsonl`` over the same reader.
-
-The hash stub's stream is defined here, not by a numpy generator: one
-blake2b of ``seed|qid`` keys the question, a splitmix64 mix of (question key,
-entity id, component) gives the uniform bits, Box-Muller turns them into
-normals and each row is scaled to unit norm. Its values therefore do not
-depend on the numpy version, and a row does not depend on which other
-entities are gathered with it.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
@@ -215,30 +207,25 @@ def load_contexts(path: Path | str) -> dict[str, QueryContext]:
 class TextFeatureProvider:
     """Per-(question, entity) text feature vectors p_i.
 
-    Three modes, in the usual fallback order file -> hash -> zero:
+    Two modes:
 
-    * ``file``: vectors from a ``{qid, entity, p}`` JSON Lines file; pairs
-      absent from the file fall back to the hash stub.
-    * ``hash``: a deterministic unit-norm pseudo-random vector derived from
-      (seed, qid, entity) by the stream in the module docstring.
-    * ``zero``: all zeros, reproducing the no-text-feature ablation.
+    * ``file``: vectors from a ``{qid, entity, p}`` JSON Lines file; a pair
+      absent from the file reads a zero row.
+    * ``zero``: all zeros, the no-text-feature ablation and the default.
     """
 
     def __init__(
         self,
         dim: int,
-        mode: str = "hash",
-        seed: int = 0,
+        mode: str = "zero",
         path: Optional[Path | str] = None,
         g: Optional[KnowledgeGraph] = None,
     ):
-        if mode not in ("file", "hash", "zero"):
+        if mode not in ("file", "zero"):
             raise ValueError(f"unknown text feature mode {mode!r}")
         if mode == "file" and path is None:
             raise ValueError("file mode needs a text feature path")
         self.dim = dim
-        self.mode = mode
-        self.seed = seed
         self._table: dict[tuple[str, int], np.ndarray] = {}
         if mode == "file":
             assert g is not None, "file mode needs the graph to resolve entities"
@@ -260,45 +247,13 @@ class TextFeatureProvider:
     def gather(self, qid: str, ids: np.ndarray) -> np.ndarray:
         """One row per entity id, shape ``(len(ids), dim)``."""
         ids = np.asarray(ids, dtype=np.int64)
-        if self.mode == "zero":
-            return np.zeros((ids.size, self.dim))
-        if self.mode == "hash":
-            return self._hash_rows(qid, ids)
-        rows = np.empty((ids.size, self.dim))
-        misses = []
-        for i, eid in enumerate(ids.tolist()):
-            vec = self._table.get((qid, eid))
-            if vec is None:
-                misses.append(i)
-            else:
-                rows[i] = vec
-        if misses:
-            rows[misses] = self._hash_rows(qid, ids[misses])
+        rows = np.zeros((ids.size, self.dim))
+        if self._table:
+            for i, eid in enumerate(ids.tolist()):
+                vec = self._table.get((qid, eid))
+                if vec is not None:
+                    rows[i] = vec
         return rows
-
-    def _hash_rows(self, qid: str, ids: np.ndarray) -> np.ndarray:
-        digest = hashlib.blake2b(f"{self.seed}|{qid}".encode(), digest_size=8).digest()
-        q_key = np.uint64(int.from_bytes(digest, "little"))
-        n_pairs = (self.dim + 1) // 2
-        row_key = _splitmix64(q_key ^ _splitmix64(ids.astype(np.uint64)))
-        counter = row_key[:, None] + np.arange(2 * n_pairs, dtype=np.uint64)
-        # top 53 bits -> uniforms in (0, 1]; the log below never sees 0
-        unif = ((_splitmix64(counter) >> np.uint64(11)) + np.uint64(1)) * 2.0**-53
-        radius = np.sqrt(-2.0 * np.log(unif[:, 0::2]))
-        angle = 2.0 * np.pi * unif[:, 1::2]
-        vec = np.empty((ids.size, 2 * n_pairs))
-        vec[:, 0::2] = radius * np.cos(angle)
-        vec[:, 1::2] = radius * np.sin(angle)
-        vec = vec[:, : self.dim]
-        return vec / np.sqrt(np.einsum("ij,ij->i", vec, vec))[:, None]
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """One splitmix64 step (Steele et al. 2014) on uint64 arrays, wrapping."""
-    z = x + np.uint64(0x9E3779B97F4A7C15)
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
-    return z ^ (z >> np.uint64(31))
 
 
 def unit_random(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -115,7 +115,6 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
         rt.textfeat = TextFeatureProvider(
             dim=cfg.d,
             mode=cfg.ptm_mode,
-            seed=cfg.seed,
             path=read("text_features") if cfg.ptm_mode == "file" else None,
             g=g,
         )

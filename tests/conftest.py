@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,24 @@ def tiny_graph(tmp_path):
     )
     rels = write_relations(tmp_path / "relations.txt", ["relatedto", "isa"])
     return load_graph(edges, rels)
+
+
+class FakeTextFeatures:
+    """A text-feature provider with non-zero rows, for tests that need the
+    p columns to carry values: each row is drawn from a generator seeded by
+    (seed, qid, entity) alone, so it does not depend on which other entities
+    are gathered with it."""
+
+    def __init__(self, dim, seed=0):
+        self.dim = dim
+        self.seed = seed
+
+    def gather(self, qid, ids):
+        key = zlib.crc32(qid.encode())
+        rows = np.zeros((len(ids), self.dim))
+        for i, eid in enumerate(np.asarray(ids, dtype=np.int64).tolist()):
+            rows[i] = np.random.default_rng([self.seed, key, eid]).standard_normal(self.dim)
+        return rows
 
 
 def out_edges(g, eid):

@@ -536,6 +536,12 @@ MALFORMED_INPUT = {
     "set-one-hop-cap-negative": (
         "schema", "--set", None, "one_hop_cap=-1", "one_hop_cap and epoch counts must be >= 0"
     ),
+    "set-ptm-mode-hash": (
+        "train", "--set", None, "ptm_mode=hash", "ptm_mode must be file or zero, got 'hash'"
+    ),
+    "set-ptm-mode-file-without-text-features": (
+        "train", "--set", None, "ptm_mode=file", "ptm_mode=file needs a text_features path"
+    ),
     "set-schema-budget-below-key-count": (
         "schema", "--set", None, "schema_budget=1", "q0000: budget 1 cannot hold the 2 key nodes"
     ),

@@ -1,6 +1,4 @@
-import hashlib
 import json
-import math
 import re
 
 import numpy as np
@@ -15,7 +13,7 @@ from kgpath.embeddings import (
     planted_context,
 )
 
-from conftest import write_edges, write_relations
+from conftest import FakeTextFeatures, write_edges, write_relations
 from kgpath.kg import load_graph
 
 
@@ -101,81 +99,17 @@ def test_text_feature_zero_mode():
     assert tf.gather("q", []).shape == (0, 5)
 
 
-def row(tf, qid, eid):
-    return tf.gather(qid, [eid])[0]
-
-
-def test_text_feature_hash_mode_deterministic_unit_norm():
-    tf1 = TextFeatureProvider(dim=16, mode="hash", seed=3)
-    tf2 = TextFeatureProvider(dim=16, mode="hash", seed=3)
-    tf3 = TextFeatureProvider(dim=16, mode="hash", seed=4)
-    v1 = row(tf1, "q9", 17)
-    assert np.array_equal(v1, row(tf2, "q9", 17))
-    assert not np.array_equal(v1, row(tf3, "q9", 17))
-    assert not np.array_equal(v1, row(tf1, "q8", 17))
-    assert not np.array_equal(v1, row(tf1, "q9", 18))
-    assert abs(np.linalg.norm(v1) - 1.0) < 1e-6
-
-
-def reference_hash_row(seed, qid, eid, dim):
-    """The hash stub's stream in plain Python integers and ``math``."""
-    mask = 2**64 - 1
-
-    def splitmix64(x):
-        z = (x + 0x9E3779B97F4A7C15) & mask
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
-        return z ^ (z >> 31)
-
-    digest = hashlib.blake2b(f"{seed}|{qid}".encode(), digest_size=8).digest()
-    row_key = splitmix64(int.from_bytes(digest, "little") ^ splitmix64(eid))
-    vec = []
-    for pair in range((dim + 1) // 2):
-        u1, u2 = (((splitmix64((row_key + c) & mask) >> 11) + 1) * 2.0**-53
-                  for c in (2 * pair, 2 * pair + 1))
-        radius = math.sqrt(-2.0 * math.log(u1))
-        vec += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
-    vec = vec[:dim]
-    norm = math.sqrt(sum(x * x for x in vec))
-    return [x / norm for x in vec]
-
-
-def test_hash_stream_is_pinned():
-    v = row(TextFeatureProvider(dim=16, mode="hash", seed=3), "q9", 17)
-    golden = {0: -0.3404932195530422, 1: -0.2669064424217665,
-              7: -0.07017306192630808, 15: 0.3617006211014673}
-    for i, want in golden.items():
-        assert abs(v[i] - want) < 1e-12
-    for seed, qid, eid, dim in [(3, "q9", 17, 16), (0, "q1", 0, 5), (11, "x", 516_781, 64)]:
-        tf = TextFeatureProvider(dim=dim, mode="hash", seed=seed)
-        assert np.abs(row(tf, qid, eid) - reference_hash_row(seed, qid, eid, dim)).max() < 1e-12
-
-
-def test_hash_row_independent_of_batch():
-    tf = TextFeatureProvider(dim=64, mode="hash", seed=5)
-    ids = np.random.default_rng(0).choice(20_000, size=300, replace=False)
-    batch = tf.gather("q", ids)
-    perm = np.random.default_rng(1).permutation(ids.size)
-    shuffled = tf.gather("q", ids[perm])
-    for i in (0, 57, 299):
-        assert np.array_equal(row(tf, "q", int(ids[i])), batch[i])
-    assert np.array_equal(shuffled, batch[perm])
-    assert np.allclose(np.linalg.norm(batch, axis=1), 1.0, atol=1e-12)
-
-
 def test_text_feature_file_mode_with_fallback(tmp_path, abc_graph):
     path = tmp_path / "tf.jsonl"
     path.write_text(
         json.dumps({"qid": "q1", "entity": "a", "p": [1.0, 0.0]}) + "\n", encoding="utf-8"
     )
-    tf = TextFeatureProvider(dim=2, mode="file", seed=0, path=path, g=abc_graph)
+    tf = TextFeatureProvider(dim=2, mode="file", path=path, g=abc_graph)
     a, b = abc_graph.entity_id("a"), abc_graph.entity_id("b")
     rows = tf.gather("q1", [b, a])
     assert rows[1].tolist() == [1.0, 0.0]
-    # absent pair -> hash stub, the same row the hash mode gives
-    assert abs(np.linalg.norm(rows[0]) - 1.0) < 1e-6
-    hashed = TextFeatureProvider(dim=2, mode="hash", seed=0)
-    assert np.array_equal(rows[0], row(hashed, "q1", b))
+    # absent pair -> a zero row
+    assert rows[0].tolist() == [0.0, 0.0]
 
 
 def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
@@ -185,13 +119,13 @@ def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
         encoding="utf-8",
     )
     with pytest.raises(InputError, match=re.escape(f"{path}:1: ") + ".*dimension"):
-        TextFeatureProvider(dim=2, mode="file", seed=0, path=path, g=abc_graph)
+        TextFeatureProvider(dim=2, mode="file", path=path, g=abc_graph)
 
 
 def planted_suite(seed, g, planted, alignment, dim):
     """Unit-norm entity vectors and one ``planted_context`` per qid, drawn from
-    one generator the way ``synth.generate_suite`` draws them, plus the
-    hash-mode text features."""
+    one generator the way ``synth.generate_suite`` draws them, plus non-zero
+    fake text features."""
     rng = np.random.default_rng(seed)
     matrix = rng.standard_normal((g.n_entities, dim))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
@@ -199,7 +133,7 @@ def planted_suite(seed, g, planted, alignment, dim):
         qid: planted_context(rng, qid, matrix[sorted(planted[qid])], alignment)
         for qid in sorted(planted)
     }
-    return matrix, contexts, TextFeatureProvider(dim=dim, mode="hash", seed=seed)
+    return matrix, contexts, FakeTextFeatures(dim, seed)
 
 
 def test_planted_context_alignment_one_gives_unit_cosine(abc_graph):
@@ -236,8 +170,9 @@ def test_planted_context_validates_alignment():
 
 
 def test_unknown_mode_rejected():
-    with pytest.raises(ValueError, match="mode"):
-        TextFeatureProvider(dim=2, mode="magic")
+    for mode in ("magic", "hash"):
+        with pytest.raises(ValueError, match="mode"):
+            TextFeatureProvider(dim=2, mode=mode)
     with pytest.raises(ValueError, match="path"):
         TextFeatureProvider(dim=2, mode="file")
 

@@ -5,7 +5,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
+from kgpath.embeddings import EntityEmbeddingTable, QueryContext
 from kgpath.neural import Adam, ScoringModel, bce_loss, cosine_rows
 from kgpath.paths import (
     MAX_ATTEMPT_FACTOR,
@@ -25,6 +25,7 @@ from kgpath.paths import (
 from kgpath.pruning import PrunedGraph, QuerySample, bfs_scores, prune_from_scores
 from kgpath.schema import LocalAdjacency
 
+from conftest import FakeTextFeatures
 from test_pruning import make_sg, providers, random_local_graph, sym
 
 
@@ -634,7 +635,7 @@ def make_samples(model, n_queries=3, n_nodes=10, seed=0):
     matrix = rng.standard_normal((n_nodes, model.D))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
     emb = EntityEmbeddingTable(matrix)
-    tf = TextFeatureProvider(dim=model.d, mode="hash", seed=seed)
+    tf = FakeTextFeatures(model.d, seed)
     samples = []
     for qi in range(n_queries):
         gt = int(rng.integers(2, n_nodes))

@@ -19,7 +19,7 @@ from kgpath.pruning import (
 )
 from kgpath.schema import SchemaGraph, build_schema
 
-from conftest import random_graph, write_edges, write_relations
+from conftest import FakeTextFeatures, random_graph, write_edges, write_relations
 
 
 def make_sg(nodes, types, edges, q_nodes, v_nodes=frozenset(), qid="q"):
@@ -106,7 +106,7 @@ def providers(dim_d, dim_D, n_entities, seed=0):
     z = rng.standard_normal(dim_d)
     z /= np.linalg.norm(z)
     ctx = QueryContext(qid="q", z=z, v=z.copy(), t=z.copy())
-    tf = TextFeatureProvider(dim=dim_d, mode="hash", seed=seed)
+    tf = FakeTextFeatures(dim_d, seed)
     return emb, ctx, tf
 
 

@@ -40,7 +40,8 @@ def test_manifest_counts_match_files(small_suite):
     counts = manifest["counts"]
     assert counts["entities"] == spec.n_entities
     assert counts["train"] + counts["test"] == spec.n_queries
-    n_lines = sum(1 for _ in open(out / "kg_edges.tsv"))
+    with open(out / "kg_edges.tsv") as fh:
+        n_lines = sum(1 for _ in fh)
     assert n_lines == counts["edges_written"] >= spec.n_edges
     assert len(load_queries(out / "queries.jsonl")) == spec.n_queries
     # manifest digests are accurate
