@@ -1,5 +1,4 @@
 import itertools
-import random
 from typing import Optional, Sequence
 
 import numpy as np
@@ -8,17 +7,16 @@ import pytest
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext
 from kgpath.neural import Adam, ScoringModel, bce_loss, cosine_rows
 from kgpath.paths import (
-    MAX_ATTEMPT_FACTOR,
     WALK_STOP_PROB,
     PathBatch,
     _forward_paths,
     aggregate_answers,
+    list_walks,
     mix_seed,
     pack_paths,
     ranked_paths,
     run_query,
     sample_paths,
-    simple_walks,
     staged_training,
     train_joint_step,
 )
@@ -157,84 +155,20 @@ def test_paths_subset_of_exhaustive_enumeration():
             assert len(got) == len(batch)  # dedup held
 
 
-def reference_sample_paths(pg, n_paths, k, seed):
-    """The sampler as first written, over a hand-built adjacency list and
-    without the early stop: the oracle the CSR walk must reproduce exactly.
-    Returns each path as a (node ids, relations) pair of tuples."""
-    base = pg.base
-    keys = sorted(base.key_ids())
-    pos = {int(n): i for i, n in enumerate(base.nodes)}
-    adj = [[] for _ in range(base.n_nodes)]
-    for h, r, t in zip(base.edges_head, base.edges_rel, base.edges_tail):
-        if h != t:
-            adj[pos[int(h)]].append((pos[int(t)], int(r)))
-
-    key_pos = [pos[k_] for k_ in keys]
-    node_ids = [int(n) for n in base.nodes]
-    unit = random.Random(seed).random
-    n_keys = len(key_pos)
-    seen = set()
-    paths = []
-    attempts = 0
-    max_attempts = 20 * n_paths
-    while len(paths) < n_paths and attempts < max_attempts:
-        attempts += 1
-        cur = key_pos[int(unit() * n_keys)]
-        visited = {cur}
-        node_seq = [cur]
-        rel_seq = []
-        while True:
-            out_edges = adj[cur]
-            step = None
-            if out_edges:
-                n_out = len(out_edges)
-                for _ in range(8):
-                    cand = out_edges[int(unit() * n_out)]
-                    if cand[0] not in visited:
-                        step = cand
-                        break
-                else:
-                    options = [e for e in out_edges if e[0] not in visited]
-                    if options:
-                        step = options[int(unit() * len(options))]
-            if step is None:
-                break
-            nxt, rel = step
-            node_seq.append(nxt)
-            rel_seq.append(rel)
-            visited.add(nxt)
-            cur = nxt
-            if len(rel_seq) >= k:
-                break
-            if unit() < 1.0 / 3.0:
-                break
-        if not rel_seq:
-            continue
-        sig = (tuple(node_ids[p] for p in node_seq), tuple(rel_seq))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        paths.append(sig)
-    return paths
-
-
-def listed_walks(sg, roots, k, cap):
-    """The walks ``simple_walks`` lists, with row positions mapped to entity
-    ids; its count must match the list."""
-    flat_nodes, flat_rels, lengths = [], [], []
-    count = simple_walks(sg.adjacency(), roots, k, cap, (flat_nodes, flat_rels, lengths))
-    assert count == len(lengths)
+def listed_walks(sg, roots, k):
+    """The walks ``list_walks`` lists, in its order, as (node ids, relations)
+    pairs of tuples, and their log-probabilities."""
+    rows, rels, logp = list_walks(sg.adjacency(), np.asarray(roots), k)
     ids = sg.nodes.tolist()
-    walks, at_node, at_rel = [], 0, 0
-    for n in lengths:
-        nodes = tuple(ids[p] for p in flat_nodes[at_node : at_node + n + 1])
-        walks.append((nodes, tuple(flat_rels[at_rel : at_rel + n])))
-        at_node += n + 1
-        at_rel += n
-    return walks
+    walks = [
+        (tuple(ids[p] for p in row if p >= 0), tuple(r for r in rel if r >= 0))
+        for row, rel in zip(rows.tolist(), rels.tolist())
+    ]
+    return walks, logp
 
 
 def test_sampler_matches_reference_loop():
+    # the exact route lists the whole universe; the sampled one fills the batch from it
     rng = np.random.default_rng(41)
     exact = 0
     for trial in range(30):
@@ -245,22 +179,20 @@ def test_sampler_matches_reference_loop():
             total = len(universe)
             for n_paths in sorted({1, max(1, total // 2), max(1, total), total + 1, 60}):
                 for seed in (0, 1):
-                    got = sample_paths(pg, n_paths=n_paths, k=k, seed=seed)
-                    if n_paths < total:
-                        want = reference_sample_paths(pg, n_paths, k, seed)
-                        assert sigs(got) == want, (trial, k, n_paths, seed)
-                    else:
-                        assert len(sigs(got)) == total and set(sigs(got)) == universe
-                        exact += total > 0
+                    got = sigs(sample_paths(pg, n_paths=n_paths, k=k, seed=seed))
+                    assert len(got) == len(set(got)) == min(n_paths, total), (trial, k, n_paths)
+                    assert set(got) <= universe
+                    exact += n_paths >= total > 0
     assert exact > 50  # the exact route is exercised, not just the sampler
 
 
 # The two-pass route as it stood before the walk collector became one listing
-# DFS, copied verbatim: a counting-only pass up to ``n_paths + 1`` walks, then
-# a listing pass when the graph fits. The one-pass route must give the same
-# batch bytes on both the exact and the sampled route. The copy walks the
-# pruned graph's own ``base`` numbering, so it keeps the ``pack_paths`` of its
-# time, which maps those positions back through ``pg.rows``.
+# DFS, copied verbatim but for its rejection sampler, whose stream is gone: a
+# counting-only pass up to ``n_paths + 1`` walks, then a listing pass when the
+# graph fits. The one route must give the same batch bytes wherever the graph
+# fits. The copy walks the pruned graph's own ``base`` numbering, so it keeps
+# the ``pack_paths`` of its time, which maps those positions back through
+# ``pg.rows``.
 
 
 def two_pass_pack_paths(
@@ -343,17 +275,12 @@ def two_pass_sample_paths(
     pg: PrunedGraph,
     n_paths: int = 200,
     k: int = 3,
-    seed: int = 0,
 ) -> PathBatch:
-    """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
+    """All distinct simple walks of 1..k edges from the key nodes, for a graph
+    that holds at most ``n_paths`` of them.
 
-    A graph that holds at most ``n_paths`` such walks yields all of them, in
-    ``simple_walks`` order from the key nodes sorted by id, and draws no
-    random number; the walks are counted before any is listed. A larger graph
-    yields seeded random walks: sampling stops after ``n_paths`` distinct
-    paths or after ``20 * n_paths`` attempts, and zero-length walks
-    (immediate dead end) are discarded. A graph without usable edges yields
-    an empty batch.
+    They come in ``simple_walks`` order from the key nodes sorted by id, and
+    no random number is drawn; the walks are counted before any is listed.
     """
     base = pg.base
     key_pos = base.key_rows().tolist()
@@ -364,56 +291,8 @@ def two_pass_sample_paths(
     flat_rels: list[int] = []
     lengths: list[int] = []
 
-    if two_pass_simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths:
-        two_pass_simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
-        return two_pass_pack_paths(pg, flat_nodes, flat_rels, lengths, k)
-
-    indptr = adj.indptr.tolist()
-    nbr = adj.nbr.tolist()
-    rel = adj.rel.tolist()
-    unit = random.Random(seed).random  # scaled unit draws beat randrange here
-    n_keys = len(key_pos)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    attempts = 0
-    max_attempts = MAX_ATTEMPT_FACTOR * n_paths
-    while len(lengths) < n_paths and attempts < max_attempts:
-        attempts += 1
-        cur = key_pos[int(unit() * n_keys)]
-        walk = [cur]  # row positions; at most k + 1, so a list beats a set
-        rel_seq: list[int] = []
-        while True:
-            lo = indptr[cur]
-            n_out = indptr[cur + 1] - lo
-            # Rejection sampling stays uniform over non-revisiting edges and
-            # avoids building a filtered list on every hop; fall back to the
-            # explicit filter when rejections pile up.
-            step = -1
-            if n_out:
-                for _ in range(8):
-                    j = lo + int(unit() * n_out)
-                    if nbr[j] not in walk:
-                        step = j
-                        break
-                else:
-                    options = [j for j in range(lo, lo + n_out) if nbr[j] not in walk]
-                    if options:
-                        step = options[int(unit() * len(options))]
-            if step < 0:
-                break
-            cur = nbr[step]
-            walk.append(cur)
-            rel_seq.append(rel[step])
-            if len(rel_seq) >= k or unit() < WALK_STOP_PROB:
-                break
-        if not rel_seq:
-            continue
-        sig = (tuple(walk), tuple(rel_seq))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        flat_nodes += walk
-        flat_rels += rel_seq
-        lengths.append(len(rel_seq))
+    assert two_pass_simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths
+    two_pass_simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
     return two_pass_pack_paths(pg, flat_nodes, flat_rels, lengths, k)
 
 
@@ -441,9 +320,12 @@ def test_one_pass_walks_match_two_pass_route_bytes():
             for n_paths in sorted({1, total - 1, total, total + 1} - {-1, 0}):
                 for seed in (0, 1, 2):
                     got = sample_paths(pg, n_paths, k, seed)
-                    want = two_pass_sample_paths(pg, n_paths, k, seed)
-                    assert got.qid == want.qid
-                    assert batch_bytes(got) == batch_bytes(want), (trial, k, n_paths, seed)
+                    if n_paths >= total:
+                        want = two_pass_sample_paths(pg, n_paths, k)
+                        assert got.qid == want.qid
+                        assert batch_bytes(got) == batch_bytes(want), (trial, k, n_paths, seed)
+                    else:
+                        assert len(got) == len(set(sigs(got))) == n_paths
                     routes["exact" if n_paths >= total else "sampled"] += total > 0
     assert min(routes.values()) > 200, routes  # both routes are exercised
 
@@ -465,23 +347,155 @@ def itertools_walks(sg, k):
 
 
 def test_count_walks_matches_itertools_enumeration():
-    # simple_walks, the enumerator behind the exact route, against brute force
+    # list_walks, the one listing behind every batch, against brute force and
+    # against the DFS order of the verbatim two-pass copy
     rng = np.random.default_rng(43)
     for trial in range(40):
-        sg = random_local_graph(rng, max_nodes=6, max_edges=12)
-        roots = [sg.nodes.tolist().index(key) for key in sorted(sg.key_ids())]
+        sg = random_local_graph(rng, max_nodes=6, max_edges=12, duplicates=trial % 4 == 0)
+        roots = sg.key_rows()
         for k in (1, 2, 3):
             universe = itertools_walks(sg, k)
-            total = len(universe)
             assert universe == enumerate_simple_walks(sg, k)
-            every = listed_walks(sg, roots, k, 10**6)
-            for cap in (0, 1, total, total + 1, 10**6):
-                got = listed_walks(sg, roots, k, cap)
-                assert len(got) == min(total, cap)
-                assert got == every[:cap]  # a cap cuts the DFS order, nothing else
-                assert set(got) <= universe
-                if cap >= total:
-                    assert set(got) == universe
+            got, _ = listed_walks(sg, roots, k)
+            assert set(got) == universe and len(got) == len(universe)
+            flat_nodes, flat_rels, lengths = [], [], []
+            two_pass_simple_walks(sg.adjacency(), roots.tolist(), k, 10**6,
+                                  (flat_nodes, flat_rels, lengths))
+            ends = np.cumsum(lengths)
+            ids = sg.nodes.tolist()
+            dfs = [
+                (tuple(ids[p] for p in flat_nodes[end + i - n : end + i + 1]),
+                 tuple(flat_rels[end - n : end]))
+                for i, (n, end) in enumerate(zip(lengths, ends.tolist()))
+            ]
+            assert got == dfs, (trial, k)
+
+
+# ---------------------------------------------------------------------------
+# the walk process: exact probabilities and the draw without replacement
+# ---------------------------------------------------------------------------
+
+
+def tiny_graphs():
+    """20 tiny graphs over 3..6 nodes: random directed edges with self-loops,
+    parallel relations and repeated triples; every fourth graph has a
+    dead-end key (its only out-edge a self-loop), every fifth a key with no
+    edge at all."""
+    rng = np.random.default_rng(1818)
+    graphs = []
+    for trial in range(20):
+        n = int(rng.integers(3, 6))
+        ids = [int(i) for i in rng.choice(100, size=n, replace=False)]
+        edges = []
+        for a, b in rng.integers(n, size=(int(rng.integers(3, 10)), 2)).tolist():
+            r = int(rng.integers(2))
+            edges.append((ids[a], r, ids[b], 1.0))
+            if rng.random() < 0.3:
+                edges.append((ids[a], 1 - r, ids[b], 1.0))  # a parallel relation
+            if rng.random() < 0.3:
+                edges.append(edges[-1])  # a repeated triple
+            if rng.random() < 0.2:
+                edges.append((ids[a], 2, ids[a], 1.0))  # a self-loop
+        keys = [ids[int(i)] for i in rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False)]
+        if trial % 4 == 0:
+            edges = [e for e in edges if e[0] != keys[0]] + [(keys[0], 2, keys[0], 1.0)]
+        if trial % 5 == 0:
+            ids.append(100 + trial)
+            keys.append(100 + trial)
+        graphs.append(make_sg(ids, [0 if i in keys else 2 for i in ids], edges, q_nodes=keys))
+    return graphs
+
+
+def walk_probability(sg, nodes, rels, k):
+    """P(the walk process draws exactly this walk), from the edge list: the
+    root uniform over the keys, each step uniform over the out-edges that
+    leave the walk (self-loops never do), a 1/3 stop after each step below
+    k, a sure stop at a dead end or after k steps."""
+    out = {}
+    for h, r, t in zip(sg.edges_head.tolist(), sg.edges_rel.tolist(), sg.edges_tail.tolist()):
+        out.setdefault(h, []).append((t, r))
+    p = 1.0 / len(sg.key_ids())
+    for j, (u, r, v) in enumerate(zip(nodes, rels, nodes[1:])):
+        free = [(t, r_) for t, r_ in out.get(u, []) if t not in nodes[: j + 1]]
+        p *= free.count((v, r)) / len(free)
+        if j:
+            p *= 1.0 - WALK_STOP_PROB  # the walk went on after step j
+    if len(rels) < k and any(t not in nodes for t, _ in out.get(nodes[-1], [])):
+        p *= WALK_STOP_PROB
+    return p
+
+
+def plackett_luce_inclusion(p, n):
+    """P(walk i is among n draws without replacement, each draw in
+    proportion to p), by brute force over every ordered draw."""
+    pi = np.zeros(len(p))
+    for seq in itertools.permutations(range(len(p)), n):
+        prob, left = 1.0, sum(p)
+        for i in seq:
+            prob *= p[i] / left
+            left -= p[i]
+        pi[list(seq)] += prob
+    return pi
+
+
+def test_walk_probabilities_match_brute_force_product():
+    shapes = {"self-loop": 0, "parallel": 0, "repeated": 0, "dead-end key": 0, "bare key": 0}
+    for trial, sg in enumerate(tiny_graphs()):
+        triples = list(zip(sg.edges_head.tolist(), sg.edges_rel.tolist(), sg.edges_tail.tolist()))
+        shapes["self-loop"] += any(h == t for h, _, t in triples)
+        shapes["parallel"] += len({(h, t) for h, _, t in triples}) < len(set(triples))
+        shapes["repeated"] += len(set(triples)) < len(triples)
+        heads = {h for h, _, t in triples if h != t}
+        ends = {h for h, _, _ in triples} | {t for _, _, t in triples}
+        shapes["dead-end key"] += any(key in ends and key not in heads for key in sg.key_ids())
+        shapes["bare key"] += any(key not in ends for key in sg.key_ids())
+        dead_roots = sum(
+            not any(h == key and t != key for h, t in zip(sg.edges_head, sg.edges_tail))
+            for key in sg.key_ids()
+        )
+        for k in (1, 2, 3):
+            walks, logp = listed_walks(sg, sg.key_rows(), k)
+            want = [walk_probability(sg, nodes, rels, k) for nodes, rels in walks]
+            assert np.exp(logp) == pytest.approx(want, rel=1e-12, abs=0), (trial, k)
+            assert np.exp(logp).sum() == pytest.approx(1 - dead_roots / len(sg.key_ids()),
+                                                       rel=1e-12), (trial, k)
+    assert min(shapes.values()) >= 4, shapes
+
+
+def test_inclusion_frequencies_match_plackett_luce():
+    # per walk, |frequency - inclusion probability| stays within 4.5 binomial
+    # standard deviations over N seeds, on the first two graphs with 4..7
+    # walks at k=3
+    N, Z = 20_000, 4.5
+    checked = 0
+    for sg in tiny_graphs():
+        walks, logp = listed_walks(sg, sg.key_rows(), 3)
+        if not 4 <= len(walks) <= 7 or checked == 2:
+            continue
+        n_paths = 2 + checked
+        pi = plackett_luce_inclusion(np.exp(logp).tolist(), n_paths)
+        counts = dict.fromkeys(walks, 0)
+        pg = as_pruned(sg)
+        for seed in range(N):
+            for sig in sigs(sample_paths(pg, n_paths, 3, seed)):
+                counts[sig] += 1
+        freq = np.array([counts[w] for w in walks]) / N
+        assert freq.sum() == pytest.approx(n_paths)  # every batch is full
+        assert (np.abs(freq - pi) <= Z * np.sqrt(pi * (1 - pi) / N)).all(), (freq, pi)
+        checked += 1
+    assert checked == 2
+
+
+def test_batches_are_full_and_seed_determined():
+    for sg in tiny_graphs():
+        pg = as_pruned(sg)
+        for k in (1, 2, 3):
+            total = len(itertools_walks(sg, k))
+            for n_paths in (1, 2, 3, 5, 200):
+                for seed in (0, 1, 2):
+                    got = sample_paths(pg, n_paths, k, seed)
+                    assert len(got) == len(set(sigs(got))) == min(n_paths, total)
+                    assert batch_bytes(got) == batch_bytes(sample_paths(pg, n_paths, k, seed))
 
 
 def test_exact_route_has_no_duplicate_on_repeated_triples():
@@ -508,9 +522,9 @@ def test_sampling_deterministic_per_seed():
     pg = triangle_pg()  # 4 walks: 0-1, 0-1-2, 0-2, 0-2-1
     a = sample_paths(pg, n_paths=3, k=3, seed=9)
     b = sample_paths(pg, n_paths=3, k=3, seed=9)
-    c = sample_paths(pg, n_paths=3, k=3, seed=10)
     assert sigs(a) == sigs(b)
-    assert sigs(a) != sigs(c)
+    # three of four walks: two seeds may keep the same three, ten seeds do not
+    assert len({tuple(sigs(sample_paths(pg, 3, 3, seed))) for seed in range(10)}) > 1
     # at n_paths >= 4 every walk fits, so the batch no longer depends on the seed
     d = sample_paths(pg, n_paths=30, k=3, seed=9)
     e = sample_paths(pg, n_paths=30, k=3, seed=10)

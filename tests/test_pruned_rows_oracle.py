@@ -4,12 +4,13 @@ Walks are drawn over the schema graph's one adjacency restricted to the
 surviving rows, and a batch records those rows directly. The route it
 replaced built a second ``SchemaGraph`` per pruned graph (``restricted_to``),
 gave it its own key rows and adjacency in its own row numbering, walked that,
-and mapped every walk back through ``pg.rows``. That route is copied verbatim
-below as the oracle: both must give the same batch bytes, on the exact and on
-the sampled route.
+and mapped every walk back through ``pg.rows``. That route's walk listing is
+copied verbatim below as the oracle: wherever a graph holds at most
+``n_paths`` walks, both must give the same batch bytes. Where it holds more,
+the draw follows each walk's DFS rank, so sampling the row set must give the
+bytes of sampling the survivors' own graph, mapped through ``pg.rows``.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -17,19 +18,12 @@ import numpy as np
 
 from kgpath.kg import load_graph
 from kgpath.neural import Adam, ScoringModel
-from kgpath.paths import (
-    MAX_ATTEMPT_FACTOR,
-    WALK_STOP_PROB,
-    PathBatch,
-    run_query,
-    sample_paths,
-    train_joint_step,
-)
+from kgpath.paths import PathBatch, run_query, sample_paths, train_joint_step
 from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores
 from kgpath.schema import SchemaGraph
 
 from conftest import write_edges, write_relations
-from test_path_ranker import make_samples
+from test_path_ranker import as_pruned, make_samples
 
 RELATIONS = ("r0", "r1", "r2")
 N_ENTITIES = 40
@@ -158,67 +152,17 @@ def old_simple_walks(adj, roots: Sequence[int], k: int, cap: int, out) -> int:
     return count
 
 
-def old_sample_paths(pg: PrunedGraph, n_paths: int, k: int, seed: int) -> PathBatch:
-    """``sample_paths`` over the pruned graph's own ``SchemaGraph``."""
+def old_sample_paths(pg: PrunedGraph, n_paths: int, k: int) -> PathBatch:
+    """``sample_paths`` over the pruned graph's own ``SchemaGraph``, for a
+    graph that holds at most ``n_paths`` walks."""
     base = old_restricted_to(pg.sg, pg.rows)
     key_pos = old_key_rows(base).tolist()
     if not key_pos:
         raise ValueError("pruned graph has no key node to root paths at")
     adj = old_adjacency(base)
     listed: tuple[list[int], list[int], list[int]] = ([], [], [])
-    if old_simple_walks(adj, key_pos, k, n_paths + 1, listed) <= n_paths:
-        return old_pack_paths(pg, base, *listed, k)
-
-    indptr = adj.indptr.tolist()
-    nbr = adj.nbr.tolist()
-    rel = adj.rel.tolist()
-    flat_nodes: list[int] = []
-    flat_rels: list[int] = []
-    lengths: list[int] = []
-    unit = random.Random(seed).random  # scaled unit draws beat randrange here
-    n_keys = len(key_pos)
-    seen: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
-    attempts = 0
-    max_attempts = MAX_ATTEMPT_FACTOR * n_paths
-    while len(lengths) < n_paths and attempts < max_attempts:
-        attempts += 1
-        cur = key_pos[int(unit() * n_keys)]
-        walk = [cur]  # row positions; at most k + 1, so a list beats a set
-        rel_seq: list[int] = []
-        while True:
-            lo = indptr[cur]
-            n_out = indptr[cur + 1] - lo
-            # Rejection sampling stays uniform over non-revisiting edges and
-            # avoids building a filtered list on every hop; fall back to the
-            # explicit filter when rejections pile up.
-            step = -1
-            if n_out:
-                for _ in range(8):
-                    j = lo + int(unit() * n_out)
-                    if nbr[j] not in walk:
-                        step = j
-                        break
-                else:
-                    options = [j for j in range(lo, lo + n_out) if nbr[j] not in walk]
-                    if options:
-                        step = options[int(unit() * len(options))]
-            if step < 0:
-                break
-            cur = nbr[step]
-            walk.append(cur)
-            rel_seq.append(rel[step])
-            if len(rel_seq) >= k or unit() < WALK_STOP_PROB:
-                break
-        if not rel_seq:
-            continue
-        sig = (tuple(walk), tuple(rel_seq))
-        if sig in seen:
-            continue
-        seen.add(sig)
-        flat_nodes += walk
-        flat_rels += rel_seq
-        lengths.append(len(rel_seq))
-    return old_pack_paths(pg, base, flat_nodes, flat_rels, lengths, k)
+    assert old_simple_walks(adj, key_pos, k, n_paths + 1, listed) <= n_paths
+    return old_pack_paths(pg, base, *listed, k)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +246,12 @@ def test_row_set_walks_match_restricted_graph_route(tmp_path):
             for n_paths in sorted({1, total - 1, total, total + 1} - {-1, 0}):
                 for seed in (0, 1, 2):
                     got = sample_paths(pg, n_paths, k, seed)
-                    assert batch_bytes(got) == batch_bytes(old_sample_paths(pg, n_paths, k, seed)), (
-                        trial, k, n_paths, seed,
-                    )
+                    if n_paths >= total:
+                        oracle = old_sample_paths(pg, n_paths, k)
+                    else:
+                        oracle = sample_paths(as_pruned(pg.base), n_paths, k, seed)
+                        oracle.rows = np.where(oracle.rows >= 0, pg.rows[oracle.rows], -1)
+                    assert batch_bytes(got) == batch_bytes(oracle), (trial, k, n_paths, seed)
                     routes["exact" if n_paths >= total else "sampled"] += total > 0
     assert min(shapes.values()) >= 20, shapes
     assert min(routes.values()) >= 300, routes  # both routes are exercised
