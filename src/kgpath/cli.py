@@ -227,8 +227,6 @@ def cmd_prune(args: argparse.Namespace) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg)
-    if rt.emb.dim != cfg.D:
-        raise InputError(msg=f"entity embeddings have dimension {rt.emb.dim}; set D = {rt.emb.dim}")
     out = _out_dir(args, cfg)
     model = ScoringModel(cfg.d, cfg.D, cfg.k, dropout_rate=cfg.dropout, seed=cfg.seed)
     samples, skipped = prepare_samples(rt, model, rt.train_records())

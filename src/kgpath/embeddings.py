@@ -190,16 +190,23 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
 
 def load_contexts(path: Path | str) -> dict[str, QueryContext]:
     """Read the ``{qid, z, v, t}`` JSON Lines context file; a qid given
-    twice is refused at its second line."""
+    twice is refused at its second line, and so is a row whose dimension
+    differs from the first row's."""
     seen: set[str] = set()
+    dim = 0  # the first row's dimension, once read
 
     def build(obj: dict) -> QueryContext:
-        return QueryContext(
+        nonlocal dim
+        ctx = QueryContext(
             qid=new_qid(obj, seen),
             z=np.asarray(obj["z"], dtype=np.float64),
             v=np.asarray(obj["v"], dtype=np.float64),
             t=np.asarray(obj["t"], dtype=np.float64),
         )
+        dim = dim or ctx.dim
+        if ctx.dim != dim:
+            raise InputError(msg=f"{ctx.qid}: dimension {ctx.dim} differs from the first row's {dim}")
+        return ctx
 
     return {ctx.qid: ctx for ctx in read_jsonl(path, build)}
 

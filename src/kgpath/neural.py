@@ -1,11 +1,12 @@
 """Minimal dense-network toolkit with exact hand-derived gradients.
 
 Everything the scoring pipeline needs and nothing more: two-layer MLPs with
-ReLU hidden units and inverted dropout, a bilinear scorer, cosine / triplet /
-binary-cross-entropy losses with their backward passes, semi-hard negative
-mining, and Adam. All math runs in float64 so central finite-difference
-checks hold to tight tolerances; checkpoints store float32 per the wire
-format.
+ReLU hidden units and inverted dropout, a bilinear scorer, row-wise cosine
+similarity, binary cross-entropy with its gradient, and Adam. The triplet
+loss and its semi-hard mining are one array pass over cosine rows, in
+``pruning.triplet_terms``. All math runs in float64 so central
+finite-difference checks hold to tight tolerances; checkpoints store float32
+per the wire format.
 
 Forward passes return ``(output, cache)`` pairs and backward passes consume
 the cache, so one layer can be applied any number of times inside a single
@@ -31,19 +32,6 @@ CHECKPOINT_MAGIC = b"GPR1"
 # ---------------------------------------------------------------------------
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine similarity; 0 when either vector is numerically zero."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        return 0.0
-    return float(a @ b / (na * nb))
-
-
 def cosine_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """cos(z, rows[i]) for every row; zero-norm rows score 0."""
     nz = np.linalg.norm(z)
@@ -55,94 +43,23 @@ def cosine_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
     return out
 
 
-def cosine_grad_b(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """d cos(a, b) / d b with a held fixed (zero where cosine is clamped)."""
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < 1e-12 or nb < 1e-12:
-        return np.zeros_like(b)
-    c = float(a @ b / (na * nb))
-    return a / (na * nb) - c * b / (nb * nb)
-
-
-def triplet_loss(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    margin: float = 0.5,
-) -> float:
-    """max(0, d(a,p) - d(a,n) + margin) with d = 1 - cosine."""
-    d_pos = 1.0 - cosine(anchor, positive)
-    d_neg = 1.0 - cosine(anchor, negative)
-    return max(0.0, d_pos - d_neg + margin)
-
-
-def triplet_loss_backward(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negative: np.ndarray,
-    margin: float = 0.5,
-) -> tuple[float, np.ndarray, np.ndarray]:
-    """(loss, dL/dpositive, dL/dnegative); gradients vanish when inactive."""
-    loss = triplet_loss(anchor, positive, negative, margin)
-    if loss <= 0.0:
-        return 0.0, np.zeros_like(positive), np.zeros_like(negative)
-    # loss = cos(a, n) - cos(a, p) + margin on the active branch
-    return loss, -cosine_grad_b(anchor, positive), cosine_grad_b(anchor, negative)
-
-
-def mine_semi_hard(
-    anchor: np.ndarray,
-    positive: np.ndarray,
-    negatives: Sequence[np.ndarray] | np.ndarray,
-    margin: float = 0.5,
-) -> int:
-    """Pick a semi-hard negative: d(a,p) < d(a,n) < d(a,p) + margin.
-
-    Among qualifiers the closest negative wins; with no qualifier the hardest
-    negative (smallest d(a,n)) is returned instead. Ties resolve to the lowest
-    index.
-    """
-    negatives = np.asarray(negatives, dtype=np.float64)
-    if negatives.ndim != 2 or negatives.shape[0] == 0:
-        raise ValueError("negatives must be a non-empty matrix of row vectors")
-    d_pos = 1.0 - cosine(anchor, positive)
-    d_neg = 1.0 - cosine_rows(np.asarray(anchor, dtype=np.float64), negatives)
-    in_band = (d_neg > d_pos) & (d_neg < d_pos + margin)
-    if in_band.any():
-        masked = np.where(in_band, d_neg, np.inf)
-        return int(np.argmin(masked))
-    return int(np.argmin(d_neg))
-
-
-def sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x, dtype=np.float64)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def bce_loss(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mean binary cross-entropy on raw logits (sigmoid applied internally)."""
+def bce_loss_backward(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean binary cross-entropy on raw logits and its gradient dL/dscores."""
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.float64)
     if scores.shape != labels.shape:
         raise ValueError(f"length mismatch: {scores.shape} vs {labels.shape}")
     if scores.size == 0:
-        return 0.0
+        return 0.0, np.zeros_like(scores)
     # max(s,0) - s*y + log(1 + exp(-|s|)) is the clamped form, stably.
     per = np.maximum(scores, 0.0) - scores * labels + np.log1p(np.exp(-np.abs(scores)))
-    return float(per.mean())
-
-
-def bce_loss_backward(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
-    loss = bce_loss(scores, labels)
-    if scores.size == 0:
-        return loss, np.zeros_like(scores)
-    grad = (sigmoid(np.asarray(scores, dtype=np.float64)) - labels) / scores.size
-    return loss, grad
+    # the sigmoid, split by sign so that exp never overflows
+    sig = np.empty_like(scores)
+    pos = scores >= 0
+    sig[pos] = 1.0 / (1.0 + np.exp(-scores[pos]))
+    ex = np.exp(scores[~pos])
+    sig[~pos] = ex / (1.0 + ex)
+    return float(per.mean()), (sig - labels) / scores.size
 
 
 # ---------------------------------------------------------------------------

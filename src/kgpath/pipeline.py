@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .config import RunConfig
+from .config import InputError, RunConfig
 from .embeddings import (
     EntityEmbeddingTable,
     QueryContext,
@@ -84,9 +84,16 @@ def load_edge_graph(cfg: RunConfig) -> tuple[KnowledgeGraph, dict[str, Path]]:
     return load_graph(cfg.kg_edges, cfg.relations), inputs
 
 
+def _check_dim(path: Path, dim: int, name: str, want: int) -> None:
+    if dim != want:
+        raise InputError(path, msg=f"vectors have dimension {dim}, but the config sets {name} = {want}")
+
+
 def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool = True) -> Runtime:
     """The graph, queries and vectors a command needs; ``rt.inputs`` names each
-    file read by its config key, an index by its three files."""
+    file read by its config key, an index by its three files. Entity vectors
+    whose dimension is not ``cfg.D``, or contexts not ``cfg.d``, are an
+    ``InputError`` naming the file."""
     if cfg.kg_index is not None and (cfg.kg_index / "adjacency.npz").exists():
         logger.info("loading prebuilt index from %s", cfg.kg_index)
         g = KnowledgeGraph.load_index(cfg.kg_index)
@@ -111,7 +118,10 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
                 "config needs entity_embeddings and contexts for this command"
             )
         rt.emb = load_entity_embeddings(read("entity_embeddings"), g)
+        _check_dim(cfg.entity_embeddings, rt.emb.dim, "D", cfg.D)
         rt.contexts = load_contexts(read("contexts"))
+        if rt.contexts:  # load_contexts holds every row to the first row's dimension
+            _check_dim(cfg.contexts, next(iter(rt.contexts.values())).dim, "d", cfg.d)
         rt.textfeat = TextFeatureProvider(
             dim=cfg.d,
             mode=cfg.ptm_mode,

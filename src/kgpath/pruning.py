@@ -6,7 +6,9 @@ score from the key nodes (1 / (1 + hops), so key nodes score 1 and unreachable
 nodes 0). The prune score blends them, s_prune = theta_p * s_bfs +
 (1 - theta_p) * s_cos, and the top-scoring nodes survive with key nodes always
 retained. The encoder trains on triplets anchored at z with ground-truth nodes
-as positives and (by default) semi-hard mined negatives.
+as positives and (by default) semi-hard mined negatives. ``triplet_terms``
+mines, scores and differentiates every (positive, negative) pair of a
+question in one array pass over the nodes' cosines.
 
 A prepared question (``QuerySample``) keeps only the input rows it alone
 owns, its text features p_i. The encoder input is assembled from z, the
@@ -25,13 +27,7 @@ import numpy as np
 from .config import InputError, write_jsonl
 from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
-from .neural import (
-    Adam,
-    ScoringModel,
-    cosine_rows,
-    mine_semi_hard,
-    triplet_loss_backward,
-)
+from .neural import Adam, ScoringModel, cosine_rows
 from .schema import SchemaGraph
 
 
@@ -232,37 +228,41 @@ def triplet_terms(
     margin: float = 0.5,
     semi_hard: bool = True,
 ) -> tuple[float, int, np.ndarray]:
-    """Triplet loss terms for one query's encodings.
+    """Cosine triplet loss terms for one query's encodings, anchored at z.
 
-    Returns (summed loss, term count, unscaled dL/dh). Semi-hard mode mines
-    one negative per ground-truth positive; otherwise every (positive,
-    negative) pair contributes, reproducing the all-triplets ablation.
+    Returns (summed loss, term count, unscaled dL/dh). A term is the hinge
+    max(0, d(z,p) - d(z,n) + margin) with d = 1 - cosine, over a (positives x
+    negatives) pair mask. Semi-hard mode sets one cell per positive: the
+    closest negative with d(z,p) < d(z,n) < d(z,p) + margin, else the hardest,
+    ties to the lowest index. Otherwise every cell is set, the all-triplets
+    ablation. A zero-norm row or a zero z has cosine 0 and gradient 0.
     """
     dh = np.zeros_like(h)
-    total = 0.0
-    count = 0
     if gt_pos.size == 0 or neg_pos.size == 0:
-        return total, count, dh
-    negatives = h[neg_pos]
-    for p in gt_pos:
-        positive = h[p]
-        if semi_hard:
-            j = mine_semi_hard(z, positive, negatives, margin)
-            loss, d_pos, d_neg = triplet_loss_backward(z, positive, negatives[j], margin)
-            total += loss
-            count += 1
-            dh[p] += d_pos
-            dh[neg_pos[j]] += d_neg
-        else:
-            for j in range(neg_pos.size):
-                loss, d_pos, d_neg = triplet_loss_backward(
-                    z, positive, negatives[j], margin
-                )
-                total += loss
-                count += 1
-                dh[p] += d_pos
-                dh[neg_pos[j]] += d_neg
-    return total, count, dh
+        return 0.0, 0, dh
+    c = cosine_rows(z, h)
+    d_pos = 1.0 - c[gt_pos, None]
+    d_neg = 1.0 - c[neg_pos]
+    if semi_hard:
+        band = (d_neg > d_pos) & (d_neg < d_pos + margin)
+        closest = np.where(band, d_neg, np.inf).argmin(axis=1)
+        pairs = np.zeros(band.shape, dtype=bool)
+        pairs[np.arange(gt_pos.size), np.where(band.any(axis=1), closest, d_neg.argmin())] = True
+    else:
+        pairs = np.ones((gt_pos.size, neg_pos.size), dtype=bool)
+    hinge = d_pos - d_neg + margin
+    active = pairs & (hinge > 0.0)
+    # an active pair's loss is cos(z, n) - cos(z, p) + margin, so a row's dL/dh
+    # is d cos(z, h) / dh times its active pairs, negated for a positive row
+    weight = np.zeros(h.shape[0])
+    weight[gt_pos] = -active.sum(axis=1)
+    weight[neg_pos] = active.sum(axis=0)
+    nz = np.linalg.norm(z)
+    nh = np.linalg.norm(h, axis=1)
+    rows = np.flatnonzero((weight != 0.0) & (nh >= 1e-12) & (nz >= 1e-12))
+    nr = nh[rows, None]
+    dh[rows] = weight[rows, None] * (z / (nz * nr) - c[rows, None] * h[rows] / (nr * nr))
+    return float(hinge[active].sum()), int(pairs.sum()), dh
 
 
 def train_prune_step(

@@ -3,7 +3,10 @@ import zlib
 import numpy as np
 import pytest
 
+from kgpath.config import load_config
 from kgpath.kg import Edge, load_graph
+from kgpath.pipeline import load_runtime
+from kgpath.synth import SuiteSpec, generate_suite
 
 
 def write_edges(path, rows):
@@ -25,6 +28,17 @@ def tiny_graph(tmp_path):
     )
     rels = write_relations(tmp_path / "relations.txt", ["relatedto", "isa"])
     return load_graph(edges, rels)
+
+
+@pytest.fixture(scope="module")
+def small_runtime(tmp_path_factory):
+    """The runtime of a tiny planted suite: 150 entities, 600 edges, 24
+    queries, d = D = 8, with dropout and a prune target that cuts."""
+    out = tmp_path_factory.mktemp("oracle_suite")
+    generate_suite(out, SuiteSpec(seed=5, n_entities=150, n_edges=600, n_queries=24, dim=8))
+    overrides = {"dropout": "0.5", "batch_size": "3", "lr": "2e-3", "prune_target": "15",
+                 "n_paths": "40"}
+    return load_runtime(load_config(out / "suite.config", overrides))
 
 
 class FakeTextFeatures:

@@ -25,16 +25,7 @@ from kgpath.metrics import (
     recall_at_k,
     vqa_score,
 )
-from kgpath.neural import (
-    Adam,
-    ScoringModel,
-    bce_loss,
-    bce_loss_backward,
-    cosine_rows,
-    mine_semi_hard,
-    triplet_loss,
-    triplet_loss_backward,
-)
+from kgpath.neural import Adam, ScoringModel, bce_loss_backward, cosine_rows
 from kgpath.paths import (
     _backward_paths,
     _forward_paths,
@@ -55,7 +46,7 @@ from kgpath.schema import SchemaGraph, _rank_candidates, gt_provenance
 from kgpath.synth import SuiteSpec, generate_suite
 
 from conftest import random_graph
-from test_neural import _oracle_semi_hard
+from test_neural import _oracle_semi_hard, check_mining
 from test_path_ranker import as_pruned, enumerate_simple_walks, pack, sigs
 from test_pruning import make_sg, sym
 from test_schema_graph import brute_force_rank
@@ -146,7 +137,7 @@ def _joint_instance(seed):
     def loss():
         h, cache_n = model.f_n.forward(x, train=False)
         scores, _, path_cache = _forward_paths(model, paths, h, ctx, train=False)
-        l_cls = bce_loss(scores, labels)
+        l_cls, _ = bce_loss_backward(scores, labels)
         t_sum, t_cnt, _ = triplet_terms(z, h, gt_pos, neg_pos, 0.5, semi_hard=True)
         cache_t, cache_p, _ = path_cache
         # ReLU pattern: the `pre > 0` mask cached by each hidden DenseLayer
@@ -228,6 +219,20 @@ def _fd_check(loss, params_and_grads, h=1e-5, tol=1e-4):
     return worst, skipped, n_probed
 
 
+def _triplet_probe(z, h):
+    """The loss closure for ``_fd_check`` of ``triplet_terms`` with row 0 of
+    ``h`` the positive and the other rows negatives. Its pattern is (mined
+    negative, active pair): a probe that switches either crosses a kink."""
+    gt_pos, neg_pos = np.array([0]), np.arange(1, h.shape[0])
+
+    def loss():
+        t_sum, _, _ = triplet_terms(z, h, gt_pos, neg_pos, 0.5, semi_hard=True)
+        mined = _oracle_semi_hard(z, h[0], h[1:], 0.5)
+        return t_sum, (np.array([mined]), np.array([t_sum > 0.0]))
+
+    return loss
+
+
 def test_criterion_1_gradient_integrity():
     t0 = time.time()
     worst = 0.0
@@ -243,16 +248,17 @@ def test_criterion_1_gradient_integrity():
     for seed in range(20):
         rng = np.random.default_rng(1000 + seed)
 
-        # triplet loss on random vectors
+        # triplet loss on random vectors: h row 0 the positive, row 1 the negative
         a, p, n = rng.standard_normal((3, 5))
-        _, d_pos, d_neg = triplet_loss_backward(a, p, n, 0.5)
-        check(lambda: (triplet_loss(a, p, n, 0.5), ()), [(p, d_pos), (n, d_neg)])
+        h = np.stack([p, n])
+        _, _, dh = triplet_terms(a, h, np.array([0]), np.array([1]), 0.5)
+        check(_triplet_probe(a, h), [(h[0], dh[0]), (h[1], dh[1])])
 
         # binary cross-entropy on random logits
         s = rng.standard_normal(8)
         y = (rng.random(8) < 0.5).astype(float)
         _, ds = bce_loss_backward(s, y)
-        check(lambda: (bce_loss(s, y), ()), [(s, ds)])
+        check(lambda: (bce_loss_backward(s, y)[0], ()), [(s, ds)])
 
         # full joint objective on the 3-node / 2-path instance (covers every
         # layer: node encoder, both path encoders, the bilinear scorer)
@@ -426,11 +432,11 @@ def test_criterion_4_oracle_equivalences(tmp_path):
         ranked = _rank_candidates(g, g.edges_from(current), q_nodes, np.unique(cands))
         assert ranked.tolist() == brute_force_rank(g, current, q_nodes, cands)
 
-    # semi-hard mining vs exhaustive scan, 100 batches
+    # semi-hard mining in triplet_terms vs exhaustive scan, 100 batches
     for _ in range(100):
         a, p = rng.standard_normal((2, 6))
         negatives = rng.standard_normal((int(rng.integers(1, 15)), 6))
-        assert mine_semi_hard(a, p, negatives, 0.5) == _oracle_semi_hard(a, p, negatives, 0.5)
+        check_mining(a, p, negatives, 0.5)
 
     # recall@k vs full-sort recount
     for _ in range(100):

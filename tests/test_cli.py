@@ -347,6 +347,17 @@ def dropping(marker):
     return lambda data: b"".join(l for l in data.splitlines(True) if marker not in l)
 
 
+def each_line(edit):
+    """A whole-file edit that applies the line edit ``edit`` to every line."""
+    return lambda data: b"".join(edit(l.decode("utf-8")).encode("utf-8") + b"\n"
+                                 for l in data.splitlines())
+
+
+def shortened(n):
+    """A context edit that keeps the first ``n`` values of z, v and t."""
+    return lambda obj: json.dumps({**obj, **{key: obj[key][:n] for key in "zvt"}})
+
+
 @pytest.fixture(scope="module")
 def good_inputs(suite, schema_dump):
     """A well-formed file for each input that MALFORMED_INPUT edits."""
@@ -466,6 +477,14 @@ MALFORMED_INPUT = {
         "q0001: context vectors disagree on dimension",
     ),
     "contexts-not-utf8": ("train", "contexts", 2, not_utf8, "not UTF-8 text"),
+    "contexts-mixed-dimensions": (
+        "train", "contexts", 2, json_edit(shortened(8)),
+        "q0001: dimension 8 differs from the first row's 12",
+    ),
+    "contexts-dimension-not-d": (
+        "eval", "contexts", None, each_line(json_edit(shortened(8))),
+        "vectors have dimension 8, but the config sets d = 12",
+    ),
     "contexts-duplicate-qid": (
         "train", "contexts", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
     ),

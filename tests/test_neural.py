@@ -11,18 +11,21 @@ from kgpath.neural import (
     MLP2,
     ScoringModel,
     adam_step,
-    bce_loss,
     bce_loss_backward,
-    cosine,
-    cosine_grad_b,
     cosine_rows,
-    mine_semi_hard,
-    sigmoid,
-    triplet_loss,
-    triplet_loss_backward,
 )
+from kgpath.pruning import triplet_terms
 
 from conftest import finite_difference, relative_error
+
+
+def _cos(a, b):
+    """Cosine similarity term by term; 0 when either vector is zero."""
+    na = math.sqrt(sum(x * x for x in a))
+    nb = math.sqrt(sum(x * x for x in b))
+    if na < 1e-12 or nb < 1e-12:
+        return 0.0
+    return sum(x * y for x, y in zip(a, b)) / (na * nb)
 
 
 # -- cosine ------------------------------------------------------------------
@@ -32,23 +35,23 @@ def test_cosine_identity_and_orthogonality():
     rng = np.random.default_rng(0)
     for _ in range(5):
         x = rng.standard_normal(7)
-        assert cosine(x, x) == pytest.approx(1.0)
-    assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert cosine_rows(x, x[None])[0] == pytest.approx(1.0)
+    assert cosine_rows(np.array([1.0, 0.0]), np.array([[0.0, 1.0]]))[0] == 0.0
 
 
 def test_cosine_arithmetic_oracle():
     # independent arithmetic: 32 / (sqrt(14) * sqrt(77))
     expected = (1 * 4 + 2 * 5 + 3 * 6) / (math.sqrt(1 + 4 + 9) * math.sqrt(16 + 25 + 36))
-    assert cosine(np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])) == pytest.approx(
+    assert cosine_rows(np.array([1.0, 2.0, 3.0]), np.array([[4.0, 5.0, 6.0]]))[0] == pytest.approx(
         expected, abs=1e-12
     )
     assert expected == pytest.approx(0.974631846, abs=1e-9)
 
 
 def test_cosine_zero_vector_and_mismatch():
-    assert cosine(np.zeros(3), np.array([1.0, 2.0, 3.0])) == 0.0
+    assert cosine_rows(np.zeros(3), np.array([[1.0, 2.0, 3.0]]))[0] == 0.0
     with pytest.raises(ValueError, match="mismatch"):
-        cosine(np.ones(3), np.ones(4))
+        cosine_rows(np.ones(3), np.ones((1, 4)))
 
 
 def test_cosine_rows_matches_scalar():
@@ -58,13 +61,21 @@ def test_cosine_rows_matches_scalar():
     rows[3] = 0.0
     got = cosine_rows(z, rows)
     for i in range(9):
-        assert got[i] == pytest.approx(cosine(z, rows[i]), abs=1e-12)
+        assert got[i] == pytest.approx(_cos(z, rows[i]), abs=1e-12)
 
 
 def _vector_at_cos_distance(dist):
     """Unit 2-vector whose cosine distance to (1, 0) is ``dist``."""
     c = 1.0 - dist
     return np.array([c, math.sqrt(max(0.0, 1.0 - c * c))])
+
+
+def _one_positive(a, p, negatives, margin=0.5):
+    """``triplet_terms`` with ``p`` as row 0, the only positive, and
+    ``negatives`` as rows 1.. of h; returns the loss, count, dh and h."""
+    h = np.vstack([p, negatives])
+    loss, count, dh = triplet_terms(a, h, np.array([0]), np.arange(1, h.shape[0]), margin)
+    return loss, count, dh, h
 
 
 # -- triplet loss --------------------------------------------------------------
@@ -74,14 +85,16 @@ def test_triplet_margin_satisfied():
     a = np.array([1.0, 0.0])
     p = _vector_at_cos_distance(0.2)
     n = _vector_at_cos_distance(0.9)
-    assert triplet_loss(a, p, n, margin=0.5) == pytest.approx(0.0)
+    loss, count, dh, _ = _one_positive(a, p, n[None])
+    assert loss == pytest.approx(0.0) and count == 1
+    assert np.all(dh == 0.0)
 
 
 def test_triplet_active_value():
     a = np.array([1.0, 0.0])
     p = _vector_at_cos_distance(0.6)
     n = _vector_at_cos_distance(0.7)
-    assert triplet_loss(a, p, n, margin=0.5) == pytest.approx(0.4, abs=1e-12)
+    assert _one_positive(a, p, n[None])[0] == pytest.approx(0.4, abs=1e-12)
 
 
 def test_triplet_gradients_match_finite_differences():
@@ -90,29 +103,40 @@ def test_triplet_gradients_match_finite_differences():
         a = rng.standard_normal(5)
         p = rng.standard_normal(5)
         n = rng.standard_normal(5)
-        loss, d_pos, d_neg = triplet_loss_backward(a, p, n, margin=0.5)
-        (fd_p,) = finite_difference(lambda: triplet_loss(a, p, n, 0.5), [p])
-        (fd_n,) = finite_difference(lambda: triplet_loss(a, p, n, 0.5), [n])
-        assert relative_error(d_pos, fd_p) < 1e-4
-        assert relative_error(d_neg, fd_n) < 1e-4
+        _, _, dh, h = _one_positive(a, p, n[None])
+        gt_pos, neg_pos = np.array([0]), np.array([1])
+        (fd,) = finite_difference(lambda: triplet_terms(a, h, gt_pos, neg_pos, 0.5)[0], [h])
+        assert relative_error(dh[0], fd[0]) < 1e-4
+        assert relative_error(dh[1], fd[1]) < 1e-4
 
 
 def test_cosine_grad_matches_finite_differences():
+    # with margin 3 every pair is active, so dh of the negative row is
+    # d cos(a, b) / d b
     rng = np.random.default_rng(8)
     a = rng.standard_normal(6)
     b = rng.standard_normal(6)
-    (fd,) = finite_difference(lambda: cosine(a, b), [b])
-    assert relative_error(cosine_grad_b(a, b), fd) < 1e-4
+    _, _, dh, _ = _one_positive(a, a, b[None], margin=3.0)
+    (fd,) = finite_difference(lambda: cosine_rows(a, b[None])[0], [b])
+    assert relative_error(dh[1], fd) < 1e-4
 
 
 # -- semi-hard mining ----------------------------------------------------------
+
+
+def _mined(dh):
+    """The negatives (indices into rows 1.. of h) with a gradient: the
+    mined one, when its pair is active."""
+    return np.flatnonzero(dh[1:].any(axis=1)).tolist()
 
 
 def test_mine_semi_hard_band():
     a = np.array([1.0, 0.0])
     p = _vector_at_cos_distance(0.3)
     negatives = np.stack([_vector_at_cos_distance(x) for x in (0.1, 0.5, 0.9)])
-    assert mine_semi_hard(a, p, negatives, margin=0.5) == 1  # 0.5 in (0.3, 0.8)
+    loss, _, dh, _ = _one_positive(a, p, negatives, margin=0.5)
+    assert _mined(dh) == [1]  # 0.5 in (0.3, 0.8)
+    assert loss == pytest.approx(0.3, abs=1e-12)
 
 
 def test_mine_semi_hard_fallback_to_hardest():
@@ -120,16 +144,39 @@ def test_mine_semi_hard_fallback_to_hardest():
     p = _vector_at_cos_distance(0.6)
     negatives = np.stack([_vector_at_cos_distance(x) for x in (0.1, 0.3)])
     # every negative is closer than the positive: fall back to the hardest
-    assert mine_semi_hard(a, p, negatives, margin=0.5) == 0
+    loss, _, dh, _ = _one_positive(a, p, negatives, margin=0.5)
+    assert _mined(dh) == [0]
+    assert loss == pytest.approx(1.0, abs=1e-12)
+
+
+def test_mine_semi_hard_ties_go_to_lowest_index():
+    a = np.array([1.0, 0.0])
+    at = _vector_at_cos_distance
+    # two equal negatives in the band, then two equal hardest ones
+    for p, dists, want in ((at(0.3), (0.9, 0.5, 0.5), 1), (at(0.6), (0.3, 0.1, 0.1), 1)):
+        negatives = np.stack([at(x) for x in dists])
+        assert _mined(_one_positive(a, p, negatives)[2]) == [want]
 
 
 def _oracle_semi_hard(a, p, negatives, margin):
-    d_pos = 1.0 - cosine(a, p)
-    dists = [1.0 - cosine(a, n) for n in negatives]
+    d_pos = 1.0 - _cos(a, p)
+    dists = [1.0 - _cos(a, n) for n in negatives]
     band = [(d, i) for i, d in enumerate(dists) if d_pos < d < d_pos + margin]
     if band:
         return min(band)[1]
     return min((d, i) for i, d in enumerate(dists))[1]
+
+
+def check_mining(a, p, negatives, margin=0.5):
+    """``triplet_terms`` against the exhaustive scan: one term, the loss of
+    the oracle's negative, and (when that pair is active) the gradient on
+    that negative alone."""
+    j = _oracle_semi_hard(a, p, negatives, margin)
+    want = max(0.0, _cos(a, negatives[j]) - _cos(a, p) + margin)
+    loss, count, dh, _ = _one_positive(a, p, negatives, margin)
+    assert count == 1
+    assert loss == pytest.approx(want, abs=1e-12)
+    assert _mined(dh) == ([j] if want > 0.0 else [])
 
 
 def test_mine_semi_hard_matches_exhaustive_scan():
@@ -138,15 +185,19 @@ def test_mine_semi_hard_matches_exhaustive_scan():
         a = rng.standard_normal(4)
         p = rng.standard_normal(4)
         negatives = rng.standard_normal((int(rng.integers(1, 12)), 4))
-        assert mine_semi_hard(a, p, negatives, 0.5) == _oracle_semi_hard(a, p, negatives, 0.5)
+        check_mining(a, p, negatives)
 
 
-def test_mine_semi_hard_empty_rejected():
-    with pytest.raises(ValueError):
-        mine_semi_hard(np.ones(3), np.ones(3), np.empty((0, 3)))
+def test_mine_semi_hard_no_negatives_gives_no_terms():
+    loss, count, dh = triplet_terms(np.ones(3), np.ones((1, 3)), np.array([0]), np.empty(0, int))
+    assert (loss, count) == (0.0, 0) and np.all(dh == 0.0)
 
 
 # -- binary cross-entropy --------------------------------------------------------
+
+
+def bce_loss(scores, labels):
+    return bce_loss_backward(scores, labels)[0]
 
 
 def test_bce_at_zero_logit():
@@ -162,7 +213,7 @@ def test_bce_equals_clamped_naive_form():
     rng = np.random.default_rng(3)
     s = rng.standard_normal(50) * 5
     y = (rng.random(50) < 0.5).astype(float)
-    sig = np.clip(sigmoid(s), 1e-12, 1.0 - 1e-12)
+    sig = np.clip(1.0 / (1.0 + np.exp(-s)), 1e-12, 1.0 - 1e-12)
     naive = float(np.mean(-(y * np.log(sig) + (1 - y) * np.log(1 - sig))))
     assert bce_loss(s, y) == pytest.approx(naive, rel=1e-9)
 
@@ -174,6 +225,16 @@ def test_bce_gradient_matches_finite_differences():
     _, grad = bce_loss_backward(s, y)
     (fd,) = finite_difference(lambda: bce_loss(s, y), [s])
     assert relative_error(grad, fd) < 1e-4
+
+
+def test_bce_gradient_is_sigmoid_minus_label():
+    # both sigmoid branches, at logits far enough out that a one-branch
+    # exp(-s) would overflow
+    s = np.array([-800.0, -3.0, 0.0, 2.5, 800.0])
+    y = np.array([0.0, 1.0, 1.0, 0.0, 1.0])
+    _, grad = bce_loss_backward(s, y)
+    sig = np.array([0.0, 1.0 / (1.0 + math.exp(3.0)), 0.5, 1.0 / (1.0 + math.exp(-2.5)), 1.0])
+    assert grad == pytest.approx((sig - y) / 5, abs=1e-15)
 
 
 def test_bce_length_mismatch():

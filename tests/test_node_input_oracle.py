@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from kgpath import paths
-from kgpath.config import load_config
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from kgpath.neural import ScoringModel, bce_loss_backward, cosine_rows
 from kgpath.paths import (
@@ -30,9 +29,8 @@ from kgpath.paths import (
     sample_paths,
     staged_training,
 )
-from kgpath.pipeline import load_runtime, prepare_samples
+from kgpath.pipeline import prepare_samples
 from kgpath.pruning import QuerySample, prune, prune_from_scores, triplet_terms
-from kgpath.synth import SuiteSpec, generate_suite
 
 from conftest import random_graph
 from test_pruning import make_sg
@@ -233,15 +231,6 @@ def test_build_keeps_the_dimension_checks(tmp_path):
 # ---------------------------------------------------------------------------
 # training
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def small_runtime(tmp_path_factory):
-    out = tmp_path_factory.mktemp("oracle_suite")
-    generate_suite(out, SuiteSpec(seed=5, n_entities=150, n_edges=600, n_queries=24, dim=8))
-    overrides = {"dropout": "0.5", "batch_size": "3", "lr": "2e-3", "prune_target": "15",
-                 "n_paths": "40"}
-    return load_runtime(load_config(out / "suite.config", overrides))
 
 
 def fresh_model(cfg):

@@ -7,7 +7,7 @@ from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeaturePro
 from kgpath.kg import load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.metrics import recall_at_k
-from kgpath.neural import Adam, ScoringModel, cosine, cosine_rows, mine_semi_hard, triplet_loss
+from kgpath.neural import Adam, ScoringModel, cosine_rows
 from kgpath.pruning import (
     QuerySample,
     bfs_scores,
@@ -329,8 +329,138 @@ def test_prune_argsort_invariant_to_node_shuffle(tmp_path):
     assert orders[0] == orders[1] == orders[2]
 
 
+# -- reference: the per-pair triplet loop -------------------------------------
+# Verbatim copies of the per-vector helpers and of the loop that
+# ``triplet_terms`` ran before it became one array pass.
+
+
+def cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine similarity; 0 when either vector is numerically zero."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        return 0.0
+    return float(a @ b / (na * nb))
+
+
+def cosine_grad_b(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """d cos(a, b) / d b with a held fixed (zero where cosine is clamped)."""
+    na = np.linalg.norm(a)
+    nb = np.linalg.norm(b)
+    if na < 1e-12 or nb < 1e-12:
+        return np.zeros_like(b)
+    c = float(a @ b / (na * nb))
+    return a / (na * nb) - c * b / (nb * nb)
+
+
+def triplet_loss(
+    anchor: np.ndarray,
+    positive: np.ndarray,
+    negative: np.ndarray,
+    margin: float = 0.5,
+) -> float:
+    """max(0, d(a,p) - d(a,n) + margin) with d = 1 - cosine."""
+    d_pos = 1.0 - cosine(anchor, positive)
+    d_neg = 1.0 - cosine(anchor, negative)
+    return max(0.0, d_pos - d_neg + margin)
+
+
+def triplet_loss_backward(
+    anchor: np.ndarray,
+    positive: np.ndarray,
+    negative: np.ndarray,
+    margin: float = 0.5,
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, dL/dpositive, dL/dnegative); gradients vanish when inactive."""
+    loss = triplet_loss(anchor, positive, negative, margin)
+    if loss <= 0.0:
+        return 0.0, np.zeros_like(positive), np.zeros_like(negative)
+    # loss = cos(a, n) - cos(a, p) + margin on the active branch
+    return loss, -cosine_grad_b(anchor, positive), cosine_grad_b(anchor, negative)
+
+
+def mine_semi_hard(
+    anchor: np.ndarray,
+    positive: np.ndarray,
+    negatives,
+    margin: float = 0.5,
+) -> int:
+    """Pick a semi-hard negative: d(a,p) < d(a,n) < d(a,p) + margin.
+
+    Among qualifiers the closest negative wins; with no qualifier the hardest
+    negative (smallest d(a,n)) is returned instead. Ties resolve to the lowest
+    index.
+    """
+    negatives = np.asarray(negatives, dtype=np.float64)
+    if negatives.ndim != 2 or negatives.shape[0] == 0:
+        raise ValueError("negatives must be a non-empty matrix of row vectors")
+    d_pos = 1.0 - cosine(anchor, positive)
+    d_neg = 1.0 - cosine_rows(np.asarray(anchor, dtype=np.float64), negatives)
+    in_band = (d_neg > d_pos) & (d_neg < d_pos + margin)
+    if in_band.any():
+        masked = np.where(in_band, d_neg, np.inf)
+        return int(np.argmin(masked))
+    return int(np.argmin(d_neg))
+
+
+def reference_triplet_terms(
+    z: np.ndarray,
+    h: np.ndarray,
+    gt_pos: np.ndarray,
+    neg_pos: np.ndarray,
+    margin: float = 0.5,
+    semi_hard: bool = True,
+) -> tuple[float, int, np.ndarray]:
+    """Triplet loss terms for one query's encodings.
+
+    Returns (summed loss, term count, unscaled dL/dh). Semi-hard mode mines
+    one negative per ground-truth positive; otherwise every (positive,
+    negative) pair contributes, reproducing the all-triplets ablation.
+    """
+    dh = np.zeros_like(h)
+    total = 0.0
+    count = 0
+    if gt_pos.size == 0 or neg_pos.size == 0:
+        return total, count, dh
+    negatives = h[neg_pos]
+    for p in gt_pos:
+        positive = h[p]
+        if semi_hard:
+            j = mine_semi_hard(z, positive, negatives, margin)
+            loss, d_pos, d_neg = triplet_loss_backward(z, positive, negatives[j], margin)
+            total += loss
+            count += 1
+            dh[p] += d_pos
+            dh[neg_pos[j]] += d_neg
+        else:
+            for j in range(neg_pos.size):
+                loss, d_pos, d_neg = triplet_loss_backward(
+                    z, positive, negatives[j], margin
+                )
+                total += loss
+                count += 1
+                dh[p] += d_pos
+                dh[neg_pos[j]] += d_neg
+    return total, count, dh
+
+
+def assert_matches_reference(z, h, gt_pos, neg_pos, margin=0.5, semi_hard=True):
+    """Equal term counts; loss and dh within rtol 1e-12. A dh component
+    whose two cosine-gradient parts cancel is held to 1e-12 of the largest."""
+    loss, count, dh = triplet_terms(z, h, gt_pos, neg_pos, margin, semi_hard)
+    ref_loss, ref_count, ref_dh = reference_triplet_terms(z, h, gt_pos, neg_pos, margin, semi_hard)
+    assert count == ref_count
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=1e-12)
+    np.testing.assert_allclose(dh, ref_dh, rtol=1e-12, atol=1e-12 * np.abs(ref_dh).max())
+    return loss, count, dh
+
+
 def test_triplet_terms_match_all_pairs_oracle():
-    # 10-node graph: loss under semi-hard mining equals the brute-force scan
+    # 10-node graph: both modes equal the reference loop
     rng = np.random.default_rng(44)
     model = ScoringModel(d=5, D=4, k=3, dropout_rate=0.0, seed=5)
     emb, ctx, tf = providers(5, 4, 10, seed=6)
@@ -339,20 +469,72 @@ def test_triplet_terms_match_all_pairs_oracle():
     h, _ = model.f_n.forward(x, train=False)
     gt_pos = np.array([3, 7])
     neg_pos = np.array([i for i in range(10) if i not in (3, 7)])
-    loss_sum, count, _ = triplet_terms(ctx.z, h, gt_pos, neg_pos, margin=0.5, semi_hard=True)
-    expected = 0.0
-    for p in gt_pos:
-        j = mine_semi_hard(ctx.z, h[p], h[neg_pos], 0.5)
-        expected += triplet_loss(ctx.z, h[p], h[neg_pos][j], 0.5)
-    assert loss_sum == pytest.approx(expected, abs=1e-12)
+    _, count, _ = assert_matches_reference(ctx.z, h, gt_pos, neg_pos, 0.5, semi_hard=True)
     assert count == 2
     # all-triplets mode sums every pair
-    loss_all, count_all, _ = triplet_terms(ctx.z, h, gt_pos, neg_pos, 0.5, semi_hard=False)
-    expected_all = sum(
-        triplet_loss(ctx.z, h[p], h[j], 0.5) for p in gt_pos for j in neg_pos
-    )
-    assert loss_all == pytest.approx(expected_all, abs=1e-12)
+    _, count_all, _ = assert_matches_reference(ctx.z, h, gt_pos, neg_pos, 0.5, semi_hard=False)
     assert count_all == 16
+
+
+def test_triplet_terms_match_reference_on_random_instances():
+    # 300 instances, each in both modes: 1-3 positives among 2-40 rows, some
+    # with a zero row, a zero anchor, a row repeated (a distance tie) or a
+    # wide margin
+    rng = np.random.default_rng(45)
+    for i in range(300):
+        n, d = int(rng.integers(2, 41)), int(rng.integers(2, 9))
+        h = rng.standard_normal((n, d))
+        z = rng.standard_normal(d)
+        if i % 5 == 0:
+            h[rng.integers(n)] = 0.0
+        if i % 7 == 0:
+            h[rng.integers(n)] = h[rng.integers(n)]
+        if i % 31 == 0:
+            z[:] = 0.0
+        order = rng.permutation(n)
+        n_gt = int(rng.integers(1, min(3, n - 1) + 1))
+        gt_pos, neg_pos = np.sort(order[:n_gt]), np.sort(order[n_gt:])
+        margin = 1.5 if i % 3 == 0 else 0.5
+        for semi_hard in (True, False):
+            assert_matches_reference(z, h, gt_pos, neg_pos, margin, semi_hard)
+
+
+def test_triplet_terms_zero_norm_row_has_zero_gradient():
+    # row 1, a zero negative, scores cosine 0 (distance 1): with the
+    # positive at distance 0.6 it is in the band and mined, its pair is
+    # active, and only the positive moves
+    z = np.array([1.0, 0.0])
+    h = np.array([[0.4, 0.8], [0.0, 0.0], [-1.0, 0.0]])
+    for semi_hard in (True, False):
+        loss, count, dh = triplet_terms(z, h, np.array([0]), np.array([1, 2]), 0.5, semi_hard)
+        cos_p = 0.4 / np.hypot(0.4, 0.8)
+        assert loss == pytest.approx(0.0 - cos_p + 0.5, abs=1e-12)
+        assert count == (1 if semi_hard else 2)
+        assert np.all(dh[1:] == 0.0) and np.any(dh[0] != 0.0)
+        assert_matches_reference(z, h, np.array([0]), np.array([1, 2]), 0.5, semi_hard)
+
+
+def test_triplet_terms_zero_anchor_has_zero_gradient():
+    # every cosine is clamped to 0: each term is the margin, with no gradient
+    rng = np.random.default_rng(46)
+    h = rng.standard_normal((6, 4))
+    for semi_hard, terms in ((True, 2), (False, 8)):
+        loss, count, dh = triplet_terms(np.zeros(4), h, np.array([0, 3]),
+                                        np.array([1, 2, 4, 5]), 0.5, semi_hard)
+        assert count == terms
+        assert loss == pytest.approx(0.5 * terms, abs=1e-12)
+        assert np.all(dh == 0.0)
+
+
+def test_triplet_terms_all_chosen_negatives_inactive():
+    # both positives sit on the anchor and every negative is beyond the
+    # margin: the mined pairs are counted but add no loss and no gradient
+    z = np.array([1.0, 0.0, 0.0])
+    h = np.array([[2.0, 0.0, 0.0], [-1.0, 0.1, 0.0], [1.0, 0.0, 0.0], [-1.0, 0.0, 0.3]])
+    for semi_hard, terms in ((True, 2), (False, 4)):
+        loss, count, dh = triplet_terms(z, h, np.array([0, 2]), np.array([1, 3]), 0.5, semi_hard)
+        assert (loss, count) == (0.0, terms)
+        assert np.all(dh == 0.0)
 
 
 def test_anchor_equals_positive_gives_zero_loss_and_grads():
