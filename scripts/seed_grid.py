@@ -32,7 +32,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from kgpath.config import load_config  # noqa: E402
 from kgpath.linking import ground_truth_ids  # noqa: E402
-from kgpath.metrics import recall_at_k, split_open  # noqa: E402
+from kgpath.metrics import gt_rank, recall_rates, split_open  # noqa: E402
 from kgpath.neural import ScoringModel  # noqa: E402
 from kgpath.paths import staged_training  # noqa: E402
 from kgpath.pipeline import evaluate_queries, load_runtime, prepare_samples  # noqa: E402
@@ -57,15 +57,16 @@ def grid_row(rt, seed: int, train_answers: frozenset) -> tuple[float, float, flo
         seed=cfg.seed,
     )
     test, _ = prepare_samples(rt, model, rt.test_records())
-    is_open = np.array([split_open(train_answers, s.gt) == "open" for s in test])
-    path_r10, node_r1 = [], None
+    is_open = [split_open(train_answers, s.gt) == "open" for s in test]
+    path_ranks, node_r1 = [], None
     for i in range(N_EVAL_SEEDS):
         results = evaluate_queries(model, test, dataclasses.replace(cfg, seed=seed + i))
-        path_r10.append([recall_at_k(r.path_terminals, r.gt, 10) for r in results])
+        path_ranks.append([gt_rank(r.path_terminals, r.gt) for r in results])
         if node_r1 is None:
-            node_r1 = float(np.mean([recall_at_k(r.node_ranking, r.gt, 1) for r in results]))
-    per_seed = np.mean(path_r10, axis=1)
-    open_r10 = float(np.mean(np.asarray(path_r10)[:, is_open]))
+            node_r1 = recall_rates([gt_rank(r.node_ranking, r.gt) for r in results], [1])[1]
+    per_seed = np.array([recall_rates(ranks, [10])[10] for ranks in path_ranks])
+    open_ranks = [r for ranks in path_ranks for r, o in zip(ranks, is_open) if o]
+    open_r10 = recall_rates(open_ranks, [10])[10]
     return float(per_seed.mean()), float(per_seed.min()), node_r1, open_r10
 
 

@@ -37,7 +37,7 @@ from .pipeline import (
 )
 from .pruning import QuerySample, dump_pruned_graphs, prune
 from .schema import dump_schema_graphs, load_schema_graphs
-from .synth import SuiteSpec, generate_suite
+from .synth import SuiteSpec, check_hop_mix, generate_suite
 
 logger = logging.getLogger("kgpath")
 
@@ -365,6 +365,10 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for part in args.hop_mix.split(","):
             hop, _, weight = part.partition(":")
             hop_mix[int(hop)] = float(weight)
+        check_hop_mix(hop_mix)
+    except ValueError as exc:
+        raise InputError(msg=f"--hop-mix {args.hop_mix}: {exc}") from None
+    try:
         spec = SuiteSpec(
             seed=args.seed if args.seed is not None else 7,
             n_entities=args.n_entities,
@@ -379,7 +383,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
             emit_vectors=not args.no_vectors,
         )
     except ValueError as exc:
-        raise InputError(msg=f"--hop-mix {args.hop_mix}: {exc}") from None
+        raise InputError(msg=str(exc)) from None
     manifest = generate_suite(args.out, spec)
     counts = manifest["counts"]
     print(

@@ -20,6 +20,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import os
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -111,8 +112,14 @@ class RunConfig:
             raise InputError(msg="one_hop_cap and epoch counts must be >= 0")
         if self.workers < 1:
             raise InputError(msg="workers must be >= 1")
+        if not 0.0 < self.lr < math.inf:
+            raise InputError(msg=f"lr must be finite and > 0, got {self.lr}")
+        if not 0.0 <= self.margin < math.inf:
+            raise InputError(msg=f"margin must be finite and >= 0, got {self.margin}")
         if list(self.curve_budgets) != sorted(self.curve_budgets):
             raise InputError(msg="curve_budgets must be sorted ascending")
+        if any(b < 1 for b in self.curve_budgets):
+            raise InputError(msg="curve_budgets must be >= 1")
 
     @property
     def budget(self) -> int:

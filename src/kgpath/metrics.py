@@ -2,11 +2,11 @@
 
 The answer score follows the crowd-annotation protocol: min(#annotators / 3,
 1), except that questions with a single annotated answer entity score 1
-regardless of count. Recall@k is a per-query hit indicator averaged over the
-suite. Test questions are tagged closed / partial_open / open depending on how
-many of their ground-truth entities were ever seen as training answers. The
-ground-truth hit-rate curve over node budgets is read from the construction
-ranks of one full-budget schema graph per query, not from rebuilds.
+regardless of count. Recall@k is the share of queries whose GT rank, the
+position of the first ground-truth entity in a ranking, is below k; the
+hit-rate curve over node budgets ranks one full-budget schema graph per query
+in construction order. Test questions are tagged closed / partial_open / open
+by how many of their ground-truth entities were ever seen as training answers.
 """
 
 from __future__ import annotations
@@ -50,12 +50,22 @@ def vqa_score(predicted: Optional[int], score_map: dict[int, float]) -> float:
     return score_map.get(int(predicted), 0.0)
 
 
-def recall_at_k(ranked: Sequence[int], gt: Iterable[int], k: int) -> bool:
-    """True iff any ground-truth entity appears among the k top-ranked."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+def gt_rank(ranked: Iterable[int], gt: Iterable[int]) -> Optional[int]:
+    """Position of the first ground-truth entity in ``ranked``, None if none
+    is there. The scan stops at that entity."""
     gt = set(int(e) for e in gt)
-    return any(int(e) in gt for e in ranked[:k])
+    return next((i for i, e in enumerate(ranked) if int(e) in gt), None)
+
+
+def recall_rates(ranks: Sequence[Optional[int]], ks: Iterable[int]) -> dict[int, float]:
+    """Recall@k for each k: the share of GT ranks below k, 0.0 with no query."""
+    rates = {}
+    for k in ks:
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        hits = sum(r is not None and r < k for r in ranks)
+        rates[int(k)] = hits / len(ranks) if ranks else 0.0
+    return rates
 
 
 def split_open(train_answers: Iterable[int], gt: Iterable[int]) -> str:
@@ -83,24 +93,19 @@ def hit_rate_curve(
     ``graphs`` hold one build per query at a budget no smaller than the
     largest curve budget. For a fixed one-hop cap the graph built at budget b
     is exactly the nodes of construction rank < b, so a query hits at b iff
-    one of its ground-truth nodes has rank < b.
+    its GT rank in construction order is below b.
     """
     if list(budgets) != sorted(budgets):
         raise ValueError("budgets must be sorted ascending")
     if len(graphs) != len(gts):
         raise ValueError("the graph list must align with the query list")
-    first_hit = []
+    ranks = []
     for sg, gt in zip(graphs, gts):
         if sg.build_rank is None:
             raise ValueError(f"schema graph {sg.qid!r} carries no construction ranks")
-        hit = np.isin(sg.nodes, np.fromiter(gt, dtype=np.int64))
-        first_hit.append(int(sg.build_rank[hit].min()) if hit.any() else None)
-    n_queries = len(gts)
-    curve = []
-    for budget in budgets:
-        hits = sum(r is not None and r < budget for r in first_hit)
-        curve.append((int(budget), hits / n_queries if n_queries else 0.0))
-    return curve
+        ranks.append(gt_rank(sg.nodes[np.argsort(sg.build_rank)], gt))
+    rates = recall_rates(ranks, budgets)
+    return [(int(b), rates[b]) for b in budgets]
 
 
 @dataclass

@@ -38,7 +38,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .metrics import recall_at_k
+from .metrics import gt_rank, recall_rates
 from .neural import Adam, ScoringModel, bce_loss_backward, cosine_rows, make_optimizer
 from .pruning import (
     PrunedGraph,
@@ -476,12 +476,11 @@ def staged_training(
 
 
 def node_recall_rate(model: ScoringModel, samples: Sequence[QuerySample], k: int) -> float:
-    """Mean cosine-ranked node recall@k over samples (eval mode)."""
-    if not samples:
-        return 0.0
-    hits = 0
+    """Cosine-ranked node recall@k over samples (eval mode); only each
+    ranking's top-k prefix is scanned."""
+    ranks = []
     for sample in samples:
         h, _ = model.f_n.forward(sample.x, train=False)
         s_cos = cosine_rows(sample.ctx.z, h)
-        hits += recall_at_k(rank_by_score(sample.sg.nodes, s_cos), sample.gt, k)
-    return hits / len(samples)
+        ranks.append(gt_rank(rank_by_score(sample.sg.nodes, s_cos)[:k], sample.gt))
+    return recall_rates(ranks, (k,))[k]

@@ -26,13 +26,7 @@ from .embeddings import (
 )
 from .kg import KnowledgeGraph, load_graph
 from .linking import QueryRecord, extract_key_nodes, ground_truth_ids, load_queries, load_synonyms
-from .metrics import (
-    EvalReport,
-    annotation_scores,
-    recall_at_k,
-    split_open,
-    vqa_score,
-)
+from .metrics import EvalReport, annotation_scores, gt_rank, recall_rates, split_open, vqa_score
 from .neural import ScoringModel
 from .paths import aggregate_answers, mix_seed, ranked_paths, run_query
 from .pruning import QuerySample, rank_by_score
@@ -202,7 +196,6 @@ class QueryResult:
     node_ranking: list[int]
     answer_ranking: list[tuple[int, float]]
     path_terminals: list[int]
-    gt_in_schema: bool
     top_paths: list[tuple[tuple[int, ...], tuple[int, ...], float]]
 
 
@@ -245,7 +238,6 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
         node_ranking=rank_by_score(sample.sg.nodes, s_cos).tolist(),
         answer_ranking=aggregate_answers(batch),
         path_terminals=batch.last(batch.paths)[order].tolist(),
-        gt_in_schema=bool(sample.gt_pos.size),
         top_paths=top_paths,
     )
 
@@ -280,19 +272,13 @@ def build_report(
     report = EvalReport(n_queries=len(results))
     if not results:
         return report
-    for k in RECALL_KS:
-        report.node_recall[k] = float(
-            np.mean([recall_at_k(r.node_ranking, r.gt, k) for r in results])
-        )
-        report.rank_by_node_recall[k] = float(
-            np.mean(
-                [recall_at_k([e for e, _ in r.answer_ranking], r.gt, k) for r in results]
-            )
-        )
-    for k in PATH_RECALL_KS:
-        report.rank_by_path_recall[k] = float(
-            np.mean([recall_at_k(r.path_terminals, r.gt, k) for r in results])
-        )
+    report.node_recall = recall_rates([gt_rank(r.node_ranking, r.gt) for r in results], RECALL_KS)
+    report.rank_by_node_recall = recall_rates(
+        [gt_rank((e for e, _ in r.answer_ranking), r.gt) for r in results], RECALL_KS
+    )
+    report.rank_by_path_recall = recall_rates(
+        [gt_rank(r.path_terminals, r.gt) for r in results], PATH_RECALL_KS
+    )
     scores = []
     for r in results:
         predicted = r.answer_ranking[0][0] if r.answer_ranking else None

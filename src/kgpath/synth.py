@@ -60,12 +60,31 @@ class SuiteSpec:
     emit_vectors: bool = True
 
     def __post_init__(self):
-        if set(self.hop_mix) - {1, 2}:
-            raise ValueError("hop_mix supports hop distances 1 and 2 only")
+        """Refuse any field the generator cannot honour, naming the field."""
+        check_hop_mix(self.hop_mix)
         total = sum(self.hop_mix.values())
-        if total <= 0:
-            raise ValueError("hop_mix probabilities must sum to a positive value")
         self.hop_mix = {h: p / total for h, p in self.hop_mix.items()}
+        for name in ("n_entities", "n_edges", "n_queries", "link_multiplicity",
+                     "extra_routes", "n_question_keys", "n_visual_keys"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        n_keys = self.n_question_keys + self.n_visual_keys
+        if n_keys < 1:
+            raise ValueError("n_question_keys + n_visual_keys must be >= 1")
+        # keys, the answer and a second answer are distinct entities
+        if self.n_entities < n_keys + 2:
+            raise ValueError(
+                f"n_entities must be >= {n_keys + 2} for {n_keys} key nodes, got {self.n_entities}"
+            )
+        if self.dim < 1:
+            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        if not 0.0 <= self.alignment <= 1.0:
+            raise ValueError(f"alignment must lie in [0, 1], got {self.alignment}")
+        if not 0.0 <= self.train_fraction <= 1.0 or (self.n_queries and self.n_train < 1):
+            raise ValueError(
+                f"train_fraction must lie in [0, 1] and leave at least one of the "
+                f"{self.n_queries} queries for training, got {self.train_fraction}"
+            )
 
     @property
     def hop_bound(self) -> int:
@@ -74,6 +93,17 @@ class SuiteSpec:
     @property
     def n_train(self) -> int:
         return int(round(self.n_queries * self.train_fraction))
+
+
+def check_hop_mix(hop_mix: dict[int, float]) -> None:
+    """Refuse hop distances other than 1 and 2 and weights that do not make a
+    distribution."""
+    if set(hop_mix) - {1, 2}:
+        raise ValueError("hop_mix supports hop distances 1 and 2 only")
+    if not all(0.0 <= p < np.inf for p in hop_mix.values()):
+        raise ValueError("hop_mix weights must be finite and >= 0")
+    if sum(hop_mix.values()) <= 0:
+        raise ValueError("hop_mix probabilities must sum to a positive value")
 
 
 def _grid_weights(rng: np.random.Generator, size: int) -> np.ndarray:

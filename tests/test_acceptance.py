@@ -21,8 +21,9 @@ from kgpath.kg import load_graph
 from kgpath.linking import ground_truth_ids
 from kgpath.metrics import (
     annotation_scores,
+    gt_rank,
     hit_rate_curve,
-    recall_at_k,
+    recall_rates,
     vqa_score,
 )
 from kgpath.neural import Adam, ScoringModel, bce_loss_backward, cosine_rows
@@ -345,8 +346,8 @@ def test_criterion_2_toy_convergence(toy_runtime, staged_runs):
     # held-out metrics
     test_samples, _ = prepare_samples(toy_runtime, model_a, toy_runtime.test_records())
     results = evaluate_queries(model_a, test_samples, cfg)
-    test_node_r1 = float(np.mean([recall_at_k(r.node_ranking, r.gt, 1) for r in results]))
-    test_path_r10 = float(np.mean([recall_at_k(r.path_terminals, r.gt, 10) for r in results]))
+    test_node_r1 = recall_rates([gt_rank(r.node_ranking, r.gt) for r in results], [1])[1]
+    test_path_r10 = recall_rates([gt_rank(r.path_terminals, r.gt) for r in results], [10])[10]
     assert test_node_r1 >= 0.7
     assert test_path_r10 >= 0.8
 
@@ -446,9 +447,8 @@ def test_criterion_4_oracle_equivalences(tmp_path):
         gt = set(int(i) for i in rng.choice(ids, size=2, replace=False))
         k = int(rng.integers(1, n + 1))
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
-        assert recall_at_k(rank_by_score(ids, scores), gt, k) == any(
-            int(ids[i]) in gt for i in order[:k]
-        )
+        rank = gt_rank(rank_by_score(ids, scores), gt)
+        assert recall_rates([rank], [k])[k] == float(any(int(ids[i]) in gt for i in order[:k]))
 
     # sampled path batches are subsets of the exhaustive walk enumeration
     for trial in range(15):

@@ -11,6 +11,7 @@ from kgpath import paths
 from kgpath.cli import main
 from kgpath.config import InputError, sha256_file
 from kgpath.neural import ScoringModel
+from kgpath.synth import SuiteSpec, generate_suite
 
 
 @pytest.fixture(scope="module")
@@ -426,15 +427,15 @@ def input_args(key, bad, good_inputs):
 
 def flag_args(flag, value, tmp_path):
     """The flags that hand a command ``value`` for ``flag``."""
-    if flag == "--hop-mix":
-        return ["--out", str(tmp_path / "suite"), flag, value]
-    return [flag, value]
+    if flag == "--set":
+        return [flag, value]
+    return ["--out", str(tmp_path / "suite"), flag, value]  # a synth flag
 
 
 # (command, input, line, edit, message after "error: <path>:<line>: "). With
 # a line, the edit maps that line's text to its replacement; with None it maps
 # the whole file's bytes, and the error names the file alone. An input that is
-# a flag ("--set", "--hop-mix") takes the edit as its value, and the error
+# a flag ("--set" or a synth flag) takes the edit as its value, and the error
 # names no file. A command may carry flags of its own after its name.
 MALFORMED_INPUT = {
     "config-unknown-key": (
@@ -568,6 +569,40 @@ MALFORMED_INPUT = {
         "train", "--set", None, "prune_target=1",
         "q0000: prune target 1 cannot hold the 2 key nodes",
     ),
+    "set-lr-nan": ("train", "--set", None, "lr=nan", "lr must be finite and > 0, got nan"),
+    "set-margin-negative": (
+        "train", "--set", None, "margin=-0.5", "margin must be finite and >= 0, got -0.5"
+    ),
+    "set-curve-budgets-zero": (
+        "schema", "--set", None, "curve_budgets=0,30,60", "curve_budgets must be >= 1"
+    ),
+    "synth-hop-mix-negative-weight": (
+        "synth", "--hop-mix", None, "1:-1,2:2",
+        "--hop-mix 1:-1,2:2: hop_mix weights must be finite and >= 0",
+    ),
+    "synth-alignment-above-one": (
+        "synth", "--alignment", None, "2", "alignment must lie in [0, 1], got 2.0"
+    ),
+    "synth-no-entities": (
+        "synth", "--n-entities", None, "0", "n_entities must be >= 4 for 2 key nodes, got 0"
+    ),
+    "synth-negative-question-keys": (
+        "synth", "--question-keys", None, "-1", "n_question_keys must be >= 0, got -1"
+    ),
+    "synth-no-key-nodes": (
+        "synth --visual-keys 0", "--question-keys", None, "0",
+        "n_question_keys + n_visual_keys must be >= 1",
+    ),
+    "synth-no-training-query": (
+        "synth", "--train-fraction", None, "0",
+        "train_fraction must lie in [0, 1] and leave at least one of the 250 queries for "
+        "training, got 0.0",
+    ),
+    "synth-train-fraction-above-one": (
+        "synth", "--train-fraction", None, "1.5",
+        "train_fraction must lie in [0, 1] and leave at least one of the 250 queries for "
+        "training, got 1.5",
+    ),
     "synth-hop-mix-not-a-number": (
         "synth", "--hop-mix", None, "x:1",
         "--hop-mix x:1: invalid literal for int() with base 10: 'x'",
@@ -644,6 +679,16 @@ def test_malformed_input_is_one_line_error(suite, good_inputs, tmp_path, capsys,
     assert rc == 1
     (line,) = error_lines(capsys)
     assert line.startswith(prefix + message)
+
+
+@pytest.mark.parametrize("n_entities", [2, 3])
+def test_suite_too_small_for_its_key_nodes_is_refused(tmp_path, n_entities):
+    """Two keys, an answer and a second answer need four distinct entities;
+    with fewer the key draw or the second-answer draw would never end."""
+    with pytest.raises(ValueError, match=f"n_entities must be >= 4 for 2 key nodes, got {n_entities}"):
+        SuiteSpec(n_entities=n_entities, n_edges=10, n_queries=5)
+    manifest = generate_suite(tmp_path, SuiteSpec(n_entities=4, n_edges=10, n_queries=5, dim=4))
+    assert manifest["counts"]["entities"] == 4
 
 
 def test_prune_target_below_key_count_fails_before_any_epoch(suite, tmp_path, capsys):

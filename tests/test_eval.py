@@ -8,8 +8,9 @@ from kgpath.linking import ground_truth_ids
 from kgpath.metrics import (
     EvalReport,
     annotation_scores,
+    gt_rank,
     hit_rate_curve,
-    recall_at_k,
+    recall_rates,
     split_open,
     vqa_score,
     write_curve_csv,
@@ -43,11 +44,12 @@ def test_vqa_score_lookup():
 
 def test_recall_positions():
     ranked = list(range(100))
-    assert recall_at_k(ranked, {0}, 1)
-    assert not recall_at_k(ranked, {10}, 10)  # position 11
-    assert recall_at_k(ranked, {10}, 50)
+    assert gt_rank(ranked, {10}) == 10
+    assert recall_rates([gt_rank(ranked, {0})], [1]) == {1: 1.0}
+    assert recall_rates([gt_rank(ranked, {10})], [10]) == {10: 0.0}  # position 11
+    assert recall_rates([gt_rank(ranked, {10})], [50]) == {50: 1.0}
     with pytest.raises(ValueError):
-        recall_at_k(ranked, {0}, 0)
+        recall_rates([gt_rank(ranked, {0})], [0])
 
 
 def test_suite_mean_equals_brute_force_recount():
@@ -59,7 +61,7 @@ def test_suite_mean_equals_brute_force_recount():
         rankings.append(ranking)
         gts.append(gt)
     k = 5
-    mean = float(np.mean([recall_at_k(r, g, k) for r, g in zip(rankings, gts)]))
+    mean = recall_rates([gt_rank(r, g) for r, g in zip(rankings, gts)], [k])[k]
     recount = sum(1 for r, g in zip(rankings, gts) if set(r[:k]) & g) / len(rankings)
     assert mean == pytest.approx(recount)
 
@@ -69,10 +71,11 @@ def test_recall_invariant_to_relabeling():
     ranked = rng.permutation(20).tolist()
     gt = {3, 11}
     relabel = {i: i + 1000 for i in range(20)}
-    for k in (1, 5, 10, 20):
-        assert recall_at_k(ranked, gt, k) == recall_at_k(
-            [relabel[i] for i in ranked], {relabel[i] for i in gt}, k
-        )
+    rank = gt_rank(ranked, gt)
+    relabeled = gt_rank([relabel[i] for i in ranked], {relabel[i] for i in gt})
+    assert rank == relabeled
+    ks = (1, 5, 10, 20)
+    assert recall_rates([rank], ks) == recall_rates([relabeled], ks)
 
 
 def test_split_open_rules():

@@ -6,7 +6,7 @@ import pytest
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from kgpath.kg import load_graph
 from kgpath.linking import KeyNodeSet
-from kgpath.metrics import recall_at_k
+from kgpath.metrics import gt_rank, recall_rates
 from kgpath.neural import Adam, ScoringModel, cosine_rows
 from kgpath.pruning import (
     QuerySample,
@@ -608,11 +608,11 @@ def test_node_recall_and_rank_by_score():
     scores = np.array([0.1, 0.9, 0.9, 0.5])
     assert rank_by_score(ids, scores).tolist() == [20, 30, 40, 10]  # tie -> lower id
     ranked = rank_by_score(ids, scores)
-    assert recall_at_k(ranked, {20}, 1)
-    assert not recall_at_k(ranked, {10}, 3)
-    assert recall_at_k(ranked, {10}, 4)
+    assert recall_rates([gt_rank(ranked, {20})], [1]) == {1: 1.0}
+    assert recall_rates([gt_rank(ranked, {10})], [3]) == {3: 0.0}
+    assert recall_rates([gt_rank(ranked, {10})], [4]) == {4: 1.0}
     with pytest.raises(ValueError):
-        recall_at_k(ranked, {10}, 0)
+        recall_rates([gt_rank(ranked, {10})], [0])
 
 
 def test_node_recall_matches_full_sort_oracle():
@@ -625,7 +625,9 @@ def test_node_recall_matches_full_sort_oracle():
         k = int(rng.integers(1, n + 1))
         order = sorted(range(n), key=lambda i: (-scores[i], ids[i]))
         expected = any(int(ids[i]) in gt for i in order[:k])
-        assert recall_at_k(rank_by_score(ids, scores), gt, k) == expected
+        # node_recall_rate's route: rank only the top-k prefix
+        rank = gt_rank(rank_by_score(ids, scores)[:k], gt)
+        assert recall_rates([rank], [k])[k] == float(expected)
 
 
 def test_prepared_sample_keeps_only_its_text_feature_rows():
