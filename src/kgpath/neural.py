@@ -11,12 +11,15 @@ per the wire format.
 Forward passes return ``(output, cache)`` pairs and backward passes consume
 the cache, so one layer can be applied any number of times inside a single
 loss computation (the node encoder runs once per query in a batch). Gradients
-accumulate into per-layer buffers until ``zero_grad``.
+accumulate into per-layer buffers until ``zero_grad``. A dense layer also takes
+its input as ``ColumnBlocks``: f_n and f_p read rows whose leading columns are
+the same in every row, and f_n's trailing columns are a one-hot type.
 """
 
 from __future__ import annotations
 
 import struct
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -72,12 +75,31 @@ def _init_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int)
     return rng.uniform(-limit, limit, size=shape)
 
 
+@dataclass
+class ColumnBlocks:
+    """A layer input of n rows held as column blocks instead of one matrix.
+
+    ``shared`` fills the first columns of every row alike. Each ``(lo, rows)``
+    of ``dense``, which holds at least one, fills columns lo, lo+1, ... of row
+    i with ``rows[i]``.
+    ``onehot``, as ``(lo, idx)``, sets column lo + idx[i] of row i to 1, over
+    the columns from lo to the last. Every other column is 0. A dense layer
+    multiplies each block by its own columns of W, so a shared or all-zero
+    block costs no product per row.
+    """
+
+    shared: np.ndarray
+    dense: list[tuple[int, np.ndarray]]
+    onehot: Optional[tuple[int, np.ndarray]] = None
+
+
 class DenseLayer:
     """y = activation(x W^T + b), activation in {relu, identity}.
 
-    A layer built with ``input_grad=False`` reads data, not another layer's
-    output: its backward pass accumulates dW and db and returns None instead
-    of the unused dL/dx.
+    ``x`` is a matrix or ``ColumnBlocks``; for blocks, the backward pass
+    returns dL/d(dense blocks), side by side. A layer built with
+    ``input_grad=False`` reads data, not another layer's output: its backward
+    pass accumulates dW and db and returns None instead of the unused dL/dx.
     """
 
     def __init__(
@@ -99,10 +121,21 @@ class DenseLayer:
         self.dW = np.zeros_like(self.W)
         self.db = np.zeros_like(self.b)
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, tuple]:
-        if x.shape[-1] != self.n_in:
+    def forward(self, x: np.ndarray | ColumnBlocks) -> tuple[np.ndarray, tuple]:
+        W = self.W
+        if isinstance(x, ColumnBlocks):
+            (lo, rows), *rest = x.dense
+            pre = rows @ W[:, lo : lo + rows.shape[1]].T
+            pre += W[:, : x.shared.size] @ x.shared + self.b
+            for lo, rows in rest:
+                pre += rows @ W[:, lo : lo + rows.shape[1]].T
+            if x.onehot is not None:
+                lo, idx = x.onehot
+                pre += W[:, lo:].T[idx]
+        elif x.shape[-1] != self.n_in:
             raise ValueError(f"expected input width {self.n_in}, got {x.shape[-1]}")
-        pre = x @ self.W.T + self.b
+        else:
+            pre = x @ W.T + self.b
         if self.activation == "relu":
             out = np.maximum(pre, 0.0)
             return out, (x, pre > 0)
@@ -112,9 +145,22 @@ class DenseLayer:
         x, relu_mask = cache
         if relu_mask is not None:
             dout = dout * relu_mask
-        self.dW += dout.T @ x
-        self.db += dout.sum(axis=0)
-        return dout @ self.W if self.input_grad else None
+        col_sums = dout.sum(axis=0)
+        self.db += col_sums
+        if not isinstance(x, ColumnBlocks):
+            self.dW += dout.T @ x
+            return dout @ self.W if self.input_grad else None
+        self.dW[:, : x.shared.size] += np.outer(col_sums, x.shared)
+        for lo, rows in x.dense:
+            self.dW[:, lo : lo + rows.shape[1]] += dout.T @ rows
+        if x.onehot is not None:
+            lo, idx = x.onehot
+            onehot = np.zeros((idx.size, self.n_in - lo))
+            onehot[np.arange(idx.size), idx] = 1.0
+            self.dW[:, lo:] += dout.T @ onehot  # per-type sums of dout's rows
+        if not self.input_grad:
+            return None
+        return np.hstack([dout @ self.W[:, lo : lo + rows.shape[1]] for lo, rows in x.dense])
 
     def zero_grad(self) -> None:
         self.dW.fill(0.0)
@@ -217,10 +263,13 @@ class BilinearLayer:
 class ScoringModel:
     """Node encoder f_n, path encoders f_t / f_p, and bilinear scorer f_bi.
 
-    * f_n : (d + D + d + 4) -> d -> d, consuming [z || e_i || p_i || u_i];
-      its input is data, so its backward pass returns no input gradient
+    * f_n : (d + D + d + 4) -> d -> d, consuming [z || e_i || p_i || u_i] as
+      ``ColumnBlocks``: z shared, e_i (and p_i unless all zero) dense, u_i the
+      one-hot type; its input is data, so its backward pass returns no input
+      gradient
     * f_t : (k * d) -> d -> d, consuming the padded node-vector blocks
-    * f_p : (3 d) -> d -> d, consuming [t || v || h_t]
+    * f_p : (3 d) -> d -> d, consuming [t || v || h_t] as ``ColumnBlocks``
+      with [t || v] shared; its backward pass returns dL/dh_t
     * f_bi: d x d bilinear scorer against z
 
     Dropout is active only when a forward pass is asked to run in training

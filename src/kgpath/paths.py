@@ -24,8 +24,9 @@ is -1. ``pack_paths`` builds these arrays from flat lists, path after path.
 (``run_query``) and training (``train_joint_step``): it gathers the encoder
 outputs of each path's walked nodes (a -1 cell reads a zero row, so short
 paths are zero-padded to k blocks), passes them through f_t, joins the
-textual and visual context through f_p, and scores against the query context
-with the bilinear layer. Training labels a path 1 iff its terminal entity is
+textual and visual context through f_p (one shared [t || v] block, so its
+product is taken once per batch), and scores against the query context with
+the bilinear layer. Training labels a path 1 iff its terminal entity is
 a ground-truth answer and couples the binary cross-entropy path loss with the
 pruning triplet loss as an unweighted sum.
 """
@@ -39,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .metrics import gt_rank, recall_rates
-from .neural import Adam, ScoringModel, bce_loss_backward, cosine_rows, make_optimizer
+from .neural import Adam, ColumnBlocks, ScoringModel, bce_loss_backward, cosine_rows, make_optimizer
 from .pruning import (
     PrunedGraph,
     QuerySample,
@@ -232,7 +233,7 @@ def _forward_paths(
     padded = np.concatenate([h, np.zeros((1, d))])  # row -1 reads zeros
     blocks = padded[_step_rows(batch, model.k)].reshape(n, model.k * d)
     h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
-    feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
+    feat = ColumnBlocks(np.concatenate([ctx.t, ctx.v]), [(2 * d, h_t)])
     h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
     scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
     return scores, h_p, (cache_t, cache_p, cache_bi)
@@ -252,9 +253,8 @@ def _backward_paths(
     """
     cache_t, cache_p, cache_bi = cache
     _, dh_p = model.f_bi.backward(dscores, cache_bi)
-    dfeat = model.f_p.backward(dh_p, cache_p)
+    dh_t = model.f_p.backward(dh_p, cache_p)
     d = model.d
-    dh_t = dfeat[:, 2 * d : 3 * d]
     dblocks = model.f_t.backward(dh_t, cache_t)
     cells = _step_rows(batch, model.k).ravel()
     walked = cells >= 0
@@ -339,7 +339,7 @@ def train_joint_step(
     n_terms_total = 0
     for sample in batch:
         h, cache_n, h_eval = model.f_n.forward(
-            sample.x, train=True, rng=model.rng, with_eval=True
+            sample.node_input, train=True, rng=model.rng, with_eval=True
         )
         s_cos = cosine_rows(sample.ctx.z, h_eval)
         pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
@@ -480,7 +480,7 @@ def node_recall_rate(model: ScoringModel, samples: Sequence[QuerySample], k: int
     ranking's top-k prefix is scanned."""
     ranks = []
     for sample in samples:
-        h, _ = model.f_n.forward(sample.x, train=False)
+        h, _ = model.f_n.forward(sample.node_input, train=False)
         s_cos = cosine_rows(sample.ctx.z, h)
         ranks.append(gt_rank(rank_by_score(sample.sg.nodes, s_cos)[:k], sample.gt))
     return recall_rates(ranks, (k,))[k]

@@ -190,7 +190,6 @@ def prepare_samples(
 @dataclass
 class QueryResult:
     qid: str
-    split: str
     gt: frozenset[int]
     annotations: dict[int, float]
     node_ranking: list[int]
@@ -232,7 +231,6 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
     ]
     return QueryResult(
         qid=sample.qid,
-        split=sample.split,
         gt=sample.gt,
         annotations=sample.annotations,
         node_ranking=rank_by_score(sample.sg.nodes, s_cos).tolist(),

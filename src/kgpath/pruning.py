@@ -11,9 +11,11 @@ mines, scores and differentiates every (positive, negative) pair of a
 question in one array pass over the nodes' cosines.
 
 A prepared question (``QuerySample``) keeps only the input rows it alone
-owns, its text features p_i. The encoder input is assembled from z, the
-shared entity table, p_i and the node types each time f_n runs, so a question
-holds n x d input floats between epochs instead of n x (2d + D + 4).
+owns, its text features p_i. f_n reads its input as column blocks built each
+time it runs (``QuerySample.node_input``): z once per question, the entity
+rows gathered from the shared table, p_i only when some row of it is nonzero,
+and the node type as an index into f_n's one-hot columns. ``QuerySample.x``,
+the same input as one dense matrix, is the reference that tests check against.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .config import InputError, write_jsonl
 from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
-from .neural import Adam, ScoringModel, cosine_rows
+from .neural import Adam, ColumnBlocks, ScoringModel, cosine_rows
 from .schema import SchemaGraph
 
 
@@ -93,7 +95,7 @@ def prune(
     Returns the pruned graph, the node encodings of the unpruned schema graph
     and their cosine scores against the query context.
     """
-    h, _ = model.f_n.forward(sample.x, train=False)
+    h, _ = model.f_n.forward(sample.node_input, train=False)
     s_cos = cosine_rows(sample.ctx.z, h)
     return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos
 
@@ -151,7 +153,8 @@ class QuerySample:
     BFS scores and ground-truth positions depend only on the data, so they are
     computed once here. Of the encoder input, the sample keeps only its own
     text-feature rows ``p`` (one per schema node) and a reference to the
-    shared entity table ``emb``; ``x`` assembles the full input on each read.
+    shared entity table ``emb``; ``node_input`` builds the column blocks that
+    f_n reads, and ``x`` the same input as one dense matrix, on each read.
     """
 
     qid: str
@@ -166,9 +169,25 @@ class QuerySample:
     split: str = "train"
     annotations: dict[int, float] = field(default_factory=dict)
 
+    @cached_property
+    def _p_used(self) -> bool:
+        return bool(self.p.any())
+
+    @property
+    def node_input(self) -> ColumnBlocks:
+        """The f_n input, [z || e_i || p_i || u_i] for every schema node, as
+        column blocks: z shared, the entity rows gathered from the table, the
+        text-feature rows unless every one is zero, and the node type u_i."""
+        d = self.p.shape[1]
+        lo_p = d + self.emb.dim  # first column of p_i
+        dense = [(d, self.emb.gather(self.sg.nodes))]
+        if self._p_used:
+            dense.append((lo_p, self.p))
+        return ColumnBlocks(self.ctx.z, dense, (lo_p + d, self.sg.types))
+
     @property
     def x(self) -> np.ndarray:
-        """The f_n input, [z || e_i || p_i || u_i] for every schema node.
+        """``node_input`` as one dense matrix: the reference route.
 
         Written into one fresh array: z broadcast, entity rows gathered from
         the table, the text-feature rows, and the one-hot node type u_i.
@@ -286,7 +305,7 @@ def train_prune_step(
     staged = []
     n_terms_total = 0
     for sample in usable:
-        h, cache = model.f_n.forward(sample.x, train=True, rng=model.rng)
+        h, cache = model.f_n.forward(sample.node_input, train=True, rng=model.rng)
         loss_sum, n_terms, dh = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
         )

@@ -4,14 +4,18 @@ materialised-input route they replaced.
 The functions under "reference" are verbatim copies of that route:
 ``node_input_matrix``, ``DenseLayer.backward`` (which always returned
 dL/dx), ``MLP2.forward`` and ``MLP2.backward``, the eval-mode ``prune`` that
-the joint step called after its training pass, ``train_prune_step`` and
-``train_joint_step``. Only the ``self`` of the two layer methods became an
-explicit first argument. Arrays are compared by their bytes, training runs by
-the sha256 of every parameter and by equal epoch histories.
+the joint step called after its training pass, ``train_prune_step``,
+``train_joint_step``, and ``_forward_paths`` and ``_backward_paths``, which
+gave f_p the tiled [t || v || h_t] matrix. Only the ``self`` of the two layer
+methods became an explicit first argument, and the joint step calls the two
+path copies. Assembled inputs are compared by their bytes. The package's f_n
+and f_p now read their inputs as column blocks and sum in another order, so
+training runs are compared by their epoch histories and every parameter,
+and held-out questions by their encodings and scores, at ``RTOL``; the
+survivors of pruning are still compared by their bytes.
 """
 
 import functools
-import hashlib
 import json
 from types import SimpleNamespace
 
@@ -22,9 +26,8 @@ from kgpath import paths
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from kgpath.neural import ScoringModel, bce_loss_backward, cosine_rows
 from kgpath.paths import (
-    _backward_paths,
-    _forward_paths,
     _path_labels,
+    _step_rows,
     mix_seed,
     sample_paths,
     staged_training,
@@ -34,6 +37,8 @@ from kgpath.pruning import QuerySample, prune, prune_from_scores, triplet_terms
 
 from conftest import random_graph
 from test_pruning import make_sg
+
+RTOL = 1e-12  # the worst parameter after 2 + 2 epochs reads about 7e-14
 
 # ---------------------------------------------------------------------------
 # reference: the materialised-input route
@@ -81,6 +86,31 @@ def reference_mlp_backward(self, dy, cache):
     if mask is not None:
         dh = dh * mask
     return reference_dense_backward(self.hidden, dh, cache_h)
+
+
+def reference_forward_paths(model, batch, h, ctx, train=False):
+    d, n = model.d, len(batch)
+    padded = np.concatenate([h, np.zeros((1, d))])  # row -1 reads zeros
+    blocks = padded[_step_rows(batch, model.k)].reshape(n, model.k * d)
+    h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
+    feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
+    h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
+    scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
+    return scores, h_p, (cache_t, cache_p, cache_bi)
+
+
+def reference_backward_paths(model, batch, dscores, cache, dh):
+    cache_t, cache_p, cache_bi = cache
+    _, dh_p = model.f_bi.backward(dscores, cache_bi)
+    dfeat = model.f_p.backward(dh_p, cache_p)
+    d = model.d
+    dh_t = dfeat[:, 2 * d : 3 * d]
+    dblocks = model.f_t.backward(dh_t, cache_t)
+    cells = _step_rows(batch, model.k).ravel()
+    walked = cells >= 0
+    slots = (cells[walked, None] * d + np.arange(d)).ravel()
+    grads = dblocks.reshape(-1, d)[walked].ravel()
+    dh += np.bincount(slots, weights=grads, minlength=dh.size).reshape(dh.shape)
 
 
 def reference_prune(model, sample, theta_p=0.3, target=100):
@@ -134,7 +164,9 @@ def reference_train_joint_step(
         path_cache = None
         scores = np.empty(0)
         if len(pbatch):
-            scores, _, path_cache = _forward_paths(model, pbatch, h, sample.ctx, train=True)
+            scores, _, path_cache = reference_forward_paths(
+                model, pbatch, h, sample.ctx, train=True
+            )
             all_scores.append(scores)
             all_labels.append(_path_labels(pbatch, sample.gt_pos, sample.sg.n_nodes))
         loss_sum, n_terms, dh_trip = triplet_terms(
@@ -154,7 +186,7 @@ def reference_train_joint_step(
         if n_scores:
             dscores = dscore_flat[offset : offset + n_scores]
             offset += n_scores
-            _backward_paths(model, pbatch, dscores, path_cache, dh)
+            reference_backward_paths(model, pbatch, dscores, path_cache, dh)
         if n_terms_total:
             dh += dh_trip / n_terms_total
             loss_prune += loss_sum
@@ -239,16 +271,18 @@ def fresh_model(cfg):
 
 def train(rt, model, samples):
     cfg = rt.cfg
-    history = staged_training(
+    return staged_training(
         model, samples, epochs_prune=2, epochs_joint=2, lr=cfg.lr,
         batch_size=cfg.batch_size, theta_p=cfg.theta_p, target=cfg.prune_target,
         n_paths=cfg.n_paths, k=cfg.k, seed=cfg.seed,
     )
-    digest = hashlib.sha256()
-    for name, arr in model.param_items():
-        digest.update(name.encode())
-        digest.update(arr.tobytes())
-    return history, digest.hexdigest()
+
+
+def assert_close(got, want):
+    """Within ``RTOL`` of ``want``; entries that cancel to near zero within
+    ``RTOL`` times the largest entry of ``want``."""
+    want = np.asarray(want, dtype=np.float64)
+    np.testing.assert_allclose(got, want, rtol=RTOL, atol=RTOL * np.abs(want).max(initial=0.0))
 
 
 def test_training_matches_materialised_route(small_runtime, monkeypatch):
@@ -257,14 +291,14 @@ def test_training_matches_materialised_route(small_runtime, monkeypatch):
     samples, skipped = prepare_samples(rt, model, rt.queries)
     assert skipped == 0 and len(samples) == 24
     assert max(s.sg.n_nodes for s in samples) > rt.cfg.prune_target  # pruning cuts
-    history, digest = train(rt, model, samples[:18])
+    history = train(rt, model, samples[:18])
 
     ref_model = fresh_model(rt.cfg)
-    ref_samples = [
-        SimpleNamespace(**vars(s), x=reference_node_input_matrix(
-            ref_model, s.sg, s.ctx, rt.emb, rt.textfeat))
-        for s in samples
-    ]
+    # the reference f_n reads the materialised matrix wherever f_n reads its input
+    ref_samples = []
+    for s in samples:
+        x = reference_node_input_matrix(ref_model, s.sg, s.ctx, rt.emb, rt.textfeat)
+        ref_samples.append(SimpleNamespace(**vars(s), x=x, node_input=x))
     for net in (ref_model.f_n, ref_model.f_t, ref_model.f_p):
         monkeypatch.setattr(net, "forward", functools.partial(reference_mlp_forward, net),
                             raising=False)
@@ -272,20 +306,25 @@ def test_training_matches_materialised_route(small_runtime, monkeypatch):
                             raising=False)
     monkeypatch.setattr(paths, "train_prune_step", reference_train_prune_step)
     monkeypatch.setattr(paths, "train_joint_step", reference_train_joint_step)
-    ref_history, ref_digest = train(rt, ref_model, ref_samples[:18])
+    ref_history = train(rt, ref_model, ref_samples[:18])
 
     assert len(history) == 4
-    assert history == ref_history
-    assert digest == ref_digest
+    for entry, ref_entry in zip(history, ref_history):
+        assert entry.keys() == ref_entry.keys()
+        assert (entry["phase"], entry["epoch"]) == (ref_entry["phase"], ref_entry["epoch"])
+        for key in entry.keys() - {"phase", "epoch"}:
+            assert_close(entry[key], ref_entry[key])
+    for (name, arr), (_, ref_arr) in zip(model.param_items(), ref_model.param_items()):
+        assert_close(arr, ref_arr)
 
-    # eval on the held-out questions: the same survivors, encodings and scores
+    # eval on the held-out questions: the same survivors, close encodings and scores
     for sample, ref in zip(samples[18:], ref_samples[18:]):
         pg, h, s_cos = prune(model, sample, rt.cfg.theta_p, rt.cfg.prune_target)
         ref_pg, ref_h, ref_s_cos = reference_prune(
             ref_model, ref, rt.cfg.theta_p, rt.cfg.prune_target)
         assert pg.rows.tobytes() == ref_pg.rows.tobytes()
-        assert h.tobytes() == ref_h.tobytes()
-        assert s_cos.tobytes() == ref_s_cos.tobytes()
+        assert_close(h, ref_h)
+        assert_close(s_cos, ref_s_cos)
 
 
 def test_joint_step_keeps_the_theta_check(small_runtime):

@@ -5,7 +5,11 @@ route (``InferencePath``, ``_path_blocks``, the backward scatter loop, the
 label comprehension, ``aggregate_answers``, ``ranked_paths`` and the list
 building of ``evaluate_query``). Every comparison asserts equal bytes for
 arrays and equal Python lists (with equal ``repr``, so types and the sign of
-a zero score count too).
+a zero score count too). One exception: the reference scoring route can give
+f_p its input as the tiled [t || v || h_t] matrix it was written with, or as
+the column blocks the package builds now. Against the blocks, scores and
+gradients are equal bytes; against the tiled matrix, whose sums run in
+another order, they agree to rtol 1e-12 (``assert_close``).
 """
 
 import copy
@@ -18,7 +22,7 @@ import pytest
 
 from kgpath import pipeline
 from kgpath.embeddings import QueryContext
-from kgpath.neural import ScoringModel
+from kgpath.neural import ColumnBlocks, ScoringModel
 from kgpath.paths import (
     _backward_paths,
     _forward_paths,
@@ -30,6 +34,7 @@ from kgpath.paths import (
 )
 from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores, rank_by_score
 
+from test_node_input_oracle import assert_close
 from test_path_ranker import as_pruned
 from test_pruning import random_local_graph
 
@@ -71,11 +76,14 @@ def _path_blocks(
     return blocks
 
 
-def ref_forward_paths(model, paths, h, positions, ctx, train=False):
+def ref_forward_paths(model, paths, h, positions, ctx, train=False, tiled=True):
     blocks = _path_blocks(model, paths, h, positions)
     h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
     n = len(paths)
-    feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
+    if tiled:
+        feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
+    else:
+        feat = ColumnBlocks(np.concatenate([ctx.t, ctx.v]), [(2 * model.d, h_t)])
     h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
     scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
     return scores, h_p, (cache_t, cache_p, cache_bi)
@@ -86,7 +94,7 @@ def ref_backward_paths(model, paths, dscores, cache, positions, dh):
     _, dh_p = model.f_bi.backward(dscores, cache_bi)
     dfeat = model.f_p.backward(dh_p, cache_p)
     d = model.d
-    dh_t = dfeat[:, 2 * d : 3 * d]
+    dh_t = dfeat[:, -d:]  # the h_t columns of a tiled input; all of them for blocks
     dblocks = model.f_t.backward(dh_t, cache_t)
     for j, path in enumerate(paths):
         for step, eid in enumerate(path.nodes[1:]):
@@ -245,21 +253,25 @@ def test_forward_and_backward_match_reference_bytes():
         positions = {int(e): i for i, e in enumerate(sg.nodes)}
         model, h, ctx, rng = model_and_inputs(trial, sg.nodes.size)
         for train in (False, True):
-            new_model, ref_model = copy.deepcopy(model), copy.deepcopy(model)
+            new_model = copy.deepcopy(model)
             scores, h_p, cache = _forward_paths(new_model, batch, h, ctx, train=train)
-            r_scores, r_h_p, r_cache = ref_forward_paths(
-                ref_model, ref, h, positions, ctx, train=train
-            )
-            assert scores.tobytes() == r_scores.tobytes()
-            assert h_p.tobytes() == r_h_p.tobytes()
             dscores = rng.standard_normal(len(ref))
             dh = np.zeros_like(h)
-            r_dh = np.zeros_like(h)
             _backward_paths(new_model, batch, dscores, cache, dh)
-            ref_backward_paths(ref_model, ref, dscores, r_cache, positions, r_dh)
-            assert dh.tobytes() == r_dh.tobytes(), trial
-            for (name, g), (_, r_g) in zip(new_model.grad_items(), ref_model.grad_items()):
-                assert g.tobytes() == r_g.tobytes(), name
+            got = [scores, h_p, dh] + [g for _, g in new_model.grad_items()]
+            for tiled in (False, True):
+                ref_model = copy.deepcopy(model)
+                r_scores, r_h_p, r_cache = ref_forward_paths(
+                    ref_model, ref, h, positions, ctx, train=train, tiled=tiled
+                )
+                r_dh = np.zeros_like(h)
+                ref_backward_paths(ref_model, ref, dscores, r_cache, positions, r_dh)
+                want = [r_scores, r_h_p, r_dh] + [g for _, g in ref_model.grad_items()]
+                for a, b in zip(got, want):
+                    if tiled:
+                        assert_close(a, b)
+                    else:
+                        assert a.tobytes() == b.tobytes(), trial
 
 
 def test_labels_match_reference():

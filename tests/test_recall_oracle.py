@@ -95,7 +95,6 @@ def random_result(rng, i):
     terminals, _ = random_question(rng)
     return QueryResult(
         qid=f"q{i:04d}",
-        split="test",
         gt=frozenset(gt),
         annotations={e: 1.0 for e in gt},
         node_ranking=nodes,
