@@ -9,7 +9,9 @@ start among key nodes, uniform edge choice among edges that do not revisit a
 node, 1/3 stop chance after each step), and a Gumbel-top-k keeps ``n_paths``
 of them: all of them when they fit, otherwise a draw without replacement,
 each walk in proportion to its probability. The listing holds every walk at
-once, so its memory grows with the walk count: at k = 3 a pruned graph held
+once, as per-level 1-D arrays of a few numbers per walk (its parent's index,
+last node, last relation, log-probability and DFS position) rather than as
+rows; only the kept walks are built into rows. At k = 3 a pruned graph held
 at most 502 walks on the ``infer-dense`` benchmark suite (untrained model)
 and 5,405 on ``train-toy`` (during a 5 + 5 epoch training).
 
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -117,25 +119,53 @@ def pack_paths(
     return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=rel_cells)
 
 
-def list_walks(
-    adj: LocalAdjacency, roots: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+class WalkList(NamedTuple):
+    """Entries in level order: the roots (each its own parent, ``rel`` -1),
+    then every 1-step walk, every 2-step walk, and so on. Entry i extends
+    entry ``parent[i]`` by a step of relation ``rel[i]`` to row ``node[i]``;
+    ``logp[i]`` is the log-probability of drawing that walk (of starting at
+    the root), and ``order`` lists the walks' entries in DFS order."""
+
+    parent: np.ndarray
+    node: np.ndarray
+    rel: np.ndarray
+    length: np.ndarray
+    logp: np.ndarray
+    order: np.ndarray
+
+    def cells(self, at: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """``rows`` (m, k+1) and ``rels`` (m, k) of the walks ``at``, -1
+        padded as in a ``PathBatch``, filled from the last cell back by
+        walking up the parents; a root, its own parent, rewrites its cell."""
+        root_cell = np.arange(at.size) * (k + 1)
+        cell = root_cell + self.length[at]
+        rows = np.full((at.size, k + 1), -1, dtype=np.intp)
+        rels = np.full((at.size, k + 1), -1, dtype=self.rel.dtype)
+        for _ in range(k + 1):
+            np.put(rows, cell, self.node[at])
+            np.put(rels, cell, self.rel[at])
+            at, cell = self.parent[at], np.maximum(cell - 1, root_cell)
+        return rows, rels[:, 1:]
+
+
+def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int) -> WalkList:
     """Every distinct simple walk of 1..k edges from ``roots`` over ``adj``,
-    in DFS order, with its log-probability under the walk process.
+    with its log-probability under the walk process and its DFS position.
 
-    Returns ``rows`` (n, k+1) and ``rels`` (n, k), -1 padded as in a
-    ``PathBatch``, and ``logp`` (n,). DFS order takes the roots in the given
-    order and each row's slots in adjacency order, and lists a walk before
-    its extensions; the slots of a row that repeat one (neighbour, relation)
-    are one walk, placed at the first of them. The walk process: the root is
-    uniform over ``roots``; each step is uniform over the slots whose
-    neighbour is not on the walk yet, so a repeated slot weighs its copies;
-    below k steps the walk stops with probability ``WALK_STOP_PROB`` after
-    each step, and it stops for sure at a dead end or after k steps.
+    DFS order takes the roots in the given order and each row's slots in
+    adjacency order, and lists a walk before its extensions; the slots of a
+    row that repeat one (neighbour, relation) are one walk, placed at the
+    first of them. The walk process: the root is uniform over ``roots``; each
+    step is uniform over the slots whose neighbour is not on the walk yet, so
+    a repeated slot weighs its copies; below k steps the walk stops with
+    probability ``WALK_STOP_PROB`` after each step, and it stops for sure at a
+    dead end or after k steps.
 
-    The walks are listed level by level, one frontier array per step count.
+    Each level is listed as 1-D arrays, one entry per walk, and a step is
+    simple if its neighbour differs from the node of every ancestor, read by
+    following the parent indices. No walk is sorted or built into a row.
     """
-    indptr, nbr = adj.indptr, adj.nbr
+    indptr, nbr, degree = adj.indptr, adj.nbr, np.diff(adj.indptr)
     # copies[s]: how many slots repeat slot s's (head, neighbour, relation),
     # counted at the first of them and 0 at the others
     n_rels = int(adj.rel.max(initial=0)) + 1
@@ -144,33 +174,69 @@ def list_walks(
     copies = np.zeros(nbr.size)
     copies[first] = n_copies
 
-    # each frontier walk's rows, then its root's index and each step's slot, -1 padded
-    nodes = np.full((roots.size, k + 1), -1, dtype=np.intp)
-    steps = np.full((roots.size, k + 1), -1, dtype=np.intp)
-    nodes[:, 0], steps[:, 0] = roots, np.arange(roots.size)
+    # per level (level 0: the roots), each entry's parent index in the level
+    # above, last node, last relation and log-probability
     logq = np.full(roots.size, -np.log(roots.size))  # log P(the walk passes here)
-    levels = []
+    parents, nodes = [np.arange(roots.size)], [roots]
+    rels, logps = [np.full(roots.size, -1, dtype=adj.rel.dtype)], [logq]
     for length in range(k):
-        last = nodes[:, length]
-        deg = indptr[last + 1] - indptr[last]
+        last = nodes[-1]
+        deg = degree[last]
         parent = np.repeat(np.arange(last.size), deg)
         slot = np.arange(parent.size) + np.repeat(indptr[last] - np.cumsum(deg) + deg, deg)
-        free = (nbr[slot, None] != nodes[parent]).all(axis=1)
+        step, up = nbr[slot], parent
+        free = step != last[up]
+        for parent_of, node in zip(parents[:0:-1], nodes[-2::-1]):
+            up = parent_of[up]
+            free &= step != node[up]
         n_free = np.bincount(parent[free], minlength=last.size)
         if length:
-            levels.append((nodes, steps, logq + np.where(n_free > 0, np.log(WALK_STOP_PROB), 0.0)))
+            logps.append(logq + np.where(n_free > 0, np.log(WALK_STOP_PROB), 0.0))
         child = free & (copies[slot] > 0)
         parent, slot = parent[child], slot[child]
         go_on = np.log1p(-WALK_STOP_PROB) if length else 0.0
         logq = logq[parent] + go_on + np.log(copies[slot] / n_free[parent])
-        nodes, steps = nodes[parent], steps[parent]
-        nodes[:, length + 1], steps[:, length + 1] = nbr[slot], slot
-    levels.append((nodes, steps, logq))
+        parents.append(parent)
+        nodes.append(nbr[slot])
+        rels.append(adj.rel[slot])
+    logps.append(logq)
 
-    nodes, steps, logp = (np.concatenate(part) for part in zip(*levels))
-    dfs = np.lexsort(steps.T[::-1])  # a -1 pad sorts a walk before its extensions
-    steps = steps[dfs, 1:]
-    return nodes[dfs], np.where(steps >= 0, adj.rel[steps], -1), logp[dfs]
+    # DFS positions without a sort: a walk comes after the subtrees of the
+    # earlier walks of its level and after the shallower walks before it,
+    # which are its parent, the earlier walks of its parent's level and theirs
+    sizes = [np.ones(nodes[-1].size)]
+    for parent, above in zip(parents[:1:-1], nodes[-2:0:-1]):
+        sizes.insert(0, np.bincount(parent, weights=sizes[0], minlength=above.size) + 1)
+    shallower = [np.zeros(nodes[1].size)]
+    for parent in parents[2:]:
+        shallower.append(shallower[-1][parent] + parent + 1)
+    pos = np.concatenate([np.cumsum(s) - s + d for s, d in zip(sizes, shallower)])
+
+    counts = [v.size for v in nodes]
+    first = np.cumsum([0] + counts)  # each level's first entry
+    order = np.empty(first[-1] - roots.size, dtype=np.intp)
+    order[pos.astype(np.intp)] = np.arange(roots.size, first[-1])
+    return WalkList(
+        parent=np.concatenate(parents[:1] + [p + lo for p, lo in zip(parents[1:], first)]),
+        node=np.concatenate(nodes),
+        rel=np.concatenate(rels),
+        length=np.repeat(np.arange(k + 1), counts),
+        logp=np.concatenate(logps),
+        order=order,
+    )
+
+
+def top_positions(key: np.ndarray, n: int) -> np.ndarray:
+    """``np.sort(np.argsort(-key, kind="stable")[:n])`` for keys without NaN,
+    from one partition: the positions of the ``n`` largest keys, ascending,
+    ties at the cut to the lower positions; ``n`` is read as a slice bound."""
+    n = len(range(key.size)[:n])
+    if n in (0, key.size):
+        return np.arange(n)
+    cut = np.partition(key, key.size - n)[key.size - n]
+    keep = key > cut
+    keep[np.flatnonzero(key == cut)[: n - np.count_nonzero(keep)]] = True
+    return np.flatnonzero(keep)
 
 
 def sample_paths(
@@ -182,22 +248,24 @@ def sample_paths(
     """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
 
     ``list_walks`` lists every walk from the key nodes sorted by id, with its
-    probability under the walk process. Each walk draws one Gumbel from
-    ``np.random.default_rng(seed)``, and the ``n_paths`` walks of largest
-    log-probability + Gumbel form the batch, in DFS order: a draw of
+    probability under the walk process and its DFS position. The walk at DFS
+    position i draws the i-th Gumbel from ``np.random.default_rng(seed)``,
+    and the ``n_paths`` walks of largest log-probability + Gumbel (ties to
+    the earlier DFS position) form the batch, in DFS order: a draw of
     ``n_paths`` walks without replacement, each in proportion to its
-    probability (Gumbel-top-k). A graph holding at most ``n_paths`` walks
-    yields all of them whatever the seed, and a larger one exactly
-    ``n_paths``. A graph without usable edges yields an empty batch.
+    probability (Gumbel-top-k). Only the kept walks are built into rows. A
+    graph holding at most ``n_paths`` walks yields all of them whatever the
+    seed, and a larger one exactly ``n_paths``. A graph without usable edges
+    yields an empty batch.
     """
     key_pos = pg.sg.key_rows()
     if not key_pos.size:
         raise ValueError("pruned graph has no key node to root paths at")
-    rows, rels, logp = list_walks(pg.sg.adjacency().restricted(pg.rows), key_pos, k)
-    gumbel = np.random.default_rng(seed).gumbel(size=logp.size)
-    keep = np.sort(np.argsort(-(logp + gumbel), kind="stable")[:n_paths])
-    rows, rels = rows[keep], rels[keep]
-    return pack_paths(pg, rows[rows >= 0], rels[rels >= 0], np.count_nonzero(rels >= 0, axis=1), k)
+    walks = list_walks(pg.sg.adjacency().restricted(pg.rows), key_pos, k)
+    gumbel = np.random.default_rng(seed).gumbel(size=walks.order.size)
+    keep = walks.order[top_positions(walks.logp[walks.order] + gumbel, n_paths)]
+    rows, rels = walks.cells(keep, k)
+    return pack_paths(pg, rows[rows >= 0], rels[rels >= 0], walks.length[keep], k)
 
 
 # ---------------------------------------------------------------------------

@@ -157,9 +157,11 @@ def test_paths_subset_of_exhaustive_enumeration():
 
 
 def listed_walks(sg, roots, k):
-    """The walks ``list_walks`` lists, in its order, as (node ids, relations)
+    """The walks ``list_walks`` lists, in DFS order, as (node ids, relations)
     pairs of tuples, and their log-probabilities."""
-    rows, rels, logp = list_walks(sg.adjacency(), np.asarray(roots), k)
+    walks = list_walks(sg.adjacency(), np.asarray(roots), k)
+    rows, rels = walks.cells(walks.order, k)
+    logp = walks.logp[walks.order]
     ids = sg.nodes.tolist()
     walks = [
         (tuple(ids[p] for p in row if p >= 0), tuple(r for r in rel if r >= 0))
