@@ -23,7 +23,6 @@ from .schema import SchemaGraph
 @dataclass(frozen=True)
 class AnswerAnnotation:
     entity: int
-    human_count: int
     score: float
 
 
@@ -34,10 +33,10 @@ def annotation_scores(answers: Sequence[tuple[int, int]]) -> list[AnswerAnnotati
     one annotated answer entity.
     """
     if len(answers) == 1:
-        entity, count = answers[0]
-        return [AnswerAnnotation(int(entity), int(count), 1.0)]
+        entity, _ = answers[0]
+        return [AnswerAnnotation(int(entity), 1.0)]
     return [
-        AnswerAnnotation(int(entity), int(count), min(count / 3.0, 1.0))
+        AnswerAnnotation(int(entity), min(count / 3.0, 1.0))
         for entity, count in answers
     ]
 

@@ -3,24 +3,27 @@
 Paths are simple walks of at most k steps rooted at key nodes of the pruned
 graph. A pruned graph is a set of surviving rows over its schema graph, so
 walks run over the schema graph's one adjacency restricted to those rows, and
-a walk's nodes are schema-graph rows from the start. ``list_walks`` lists
-every distinct walk, each with its probability under a random walk (uniform
-start among key nodes, uniform edge choice among edges that do not revisit a
-node, 1/3 stop chance after each step), and a Gumbel-top-k keeps ``n_paths``
-of them: all of them when they fit, otherwise a draw without replacement,
-each walk in proportion to its probability. The listing holds every walk at
-once, as per-level 1-D arrays of a few numbers per walk (its parent's index,
-last node, last relation, log-probability and DFS position) rather than as
-rows; only the kept walks are built into rows. At k = 3 a pruned graph held
-at most 502 walks on the ``infer-dense`` benchmark suite (untrained model)
-and 5,405 on ``train-toy`` (during a 5 + 5 epoch training).
+a walk's nodes are schema-graph rows from the start. A schema graph's
+(head, relation, tail) edges are distinct, so every adjacency slot is one
+walk step of its own. ``list_walks`` lists every walk, each with its
+probability under a random walk (uniform start among key nodes, uniform
+edge choice among edges that do not revisit a node, 1/3 stop chance after
+each step), and a Gumbel-top-k keeps ``n_paths`` of them: all of them when
+they fit, otherwise a draw without replacement, each walk in proportion to
+its probability. The listing holds every walk at once, as per-level 1-D
+arrays of a few numbers per walk (its parent's index, last node, last
+relation, log-probability and DFS position) rather than as rows; only the
+kept walks are built into rows. At k = 3 a pruned graph held at most 502
+walks on the ``infer-dense`` benchmark suite (untrained model) and 5,405 on
+``train-toy`` (during a 5 + 5 epoch training).
 
 A batch of n paths is held as padded arrays, one row per path: ``rows``
 (n, k+1) are the walked nodes' row positions in the unpruned schema graph,
 root first, ``paths`` (n, k+1) their entity ids and ``rels`` (n, k) the
 relation of each step. A path of L steps fills the first L+1 cells of its
 ``rows``/``paths`` row and the first L of its ``rels`` row; every other cell
-is -1. ``pack_paths`` builds these arrays from flat lists, path after path.
+is -1. ``WalkList.cells`` builds the kept walks' rows and relations in this
+layout, and ``pack_paths`` adds their entity ids.
 
 ``_forward_paths`` is the one scoring route, shared by inference
 (``run_query``) and training (``train_joint_step``): it gathers the encoder
@@ -96,27 +99,13 @@ class PathBatch:
         return cells[np.arange(len(self)), self.lengths]
 
 
-def pack_paths(
-    pg: PrunedGraph,
-    nodes: Sequence[int],
-    rels: Sequence[int],
-    lengths: Sequence[int],
-    k: int,
-) -> PathBatch:
-    """A batch from flat lists, path after path: ``nodes`` holds each path's
-    row positions in the schema graph ``pg.sg`` (root first), ``rels`` its
-    relations and ``lengths`` its step count (at most ``k``). The rows are
+def pack_paths(pg: PrunedGraph, rows: np.ndarray, rels: np.ndarray) -> PathBatch:
+    """A batch from -1 padded ``rows`` (n, k+1), each path's row positions in
+    the schema graph ``pg.sg`` (root first), and ``rels`` (n, k). The rows are
     stored as they are and their entity ids read from ``pg.sg.nodes``."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    at = np.asarray(nodes, dtype=np.intp)
-    node_cells = np.arange(k + 1) <= lengths[:, None]
-    rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
-    rows[node_cells] = at
-    paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
-    paths[node_cells] = pg.sg.nodes[at]
-    rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
-    rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=rel_cells)
+    rows = np.asarray(rows, dtype=np.intp)
+    paths = np.where(rows >= 0, pg.sg.nodes[rows], -1)
+    return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=np.asarray(rels, dtype=np.int64))
 
 
 class WalkList(NamedTuple):
@@ -149,31 +138,23 @@ class WalkList(NamedTuple):
 
 
 def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int) -> WalkList:
-    """Every distinct simple walk of 1..k edges from ``roots`` over ``adj``,
-    with its log-probability under the walk process and its DFS position.
+    """Every simple walk of 1..k edges from ``roots`` over ``adj``, with its
+    log-probability under the walk process and its DFS position.
 
-    DFS order takes the roots in the given order and each row's slots in
-    adjacency order, and lists a walk before its extensions; the slots of a
-    row that repeat one (neighbour, relation) are one walk, placed at the
-    first of them. The walk process: the root is uniform over ``roots``; each
-    step is uniform over the slots whose neighbour is not on the walk yet, so
-    a repeated slot weighs its copies; below k steps the walk stops with
-    probability ``WALK_STOP_PROB`` after each step, and it stops for sure at a
-    dead end or after k steps.
+    ``adj`` must hold distinct (head, neighbour, relation) slots, as the
+    adjacency of every ``SchemaGraph`` does: each slot is then one walk. DFS
+    order takes the roots in the given order and each row's slots in
+    adjacency order, and lists a walk before its extensions. The walk
+    process: the root is uniform over ``roots``; each step is uniform over
+    the slots whose neighbour is not on the walk yet; below k steps the walk
+    stops with probability ``WALK_STOP_PROB`` after each step, and it stops
+    for sure at a dead end or after k steps.
 
     Each level is listed as 1-D arrays, one entry per walk, and a step is
     simple if its neighbour differs from the node of every ancestor, read by
     following the parent indices. No walk is sorted or built into a row.
     """
     indptr, nbr, degree = adj.indptr, adj.nbr, np.diff(adj.indptr)
-    # copies[s]: how many slots repeat slot s's (head, neighbour, relation),
-    # counted at the first of them and 0 at the others
-    n_rels = int(adj.rel.max(initial=0)) + 1
-    key = (adj.head.astype(np.int64) * (indptr.size - 1) + nbr) * n_rels + adj.rel
-    _, first, n_copies = np.unique(key, return_index=True, return_counts=True)
-    copies = np.zeros(nbr.size)
-    copies[first] = n_copies
-
     # per level (level 0: the roots), each entry's parent index in the level
     # above, last node, last relation and log-probability
     logq = np.full(roots.size, -np.log(roots.size))  # log P(the walk passes here)
@@ -192,10 +173,9 @@ def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int) -> WalkList:
         n_free = np.bincount(parent[free], minlength=last.size)
         if length:
             logps.append(logq + np.where(n_free > 0, np.log(WALK_STOP_PROB), 0.0))
-        child = free & (copies[slot] > 0)
-        parent, slot = parent[child], slot[child]
+        parent, slot = parent[free], slot[free]
         go_on = np.log1p(-WALK_STOP_PROB) if length else 0.0
-        logq = logq[parent] + go_on + np.log(copies[slot] / n_free[parent])
+        logq = logq[parent] + go_on + np.log(1.0 / n_free[parent])
         parents.append(parent)
         nodes.append(nbr[slot])
         rels.append(adj.rel[slot])
@@ -264,8 +244,7 @@ def sample_paths(
     walks = list_walks(pg.sg.adjacency().restricted(pg.rows), key_pos, k)
     gumbel = np.random.default_rng(seed).gumbel(size=walks.order.size)
     keep = walks.order[top_positions(walks.logp[walks.order] + gumbel, n_paths)]
-    rows, rels = walks.cells(keep, k)
-    return pack_paths(pg, rows[rows >= 0], rels[rels >= 0], walks.length[keep], k)
+    return pack_paths(pg, *walks.cells(keep, k))
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, read_jsonl, write_jsonl
+from .config import InputError, new_qid, read_jsonl, write_jsonl
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -68,7 +68,11 @@ class SchemaGraph:
 
     ``nodes``/``types`` are aligned arrays whose order is a seeded shuffle of
     construction order; ``edges_*`` hold all directed edges (reversals
-    included) among the nodes, plus any scene edges. ``build_rank[i]`` is the
+    included) among the nodes, plus any scene edges. Its (head, relation,
+    tail) edges are distinct, so each adjacency slot is one walk step:
+    ``build_schema`` collapses repeats through ``dedup_max_weight``,
+    ``restricted_to`` keeps a subset of the edges and ``from_json_obj``
+    refuses a repeated edge. ``build_rank[i]`` is the
     construction rank of ``nodes[i]``: for a fixed one-hop cap, the graph
     built at any smaller budget b holds exactly the nodes of rank < b. It is
     None for graphs loaded from a dump or restricted to a subset.
@@ -186,28 +190,42 @@ class SchemaGraph:
     @classmethod
     def from_json_obj(cls, g: KnowledgeGraph, obj: dict) -> "SchemaGraph":
         """Inverse of ``to_json_obj``; a ``ValueError`` names an unknown
-        entity, relation or node type."""
-        nodes = np.array([_entity_id(g, s) for s, _ in obj["nodes"]], dtype=np.int64)
-        types = np.array(
-            [_lookup(_TYPE_BY_NAME.__getitem__, t, "node type") for _, t in obj["nodes"]],
-            dtype=np.int8,
-        )
-        eh, er, et, ew = [], [], [], []
+        entity, relation or node type, a node or an edge listed twice, an
+        edge endpoint or a key that is not a listed node, or a graph without
+        key nodes."""
+        types: dict[int, int] = {}
+        for s, t in obj["nodes"]:
+            node = _entity_id(g, s)
+            if node in types:
+                raise ValueError(f"node {s!r} is listed twice")
+            types[node] = _lookup(_TYPE_BY_NAME.__getitem__, t, "node type")
+        weights: dict[tuple[int, int, int], float] = {}
         for hs, rn, ts, w in obj["edges"]:
-            eh.append(_entity_id(g, hs))
-            er.append(_lookup(g.relations.id_of, rn, "relation"))
-            et.append(_entity_id(g, ts))
-            ew.append(float(w))
+            h, t = _entity_id(g, hs), _entity_id(g, ts)
+            r = _lookup(g.relations.id_of, rn, "relation")
+            for end, s in ((h, hs), (t, ts)):
+                if end not in types:
+                    raise ValueError(f"edge endpoint {s!r} is not a listed node")
+            if (h, r, t) in weights:
+                raise ValueError(f"edge ({hs!r}, {rn!r}, {ts!r}) is listed twice")
+            weights[h, r, t] = float(w)
+        q_nodes, v_nodes = ([_entity_id(g, s) for s in obj[name]] for name in ("key_q", "key_v"))
+        for s, key in zip(obj["key_q"] + obj["key_v"], q_nodes + v_nodes):
+            if key not in types:
+                raise ValueError(f"key node {s!r} is not a listed node")
+        if not q_nodes + v_nodes:
+            raise ValueError("no key node")
+        eh, er, et = np.array(list(weights), dtype=np.int64).reshape(-1, 3).T.copy()
         return cls(
             qid=obj["qid"],
-            nodes=nodes,
-            types=types,
-            edges_head=np.array(eh, dtype=np.int64),
-            edges_rel=np.array(er, dtype=np.int64),
-            edges_tail=np.array(et, dtype=np.int64),
-            edges_weight=np.array(ew, dtype=np.float64),
-            q_nodes=frozenset(_entity_id(g, s) for s in obj["key_q"]),
-            v_nodes=frozenset(_entity_id(g, s) for s in obj["key_v"]),
+            nodes=np.array(list(types), dtype=np.int64),
+            types=np.array(list(types.values()), dtype=np.int8),
+            edges_head=eh,
+            edges_rel=er,
+            edges_tail=et,
+            edges_weight=np.array(list(weights.values()), dtype=np.float64),
+            q_nodes=frozenset(q_nodes),
+            v_nodes=frozenset(v_nodes),
         )
 
 
@@ -417,11 +435,15 @@ def load_schema_graphs(
 ) -> tuple[list[SchemaGraph], dict[str, frozenset[int]]]:
     """The graphs of a ``dump_schema_graphs`` file and each qid's ground truth.
 
-    Bad JSON, a missing key, or an unknown entity, relation or node type
-    raises one ``InputError(path, lineno, ...)``.
+    Bad JSON, a missing key, a repeated qid, or any graph that
+    ``SchemaGraph.from_json_obj`` refuses raises one
+    ``InputError(path, lineno, ...)``.
     """
 
+    seen: set[str] = set()
+
     def build(obj: dict) -> tuple[SchemaGraph, frozenset[int]]:
+        new_qid(obj, seen)
         sg = SchemaGraph.from_json_obj(g, obj)
         return sg, frozenset(_entity_id(g, s) for s in obj.get("gt", []))
 

@@ -49,7 +49,7 @@ from kgpath.synth import SuiteSpec, generate_suite
 from conftest import random_graph
 from test_neural import _oracle_semi_hard, check_mining
 from test_path_ranker import as_pruned, enumerate_simple_walks, pack, sigs
-from test_pruning import make_sg, sym
+from test_pruning import distinct, make_sg, sym
 from test_schema_graph import brute_force_rank
 
 # Desk-scale settings for the planted toy suite. The criterion pins the suite
@@ -458,7 +458,7 @@ def test_criterion_4_oracle_equivalences(tmp_path):
             x, y = rng.integers(n, size=2)
             if x != y:
                 edges.append((int(x), int(rng.integers(3)), int(y), 1.0))
-        sg = make_sg(list(range(n)), [0] + [2] * (n - 1), sym(edges), q_nodes={0})
+        sg = make_sg(list(range(n)), [0] + [2] * (n - 1), distinct(sym(edges)), q_nodes={0})
         universe = enumerate_simple_walks(sg, 3)
         for seed in range(10):
             batch = sample_paths(as_pruned(sg), n_paths=200, k=3, seed=seed)

@@ -529,6 +529,34 @@ MALFORMED_INPUT = {
         "unknown relation 'mystery'",
     ),
     "prune-not-utf8": ("prune", "schemas", 2, not_utf8, "not UTF-8 text"),
+    "prune-edge-endpoint-not-a-node": (
+        "prune", "schemas", 2,
+        json_edit(lambda obj: json.dumps(
+            {**obj, "nodes": [n for n in obj["nodes"] if n[0] != obj["edges"][0][0]]}
+        )),
+        "edge endpoint 'ent_0001' is not a listed node",
+    ),
+    "prune-node-twice": (
+        "prune", "schemas", 2,
+        json_edit(lambda obj: json.dumps({**obj, "nodes": obj["nodes"] + obj["nodes"][:1]})),
+        "node 'ent_0024' is listed twice",
+    ),
+    "prune-key-not-a-node": (
+        "prune", "schemas", 2, json_edit(replaced("key_v", ["ent_0000"])),
+        "key node 'ent_0000' is not a listed node",
+    ),
+    "prune-no-key-node": (
+        "prune", "schemas", 2,
+        json_edit(lambda obj: json.dumps({**obj, "key_q": [], "key_v": []})), "no key node",
+    ),
+    "prune-edge-twice": (
+        "prune", "schemas", 2,
+        json_edit(lambda obj: json.dumps({**obj, "edges": obj["edges"] + obj["edges"][:1]})),
+        "edge ('ent_0001', 'relatedto', 'ent_0064') is listed twice",
+    ),
+    "prune-duplicate-qid": (
+        "prune", "schemas", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
+    ),
     "export-dot-dump-bad-json": ("export-dot", "dump", 2, lambda line: line[:-1], "bad JSON: "),
     "export-dot-dump-missing-nodes": (
         "export-dot", "dump", 2, json_edit(without("nodes")), "missing field 'nodes'"

@@ -143,9 +143,10 @@ N_BATCHES = 240
 
 def random_case(rng, trial):
     """An unpruned graph of entity ids, a pruned graph over a shuffled subset
-    of its rows, and a batch of paths over the kept rows, as flat lists of
-    unpruned row positions and as reference objects. Paths need not be simple: the scoring route
-    does not care, and repeats make one row appear at several steps."""
+    of its rows, and a batch of paths over the kept rows, as -1 padded
+    arrays of unpruned row positions and as reference objects. Paths need
+    not be simple: the scoring route does not care, and repeats make one row
+    appear at several steps."""
     n_rows = int(rng.integers(1, 9))
     ids = rng.choice(10_000, size=n_rows, replace=False).astype(np.int64)
     kept = rng.permutation(n_rows)[: int(rng.integers(1, n_rows + 1))]
@@ -171,20 +172,21 @@ def random_case(rng, trial):
     else:
         lengths = [int(x) for x in rng.integers(1, K + 1, size=n)]
     hot = int(kept[rng.integers(kept.size)])
-    flat_nodes, flat_rels, paths = [], [], []
-    for length in lengths:
+    rows, rel_cells = np.full((n, K + 1), -1), np.full((n, K), -1)
+    paths = []
+    for i, length in enumerate(lengths):
         walk = [int(kept[x]) for x in rng.integers(kept.size, size=length + 1)]
         if shape == 3:  # one row reached by many paths at different steps
             walk[int(rng.integers(1, length + 1))] = hot
         rels = [int(x) for x in rng.integers(5, size=length)]
-        flat_nodes += walk
-        flat_rels += rels
+        rows[i, : length + 1] = walk
+        rel_cells[i, :length] = rels
         paths.append((tuple(int(ids[p]) for p in walk), tuple(rels)))
     # scores from a small set, signed zeros included, so ties are common
     scores = rng.choice([-0.5, -0.0, 0.0, 0.25, 0.5, 1.0], size=n)
     if trial % 2:
         scores = np.round(rng.standard_normal(n), 1)
-    batch = pack_paths(pg, flat_nodes, flat_rels, lengths, K)
+    batch = pack_paths(pg, rows, rel_cells)
     batch.scores = scores
     ref = [InferencePath(nodes=p, relations=r, score=float(s)) for (p, r), s in zip(paths, scores)]
     return sg, pg, batch, ref

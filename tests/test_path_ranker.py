@@ -25,7 +25,7 @@ from kgpath.pruning import PrunedGraph, QuerySample, bfs_scores, prune_from_scor
 from kgpath.schema import LocalAdjacency
 
 from conftest import FakeTextFeatures
-from test_pruning import make_sg, providers, random_local_graph, sym
+from test_pruning import distinct, make_sg, providers, random_local_graph, sym
 
 
 def as_pruned(sg):
@@ -36,19 +36,18 @@ def as_pruned(sg):
 
 
 def pack(walks, k, ids=None, scores=None):
-    """A batch of (nodes, relations) entity-id walks, built by ``pack_paths``
-    over a graph whose row i holds ``sorted(ids)[i]`` (default: every id the
-    walks touch)."""
+    """A batch of (nodes, relations) entity-id walks, -1 padded to ``k`` steps
+    and built by ``pack_paths`` over a graph whose row i holds
+    ``sorted(ids)[i]`` (default: every id the walks touch)."""
     ids = sorted(ids if ids is not None else {e for nodes, _ in walks for e in nodes})
     pos = {e: i for i, e in enumerate(ids)}
     pg = as_pruned(make_sg(ids, [2] * len(ids), [], q_nodes=set()))
-    batch = pack_paths(
-        pg,
-        [pos[e] for nodes, _ in walks for e in nodes],
-        [r for _, rels in walks for r in rels],
-        [len(rels) for _, rels in walks],
-        k,
-    )
+    rows = np.full((len(walks), k + 1), -1)
+    rels = np.full((len(walks), k), -1)
+    for i, (nodes, steps) in enumerate(walks):
+        rows[i, : len(nodes)] = [pos[e] for e in nodes]
+        rels[i, : len(steps)] = steps
+    batch = pack_paths(pg, rows, rels)
     if scores is not None:
         batch.scores = np.asarray(scores, dtype=np.float64)
     return batch
@@ -146,14 +145,14 @@ def test_paths_subset_of_exhaustive_enumeration():
             if a != b:
                 edges.append((int(a), int(rng.integers(4)), int(b), 1.0))
         keys = {0}
-        sg = make_sg(list(range(n)), [0] + [2] * (n - 1), sym(edges), q_nodes=keys)
+        sg = make_sg(list(range(n)), [0] + [2] * (n - 1), distinct(sym(edges)), q_nodes=keys)
         pg = as_pruned(sg)
         universe = enumerate_simple_walks(sg, 3)
         for seed in range(10):
             batch = sample_paths(pg, n_paths=200, k=3, seed=seed)
             got = set(sigs(batch))
             assert got <= universe
-            assert len(got) == len(batch)  # dedup held
+            assert len(got) == len(batch)  # no walk twice
 
 
 def listed_walks(sg, roots, k):
@@ -380,10 +379,10 @@ def test_count_walks_matches_itertools_enumeration():
 
 
 def tiny_graphs():
-    """20 tiny graphs over 3..6 nodes: random directed edges with self-loops,
-    parallel relations and repeated triples; every fourth graph has a
-    dead-end key (its only out-edge a self-loop), every fifth a key with no
-    edge at all."""
+    """20 tiny graphs over 3..6 nodes: random directed edges with self-loops
+    and parallel relations, drawn with repeated triples that ``distinct``
+    collapses; every fourth graph has a dead-end key (its only out-edge a
+    self-loop), every fifth a key with no edge at all."""
     rng = np.random.default_rng(1818)
     graphs = []
     for trial in range(20):
@@ -405,7 +404,7 @@ def tiny_graphs():
         if trial % 5 == 0:
             ids.append(100 + trial)
             keys.append(100 + trial)
-        graphs.append(make_sg(ids, [0 if i in keys else 2 for i in ids], edges, q_nodes=keys))
+        graphs.append(make_sg(ids, [0 if i in keys else 2 for i in ids], distinct(edges), q_nodes=keys))
     return graphs
 
 
@@ -442,12 +441,11 @@ def plackett_luce_inclusion(p, n):
 
 
 def test_walk_probabilities_match_brute_force_product():
-    shapes = {"self-loop": 0, "parallel": 0, "repeated": 0, "dead-end key": 0, "bare key": 0}
+    shapes = {"self-loop": 0, "parallel": 0, "dead-end key": 0, "bare key": 0}
     for trial, sg in enumerate(tiny_graphs()):
         triples = list(zip(sg.edges_head.tolist(), sg.edges_rel.tolist(), sg.edges_tail.tolist()))
         shapes["self-loop"] += any(h == t for h, _, t in triples)
         shapes["parallel"] += len({(h, t) for h, _, t in triples}) < len(set(triples))
-        shapes["repeated"] += len(set(triples)) < len(triples)
         heads = {h for h, _, t in triples if h != t}
         ends = {h for h, _, _ in triples} | {t for _, _, t in triples}
         shapes["dead-end key"] += any(key in ends and key not in heads for key in sg.key_ids())
@@ -499,26 +497,6 @@ def test_batches_are_full_and_seed_determined():
                     got = sample_paths(pg, n_paths, k, seed)
                     assert len(got) == len(set(sigs(got))) == min(n_paths, total)
                     assert batch_bytes(got) == batch_bytes(sample_paths(pg, n_paths, k, seed))
-
-
-def test_exact_route_has_no_duplicate_on_repeated_triples():
-    edges = sym([(0, 0, 1, 1.0), (1, 1, 2, 1.0)])
-    sg = make_sg([0, 1, 2], [0, 2, 2], edges + edges + [edges[2]], q_nodes={0})
-    pg = as_pruned(sg)
-    # 2 distinct walks, 6 edge sequences: the cap counts distinct walks
-    for n_paths in (2, 3, 200):
-        for seed in range(3):
-            got = sigs(sample_paths(pg, n_paths, 3, seed))
-            assert got == [((0, 1), (0,)), ((0, 1, 2), (0, 1))]
-    rng = np.random.default_rng(44)
-    for trial in range(40):
-        sg = random_local_graph(rng, duplicates=True)
-        for k in (1, 2, 3):
-            universe = enumerate_simple_walks(sg, k)
-            batch = sample_paths(as_pruned(sg), len(universe), k, seed=trial)
-            got = sigs(batch)
-            assert len(got) == len(set(got)) == len(universe)
-            assert set(got) == universe
 
 
 def test_sampling_deterministic_per_seed():

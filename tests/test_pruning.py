@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
-from kgpath.kg import load_graph
+from kgpath.kg import dedup_max_weight, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.metrics import gt_rank, recall_rates
 from kgpath.neural import Adam, ScoringModel, cosine_rows
@@ -49,9 +49,21 @@ def sym(edges):
     return out
 
 
+def distinct(edges):
+    """(h, r, t, w) rows with each repeated (h, r, t) collapsed to its max
+    weight by ``dedup_max_weight``, as ``build_schema`` collapses them."""
+    if not edges:
+        return []
+    h, r, t, w = (np.array(col) for col in zip(*edges))
+    n_ids, n_rels = int(max(h.max(), t.max())) + 1, int(r.max()) + 1
+    return list(zip(*(a.tolist() for a in dedup_max_weight(h, r, t, w, n_ids, n_rels))))
+
+
 def random_local_graph(rng, max_nodes=8, max_edges=16, duplicates=False):
     """Small directed schema graph with shuffled, non-contiguous ids, self-loops,
-    parallel relations and (often) a key node without out-edges."""
+    parallel relations and (often) a key node without out-edges. With
+    ``duplicates`` one edge is drawn twice and the list goes through
+    ``distinct``, which sorts it by (head, tail, relation)."""
     n = int(rng.integers(2, max_nodes + 1))
     ids = [int(i) for i in rng.choice(10_000, size=n, replace=False)]
     triples = {
@@ -61,7 +73,7 @@ def random_local_graph(rng, max_nodes=8, max_edges=16, duplicates=False):
     edges = [(h, r, t, 1.0) for h, r, t in triples]
     rng.shuffle(edges)
     if duplicates and edges:
-        edges.append(edges[int(rng.integers(len(edges)))])
+        edges = distinct(edges + [edges[int(rng.integers(len(edges)))]])
     keys = {ids[int(i)] for i in rng.choice(n, size=int(rng.integers(1, 3)), replace=False)}
     return make_sg(ids, [0 if i in keys else 2 for i in ids], edges, q_nodes=keys)
 

@@ -254,6 +254,17 @@ def assert_same_graph(got, want):
     assert got.q_nodes == want.q_nodes and got.v_nodes == want.v_nodes
 
 
+def assert_distinct_edges(sg):
+    """Each (head, relation, tail) edge once, so each adjacency slot once,
+    in the graph and in a copy restricted to every other row."""
+    for graph in (sg, sg.restricted_to(np.arange(0, sg.n_nodes, 2))):
+        edges = np.stack([graph.edges_head, graph.edges_rel, graph.edges_tail], axis=1)
+        assert len(np.unique(edges, axis=0)) == graph.n_edges
+        adj = graph.adjacency()
+        slots = np.stack([adj.head, adj.nbr, adj.rel], axis=1)
+        assert len(np.unique(slots, axis=0)) == adj.nbr.size
+
+
 def test_build_matches_reference_route(tmp_path):
     rng = np.random.default_rng(606)
     filled_in_stage1 = 0
@@ -263,7 +274,9 @@ def test_build_matches_reference_route(tmp_path):
         budget, cap = build_params(rng, trial, n_keys)
         seed = int(rng.integers(1000))
         want = reference_build(g, keys, scene, budget, cap, seed, "t", allowed=None)
-        assert_same_graph(build_schema(g, keys, scene, budget, cap, seed, "t"), want)
+        got = build_schema(g, keys, scene, budget, cap, seed, "t")
+        assert_same_graph(got, want)
+        assert_distinct_edges(got)
         n1 = int((want.types == NodeType.N1).sum())
         filled_in_stage1 += n1 > 0 and n1 == budget - n_keys
 
@@ -276,6 +289,7 @@ def test_build_matches_reference_route(tmp_path):
         want = reference_build(g, keys, scene, budget, cap, seed, "t", allowed=allowed)
         got = build_schema(g, keys, scene, budget, cap, seed, "t", candidates=cands)
         assert_same_graph(got, want)
+        assert_distinct_edges(got)
     assert filled_in_stage1 >= 5
 
 

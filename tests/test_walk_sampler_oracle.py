@@ -3,20 +3,27 @@
 ``old_list_walks`` and ``old_sample_paths`` are verbatim copies of the route
 that built every listed walk as a full (n, k+1) row, put the rows in DFS
 order with a ``lexsort`` and kept the top ``n_paths`` with a stable
-``argsort``. The package now lists walks as per-level parent indices, reads
-DFS positions from subtree sizes, keeps the top keys with a partition and
-builds only the kept walks; every batch must be equal bytes. A separate test
-holds the selection's tie rule to the stable-argsort slice it replaces.
+``argsort``; ``flat_pack_paths`` is the verbatim packer it called, which
+took flat lists and padded them again. The package now lists walks as
+per-level parent indices, reads DFS positions from subtree sizes, keeps the
+top keys with a partition, builds only the kept walks and packs their
+padded rows as they are; every batch must be equal bytes. The old listing
+also merged slots that repeat a (head, neighbour, relation), which no
+schema graph holds, so every graph here has distinct edges. A separate
+test holds the selection's tie rule to the stable-argsort slice it
+replaces.
 """
+
+from typing import Sequence
 
 import numpy as np
 
-from kgpath.paths import WALK_STOP_PROB, pack_paths, sample_paths, top_positions
+from kgpath.paths import WALK_STOP_PROB, PathBatch, sample_paths, top_positions
 from kgpath.pruning import PrunedGraph
 from kgpath.schema import LocalAdjacency
 
 from test_path_ranker import as_pruned, batch_bytes, itertools_walks, tiny_graphs
-from test_pruning import make_sg, random_local_graph, sym
+from test_pruning import distinct, make_sg, random_local_graph, sym
 
 # ---------------------------------------------------------------------------
 # reference: list every walk as a full row, lexsort, stable argsort
@@ -103,7 +110,30 @@ def old_sample_paths(
     gumbel = np.random.default_rng(seed).gumbel(size=logp.size)
     keep = np.sort(np.argsort(-(logp + gumbel), kind="stable")[:n_paths])
     rows, rels = rows[keep], rels[keep]
-    return pack_paths(pg, rows[rows >= 0], rels[rels >= 0], np.count_nonzero(rels >= 0, axis=1), k)
+    return flat_pack_paths(pg, rows[rows >= 0], rels[rels >= 0], np.count_nonzero(rels >= 0, axis=1), k)
+
+
+def flat_pack_paths(
+    pg: PrunedGraph,
+    nodes: Sequence[int],
+    rels: Sequence[int],
+    lengths: Sequence[int],
+    k: int,
+) -> PathBatch:
+    """A batch from flat lists, path after path: ``nodes`` holds each path's
+    row positions in the schema graph ``pg.sg`` (root first), ``rels`` its
+    relations and ``lengths`` its step count (at most ``k``). The rows are
+    stored as they are and their entity ids read from ``pg.sg.nodes``."""
+    lengths = np.asarray(lengths, dtype=np.intp)
+    at = np.asarray(nodes, dtype=np.intp)
+    node_cells = np.arange(k + 1) <= lengths[:, None]
+    rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
+    rows[node_cells] = at
+    paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
+    paths[node_cells] = pg.sg.nodes[at]
+    rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
+    rel_cells[np.arange(k) < lengths[:, None]] = rels
+    return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=rel_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +155,7 @@ def walk_count(pg, k):
 
 
 def test_tiny_graphs_give_the_sorting_route_bytes():
-    # self-loops, parallel relations, repeated triples, dead-end and bare keys
+    # self-loops, parallel relations, dead-end and bare keys
     for sg in tiny_graphs():
         pg = as_pruned(sg)
         for k in (1, 2, 3):
@@ -148,13 +178,14 @@ def test_random_graphs_give_the_sorting_route_bytes():
 
 
 def dense_graph(rng, n, n_edges, n_keys):
-    """A symmetric graph of ``n`` nodes with repeated triples and self-loops."""
+    """A symmetric graph of ``n`` nodes with self-loops, drawn with repeated
+    triples that ``distinct`` collapses."""
     ids = [int(i) for i in rng.choice(100_000, size=n, replace=False)]
     edges = sym([(ids[a], int(rng.integers(4)), ids[b], 1.0)
                  for a, b in rng.integers(n, size=(n_edges, 2))])
     edges += [edges[int(i)] for i in rng.integers(len(edges), size=n_edges // 10)]
     keys = {ids[int(i)] for i in rng.choice(n, size=n_keys, replace=False)}
-    return make_sg(ids, [0 if i in keys else 2 for i in ids], edges, q_nodes=keys, qid=f"d{n}")
+    return make_sg(ids, [0 if i in keys else 2 for i in ids], distinct(edges), q_nodes=keys, qid=f"d{n}")
 
 
 def test_graphs_of_over_a_thousand_walks_give_the_sorting_route_bytes():
