@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import Optional
 
 from .config import (
-    InputError, RunConfig, atomic_write, load_config, read_blocks, read_jsonl, write_jsonl,
-    write_manifest,
+    InputError, RunConfig, atomic_write, load_config, new_qid, read_blocks, read_jsonl,
+    write_jsonl, write_manifest,
 )
 from .dot import export_dot
 from .linking import ground_truth_ids
@@ -35,8 +35,8 @@ from .pipeline import (
     prepare_samples,
     schema_for_record,
 )
-from .pruning import QuerySample, dump_pruned_graphs, prune
-from .schema import dump_schema_graphs, load_schema_graphs
+from .pruning import QuerySample, prune
+from .schema import check_dump, load_schema_graphs
 from .synth import SuiteSpec, check_hop_mix, generate_suite
 
 logger = logging.getLogger("kgpath")
@@ -191,7 +191,7 @@ def cmd_schema(args: argparse.Namespace) -> int:
         graphs.append(sg)
         gt_by_qid[rec.qid] = ground_truth_ids(rt.g, rec)
     dump_path = out / "schema_graphs.jsonl"
-    dump_schema_graphs(dump_path, rt.g, graphs, gt_by_qid)
+    write_jsonl(dump_path, (sg.to_json_obj(rt.g, gt_by_qid[sg.qid]) for sg in graphs))
 
     curve = _hit_rate_curve(cfg, graphs, [gt_by_qid[sg.qid] for sg in graphs])
     write_curve_csv(out / "hit_rate.csv", curve)
@@ -218,7 +218,7 @@ def cmd_prune(args: argparse.Namespace) -> int:
         sample = QuerySample.build(model, sg, ctx, gt_by_qid[sg.qid], rt.emb, rt.textfeat)
         pruned.append(prune(model, sample, cfg.theta_p, cfg.prune_target)[0])
     dump_path = out / "pruned_graphs.jsonl"
-    dump_pruned_graphs(dump_path, rt.g, pruned, gt_by_qid)
+    write_jsonl(dump_path, (pg.to_json_obj(rt.g, gt_by_qid[pg.sg.qid]) for pg in pruned))
     write_manifest(out, "prune", cfg, rt.inputs)
     print(f"pruned {len(pruned)} graphs to <= {cfg.prune_target} nodes -> {dump_path}")
     return 0
@@ -325,8 +325,8 @@ def _flatten_path(g, rel, nodes, rels) -> list[str]:
 
 
 def _dot_graph(obj: dict) -> dict:
-    """A schema or pruned dump record with the fields ``export_dot`` reads; a
-    record of another shape raises ``KeyError``, ``TypeError`` or ``ValueError``."""
+    """A dump record as the strings and floats ``export_dot`` reads; a field of
+    another shape raises ``TypeError`` or ``ValueError``."""
     return {
         "qid": obj["qid"],
         "nodes": [(str(surface), str(kind)) for surface, kind in obj["nodes"]],
@@ -341,7 +341,14 @@ def _dot_paths(obj: dict) -> tuple:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
-    graphs = read_jsonl(args.dump, _dot_graph)
+    seen: set[str] = set()
+
+    def checked(obj: dict) -> dict:
+        new_qid(obj, seen)
+        check_dump(obj)
+        return _dot_graph(obj)
+
+    graphs = read_jsonl(args.dump, checked)
     dump = next((d for d in graphs if args.qid is None or d["qid"] == args.qid), None)
     if dump is None:
         raise InputError(msg=f"qid {args.qid!r} not found in {args.dump}")

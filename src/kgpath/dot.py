@@ -33,7 +33,8 @@ def export_dot(
     """Render one dumped graph (and optionally its top paths) as DOT text.
 
     ``paths`` entries are ``[n0, r0, n1, r1, ..., nk]`` surface sequences with
-    a score, matching the inference output format.
+    a score, matching the inference output format. The dump's edges are
+    distinct, as ``schema.check_dump`` requires.
     """
     gt = set(dump.get("gt", []))
     lines = [
@@ -54,20 +55,14 @@ def export_dot(
                 head, rel, tail = tail, rel[4:], head
             highlighted.add((head, rel, tail))
 
-    drawn = set()
-    for head, rel, tail, weight in dump["edges"]:
-        if rel.startswith("rev_"):
-            continue
-        sig = (head, rel, tail)
-        if sig in drawn:
-            continue
-        drawn.add(sig)
+    forward = [(h, r, t) for h, r, t, _ in dump["edges"] if not r.startswith("rev_")]
+    for head, rel, tail in forward:
         attrs = [f'label="{rel}"']
-        if sig in highlighted:
+        if (head, rel, tail) in highlighted:
             attrs += ['color="#CC3311"', "penwidth=2.2", "fontcolor=\"#CC3311\""]
         lines.append(f"  {_quote(head)} -> {_quote(tail)} [{', '.join(attrs)}];")
-    # Path steps can ride scene edges absent from the forward edge list.
-    for head, rel, tail in sorted(highlighted - drawn):
+    # A paths file from another run can step along edges this dump lacks.
+    for head, rel, tail in sorted(highlighted - set(forward)):
         lines.append(
             f"  {_quote(head)} -> {_quote(tail)} "
             f"[label=\"{rel}\", color=\"#CC3311\", penwidth=2.2];"

@@ -62,10 +62,6 @@ class EntityEmbeddingTable:
     def dim(self) -> int:
         return int(self.matrix.shape[1])
 
-    @property
-    def n_entities(self) -> int:
-        return int(self.matrix.shape[0])
-
     def gather(self, ids: np.ndarray) -> np.ndarray:
         return self.matrix[np.asarray(ids, dtype=np.int64)]
 

@@ -17,8 +17,8 @@ from typing import Callable, Optional
 from .config import InputError, new_qid, read_jsonl, read_lines
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
-#: Question words discarded before matching. The exact list is configuration,
-#: not ground truth; these ten cover the usual prompt vocabulary.
+#: Question words discarded before matching. The exact list is a choice, not
+#: ground truth; these ten cover the usual prompt vocabulary.
 DEFAULT_STOPWORDS = frozenset(
     {"which", "picture", "what", "kind", "type", "name", "image", "photo", "shown", "person"}
 )
@@ -161,7 +161,6 @@ class EntityMatcher:
 def extract_question_nodes(
     g: KnowledgeGraph,
     rec: QueryRecord,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
     synonyms: Optional[dict[str, str]] = None,
 ) -> frozenset[int]:
     """Match content words and 2-3 token phrases of the question into the KG.
@@ -174,7 +173,7 @@ def extract_question_nodes(
     matcher = EntityMatcher(g, synonyms)
     tokens = [(tok.lower(), pos) for tok, pos in rec.question_tokens]
     usable = [
-        pos_tag in CONTENT_POS and tok not in stopwords for tok, pos_tag in tokens
+        pos_tag in CONTENT_POS and tok not in DEFAULT_STOPWORDS for tok, pos_tag in tokens
     ]
     consumed = [False] * len(tokens)
     matched: set[int] = set()
@@ -198,7 +197,6 @@ def extract_question_nodes(
 def extract_visual_nodes(
     g: KnowledgeGraph,
     rec: QueryRecord,
-    predicate_blacklist: frozenset[str] = DEFAULT_PREDICATE_BLACKLIST,
     synonyms: Optional[dict[str, str]] = None,
 ) -> tuple[frozenset[int], list[Edge]]:
     """Map scene labels and triplets into KG nodes and weighted scene edges.
@@ -220,7 +218,7 @@ def extract_visual_nodes(
     kept = [
         t
         for t in rec.scene_triplets
-        if _normalize_predicate(t[1]) not in predicate_blacklist
+        if _normalize_predicate(t[1]) not in DEFAULT_PREDICATE_BLACKLIST
     ]
     kept.sort(key=lambda t: (-t[3], (t[0], t[1], t[2])))
     edges: list[Edge] = []
@@ -240,13 +238,11 @@ def extract_visual_nodes(
 def extract_key_nodes(
     g: KnowledgeGraph,
     rec: QueryRecord,
-    stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-    predicate_blacklist: frozenset[str] = DEFAULT_PREDICATE_BLACKLIST,
     synonyms: Optional[dict[str, str]] = None,
 ) -> tuple[KeyNodeSet, list[Edge]]:
     """Full linking step for one record: question nodes, visual nodes, scene edges."""
-    q_nodes = extract_question_nodes(g, rec, stopwords, synonyms)
-    v_nodes, scene_edges = extract_visual_nodes(g, rec, predicate_blacklist, synonyms)
+    q_nodes = extract_question_nodes(g, rec, synonyms)
+    v_nodes, scene_edges = extract_visual_nodes(g, rec, synonyms)
     return KeyNodeSet(q_nodes=q_nodes, v_nodes=v_nodes), scene_edges
 
 

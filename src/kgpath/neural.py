@@ -364,14 +364,15 @@ class ScoringModel:
 # ---------------------------------------------------------------------------
 
 
+#: Adam's decay rates of the first and second moment, and its denominator guard.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: dict[str, list],
     lr: float = 1e-4,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place. State is per parameter."""
     for name, grad in grads.items():
@@ -384,24 +385,21 @@ def adam_step(
             state[name] = [np.zeros_like(param), np.zeros_like(param), 0]
         m, v, t = state[name]
         t += 1
-        m *= beta1
-        m += (1.0 - beta1) * grad
-        v *= beta2
-        v += (1.0 - beta2) * grad * grad
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * grad * grad
+        m_hat = m / (1.0 - BETA1**t)
+        v_hat = v / (1.0 - BETA2**t)
+        param -= lr * m_hat / (np.sqrt(v_hat) + EPS)
         state[name][2] = t
 
 
 class Adam:
     """Stateful wrapper around :func:`adam_step` keyed by parameter name."""
 
-    def __init__(self, lr: float = 1e-4, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, lr: float = 1e-4):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.state: dict[str, list] = {}
 
     def step(self, model: ScoringModel, only: Optional[Sequence[str]] = None) -> None:
@@ -411,7 +409,7 @@ class Adam:
         if only is not None:
             wanted = set(only)
             grads = {n: g for n, g in grads.items() if n in wanted}
-        adam_step(params, grads, self.state, self.lr, self.beta1, self.beta2, self.eps)
+        adam_step(params, grads, self.state, self.lr)
 
 
 class SGD:

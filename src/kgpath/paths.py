@@ -80,7 +80,6 @@ class PathBatch:
     batch is scored.
     """
 
-    qid: str
     rows: np.ndarray
     paths: np.ndarray
     rels: np.ndarray
@@ -105,7 +104,7 @@ def pack_paths(pg: PrunedGraph, rows: np.ndarray, rels: np.ndarray) -> PathBatch
     stored as they are and their entity ids read from ``pg.sg.nodes``."""
     rows = np.asarray(rows, dtype=np.intp)
     paths = np.where(rows >= 0, pg.sg.nodes[rows], -1)
-    return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=np.asarray(rels, dtype=np.int64))
+    return PathBatch(rows=rows, paths=paths, rels=np.asarray(rels, dtype=np.int64))
 
 
 class WalkList(NamedTuple):
@@ -476,10 +475,7 @@ def staged_training(
         losses = []
         for lo in range(0, len(trainable), batch_size):
             chunk = [trainable[i] for i in order[lo : lo + batch_size]]
-            loss, _ = train_prune_step(
-                model, chunk, optimizer, margin, semi_hard
-            )
-            losses.append(loss)
+            losses.append(train_prune_step(model, chunk, optimizer, margin, semi_hard))
         emit(
             {
                 "phase": "prune",

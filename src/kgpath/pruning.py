@@ -26,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, write_jsonl
+from .config import InputError
 from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
 from .neural import Adam, ColumnBlocks, ScoringModel, cosine_rows
@@ -290,49 +290,33 @@ def train_prune_step(
     optimizer: Adam,
     margin: float = 0.5,
     semi_hard: bool = True,
-) -> tuple[float, int]:
-    """One optimizer step of the pruning loss over a batch.
+) -> float:
+    """One optimizer step of the pruning loss over a batch; the mean loss.
 
-    Samples whose ground truth fell outside the schema graph are skipped (no
-    positive is defined for them) and reported in the second return value.
+    A sample without a ground-truth node or without a negative adds no
+    triplet term, and a batch without any term changes no parameter.
     """
     model.zero_grad()
-    usable = [s for s in batch if s.gt_pos.size and s.neg_pos.size]
-    skipped = len(batch) - len(usable)
-    if not usable:
-        raise ValueError("no sample in the batch has a ground-truth node")
-
     staged = []
-    n_terms_total = 0
-    for sample in usable:
+    total_loss, n_terms_total = 0.0, 0
+    for sample in batch:
         h, cache = model.f_n.forward(sample.node_input, train=True, rng=model.rng)
         loss_sum, n_terms, dh = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
         )
-        staged.append((sample, cache, loss_sum, dh))
+        staged.append((cache, dh))
+        total_loss += loss_sum
         n_terms_total += n_terms
     if n_terms_total == 0:
-        return 0.0, skipped
+        return 0.0
 
-    total_loss = 0.0
-    for _sample, cache, loss_sum, dh in staged:
-        total_loss += loss_sum
+    for cache, dh in staged:
         model.f_n.backward(dh / n_terms_total, cache)
     optimizer.step(model, only=model.prune_param_names())
-    return total_loss / n_terms_total, skipped
+    return total_loss / n_terms_total
 
 
 def rank_by_score(entity_ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
     """Entity ids sorted by descending score, ascending id on ties."""
     order = np.lexsort((entity_ids, -scores))
     return entity_ids[order]
-
-
-def dump_pruned_graphs(
-    path,
-    g: KnowledgeGraph,
-    pruned: Iterable[PrunedGraph],
-    gt_by_qid: Optional[dict[str, frozenset[int]]] = None,
-) -> None:
-    gt_by_qid = gt_by_qid or {}
-    write_jsonl(path, (pg.to_json_obj(g, gt_by_qid.get(pg.sg.qid, ())) for pg in pruned))

@@ -23,7 +23,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, new_qid, read_jsonl, write_jsonl
+from .config import InputError, new_qid, read_jsonl
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -189,44 +189,55 @@ class SchemaGraph:
 
     @classmethod
     def from_json_obj(cls, g: KnowledgeGraph, obj: dict) -> "SchemaGraph":
-        """Inverse of ``to_json_obj``; a ``ValueError`` names an unknown
-        entity, relation or node type, a node or an edge listed twice, an
-        edge endpoint or a key that is not a listed node, or a graph without
-        key nodes."""
-        types: dict[int, int] = {}
-        for s, t in obj["nodes"]:
-            node = _entity_id(g, s)
-            if node in types:
-                raise ValueError(f"node {s!r} is listed twice")
-            types[node] = _lookup(_TYPE_BY_NAME.__getitem__, t, "node type")
-        weights: dict[tuple[int, int, int], float] = {}
-        for hs, rn, ts, w in obj["edges"]:
-            h, t = _entity_id(g, hs), _entity_id(g, ts)
-            r = _lookup(g.relations.id_of, rn, "relation")
-            for end, s in ((h, hs), (t, ts)):
-                if end not in types:
-                    raise ValueError(f"edge endpoint {s!r} is not a listed node")
-            if (h, r, t) in weights:
-                raise ValueError(f"edge ({hs!r}, {rn!r}, {ts!r}) is listed twice")
-            weights[h, r, t] = float(w)
+        """Inverse of ``to_json_obj``; a ``ValueError`` names an unknown entity
+        or relation, else the first rule of ``check_dump`` the record breaks."""
+        nodes = [_entity_id(g, s) for s, _ in obj["nodes"]]
+        edges = [
+            (_entity_id(g, h), _lookup(g.relations.id_of, r, "relation"), _entity_id(g, t))
+            for h, r, t, _ in obj["edges"]
+        ]
         q_nodes, v_nodes = ([_entity_id(g, s) for s in obj[name]] for name in ("key_q", "key_v"))
-        for s, key in zip(obj["key_q"] + obj["key_v"], q_nodes + v_nodes):
-            if key not in types:
-                raise ValueError(f"key node {s!r} is not a listed node")
-        if not q_nodes + v_nodes:
-            raise ValueError("no key node")
-        eh, er, et = np.array(list(weights), dtype=np.int64).reshape(-1, 3).T.copy()
+        check_dump(obj)
+        eh, er, et = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
         return cls(
             qid=obj["qid"],
-            nodes=np.array(list(types), dtype=np.int64),
-            types=np.array(list(types.values()), dtype=np.int8),
+            nodes=np.array(nodes, dtype=np.int64),
+            types=np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8),
             edges_head=eh,
             edges_rel=er,
             edges_tail=et,
-            edges_weight=np.array(list(weights.values()), dtype=np.float64),
+            edges_weight=np.array([float(w) for *_, w in obj["edges"]], dtype=np.float64),
             q_nodes=frozenset(q_nodes),
             v_nodes=frozenset(v_nodes),
         )
+
+
+def check_dump(obj: dict) -> None:
+    """The rules of a schema or pruned dump record, checked on its surfaces
+    alone: a ``ValueError`` names an unknown node type, a node or (head,
+    relation, tail) edge listed twice, an edge endpoint or ``key_q``/``key_v``
+    entity that is not a listed node, or a record without key nodes."""
+    nodes = set()
+    for s, t in obj["nodes"]:
+        if s in nodes:
+            raise ValueError(f"node {s!r} is listed twice")
+        if t not in _TYPE_BY_NAME:
+            raise ValueError(f"unknown node type {t!r}")
+        nodes.add(s)
+    edges = set()
+    for h, r, t, _ in obj["edges"]:
+        for end in (h, t):
+            if end not in nodes:
+                raise ValueError(f"edge endpoint {end!r} is not a listed node")
+        if (h, r, t) in edges:
+            raise ValueError(f"edge ({h!r}, {r!r}, {t!r}) is listed twice")
+        edges.add((h, r, t))
+    keys = obj["key_q"] + obj["key_v"]
+    for s in keys:
+        if s not in nodes:
+            raise ValueError(f"key node {s!r} is not a listed node")
+    if not keys:
+        raise ValueError("no key node")
 
 
 def _lookup(table, key, what: str):
@@ -419,21 +430,10 @@ def _collect_edges(
     return dedup_max_weight(eh, er, et, ew, g.n_entities, g.relations.n_total)
 
 
-def dump_schema_graphs(
-    path,
-    g: KnowledgeGraph,
-    graphs: Iterable[SchemaGraph],
-    gt_by_qid: Optional[dict[str, frozenset[int]]] = None,
-) -> None:
-    """Write one JSON object per line (one schema graph per qid)."""
-    gt_by_qid = gt_by_qid or {}
-    write_jsonl(path, (sg.to_json_obj(g, gt_by_qid.get(sg.qid, ())) for sg in graphs))
-
-
 def load_schema_graphs(
     path, g: KnowledgeGraph
 ) -> tuple[list[SchemaGraph], dict[str, frozenset[int]]]:
-    """The graphs of a ``dump_schema_graphs`` file and each qid's ground truth.
+    """The graphs of a schema or pruned dump and each qid's ground truth.
 
     Bad JSON, a missing key, a repeated qid, or any graph that
     ``SchemaGraph.from_json_obj`` refuses raises one

@@ -333,7 +333,8 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
     return manifest
 
 
-def _write_edge_block(f, surfaces, rel_names, h, r, t, w, chunk: int = 200_000) -> None:
+def _write_edge_block(f, surfaces, rel_names, h, r, t, w) -> None:
+    chunk = 200_000  # edge rows formatted per write
     for lo in range(0, len(h), chunk):
         hi = min(lo + chunk, len(h))
         rows = [

@@ -562,6 +562,39 @@ MALFORMED_INPUT = {
         "export-dot", "dump", 2, json_edit(without("nodes")), "missing field 'nodes'"
     ),
     "export-dot-dump-not-utf8": ("export-dot", "dump", 2, not_utf8, "not UTF-8 text"),
+    "export-dot-dump-node-twice": (
+        "export-dot", "dump", 2,
+        json_edit(lambda obj: json.dumps({**obj, "nodes": obj["nodes"] + obj["nodes"][:1]})),
+        "node 'ent_0024' is listed twice",
+    ),
+    "export-dot-dump-edge-twice": (
+        "export-dot", "dump", 2,
+        json_edit(lambda obj: json.dumps({**obj, "edges": obj["edges"] + obj["edges"][:1]})),
+        "edge ('ent_0001', 'relatedto', 'ent_0064') is listed twice",
+    ),
+    "export-dot-dump-edge-endpoint-not-a-node": (
+        "export-dot", "dump", 2,
+        json_edit(lambda obj: json.dumps(
+            {**obj, "nodes": [n for n in obj["nodes"] if n[0] != obj["edges"][0][0]]}
+        )),
+        "edge endpoint 'ent_0001' is not a listed node",
+    ),
+    "export-dot-dump-key-not-a-node": (
+        "export-dot", "dump", 2, json_edit(replaced("key_v", ["ent_0000"])),
+        "key node 'ent_0000' is not a listed node",
+    ),
+    "export-dot-dump-no-key-node": (
+        "export-dot", "dump", 2,
+        json_edit(lambda obj: json.dumps({**obj, "key_q": [], "key_v": []})), "no key node",
+    ),
+    "export-dot-dump-unknown-node-type": (
+        "export-dot", "dump", 2,
+        json_edit(lambda obj: json.dumps({**obj, "nodes": [[s, "N3"] for s, _ in obj["nodes"]]})),
+        "unknown node type 'N3'",
+    ),
+    "export-dot-dump-duplicate-qid": (
+        "export-dot", "dump", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
+    ),
     "export-dot-paths-bad-json": (
         "export-dot", "paths", 2, lambda line: line[:-1], "bad JSON: "
     ),

@@ -8,6 +8,12 @@ exceptions. Dunder methods are called by Python itself and are not checked.
 A name counts as read wherever it appears as an identifier, an attribute, a
 keyword argument or a string that is exactly the name (``__all__`` entries,
 names looked up with ``getattr``); comments and docstrings do not count.
+
+Likewise every parameter with a default must be set by some call in those
+same places: by keyword, by enough positional arguments to reach it, or by a
+call that passes ``*`` or ``**`` arguments. Calls are matched by function or
+method name, and by class name for ``__init__``. A default that no caller
+sets is a constant, and is written as one.
 """
 
 import ast
@@ -16,8 +22,28 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "kgpath"
 
-# kept for the planned ground-truth provenance column of the seed grid
+# Names (``module.qualname``) and parameters (``module.qualname(param)``)
+# kept unread or unset. ``gt_provenance`` is kept for the planned
+# ground-truth provenance column of the seed grid.
 KEPT = {"schema.gt_provenance"}
+
+
+def kept(parameters: bool) -> list[str]:
+    return sorted(k for k in KEPT if k.endswith(")") == parameters)
+
+
+def package_trees() -> dict[str, ast.Module]:
+    return {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def outside_trees() -> list[ast.Module]:
+    """The code of ``perfbench/`` and ``scripts/``, their tests left out."""
+    return [
+        ast.parse(path.read_text(encoding="utf-8"))
+        for folder in ("perfbench", "scripts")
+        for path in (ROOT / folder).rglob("*.py")
+        if "tests" not in path.relative_to(ROOT).parts
+    ]
 
 
 def named(tree: ast.AST):
@@ -54,15 +80,9 @@ def definitions(tree: ast.Module):
 
 
 def test_every_defined_name_is_read_outside_its_definition():
-    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = package_trees()
     package_refs = {module: list(named(tree)) for module, tree in trees.items()}
-    outside = {
-        name
-        for folder in ("perfbench", "scripts")
-        for path in (ROOT / folder).rglob("*.py")
-        if "tests" not in path.relative_to(ROOT).parts
-        for name, _ in named(ast.parse(path.read_text(encoding="utf-8")))
-    }
+    outside = {name for tree in outside_trees() for name, _ in named(tree)}
     unread = []
     for module, tree in trees.items():
         for qualname, node in definitions(tree):
@@ -75,4 +95,58 @@ def test_every_defined_name_is_read_outside_its_definition():
             )
             if not read:
                 unread.append(f"{module}.{qualname}")
-    assert sorted(unread) == sorted(KEPT)
+    assert sorted(unread) == kept(parameters=False)
+
+
+def defaulted(tree: ast.Module):
+    """(qualified name, call name, position, parameter) of each parameter
+    with a default of every top-level function and method. A method's
+    positions start after ``self`` or ``cls``; a keyword-only parameter has
+    position None."""
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            yield from parameters(node.name, node.name, node, 0)
+        elif isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, ast.FunctionDef):
+                    static = any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in sub.decorator_list)
+                    call = node.name if sub.name == "__init__" else sub.name
+                    yield from parameters(f"{node.name}.{sub.name}", call, sub, 0 if static else 1)
+
+
+def parameters(qualname: str, call: str, fn: ast.FunctionDef, skip: int):
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    for i, arg in enumerate(positional[first:], first):
+        yield qualname, call, i - skip, arg.arg
+    for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+        if default is not None:
+            yield qualname, call, None, arg.arg
+
+
+def calls(tree: ast.AST):
+    """(called name, positional count, keyword names, passes ``*``/``**``)
+    of every call in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            starred |= any(k.arg is None for k in node.keywords)
+            yield name, len(node.args), {k.arg for k in node.keywords}, starred
+
+
+def test_every_default_is_set_by_some_call():
+    trees = package_trees()
+    every_call = [c for tree in [*trees.values(), *outside_trees()] for c in calls(tree)]
+    unset = [
+        f"{module}.{qualname}({param})"
+        for module, tree in trees.items()
+        for qualname, call, position, param in defaulted(tree)
+        if not any(
+            name == call and (starred or param in keywords or (position is not None and n_pos > position))
+            for name, n_pos, keywords, starred in every_call
+        )
+    ]
+    assert sorted(unset) == kept(parameters=True)

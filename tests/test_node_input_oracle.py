@@ -7,8 +7,10 @@ dL/dx), ``MLP2.forward`` and ``MLP2.backward``, the eval-mode ``prune`` that
 the joint step called after its training pass, ``train_prune_step``,
 ``train_joint_step``, and ``_forward_paths`` and ``_backward_paths``, which
 gave f_p the tiled [t || v || h_t] matrix. Only the ``self`` of the two layer
-methods became an explicit first argument, and the joint step calls the two
-path copies. Assembled inputs are compared by their bytes. The package's f_n
+methods became an explicit first argument, the joint step calls the two
+path copies, and the prune step, like the package's, returns its loss alone
+and no longer re-filters its batch (training batches only samples with a
+ground-truth node and a negative). Assembled inputs are compared by their bytes. The package's f_n
 and f_p now read their inputs as column blocks and sum in another order, so
 training runs are compared by their epoch histories and every parameter,
 and held-out questions by their encodings and scores, at ``RTOL``; the
@@ -123,14 +125,9 @@ def reference_prune(model, sample, theta_p=0.3, target=100):
 
 def reference_train_prune_step(model, batch, optimizer, margin=0.5, semi_hard=True):
     model.zero_grad()
-    usable = [s for s in batch if s.gt_pos.size and s.neg_pos.size]
-    skipped = len(batch) - len(usable)
-    if not usable:
-        raise ValueError("no sample in the batch has a ground-truth node")
-
     staged = []
     n_terms_total = 0
-    for sample in usable:
+    for sample in batch:
         h, cache = model.f_n.forward(sample.x, train=True, rng=model.rng)
         loss_sum, n_terms, dh = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
@@ -138,14 +135,14 @@ def reference_train_prune_step(model, batch, optimizer, margin=0.5, semi_hard=Tr
         staged.append((sample, cache, loss_sum, dh))
         n_terms_total += n_terms
     if n_terms_total == 0:
-        return 0.0, skipped
+        return 0.0
 
     total_loss = 0.0
     for _sample, cache, loss_sum, dh in staged:
         total_loss += loss_sum
         model.f_n.backward(dh / n_terms_total, cache)
     optimizer.step(model, only=model.prune_param_names())
-    return total_loss / n_terms_total, skipped
+    return total_loss / n_terms_total
 
 
 def reference_train_joint_step(

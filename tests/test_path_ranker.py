@@ -216,7 +216,7 @@ def two_pass_pack_paths(
     paths[node_cells] = pg.base.nodes[at]
     rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
     rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(qid=pg.base.qid, rows=rows, paths=paths, rels=rel_cells)
+    return PathBatch(rows=rows, paths=paths, rels=rel_cells)
 
 
 def two_pass_simple_walks(
@@ -324,7 +324,6 @@ def test_one_pass_walks_match_two_pass_route_bytes():
                     got = sample_paths(pg, n_paths, k, seed)
                     if n_paths >= total:
                         want = two_pass_sample_paths(pg, n_paths, k)
-                        assert got.qid == want.qid
                         assert batch_bytes(got) == batch_bytes(want), (trial, k, n_paths, seed)
                     else:
                         assert len(got) == len(set(sigs(got))) == n_paths

@@ -111,7 +111,7 @@ def old_pack_paths(pg, base, nodes, rels, lengths, k) -> PathBatch:
     paths[node_cells] = base.nodes[at]
     rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
     rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(qid=base.qid, rows=rows, paths=paths, rels=rel_cells)
+    return PathBatch(rows=rows, paths=paths, rels=rel_cells)
 
 
 def old_simple_walks(adj, roots: Sequence[int], k: int, cap: int, out) -> int:
@@ -214,10 +214,7 @@ def random_dump(rng, trial):
 
 
 def batch_bytes(batch):
-    return [
-        (batch.qid, a.dtype.str, a.shape, a.tobytes())
-        for a in (batch.rows, batch.paths, batch.rels)
-    ]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in (batch.rows, batch.paths, batch.rels)]
 
 
 def test_row_set_walks_match_restricted_graph_route(tmp_path):

@@ -8,6 +8,7 @@ from kgpath.kg import dedup_max_weight, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.metrics import gt_rank, recall_rates
 from kgpath.neural import Adam, ScoringModel, cosine_rows
+from kgpath.paths import staged_training
 from kgpath.pruning import (
     QuerySample,
     bfs_scores,
@@ -565,17 +566,27 @@ def test_anchor_equals_positive_gives_zero_loss_and_grads():
     assert np.all(dh == 0.0)
 
 
-def test_train_prune_step_skips_gt_absent_samples():
-    model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=9)
+def test_staged_training_skips_gt_absent_samples():
     emb, ctx, tf = providers(4, 3, 8, seed=10)
     sg = make_sg([0, 1, 2], [0, 2, 2], sym([(0, 0, 1, 1.0), (1, 0, 2, 1.0)]), q_nodes={0})
-    with_gt = QuerySample.build(model, sg, ctx, [2], emb, tf)
-    without_gt = QuerySample.build(model, sg, ctx, [7], emb, tf)
-    loss, skipped = train_prune_step(model, [with_gt, without_gt], Adam(lr=1e-3))
-    assert skipped == 1
-    assert np.isfinite(loss)
-    with pytest.raises(ValueError, match="ground-truth"):
-        train_prune_step(model, [without_gt], Adam(lr=1e-3))
+
+    def params(model):
+        return [p.copy() for _, p in model.param_items()]
+
+    def trained(gts):
+        model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=9)
+        samples = [QuerySample.build(model, sg, ctx, gt, emb, tf) for gt in gts]
+        staged_training(model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3)
+        return model, samples
+
+    model, (_, without_gt) = trained([[2], [7]])
+    ref, _ = trained([[2]])
+    after = params(model)
+    assert not all(map(np.array_equal, after, params(ScoringModel(d=4, D=3, k=3, seed=9))))
+    assert all(map(np.array_equal, after, params(ref)))
+    # a batch with no triplet term takes no step
+    assert train_prune_step(model, [without_gt], Adam(lr=1e-3)) == 0.0
+    assert all(map(np.array_equal, after, params(model)))
 
 
 def test_sample_gt_positions_match_membership_loop():
@@ -609,7 +620,7 @@ def test_train_prune_step_learns_direction():
                  sym([(0, 0, i, 1.0) for i in range(1, 12)]), q_nodes={0})
     sample = QuerySample.build(model, sg, ctx, [5], emb, tf)
     opt = Adam(lr=1e-2)
-    losses = [train_prune_step(model, [sample], opt)[0] for _ in range(60)]
+    losses = [train_prune_step(model, [sample], opt) for _ in range(60)]
     h, _ = model.f_n.forward(sample.x, train=False)
     s_cos = cosine_rows(z, h)
     assert int(np.argmax(s_cos)) == 5  # the gt node ranks first after training

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kgpath.config import atomic_write
+from kgpath.config import atomic_write, write_jsonl
 from kgpath.kg import Edge, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.metrics import hit_rate_curve
@@ -9,7 +9,6 @@ from kgpath.neural import ScoringModel
 from kgpath.schema import (
     NodeType,
     build_schema,
-    dump_schema_graphs,
     gt_provenance,
     _rank_candidates,
     load_schema_graphs,
@@ -222,7 +221,7 @@ def test_dump_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     g, _ = random_graph(tmp_path, rng)
     sg = build_schema(g, keyset(q={3}, v={8}), budget=15, seed=2, qid="q9")
-    dump_schema_graphs(tmp_path / "dump.jsonl", g, [sg], {"q9": frozenset({4})})
+    write_jsonl(tmp_path / "dump.jsonl", [sg.to_json_obj(g, {4})])
     (loaded,), gt = load_schema_graphs(tmp_path / "dump.jsonl", g)
     assert gt == {"q9": frozenset({4})}
     assert loaded.qid == "q9"
@@ -241,7 +240,7 @@ def test_failed_write_keeps_previous_file(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
     dump, ckpt = out / "dump.jsonl", out / "checkpoint.gpr"
-    dump_schema_graphs(dump, g, [sg])
+    write_jsonl(dump, [sg.to_json_obj(g)])
     model = ScoringModel(d=4, D=3, k=2, seed=0)
     model.save_checkpoint(ckpt)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
@@ -251,7 +250,7 @@ def test_failed_write_keeps_previous_file(tmp_path):
         raise RuntimeError("disk gone")
 
     with pytest.raises(RuntimeError, match="disk gone"):
-        dump_schema_graphs(dump, g, then_crash([sg, sg]))
+        write_jsonl(dump, (x.to_json_obj(g) for x in then_crash([sg, sg])))
     params = list(model.param_items())
     model.param_items = lambda: then_crash(params[:2])
     with pytest.raises(RuntimeError, match="disk gone"):

@@ -133,7 +133,7 @@ def flat_pack_paths(
     paths[node_cells] = pg.sg.nodes[at]
     rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
     rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(qid=pg.sg.qid, rows=rows, paths=paths, rels=rel_cells)
+    return PathBatch(rows=rows, paths=paths, rels=rel_cells)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,6 @@ def assert_same_batches(pg, k, n_paths_list, seeds):
             want = old_sample_paths(pg, n_paths, k, seed)
             got = sample_paths(pg, n_paths, k, seed)
             assert batch_bytes(got) == batch_bytes(want), (pg.sg.qid, k, n_paths, seed)
-            assert got.qid == want.qid
 
 
 def walk_count(pg, k):
