@@ -82,7 +82,7 @@ def main(argv: list[str]) -> int:
         train_answers = frozenset().union(
             *[ground_truth_ids(rt.g, r) for r in rt.train_records()]
         )
-        print(f"ptm_mode={rt.cfg.ptm_mode}, {N_EVAL_SEEDS} eval seeds per grid seed")
+        print(f"text_features={rt.cfg.text_features}, {N_EVAL_SEEDS} eval seeds per grid seed")
         print("seed  path_R@10_mean  path_R@10_min  node_R@1  open_path_R@10")
         for seed in seeds:
             mean, low, node_r1, open_r10 = grid_row(rt, seed, train_answers)

@@ -324,11 +324,11 @@ def _flatten_path(g, rel, nodes, rels) -> list[str]:
     return flat
 
 
-def _dot_graph(obj: dict) -> dict:
-    """A dump record as the strings and floats ``export_dot`` reads; a field of
-    another shape raises ``TypeError`` or ``ValueError``."""
+def _dot_graph(qid: str, obj: dict) -> dict:
+    """A dump record of qid ``qid`` as the strings and floats ``export_dot``
+    reads; a field of another shape raises ``TypeError`` or ``ValueError``."""
     return {
-        "qid": obj["qid"],
+        "qid": qid,
         "nodes": [(str(surface), str(kind)) for surface, kind in obj["nodes"]],
         "edges": [(str(h), str(r), str(t), float(w)) for h, r, t, w in obj["edges"]],
         "gt": [str(surface) for surface in obj.get("gt", [])],
@@ -337,16 +337,16 @@ def _dot_graph(obj: dict) -> dict:
 
 def _dot_paths(obj: dict) -> tuple:
     """An inference output record as (qid, [(flat path, score), ...])."""
-    return obj["qid"], [([str(x) for x in flat], float(score)) for flat, score in obj["paths"]]
+    return str(obj["qid"]), [([str(x) for x in flat], float(score)) for flat, score in obj["paths"]]
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
     seen: set[str] = set()
 
     def checked(obj: dict) -> dict:
-        new_qid(obj, seen)
+        qid = new_qid(obj, seen)
         check_dump(obj)
-        return _dot_graph(obj)
+        return _dot_graph(qid, obj)
 
     graphs = read_jsonl(args.dump, checked)
     dump = next((d for d in graphs if args.qid is None or d["qid"] == args.qid), None)

@@ -85,7 +85,6 @@ class RunConfig:
     epochs_joint: int = 30
     batch_size: int = 8
     semi_hard: bool = True
-    ptm_mode: str = "zero"
     # run control
     seed: int = 0
     mode: str = "open"
@@ -98,10 +97,6 @@ class RunConfig:
             raise InputError(msg="theta_p must lie in [0, 1]")
         if not 0.0 <= self.dropout < 1.0:
             raise InputError(msg="dropout must lie in [0, 1)")
-        if self.ptm_mode not in ("file", "zero"):
-            raise InputError(msg=f"ptm_mode must be file or zero, got {self.ptm_mode!r}")
-        if self.ptm_mode == "file" and self.text_features is None:
-            raise InputError(msg="ptm_mode=file needs a text_features path")
         if self.optimizer not in ("adam", "sgd"):
             raise InputError(msg=f"optimizer must be adam or sgd, got {self.optimizer!r}")
         if self.k < 1 or self.n_paths < 1 or self.batch_size < 1:
@@ -146,7 +141,7 @@ class RunConfig:
             value = int(raw)
         elif isinstance(default, float):
             value = float(raw)
-        elif key in ("mode", "ptm_mode", "optimizer"):
+        elif key in ("mode", "optimizer"):
             value = raw
         else:  # path-valued
             value = Path(raw)
@@ -274,6 +269,13 @@ def new_qid(obj: dict, seen: set[str]) -> str:
         raise ValueError(f"duplicate qid {qid!r}")
     seen.add(qid)
     return qid
+
+
+def require_str(value, what: str) -> str:
+    """``value`` if it is a string; anything else raises ``ValueError`` naming ``what``."""
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, got {value!r}")
+    return value
 
 
 def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:

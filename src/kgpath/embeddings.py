@@ -2,8 +2,8 @@
 
 All neural encoders upstream of this pipeline (the multimodal query encoder,
 the KG entity embedding, the question/answer text encoder) are consumed as
-precomputed vectors through the loaders here. A text feature is read from
-the text-feature file or is a zero row; ``planted_context`` plants the
+precomputed vectors through the loaders here. Text features exist only
+where the text-feature file lists them; ``planted_context`` plants the
 learnable query/entity alignments of :mod:`kgpath.synth` suites.
 
 The entity-embedding file is read through ``config.read_bulk``, the one
@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import InputError, new_qid, read_bulk, read_jsonl
+from .config import InputError, new_qid, read_bulk, read_jsonl, require_str
 from .kg import KnowledgeGraph
 
 
@@ -208,33 +208,22 @@ def load_contexts(path: Path | str) -> dict[str, QueryContext]:
 
 
 class TextFeatureProvider:
-    """Per-(question, entity) text feature vectors p_i.
+    """Per-(question, entity) text feature vectors p_i, read from the
+    ``{qid, entity, p}`` JSON Lines file at ``path``; with no file there is
+    no text feature.
 
-    Two modes:
-
-    * ``file``: vectors from a ``{qid, entity, p}`` JSON Lines file; a pair
-      absent from the file reads a zero row.
-    * ``zero``: all zeros, the no-text-feature ablation and the default.
+    ``gather`` returns None for a question none of whose rows would be
+    nonzero: every question of a run without a file, and a question whose
+    listed features are missing or all zero.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        mode: str = "zero",
-        path: Optional[Path | str] = None,
-        g: Optional[KnowledgeGraph] = None,
-    ):
-        if mode not in ("file", "zero"):
-            raise ValueError(f"unknown text feature mode {mode!r}")
-        if mode == "file" and path is None:
-            raise ValueError("file mode needs a text feature path")
+    def __init__(self, dim: int, path: Optional[Path | str] = None, g: Optional[KnowledgeGraph] = None):
         self.dim = dim
         self._table: dict[tuple[str, int], np.ndarray] = {}
-        if mode == "file":
-            assert g is not None, "file mode needs the graph to resolve entities"
+        if path is not None:
 
             def build(obj: dict):
-                eid = g.match_entity(obj["entity"])
+                eid = g.match_entity(require_str(obj["entity"], "entity"))
                 vec = np.asarray(obj["p"], dtype=np.float64)
                 where = f"text feature for ({obj['qid']}, {obj['entity']})"
                 if vec.shape != (dim,):
@@ -247,16 +236,18 @@ class TextFeatureProvider:
                 if key[1] is not None:
                     self._table[key] = vec
 
-    def gather(self, qid: str, ids: np.ndarray) -> np.ndarray:
-        """One row per entity id, shape ``(len(ids), dim)``."""
+    def gather(self, qid: str, ids: np.ndarray) -> Optional[np.ndarray]:
+        """One row per entity id, shape ``(len(ids), dim)``, a pair absent
+        from the file reading a zero row; None when every row would be zero."""
+        if not self._table:
+            return None
         ids = np.asarray(ids, dtype=np.int64)
         rows = np.zeros((ids.size, self.dim))
-        if self._table:
-            for i, eid in enumerate(ids.tolist()):
-                vec = self._table.get((qid, eid))
-                if vec is not None:
-                    rows[i] = vec
-        return rows
+        for i, eid in enumerate(ids.tolist()):
+            vec = self._table.get((qid, eid))
+            if vec is not None:
+                rows[i] = vec
+        return rows if rows.any() else None
 
 
 def unit_random(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .config import InputError, new_qid, read_jsonl, read_lines
+from .config import InputError, new_qid, read_jsonl, read_lines, require_str
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
 #: Question words discarded before matching. The exact list is a choice, not
@@ -75,18 +75,27 @@ class KeyNodeSet:
 
 def load_queries(path: Path | str) -> list[QueryRecord]:
     """Parse the JSON Lines query file; a qid given twice, whatever the
-    splits, is refused at its second line."""
+    splits, is refused at its second line, and so is a token, POS tag, scene
+    label, triplet subject, predicate or object, or answer that is not a
+    string."""
     seen: set[str] = set()
 
     def build(obj: dict) -> QueryRecord:
         return QueryRecord(
             qid=new_qid(obj, seen),
-            question_tokens=[(t, p) for t, p in obj.get("question_tokens", [])],
-            scene_labels=[(l, float(c)) for l, c in obj.get("scene_labels", [])],
-            scene_triplets=[
-                (s, p, o, float(c)) for s, p, o, c in obj.get("scene_triplets", [])
+            question_tokens=[
+                (require_str(t, "token"), require_str(p, "POS tag"))
+                for t, p in obj.get("question_tokens", [])
             ],
-            answers=[(a, int(c)) for a, c in obj.get("answers", [])],
+            scene_labels=[
+                (require_str(l, "scene label"), float(c)) for l, c in obj.get("scene_labels", [])
+            ],
+            scene_triplets=[
+                (require_str(h, "triplet subject"), require_str(p, "triplet predicate"),
+                 require_str(o, "triplet object"), float(c))
+                for h, p, o, c in obj.get("scene_triplets", [])
+            ],
+            answers=[(require_str(a, "answer"), int(c)) for a, c in obj.get("answers", [])],
             split=obj.get("split", "train"),
         )
 

@@ -85,9 +85,10 @@ def _check_dim(path: Path, dim: int, name: str, want: int) -> None:
 
 def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool = True) -> Runtime:
     """The graph, queries and vectors a command needs; ``rt.inputs`` names each
-    file read by its config key, an index by its three files. Entity vectors
-    whose dimension is not ``cfg.D``, or contexts not ``cfg.d``, are an
-    ``InputError`` naming the file."""
+    file read by its config key, an index by its three files. With vectors,
+    text features are read exactly when ``cfg.text_features`` is set. Entity
+    vectors whose dimension is not ``cfg.D``, or contexts not ``cfg.d``, are
+    an ``InputError`` naming the file."""
     if cfg.kg_index is not None and (cfg.kg_index / "adjacency.npz").exists():
         logger.info("loading prebuilt index from %s", cfg.kg_index)
         g = KnowledgeGraph.load_index(cfg.kg_index)
@@ -117,10 +118,7 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
         if rt.contexts:  # load_contexts holds every row to the first row's dimension
             _check_dim(cfg.contexts, next(iter(rt.contexts.values())).dim, "d", cfg.d)
         rt.textfeat = TextFeatureProvider(
-            dim=cfg.d,
-            mode=cfg.ptm_mode,
-            path=read("text_features") if cfg.ptm_mode == "file" else None,
-            g=g,
+            dim=cfg.d, path=read("text_features") if cfg.text_features else None, g=g
         )
     return rt
 
@@ -168,12 +166,8 @@ def prepare_samples(
             skipped += 1
             continue
         gt = ground_truth_ids(rt.g, rec)
-        ann = {
-            a.entity: a.score
-            for a in annotation_scores(
-                [(rt.g.match_entity(s), c) for s, c in rec.answers if rt.g.match_entity(s) is not None]
-            )
-        }
+        matched = [(rt.g.match_entity(s), c) for s, c in rec.answers]
+        ann = {a.entity: a.score for a in annotation_scores([m for m in matched if m[0] is not None])}
         samples.append(
             QuerySample.build(
                 model, sg, ctx, gt, rt.emb, rt.textfeat, split=rec.split, annotations=ann

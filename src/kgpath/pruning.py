@@ -11,11 +11,13 @@ mines, scores and differentiates every (positive, negative) pair of a
 question in one array pass over the nodes' cosines.
 
 A prepared question (``QuerySample``) keeps only the input rows it alone
-owns, its text features p_i. f_n reads its input as column blocks built each
-time it runs (``QuerySample.node_input``): z once per question, the entity
-rows gathered from the shared table, p_i only when some row of it is nonzero,
-and the node type as an index into f_n's one-hot columns. ``QuerySample.x``,
-the same input as one dense matrix, is the reference that tests check against.
+owns, its text features p_i, and None in their place when it has none. f_n
+reads its input as column blocks built each time it runs
+(``QuerySample.node_input``): z once per question, the entity rows gathered
+from the shared table, p_i only when the question has them, and the node type
+as an index into f_n's one-hot columns. ``QuerySample.x``, the same input as
+one dense matrix with zeros for absent text features, is the reference that
+tests check against.
 """
 
 from __future__ import annotations
@@ -152,16 +154,17 @@ class QuerySample:
 
     BFS scores and ground-truth positions depend only on the data, so they are
     computed once here. Of the encoder input, the sample keeps only its own
-    text-feature rows ``p`` (one per schema node) and a reference to the
-    shared entity table ``emb``; ``node_input`` builds the column blocks that
-    f_n reads, and ``x`` the same input as one dense matrix, on each read.
+    text-feature rows ``p`` (one per schema node, or None when the question
+    has no text feature) and a reference to the shared entity table ``emb``;
+    ``node_input`` builds the column blocks that f_n reads, and ``x`` the same
+    input as one dense matrix, on each read.
     """
 
     qid: str
     sg: SchemaGraph
     ctx: QueryContext
     gt: frozenset[int]
-    p: np.ndarray
+    p: Optional[np.ndarray]
     emb: EntityEmbeddingTable
     gt_pos: np.ndarray
     neg_pos: np.ndarray
@@ -169,19 +172,15 @@ class QuerySample:
     split: str = "train"
     annotations: dict[int, float] = field(default_factory=dict)
 
-    @cached_property
-    def _p_used(self) -> bool:
-        return bool(self.p.any())
-
     @property
     def node_input(self) -> ColumnBlocks:
         """The f_n input, [z || e_i || p_i || u_i] for every schema node, as
         column blocks: z shared, the entity rows gathered from the table, the
-        text-feature rows unless every one is zero, and the node type u_i."""
-        d = self.p.shape[1]
+        text-feature rows if the question has them, and the node type u_i."""
+        d = self.ctx.dim
         lo_p = d + self.emb.dim  # first column of p_i
         dense = [(d, self.emb.gather(self.sg.nodes))]
-        if self._p_used:
+        if self.p is not None:
             dense.append((lo_p, self.p))
         return ColumnBlocks(self.ctx.z, dense, (lo_p + d, self.sg.types))
 
@@ -190,15 +189,16 @@ class QuerySample:
         """``node_input`` as one dense matrix: the reference route.
 
         Written into one fresh array: z broadcast, entity rows gathered from
-        the table, the text-feature rows, and the one-hot node type u_i.
+        the table, the text-feature rows (zeros without them), and the one-hot
+        node type u_i.
         """
-        n, d = self.p.shape
+        n, d = self.sg.n_nodes, self.ctx.dim
         lo_p = d + self.emb.dim  # first column of p_i
         lo_u = lo_p + d  # first column of u_i
         x = np.empty((n, lo_u + 4))
         x[:, :d] = self.ctx.z
         x[:, d:lo_p] = self.emb.gather(self.sg.nodes)
-        x[:, lo_p:lo_u] = self.p
+        x[:, lo_p:lo_u] = 0.0 if self.p is None else self.p
         u = x[:, lo_u:]
         u.fill(0.0)
         u[np.arange(n), self.sg.types] = 1.0

@@ -200,7 +200,7 @@ class SchemaGraph:
         check_dump(obj)
         eh, er, et = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
         return cls(
-            qid=obj["qid"],
+            qid=str(obj["qid"]),  # the string ``config.new_qid`` checks for repeats
             nodes=np.array(nodes, dtype=np.int64),
             types=np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8),
             edges_head=eh,

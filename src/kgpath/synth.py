@@ -33,6 +33,15 @@ _FILLER_TOKENS = (
     ("here", "other"),
 )
 
+SECOND_ANSWER_PROB = 0.25
+REUSE_TRAIN_ANSWER_PROB = 0.4
+#: distinct relations planted per answer link; parallel edges raise the odds
+#: that a walk reaches the answer at all
+LINK_MULTIPLICITY = 2
+#: extra independent key->mid->answer routes planted per answer; distinct
+#: routes diversify the node sequences of answer-terminated paths
+EXTRA_ROUTES = 2
+
 
 @dataclass
 class SuiteSpec:
@@ -46,14 +55,6 @@ class SuiteSpec:
     alignment: float = 0.9
     dim: int = 64
     train_fraction: float = 0.8
-    second_answer_prob: float = 0.25
-    reuse_train_answer_prob: float = 0.4
-    #: distinct relations planted per answer link; parallel edges raise the
-    #: odds that a walk reaches the answer at all
-    link_multiplicity: int = 2
-    #: extra independent key->mid->answer routes planted per answer; distinct
-    #: routes diversify the node sequences of answer-terminated paths
-    extra_routes: int = 2
     #: question / visual key nodes per query
     n_question_keys: int = 1
     n_visual_keys: int = 1
@@ -64,8 +65,7 @@ class SuiteSpec:
         check_hop_mix(self.hop_mix)
         total = sum(self.hop_mix.values())
         self.hop_mix = {h: p / total for h, p in self.hop_mix.items()}
-        for name in ("n_entities", "n_edges", "n_queries", "link_multiplicity",
-                     "extra_routes", "n_question_keys", "n_visual_keys"):
+        for name in ("n_entities", "n_edges", "n_queries", "n_question_keys", "n_visual_keys"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         n_keys = self.n_question_keys + self.n_visual_keys
@@ -163,13 +163,13 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
     n_train = spec.n_train
     train_pool = primary_gt[:n_train].copy()
     for qi in range(n_train, spec.n_queries):
-        if rng.random() < spec.reuse_train_answer_prob:
+        if rng.random() < REUSE_TRAIN_ANSWER_PROB:
             primary_gt[qi] = train_pool[rng.integers(max(n_train, 1))]
 
     planted: list[tuple[int, int, int, float]] = []
 
     def plant_edge(a: int, b: int) -> None:
-        rels = rng.choice(n_rel, size=min(spec.link_multiplicity, n_rel), replace=False)
+        rels = rng.choice(n_rel, size=min(LINK_MULTIPLICITY, n_rel), replace=False)
         for rel in rels:
             w = float(rng.integers(1, 17)) / 4.0
             if rng.random() < 0.5:
@@ -223,11 +223,11 @@ def generate_suite(out_dir: Path | str, spec: SuiteSpec) -> dict:
         def plant(target: int) -> None:
             plant_route(target, int(rng.choice(hops, p=hop_probs)))
             # redundant routes: answers near questions are richly connected
-            for _ in range(spec.extra_routes):
+            for _ in range(EXTRA_ROUTES):
                 plant_route(target, 2)
 
         plant(gt)
-        if rng.random() < spec.second_answer_prob:
+        if rng.random() < SECOND_ANSWER_PROB:
             second = gt
             while second == gt or second in keys:
                 second = int(rng.integers(n))

@@ -287,6 +287,15 @@ MALFORMED_JSONL = {
         "text_features", replaced("p", [1.0, 2.0]),
         "text feature for (q0001, ent_0007) has shape (2,), expected dimension 12",
     ),
+    "query-answer-not-a-string": (
+        "queries", replaced("answers", [[7, 1]]), "answer must be a string, got 7"
+    ),
+    "query-token-not-a-string": (
+        "queries", replaced("question_tokens", [[3, "noun"]]), "token must be a string, got 3"
+    ),
+    "textfeat-entity-not-a-string": (
+        "text_features", replaced("entity", 5), "entity must be a string, got 5"
+    ),
 }
 
 
@@ -305,8 +314,6 @@ def test_malformed_jsonl_is_one_line_error(suite, tmp_path, capsys, case):
     bad = tmp_path / f"{key}.jsonl"
     bad.write_text("".join(lines), encoding="utf-8")
     extra = ["--set", f"{key}={bad}"]
-    if key == "text_features":
-        extra += ["--set", "ptm_mode=file"]
     rc = main(["train", *run_args(tmp_path / "o", out), *extra])
     assert rc == 1
     (line,) = error_lines(capsys)
@@ -415,8 +422,6 @@ def input_args(key, bad, good_inputs):
         return ["--dump", str(good_inputs["dump"]), "--qid", "q0002", "--paths", str(bad)]
     if key == "checkpoint":
         return ["--checkpoint", str(bad)]
-    if key == "text_features":
-        return ["--set", f"{key}={bad}", "--set", "ptm_mode=file"]
     if key.startswith("index_"):  # one file of a saved index, beside good copies of the rest
         for other in good_inputs[key].parent.iterdir():
             if not (bad.parent / other.name).exists():
@@ -617,11 +622,9 @@ MALFORMED_INPUT = {
     "set-one-hop-cap-negative": (
         "schema", "--set", None, "one_hop_cap=-1", "one_hop_cap and epoch counts must be >= 0"
     ),
-    "set-ptm-mode-hash": (
-        "train", "--set", None, "ptm_mode=hash", "ptm_mode must be file or zero, got 'hash'"
-    ),
-    "set-ptm-mode-file-without-text-features": (
-        "train", "--set", None, "ptm_mode=file", "ptm_mode=file needs a text_features path"
+    "set-ptm-mode-unknown": (
+        "train", "--set", None, "ptm_mode=zero",
+        "--set ptm_mode: unknown configuration key 'ptm_mode'",
     ),
     "set-schema-budget-below-key-count": (
         "schema", "--set", None, "schema_budget=1", "q0000: budget 1 cannot hold the 2 key nodes"
@@ -779,7 +782,7 @@ INDEX_FILES = ("entities.txt", "relations.txt", "adjacency.npz")
 def test_manifest_hashes_exactly_the_files_read(suite, good_inputs, tmp_path, route, command):
     """The index route reads (and hashes) the index's three files, never the
     edge file the config also names; synonyms are read by every command, and
-    text features only under ``ptm_mode=file`` by the commands with vectors."""
+    text features, when set, by the commands with vectors."""
     root, out = suite
     index = good_inputs["index_arrays"].parent
     files = {f"kg_index/{name}": index / name for name in INDEX_FILES}
@@ -797,7 +800,7 @@ def test_manifest_hashes_exactly_the_files_read(suite, good_inputs, tmp_path, ro
         want |= {"kg_edges", "relations"}
     if route == "edges+synonyms+text_features":
         extra += ["--set", f"synonyms={files['synonyms']}"]
-        extra += ["--set", f"text_features={files['text_features']}", "--set", "ptm_mode=file"]
+        extra += ["--set", f"text_features={files['text_features']}"]
         want |= {"synonyms"} | ({"text_features"} if command != "schema" else set())
     assert main([command, *run_args(tmp_path, out, extra)]) == 0
     inputs = json.loads((tmp_path / "manifest.json").read_text())["inputs"]
@@ -845,6 +848,43 @@ def test_infer_out_appends_atomically(suite, good_inputs, tmp_path, monkeypatch)
         main(args)
     assert dest.read_text(encoding="utf-8").splitlines() == lines
     assert list(tmp_path.iterdir()) == [dest]
+
+
+def test_prune_keeps_a_numeric_dump_qid_as_a_string(suite, good_inputs, tmp_path):
+    """A dump record with ``"qid": 5`` is question "5", whose context the
+    contexts file lists under the string "5"."""
+    root, out = suite
+    record = json.loads(good_inputs["schemas"].read_text(encoding="utf-8").splitlines()[0])
+    context = json.loads((out / "contexts.jsonl").read_text(encoding="utf-8").splitlines()[0])
+    assert record["qid"] == context["qid"]
+    dump, contexts = tmp_path / "numqid.jsonl", tmp_path / "contexts.jsonl"
+    dump.write_text(json.dumps({**record, "qid": 5}) + "\n", encoding="utf-8")
+    contexts.write_text(json.dumps({**context, "qid": "5"}) + "\n", encoding="utf-8")
+    extra = ["--set", f"contexts={contexts}", "--checkpoint", str(good_inputs["checkpoint"]),
+             "--schemas", str(dump)]
+    assert main(["prune", *run_args(tmp_path / "o", out, extra)]) == 0
+    lines = (tmp_path / "o" / "pruned_graphs.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(line)["qid"] for line in lines] == ["5"]
+
+
+def test_export_dot_finds_a_numeric_dump_qid(tmp_path):
+    """``--qid 5`` names the dump record with ``"qid": 5``, and a paths record
+    with ``"qid": 5`` is overlaid on it."""
+    dump = {
+        "qid": 5,
+        "nodes": [["alpha", "Q"], ["beta", "N1"]],
+        "edges": [["alpha", "isa", "beta", 1.0]],
+        "key_q": ["alpha"],
+        "key_v": [],
+    }
+    path = tmp_path / "numqid.jsonl"
+    path.write_text(json.dumps(dump) + "\n")
+    paths = tmp_path / "paths.jsonl"
+    paths.write_text(json.dumps({"qid": 5, "paths": [[["alpha", "isa", "beta"], 0.5]]}) + "\n")
+    out = tmp_path / "g.dot"
+    args = ["export-dot", "--dump", str(path), "--qid", "5", "--paths", str(paths), "--out", str(out)]
+    assert main(args) == 0
+    assert '"alpha" -> "beta" [label="isa", color="#CC3311"' in out.read_text()
 
 
 def test_export_dot_structure(tmp_path):

@@ -94,9 +94,10 @@ def test_context_dimension_and_finiteness_validated():
 
 
 def test_text_feature_zero_mode():
-    tf = TextFeatureProvider(dim=5, mode="zero")
-    assert tf.gather("q", [3]).tolist() == [[0.0] * 5]
-    assert tf.gather("q", []).shape == (0, 5)
+    """Without a file there is no text feature: every gather is None."""
+    tf = TextFeatureProvider(dim=5)
+    assert tf.gather("q", [3]) is None
+    assert tf.gather("q", []) is None
 
 
 def test_text_feature_file_mode_with_fallback(tmp_path, abc_graph):
@@ -104,12 +105,15 @@ def test_text_feature_file_mode_with_fallback(tmp_path, abc_graph):
     path.write_text(
         json.dumps({"qid": "q1", "entity": "a", "p": [1.0, 0.0]}) + "\n", encoding="utf-8"
     )
-    tf = TextFeatureProvider(dim=2, mode="file", path=path, g=abc_graph)
+    tf = TextFeatureProvider(dim=2, path=path, g=abc_graph)
     a, b = abc_graph.entity_id("a"), abc_graph.entity_id("b")
     rows = tf.gather("q1", [b, a])
     assert rows[1].tolist() == [1.0, 0.0]
     # absent pair -> a zero row
     assert rows[0].tolist() == [0.0, 0.0]
+    # no listed pair, or no listed question -> no text feature
+    assert tf.gather("q1", [b]) is None
+    assert tf.gather("q2", [a, b]) is None
 
 
 def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
@@ -119,7 +123,7 @@ def test_text_feature_file_dim_mismatch(tmp_path, abc_graph):
         encoding="utf-8",
     )
     with pytest.raises(InputError, match=re.escape(f"{path}:1: ") + ".*dimension"):
-        TextFeatureProvider(dim=2, mode="file", path=path, g=abc_graph)
+        TextFeatureProvider(dim=2, path=path, g=abc_graph)
 
 
 def planted_suite(seed, g, planted, alignment, dim):
@@ -167,14 +171,6 @@ def test_planted_context_validates_alignment():
     rng = np.random.default_rng(0)
     with pytest.raises(ValueError, match="alignment"):
         planted_context(rng, "q", np.ones((1, 4)), alignment=1.5)
-
-
-def test_unknown_mode_rejected():
-    for mode in ("magic", "hash"):
-        with pytest.raises(ValueError, match="mode"):
-            TextFeatureProvider(dim=2, mode=mode)
-    with pytest.raises(ValueError, match="path"):
-        TextFeatureProvider(dim=2, mode="file")
 
 
 @pytest.mark.skipif(

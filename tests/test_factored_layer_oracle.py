@@ -61,7 +61,7 @@ def test_node_encoder_matches_dense_input(tmp_path, mode, d, D):
         model, sample, rng = node_case(work, mode, d, D, seed=d * 100 + D * 10 + trial)
         blocks = sample.node_input
         # the p block rides along exactly when some text-feature row is nonzero
-        assert len(blocks.dense) == 1 + bool(sample.p.any())
+        assert len(blocks.dense) == 1 + (sample.p is not None)
         p_blocks += len(blocks.dense) - 1
         dy = rng.standard_normal((sample.sg.n_nodes, d))
         for train in (False, True):
@@ -78,9 +78,23 @@ def test_file_mode_question_without_features_skips_the_p_block(tmp_path):
     model, sg, ctx, emb, tf = random_inputs(tmp_path, rng, 4, 7, "file")
     other = dataclasses.replace(ctx, qid="nobody")  # no text feature is listed for it
     sample = QuerySample.build(model, sg, other, (), emb, tf)
-    assert not sample.p.any()
+    assert sample.p is None
     assert [lo for lo, _ in sample.node_input.dense] == [4]
     assert_close(model.f_n.forward(sample.node_input)[0], model.f_n.forward(sample.x)[0])
+
+
+def test_runtime_without_text_features_keeps_no_p_rows(small_runtime):
+    """A run with no ``text_features`` file prepares every question with
+    ``p`` None, so f_n reads no p block."""
+    rt = small_runtime
+    cfg = rt.cfg
+    assert cfg.text_features is None
+    model = ScoringModel(cfg.d, cfg.D, cfg.k, dropout_rate=cfg.dropout, seed=cfg.seed)
+    samples, _ = prepare_samples(rt, model, rt.queries)
+    assert samples
+    for sample in samples:
+        assert sample.p is None
+        assert [lo for lo, _ in sample.node_input.dense] == [cfg.d]
 
 
 @pytest.mark.parametrize("mode", ["zero", "file"])

@@ -57,6 +57,8 @@ def reference_node_input_matrix(model, sg, ctx, emb, textfeat):
     z_tile = np.tile(ctx.z, (n, 1))
     e_rows = emb.gather(sg.nodes)
     p_rows = textfeat.gather(ctx.qid, sg.nodes)
+    if p_rows is None:  # no text feature: a zero block
+        p_rows = np.zeros((n, model.d))
     u_rows = np.zeros((n, 4))
     u_rows[np.arange(n), sg.types.astype(np.int64)] = 1.0
     return np.concatenate([z_tile, e_rows, p_rows, u_rows], axis=1)
@@ -221,7 +223,7 @@ def random_inputs(tmp_path, rng, d, D, mode):
                  for e in listed]
         lines.append({"qid": "other", "entity": f"n{ids[-1]}", "p": [0.5] * d})
         path.write_text("".join(json.dumps(o) + "\n" for o in lines), encoding="utf-8")
-    tf = TextFeatureProvider(dim=d, mode=mode, path=path, g=g)
+    tf = TextFeatureProvider(dim=d, path=path, g=g)
     return model, sg, ctx, emb, tf
 
 

@@ -137,7 +137,7 @@ def test_identical_inputs_identical_encodings():
     model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=0)
     emb, ctx, tf = providers(4, 3, 10)
     emb.matrix[2] = emb.matrix[1]  # same feature vector
-    tf_zero = TextFeatureProvider(dim=4, mode="zero")
+    tf_zero = TextFeatureProvider(dim=4)
     sg = make_sg([1, 2], [2, 2], [], q_nodes={1})
     h = encode(model, sg, ctx, emb, tf_zero)
     assert np.array_equal(h[0], h[1])
@@ -612,7 +612,7 @@ def test_train_prune_step_learns_direction():
     matrix = rng.standard_normal((12, 5))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
     emb = EntityEmbeddingTable(matrix)
-    tf = TextFeatureProvider(dim=6, mode="zero")
+    tf = TextFeatureProvider(dim=6)
     z = rng.standard_normal(6)
     z /= np.linalg.norm(z)
     ctx = QueryContext(qid="q", z=z, v=z, t=z)
