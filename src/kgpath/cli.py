@@ -10,6 +10,7 @@ config hash, seed, and a digest of each input file it read.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -101,18 +102,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path, default=None, help="write here instead of stdout")
     p.set_defaults(func=cmd_export_dot)
 
+    # each flag left unset leaves its SuiteSpec field, --seed included, at the field's default
     p = sub.add_parser("synth", parents=[common], help="generate a planted synthetic suite")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--n-entities", type=int, default=1000)
-    p.add_argument("--n-edges", type=int, default=5000)
-    p.add_argument("--n-queries", type=int, default=250)
-    p.add_argument("--hop-mix", default="1:0.5,2:0.5", help="hop:weight pairs, e.g. 1:0.5,2:0.5")
-    p.add_argument("--alignment", type=float, default=0.9)
-    p.add_argument("--dim", type=int, default=64)
-    p.add_argument("--train-fraction", type=float, default=0.8)
-    p.add_argument("--question-keys", type=int, default=1)
-    p.add_argument("--visual-keys", type=int, default=1)
-    p.add_argument("--no-vectors", action="store_true", help="skip embeddings and contexts")
+    p.add_argument("--n-entities", type=int)
+    p.add_argument("--n-edges", type=int)
+    p.add_argument("--n-queries", type=int)
+    p.add_argument("--hop-mix", help="hop:weight pairs, e.g. 1:0.5,2:0.5")
+    p.add_argument("--alignment", type=float)
+    p.add_argument("--dim", type=int)
+    p.add_argument("--train-fraction", type=float)
+    p.add_argument("--question-keys", dest="n_question_keys", type=int)
+    p.add_argument("--visual-keys", dest="n_visual_keys", type=int)
+    p.add_argument("--no-vectors", dest="emit_vectors", action="store_false", default=None,
+                   help="skip embeddings and contexts")
     p.set_defaults(func=cmd_synth)
     return parser
 
@@ -311,6 +314,8 @@ def cmd_infer(args: argparse.Namespace) -> int:
     print(line)
     if args.out:  # the earlier lines and this one, renamed into place together
         earlier = [e for _, block in read_blocks(args.out) for e in block] if args.out.exists() else []
+        if earlier:  # a last line without its ending gets one
+            earlier[-1] = earlier[-1].rstrip("\n") + "\n"
         with atomic_write(args.out) as f:
             f.writelines([*earlier, line + "\n"])
     return 0
@@ -341,6 +346,8 @@ def _dot_paths(obj: dict) -> tuple:
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
+    if args.max_paths < 0:
+        raise InputError(msg=f"--max-paths must be >= 0, got {args.max_paths}")
     seen: set[str] = set()
 
     def checked(obj: dict) -> dict:
@@ -367,28 +374,20 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    fields = {f.name: getattr(args, f.name) for f in dataclasses.fields(SuiteSpec)}
+    fields = {name: value for name, value in fields.items() if value is not None}
+    if "hop_mix" in fields:
+        try:
+            hop_mix = {}
+            for part in args.hop_mix.split(","):
+                hop, _, weight = part.partition(":")
+                hop_mix[int(hop)] = float(weight)
+            check_hop_mix(hop_mix)
+        except ValueError as exc:
+            raise InputError(msg=f"--hop-mix {args.hop_mix}: {exc}") from None
+        fields["hop_mix"] = hop_mix
     try:
-        hop_mix = {}
-        for part in args.hop_mix.split(","):
-            hop, _, weight = part.partition(":")
-            hop_mix[int(hop)] = float(weight)
-        check_hop_mix(hop_mix)
-    except ValueError as exc:
-        raise InputError(msg=f"--hop-mix {args.hop_mix}: {exc}") from None
-    try:
-        spec = SuiteSpec(
-            seed=args.seed if args.seed is not None else 7,
-            n_entities=args.n_entities,
-            n_edges=args.n_edges,
-            n_queries=args.n_queries,
-            hop_mix=hop_mix,
-            alignment=args.alignment,
-            dim=args.dim,
-            train_fraction=args.train_fraction,
-            n_question_keys=args.question_keys,
-            n_visual_keys=args.visual_keys,
-            emit_vectors=not args.no_vectors,
-        )
+        spec = SuiteSpec(**fields)
     except ValueError as exc:
         raise InputError(msg=str(exc)) from None
     manifest = generate_suite(args.out, spec)

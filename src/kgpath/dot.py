@@ -27,8 +27,8 @@ def _quote(s: str) -> str:
 
 def export_dot(
     dump: dict,
-    paths: Optional[Sequence[tuple[list[str], float]]] = None,
-    max_paths: int = 5,
+    paths: Optional[Sequence[tuple[list[str], float]]],
+    max_paths: int,
 ) -> str:
     """Render one dumped graph (and optionally its top paths) as DOT text.
 

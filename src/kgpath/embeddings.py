@@ -217,7 +217,7 @@ class TextFeatureProvider:
     listed features are missing or all zero.
     """
 
-    def __init__(self, dim: int, path: Optional[Path | str] = None, g: Optional[KnowledgeGraph] = None):
+    def __init__(self, dim: int, path: Optional[Path | str], g: KnowledgeGraph):
         self.dim = dim
         self._table: dict[tuple[str, int], np.ndarray] = {}
         if path is not None:

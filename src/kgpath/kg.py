@@ -348,7 +348,7 @@ def _bulk_rows(
 
 def load_graph(
     edge_file: Path | str,
-    relation_priority_file: Optional[Path | str] = None,
+    relation_priority_file: Optional[Path | str],
 ) -> KnowledgeGraph:
     """Load and index an edge TSV, materializing reversed edges.
 

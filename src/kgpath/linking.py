@@ -145,7 +145,7 @@ def lemma_fallback(token: str, known: Callable[[str], bool]) -> str:
 class EntityMatcher:
     """Exact / lemma / synonym matching of normalized surfaces to entity ids."""
 
-    def __init__(self, g: KnowledgeGraph, synonyms: Optional[dict[str, str]] = None):
+    def __init__(self, g: KnowledgeGraph, synonyms: Optional[dict[str, str]]):
         self.g = g
         self.synonyms = synonyms or {}
 
@@ -170,7 +170,7 @@ class EntityMatcher:
 def extract_question_nodes(
     g: KnowledgeGraph,
     rec: QueryRecord,
-    synonyms: Optional[dict[str, str]] = None,
+    synonyms: Optional[dict[str, str]],
 ) -> frozenset[int]:
     """Match content words and 2-3 token phrases of the question into the KG.
 
@@ -206,7 +206,7 @@ def extract_question_nodes(
 def extract_visual_nodes(
     g: KnowledgeGraph,
     rec: QueryRecord,
-    synonyms: Optional[dict[str, str]] = None,
+    synonyms: Optional[dict[str, str]],
 ) -> tuple[frozenset[int], list[Edge]]:
     """Map scene labels and triplets into KG nodes and weighted scene edges.
 

@@ -107,7 +107,7 @@ class DenseLayer:
         rng: np.random.Generator,
         n_in: int,
         n_out: int,
-        activation: str = "relu",
+        activation: str,
         input_grad: bool = True,
     ):
         if activation not in ("relu", "identity"):
@@ -180,7 +180,7 @@ class MLP2:
         n_in: int,
         n_hidden: int,
         n_out: int,
-        dropout: float = 0.0,
+        dropout: float,
         input_grad: bool = True,
     ):
         self.hidden = DenseLayer(rng, n_in, n_hidden, "relu", input_grad)
@@ -226,7 +226,8 @@ class MLP2:
 
 
 class BilinearLayer:
-    """score(x, y) = x^T W y + b for one x against many row vectors y."""
+    """score(x, y) = x^T W y + b for one x against many row vectors y; x is
+    data (the query context), so ``backward`` returns dL/drows and no dL/dx."""
 
     def __init__(self, rng: np.random.Generator, dim: int):
         self.dim = dim
@@ -241,14 +242,11 @@ class BilinearLayer:
         scores = rows @ (self.W.T @ x) + self.b[0]
         return scores, (x, rows)
 
-    def backward(self, dscores: np.ndarray, cache: tuple) -> tuple[np.ndarray, np.ndarray]:
+    def backward(self, dscores: np.ndarray, cache: tuple) -> np.ndarray:
         x, rows = cache
-        weighted = dscores @ rows  # sum_j ds_j * y_j
-        self.dW += np.outer(x, weighted)
+        self.dW += np.outer(x, dscores @ rows)
         self.db[0] += dscores.sum()
-        dx = self.W @ weighted
-        drows = np.outer(dscores, self.W.T @ x)
-        return dx, drows
+        return np.outer(dscores, self.W.T @ x)
 
     def zero_grad(self) -> None:
         self.dW.fill(0.0)
@@ -276,7 +274,7 @@ class ScoringModel:
     mode; eval-mode passes are deterministic.
     """
 
-    def __init__(self, d: int, D: int, k: int = 3, dropout_rate: float = 0.5, seed: int = 0):
+    def __init__(self, d: int, D: int, k: int, dropout_rate: float, seed: int):
         self.d = d
         self.D = D
         self.k = k
@@ -329,8 +327,8 @@ class ScoringModel:
     def load_checkpoint(
         cls,
         path: Path | str,
-        dropout_rate: float = 0.5,
-        expect_dims: Optional[tuple[int, int, int]] = None,
+        dropout_rate: float,
+        expect_dims: tuple[int, int, int],
     ) -> "ScoringModel":
         raw = Path(path).read_bytes()
         if raw[:4] != CHECKPOINT_MAGIC:
@@ -338,7 +336,7 @@ class ScoringModel:
         if len(raw) < 16:
             raise InputError(path, msg="truncated header")
         d, D, k = struct.unpack("<III", raw[4:16])
-        if expect_dims is not None and (d, D, k) != tuple(expect_dims):
+        if (d, D, k) != tuple(expect_dims):
             raise InputError(
                 path,
                 msg=f"checkpoint dims (d={d}, D={D}, k={k}) do not match "
@@ -372,7 +370,7 @@ def adam_step(
     params: dict[str, np.ndarray],
     grads: dict[str, np.ndarray],
     state: dict[str, list],
-    lr: float = 1e-4,
+    lr: float,
 ) -> None:
     """One bias-corrected Adam update, in place. State is per parameter."""
     for name, grad in grads.items():
@@ -398,7 +396,7 @@ def adam_step(
 class Adam:
     """Stateful wrapper around :func:`adam_step` keyed by parameter name."""
 
-    def __init__(self, lr: float = 1e-4):
+    def __init__(self, lr: float):
         self.lr = lr
         self.state: dict[str, list] = {}
 
@@ -415,7 +413,7 @@ class Adam:
 class SGD:
     """Plain gradient descent; handy when debugging the adaptive path."""
 
-    def __init__(self, lr: float = 1e-4):
+    def __init__(self, lr: float):
         self.lr = lr
 
     def step(self, model: ScoringModel, only: Optional[Sequence[str]] = None) -> None:

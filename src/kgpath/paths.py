@@ -220,9 +220,9 @@ def top_positions(key: np.ndarray, n: int) -> np.ndarray:
 
 def sample_paths(
     pg: PrunedGraph,
-    n_paths: int = 200,
-    k: int = 3,
-    seed: int = 0,
+    n_paths: int,
+    k: int,
+    seed: int,
 ) -> PathBatch:
     """Up to ``n_paths`` distinct simple walks of 1..k edges from the key nodes.
 
@@ -298,7 +298,7 @@ def _backward_paths(
     every entry of ``dh`` sums its terms in that order.
     """
     cache_t, cache_p, cache_bi = cache
-    _, dh_p = model.f_bi.backward(dscores, cache_bi)
+    dh_p = model.f_bi.backward(dscores, cache_bi)
     dh_t = model.f_p.backward(dh_p, cache_p)
     d = model.d
     dblocks = model.f_t.backward(dh_t, cache_t)
@@ -340,11 +340,11 @@ def ranked_paths(batch: PathBatch) -> np.ndarray:
 def run_query(
     model: ScoringModel,
     sample: QuerySample,
-    theta_p: float = 0.3,
-    target: int = 100,
-    n_paths: int = 200,
-    k: int = 3,
-    seed: int = 0,
+    theta_p: float,
+    target: int,
+    n_paths: int,
+    k: int,
+    seed: int,
 ) -> tuple[PrunedGraph, PathBatch, np.ndarray]:
     """Eval-mode pipeline for one query: prune, sample, score.
 
@@ -361,13 +361,13 @@ def train_joint_step(
     model: ScoringModel,
     batch: Sequence[QuerySample],
     optimizer: Adam,
-    theta_p: float = 0.3,
-    target: int = 100,
-    n_paths: int = 200,
-    k: int = 3,
-    margin: float = 0.5,
-    semi_hard: bool = True,
-    step_seed: int = 0,
+    theta_p: float,
+    target: int,
+    n_paths: int,
+    k: int,
+    margin: float,
+    semi_hard: bool,
+    step_seed: int,
 ) -> tuple[float, float]:
     """One optimizer step of the joint loss (path BCE + pruning triplets).
 
@@ -433,17 +433,17 @@ def train_joint_step(
 def staged_training(
     model: ScoringModel,
     train_samples: Sequence[QuerySample],
-    epochs_prune: int = 40,
-    epochs_joint: int = 30,
-    lr: float = 1e-4,
-    batch_size: int = 8,
-    theta_p: float = 0.3,
-    target: int = 100,
-    n_paths: int = 200,
-    k: int = 3,
-    margin: float = 0.5,
-    semi_hard: bool = True,
-    seed: int = 0,
+    epochs_prune: int,
+    epochs_joint: int,
+    lr: float,
+    batch_size: int,
+    theta_p: float,
+    target: int,
+    n_paths: int,
+    k: int,
+    margin: float,
+    semi_hard: bool,
+    seed: int,
     optimizer: str = "adam",
     progress: bool = False,
 ) -> list[dict]:

@@ -89,8 +89,8 @@ def bfs_scores(sg: SchemaGraph) -> np.ndarray:
 def prune(
     model: ScoringModel,
     sample: QuerySample,
-    theta_p: float = 0.3,
-    target: int = 100,
+    theta_p: float,
+    target: int,
 ) -> tuple[PrunedGraph, np.ndarray, np.ndarray]:
     """Eval-mode node selection for one prepared query.
 
@@ -244,8 +244,8 @@ def triplet_terms(
     h: np.ndarray,
     gt_pos: np.ndarray,
     neg_pos: np.ndarray,
-    margin: float = 0.5,
-    semi_hard: bool = True,
+    margin: float,
+    semi_hard: bool,
 ) -> tuple[float, int, np.ndarray]:
     """Cosine triplet loss terms for one query's encodings, anchored at z.
 
@@ -288,8 +288,8 @@ def train_prune_step(
     model: ScoringModel,
     batch: Sequence[QuerySample],
     optimizer: Adam,
-    margin: float = 0.5,
-    semi_hard: bool = True,
+    margin: float,
+    semi_hard: bool,
 ) -> float:
     """One optimizer step of the pruning loss over a batch; the mean loss.
 

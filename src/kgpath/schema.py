@@ -323,11 +323,11 @@ def _rank_candidates(
 def build_schema(
     g: KnowledgeGraph,
     keys: KeyNodeSet,
-    scene_edges: Sequence[Edge] = (),
-    budget: int = 1000,
-    one_hop_cap: int = 500,
-    seed: int = 0,
-    qid: str = "",
+    scene_edges: Sequence[Edge],
+    budget: int,
+    one_hop_cap: int,
+    seed: int,
+    qid: str,
     candidates: Optional[Iterable[int]] = None,
 ) -> SchemaGraph:
     """Open-set construction recruits from the whole KG; given ``candidates``,

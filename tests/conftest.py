@@ -3,10 +3,14 @@ import zlib
 import numpy as np
 import pytest
 
-from kgpath.config import load_config
+from kgpath.config import RunConfig, load_config
 from kgpath.kg import Edge, load_graph
 from kgpath.pipeline import load_runtime
 from kgpath.synth import SuiteSpec, generate_suite
+
+
+#: the operating point, for a test that means its values
+CFG = RunConfig()
 
 
 def write_edges(path, rows):

@@ -252,7 +252,7 @@ def test_criterion_1_gradient_integrity():
         # triplet loss on random vectors: h row 0 the positive, row 1 the negative
         a, p, n = rng.standard_normal((3, 5))
         h = np.stack([p, n])
-        _, _, dh = triplet_terms(a, h, np.array([0]), np.array([1]), 0.5)
+        _, _, dh = triplet_terms(a, h, np.array([0]), np.array([1]), 0.5, True)
         check(_triplet_probe(a, h), [(h[0], dh[0]), (h[1], dh[1])])
 
         # binary cross-entropy on random logits

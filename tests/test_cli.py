@@ -1,15 +1,17 @@
+import dataclasses
 import io
 import json
 import os
 import re
 import shutil
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kgpath import paths
 from kgpath.cli import main
-from kgpath.config import InputError, sha256_file
+from kgpath.config import InputError, RunConfig, sha256_file
 from kgpath.neural import ScoringModel
 from kgpath.synth import SuiteSpec, generate_suite
 
@@ -390,7 +392,7 @@ def good_inputs(suite, schema_dump):
         ),
         encoding="utf-8",
     )
-    ScoringModel(12, 12, 3, seed=0).save_checkpoint(extra / "checkpoint.gpr")
+    ScoringModel(12, 12, 3, dropout_rate=0.5, seed=0).save_checkpoint(extra / "checkpoint.gpr")
     assert main(["build-index", *run_args(root / "bi_inputs", out), "--out", str(extra / "index")]) == 0
     return {
         "config": out / "suite.config",
@@ -430,17 +432,19 @@ def input_args(key, bad, good_inputs):
     return ["--set", f"{key}={bad}"]
 
 
-def flag_args(flag, value, tmp_path):
+def flag_args(flag, value, tmp_path, good_inputs):
     """The flags that hand a command ``value`` for ``flag``."""
     if flag == "--set":
         return [flag, value]
+    if flag == "--max-paths":
+        return ["--dump", str(good_inputs["dump"]), flag, value]
     return ["--out", str(tmp_path / "suite"), flag, value]  # a synth flag
 
 
 # (command, input, line, edit, message after "error: <path>:<line>: "). With
 # a line, the edit maps that line's text to its replacement; with None it maps
 # the whole file's bytes, and the error names the file alone. An input that is
-# a flag ("--set" or a synth flag) takes the edit as its value, and the error
+# a flag ("--set", "--max-paths" or a synth flag) takes the edit as its value, and the error
 # names no file. A command may carry flags of its own after its name.
 MALFORMED_INPUT = {
     "config-unknown-key": (
@@ -604,6 +608,9 @@ MALFORMED_INPUT = {
         "export-dot", "paths", 2, lambda line: line[:-1], "bad JSON: "
     ),
     "export-dot-paths-not-utf8": ("export-dot", "paths", 2, not_utf8, "not UTF-8 text"),
+    "export-dot-max-paths-negative": (
+        "export-dot", "--max-paths", None, "-1", "--max-paths must be >= 0, got -1"
+    ),
     "checkpoint-truncated-header": (
         "eval", "checkpoint", None, lambda data: data[:6], "truncated header"
     ),
@@ -721,7 +728,7 @@ def test_malformed_input_is_one_line_error(suite, good_inputs, tmp_path, capsys,
     root, out = suite
     command, key, lineno, edit, message = MALFORMED_INPUT[case]
     if key.startswith("--"):
-        args, prefix = flag_args(key, edit, tmp_path), "error: "
+        args, prefix = flag_args(key, edit, tmp_path, good_inputs), "error: "
     else:
         source = good_inputs[key]
         bad = tmp_path / source.name
@@ -848,6 +855,54 @@ def test_infer_out_appends_atomically(suite, good_inputs, tmp_path, monkeypatch)
         main(args)
     assert dest.read_text(encoding="utf-8").splitlines() == lines
     assert list(tmp_path.iterdir()) == [dest]
+
+
+def test_infer_out_ends_an_unended_last_line(suite, good_inputs, tmp_path):
+    """An ``--out`` file whose last line has no ending keeps that line whole,
+    and the new record goes on a line of its own."""
+    root, out = suite
+    dest = tmp_path / "infer.jsonl"
+    dest.write_text('{"qid": "q0"}', encoding="utf-8")
+    args = [
+        "infer", *run_args(tmp_path / "o", out),
+        "--checkpoint", str(good_inputs["checkpoint"]),
+        "--qid", "q0001",
+        "--out", str(dest),
+    ]
+    assert main(args) == 0
+    first, second = dest.read_text(encoding="utf-8").splitlines()
+    assert first == '{"qid": "q0"}'
+    assert json.loads(second)["qid"] == "q0001"
+
+
+def test_synth_leaves_unset_flags_to_the_suite_spec(tmp_path):
+    """``synth`` with only size flags writes what ``generate_suite`` writes
+    for a ``SuiteSpec`` of those sizes: its params and its file digests."""
+    sizes = {"n_entities": 60, "n_edges": 200, "n_queries": 12}
+    flags = [f"--{name.replace('_', '-')}={value}" for name, value in sizes.items()]
+    assert main(["synth", "--out", str(tmp_path / "cli"), *flags]) == 0
+    manifest = json.loads((tmp_path / "cli" / "manifest.json").read_text(encoding="utf-8"))
+    want = generate_suite(tmp_path / "lib", SuiteSpec(**sizes))
+    assert manifest["params"] == want["params"]
+    assert manifest["files"] == want["files"]
+
+
+def test_readme_defaults_are_the_run_config():
+    """The README's ``key=value`` defaults list names every config key that
+    is not a path, each with ``RunConfig``'s default."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    text = readme.split("Key hyperparameters and their defaults:", 1)[1].split("\n\n", 1)[0]
+    listed = dict(re.findall(r"`(\w+)=([^`]*)`", text))
+    default = RunConfig()
+    keys = {
+        f.name for f in dataclasses.fields(RunConfig)
+        if f.default is not None and not isinstance(f.default, Path)
+    }
+    assert set(listed) == keys
+    for key, raw in listed.items():
+        cfg = RunConfig()
+        cfg.set_field(key, raw)
+        assert getattr(cfg, key) == getattr(default, key), key
 
 
 def test_prune_keeps_a_numeric_dump_qid_as_a_string(suite, good_inputs, tmp_path):

@@ -93,9 +93,9 @@ def test_context_dimension_and_finiteness_validated():
         QueryContext(qid="q", z=np.asarray(1.0), v=np.ones(1), t=np.ones(1))
 
 
-def test_text_feature_zero_mode():
+def test_text_feature_zero_mode(abc_graph):
     """Without a file there is no text feature: every gather is None."""
-    tf = TextFeatureProvider(dim=5)
+    tf = TextFeatureProvider(dim=5, path=None, g=abc_graph)
     assert tf.gather("q", [3]) is None
     assert tf.gather("q", []) is None
 

@@ -149,7 +149,7 @@ def test_training_and_eval_are_deterministic(small_runtime):
         history = staged_training(
             model, samples[:18], epochs_prune=2, epochs_joint=2, lr=cfg.lr,
             batch_size=cfg.batch_size, theta_p=cfg.theta_p, target=cfg.prune_target,
-            n_paths=cfg.n_paths, k=cfg.k, seed=cfg.seed,
+            n_paths=cfg.n_paths, k=cfg.k, margin=cfg.margin, semi_hard=cfg.semi_hard, seed=cfg.seed,
         )
         runs.append((history, params_sha256(model)))
     assert runs[0] == runs[1]

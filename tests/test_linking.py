@@ -53,18 +53,18 @@ def record(qid="q1", tokens=(), labels=(), triplets=(), answers=(("bird", 3),), 
 
 def test_content_words_with_lemma_fallback(vocab_graph):
     rec = record(tokens=[("which", "other"), ("bird", "noun"), ("is", "other"), ("flying", "verb")])
-    got = extract_question_nodes(vocab_graph, rec)
+    got = extract_question_nodes(vocab_graph, rec, synonyms=None)
     assert got == {vocab_graph.entity_id("bird"), vocab_graph.entity_id("fly")}
 
 
 def test_all_stopworded_gives_empty(vocab_graph):
     rec = record(tokens=[("which", "other"), ("picture", "noun"), ("type", "noun")])
-    assert extract_question_nodes(vocab_graph, rec) == frozenset()
+    assert extract_question_nodes(vocab_graph, rec, synonyms=None) == frozenset()
 
 
 def test_phrase_beats_unigrams(vocab_graph):
     rec = record(tokens=[("fire", "noun"), ("hydrant", "noun")])
-    got = extract_question_nodes(vocab_graph, rec)
+    got = extract_question_nodes(vocab_graph, rec, synonyms=None)
     assert got == {vocab_graph.entity_id("fire_hydrant")}
 
 
@@ -72,7 +72,7 @@ def _oracle_question_nodes(g, tokens, stopwords):
     """Brute-force longest-match-first with consumed positions."""
     toks = [(t.lower(), p) for t, p in tokens]
     ok = [p in {"noun", "verb", "adj", "adv"} and t not in stopwords for t, p in toks]
-    matcher = EntityMatcher(g)
+    matcher = EntityMatcher(g, synonyms=None)
     used = set()
     out = set()
     for length in (3, 2, 1):
@@ -98,7 +98,7 @@ def test_question_nodes_match_longest_match_oracle(vocab_graph):
             for _ in range(n)
         ]
         rec = record(tokens=tokens)
-        got = extract_question_nodes(vocab_graph, rec)
+        got = extract_question_nodes(vocab_graph, rec, synonyms=None)
         assert got == _oracle_question_nodes(vocab_graph, tokens, DEFAULT_STOPWORDS)
 
 
@@ -112,14 +112,14 @@ def test_lemma_fallback_rules(vocab_graph):
 
 def test_visual_labels_matched(vocab_graph):
     rec = record(labels=[("dog", 0.9), ("lamp", 0.4)])
-    nodes, edges = extract_visual_nodes(vocab_graph, rec)
+    nodes, edges = extract_visual_nodes(vocab_graph, rec, synonyms=None)
     assert nodes == {vocab_graph.entity_id("dog"), vocab_graph.entity_id("lamp")}
     assert edges == []
 
 
 def test_blacklisted_predicate_excluded(vocab_graph):
     rec = record(triplets=[("human", "has", "leg", 0.99)])
-    nodes, edges = extract_visual_nodes(vocab_graph, rec)
+    nodes, edges = extract_visual_nodes(vocab_graph, rec, synonyms=None)
     assert nodes == frozenset() and edges == []
 
 
@@ -128,24 +128,24 @@ def test_top30_labels_considered(vocab_graph):
     # 'dog' only among them, and dog sits below the confidence cut.
     labels = [(f"junk{i}", 1.0 - i * 0.01) for i in range(39)] + [("dog", 0.05)]
     rec = record(labels=labels)
-    nodes, _ = extract_visual_nodes(vocab_graph, rec)
+    nodes, _ = extract_visual_nodes(vocab_graph, rec, synonyms=None)
     assert nodes == frozenset()
     # raise dog's confidence into the top 30 and it matches
     labels[-1] = ("dog", 0.95)
-    nodes, _ = extract_visual_nodes(vocab_graph, record(labels=labels))
+    nodes, _ = extract_visual_nodes(vocab_graph, record(labels=labels), synonyms=None)
     assert nodes == {vocab_graph.entity_id("dog")}
 
 
 def test_top20_triplets_considered(vocab_graph):
     triplets = [(f"junk{i}", "isa", f"junk{i}x", 0.9) for i in range(20)]
     triplets.append(("dog", "isa", "lamp", 0.1))  # 21st by confidence
-    nodes, edges = extract_visual_nodes(vocab_graph, record(triplets=triplets))
+    nodes, edges = extract_visual_nodes(vocab_graph, record(triplets=triplets), synonyms=None)
     assert nodes == frozenset() and edges == []
 
 
 def test_triplet_edge_carries_confidence(vocab_graph):
     rec = record(triplets=[("dog", "atlocation", "lamp", 0.75)])
-    nodes, edges = extract_visual_nodes(vocab_graph, rec)
+    nodes, edges = extract_visual_nodes(vocab_graph, rec, synonyms=None)
     assert nodes == {vocab_graph.entity_id("dog"), vocab_graph.entity_id("lamp")}
     (edge,) = edges
     assert edge.head == vocab_graph.entity_id("dog")
@@ -156,7 +156,7 @@ def test_triplet_edge_carries_confidence(vocab_graph):
 
 def test_unmatched_predicate_keeps_nodes_drops_edge(vocab_graph):
     rec = record(triplets=[("dog", "chasing", "lamp", 0.9)])
-    nodes, edges = extract_visual_nodes(vocab_graph, rec)
+    nodes, edges = extract_visual_nodes(vocab_graph, rec, synonyms=None)
     assert nodes == {vocab_graph.entity_id("dog"), vocab_graph.entity_id("lamp")}
     assert edges == []
 
@@ -169,7 +169,7 @@ def test_synonym_table(tmp_path, vocab_graph):
     nodes, _ = extract_visual_nodes(vocab_graph, rec, synonyms=table)
     assert nodes == {vocab_graph.entity_id("dog")}
     # without the table there is no match
-    nodes, _ = extract_visual_nodes(vocab_graph, rec)
+    nodes, _ = extract_visual_nodes(vocab_graph, rec, synonyms=None)
     assert nodes == frozenset()
 
 

@@ -13,7 +13,11 @@ Likewise every parameter with a default must be set by some call in those
 same places: by keyword, by enough positional arguments to reach it, or by a
 call that passes ``*`` or ``**`` arguments. Calls are matched by function or
 method name, and by class name for ``__init__``. A default that no caller
-sets is a constant, and is written as one.
+sets is a constant, and is written as one. And every parameter with a default
+must be left unset by some call there: a default that every caller overrides
+restates a value whose home is elsewhere (the operating point's is
+``RunConfig``), and the parameter is required instead. ``ALWAYS_SET`` lists
+the exceptions.
 """
 
 import ast
@@ -26,6 +30,10 @@ PACKAGE = ROOT / "src" / "kgpath"
 # kept unread or unset. ``gt_provenance`` is kept for the planned
 # ground-truth provenance column of the seed grid.
 KEPT = {"schema.gt_provenance"}
+
+# Parameters (``module.qualname(param)``) that keep a default every caller
+# overrides. ``msg`` follows the optional path and line number.
+ALWAYS_SET = {"config.InputError.__init__(msg)"}
 
 
 def kept(parameters: bool) -> list[str]:
@@ -137,16 +145,27 @@ def calls(tree: ast.AST):
             yield name, len(node.args), {k.arg for k in node.keywords}, starred
 
 
-def test_every_default_is_set_by_some_call():
+def defaults_by_setting() -> dict[str, list[bool]]:
+    """Each defaulted parameter's entry per matching call: True where the
+    call sets it."""
     trees = package_trees()
     every_call = [c for tree in [*trees.values(), *outside_trees()] for c in calls(tree)]
-    unset = [
-        f"{module}.{qualname}({param})"
+    return {
+        f"{module}.{qualname}({param})": [
+            starred or param in keywords or (position is not None and n_pos > position)
+            for name, n_pos, keywords, starred in every_call
+            if name == call
+        ]
         for module, tree in trees.items()
         for qualname, call, position, param in defaulted(tree)
-        if not any(
-            name == call and (starred or param in keywords or (position is not None and n_pos > position))
-            for name, n_pos, keywords, starred in every_call
-        )
-    ]
+    }
+
+
+def test_every_default_is_set_by_some_call():
+    unset = [param for param, sets in defaults_by_setting().items() if not any(sets)]
     assert sorted(unset) == kept(parameters=True)
+
+
+def test_every_default_is_left_to_some_call():
+    always_set = [param for param, sets in defaults_by_setting().items() if all(sets)]
+    assert sorted(always_set) == sorted(ALWAYS_SET)

@@ -74,7 +74,7 @@ def _one_positive(a, p, negatives, margin=0.5):
     """``triplet_terms`` with ``p`` as row 0, the only positive, and
     ``negatives`` as rows 1.. of h; returns the loss, count, dh and h."""
     h = np.vstack([p, negatives])
-    loss, count, dh = triplet_terms(a, h, np.array([0]), np.arange(1, h.shape[0]), margin)
+    loss, count, dh = triplet_terms(a, h, np.array([0]), np.arange(1, h.shape[0]), margin, True)
     return loss, count, dh, h
 
 
@@ -105,7 +105,7 @@ def test_triplet_gradients_match_finite_differences():
         n = rng.standard_normal(5)
         _, _, dh, h = _one_positive(a, p, n[None])
         gt_pos, neg_pos = np.array([0]), np.array([1])
-        (fd,) = finite_difference(lambda: triplet_terms(a, h, gt_pos, neg_pos, 0.5)[0], [h])
+        (fd,) = finite_difference(lambda: triplet_terms(a, h, gt_pos, neg_pos, 0.5, True)[0], [h])
         assert relative_error(dh[0], fd[0]) < 1e-4
         assert relative_error(dh[1], fd[1]) < 1e-4
 
@@ -189,7 +189,9 @@ def test_mine_semi_hard_matches_exhaustive_scan():
 
 
 def test_mine_semi_hard_no_negatives_gives_no_terms():
-    loss, count, dh = triplet_terms(np.ones(3), np.ones((1, 3)), np.array([0]), np.empty(0, int))
+    loss, count, dh = triplet_terms(
+        np.ones(3), np.ones((1, 3)), np.array([0]), np.empty(0, int), 0.5, True
+    )
     assert (loss, count) == (0.0, 0) and np.all(dh == 0.0)
 
 
@@ -306,14 +308,12 @@ def test_bilinear_gradients():
 
         layer.zero_grad()
         s, cache = layer.forward(x, rows)
-        dx, drows = layer.backward(w, cache)
+        drows = layer.backward(w, cache)
         fd = finite_difference(loss_fn, [layer.W, layer.b])
         assert relative_error(layer.dW, fd[0]) < 1e-4
         assert relative_error(layer.db, fd[1]) < 1e-4
         (fd_rows,) = finite_difference(loss_fn, [rows])
         assert relative_error(drows, fd_rows) < 1e-4
-        (fd_x,) = finite_difference(loss_fn, [x])
-        assert relative_error(dx, fd_x) < 1e-4
 
 
 def test_eval_forward_deterministic():
@@ -377,7 +377,7 @@ def test_adam_minimizes_quadratic():
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, {})
+        adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, {}, 1e-4)
 
 
 def test_adam_freeze_via_subset():
@@ -400,7 +400,7 @@ def test_checkpoint_round_trip(tmp_path):
     model = ScoringModel(d=5, D=4, k=3, dropout_rate=0.5, seed=9)
     path = tmp_path / "model.gpr"
     model.save_checkpoint(path)
-    loaded = ScoringModel.load_checkpoint(path, expect_dims=(5, 4, 3))
+    loaded = ScoringModel.load_checkpoint(path, 0.5, expect_dims=(5, 4, 3))
     for (name, a), (name2, b) in zip(model.param_items(), loaded.param_items()):
         assert name == name2
         assert np.allclose(a, b, atol=1e-6)  # float32 storage
@@ -408,28 +408,28 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_checkpoint_dim_mismatch_refused(tmp_path):
-    model = ScoringModel(d=5, D=4, k=3, seed=0)
+    model = ScoringModel(d=5, D=4, k=3, dropout_rate=0.5, seed=0)
     path = tmp_path / "model.gpr"
     model.save_checkpoint(path)
     with pytest.raises(InputError, match="refusing"):
-        ScoringModel.load_checkpoint(path, expect_dims=(6, 4, 3))
+        ScoringModel.load_checkpoint(path, 0.5, expect_dims=(6, 4, 3))
 
 
 def test_checkpoint_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "bad.gpr"
     path.write_bytes(b"NOPE" + b"\x00" * 12)
     with pytest.raises(InputError, match="magic"):
-        ScoringModel.load_checkpoint(path)
-    model = ScoringModel(d=5, D=4, k=3, seed=0)
+        ScoringModel.load_checkpoint(path, 0.5, expect_dims=(5, 4, 3))
+    model = ScoringModel(d=5, D=4, k=3, dropout_rate=0.5, seed=0)
     good = tmp_path / "good.gpr"
     model.save_checkpoint(good)
     (tmp_path / "trunc.gpr").write_bytes(good.read_bytes()[:-10])
     with pytest.raises(InputError, match="truncated"):
-        ScoringModel.load_checkpoint(tmp_path / "trunc.gpr")
+        ScoringModel.load_checkpoint(tmp_path / "trunc.gpr", 0.5, expect_dims=(5, 4, 3))
 
 
 def test_param_init_range():
-    model = ScoringModel(d=8, D=6, k=3, seed=4)
+    model = ScoringModel(d=8, D=6, k=3, dropout_rate=0.5, seed=4)
     limit = 1.0 / math.sqrt(model.node_input_dim)
     W = model.f_n.hidden.W
     assert W.min() >= -limit and W.max() <= limit

@@ -37,7 +37,7 @@ from kgpath.paths import (
 from kgpath.pipeline import prepare_samples
 from kgpath.pruning import QuerySample, prune, prune_from_scores, triplet_terms
 
-from conftest import random_graph
+from conftest import CFG, random_graph
 from test_pruning import make_sg
 
 RTOL = 1e-12  # the worst parameter after 2 + 2 epochs reads about 7e-14
@@ -105,7 +105,7 @@ def reference_forward_paths(model, batch, h, ctx, train=False):
 
 def reference_backward_paths(model, batch, dscores, cache, dh):
     cache_t, cache_p, cache_bi = cache
-    _, dh_p = model.f_bi.backward(dscores, cache_bi)
+    dh_p = model.f_bi.backward(dscores, cache_bi)
     dfeat = model.f_p.backward(dh_p, cache_p)
     d = model.d
     dh_t = dfeat[:, 2 * d : 3 * d]
@@ -246,14 +246,15 @@ def test_assembled_input_matches_materialised_bytes(tmp_path, mode, d, D):
         assert h_got.tobytes() == h_want.tobytes()
 
 
-def test_build_keeps_the_dimension_checks(tmp_path):
+def test_build_keeps_the_dimension_checks(tmp_path, tiny_graph):
     rng = np.random.default_rng(3)
     model, sg, ctx, emb, tf = random_inputs(tmp_path, rng, 4, 7, "file")
     short_ctx = QueryContext(qid="qa", z=np.ones(3), v=np.ones(3), t=np.ones(3))
     for args, match in (
         ((short_ctx, emb, tf), "context dim 3 != model d 4"),
         ((ctx, EntityEmbeddingTable(np.ones((40, 6))), tf), "embedding dim 6 != model D 7"),
-        ((ctx, emb, TextFeatureProvider(dim=5)), "text feature dim 5 != model d 4"),
+        ((ctx, emb, TextFeatureProvider(dim=5, path=None, g=tiny_graph)),
+         "text feature dim 5 != model d 4"),
     ):
         with pytest.raises(ValueError, match=match):
             QuerySample.build(model, sg, args[0], (), args[1], args[2])
@@ -273,7 +274,7 @@ def train(rt, model, samples):
     return staged_training(
         model, samples, epochs_prune=2, epochs_joint=2, lr=cfg.lr,
         batch_size=cfg.batch_size, theta_p=cfg.theta_p, target=cfg.prune_target,
-        n_paths=cfg.n_paths, k=cfg.k, seed=cfg.seed,
+        n_paths=cfg.n_paths, k=cfg.k, margin=cfg.margin, semi_hard=cfg.semi_hard, seed=cfg.seed,
     )
 
 
@@ -332,4 +333,7 @@ def test_joint_step_keeps_the_theta_check(small_runtime):
     samples, _ = prepare_samples(rt, model, rt.queries[:2])
     for theta in (-0.1, 1.5):
         with pytest.raises(ValueError, match="theta_p must lie in"):
-            paths.train_joint_step(model, samples, None, theta_p=theta)
+            paths.train_joint_step(
+                model, samples, None, theta, CFG.prune_target, CFG.n_paths, CFG.k, CFG.margin,
+                CFG.semi_hard, step_seed=0,
+            )

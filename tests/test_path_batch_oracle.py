@@ -91,7 +91,7 @@ def ref_forward_paths(model, paths, h, positions, ctx, train=False, tiled=True):
 
 def ref_backward_paths(model, paths, dscores, cache, positions, dh):
     cache_t, cache_p, cache_bi = cache
-    _, dh_p = model.f_bi.backward(dscores, cache_bi)
+    dh_p = model.f_bi.backward(dscores, cache_bi)
     dfeat = model.f_p.backward(dh_p, cache_p)
     d = model.d
     dh_t = dfeat[:, -d:]  # the h_t columns of a tiled input; all of them for blocks

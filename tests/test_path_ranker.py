@@ -24,8 +24,14 @@ from kgpath.pipeline import prepare_samples
 from kgpath.pruning import PrunedGraph, QuerySample, bfs_scores, prune_from_scores
 from kgpath.schema import LocalAdjacency
 
-from conftest import FakeTextFeatures
+from conftest import CFG, FakeTextFeatures
 from test_pruning import distinct, make_sg, providers, random_local_graph, sym
+
+#: the operating point's prune and path arguments of a training step
+JOINT = dict(
+    theta_p=CFG.theta_p, target=CFG.prune_target, n_paths=CFG.n_paths, k=CFG.k,
+    margin=CFG.margin, semi_hard=CFG.semi_hard,
+)
 
 
 def as_pruned(sg):
@@ -533,7 +539,7 @@ def test_labels_mark_gt_terminals():
     scores = np.concatenate(scores)
     labels = np.array(labels, dtype=np.float64)
     assert 0 < labels.sum() < labels.size
-    loss_cls, _ = train_joint_step(model, samples, Adam(lr=1e-3), step_seed=step_seed)
+    loss_cls, _ = train_joint_step(model, samples, Adam(lr=1e-3), step_seed=step_seed, **JOINT)
     assert loss_cls == pytest.approx(naive_bce(scores, labels), rel=1e-12)
     assert loss_cls != pytest.approx(naive_bce(scores, 1.0 - labels))
 
@@ -585,7 +591,8 @@ def test_score_paths_empty_and_duplicates():
     emb, ctx, tf = providers(4, 3, 3, seed=5)
     sg = make_sg([0, 1], [0, 2], [], q_nodes={0})
     sample = QuerySample.build(model, sg, ctx, [1], emb, tf)
-    assert sigs(run_query(model, sample, target=2, n_paths=10, seed=0)[1]) == []
+    batch = run_query(model, sample, theta_p=CFG.theta_p, target=2, n_paths=10, k=3, seed=0)[1]
+    assert sigs(batch) == []
     rng = np.random.default_rng(6)
     vectors = {i: rng.standard_normal(4) for i in range(3)}
     dup = ((0, 1), (2,))
@@ -655,7 +662,7 @@ def test_train_joint_step_runs_and_updates_everything():
     samples = make_samples(model, seed=12)
     before = {n: a.copy() for n, a in model.param_items()}
     opt = Adam(lr=1e-3)
-    loss_cls, loss_prune = train_joint_step(model, samples, opt, step_seed=1)
+    loss_cls, loss_prune = train_joint_step(model, samples, opt, step_seed=1, **JOINT)
     assert np.isfinite(loss_cls) and np.isfinite(loss_prune)
     changed = {n for n, a in model.param_items() if not np.array_equal(a, before[n])}
     assert any(n.startswith("f_n.") for n in changed)
@@ -670,7 +677,7 @@ def test_gt_absent_query_contributes_negative_labels_only():
     object.__setattr__(sample, "gt", frozenset({9999}))  # not in the graph
     sample.gt_pos = np.empty(0, dtype=np.int64)
     sample.neg_pos = np.arange(sample.sg.n_nodes)
-    loss_cls, loss_prune = train_joint_step(model, [sample], Adam(lr=1e-3), step_seed=2)
+    loss_cls, loss_prune = train_joint_step(model, [sample], Adam(lr=1e-3), step_seed=2, **JOINT)
     assert loss_prune == 0.0
     assert loss_cls > 0.0
 
@@ -679,7 +686,10 @@ def test_staged_training_zero_epochs_keeps_init():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=15)
     before = {n: a.copy() for n, a in model.param_items()}
     samples = make_samples(model, seed=16)
-    metrics = staged_training(model, samples, epochs_prune=0, epochs_joint=0)
+    metrics = staged_training(
+        model, samples, epochs_prune=0, epochs_joint=0, lr=CFG.lr, batch_size=CFG.batch_size,
+        seed=0, **JOINT,
+    )
     assert metrics == []
     for n, a in model.param_items():
         assert np.array_equal(a, before[n])
@@ -691,7 +701,10 @@ def test_staged_training_freezes_path_nets_in_phase_one():
     frozen_before = {
         n: a.copy() for n, a in model.param_items() if not n.startswith("f_n.")
     }
-    staged_training(model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3)
+    staged_training(
+        model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3, batch_size=CFG.batch_size,
+        seed=0, **JOINT,
+    )
     for n, a in model.param_items():
         if not n.startswith("f_n."):
             assert np.array_equal(a, frozen_before[n]), f"{n} moved during phase 1"
@@ -703,7 +716,8 @@ def test_staged_training_bit_identical_reruns():
         model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=19)
         samples = make_samples(model, seed=20)
         metrics = staged_training(
-            model, samples, epochs_prune=2, epochs_joint=2, lr=1e-3, seed=4
+            model, samples, epochs_prune=2, epochs_joint=2, lr=1e-3, batch_size=CFG.batch_size,
+            seed=4, **JOINT,
         )
         results.append((metrics, {n: a.copy() for n, a in model.param_items()}))
     (m1, p1), (m2, p2) = results
@@ -723,7 +737,7 @@ def test_all_triplets_ablation_trains_reproducibly(small_runtime):
         metrics = staged_training(
             model, samples, epochs_prune=2, epochs_joint=2, lr=cfg.lr,
             batch_size=cfg.batch_size, target=cfg.prune_target, n_paths=cfg.n_paths,
-            seed=cfg.seed, semi_hard=False,
+            theta_p=cfg.theta_p, k=cfg.k, margin=cfg.margin, seed=cfg.seed, semi_hard=False,
         )
         results.append((metrics, {n: a.copy() for n, a in model.param_items()}))
     (m1, p1), (m2, p2) = results

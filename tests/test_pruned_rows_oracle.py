@@ -22,7 +22,7 @@ from kgpath.paths import PathBatch, run_query, sample_paths, train_joint_step
 from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores
 from kgpath.schema import SchemaGraph
 
-from conftest import write_edges, write_relations
+from conftest import CFG, write_edges, write_relations
 from test_path_ranker import as_pruned, make_samples
 
 RELATIONS = ("r0", "r1", "r2")
@@ -280,8 +280,11 @@ def test_query_and_joint_step_walk_each_sample_graphs_one_adjacency(monkeypatch)
     monkeypatch.setattr(SchemaGraph, "adjacency", spy_adjacency)
     monkeypatch.setattr(SchemaGraph, "restricted_to", spy_restricted_to)
     for sample in samples:
-        run_query(model, sample, target=5, n_paths=50, seed=1)
-    train_joint_step(model, samples, Adam(lr=1e-3), target=5, n_paths=50, step_seed=2)
+        run_query(model, sample, CFG.theta_p, target=5, n_paths=50, k=CFG.k, seed=1)
+    train_joint_step(
+        model, samples, Adam(lr=1e-3), CFG.theta_p, target=5, n_paths=50, k=CFG.k,
+        margin=CFG.margin, semi_hard=CFG.semi_hard, step_seed=2,
+    )
     assert calls, "the path route reads no adjacency"
     assert {name for name, _, _ in calls} == {"adjacency"}
     assert {graph for _, graph, _ in calls} <= set(held)

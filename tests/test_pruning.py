@@ -20,7 +20,7 @@ from kgpath.pruning import (
 )
 from kgpath.schema import SchemaGraph, build_schema
 
-from conftest import FakeTextFeatures, random_graph, write_edges, write_relations
+from conftest import CFG, FakeTextFeatures, random_graph, write_edges, write_relations
 
 
 def make_sg(nodes, types, edges, q_nodes, v_nodes=frozenset(), qid="q"):
@@ -133,11 +133,11 @@ def test_encode_dimension_bookkeeping():
     assert encode(model, sg, ctx, emb, tf).shape == (3, 4)
 
 
-def test_identical_inputs_identical_encodings():
+def test_identical_inputs_identical_encodings(tiny_graph):
     model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=0)
     emb, ctx, tf = providers(4, 3, 10)
     emb.matrix[2] = emb.matrix[1]  # same feature vector
-    tf_zero = TextFeatureProvider(dim=4)
+    tf_zero = TextFeatureProvider(dim=4, path=None, g=tiny_graph)
     sg = make_sg([1, 2], [2, 2], [], q_nodes={1})
     h = encode(model, sg, ctx, emb, tf_zero)
     assert np.array_equal(h[0], h[1])
@@ -335,7 +335,7 @@ def test_prune_argsort_invariant_to_node_shuffle(tmp_path):
     emb, ctx, tf = providers(6, 5, g.n_entities, seed=4)
     orders = []
     for seed in (100, 200, 300):  # same graph, different node shuffles
-        sg = build_schema(g, keys, budget=25, seed=seed)
+        sg = build_schema(g, keys, (), budget=25, one_hop_cap=CFG.one_hop_cap, seed=seed, qid="")
         sample = QuerySample.build(model, sg, ctx, (), emb, tf)
         pg = prune(model, sample, theta_p=0.3, target=10)[0]
         orders.append(pg.base.nodes.tolist())
@@ -561,7 +561,7 @@ def test_anchor_equals_positive_gives_zero_loss_and_grads():
     h_fixed[sample.gt_pos[0]] = ctx.z
     for i in sample.neg_pos:
         h_fixed[i] = -ctx.z  # distance 2 > margin band
-    loss_sum, count, dh = triplet_terms(ctx.z, h_fixed, sample.gt_pos, sample.neg_pos, 0.5)
+    loss_sum, count, dh = triplet_terms(ctx.z, h_fixed, sample.gt_pos, sample.neg_pos, 0.5, True)
     assert loss_sum == 0.0 and count == 1
     assert np.all(dh == 0.0)
 
@@ -576,16 +576,21 @@ def test_staged_training_skips_gt_absent_samples():
     def trained(gts):
         model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=9)
         samples = [QuerySample.build(model, sg, ctx, gt, emb, tf) for gt in gts]
-        staged_training(model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3)
+        staged_training(
+            model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3, batch_size=CFG.batch_size,
+            theta_p=CFG.theta_p, target=CFG.prune_target, n_paths=CFG.n_paths, k=CFG.k,
+            margin=CFG.margin, semi_hard=CFG.semi_hard, seed=0,
+        )
         return model, samples
 
     model, (_, without_gt) = trained([[2], [7]])
     ref, _ = trained([[2]])
     after = params(model)
-    assert not all(map(np.array_equal, after, params(ScoringModel(d=4, D=3, k=3, seed=9))))
+    untrained = ScoringModel(d=4, D=3, k=3, dropout_rate=0.5, seed=9)
+    assert not all(map(np.array_equal, after, params(untrained)))
     assert all(map(np.array_equal, after, params(ref)))
     # a batch with no triplet term takes no step
-    assert train_prune_step(model, [without_gt], Adam(lr=1e-3)) == 0.0
+    assert train_prune_step(model, [without_gt], Adam(lr=1e-3), CFG.margin, CFG.semi_hard) == 0.0
     assert all(map(np.array_equal, after, params(model)))
 
 
@@ -606,13 +611,13 @@ def test_sample_gt_positions_match_membership_loop():
             assert np.array_equal(got, want)
 
 
-def test_train_prune_step_learns_direction():
+def test_train_prune_step_learns_direction(tiny_graph):
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.0, seed=11)
     rng = np.random.default_rng(12)
     matrix = rng.standard_normal((12, 5))
     matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
     emb = EntityEmbeddingTable(matrix)
-    tf = TextFeatureProvider(dim=6)
+    tf = TextFeatureProvider(dim=6, path=None, g=tiny_graph)
     z = rng.standard_normal(6)
     z /= np.linalg.norm(z)
     ctx = QueryContext(qid="q", z=z, v=z, t=z)
@@ -620,7 +625,7 @@ def test_train_prune_step_learns_direction():
                  sym([(0, 0, i, 1.0) for i in range(1, 12)]), q_nodes={0})
     sample = QuerySample.build(model, sg, ctx, [5], emb, tf)
     opt = Adam(lr=1e-2)
-    losses = [train_prune_step(model, [sample], opt) for _ in range(60)]
+    losses = [train_prune_step(model, [sample], opt, CFG.margin, CFG.semi_hard) for _ in range(60)]
     h, _ = model.f_n.forward(sample.x, train=False)
     s_cos = cosine_rows(z, h)
     assert int(np.argmax(s_cos)) == 5  # the gt node ranks first after training

@@ -308,8 +308,8 @@ def test_each_build_gathers_every_row_once(tmp_path, monkeypatch):
         budget, cap = build_params(rng, trial, len(keys.q_nodes | keys.v_nodes))
         cands = rng.choice(g.n_entities, size=g.n_entities // 2, replace=False)
         for build in (
-            lambda: build_schema(g, keys, scene, budget, cap, seed=trial),
-            lambda: build_schema(g, keys, scene, budget, cap, seed=trial, candidates=cands),
+            lambda: build_schema(g, keys, scene, budget, cap, seed=trial, qid=""),
+            lambda: build_schema(g, keys, scene, budget, cap, seed=trial, qid="", candidates=cands),
         ):
             calls.clear()
             sg = build()

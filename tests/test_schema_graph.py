@@ -14,8 +14,10 @@ from kgpath.schema import (
     load_schema_graphs,
 )
 
-from conftest import out_edges, random_graph, write_edges, write_relations
+from conftest import CFG, out_edges, random_graph, write_edges, write_relations
 from test_pruning import make_sg, random_local_graph
+
+CAP = CFG.one_hop_cap  # the operating point's one-hop cap
 
 
 def keyset(q=(), v=()):
@@ -55,7 +57,7 @@ def test_rank_sum_of_weights_dominates(tmp_path):
     )
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     keys = keyset(q={g.entity_id("k1"), g.entity_id("k2")})
-    sg = build_schema(g, keys, budget=2, seed=0)  # keys only
+    sg = build_schema(g, keys, (), budget=2, one_hop_cap=CAP, seed=0, qid="")  # keys only
     cands = np.unique([g.entity_id("x"), g.entity_id("y")])
     ranked = _rank_candidates(g, g.edges_from(sg.nodes), sg.q_nodes, cands).tolist()
     assert ranked == [g.entity_id("x"), g.entity_id("y")]  # 3.0 beats 2.5
@@ -67,7 +69,7 @@ def test_rank_drops_unconnected_candidates(tmp_path):
         [("k", "isa", "x", 1.0), ("far", "isa", "faraway", 1.0)],
     )
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
-    sg = build_schema(g, keyset(q={g.entity_id("k")}), budget=1, seed=0)
+    sg = build_schema(g, keyset(q={g.entity_id("k")}), (), budget=1, one_hop_cap=CAP, seed=0, qid="")
     cands = np.unique([g.entity_id("x"), g.entity_id("faraway")])
     ranked = _rank_candidates(g, g.edges_from(sg.nodes), sg.q_nodes, cands).tolist()
     assert ranked == [g.entity_id("x")]
@@ -94,7 +96,9 @@ def star_graph(tmp_path, n_leaves=600):
 
 def test_one_hop_cap_on_star(tmp_path):
     g = star_graph(tmp_path)
-    sg = build_schema(g, keyset(q={g.entity_id("hub")}), budget=1000, one_hop_cap=500, seed=0)
+    sg = build_schema(
+        g, keyset(q={g.entity_id("hub")}), (), budget=1000, one_hop_cap=500, seed=0, qid=""
+    )
     assert sg.n_nodes == 501  # hub + capped one-hop; leaves beyond the cap never return
     types = {int(t) for t in sg.types}
     assert types == {int(NodeType.Q), int(NodeType.N1)}
@@ -104,7 +108,7 @@ def test_keys_only_when_no_edges(tmp_path):
     edges = write_edges(tmp_path / "e.tsv", [("a", "isa", "b", 1.0), ("c", "isa", "d", 1.0)])
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     a, c = g.entity_id("a"), g.entity_id("c")
-    sg = build_schema(g, keyset(q={a}, v={c}), budget=2, seed=0)
+    sg = build_schema(g, keyset(q={a}, v={c}), (), budget=2, one_hop_cap=CAP, seed=0, qid="")
     assert sg.node_set() == {a, c}
 
 
@@ -114,7 +118,7 @@ def test_planted_chain_gt_is_n2(tmp_path):
         [("q", "isa", "x", 1.0), ("x", "isa", "gt", 1.0), ("q", "isa", "other", 1.0)],
     )
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
-    sg = build_schema(g, keyset(q={g.entity_id("q")}), budget=10, seed=1)
+    sg = build_schema(g, keyset(q={g.entity_id("q")}), (), budget=10, one_hop_cap=CAP, seed=1, qid="")
     # explicit 2-hop enumeration: gt is reachable only via x
     assert gt_provenance(sg, g.entity_id("gt")) == "n-2"
     assert gt_provenance(sg, g.entity_id("x")) == "n-1"
@@ -124,16 +128,16 @@ def test_planted_chain_gt_is_n2(tmp_path):
 
 def test_empty_keys_and_small_budget_rejected(tiny_graph):
     with pytest.raises(ValueError, match="empty key"):
-        build_schema(tiny_graph, keyset(), budget=10, seed=0)
+        build_schema(tiny_graph, keyset(), (), budget=10, one_hop_cap=CAP, seed=0, qid="")
     with pytest.raises(ValueError, match="budget"):
-        build_schema(tiny_graph, keyset(q={0, 1}), budget=1, seed=0)
+        build_schema(tiny_graph, keyset(q={0, 1}), (), budget=1, one_hop_cap=CAP, seed=0, qid="")
 
 
 def test_n1_adjacent_to_keys_n2_adjacent_to_graph(tmp_path):
     rng = np.random.default_rng(23)
     g, _ = random_graph(tmp_path, rng, n_entities=60, n_edges=240)
     keys = keyset(q={0}, v={1})
-    sg = build_schema(g, keys, budget=40, one_hop_cap=10, seed=5)
+    sg = build_schema(g, keys, (), budget=40, one_hop_cap=10, seed=5, qid="")
     key_ids = {0, 1}
     n1 = {int(n) for n, t in zip(sg.nodes, sg.types) if t == NodeType.N1}
     n2 = {int(n) for n, t in zip(sg.nodes, sg.types) if t == NodeType.N2}
@@ -155,9 +159,9 @@ def test_shuffle_is_seeded_and_reproducible(tmp_path):
     rng = np.random.default_rng(29)
     g, _ = random_graph(tmp_path, rng)
     keys = keyset(q={2}, v={5})
-    a = build_schema(g, keys, budget=20, seed=11)
-    b = build_schema(g, keys, budget=20, seed=11)
-    c = build_schema(g, keys, budget=20, seed=12)
+    a = build_schema(g, keys, (), budget=20, one_hop_cap=CAP, seed=11, qid="")
+    b = build_schema(g, keys, (), budget=20, one_hop_cap=CAP, seed=11, qid="")
+    c = build_schema(g, keys, (), budget=20, one_hop_cap=CAP, seed=12, qid="")
     assert np.array_equal(a.nodes, b.nodes) and np.array_equal(a.types, b.types)
     assert a.node_set() == c.node_set()  # same selection
     assert not np.array_equal(a.nodes, c.nodes)  # different order
@@ -169,7 +173,7 @@ def test_scene_edges_included_and_max_weight(tmp_path):
     a, b = g.entity_id("a"), g.entity_id("b")
     rid = g.relations.id_of("isa")
     scene = [Edge(a, rid, b, 0.5)]  # duplicates the KG edge at lower weight
-    sg = build_schema(g, keyset(q={a}, v={b}), scene_edges=scene, budget=2, seed=0)
+    sg = build_schema(g, keyset(q={a}, v={b}), scene, budget=2, one_hop_cap=CAP, seed=0, qid="")
     weights = {
         (int(h), int(r), int(t)): w
         for h, r, t, w in zip(sg.edges_head, sg.edges_rel, sg.edges_tail, sg.edges_weight)
@@ -177,7 +181,7 @@ def test_scene_edges_included_and_max_weight(tmp_path):
     assert weights[(a, rid, b)] == 1.0  # max wins
     # a scene edge the KG lacks (forward isa from b to a) is inserted both ways
     scene2 = [Edge(b, rid, a, 0.75)]
-    sg2 = build_schema(g, keyset(q={a}, v={b}), scene_edges=scene2, budget=2, seed=0)
+    sg2 = build_schema(g, keyset(q={a}, v={b}), scene2, budget=2, one_hop_cap=CAP, seed=0, qid="")
     w2 = {
         (int(h), int(r), int(t)): w
         for h, r, t, w in zip(sg2.edges_head, sg2.edges_rel, sg2.edges_tail, sg2.edges_weight)
@@ -194,7 +198,9 @@ def test_closed_mode_restricts_recruitment(tmp_path):
     )
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     k, gt_id = g.entity_id("k"), g.entity_id("gt")
-    sg = build_schema(g, keyset(q={k}), budget=500, seed=0, candidates={gt_id})
+    sg = build_schema(
+        g, keyset(q={k}), (), budget=500, one_hop_cap=CAP, seed=0, qid="", candidates={gt_id}
+    )
     assert sg.node_set() == {k, gt_id}
     assert g.entity_id("noise") not in sg.node_set()
 
@@ -202,14 +208,14 @@ def test_closed_mode_restricts_recruitment(tmp_path):
 def test_key_id_outside_graph_rejected(tiny_graph):
     for bad in (-1, tiny_graph.n_entities):
         with pytest.raises(IndexError, match=f"invalid entity id {bad}"):
-            build_schema(tiny_graph, keyset(q={bad}), budget=10)
+            build_schema(tiny_graph, keyset(q={bad}), (), budget=10, one_hop_cap=CAP, seed=0, qid="")
 
 
 def test_gt_hit(tmp_path):
     edges = write_edges(tmp_path / "e.tsv", [("k", "isa", "x", 1.0)])
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
     k, x = g.entity_id("k"), g.entity_id("x")
-    sg = build_schema(g, keyset(q={k}), budget=10, seed=0)
+    sg = build_schema(g, keyset(q={k}), (), budget=10, one_hop_cap=CAP, seed=0, qid="")
     # the key node is built first, its neighbour second
     assert sg.build_rank[sg.nodes == k].tolist() == [0]
     assert sg.build_rank[sg.nodes == x].tolist() == [1]
@@ -220,7 +226,7 @@ def test_gt_hit(tmp_path):
 def test_dump_round_trip(tmp_path):
     rng = np.random.default_rng(31)
     g, _ = random_graph(tmp_path, rng)
-    sg = build_schema(g, keyset(q={3}, v={8}), budget=15, seed=2, qid="q9")
+    sg = build_schema(g, keyset(q={3}, v={8}), (), budget=15, one_hop_cap=CAP, seed=2, qid="q9")
     write_jsonl(tmp_path / "dump.jsonl", [sg.to_json_obj(g, {4})])
     (loaded,), gt = load_schema_graphs(tmp_path / "dump.jsonl", g)
     assert gt == {"q9": frozenset({4})}
@@ -236,12 +242,12 @@ def test_dump_round_trip(tmp_path):
 def test_failed_write_keeps_previous_file(tmp_path):
     rng = np.random.default_rng(31)
     g, _ = random_graph(tmp_path, rng)
-    sg = build_schema(g, keyset(q={3}, v={8}), budget=15, seed=2, qid="q9")
+    sg = build_schema(g, keyset(q={3}, v={8}), (), budget=15, one_hop_cap=CAP, seed=2, qid="q9")
     out = tmp_path / "out"
     out.mkdir()
     dump, ckpt = out / "dump.jsonl", out / "checkpoint.gpr"
     write_jsonl(dump, [sg.to_json_obj(g)])
-    model = ScoringModel(d=4, D=3, k=2, seed=0)
+    model = ScoringModel(d=4, D=3, k=2, dropout_rate=CFG.dropout, seed=0)
     model.save_checkpoint(ckpt)
     before = {p.name: p.read_bytes() for p in out.iterdir()}
 
@@ -265,7 +271,7 @@ def test_failed_write_keeps_previous_file(tmp_path):
 def test_self_loop_never_recruits(tmp_path):
     edges = write_edges(tmp_path / "e.tsv", [("k", "isa", "k", 9.0), ("k", "isa", "x", 0.25)])
     g = load_graph(edges, write_relations(tmp_path / "r.txt", ["isa"]))
-    sg = build_schema(g, keyset(q={g.entity_id("k")}), budget=10, seed=0)
+    sg = build_schema(g, keyset(q={g.entity_id("k")}), (), budget=10, one_hop_cap=CAP, seed=0, qid="")
     assert sg.node_set() == {g.entity_id("k"), g.entity_id("x")}
 
 
