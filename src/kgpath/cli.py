@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export-dot", parents=[common], help="render a dumped graph as Graphviz DOT")
     p.add_argument("--dump", type=Path, required=True, help="schema or pruned dump (JSONL)")
     p.add_argument("--qid", default=None, help="which record to render (default: first)")
-    p.add_argument("--paths", type=Path, default=None, help="inference output JSONL to overlay")
+    p.add_argument("--paths", type=Path, default=None, help="inference output JSONL to overlay (the qid's last record)")
     p.add_argument("--max-paths", type=int, default=5)
     p.add_argument("--out", type=Path, default=None, help="write here instead of stdout")
     p.set_defaults(func=cmd_export_dot)
@@ -361,8 +361,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         raise InputError(msg=f"qid {args.qid!r} not found in {args.dump}")
     paths = None
     if args.paths:
-        records = read_jsonl(args.paths, _dot_paths)
-        paths = next((p for qid, p in records if qid == dump["qid"]), None)
+        # infer --out appends a record per run: the question's last one is current
+        paths = dict(read_jsonl(args.paths, _dot_paths)).get(dump["qid"])
     text = export_dot(dump, paths, args.max_paths)
     if args.out:
         with atomic_write(args.out) as f:
@@ -412,7 +412,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     )
     try:
         return args.func(args)
-    except (InputError, FileNotFoundError) as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

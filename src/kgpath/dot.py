@@ -57,7 +57,7 @@ def export_dot(
 
     forward = [(h, r, t) for h, r, t, _ in dump["edges"] if not r.startswith("rev_")]
     for head, rel, tail in forward:
-        attrs = [f'label="{rel}"']
+        attrs = [f"label={_quote(rel)}"]
         if (head, rel, tail) in highlighted:
             attrs += ['color="#CC3311"', "penwidth=2.2", "fontcolor=\"#CC3311\""]
         lines.append(f"  {_quote(head)} -> {_quote(tail)} [{', '.join(attrs)}];")
@@ -65,7 +65,7 @@ def export_dot(
     for head, rel, tail in sorted(highlighted - set(forward)):
         lines.append(
             f"  {_quote(head)} -> {_quote(tail)} "
-            f"[label=\"{rel}\", color=\"#CC3311\", penwidth=2.2];"
+            f"[label={_quote(rel)}, color=\"#CC3311\", penwidth=2.2];"
         )
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -6,9 +6,10 @@ precomputed vectors through the loaders here. Text features exist only
 where the text-feature file lists them; ``planted_context`` plants the
 learnable query/entity alignments of :mod:`kgpath.synth` suites.
 
-The entity-embedding file is read through ``config.read_bulk``, the one
-driver of the block loaders, over the blocks of ``config.read_blocks``, the
-one reader: each block drops the rows of surfaces outside the graph and
+The entity embeddings are one ``(n_entities, D)`` matrix whose row ``i`` is
+entity id ``i``'s vector. Its file is read through ``config.read_bulk``, the
+one driver of the block loaders, over the blocks of ``config.read_blocks``,
+the one reader: each block drops the rows of surfaces outside the graph and
 parses the rest with one ``np.loadtxt``. A block with a comment or a row that
 may break a rule is re-parsed line by line, so the first bad line in the file
 is the one reported. An entity given several rows keeps the last one. The
@@ -50,20 +51,6 @@ class QueryContext:
     @property
     def dim(self) -> int:
         return int(self.z.shape[0])
-
-
-class EntityEmbeddingTable:
-    """Dense per-entity vectors, indexed by entity id."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = matrix
-
-    @property
-    def dim(self) -> int:
-        return int(self.matrix.shape[1])
-
-    def gather(self, ids: np.ndarray) -> np.ndarray:
-        return self.matrix[np.asarray(ids, dtype=np.int64)]
 
 
 #: Whitespace that ``np.loadtxt`` splits on among ASCII text and
@@ -132,8 +119,9 @@ def _bulk_rows(
     return ids, rows
 
 
-def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddingTable:
-    """Load ``entity<TAB>f1 f2 ... fD`` rows covering every graph entity.
+def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> np.ndarray:
+    """The ``(n_entities, D)`` matrix of ``entity<TAB>f1 f2 ... fD`` rows, row
+    ``i`` the vector of entity id ``i``; the rows must cover every graph entity.
 
     The dimension is inferred from the first row and enforced on the rest;
     missing entities, ragged rows, and non-finite values are errors. Rows
@@ -181,7 +169,7 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> EntityEmbeddi
             msg=f"no embedding for entity {g.surface(missing)!r} "
             f"({int((~seen).sum())} missing in total)",
         )
-    return EntityEmbeddingTable(matrix)
+    return matrix
 
 
 def load_contexts(path: Path | str) -> dict[str, QueryContext]:

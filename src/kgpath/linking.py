@@ -3,9 +3,10 @@
 Query records arrive pre-tokenized and pre-tagged (running taggers or scene
 graph generators is out of scope here); this module only applies the selection
 rules: content-word and short-phrase candidates from the question, top-30
-labels and top-20 non-blacklisted triplets from the scene graph, each matched
-against the KG by normalized surface, with a rule-based lemma fallback and an
-optional synonym table.
+labels and top-20 non-blacklisted triplets from the scene graph. One function,
+``match_surface``, matches each against the KG by normalized surface, with a
+rule-based lemma fallback and an optional synonym table; a triplet's
+predicate is looked up among the forward relation names.
 """
 
 from __future__ import annotations
@@ -142,29 +143,24 @@ def lemma_fallback(token: str, known: Callable[[str], bool]) -> str:
     return token
 
 
-class EntityMatcher:
-    """Exact / lemma / synonym matching of normalized surfaces to entity ids."""
-
-    def __init__(self, g: KnowledgeGraph, synonyms: Optional[dict[str, str]]):
-        self.g = g
-        self.synonyms = synonyms or {}
-
-    def match(self, text: str) -> Optional[int]:
-        surface = normalize_surface(text)
-        if not surface:
-            return None
-        eid = self.g.match_entity(surface)
-        if eid is not None:
-            return eid
-        # Lemmatize the final token only; leading tokens of a phrase stay raw.
-        head, sep, last = surface.rpartition("_")
-        lemma = lemma_fallback(last, lambda s: self.g.has_surface(head + sep + s))
-        if lemma != last:
-            return self.g.match_entity(head + sep + lemma)
-        mapped = self.synonyms.get(surface)
-        if mapped is not None:
-            return self.g.match_entity(mapped)
+def match_surface(g: KnowledgeGraph, text: str, synonyms: Optional[dict[str, str]]) -> Optional[int]:
+    """The entity id of ``text`` by exact, then lemma, then synonym match of
+    its normalized surface; None when none matches."""
+    surface = normalize_surface(text)
+    if not surface:
         return None
+    eid = g.match_entity(surface)
+    if eid is not None:
+        return eid
+    # Lemmatize the final token only; leading tokens of a phrase stay raw.
+    head, sep, last = surface.rpartition("_")
+    lemma = lemma_fallback(last, lambda s: g.has_surface(head + sep + s))
+    if lemma != last:
+        return g.match_entity(head + sep + lemma)
+    mapped = (synonyms or {}).get(surface)
+    if mapped is not None:
+        return g.match_entity(mapped)
+    return None
 
 
 def extract_question_nodes(
@@ -179,7 +175,6 @@ def extract_question_nodes(
     shorter candidates. A span qualifies only if every token is tagged
     noun/verb/adj/adv and none is a stopword.
     """
-    matcher = EntityMatcher(g, synonyms)
     tokens = [(tok.lower(), pos) for tok, pos in rec.question_tokens]
     usable = [
         pos_tag in CONTENT_POS and tok not in DEFAULT_STOPWORDS for tok, pos_tag in tokens
@@ -194,7 +189,7 @@ def extract_question_nodes(
             if any(consumed[i] for i in span):
                 continue
             candidate = "_".join(tokens[i][0] for i in span)
-            eid = matcher.match(candidate)
+            eid = match_surface(g, candidate, synonyms)
             if eid is None:
                 continue
             matched.add(eid)
@@ -215,12 +210,11 @@ def extract_visual_nodes(
     only when subject, object, and predicate all match; the edge weight is the
     detection confidence.
     """
-    matcher = EntityMatcher(g, synonyms)
     nodes: set[int] = set()
 
     labels = sorted(rec.scene_labels, key=lambda lc: (-lc[1], lc[0]))[:MAX_SCENE_LABELS]
     for label, _conf in labels:
-        eid = matcher.match(label)
+        eid = match_surface(g, label, synonyms)
         if eid is not None:
             nodes.add(eid)
 
@@ -232,13 +226,13 @@ def extract_visual_nodes(
     kept.sort(key=lambda t: (-t[3], (t[0], t[1], t[2])))
     edges: list[Edge] = []
     for subj, pred, obj, conf in kept[:MAX_SCENE_TRIPLETS]:
-        s_id = matcher.match(subj)
-        o_id = matcher.match(obj)
+        s_id = match_surface(g, subj, synonyms)
+        o_id = match_surface(g, obj, synonyms)
         if s_id is not None:
             nodes.add(s_id)
         if o_id is not None:
             nodes.add(o_id)
-        rid = _match_relation(g, pred)
+        rid = g.relations.forward_id(_normalize_predicate(pred))
         if s_id is not None and o_id is not None and rid is not None and s_id != o_id:
             edges.append(Edge(s_id, rid, o_id, conf))
     return frozenset(nodes), edges
@@ -257,10 +251,6 @@ def extract_key_nodes(
 
 def _normalize_predicate(pred: str) -> str:
     return normalize_surface(pred).replace("_", "")
-
-
-def _match_relation(g: KnowledgeGraph, pred: str) -> Optional[int]:
-    return g.relations.forward_id(_normalize_predicate(pred))
 
 
 def ground_truth_ids(g: KnowledgeGraph, rec: QueryRecord) -> frozenset[int]:

@@ -20,25 +20,16 @@ from .config import atomic_write, write_json
 from .schema import SchemaGraph
 
 
-@dataclass(frozen=True)
-class AnswerAnnotation:
-    entity: int
-    score: float
-
-
-def annotation_scores(answers: Sequence[tuple[int, int]]) -> list[AnswerAnnotation]:
-    """Score each (entity, human_count) answer of one question.
+def annotation_scores(answers: Sequence[tuple[int, int]]) -> dict[int, float]:
+    """``{entity: credit}`` for the (entity, human_count) answers of one
+    question, an entity given twice keeping its last credit.
 
     Uses min(count / 3, 1), overridden to 1.0 when the question has exactly
     one annotated answer entity.
     """
     if len(answers) == 1:
-        entity, _ = answers[0]
-        return [AnswerAnnotation(int(entity), 1.0)]
-    return [
-        AnswerAnnotation(int(entity), min(count / 3.0, 1.0))
-        for entity, count in answers
-    ]
+        return {int(answers[0][0]): 1.0}
+    return {int(entity): min(count / 3.0, 1.0) for entity, count in answers}
 
 
 def vqa_score(predicted: Optional[int], score_map: dict[int, float]) -> float:

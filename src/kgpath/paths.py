@@ -237,10 +237,10 @@ def sample_paths(
     seed, and a larger one exactly ``n_paths``. A graph without usable edges
     yields an empty batch.
     """
-    key_pos = pg.sg.key_rows()
+    key_pos = pg.sg.key_rows
     if not key_pos.size:
         raise ValueError("pruned graph has no key node to root paths at")
-    walks = list_walks(pg.sg.adjacency().restricted(pg.rows), key_pos, k)
+    walks = list_walks(pg.sg.adjacency.restricted(pg.rows), key_pos, k)
     gumbel = np.random.default_rng(seed).gumbel(size=walks.order.size)
     keep = walks.order[top_positions(walks.logp[walks.order] + gumbel, n_paths)]
     return pack_paths(pg, *walks.cells(keep, k))

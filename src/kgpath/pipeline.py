@@ -11,19 +11,14 @@ from __future__ import annotations
 import logging
 import multiprocessing
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .config import InputError, RunConfig
-from .embeddings import (
-    EntityEmbeddingTable,
-    QueryContext,
-    TextFeatureProvider,
-    load_contexts,
-    load_entity_embeddings,
-)
+from .embeddings import QueryContext, TextFeatureProvider, load_contexts, load_entity_embeddings
 from .kg import KnowledgeGraph, load_graph
 from .linking import QueryRecord, extract_key_nodes, ground_truth_ids, load_queries, load_synonyms
 from .metrics import EvalReport, annotation_scores, gt_rank, recall_rates, split_open, vqa_score
@@ -40,18 +35,18 @@ PATH_RECALL_KS = (10, 20)
 
 @dataclass
 class Runtime:
-    """Everything a command needs after loading: graph, vectors, queries, and
-    ``inputs``, each file read keyed by its config key."""
+    """Everything a command needs after loading: graph, vectors (``emb`` is
+    the ``(n_entities, D)`` entity matrix), queries, and ``inputs``, each file
+    read keyed by its config key."""
 
     cfg: RunConfig
     g: KnowledgeGraph
     queries: list[QueryRecord]
     synonyms: dict[str, str]
     inputs: dict[str, Path] = field(default_factory=dict)
-    emb: Optional[EntityEmbeddingTable] = None
+    emb: Optional[np.ndarray] = None
     contexts: dict[str, QueryContext] = field(default_factory=dict)
     textfeat: Optional[TextFeatureProvider] = None
-    _candidates: Optional[frozenset[int]] = field(default=None, repr=False)
 
     def train_records(self) -> list[QueryRecord]:
         return [r for r in self.queries if r.split == "train"]
@@ -59,15 +54,11 @@ class Runtime:
     def test_records(self) -> list[QueryRecord]:
         return [r for r in self.queries if r.split == "test"]
 
-    def candidate_set(self) -> frozenset[int]:
+    @cached_property
+    def candidates(self) -> frozenset[int]:
         """Close-set vocabulary: every answer entity across all splits,
-        collected on the first call and kept."""
-        if self._candidates is None:
-            ids: set[int] = set()
-            for rec in self.queries:
-                ids |= ground_truth_ids(self.g, rec)
-            self._candidates = frozenset(ids)
-        return self._candidates
+        collected on the first read and kept."""
+        return frozenset().union(*(ground_truth_ids(self.g, rec) for rec in self.queries))
 
 
 def load_edge_graph(cfg: RunConfig) -> tuple[KnowledgeGraph, dict[str, Path]]:
@@ -113,7 +104,7 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
                 "config needs entity_embeddings and contexts for this command"
             )
         rt.emb = load_entity_embeddings(read("entity_embeddings"), g)
-        _check_dim(cfg.entity_embeddings, rt.emb.dim, "D", cfg.D)
+        _check_dim(cfg.entity_embeddings, rt.emb.shape[1], "D", cfg.D)
         rt.contexts = load_contexts(read("contexts"))
         if rt.contexts:  # load_contexts holds every row to the first row's dimension
             _check_dim(cfg.contexts, next(iter(rt.contexts.values())).dim, "d", cfg.d)
@@ -125,7 +116,7 @@ def load_runtime(cfg: RunConfig, need_vectors: bool = True, need_queries: bool =
 
 def schema_for_record(rt: Runtime, rec: QueryRecord) -> Optional[SchemaGraph]:
     """Build one record's schema graph at ``cfg.budget``; None when no key
-    node links. Close-set mode recruits from ``rt.candidate_set()``."""
+    node links. Close-set mode recruits from ``rt.candidates``."""
     cfg = rt.cfg
     keys, scene_edges = extract_key_nodes(rt.g, rec, synonyms=rt.synonyms)
     if not keys:
@@ -138,7 +129,7 @@ def schema_for_record(rt: Runtime, rec: QueryRecord) -> Optional[SchemaGraph]:
         one_hop_cap=cfg.one_hop_cap,
         seed=mix_seed(cfg.seed, "schema", rec.qid),
         qid=rec.qid,
-        candidates=rt.candidate_set() if cfg.mode == "closed" else None,
+        candidates=rt.candidates if cfg.mode == "closed" else None,
     )
 
 
@@ -165,12 +156,11 @@ def prepare_samples(
             logger.warning("%s: no key nodes linked, skipping", rec.qid)
             skipped += 1
             continue
-        gt = ground_truth_ids(rt.g, rec)
         matched = [(rt.g.match_entity(s), c) for s, c in rec.answers]
-        ann = {a.entity: a.score for a in annotation_scores([m for m in matched if m[0] is not None])}
+        ann = annotation_scores([m for m in matched if m[0] is not None])
         samples.append(
             QuerySample.build(
-                model, sg, ctx, gt, rt.emb, rt.textfeat, split=rec.split, annotations=ann
+                model, sg, ctx, ann.keys(), rt.emb, rt.textfeat, split=rec.split, annotations=ann
             )
         )
     return samples, skipped

@@ -14,10 +14,11 @@ A prepared question (``QuerySample``) keeps only the input rows it alone
 owns, its text features p_i, and None in their place when it has none. f_n
 reads its input as column blocks built each time it runs
 (``QuerySample.node_input``): z once per question, the entity rows gathered
-from the shared table, p_i only when the question has them, and the node type
-as an index into f_n's one-hot columns. ``QuerySample.x``, the same input as
-one dense matrix with zeros for absent text features, is the reference that
-tests check against.
+from the shared entity matrix, p_i only when the question has them, and the
+node type as an index into f_n's one-hot columns. ``QuerySample.x``, the same
+input as one dense matrix with zeros for absent text features, is the
+reference that tests check against. BFS and pruning read the schema graph's
+``key_rows`` and ``adjacency``, each built once per graph on first read.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import InputError
-from .embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
+from .embeddings import QueryContext, TextFeatureProvider
 from .kg import KnowledgeGraph
 from .neural import Adam, ColumnBlocks, ScoringModel, cosine_rows
 from .schema import SchemaGraph
@@ -41,7 +42,7 @@ class PrunedGraph:
     score, with their scores.
 
     ``rows`` index ``sg`` and hold every key row; walks run over
-    ``sg.adjacency().restricted(rows)``. ``base``, the survivors as a graph
+    ``sg.adjacency.restricted(rows)``. ``base``, the survivors as a graph
     of their own (``base.nodes[i]`` is ``sg.nodes[rows[i]]``), is built the
     first time it is read.
     """
@@ -67,10 +68,10 @@ class PrunedGraph:
 
 def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     """Multi-source BFS proximity from the key nodes, aligned to ``sg.nodes``."""
-    keys = sg.key_rows()
+    keys = sg.key_rows
     if not keys.size:
         raise ValueError("schema graph has no key nodes")
-    adj = sg.adjacency()
+    adj = sg.adjacency
     dist = np.full(sg.n_nodes, -1, dtype=np.int64)
     dist[keys] = 0
     frontier, hops = keys, 0
@@ -105,7 +106,7 @@ def prune(
 def check_prune_target(sg: SchemaGraph, target: int) -> None:
     """An ``InputError`` naming the question if ``target`` nodes cannot hold
     its key nodes, which pruning always keeps."""
-    n_keys = sg.key_rows().size
+    n_keys = sg.key_rows.size
     if target < n_keys:
         raise InputError(msg=f"{sg.qid}: prune target {target} cannot hold the {n_keys} key nodes")
 
@@ -125,7 +126,7 @@ def prune_from_scores(
     if not 0.0 <= theta_p <= 1.0:
         raise ValueError("theta_p must lie in [0, 1]")
     check_prune_target(sg, target)
-    key_rows = sg.key_rows()
+    key_rows = sg.key_rows
     s_prune = theta_p * s_bfs + (1.0 - theta_p) * s_cos
     order = np.lexsort((sg.nodes, -s_bfs, -s_prune))
 
@@ -155,7 +156,7 @@ class QuerySample:
     BFS scores and ground-truth positions depend only on the data, so they are
     computed once here. Of the encoder input, the sample keeps only its own
     text-feature rows ``p`` (one per schema node, or None when the question
-    has no text feature) and a reference to the shared entity table ``emb``;
+    has no text feature) and a reference to the shared entity matrix ``emb``;
     ``node_input`` builds the column blocks that f_n reads, and ``x`` the same
     input as one dense matrix, on each read.
     """
@@ -165,7 +166,7 @@ class QuerySample:
     ctx: QueryContext
     gt: frozenset[int]
     p: Optional[np.ndarray]
-    emb: EntityEmbeddingTable
+    emb: np.ndarray
     gt_pos: np.ndarray
     neg_pos: np.ndarray
     s_bfs: np.ndarray
@@ -175,11 +176,11 @@ class QuerySample:
     @property
     def node_input(self) -> ColumnBlocks:
         """The f_n input, [z || e_i || p_i || u_i] for every schema node, as
-        column blocks: z shared, the entity rows gathered from the table, the
+        column blocks: z shared, the entity rows gathered from the matrix, the
         text-feature rows if the question has them, and the node type u_i."""
         d = self.ctx.dim
-        lo_p = d + self.emb.dim  # first column of p_i
-        dense = [(d, self.emb.gather(self.sg.nodes))]
+        lo_p = d + self.emb.shape[1]  # first column of p_i
+        dense = [(d, self.emb[self.sg.nodes])]
         if self.p is not None:
             dense.append((lo_p, self.p))
         return ColumnBlocks(self.ctx.z, dense, (lo_p + d, self.sg.types))
@@ -189,15 +190,15 @@ class QuerySample:
         """``node_input`` as one dense matrix: the reference route.
 
         Written into one fresh array: z broadcast, entity rows gathered from
-        the table, the text-feature rows (zeros without them), and the one-hot
+        the matrix, the text-feature rows (zeros without them), and the one-hot
         node type u_i.
         """
         n, d = self.sg.n_nodes, self.ctx.dim
-        lo_p = d + self.emb.dim  # first column of p_i
+        lo_p = d + self.emb.shape[1]  # first column of p_i
         lo_u = lo_p + d  # first column of u_i
         x = np.empty((n, lo_u + 4))
         x[:, :d] = self.ctx.z
-        x[:, d:lo_p] = self.emb.gather(self.sg.nodes)
+        x[:, d:lo_p] = self.emb[self.sg.nodes]
         x[:, lo_p:lo_u] = 0.0 if self.p is None else self.p
         u = x[:, lo_u:]
         u.fill(0.0)
@@ -211,15 +212,15 @@ class QuerySample:
         sg: SchemaGraph,
         ctx: QueryContext,
         gt: Iterable[int],
-        emb: EntityEmbeddingTable,
+        emb: np.ndarray,
         textfeat: TextFeatureProvider,
         split: str = "train",
         annotations: Optional[dict[int, float]] = None,
     ) -> "QuerySample":
         if ctx.dim != model.d:
             raise ValueError(f"context dim {ctx.dim} != model d {model.d}")
-        if emb.dim != model.D:
-            raise ValueError(f"entity embedding dim {emb.dim} != model D {model.D}")
+        if emb.shape[1] != model.D:
+            raise ValueError(f"entity embedding dim {emb.shape[1]} != model D {model.D}")
         if textfeat.dim != model.d:
             raise ValueError(f"text feature dim {textfeat.dim} != model d {model.d}")
         gt = frozenset(int(e) for e in gt)

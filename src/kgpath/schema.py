@@ -17,8 +17,9 @@ and the final edge collection filters them instead of gathering again. Every
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -76,6 +77,7 @@ class SchemaGraph:
     construction rank of ``nodes[i]``: for a fixed one-hop cap, the graph
     built at any smaller budget b holds exactly the nodes of rank < b. It is
     None for graphs loaded from a dump or restricted to a subset.
+    ``adjacency`` and ``key_rows`` are built the first time they are read.
     """
 
     qid: str
@@ -88,9 +90,6 @@ class SchemaGraph:
     q_nodes: frozenset[int]
     v_nodes: frozenset[int]
     build_rank: Optional[np.ndarray] = None
-    _node_set: Optional[frozenset[int]] = field(default=None, repr=False)
-    _adjacency: Optional[LocalAdjacency] = field(default=None, repr=False)
-    _key_rows: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def n_nodes(self) -> int:
@@ -101,9 +100,7 @@ class SchemaGraph:
         return int(self.edges_head.shape[0])
 
     def node_set(self) -> frozenset[int]:
-        if self._node_set is None:
-            self._node_set = frozenset(self.nodes.tolist())
-        return self._node_set
+        return frozenset(self.nodes.tolist())
 
     def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Row positions of every edge's head and tail, in edge order."""
@@ -116,35 +113,31 @@ class SchemaGraph:
             raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
         return head, tail
 
+    @cached_property
     def adjacency(self) -> LocalAdjacency:
         """Out-edges by row position, self-loops left out.
 
         Each row's edges keep their order in the ``edges_*`` arrays, so a
         walk that picks the j-th out-edge picks the same edge either way.
         """
-        if self._adjacency is None:
-            head, tail = self.edge_rows()
-            keep = head != tail
-            head, tail, rel = head[keep], tail[keep], self.edges_rel[keep]
-            # numpy's stable sort is a radix sort for 8- and 16-bit keys
-            by_head = np.argsort(head.astype(np.min_scalar_type(self.n_nodes)), kind="stable")
-            indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-            np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
-            self._adjacency = LocalAdjacency(
-                indptr, head[by_head], tail[by_head], rel[by_head].astype(np.int32)
-            )
-        return self._adjacency
+        head, tail = self.edge_rows()
+        keep = head != tail
+        head, tail, rel = head[keep], tail[keep], self.edges_rel[keep]
+        # numpy's stable sort is a radix sort for 8- and 16-bit keys
+        by_head = np.argsort(head.astype(np.min_scalar_type(self.n_nodes)), kind="stable")
+        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
+        np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
+        return LocalAdjacency(indptr, head[by_head], tail[by_head], rel[by_head].astype(np.int32))
 
     def key_ids(self) -> frozenset[int]:
         return (self.q_nodes | self.v_nodes) & self.node_set()
 
+    @cached_property
     def key_rows(self) -> np.ndarray:
         """Row positions of the key nodes, in ascending entity-id order."""
-        if self._key_rows is None:
-            keys = np.fromiter(self.q_nodes | self.v_nodes, dtype=np.int64)
-            rows = np.flatnonzero(np.isin(self.nodes, keys))
-            self._key_rows = rows[np.argsort(self.nodes[rows])]
-        return self._key_rows
+        keys = np.fromiter(self.q_nodes | self.v_nodes, dtype=np.int64)
+        rows = np.flatnonzero(np.isin(self.nodes, keys))
+        return rows[np.argsort(self.nodes[rows])]
 
     def restricted_to(self, rows: np.ndarray) -> "SchemaGraph":
         """Copy keeping the nodes at row positions ``rows``, in that order,

@@ -1,4 +1,9 @@
+import os
 import zlib
+
+# One BLAS thread: kgpath's matrices are small, and more threads only
+# oversubscribe the cores. Set before numpy loads OpenBLAS, which reads it once.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest

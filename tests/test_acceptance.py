@@ -568,13 +568,11 @@ def test_criterion_5_pruning_contract(toy_runtime, staged_runs):
 
 def test_criterion_6_scoring_protocol():
     anns = annotation_scores([(1, 1), (2, 2), (3, 3), (4, 4)])
-    assert [a.score for a in anns] == pytest.approx([1 / 3, 2 / 3, 1.0, 1.0])
-    score_map = {a.entity: a.score for a in anns}
-    for ann in anns:
-        assert vqa_score(ann.entity, score_map) == ann.score
-    assert vqa_score(99, score_map) == 0.0
-    (single,) = annotation_scores([(7, 1)])
-    assert single.score == 1.0
+    assert list(anns.values()) == pytest.approx([1 / 3, 2 / 3, 1.0, 1.0])
+    for entity, score in anns.items():
+        assert vqa_score(entity, anns) == score
+    assert vqa_score(99, anns) == 0.0
+    assert annotation_scores([(7, 1)]) == {7: 1.0}
 
     # perfect-oracle suite score equals the mean max annotation score
     rng = np.random.default_rng(606)
@@ -583,15 +581,8 @@ def test_criterion_6_scoring_protocol():
         n_ans = int(rng.integers(1, 5))
         answers = list({int(rng.integers(40)): int(rng.integers(1, 6)) for _ in range(n_ans)}.items())
         suites.append(annotation_scores(answers))
-    oracle = float(
-        np.mean(
-            [
-                vqa_score(max(a, key=lambda x: x.score).entity, {x.entity: x.score for x in a})
-                for a in suites
-            ]
-        )
-    )
-    upper = float(np.mean([max(x.score for x in a) for a in suites]))
+    oracle = float(np.mean([vqa_score(max(a, key=a.get), a) for a in suites]))
+    upper = float(np.mean([max(a.values()) for a in suites]))
     assert oracle == pytest.approx(upper)
     report(6, "scoring protocol")
 

@@ -12,6 +12,7 @@ import pytest
 from kgpath import paths
 from kgpath.cli import main
 from kgpath.config import InputError, RunConfig, sha256_file
+from kgpath.dot import export_dot
 from kgpath.neural import ScoringModel
 from kgpath.synth import SuiteSpec, generate_suite
 
@@ -752,6 +753,28 @@ def test_malformed_input_is_one_line_error(suite, good_inputs, tmp_path, capsys,
     assert line.startswith(prefix + message)
 
 
+# (command, input) handed a directory where a file belongs
+DIRECTORY_INPUT = {
+    "config": ("schema", "config"),
+    "checkpoint": ("eval", "checkpoint"),
+    "jsonl": ("schema", "queries"),
+    "export-dot-dump": ("export-dot", "dump"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DIRECTORY_INPUT))
+def test_input_that_is_a_directory_is_one_line_error(suite, good_inputs, tmp_path, capsys, case):
+    root, out = suite
+    command, key = DIRECTORY_INPUT[case]
+    bad = tmp_path / "a_directory"
+    bad.mkdir()
+    capsys.readouterr()
+    rc = main([command, *run_args(tmp_path / "o", out), *input_args(key, bad, good_inputs)])
+    assert rc == 1
+    (line,) = error_lines(capsys)
+    assert line.startswith("error: ") and str(bad) in line
+
+
 @pytest.mark.parametrize("n_entities", [2, 3])
 def test_suite_too_small_for_its_key_nodes_is_refused(tmp_path, n_entities):
     """Two keys, an answer and a second answer need four distinct entities;
@@ -831,9 +854,10 @@ def test_failed_training_leaves_no_output(suite, tmp_path, monkeypatch, capsys):
     assert list(train_out.iterdir()) == []
 
 
-def test_infer_out_appends_atomically(suite, good_inputs, tmp_path, monkeypatch):
+def test_infer_out_appends_atomically(suite, good_inputs, tmp_path, monkeypatch, capsys):
     """``infer --out`` adds one line per run; a write that fails before its
-    rename leaves the earlier lines as they were, and no ``.tmp`` file."""
+    rename is a one-line error and leaves the earlier lines as they were, and
+    no ``.tmp`` file."""
     root, out = suite
     dest = tmp_path / "infer.jsonl"
     args = [
@@ -851,8 +875,8 @@ def test_infer_out_appends_atomically(suite, good_inputs, tmp_path, monkeypatch)
         raise OSError("disk gone")
 
     monkeypatch.setattr(os, "replace", fail)
-    with pytest.raises(OSError, match="disk gone"):
-        main(args)
+    assert main(args) == 1
+    assert error_lines(capsys) == ["error: disk gone"]
     assert dest.read_text(encoding="utf-8").splitlines() == lines
     assert list(tmp_path.iterdir()) == [dest]
 
@@ -968,3 +992,42 @@ def test_export_dot_structure(tmp_path):
     assert text.count("{") == text.count("}")
     # gt node is styled as ground truth, not neighbor
     assert re.search(r'"gamma" \[fillcolor="#F47C64"\]', text)
+
+
+def test_export_dot_overlays_the_last_record_of_a_qid(tmp_path):
+    """``infer --out`` appends a record per run, so the paths drawn are the
+    question's last record, not a stale earlier one."""
+    dump = {
+        "qid": "q1",
+        "nodes": [["alpha", "Q"], ["beta", "N1"], ["gamma", "N1"]],
+        "edges": [["alpha", "isa", "beta", 1.0], ["alpha", "partof", "gamma", 1.0]],
+        "key_q": ["alpha"],
+        "key_v": [],
+    }
+    path = tmp_path / "dump.jsonl"
+    path.write_text(json.dumps(dump) + "\n")
+    paths = tmp_path / "paths.jsonl"
+    paths.write_text("".join(json.dumps(o) + "\n" for o in [
+        {"qid": "q1", "paths": [[["alpha", "isa", "beta"], 0.5]]},
+        {"qid": "q2", "paths": [[["alpha", "isa", "beta"], 0.5]]},
+        {"qid": "q1", "paths": [[["alpha", "partof", "gamma"], 0.5]]},
+    ]))
+    out = tmp_path / "g.dot"
+    assert main(["export-dot", "--dump", str(path), "--paths", str(paths), "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"alpha" -> "gamma" [label="partof", color="#CC3311"' in text
+    assert '"alpha" -> "beta" [label="isa"];' in text
+
+
+def test_export_dot_escapes_relation_labels():
+    """A relation name holding a quote or a backslash is written as a DOT
+    string, both on a dump edge and on a path edge the dump lacks."""
+    rel, other = 'say "hi"', "back\\slash"
+    dump = {
+        "qid": "q1",
+        "nodes": [["alpha", "Q"], ["beta", "N1"]],
+        "edges": [["alpha", rel, "beta", 1.0]],
+    }
+    text = export_dot(dump, [(["beta", other, "alpha"], 0.5)], max_paths=5)
+    assert '"alpha" -> "beta" [label="say \\"hi\\""];' in text
+    assert '"beta" -> "alpha" [label="back\\\\slash", color=' in text

@@ -15,7 +15,7 @@ import pytest
 
 from kgpath import config, embeddings
 from kgpath.config import InputError, read_lines
-from kgpath.embeddings import EntityEmbeddingTable, load_entity_embeddings
+from kgpath.embeddings import load_entity_embeddings
 from kgpath.kg import KnowledgeGraph, load_graph
 
 from conftest import write_relations
@@ -24,7 +24,7 @@ from conftest import write_relations
 pytestmark = pytest.mark.filterwarnings("error")
 
 
-def reference_load_entity_embeddings(path, g: KnowledgeGraph) -> EntityEmbeddingTable:
+def reference_load_entity_embeddings(path, g: KnowledgeGraph) -> np.ndarray:
     matrix: Optional[np.ndarray] = None
     seen = np.zeros(g.n_entities, dtype=bool)
     dim = -1
@@ -61,7 +61,7 @@ def reference_load_entity_embeddings(path, g: KnowledgeGraph) -> EntityEmbedding
             msg=f"no embedding for entity {g.surface(missing)!r} "
             f"({int((~seen).sum())} missing in total)",
         )
-    return EntityEmbeddingTable(matrix)
+    return matrix
 
 
 # Graph entities, one per group; every surface of a group normalizes to the
@@ -189,7 +189,7 @@ def assert_same_outcome(want, got) -> None:
         assert (got.path, got.lineno, got.msg) == (want.path, want.lineno, want.msg)
         return
     assert not isinstance(got, Exception), got
-    a, b = got.matrix, want.matrix
+    a, b = got, want
     assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
@@ -218,7 +218,7 @@ def test_repeated_entity_keeps_its_last_row(tmp_path, monkeypatch, graph):
     for block in (16, 64, 1 << 16):
         monkeypatch.setattr(config, "BLOCK_CHARS", block)
         table = load_entity_embeddings(path, graph)
-        assert table.matrix[graph.entity_id("foo")].tolist() == [9.0, 9.0]
+        assert table[graph.entity_id("foo")].tolist() == [9.0, 9.0]
         assert_same_outcome(reference_load_entity_embeddings(path, graph), table)
 
 

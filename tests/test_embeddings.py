@@ -40,9 +40,9 @@ def test_loader_happy_path(tmp_path, abc_graph):
         [("a", [1, 2, 3, 4]), ("b", [0, 0, 1, 0]), ("c", [5, 6, 7, 8])],
     )
     table = load_entity_embeddings(path, abc_graph)
-    assert table.dim == 4
-    assert table.matrix.shape[0] == 3
-    assert table.gather([abc_graph.entity_id("b")])[0].tolist() == [0, 0, 1, 0]
+    assert table.shape[1] == 4
+    assert table.shape[0] == 3
+    assert table[[abc_graph.entity_id("b")]][0].tolist() == [0, 0, 1, 0]
 
 
 def test_loader_ragged_row_names_entity(tmp_path, abc_graph):
@@ -72,7 +72,7 @@ def test_loader_ignores_surfaces_outside_graph(tmp_path, abc_graph):
         tmp_path / "emb.tsv",
         [("a", [1.0]), ("b", [1.0]), ("c", [1.0]), ("zebra", [9.0])],
     )
-    assert load_entity_embeddings(path, abc_graph).matrix.shape[0] == 3
+    assert load_entity_embeddings(path, abc_graph).shape[0] == 3
 
 
 def test_context_loader(tmp_path):
@@ -190,6 +190,6 @@ def test_full_scale_embedding_table(tmp_path):
     g = load_graph(out / "kg_edges.tsv", out / "relations.txt")
     t0 = time.time()
     table = load_entity_embeddings(out / "entity_embeddings.tsv", g)
-    assert table.matrix.shape[0] == 516_782
-    assert table.dim == 300
+    assert table.shape[0] == 516_782
+    assert table.shape[1] == 300
     print(f"full-scale embedding load: {time.time() - t0:.1f}s")

@@ -20,22 +20,17 @@ from kgpath.schema import SchemaGraph
 from kgpath.synth import SuiteSpec, generate_suite
 
 
-def score_map(anns):
-    return {a.entity: a.score for a in anns}
-
-
 def test_annotation_score_protocol():
     anns = annotation_scores([(1, 1), (2, 2), (3, 3), (4, 4)])
-    assert [a.score for a in anns] == pytest.approx([1 / 3, 2 / 3, 1.0, 1.0])
+    assert list(anns.values()) == pytest.approx([1 / 3, 2 / 3, 1.0, 1.0])
 
 
 def test_single_entity_answer_overrides_to_one():
-    (ann,) = annotation_scores([(7, 1)])
-    assert ann.score == 1.0
+    assert annotation_scores([(7, 1)]) == {7: 1.0}
 
 
 def test_vqa_score_lookup():
-    scores = score_map(annotation_scores([(1, 3), (2, 1)]))
+    scores = annotation_scores([(1, 3), (2, 1)])
     assert vqa_score(1, scores) == 1.0
     assert vqa_score(2, scores) == pytest.approx(1 / 3)
     assert vqa_score(99, scores) == 0.0
@@ -173,12 +168,8 @@ def test_perfect_oracle_equals_mean_max_annotation_score():
         answers = list({e: c for e, c in answers}.items())
         questions.append(annotation_scores(answers))
     # the oracle predicts each question's best-scored annotated entity
-    suite = float(
-        np.mean(
-            [vqa_score(max(anns, key=lambda a: a.score).entity, score_map(anns)) for anns in questions]
-        )
-    )
-    upper = float(np.mean([max(a.score for a in anns) for anns in questions]))
+    suite = float(np.mean([vqa_score(max(anns, key=anns.get), anns) for anns in questions]))
+    upper = float(np.mean([max(anns.values()) for anns in questions]))
     assert suite == pytest.approx(upper)
 
 

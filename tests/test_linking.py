@@ -6,13 +6,13 @@ from kgpath.linking import (
     DEFAULT_PREDICATE_BLACKLIST,
     DEFAULT_STOPWORDS,
     QueryRecord,
-    EntityMatcher,
     extract_key_nodes,
     extract_question_nodes,
     extract_visual_nodes,
     lemma_fallback,
     load_queries,
     load_synonyms,
+    match_surface,
 )
 
 from conftest import write_edges, write_relations
@@ -72,7 +72,6 @@ def _oracle_question_nodes(g, tokens, stopwords):
     """Brute-force longest-match-first with consumed positions."""
     toks = [(t.lower(), p) for t, p in tokens]
     ok = [p in {"noun", "verb", "adj", "adv"} and t not in stopwords for t, p in toks]
-    matcher = EntityMatcher(g, synonyms=None)
     used = set()
     out = set()
     for length in (3, 2, 1):
@@ -80,7 +79,7 @@ def _oracle_question_nodes(g, tokens, stopwords):
             span = list(range(start, start + length))
             if not all(ok[i] for i in span) or any(i in used for i in span):
                 continue
-            eid = matcher.match("_".join(toks[i][0] for i in span))
+            eid = match_surface(g, "_".join(toks[i][0] for i in span), None)
             if eid is not None:
                 out.add(eid)
                 used.update(span)

@@ -25,7 +25,7 @@ import numpy as np
 import pytest
 
 from kgpath import paths
-from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
+from kgpath.embeddings import QueryContext, TextFeatureProvider
 from kgpath.neural import ScoringModel, bce_loss_backward, cosine_rows
 from kgpath.paths import (
     _path_labels,
@@ -52,10 +52,10 @@ def reference_node_input_matrix(model, sg, ctx, emb, textfeat):
     n = sg.n_nodes
     if ctx.dim != model.d:
         raise ValueError(f"context dim {ctx.dim} != model d {model.d}")
-    if emb.dim != model.D:
-        raise ValueError(f"entity embedding dim {emb.dim} != model D {model.D}")
+    if emb.shape[1] != model.D:
+        raise ValueError(f"entity embedding dim {emb.shape[1]} != model D {model.D}")
     z_tile = np.tile(ctx.z, (n, 1))
-    e_rows = emb.gather(sg.nodes)
+    e_rows = emb[sg.nodes]
     p_rows = textfeat.gather(ctx.qid, sg.nodes)
     if p_rows is None:  # no text feature: a zero block
         p_rows = np.zeros((n, model.d))
@@ -208,7 +208,7 @@ def random_inputs(tmp_path, rng, d, D, mode):
     about half of the graph's nodes, so the rest read zero rows."""
     g, _ = random_graph(tmp_path, rng, n_entities=40, n_edges=80)
     model = ScoringModel(d, D, k=3, dropout_rate=0.5, seed=int(rng.integers(100)))
-    emb = EntityEmbeddingTable(rng.standard_normal((g.n_entities, D)))
+    emb = rng.standard_normal((g.n_entities, D))
     n = int(rng.integers(4, 25))
     ids = rng.choice(g.n_entities, size=n, replace=False)
     types = rng.integers(4, size=n)
@@ -252,7 +252,7 @@ def test_build_keeps_the_dimension_checks(tmp_path, tiny_graph):
     short_ctx = QueryContext(qid="qa", z=np.ones(3), v=np.ones(3), t=np.ones(3))
     for args, match in (
         ((short_ctx, emb, tf), "context dim 3 != model d 4"),
-        ((ctx, EntityEmbeddingTable(np.ones((40, 6))), tf), "embedding dim 6 != model D 7"),
+        ((ctx, np.ones((40, 6)), tf), "embedding dim 6 != model D 7"),
         ((ctx, emb, TextFeatureProvider(dim=5, path=None, g=tiny_graph)),
          "text feature dim 5 != model d 4"),
     ):

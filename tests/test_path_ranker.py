@@ -4,7 +4,7 @@ from typing import Optional, Sequence
 import numpy as np
 import pytest
 
-from kgpath.embeddings import EntityEmbeddingTable, QueryContext
+from kgpath.embeddings import QueryContext
 from kgpath.neural import Adam, ScoringModel, cosine_rows
 from kgpath.paths import (
     WALK_STOP_PROB,
@@ -164,7 +164,7 @@ def test_paths_subset_of_exhaustive_enumeration():
 def listed_walks(sg, roots, k):
     """The walks ``list_walks`` lists, in DFS order, as (node ids, relations)
     pairs of tuples, and their log-probabilities."""
-    walks = list_walks(sg.adjacency(), np.asarray(roots), k)
+    walks = list_walks(sg.adjacency, np.asarray(roots), k)
     rows, rels = walks.cells(walks.order, k)
     logp = walks.logp[walks.order]
     ids = sg.nodes.tolist()
@@ -291,10 +291,10 @@ def two_pass_sample_paths(
     no random number is drawn; the walks are counted before any is listed.
     """
     base = pg.base
-    key_pos = base.key_rows().tolist()
+    key_pos = base.key_rows.tolist()
     if not key_pos:
         raise ValueError("pruned graph has no key node to root paths at")
-    adj = base.adjacency()
+    adj = base.adjacency
     flat_nodes: list[int] = []
     flat_rels: list[int] = []
     lengths: list[int] = []
@@ -359,14 +359,14 @@ def test_count_walks_matches_itertools_enumeration():
     rng = np.random.default_rng(43)
     for trial in range(40):
         sg = random_local_graph(rng, max_nodes=6, max_edges=12, duplicates=trial % 4 == 0)
-        roots = sg.key_rows()
+        roots = sg.key_rows
         for k in (1, 2, 3):
             universe = itertools_walks(sg, k)
             assert universe == enumerate_simple_walks(sg, k)
             got, _ = listed_walks(sg, roots, k)
             assert set(got) == universe and len(got) == len(universe)
             flat_nodes, flat_rels, lengths = [], [], []
-            two_pass_simple_walks(sg.adjacency(), roots.tolist(), k, 10**6,
+            two_pass_simple_walks(sg.adjacency, roots.tolist(), k, 10**6,
                                   (flat_nodes, flat_rels, lengths))
             ends = np.cumsum(lengths)
             ids = sg.nodes.tolist()
@@ -460,7 +460,7 @@ def test_walk_probabilities_match_brute_force_product():
             for key in sg.key_ids()
         )
         for k in (1, 2, 3):
-            walks, logp = listed_walks(sg, sg.key_rows(), k)
+            walks, logp = listed_walks(sg, sg.key_rows, k)
             want = [walk_probability(sg, nodes, rels, k) for nodes, rels in walks]
             assert np.exp(logp) == pytest.approx(want, rel=1e-12, abs=0), (trial, k)
             assert np.exp(logp).sum() == pytest.approx(1 - dead_roots / len(sg.key_ids()),
@@ -475,7 +475,7 @@ def test_inclusion_frequencies_match_plackett_luce():
     N, Z = 20_000, 4.5
     checked = 0
     for sg in tiny_graphs():
-        walks, logp = listed_walks(sg, sg.key_rows(), 3)
+        walks, logp = listed_walks(sg, sg.key_rows, 3)
         if not 4 <= len(walks) <= 7 or checked == 2:
             continue
         n_paths = 2 + checked
@@ -639,14 +639,13 @@ def test_aggregate_matches_group_by_max_oracle():
 
 def make_samples(model, n_queries=3, n_nodes=10, seed=0):
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((n_nodes, model.D))
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    emb = EntityEmbeddingTable(matrix)
+    emb = rng.standard_normal((n_nodes, model.D))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     tf = FakeTextFeatures(model.d, seed)
     samples = []
     for qi in range(n_queries):
         gt = int(rng.integers(2, n_nodes))
-        z = matrix[gt][: model.d] if model.d <= model.D else None
+        z = emb[gt][: model.d] if model.d <= model.D else None
         zvec = rng.standard_normal(model.d)
         zvec /= np.linalg.norm(zvec)
         ctx = QueryContext(qid=f"q{qi}", z=zvec, v=zvec.copy(), t=zvec.copy())

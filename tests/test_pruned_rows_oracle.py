@@ -264,20 +264,20 @@ def test_query_and_joint_step_walk_each_sample_graphs_one_adjacency(monkeypatch)
     sample's schema graph already holds."""
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=31)
     samples = make_samples(model, n_queries=4, seed=32)
-    held = {id(s.sg): s.sg._adjacency for s in samples}
+    held = {id(s.sg): vars(s.sg).get("adjacency") for s in samples}
     assert all(adj is not None for adj in held.values())  # built by the BFS scores
     calls = []
-    adjacency, restricted_to = SchemaGraph.adjacency, SchemaGraph.restricted_to
+    adjacency, restricted_to = vars(SchemaGraph)["adjacency"], SchemaGraph.restricted_to
 
-    def spy_adjacency(sg):
-        calls.append(("adjacency", id(sg), sg._adjacency is None))
-        return adjacency(sg)
+    def spy_adjacency(sg):  # a property, so each read passes here, cached or not
+        calls.append(("adjacency", id(sg), "adjacency" not in vars(sg)))
+        return adjacency.__get__(sg, SchemaGraph)
 
     def spy_restricted_to(sg, rows):
         calls.append(("restricted_to", id(sg), True))
         return restricted_to(sg, rows)
 
-    monkeypatch.setattr(SchemaGraph, "adjacency", spy_adjacency)
+    monkeypatch.setattr(SchemaGraph, "adjacency", property(spy_adjacency))
     monkeypatch.setattr(SchemaGraph, "restricted_to", spy_restricted_to)
     for sample in samples:
         run_query(model, sample, CFG.theta_p, target=5, n_paths=50, k=CFG.k, seed=1)
@@ -289,4 +289,4 @@ def test_query_and_joint_step_walk_each_sample_graphs_one_adjacency(monkeypatch)
     assert {name for name, _, _ in calls} == {"adjacency"}
     assert {graph for _, graph, _ in calls} <= set(held)
     assert not any(built for _, _, built in calls)
-    assert all(s.sg._adjacency is held[id(s.sg)] for s in samples)
+    assert all(vars(s.sg)["adjacency"] is held[id(s.sg)] for s in samples)

@@ -3,7 +3,7 @@ from collections import deque
 import numpy as np
 import pytest
 
-from kgpath.embeddings import EntityEmbeddingTable, QueryContext, TextFeatureProvider
+from kgpath.embeddings import QueryContext, TextFeatureProvider
 from kgpath.kg import dedup_max_weight, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.metrics import gt_rank, recall_rates
@@ -113,9 +113,8 @@ def encode(model, sg, ctx, emb, tf):
 
 def providers(dim_d, dim_D, n_entities, seed=0):
     rng = np.random.default_rng(seed)
-    matrix = rng.standard_normal((n_entities, dim_D))
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    emb = EntityEmbeddingTable(matrix)
+    emb = rng.standard_normal((n_entities, dim_D))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     z = rng.standard_normal(dim_d)
     z /= np.linalg.norm(z)
     ctx = QueryContext(qid="q", z=z, v=z.copy(), t=z.copy())
@@ -136,7 +135,7 @@ def test_encode_dimension_bookkeeping():
 def test_identical_inputs_identical_encodings(tiny_graph):
     model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=0)
     emb, ctx, tf = providers(4, 3, 10)
-    emb.matrix[2] = emb.matrix[1]  # same feature vector
+    emb[2] = emb[1]  # same feature vector
     tf_zero = TextFeatureProvider(dim=4, path=None, g=tiny_graph)
     sg = make_sg([1, 2], [2, 2], [], q_nodes={1})
     h = encode(model, sg, ctx, emb, tf_zero)
@@ -614,9 +613,8 @@ def test_sample_gt_positions_match_membership_loop():
 def test_train_prune_step_learns_direction(tiny_graph):
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.0, seed=11)
     rng = np.random.default_rng(12)
-    matrix = rng.standard_normal((12, 5))
-    matrix /= np.linalg.norm(matrix, axis=1, keepdims=True)
-    emb = EntityEmbeddingTable(matrix)
+    emb = rng.standard_normal((12, 5))
+    emb /= np.linalg.norm(emb, axis=1, keepdims=True)
     tf = TextFeatureProvider(dim=6, path=None, g=tiny_graph)
     z = rng.standard_normal(6)
     z /= np.linalg.norm(z)
@@ -668,9 +666,10 @@ def test_prepared_sample_keeps_only_its_text_feature_rows():
     sg = make_sg(nodes, [0, 1, 2, 3, 2, 2], sym([(4, 0, 0, 1.0), (0, 0, 7, 1.0)]),
                  q_nodes={4}, v_nodes={0})
     sample = QuerySample.build(model, sg, ctx, [7], emb, tf)
-    arrays = [v for v in vars(sample).values() if isinstance(v, np.ndarray)]
+    # its own arrays: the entity matrix is shared, checked below
+    arrays = [v for v in vars(sample).values() if isinstance(v, np.ndarray) and v is not emb]
     assert all(a.shape[-1] != model.node_input_dim for a in arrays)
     rows = [a for a in arrays if a.ndim == 2 and a.dtype.kind == "f"]
     assert sum(a.size for a in rows) <= sg.n_nodes * model.d
-    assert sample.emb is emb  # a reference to the shared table, not a copy of rows
+    assert sample.emb is emb  # a reference to the shared matrix, not a copy of rows
     assert sample.x.shape == (sg.n_nodes, 2 * model.d + model.D + 4)

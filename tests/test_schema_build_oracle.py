@@ -260,7 +260,7 @@ def assert_distinct_edges(sg):
     for graph in (sg, sg.restricted_to(np.arange(0, sg.n_nodes, 2))):
         edges = np.stack([graph.edges_head, graph.edges_rel, graph.edges_tail], axis=1)
         assert len(np.unique(edges, axis=0)) == graph.n_edges
-        adj = graph.adjacency()
+        adj = graph.adjacency
         slots = np.stack([adj.head, adj.nbr, adj.rel], axis=1)
         assert len(np.unique(slots, axis=0)) == adj.nbr.size
 

@@ -279,8 +279,8 @@ def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
     rng = np.random.default_rng(47)
     for trial in range(50):
         sg = random_local_graph(rng, max_nodes=10, max_edges=40, duplicates=True)
-        adj = sg.adjacency()
-        assert adj is sg.adjacency()  # cached
+        adj = sg.adjacency
+        assert adj is sg.adjacency  # cached
         for i, eid in enumerate(sg.nodes.tolist()):
             lo, hi = adj.indptr[i], adj.indptr[i + 1]
             got = [(int(sg.nodes[t]), int(r)) for t, r in zip(adj.nbr[lo:hi], adj.rel[lo:hi])]
@@ -305,4 +305,4 @@ def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
 def test_adjacency_rejects_edge_outside_the_nodes():
     sg = make_sg([1, 2], [0, 2], [(1, 0, 2, 1.0), (2, 0, 3, 1.0)], q_nodes={1})
     with pytest.raises(ValueError, match="not a node"):
-        sg.adjacency()
+        sg.adjacency

@@ -103,10 +103,10 @@ def old_sample_paths(
     yields all of them whatever the seed, and a larger one exactly
     ``n_paths``. A graph without usable edges yields an empty batch.
     """
-    key_pos = pg.sg.key_rows()
+    key_pos = pg.sg.key_rows
     if not key_pos.size:
         raise ValueError("pruned graph has no key node to root paths at")
-    rows, rels, logp = old_list_walks(pg.sg.adjacency().restricted(pg.rows), key_pos, k)
+    rows, rels, logp = old_list_walks(pg.sg.adjacency.restricted(pg.rows), key_pos, k)
     gumbel = np.random.default_rng(seed).gumbel(size=logp.size)
     keep = np.sort(np.argsort(-(logp + gumbel), kind="stable")[:n_paths])
     rows, rels = rows[keep], rels[keep]
@@ -150,7 +150,7 @@ def assert_same_batches(pg, k, n_paths_list, seeds):
 
 
 def walk_count(pg, k):
-    return len(old_list_walks(pg.sg.adjacency().restricted(pg.rows), pg.sg.key_rows(), k)[2])
+    return len(old_list_walks(pg.sg.adjacency.restricted(pg.rows), pg.sg.key_rows, k)[2])
 
 
 def test_tiny_graphs_give_the_sorting_route_bytes():
@@ -193,7 +193,7 @@ def test_graphs_of_over_a_thousand_walks_give_the_sorting_route_bytes():
     for trial in range(6):
         sg = dense_graph(rng, 30, 150, 1 + trial % 3)
         n = sg.n_nodes
-        rows = np.union1d(sg.key_rows(), rng.choice(n, size=3 * n // 4, replace=False))
+        rows = np.union1d(sg.key_rows, rng.choice(n, size=3 * n // 4, replace=False))
         for pg in (as_pruned(sg), PrunedGraph(sg=sg, rows=rows, s_cos=np.zeros(n), s_bfs=np.zeros(n), s_prune=np.zeros(n))):
             total = walk_count(pg, 3)
             big += total > 1000
