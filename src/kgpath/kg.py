@@ -139,9 +139,12 @@ def load_relations(path: Optional[Path | str]) -> RelationTable:
 class KnowledgeGraph:
     """Entities, relations and a CSR adjacency over all directed edges.
 
-    Adjacency rows are sorted by ``(neighbor id, relation id)`` so iteration
-    order is deterministic. Entity ids are dense and assigned by first
-    appearance in the edge file (heads before tails within a line).
+    Each entity's adjacency rows are strictly increasing by ``(neighbor id,
+    relation id)``: no row repeats, and iteration order is deterministic.
+    ``load_graph`` writes rows in that order and ``load_index`` refuses an
+    index whose rows break it; schema construction relies on it. Entity ids
+    are dense and assigned by first appearance in the edge file (heads before
+    tails within a line).
     """
 
     def __init__(
@@ -195,10 +198,18 @@ class KnowledgeGraph:
 
     # -- adjacency ---------------------------------------------------------
 
-    def edges_from(self, eids: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def edges_from(
+        self, eids: np.ndarray, within: Optional[np.ndarray] = None
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Concatenated (source, neighbor, relation, weight) rows for many
-        entities, each entity's rows sorted; an id outside
-        ``0..n_entities-1`` raises ``IndexError``."""
+        entities, each entity's rows in adjacency order, strictly increasing
+        by (neighbor, relation) as the class guarantees; an id outside
+        ``0..n_entities-1`` raises ``IndexError``.
+
+        Given ``within``, a boolean mask over entities, only the rows whose
+        neighbor it marks are kept; source, relation and weight are read for
+        those rows alone.
+        """
         eids = np.asarray(eids, dtype=np.int64)
         bad = eids[(eids < 0) | (eids >= self.n_entities)]
         if bad.size:
@@ -212,7 +223,11 @@ class KnowledgeGraph:
         # every entity's row indices lo..hi-1, end to end
         take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
         src = np.repeat(eids.astype(np.int32), counts)
-        return src, self._nbr[take], self._rel[take], self._weight[take].astype(np.float64)
+        nbr = self._nbr[take]
+        if within is not None:
+            keep = np.flatnonzero(within[nbr])
+            take, src, nbr = take[keep], src[keep], nbr[keep]
+        return src, nbr, self._rel[take], self._weight[take].astype(np.float64)
 
     # -- persistence -------------------------------------------------------
 
@@ -232,8 +247,10 @@ class KnowledgeGraph:
 
     @classmethod
     def load_index(cls, index_dir: Path | str) -> "KnowledgeGraph":
-        """Read an index written by ``save``; an unreadable file, or arrays that
-        disagree with each other or with the entity list, raise ``InputError``."""
+        """Read an index written by ``save``; an unreadable file, arrays that
+        disagree with each other or with the entity list, or an entity whose
+        rows repeat or are out of (neighbour, relation) order raise
+        ``InputError``."""
         index_dir = Path(index_dir)
         ent_path, adj_path = index_dir / "entities.txt", index_dir / "adjacency.npz"
         # every line is a surface, with no comment rule: one may start with "#"
@@ -258,6 +275,14 @@ class KnowledgeGraph:
             raise InputError(adj_path, msg=f"a neighbour id lies outside 0..{n - 1}")
         if rel.size and not (0 <= rel.min() and rel.max() < relations.n_total):
             raise InputError(adj_path, msg=f"a relation id lies outside 0..{relations.n_total - 1}")
+        # ascending[i]: row i + 1 comes after row i by (neighbour, relation),
+        # which need not hold where row i + 1 starts an entity
+        ascending = (nbr[1:] > nbr[:-1]) | ((nbr[1:] == nbr[:-1]) & (rel[1:] > rel[:-1]))
+        ascending[offsets[(offsets > 0) & (offsets < nbr.size)] - 1] = True
+        if not ascending.all():
+            raise InputError(
+                adj_path, msg="an entity's rows are not strictly increasing by (neighbour, relation)"
+            )
         return cls(surfaces, relations, offsets, nbr, rel, weight)
 
 

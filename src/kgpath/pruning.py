@@ -67,15 +67,19 @@ class PrunedGraph:
 
 
 def bfs_scores(sg: SchemaGraph) -> np.ndarray:
-    """Multi-source BFS proximity from the key nodes, aligned to ``sg.nodes``."""
+    """Multi-source BFS proximity from the key nodes, aligned to ``sg.nodes``.
+
+    The search stops once every node is reached: on a built schema graph
+    that is after the two-hop nodes, whose slots are then never gathered.
+    """
     keys = sg.key_rows
     if not keys.size:
         raise ValueError("schema graph has no key nodes")
     adj = sg.adjacency
     dist = np.full(sg.n_nodes, -1, dtype=np.int64)
     dist[keys] = 0
-    frontier, hops = keys, 0
-    while frontier.size:
+    frontier, hops, unreached = keys, 0, sg.n_nodes - keys.size
+    while frontier.size and unreached:
         hops += 1
         lo = adj.indptr[frontier]
         counts = adj.indptr[frontier + 1] - lo
@@ -84,6 +88,7 @@ def bfs_scores(sg: SchemaGraph) -> np.ndarray:
         reached = adj.nbr[slots]
         dist[reached[dist[reached] < 0]] = hops
         frontier = np.flatnonzero(dist == hops)
+        unreached -= frontier.size
     return np.where(dist >= 0, 1.0 / (1.0 + np.maximum(dist, 0)), 0.0)
 
 

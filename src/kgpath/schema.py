@@ -8,11 +8,12 @@ number of distinct connected schema nodes, and number of connected question
 nodes, with entity id as the final tie-break. Close-set mode runs the same
 procedure but only recruits entities from a fixed candidate set.
 
-Each stage gathers the KG rows of its new nodes only: the keys, then the
-one-hop nodes, then the two-hop nodes. ``edges_from`` concatenates per-entity
-runs, so together these are the rows of the whole graph, each gathered once,
-and the final edge collection filters them instead of gathering again. Every
-"is this id in that set" test is one lookup into a boolean mask over entities.
+Each ranking stage gathers the full KG rows it ranks over: the keys' rows,
+then the one-hop nodes' rows. The graph's edges are then read by one
+``edges_from`` over all nodes in ascending id order, filtered to rows that end
+in the graph, so only the kept rows are read in full; the KG's row order makes
+them distinct and sorted already. Every "is this id in that set" test is one
+lookup into a boolean mask over entities.
 """
 
 from __future__ import annotations
@@ -71,12 +72,13 @@ class SchemaGraph:
     construction order; ``edges_*`` hold all directed edges (reversals
     included) among the nodes, plus any scene edges. Its (head, relation,
     tail) edges are distinct, so each adjacency slot is one walk step:
-    ``build_schema`` collapses repeats through ``dedup_max_weight``,
-    ``restricted_to`` keeps a subset of the edges and ``from_json_obj``
-    refuses a repeated edge. ``build_rank[i]`` is the
-    construction rank of ``nodes[i]``: for a fixed one-hop cap, the graph
-    built at any smaller budget b holds exactly the nodes of rank < b. It is
-    None for graphs loaded from a dump or restricted to a subset.
+    ``build_schema`` reads distinct KG rows and collapses a scene edge that
+    repeats one through ``dedup_max_weight``, ``restricted_to`` keeps a
+    subset of the edges and ``from_json_obj`` refuses a repeated edge.
+    ``build_rank[i]`` is the construction rank of ``nodes[i]``: for a fixed
+    one-hop cap, the graph built at any smaller budget b holds exactly the
+    nodes of rank < b. It is None for graphs loaded from a dump or restricted
+    to a subset.
     ``adjacency`` and ``key_rows`` are built the first time they are read.
     """
 
@@ -338,7 +340,7 @@ def build_schema(
         raise InputError(msg=f"{qid}: budget {budget} cannot hold the {key_ids.size} key nodes")
 
     # One-hop stage: every KG neighbor of a key node competes.
-    gathers = [g.edges_from(key_ids)]  # an IndexError names a bad key id
+    key_rows = g.edges_from(key_ids)  # an IndexError names a bad key id
 
     # blocked[e]: e can no longer be recruited. That holds for the keys, for
     # every one-hop neighbour once the one-hop stage is ranked (candidates
@@ -350,29 +352,26 @@ def build_schema(
         blocked[ids[(ids >= 0) & (ids < g.n_entities)]] = False
     blocked[key_ids] = True
 
-    hop1 = gathers[0][1]
-    n1 = _rank_candidates(g, gathers[0], keys.q_nodes, hop1[~blocked[hop1]])
+    hop1 = key_rows[1]
+    n1 = _rank_candidates(g, key_rows, keys.q_nodes, hop1[~blocked[hop1]])
     n1 = n1[: max(0, min(one_hop_cap, budget - key_ids.size))]
     blocked[hop1] = True
 
     # Two-hop stage: neighbors of the one-hop nodes. Only their rows can reach
     # a two-hop candidate: a key's edge to it would make it a one-hop neighbor.
     n2 = np.empty(0, dtype=np.int64)
-    if n1.size:
-        gathers.append(g.edges_from(n1))
-        if key_ids.size + n1.size < budget:
-            hop2 = gathers[1][1]
-            n2 = _rank_candidates(g, gathers[1], keys.q_nodes, hop2[~blocked[hop2]])
-            n2 = n2[: budget - key_ids.size - n1.size]
-            if n2.size:
-                gathers.append(g.edges_from(n2))
+    if n1.size and key_ids.size + n1.size < budget:
+        n1_rows = g.edges_from(n1)
+        hop2 = n1_rows[1]
+        n2 = _rank_candidates(g, n1_rows, keys.q_nodes, hop2[~blocked[hop2]])
+        n2 = n2[: budget - key_ids.size - n1.size]
 
     nodes = np.concatenate([key_ids, n1, n2])
     types = np.repeat(
         np.array([NodeType.Q, NodeType.V, NodeType.N1, NodeType.N2], dtype=np.int8),
         [q_ids.size, v_ids.size, n1.size, n2.size],
     )
-    eh, er, et, ew = _collect_edges(g, nodes, gathers, scene_edges)
+    eh, er, et, ew = _collect_edges(g, nodes, scene_edges)
 
     perm = np.random.default_rng(seed).permutation(nodes.size)
     return SchemaGraph(
@@ -392,34 +391,32 @@ def build_schema(
 def _collect_edges(
     g: KnowledgeGraph,
     nodes: np.ndarray,
-    gathers: Sequence[Gather],
     scene_edges: Sequence[Edge],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All KG edges among ``nodes`` plus scene edges (and their reversals).
+    """All KG edges among distinct ``nodes`` plus scene edges (and their
+    reversals), sorted by (head, tail, relation).
 
-    ``gathers`` are the ``g.edges_from`` rows of ``nodes``, in any split.
-    Scene edges may duplicate KG edges; the max-weight rule from graph
-    loading applies here too.
+    One ``edges_from`` over the nodes in ascending id order, filtered to
+    rows that end in the graph, reads the KG edges already distinct and in
+    that order, since each entity's rows are strictly increasing by
+    (neighbor, relation). Only a scene edge can repeat a KG edge, so the
+    max-weight rule from graph loading runs only when there are scene edges.
     """
     in_graph = np.zeros(g.n_entities, dtype=bool)
     in_graph[nodes] = True
-    src, nbr, rel, w = (np.concatenate(col) for col in zip(*gathers))
-    keep = np.flatnonzero(in_graph[nbr])
-    eh = src[keep].astype(np.int64)
-    et = nbr[keep].astype(np.int64)
-    er = rel[keep].astype(np.int64)
-    ew = w[keep]
+    src, nbr, rel, w = g.edges_from(np.sort(nodes), within=in_graph)
+    eh, et, er, ew = src.astype(np.int64), nbr.astype(np.int64), rel.astype(np.int64), w
+    if not scene_edges:
+        return eh, er, et, ew
 
-    if scene_edges:
-        scene = np.array(scene_edges, dtype=np.float64)  # (head, relation, tail, weight) rows
-        sh, sr, st = scene[:, :3].T.astype(np.int64)
-        keep = in_graph[sh] & in_graph[st]
-        sh, sr, st, sw = sh[keep], sr[keep], st[keep], scene[keep, 3]
-        eh = np.concatenate([eh, sh, st])
-        et = np.concatenate([et, st, sh])
-        er = np.concatenate([er, sr, g.relations.rev(sr)])
-        ew = np.concatenate([ew, sw, sw])
-
+    scene = np.array(scene_edges, dtype=np.float64)  # (head, relation, tail, weight) rows
+    sh, sr, st = scene[:, :3].T.astype(np.int64)
+    keep = in_graph[sh] & in_graph[st]
+    sh, sr, st, sw = sh[keep], sr[keep], st[keep], scene[keep, 3]
+    eh = np.concatenate([eh, sh, st])
+    et = np.concatenate([et, st, sh])
+    er = np.concatenate([er, sr, g.relations.rev(sr)])
+    ew = np.concatenate([ew, sw, sw])
     return dedup_max_weight(eh, er, et, ew, g.n_entities, g.relations.n_total)
 
 

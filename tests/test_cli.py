@@ -353,6 +353,24 @@ def npz_edit(change):
     return edit
 
 
+def paired_rows(arrays):
+    """The first row index i whose next row i + 1 belongs to the same entity."""
+    offsets = arrays["offsets"]
+    return int(offsets[np.flatnonzero(np.diff(offsets) >= 2)[0]])
+
+
+def repeat_row(arrays):
+    i = paired_rows(arrays)
+    for name in ("nbr", "rel"):
+        arrays[name][i + 1] = arrays[name][i]
+
+
+def swap_rows(arrays):
+    i = paired_rows(arrays)
+    for name in ("nbr", "rel", "weight"):
+        arrays[name][[i, i + 1]] = arrays[name][[i + 1, i]]
+
+
 def dropping(marker):
     """A whole-file edit that drops every line holding ``marker``."""
     return lambda data: b"".join(l for l in data.splitlines(True) if marker not in l)
@@ -720,6 +738,14 @@ MALFORMED_INPUT = {
         "schema", "index_arrays", None,
         npz_edit(lambda a: a["rel"].__setitem__(0, 42)),
         "a relation id lies outside 0..41",
+    ),
+    "index-row-repeated": (
+        "schema", "index_arrays", None, npz_edit(repeat_row),
+        "an entity's rows are not strictly increasing by (neighbour, relation)",
+    ),
+    "index-rows-unsorted": (
+        "schema", "index_arrays", None, npz_edit(swap_rows),
+        "an entity's rows are not strictly increasing by (neighbour, relation)",
     ),
 }
 

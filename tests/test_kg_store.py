@@ -140,11 +140,9 @@ def reference_edges_from(g, eids):
     return src, g._nbr[take], g._rel[take], g._weight[take].astype(np.float64)
 
 
-def test_edges_from_matches_arange_loop(tmp_path):
-    rng = np.random.default_rng(12)
-    g, _ = random_graph(tmp_path, rng, n_entities=40, n_edges=90)
-    # entities 1 and 3 have no edge at all
-    sparse = KnowledgeGraph(
+def sparse_graph():
+    """Four entities, of which 1 and 3 have no edge at all."""
+    return KnowledgeGraph(
         ["a", "lonely", "b", "alone"],
         load_relations(None),
         np.array([0, 1, 1, 2, 2], dtype=np.int64),
@@ -152,6 +150,12 @@ def test_edges_from_matches_arange_loop(tmp_path):
         np.array([0, 21], dtype=np.int32),
         np.array([1.0, 0.5], dtype=np.float32),
     )
+
+
+def test_edges_from_matches_arange_loop(tmp_path):
+    rng = np.random.default_rng(12)
+    g, _ = random_graph(tmp_path, rng, n_entities=40, n_edges=90)
+    sparse = sparse_graph()
     cases = [
         (g, []),
         (g, [5]),
@@ -167,6 +171,31 @@ def test_edges_from_matches_arange_loop(tmp_path):
         got = graph.edges_from(np.asarray(eids, dtype=np.int64))
         want = reference_edges_from(graph, eids)
         for a, b in zip(got, want, strict=True):
+            assert a.dtype == b.dtype
+            assert np.array_equal(a, b)
+
+
+def test_edges_from_within_matches_filtered_reference(tmp_path):
+    rng = np.random.default_rng(13)
+    g, _ = random_graph(tmp_path, rng, n_entities=40, n_edges=90)
+    sparse = sparse_graph()
+    cases = [
+        (g, rng.integers(g.n_entities, size=60), rng.random(g.n_entities) < share)
+        for share in (0.1, 0.3, 0.7, 1.0)
+    ]
+    cases += [
+        (g, np.arange(g.n_entities), rng.random(g.n_entities) < 0.5),
+        (g, [30, 2, 17, 2, 0], rng.random(g.n_entities) < 0.5),  # unsorted, repeated
+        (g, np.arange(g.n_entities), np.zeros(g.n_entities, dtype=bool)),  # all false
+        (g, [], np.ones(g.n_entities, dtype=bool)),  # no entity
+        (sparse, [1], np.ones(4, dtype=bool)),  # an entity with no edges
+        (sparse, [1, 0, 3, 2], np.array([True, True, False, False])),
+    ]
+    for graph, eids, within in cases:
+        got = graph.edges_from(np.asarray(eids, dtype=np.int64), within=within)
+        src, nbr, rel, w = reference_edges_from(graph, eids)
+        keep = within[nbr]
+        for a, b in zip(got, (src[keep], nbr[keep], rel[keep], w[keep]), strict=True):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
 

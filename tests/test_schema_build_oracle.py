@@ -1,4 +1,4 @@
-"""Schema builds against the route they replaced, and the gather-once rule.
+"""Schema builds against the route they replaced, and the gathers a build makes.
 
 ``reference_*`` below are verbatim copies of the schema builder as it was
 before the entity-mask rewrite: ``searchsorted`` membership, ``setdiff1d`` /
@@ -293,13 +293,13 @@ def test_build_matches_reference_route(tmp_path):
     assert filled_in_stage1 >= 5
 
 
-def test_each_build_gathers_every_row_once(tmp_path, monkeypatch):
+def test_each_build_gathers_ranked_rows_then_kept_rows(tmp_path, monkeypatch):
     calls = []
     gather = KnowledgeGraph.edges_from
 
-    def recording(self, eids):
-        calls.append(np.array(eids, dtype=np.int64))
-        return gather(self, eids)
+    def recording(self, eids, within=None):
+        calls.append((np.array(eids, dtype=np.int64), within))
+        return gather(self, eids, within)
 
     monkeypatch.setattr(KnowledgeGraph, "edges_from", recording)
     rng = np.random.default_rng(607)
@@ -315,5 +315,18 @@ def test_each_build_gathers_every_row_once(tmp_path, monkeypatch):
             sg = build()
             construction_order = np.empty_like(sg.nodes)
             construction_order[sg.build_rank] = sg.nodes
-            assert 1 <= len(calls) <= 3
-            assert np.array_equal(np.concatenate(calls), construction_order)
+            n_keys = int((sg.types <= NodeType.V).sum())
+            n1 = int((sg.types == NodeType.N1).sum())
+            # unfiltered: the rows each stage ranks, the keys' and then, when
+            # a two-hop stage runs, the one-hop nodes'
+            stages = [construction_order[:n_keys]]
+            if n1 and n_keys + n1 < budget:
+                stages.append(construction_order[n_keys : n_keys + n1])
+            *ranked, (kept, within) = calls
+            assert len(ranked) == len(stages)
+            for (eids, mask), stage in zip(ranked, stages):
+                assert mask is None
+                assert np.array_equal(eids, stage)
+            # filtered, once and last: every node in ascending id order
+            assert np.array_equal(kept, np.sort(sg.nodes))
+            assert np.array_equal(np.flatnonzero(within), kept)
