@@ -247,10 +247,11 @@ class KnowledgeGraph:
 
     @classmethod
     def load_index(cls, index_dir: Path | str) -> "KnowledgeGraph":
-        """Read an index written by ``save``; an unreadable file, arrays that
-        disagree with each other or with the entity list, or an entity whose
-        rows repeat or are out of (neighbour, relation) order raise
-        ``InputError``."""
+        """Read an index written by ``save``; an unreadable file, ids that are
+        not integers or weights that are not floats, arrays that disagree with
+        each other or with the entity list, a weight that is not finite and
+        >= 0, or an entity whose rows repeat or are out of (neighbour,
+        relation) order raise ``InputError``."""
         index_dir = Path(index_dir)
         ent_path, adj_path = index_dir / "entities.txt", index_dir / "adjacency.npz"
         # every line is a surface, with no comment rule: one may start with "#"
@@ -263,6 +264,11 @@ class KnowledgeGraph:
             raise InputError(adj_path, msg=f"unreadable index arrays ({exc})") from None
 
         n = len(surfaces)
+        ints = all(np.issubdtype(a.dtype, np.integer) for a in (offsets, nbr, rel))
+        if not (ints and np.issubdtype(weight.dtype, np.floating)):
+            raise InputError(
+                adj_path, msg="offsets, nbr and rel must be integer arrays and weight a float array"
+            )
         if not (nbr.ndim == 1 and nbr.shape == rel.shape == weight.shape):
             raise InputError(adj_path, msg="nbr, rel and weight differ in length")
         if offsets.ndim != 1 or offsets[:1].tolist() != [0] or (np.diff(offsets) < 0).any():
@@ -275,6 +281,8 @@ class KnowledgeGraph:
             raise InputError(adj_path, msg=f"a neighbour id lies outside 0..{n - 1}")
         if rel.size and not (0 <= rel.min() and rel.max() < relations.n_total):
             raise InputError(adj_path, msg=f"a relation id lies outside 0..{relations.n_total - 1}")
+        if not (np.isfinite(weight) & (weight >= 0)).all():
+            raise InputError(adj_path, msg="a weight is not a non-negative real")
         # ascending[i]: row i + 1 comes after row i by (neighbour, relation),
         # which need not hold where row i + 1 starts an entity
         ascending = (nbr[1:] > nbr[:-1]) | ((nbr[1:] == nbr[:-1]) & (rel[1:] > rel[:-1]))

@@ -10,10 +10,12 @@ per the wire format.
 
 Forward passes return ``(output, cache)`` pairs and backward passes consume
 the cache, so one layer can be applied any number of times inside a single
-loss computation (the node encoder runs once per query in a batch). Gradients
-accumulate into per-layer buffers until ``zero_grad``. A dense layer also takes
-its input as ``ColumnBlocks``: f_n and f_p read rows whose leading columns are
-the same in every row, and f_n's trailing columns are a one-hot type.
+loss computation (the node encoder runs once per query in a batch). Backward
+passes accumulate into each layer's ``dW`` and ``db``. ``ScoringModel.parameters``
+lists every (name, array, gradient) triple, and zeroing, both optimizers and
+the checkpoint walk that one list. A dense layer also takes its input as
+``ColumnBlocks``: f_n and f_p read rows whose leading columns are the same in
+every row, and f_n's trailing columns are a one-hot type.
 """
 
 from __future__ import annotations
@@ -28,6 +30,9 @@ import numpy as np
 from .config import InputError, atomic_write
 
 CHECKPOINT_MAGIC = b"GPR1"
+
+#: One trainable array: (name, array, gradient buffer).
+Param = tuple[str, np.ndarray, np.ndarray]
 
 
 # ---------------------------------------------------------------------------
@@ -113,7 +118,6 @@ class DenseLayer:
         if activation not in ("relu", "identity"):
             raise ValueError(f"unknown activation {activation!r}")
         self.n_in = n_in
-        self.n_out = n_out
         self.activation = activation
         self.input_grad = input_grad
         self.W = _init_uniform(rng, (n_out, n_in), n_in)
@@ -161,10 +165,6 @@ class DenseLayer:
         if not self.input_grad:
             return None
         return np.hstack([dout @ self.W[:, lo : lo + rows.shape[1]] for lo, rows in x.dense])
-
-    def zero_grad(self) -> None:
-        self.dW.fill(0.0)
-        self.db.fill(0.0)
 
 
 class MLP2:
@@ -220,10 +220,6 @@ class MLP2:
             dh = dh * mask
         return self.hidden.backward(dh, cache_h)
 
-    def zero_grad(self) -> None:
-        self.hidden.zero_grad()
-        self.out.zero_grad()
-
 
 class BilinearLayer:
     """score(x, y) = x^T W y + b for one x against many row vectors y; x is
@@ -247,10 +243,6 @@ class BilinearLayer:
         self.dW += np.outer(x, dscores @ rows)
         self.db[0] += dscores.sum()
         return np.outer(dscores, self.W.T @ x)
-
-    def zero_grad(self) -> None:
-        self.dW.fill(0.0)
-        self.db.fill(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +270,6 @@ class ScoringModel:
         self.d = d
         self.D = D
         self.k = k
-        self.dropout_rate = dropout_rate
-        self.seed = seed
         rng = np.random.default_rng(seed)
         self.f_n = MLP2(rng, self.node_input_dim, d, d, dropout_rate, input_grad=False)
         self.f_t = MLP2(rng, k * d, d, d, dropout_rate)
@@ -291,27 +281,22 @@ class ScoringModel:
     def node_input_dim(self) -> int:
         return 2 * self.d + self.D + 4
 
-    def layers(self) -> list[tuple[str, DenseLayer | BilinearLayer]]:
-        """(name, layer) pairs in the fixed checkpoint order."""
+    def parameters(self, prefix: str = "") -> list[Param]:
+        """(name, array, gradient buffer) triples in the fixed checkpoint
+        order, those whose name starts with ``prefix``."""
         mlps = (("f_n", self.f_n), ("f_t", self.f_t), ("f_p", self.f_p))
-        dense = [(f"{n}.{part}", getattr(mlp, part)) for n, mlp in mlps for part in ("hidden", "out")]
-        return dense + [("f_bi", self.f_bi)]
-
-    def param_items(self) -> list[tuple[str, np.ndarray]]:
-        """(name, array) pairs in the fixed checkpoint order."""
-        return [(f"{n}.{p}", getattr(layer, p)) for n, layer in self.layers() for p in "Wb"]
-
-    def grad_items(self) -> list[tuple[str, np.ndarray]]:
-        """(name, gradient buffer) pairs, aligned with ``param_items``."""
-        return [(f"{n}.{p}", getattr(layer, "d" + p)) for n, layer in self.layers() for p in "Wb"]
-
-    def prune_param_names(self) -> list[str]:
-        """Parameters trained during the prune-only phase (the node encoder)."""
-        return [name for name, _ in self.param_items() if name.startswith("f_n.")]
+        owners = [(f"{n}.{part}", getattr(mlp, part)) for n, mlp in mlps for part in ("hidden", "out")]
+        owners.append(("f_bi", self.f_bi))
+        return [
+            triple
+            for n, layer in owners
+            for triple in ((f"{n}.W", layer.W, layer.dW), (f"{n}.b", layer.b, layer.db))
+            if triple[0].startswith(prefix)
+        ]
 
     def zero_grad(self) -> None:
-        for _, layer in self.layers():
-            layer.zero_grad()
+        for _, _, grad in self.parameters():
+            grad.fill(0.0)
 
     # -- persistence ---------------------------------------------------------
 
@@ -320,7 +305,7 @@ class ScoringModel:
         with atomic_write(path, "wb") as f:
             f.write(CHECKPOINT_MAGIC)
             f.write(struct.pack("<III", self.d, self.D, self.k))
-            for _, arr in self.param_items():
+            for _, arr, _ in self.parameters():
                 f.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
 
     @classmethod
@@ -345,12 +330,14 @@ class ScoringModel:
             )
         model = cls(d, D, k, dropout_rate=dropout_rate, seed=0)
         offset = 16
-        for name, arr in model.param_items():
+        for name, arr, _ in model.parameters():
             nbytes = arr.size * 4
             block = raw[offset : offset + nbytes]
             if len(block) != nbytes:
                 raise InputError(path, msg=f"truncated at parameter {name}")
             arr[...] = np.frombuffer(block, dtype="<f4").reshape(arr.shape)
+            if not np.isfinite(arr).all():
+                raise InputError(path, msg=f"non-finite value in parameter {name}")
             offset += nbytes
         if offset != len(raw):
             raise InputError(path, msg=f"{len(raw) - offset} trailing bytes")
@@ -366,48 +353,29 @@ class ScoringModel:
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
-def adam_step(
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    state: dict[str, list],
-    lr: float,
-) -> None:
-    """One bias-corrected Adam update, in place. State is per parameter."""
-    for name, grad in grads.items():
-        param = params[name]
-        if param.shape != grad.shape:
-            raise ValueError(
-                f"shape mismatch for {name}: param {param.shape}, grad {grad.shape}"
-            )
-        if name not in state:
-            state[name] = [np.zeros_like(param), np.zeros_like(param), 0]
-        m, v, t = state[name]
-        t += 1
-        m *= BETA1
-        m += (1.0 - BETA1) * grad
-        v *= BETA2
-        v += (1.0 - BETA2) * grad * grad
-        m_hat = m / (1.0 - BETA1**t)
-        v_hat = v / (1.0 - BETA2**t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + EPS)
-        state[name][2] = t
-
-
 class Adam:
-    """Stateful wrapper around :func:`adam_step` keyed by parameter name."""
+    """Bias-corrected Adam (Kingma & Ba, arXiv:1412.6980), with its moments
+    and step count kept per parameter name."""
 
     def __init__(self, lr: float):
         self.lr = lr
         self.state: dict[str, list] = {}
 
-    def step(self, model: ScoringModel, only: Optional[Sequence[str]] = None) -> None:
-        """Apply accumulated gradients; ``only`` restricts to named params."""
-        params = dict(model.param_items())
-        grads = dict(model.grad_items())
-        if only is not None:
-            wanted = set(only)
-            grads = {n: g for n, g in grads.items() if n in wanted}
-        adam_step(params, grads, self.state, self.lr)
+    def step(self, params: Sequence[Param]) -> None:
+        """One update, in place, of each (name, array, gradient) in ``params``."""
+        for name, param, grad in params:
+            if name not in self.state:
+                self.state[name] = [np.zeros_like(param), np.zeros_like(param), 0]
+            m, v, t = self.state[name]
+            t += 1
+            m *= BETA1
+            m += (1.0 - BETA1) * grad
+            v *= BETA2
+            v += (1.0 - BETA2) * grad * grad
+            m_hat = m / (1.0 - BETA1**t)
+            v_hat = v / (1.0 - BETA2**t)
+            param -= self.lr * m_hat / (np.sqrt(v_hat) + EPS)
+            self.state[name][2] = t
 
 
 class SGD:
@@ -416,13 +384,9 @@ class SGD:
     def __init__(self, lr: float):
         self.lr = lr
 
-    def step(self, model: ScoringModel, only: Optional[Sequence[str]] = None) -> None:
-        wanted = None if only is None else set(only)
-        grads = dict(model.grad_items())
-        for name, param in model.param_items():
-            if wanted is not None and name not in wanted:
-                continue
-            param -= self.lr * grads[name]
+    def step(self, params: Sequence[Param]) -> None:
+        for _, param, grad in params:
+            param -= self.lr * grad
 
 
 def make_optimizer(name: str, lr: float):

@@ -421,7 +421,7 @@ def train_joint_step(
     if n_terms_total:
         loss_prune /= n_terms_total
 
-    optimizer.step(model)
+    optimizer.step(model.parameters())
     return loss_cls, loss_prune
 
 

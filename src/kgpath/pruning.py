@@ -318,7 +318,7 @@ def train_prune_step(
 
     for cache, dh in staged:
         model.f_n.backward(dh / n_terms_total, cache)
-    optimizer.step(model, only=model.prune_param_names())
+    optimizer.step(model.parameters("f_n."))
     return total_loss / n_terms_total
 
 

@@ -155,7 +155,7 @@ def _joint_instance(seed):
         _backward_paths(model, paths, dscores, path_cache, dh)
         dh += dh_t / max(t_cnt, 1)
         model.f_n.backward(dh, cache_n)
-        return {name: g.copy() for name, g in model.grad_items()}
+        return {name: g.copy() for name, _, g in model.parameters()}
 
     return model, x, loss, analytic
 
@@ -265,7 +265,7 @@ def test_criterion_1_gradient_integrity():
         # layer: node encoder, both path encoders, the bilinear scorer)
         model, _, loss, analytic = _joint_instance(seed)
         grads = analytic()
-        check(loss, [(arr, grads[name]) for name, arr in model.param_items()])
+        check(loss, [(arr, grads[name]) for name, arr, _ in model.parameters()])
     elapsed = time.time() - t0
     assert elapsed < 30.0, f"gradient checks took {elapsed:.1f}s"
     assert n_skipped <= 0.01 * n_probed, f"{n_skipped} of {n_probed} probes cross a kink"
@@ -279,10 +279,10 @@ def test_criterion_1_gradient_integrity():
 def test_fd_check_catches_corrupted_gradient():
     model, _, loss, analytic = _joint_instance(0)
     grads = analytic()
-    pairs = [(arr, grads[name]) for name, arr in model.param_items()]
+    pairs = [(arr, grads[name]) for name, arr, _ in model.parameters()]
     _, skipped, _ = _fd_check(loss, pairs)
     assert skipped == []
-    names = [name for name, _ in model.param_items()]
+    names = [name for name, _, _ in model.parameters()]
     grads["f_p.out.W"].reshape(-1)[3] += 1e-2
     with pytest.raises(AssertionError, match="finite-difference mismatch"):
         _fd_check(loss, [pairs[names.index("f_p.out.W")]])
@@ -295,8 +295,8 @@ def test_fd_check_leaves_out_exactly_the_kink_crossings():
     h = 1e-5
     model, x, loss, analytic = _joint_instance(5)
     grads = analytic()
-    names = [name for name, _ in model.param_items()]
-    pairs = [(arr, grads[name]) for name, arr in model.param_items()]
+    names = [name for name, _, _ in model.parameters()]
+    pairs = [(arr, grads[name]) for name, arr, _ in model.parameters()]
     _, skipped, _ = _fd_check(loss, pairs, h=h)
 
     # independent oracle for the first layer: W[r, c] flips node n's unit r
@@ -353,7 +353,7 @@ def test_criterion_2_toy_convergence(toy_runtime, staged_runs):
 
     # bit-identical reruns
     assert metrics_a == metrics_b
-    for (name, pa), (_, pb) in zip(model_a.param_items(), model_b.param_items()):
+    for (name, pa, _), (_, pb, _) in zip(model_a.parameters(), model_b.parameters()):
         assert np.array_equal(pa, pb), f"{name} differs between identical runs"
 
     print(

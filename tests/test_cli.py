@@ -633,6 +633,11 @@ MALFORMED_INPUT = {
     "checkpoint-truncated-header": (
         "eval", "checkpoint", None, lambda data: data[:6], "truncated header"
     ),
+    "checkpoint-non-finite": (
+        "eval", "checkpoint", None,
+        lambda data: data[:16] + np.array([np.nan], dtype="<f4").tobytes() + data[20:],
+        "non-finite value in parameter f_n.hidden.W",
+    ),
     "set-int-not-a-number": (
         "schema", "--set", None, "k=abc",
         "--set k: invalid literal for int() with base 10: 'abc'",
@@ -733,6 +738,16 @@ MALFORMED_INPUT = {
         "schema", "index_arrays", None,
         npz_edit(lambda a: a["nbr"].__setitem__(0, 150)),
         "a neighbour id lies outside 0..149",
+    ),
+    "index-neighbour-dtype": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a.update(nbr=a["nbr"].astype(np.float64))),
+        "offsets, nbr and rel must be integer arrays and weight a float array",
+    ),
+    "index-weight-non-finite": (
+        "schema", "index_arrays", None,
+        npz_edit(lambda a: a["weight"].__setitem__(0, np.nan)),
+        "a weight is not a non-negative real",
     ),
     "index-relation-range": (
         "schema", "index_arrays", None,

@@ -133,7 +133,7 @@ def test_path_encoder_matches_tiled_input(n):
 
 def params_sha256(model):
     digest = hashlib.sha256()
-    for name, arr in model.param_items():
+    for name, arr, _ in model.parameters():
         digest.update(name.encode())
         digest.update(arr.tobytes())
     return digest.hexdigest()

@@ -9,6 +9,10 @@ A name counts as read wherever it appears as an identifier, an attribute, a
 keyword argument or a string that is exactly the name (``__all__`` entries,
 names looked up with ``getattr``); comments and docstrings do not count.
 
+Every instance attribute that ``src/kgpath/`` sets (``self.<name> = ...``)
+must be read as an attribute (``<object>.<name>``, not assigned) somewhere in
+``src/kgpath/``, ``perfbench/`` or ``scripts/``, matched by name alone.
+
 Likewise every parameter with a default must be set by some call in those
 same places: by keyword, by enough positional arguments to reach it, or by a
 call that passes ``*`` or ``**`` arguments. Calls are matched by function or
@@ -104,6 +108,25 @@ def test_every_defined_name_is_read_outside_its_definition():
             if not read:
                 unread.append(f"{module}.{qualname}")
     assert sorted(unread) == kept(parameters=False)
+
+
+def test_every_instance_attribute_is_read():
+    trees = package_trees()
+    read = {
+        node.attr
+        for tree in [*trees.values(), *outside_trees()]
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread = sorted(
+        f"{module}:{node.lineno} self.{node.attr}"
+        for module, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store)
+        and isinstance(node.value, ast.Name) and node.value.id == "self"
+        and node.attr not in read
+    )
+    assert unread == []
 
 
 def defaulted(tree: ast.Module):

@@ -10,7 +10,6 @@ from kgpath.neural import (
     DenseLayer,
     MLP2,
     ScoringModel,
-    adam_step,
     bce_loss_backward,
     cosine_rows,
 )
@@ -264,7 +263,8 @@ def test_dense_layer_gradients(activation):
             y, _ = layer.forward(x)
             return float((y * w).sum())
 
-        layer.zero_grad()
+        layer.dW.fill(0.0)
+        layer.db.fill(0.0)
         y, cache = layer.forward(x)
         dx = layer.backward(w, cache)
         fd = finite_difference(loss_fn, [layer.W, layer.b])
@@ -285,11 +285,12 @@ def test_mlp2_gradients_eval_mode():
             y, _ = mlp.forward(x, train=False)
             return float((y * w).sum())
 
-        mlp.zero_grad()
-        _, cache = mlp.forward(x, train=False)
-        mlp.backward(w, cache)
         params = [mlp.hidden.W, mlp.hidden.b, mlp.out.W, mlp.out.b]
         grads = [mlp.hidden.dW, mlp.hidden.db, mlp.out.dW, mlp.out.db]
+        for g in grads:
+            g.fill(0.0)
+        _, cache = mlp.forward(x, train=False)
+        mlp.backward(w, cache)
         for got, fd in zip(grads, finite_difference(loss_fn, params)):
             assert relative_error(got, fd) < 1e-4
 
@@ -306,7 +307,8 @@ def test_bilinear_gradients():
             s, _ = layer.forward(x, rows)
             return float((s * w).sum())
 
-        layer.zero_grad()
+        layer.dW.fill(0.0)
+        layer.db.fill(0.0)
         s, cache = layer.forward(x, rows)
         drows = layer.backward(w, cache)
         fd = finite_difference(loss_fn, [layer.W, layer.b])
@@ -344,49 +346,45 @@ def test_inverted_dropout_expectation():
 
 
 def test_adam_zero_gradient_keeps_params():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.zeros(2)}
-    state = {}
-    adam_step(params, grads, state, lr=0.1)
-    assert np.array_equal(params["w"], [1.0, -2.0])
+    w = np.array([1.0, -2.0])
+    Adam(lr=0.1).step([("w", w, np.zeros(2))])
+    assert np.array_equal(w, [1.0, -2.0])
 
 
 def test_adam_first_step_is_signed_lr():
-    params = {"w": np.array([0.0])}
-    state = {}
-    adam_step(params, {"w": np.array([2.5])}, state, lr=1e-2)
-    assert params["w"][0] == pytest.approx(-1e-2, rel=1e-6)
-    params = {"w": np.array([0.0])}
-    adam_step(params, {"w": np.array([-0.3])}, {}, lr=1e-2)
-    assert params["w"][0] == pytest.approx(1e-2, rel=1e-6)
+    w = np.array([0.0])
+    Adam(lr=1e-2).step([("w", w, np.array([2.5]))])
+    assert w[0] == pytest.approx(-1e-2, rel=1e-6)
+    w = np.array([0.0])
+    Adam(lr=1e-2).step([("w", w, np.array([-0.3]))])
+    assert w[0] == pytest.approx(1e-2, rel=1e-6)
 
 
 def test_adam_minimizes_quadratic():
     rng = np.random.default_rng(6)
     c = rng.standard_normal(5)
-    x = {"x": rng.standard_normal(5) * 3}
-    state = {}
+    x = rng.standard_normal(5) * 3
+    adam = Adam(lr=0.05)
     dists = []
     for _ in range(100):
-        grads = {"x": 2 * (x["x"] - c)}
-        adam_step(x, grads, state, lr=0.05)
-        dists.append(float(np.linalg.norm(x["x"] - c)))
+        adam.step([("x", x, 2 * (x - c))])
+        dists.append(float(np.linalg.norm(x - c)))
     for i in range(5, len(dists) - 1):
         assert dists[i + 1] < dists[i]
 
 
 def test_adam_shape_mismatch():
     with pytest.raises(ValueError, match="shape"):
-        adam_step({"w": np.zeros(3)}, {"w": np.zeros(4)}, {}, 1e-4)
+        Adam(1e-4).step([("w", np.zeros(3), np.zeros(4))])
 
 
 def test_adam_freeze_via_subset():
     model = ScoringModel(d=4, D=3, k=2, dropout_rate=0.0, seed=0)
-    frozen_before = {n: a.copy() for n, a in model.param_items() if not n.startswith("f_n.")}
-    for _, g in model.grad_items():
+    frozen_before = {n: a.copy() for n, a, _ in model.parameters() if not n.startswith("f_n.")}
+    for _, _, g in model.parameters():
         g += 1.0  # pretend every parameter has gradient
-    Adam(lr=0.1).step(model, only=model.prune_param_names())
-    for name, arr in model.param_items():
+    Adam(lr=0.1).step(model.parameters("f_n."))
+    for name, arr, _ in model.parameters():
         if name.startswith("f_n."):
             assert not np.array_equal(arr, frozen_before.get(name, arr * np.nan))
         else:
@@ -401,7 +399,7 @@ def test_checkpoint_round_trip(tmp_path):
     path = tmp_path / "model.gpr"
     model.save_checkpoint(path)
     loaded = ScoringModel.load_checkpoint(path, 0.5, expect_dims=(5, 4, 3))
-    for (name, a), (name2, b) in zip(model.param_items(), loaded.param_items()):
+    for (name, a, _), (name2, b, _) in zip(model.parameters(), loaded.parameters()):
         assert name == name2
         assert np.allclose(a, b, atol=1e-6)  # float32 storage
         assert np.array_equal(b, a.astype(np.float32).astype(np.float64))
@@ -440,11 +438,11 @@ def test_sgd_step_and_factory():
     from kgpath.neural import SGD, make_optimizer
 
     model = ScoringModel(d=4, D=3, k=2, dropout_rate=0.0, seed=2)
-    before = {n: a.copy() for n, a in model.param_items()}
-    for _, g in model.grad_items():
+    before = {n: a.copy() for n, a, _ in model.parameters()}
+    for _, _, g in model.parameters():
         g += 0.5
-    SGD(lr=0.1).step(model, only=model.prune_param_names())
-    for name, arr in model.param_items():
+    SGD(lr=0.1).step(model.parameters("f_n."))
+    for name, arr, _ in model.parameters():
         if name.startswith("f_n."):
             assert np.allclose(arr, before[name] - 0.05)
         else:

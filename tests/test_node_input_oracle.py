@@ -143,7 +143,7 @@ def reference_train_prune_step(model, batch, optimizer, margin=0.5, semi_hard=Tr
     for _sample, cache, loss_sum, dh in staged:
         total_loss += loss_sum
         model.f_n.backward(dh / n_terms_total, cache)
-    optimizer.step(model, only=model.prune_param_names())
+    optimizer.step(model.parameters("f_n."))
     return total_loss / n_terms_total
 
 
@@ -193,7 +193,7 @@ def reference_train_joint_step(
     if n_terms_total:
         loss_prune /= n_terms_total
 
-    optimizer.step(model)
+    optimizer.step(model.parameters())
     return loss_cls, loss_prune
 
 
@@ -314,7 +314,7 @@ def test_training_matches_materialised_route(small_runtime, monkeypatch):
         assert (entry["phase"], entry["epoch"]) == (ref_entry["phase"], ref_entry["epoch"])
         for key in entry.keys() - {"phase", "epoch"}:
             assert_close(entry[key], ref_entry[key])
-    for (name, arr), (_, ref_arr) in zip(model.param_items(), ref_model.param_items()):
+    for (name, arr, _), (_, ref_arr, _) in zip(model.parameters(), ref_model.parameters()):
         assert_close(arr, ref_arr)
 
     # eval on the held-out questions: the same survivors, close encodings and scores

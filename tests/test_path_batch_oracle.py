@@ -260,7 +260,7 @@ def test_forward_and_backward_match_reference_bytes():
             dscores = rng.standard_normal(len(ref))
             dh = np.zeros_like(h)
             _backward_paths(new_model, batch, dscores, cache, dh)
-            got = [scores, h_p, dh] + [g for _, g in new_model.grad_items()]
+            got = [scores, h_p, dh] + [g for _, _, g in new_model.parameters()]
             for tiled in (False, True):
                 ref_model = copy.deepcopy(model)
                 r_scores, r_h_p, r_cache = ref_forward_paths(
@@ -268,7 +268,7 @@ def test_forward_and_backward_match_reference_bytes():
                 )
                 r_dh = np.zeros_like(h)
                 ref_backward_paths(ref_model, ref, dscores, r_cache, positions, r_dh)
-                want = [r_scores, r_h_p, r_dh] + [g for _, g in ref_model.grad_items()]
+                want = [r_scores, r_h_p, r_dh] + [g for _, _, g in ref_model.parameters()]
                 for a, b in zip(got, want):
                     if tiled:
                         assert_close(a, b)

@@ -659,11 +659,11 @@ def make_samples(model, n_queries=3, n_nodes=10, seed=0):
 def test_train_joint_step_runs_and_updates_everything():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=11)
     samples = make_samples(model, seed=12)
-    before = {n: a.copy() for n, a in model.param_items()}
+    before = {n: a.copy() for n, a, _ in model.parameters()}
     opt = Adam(lr=1e-3)
     loss_cls, loss_prune = train_joint_step(model, samples, opt, step_seed=1, **JOINT)
     assert np.isfinite(loss_cls) and np.isfinite(loss_prune)
-    changed = {n for n, a in model.param_items() if not np.array_equal(a, before[n])}
+    changed = {n for n, a, _ in model.parameters() if not np.array_equal(a, before[n])}
     assert any(n.startswith("f_n.") for n in changed)
     assert any(n.startswith("f_bi") for n in changed)
     assert any(n.startswith("f_t") for n in changed)
@@ -683,14 +683,14 @@ def test_gt_absent_query_contributes_negative_labels_only():
 
 def test_staged_training_zero_epochs_keeps_init():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=15)
-    before = {n: a.copy() for n, a in model.param_items()}
+    before = {n: a.copy() for n, a, _ in model.parameters()}
     samples = make_samples(model, seed=16)
     metrics = staged_training(
         model, samples, epochs_prune=0, epochs_joint=0, lr=CFG.lr, batch_size=CFG.batch_size,
         seed=0, **JOINT,
     )
     assert metrics == []
-    for n, a in model.param_items():
+    for n, a, _ in model.parameters():
         assert np.array_equal(a, before[n])
 
 
@@ -698,13 +698,13 @@ def test_staged_training_freezes_path_nets_in_phase_one():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=17)
     samples = make_samples(model, seed=18)
     frozen_before = {
-        n: a.copy() for n, a in model.param_items() if not n.startswith("f_n.")
+        n: a.copy() for n, a, _ in model.parameters() if not n.startswith("f_n.")
     }
     staged_training(
         model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3, batch_size=CFG.batch_size,
         seed=0, **JOINT,
     )
-    for n, a in model.param_items():
+    for n, a, _ in model.parameters():
         if not n.startswith("f_n."):
             assert np.array_equal(a, frozen_before[n]), f"{n} moved during phase 1"
 
@@ -718,7 +718,7 @@ def test_staged_training_bit_identical_reruns():
             model, samples, epochs_prune=2, epochs_joint=2, lr=1e-3, batch_size=CFG.batch_size,
             seed=4, **JOINT,
         )
-        results.append((metrics, {n: a.copy() for n, a in model.param_items()}))
+        results.append((metrics, {n: a.copy() for n, a, _ in model.parameters()}))
     (m1, p1), (m2, p2) = results
     assert m1 == m2
     for n in p1:
@@ -738,7 +738,7 @@ def test_all_triplets_ablation_trains_reproducibly(small_runtime):
             batch_size=cfg.batch_size, target=cfg.prune_target, n_paths=cfg.n_paths,
             theta_p=cfg.theta_p, k=cfg.k, margin=cfg.margin, seed=cfg.seed, semi_hard=False,
         )
-        results.append((metrics, {n: a.copy() for n, a in model.param_items()}))
+        results.append((metrics, {n: a.copy() for n, a, _ in model.parameters()}))
     (m1, p1), (m2, p2) = results
     assert len(m1) == 4
     losses = [v for entry in m1 for k, v in entry.items() if "loss" in k]

@@ -570,7 +570,7 @@ def test_staged_training_skips_gt_absent_samples():
     sg = make_sg([0, 1, 2], [0, 2, 2], sym([(0, 0, 1, 1.0), (1, 0, 2, 1.0)]), q_nodes={0})
 
     def params(model):
-        return [p.copy() for _, p in model.param_items()]
+        return [p.copy() for _, p, _ in model.parameters()]
 
     def trained(gts):
         model = ScoringModel(d=4, D=3, k=3, dropout_rate=0.0, seed=9)

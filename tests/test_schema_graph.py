@@ -257,8 +257,8 @@ def test_failed_write_keeps_previous_file(tmp_path):
 
     with pytest.raises(RuntimeError, match="disk gone"):
         write_jsonl(dump, (x.to_json_obj(g) for x in then_crash([sg, sg])))
-    params = list(model.param_items())
-    model.param_items = lambda: then_crash(params[:2])
+    params = model.parameters()
+    model.parameters = lambda: then_crash(params[:2])
     with pytest.raises(RuntimeError, match="disk gone"):
         model.save_checkpoint(ckpt)
     with pytest.raises(RuntimeError, match="disk gone"):
