@@ -63,7 +63,7 @@ def grid_row(rt, seed: int, train_answers: frozenset) -> tuple[float, float, flo
         results = evaluate_queries(model, test, dataclasses.replace(cfg, seed=seed + i))
         path_ranks.append([gt_rank(r.path_terminals, r.gt) for r in results])
         if node_r1 is None:
-            node_r1 = recall_rates([gt_rank(r.node_ranking, r.gt) for r in results], [1])[1]
+            node_r1 = recall_rates([r.node_rank for r in results], [1])[1]
     per_seed = np.array([recall_rates(ranks, [10])[10] for ranks in path_ranks])
     open_ranks = [r for ranks in path_ranks for r, o in zip(ranks, is_open) if o]
     open_r10 = recall_rates(open_ranks, [10])[10]

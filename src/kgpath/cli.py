@@ -313,7 +313,7 @@ def cmd_infer(args: argparse.Namespace) -> int:
     line = json.dumps(obj, sort_keys=True)
     print(line)
     if args.out:  # the earlier lines and this one, renamed into place together
-        earlier = [e for _, block in read_blocks(args.out) for e in block] if args.out.exists() else []
+        earlier = [e for _, block, _ in read_blocks(args.out) for e in block] if args.out.exists() else []
         if earlier:  # a last line without its ending gets one
             earlier[-1] = earlier[-1].rstrip("\n") + "\n"
         with atomic_write(args.out) as f:

@@ -197,10 +197,11 @@ def load_config(path: Optional[Path | str], overrides: Optional[dict[str, str]] 
 BLOCK_CHARS = 1 << 16
 
 
-def read_blocks(path: Path | str) -> Iterator[tuple[int, list[str]]]:
-    """``(number of the first line, lines)`` for each block of whole lines of
-    about ``BLOCK_CHARS`` characters of a UTF-8 text file, each line with its
-    ending (``"\\n"``, by universal newlines), none skipped: the one reader.
+def read_blocks(path: Path | str) -> Iterator[tuple[int, list[str], str]]:
+    """``(number of the first line, lines, text)`` for each block of whole
+    lines of about ``BLOCK_CHARS`` characters of a UTF-8 text file, each line
+    with its ending (``"\\n"``, by universal newlines), none skipped, and
+    ``text`` the lines joined, joined once here: the one reader.
 
     A line holding a byte that is not UTF-8 raises ``InputError(path,
     lineno, "not UTF-8 text")`` after the lines before it are yielded, so
@@ -216,9 +217,9 @@ def read_blocks(path: Path | str) -> Iterator[tuple[int, list[str]]]:
                 except UnicodeEncodeError as exc:
                     bad = text.count("\n", 0, exc.start)
                     if bad:
-                        yield lineno, lines[:bad]
+                        yield lineno, lines[:bad], "".join(lines[:bad])
                     raise InputError(path, lineno + bad, "not UTF-8 text") from None
-            yield lineno, lines
+            yield lineno, lines, text
             lineno += len(lines)
 
 
@@ -234,13 +235,13 @@ def _content(first_lineno: int, lines: list[str]) -> Iterator[tuple[int, str]]:
 def read_lines(path: Path | str) -> Iterator[tuple[int, str]]:
     """``(line number, line)`` for each line of ``read_blocks(path)`` that is
     neither blank nor a comment, its ending removed."""
-    for first_lineno, lines in read_blocks(path):
+    for first_lineno, lines, _ in read_blocks(path):
         yield from _content(first_lineno, lines)
 
 
 def read_bulk(path: Path | str, bulk: Callable, parse_line: Callable, gather: Callable) -> Iterator:
-    """``bulk(lines)`` for each block of ``read_blocks(path)``: the one
-    driver of the loaders that parse a block at once.
+    """``bulk(lines, text)`` for each block of ``read_blocks(path)``: the
+    one driver of the loaders that parse a block at once.
 
     A block holding a comment, or one ``bulk`` declines (None), is parsed
     line by line instead: ``gather`` of the ``parse_line`` results other
@@ -248,9 +249,9 @@ def read_bulk(path: Path | str, bulk: Callable, parse_line: Callable, gather: Ca
     becoming ``InputError(path, lineno, msg)``. ``bulk`` must decline a block
     with a line that ``parse_line`` refuses, so that line is the one named.
     """
-    for first_lineno, lines in read_blocks(path):
-        comment = "#" in "".join(lines) and any(line.lstrip()[:1] == "#" for line in lines)
-        block = None if comment else bulk(lines)
+    for first_lineno, lines, text in read_blocks(path):
+        comment = "#" in text and any(line.lstrip()[:1] == "#" for line in lines)
+        block = None if comment else bulk(lines, text)
         if block is None:
             rows = []
             for lineno, line in _content(first_lineno, lines):

@@ -149,7 +149,7 @@ def load_entity_embeddings(path: Path | str, g: KnowledgeGraph) -> np.ndarray:
     def gather(rows: list[tuple[int, np.ndarray]]) -> tuple[list, Optional[np.ndarray]]:
         return [row[0] for row in rows], np.stack([row[1] for row in rows]) if rows else None
 
-    for ids, vecs in read_bulk(path, lambda lines: _bulk_rows(lines, g, dim), parse, gather):
+    for ids, vecs in read_bulk(path, lambda lines, _: _bulk_rows(lines, g, dim), parse, gather):
         if not ids:
             continue
         if matrix is None:

@@ -255,7 +255,7 @@ class KnowledgeGraph:
         index_dir = Path(index_dir)
         ent_path, adj_path = index_dir / "entities.txt", index_dir / "adjacency.npz"
         # every line is a surface, with no comment rule: one may start with "#"
-        surfaces = [line.rstrip("\n") for _, lines in read_blocks(ent_path) for line in lines]
+        surfaces = [line.rstrip("\n") for _, lines, _ in read_blocks(ent_path) for line in lines]
         relations = load_relations(index_dir / "relations.txt")
         try:
             with open(adj_path, "rb") as f, np.load(f) as arrays:
@@ -351,10 +351,12 @@ def _parse_edge_line(line: str, rel_index: dict[str, int]) -> tuple[str, int, st
 
 
 def _bulk_rows(
-    lines: list[str], rel_index: dict[str, int], ids_of: Callable[[list[str]], Optional[np.ndarray]]
+    lines: list[str], text: str, rel_index: dict[str, int],
+    ids_of: Callable[[list[str]], Optional[np.ndarray]],
 ) -> Optional[tuple[np.ndarray, list, np.ndarray]]:
     """A block's (interleaved head/tail ids, relation ids, weights), the ids
-    given by ``ids_of`` from the surfaces as written.
+    given by ``ids_of`` from the surfaces as written; ``text`` is the lines
+    joined.
 
     None when a line may break a rule: the block is then parsed line by line.
     A blank or whitespace-only line never gets through, since its relation
@@ -363,7 +365,7 @@ def _bulk_rows(
     if set(map(str.count, lines, repeat("\t"))) != {3}:
         return None
     # head, relation, tail, weight of every line, end to end
-    fields = "".join(lines).replace("\n", "\t").split("\t")
+    fields = text.replace("\n", "\t").split("\t")
     end = 4 * len(lines)
     rids = list(map(rel_index.get, fields[1:end:4]))
     if None in rids:
@@ -430,7 +432,7 @@ def load_graph(
 
     for ids, rids, w in read_bulk(
         edge_file,
-        lambda lines: _bulk_rows(lines, rel_index, ids_of),
+        lambda lines, text: _bulk_rows(lines, text, rel_index, ids_of),
         lambda line: _parse_edge_line(line, rel_index),
         gather,
     ):

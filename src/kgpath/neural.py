@@ -41,11 +41,14 @@ Param = tuple[str, np.ndarray, np.ndarray]
 
 
 def cosine_rows(z: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """cos(z, rows[i]) for every row; zero-norm rows score 0."""
+    """cos(z, rows[i]) for every row; zero-norm rows score 0, and every row
+    when z has zero norm. Only then are the usable rows copied out."""
     nz = np.linalg.norm(z)
     norms = np.linalg.norm(rows, axis=1)
-    out = np.zeros(rows.shape[0])
     ok = (norms >= 1e-12) & (nz >= 1e-12)
+    if ok.all():
+        return rows @ z / (norms * nz)
+    out = np.zeros(rows.shape[0])
     if ok.any():
         out[ok] = rows[ok] @ z / (norms[ok] * nz)
     return out
@@ -139,10 +142,11 @@ class DenseLayer:
         elif x.shape[-1] != self.n_in:
             raise ValueError(f"expected input width {self.n_in}, got {x.shape[-1]}")
         else:
-            pre = x @ W.T + self.b
+            pre = x @ W.T
+            pre += self.b
         if self.activation == "relu":
-            out = np.maximum(pre, 0.0)
-            return out, (x, pre > 0)
+            mask = pre > 0
+            return np.maximum(pre, 0.0, out=pre), (x, mask)
         return pre, (x, None)
 
     def backward(self, dout: np.ndarray, cache: tuple) -> Optional[np.ndarray]:

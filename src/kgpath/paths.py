@@ -9,11 +9,11 @@ walk step of its own. ``list_walks`` lists every walk, each with its
 probability under a random walk (uniform start among key nodes, uniform
 edge choice among edges that do not revisit a node, 1/3 stop chance after
 each step), and a Gumbel-top-k keeps ``n_paths`` of them: all of them when
-they fit, otherwise a draw without replacement, each walk in proportion to
-its probability. The listing holds every walk at once, as per-level 1-D
-arrays of a few numbers per walk (its parent's index, last node, last
-relation, log-probability and DFS position) rather than as rows; only the
-kept walks are built into rows. At k = 3 a pruned graph held at most 502
+they fit, with no draw, otherwise a draw without replacement, each walk in
+proportion to its probability. The listing holds every walk at once, as
+per-level 1-D arrays of a few numbers per walk (its parent's index, last
+node, last relation, log-probability and DFS position) rather than as rows;
+only the kept walks are built into rows. At k = 3 a pruned graph held at most 502
 walks on the ``infer-dense`` benchmark suite (untrained model) and 5,405 on
 ``train-toy`` (during a 5 + 5 epoch training).
 
@@ -27,8 +27,8 @@ layout, and ``pack_paths`` adds their entity ids.
 
 ``_forward_paths`` is the one scoring route, shared by inference
 (``run_query``) and training (``train_joint_step``): it gathers the encoder
-outputs of each path's walked nodes (a -1 cell reads a zero row, so short
-paths are zero-padded to k blocks), passes them through f_t, joins the
+outputs of each path's walked nodes and zeroes the -1 cells, so short paths
+are zero-padded to k blocks, passes them through f_t, joins the
 textual and visual context through f_p (one shared [t || v] block, so its
 product is taken once per batch), and scores against the query context with
 the bilinear layer. Training labels a path 1 iff its terminal entity is
@@ -39,20 +39,20 @@ pruning triplet loss as an unweighted sum.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .metrics import gt_rank, recall_rates
+from .metrics import recall_rates
 from .neural import Adam, ColumnBlocks, ScoringModel, bce_loss_backward, cosine_rows, make_optimizer
 from .pruning import (
     PrunedGraph,
     QuerySample,
     check_prune_target,
     prune,
+    node_gt_rank,
     prune_from_scores,
-    rank_by_score,
     train_prune_step,
     triplet_terms,
 )
@@ -77,21 +77,21 @@ class PathBatch:
     nodes. ``rels`` (n, k): the relation of each step. A path of L steps
     fills cells 0..L of its ``rows`` and ``paths`` rows and 0..L-1 of its
     ``rels`` row; every other cell is -1. ``scores`` (n,) is None until the
-    batch is scored.
+    batch is scored. ``lengths`` (n,), the steps per path, is counted once,
+    when the batch is made.
     """
 
     rows: np.ndarray
     paths: np.ndarray
     rels: np.ndarray
     scores: Optional[np.ndarray] = None
+    lengths: np.ndarray = field(init=False)
+
+    def __post_init__(self) -> None:
+        self.lengths = np.count_nonzero(self.rels >= 0, axis=1)
 
     def __len__(self) -> int:
         return int(self.rows.shape[0])
-
-    @property
-    def lengths(self) -> np.ndarray:
-        """Steps per path."""
-        return np.count_nonzero(self.rels >= 0, axis=1)
 
     def last(self, cells: np.ndarray) -> np.ndarray:
         """Each path's terminal cell of ``rows`` or ``paths``."""
@@ -233,16 +233,18 @@ def sample_paths(
     the earlier DFS position) form the batch, in DFS order: a draw of
     ``n_paths`` walks without replacement, each in proportion to its
     probability (Gumbel-top-k). Only the kept walks are built into rows. A
-    graph holding at most ``n_paths`` walks yields all of them whatever the
-    seed, and a larger one exactly ``n_paths``. A graph without usable edges
-    yields an empty batch.
+    graph holding at most ``n_paths`` walks yields all of them in DFS order
+    with no draw, so whatever the seed, and a larger one exactly
+    ``n_paths``. A graph without usable edges yields an empty batch.
     """
     key_pos = pg.sg.key_rows
     if not key_pos.size:
         raise ValueError("pruned graph has no key node to root paths at")
     walks = list_walks(pg.sg.adjacency.restricted(pg.rows), key_pos, k)
-    gumbel = np.random.default_rng(seed).gumbel(size=walks.order.size)
-    keep = walks.order[top_positions(walks.logp[walks.order] + gumbel, n_paths)]
+    keep = walks.order
+    if keep.size > n_paths:
+        gumbel = np.random.default_rng(seed).gumbel(size=keep.size)
+        keep = keep[top_positions(walks.logp[keep] + gumbel, n_paths)]
     return pack_paths(pg, *walks.cells(keep, k))
 
 
@@ -275,11 +277,12 @@ def _forward_paths(
 
     ``h`` holds the node encodings of the unpruned schema graph, by row.
     """
-    d, n = model.d, len(batch)
-    padded = np.concatenate([h, np.zeros((1, d))])  # row -1 reads zeros
-    blocks = padded[_step_rows(batch, model.k)].reshape(n, model.k * d)
+    steps = _step_rows(batch, model.k)
+    blocks = h[steps]
+    blocks[steps < 0] = 0.0  # a -1 cell reads a zero row
+    blocks = blocks.reshape(len(batch), model.k * model.d)
     h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
-    feat = ColumnBlocks(np.concatenate([ctx.t, ctx.v]), [(2 * d, h_t)])
+    feat = ColumnBlocks(np.concatenate([ctx.t, ctx.v]), [(2 * model.d, h_t)])
     h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
     scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
     return scores, h_p, (cache_t, cache_p, cache_bi)
@@ -519,11 +522,10 @@ def staged_training(
 
 
 def node_recall_rate(model: ScoringModel, samples: Sequence[QuerySample], k: int) -> float:
-    """Cosine-ranked node recall@k over samples (eval mode); only each
-    ranking's top-k prefix is scanned."""
+    """Cosine-ranked node recall@k over samples (eval mode), from each
+    sample's ``node_gt_rank``."""
     ranks = []
     for sample in samples:
         h, _ = model.f_n.forward(sample.node_input, train=False)
-        s_cos = cosine_rows(sample.ctx.z, h)
-        ranks.append(gt_rank(rank_by_score(sample.sg.nodes, s_cos)[:k], sample.gt))
+        ranks.append(node_gt_rank(sample.sg.nodes, cosine_rows(sample.ctx.z, h), sample.gt_pos))
     return recall_rates(ranks, (k,))[k]

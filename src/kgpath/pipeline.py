@@ -24,7 +24,7 @@ from .linking import QueryRecord, extract_key_nodes, ground_truth_ids, load_quer
 from .metrics import EvalReport, annotation_scores, gt_rank, recall_rates, split_open, vqa_score
 from .neural import ScoringModel
 from .paths import aggregate_answers, mix_seed, ranked_paths, run_query
-from .pruning import QuerySample, rank_by_score
+from .pruning import QuerySample, node_gt_rank
 from .schema import SchemaGraph, build_schema
 
 logger = logging.getLogger(__name__)
@@ -173,10 +173,14 @@ def prepare_samples(
 
 @dataclass
 class QueryResult:
+    """One question's evaluation. ``node_rank`` is the position of the best
+    ground-truth node in the cosine node ranking (None without one), counted
+    by ``node_gt_rank`` rather than read from a sorted list."""
+
     qid: str
     gt: frozenset[int]
     annotations: dict[int, float]
-    node_ranking: list[int]
+    node_rank: Optional[int]
     answer_ranking: list[tuple[int, float]]
     path_terminals: list[int]
     top_paths: list[tuple[tuple[int, ...], tuple[int, ...], float]]
@@ -217,7 +221,7 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
         qid=sample.qid,
         gt=sample.gt,
         annotations=sample.annotations,
-        node_ranking=rank_by_score(sample.sg.nodes, s_cos).tolist(),
+        node_rank=node_gt_rank(sample.sg.nodes, s_cos, sample.gt_pos),
         answer_ranking=aggregate_answers(batch),
         path_terminals=batch.last(batch.paths)[order].tolist(),
         top_paths=top_paths,
@@ -254,7 +258,7 @@ def build_report(
     report = EvalReport(n_queries=len(results))
     if not results:
         return report
-    report.node_recall = recall_rates([gt_rank(r.node_ranking, r.gt) for r in results], RECALL_KS)
+    report.node_recall = recall_rates([r.node_rank for r in results], RECALL_KS)
     report.rank_by_node_recall = recall_rates(
         [gt_rank((e for e, _ in r.answer_ranking), r.gt) for r in results], RECALL_KS
     )

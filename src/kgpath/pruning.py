@@ -322,7 +322,14 @@ def train_prune_step(
     return total_loss / n_terms_total
 
 
-def rank_by_score(entity_ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
-    """Entity ids sorted by descending score, ascending id on ties."""
-    order = np.lexsort((entity_ids, -scores))
-    return entity_ids[order]
+def node_gt_rank(entity_ids: np.ndarray, scores: np.ndarray, gt_pos: np.ndarray) -> Optional[int]:
+    """Position of the first ground-truth row ``gt_pos`` once the nodes are
+    sorted by descending score, ascending id on ties, counted without the
+    sort; None without a ground-truth row."""
+    if not gt_pos.size:
+        return None
+    gt_scores = scores[gt_pos]
+    best = gt_scores.max()
+    first = entity_ids[gt_pos][gt_scores == best].min()  # the best ground-truth row's id
+    tied_before = (scores == best) & (entity_ids < first)
+    return int(np.count_nonzero(scores > best) + np.count_nonzero(tied_before))

@@ -106,9 +106,9 @@ class SchemaGraph:
 
     def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
         """Row positions of every edge's head and tail, in edge order."""
-        ends = np.concatenate([self.nodes, self.edges_head, self.edges_tail])
+        top = max(int(ids.max(initial=-1)) for ids in (self.nodes, self.edges_head, self.edges_tail))
         # int32 rows halve the adjacency every prepared sample keeps
-        row_of = np.full(int(ends.max(initial=-1)) + 1, -1, dtype=np.int32)
+        row_of = np.full(top + 1, -1, dtype=np.int32)
         row_of[self.nodes] = np.arange(self.n_nodes)
         head, tail = row_of[self.edges_head], row_of[self.edges_tail]
         if (head < 0).any() or (tail < 0).any():
@@ -291,8 +291,7 @@ def _rank_candidates(
     w = w[keep]
 
     cand_u, inv = np.unique(nbr, return_inverse=True)
-    sum_w = np.zeros(cand_u.size, dtype=np.float64)
-    np.add.at(sum_w, inv, w)
+    sum_w = np.bincount(inv, weights=w, minlength=cand_u.size)
     best_prio = np.full(cand_u.size, g.relations.n_total, dtype=np.int64)
     np.minimum.at(best_prio, inv, rel_from_cand)
 

@@ -114,6 +114,13 @@ def finite_difference(fn, params, h=1e-5):
     return grads
 
 
+def rank_by_score(entity_ids, scores):
+    """Entity ids sorted by descending score, ascending id on ties: the full
+    sort that ``pruning.node_gt_rank`` counts without."""
+    order = np.lexsort((entity_ids, -scores))
+    return entity_ids[order]
+
+
 def relative_error(analytic, numeric):
     num = np.linalg.norm(analytic - numeric)
     den = np.linalg.norm(analytic) + np.linalg.norm(numeric)

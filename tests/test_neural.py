@@ -63,6 +63,35 @@ def test_cosine_rows_matches_scalar():
         assert got[i] == pytest.approx(_cos(z, rows[i]), abs=1e-12)
 
 
+def masked_cosine_rows(z, rows):
+    """The masked formula ``cosine_rows`` runs only when some norm is zero:
+    every usable row copied out, scored, and written back."""
+    nz = np.linalg.norm(z)
+    norms = np.linalg.norm(rows, axis=1)
+    out = np.zeros(rows.shape[0])
+    ok = (norms >= 1e-12) & (nz >= 1e-12)
+    if ok.any():
+        out[ok] = rows[ok] @ z / (norms[ok] * nz)
+    return out
+
+
+def test_cosine_rows_equals_the_masked_formula_bit_for_bit():
+    rng = np.random.default_rng(2)
+    for trial in range(200):
+        n, d = int(rng.integers(1, 300)), int(rng.integers(1, 70))
+        z = rng.standard_normal(d)
+        rows = rng.standard_normal((n, d))
+        case = trial % 4
+        if case == 1:  # some zero-norm rows
+            rows[rng.random(n) < 0.3] = 0.0
+        elif case == 2:  # every row zero-norm
+            rows[:] = 0.0
+        elif case == 3:  # z zero
+            z[:] = 0.0
+        got, want = cosine_rows(z, rows), masked_cosine_rows(z, rows)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 def _vector_at_cos_distance(dist):
     """Unit 2-vector whose cosine distance to (1, 0) is ``dist``."""
     c = 1.0 - dist

@@ -32,8 +32,10 @@ from kgpath.paths import (
     ranked_paths,
     sample_paths,
 )
-from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores, rank_by_score
+from kgpath.metrics import gt_rank
+from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores
 
+from conftest import rank_by_score
 from test_node_input_oracle import assert_close
 from test_path_ranker import as_pruned
 from test_pruning import random_local_graph
@@ -120,12 +122,12 @@ def ref_ranked_paths(paths) -> list[InferencePath]:
     return sorted(paths, key=lambda p: -p.score)
 
 
-def ref_result_lists(node_ids, s_cos, paths):
-    node_ranking = [int(e) for e in rank_by_score(node_ids, s_cos)]
+def ref_result_lists(node_ids, s_cos, gt, paths):
+    node_rank = gt_rank([int(e) for e in rank_by_score(node_ids, s_cos)], gt)
     answers = ref_aggregate_answers(paths) if paths else []
     ordered = ref_ranked_paths(paths) if paths else []
     return (
-        node_ranking,
+        node_rank,
         answers,
         [p.terminal for p in ordered],
         [(p.nodes, p.relations, p.score) for p in ordered[:10]],
@@ -301,15 +303,17 @@ def test_result_lists_match_reference(monkeypatch):
     rng = np.random.default_rng(11)
     for sg, pg, batch, ref in cases():
         s_cos = rng.choice([-1.0, 0.0, 0.5, 1.0], size=sg.nodes.size)
+        gt_pos = np.sort(rng.choice(sg.nodes.size, size=int(rng.integers(1, sg.nodes.size + 1)),
+                                    replace=False))
+        gt = frozenset(sg.nodes[gt_pos].tolist())
         sample = SimpleNamespace(
-            qid=sg.qid, split="test", gt=frozenset(), annotations={}, sg=sg,
-            gt_pos=np.empty(0, dtype=np.int64),
+            qid=sg.qid, split="test", gt=gt, annotations={}, sg=sg, gt_pos=gt_pos,
         )
         monkeypatch.setattr(pipeline, "run_query", lambda *a, **kw: (pg, batch, s_cos))
         result = pipeline.evaluate_query(None, sample, cfg)
-        got = (result.node_ranking, result.answer_ranking, result.path_terminals,
+        got = (result.node_rank, result.answer_ranking, result.path_terminals,
                result.top_paths)
-        want = ref_result_lists(sg.nodes, s_cos, ref)
+        want = ref_result_lists(sg.nodes, s_cos, gt, ref)
         assert got == want and repr(got) == repr(want)
 
 

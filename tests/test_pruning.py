@@ -13,14 +13,21 @@ from kgpath.pruning import (
     QuerySample,
     bfs_scores,
     prune,
+    node_gt_rank,
     prune_from_scores,
-    rank_by_score,
     train_prune_step,
     triplet_terms,
 )
 from kgpath.schema import SchemaGraph, build_schema
 
-from conftest import CFG, FakeTextFeatures, random_graph, write_edges, write_relations
+from conftest import (
+    CFG,
+    FakeTextFeatures,
+    random_graph,
+    rank_by_score,
+    write_edges,
+    write_relations,
+)
 
 
 def make_sg(nodes, types, edges, q_nodes, v_nodes=frozenset(), qid="q"):
@@ -633,12 +640,39 @@ def test_node_recall_and_rank_by_score():
     ids = np.array([10, 20, 30, 40])
     scores = np.array([0.1, 0.9, 0.9, 0.5])
     assert rank_by_score(ids, scores).tolist() == [20, 30, 40, 10]  # tie -> lower id
+    # the same positions, counted: tie -> lower id, and the best GT row counts
+    for gt_pos, rank in (([1], 0), ([2], 1), ([3], 2), ([0], 3), ([0, 2], 1), ([2, 1], 0)):
+        assert node_gt_rank(ids, scores, np.array(gt_pos)) == rank
     ranked = rank_by_score(ids, scores)
     assert recall_rates([gt_rank(ranked, {20})], [1]) == {1: 1.0}
     assert recall_rates([gt_rank(ranked, {10})], [3]) == {3: 0.0}
     assert recall_rates([gt_rank(ranked, {10})], [4]) == {4: 1.0}
     with pytest.raises(ValueError):
         recall_rates([gt_rank(ranked, {10})], [0])
+
+
+def test_node_gt_rank_equals_the_full_sort_position():
+    """Random integer-valued scores with many ties and signed zeros; questions
+    with no ground truth, with every node ground truth, and one-node graphs."""
+    rng = np.random.default_rng(51)
+    shapes = {"none": 0, "all": 0, "one node": 0}
+    for trial in range(600):
+        n = 1 if trial % 10 == 0 else int(rng.integers(1, 40))
+        ids = rng.choice(1000, size=n, replace=False)
+        scores = rng.choice([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0], size=n)
+        if trial % 7 == 0:
+            gt_pos = np.empty(0, dtype=np.int64)
+        elif trial % 7 == 1:
+            gt_pos = np.arange(n)
+        else:
+            gt_pos = np.sort(rng.choice(n, size=int(rng.integers(0, n + 1)), replace=False))
+        shapes["none"] += gt_pos.size == 0
+        shapes["all"] += gt_pos.size == n
+        shapes["one node"] += n == 1
+        want = gt_rank(rank_by_score(ids, scores), ids[gt_pos].tolist())
+        got = node_gt_rank(ids, scores, gt_pos)
+        assert got == want and type(got) is type(want)
+    assert min(shapes.values()) >= 50
 
 
 def test_node_recall_matches_full_sort_oracle():

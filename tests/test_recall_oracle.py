@@ -17,9 +17,9 @@ from kgpath.metrics import gt_rank, hit_rate_curve, recall_rates
 from kgpath.neural import ScoringModel, cosine_rows
 from kgpath.paths import node_recall_rate
 from kgpath.pipeline import PATH_RECALL_KS, RECALL_KS, QueryResult, build_report
-from kgpath.pruning import rank_by_score
 from kgpath.schema import SchemaGraph
 
+from conftest import rank_by_score
 from test_path_ranker import make_samples
 
 
@@ -90,24 +90,27 @@ def test_recall_rates_refuse_k_below_one():
 
 
 def random_result(rng, i):
+    """A result and the node ranking its ``node_rank`` is read from."""
     nodes, gt = random_question(rng)
     answers, _ = random_question(rng)
     terminals, _ = random_question(rng)
-    return QueryResult(
+    result = QueryResult(
         qid=f"q{i:04d}",
         gt=frozenset(gt),
         annotations={e: 1.0 for e in gt},
-        node_ranking=nodes,
+        node_rank=gt_rank(nodes, gt),
         answer_ranking=[(e, 1.0 / (j + 1)) for j, e in enumerate(dict.fromkeys(answers))],
         path_terminals=terminals,
         top_paths=[],
     )
+    return result, nodes
 
 
 def test_build_report_recalls_equal_a_brute_force_recount():
     rng = np.random.default_rng(22)
     for n_questions in (1, 3, 60):
-        results = [random_result(rng, i) for i in range(n_questions)]
+        results, node_lists = zip(*(random_result(rng, i) for i in range(n_questions)))
+        nodes_of = dict(zip((r.qid for r in results), node_lists))
         report = build_report(results, frozenset(range(10)))
 
         def recount(ranking_of, ks):
@@ -123,7 +126,7 @@ def test_build_report_recalls_equal_a_brute_force_recount():
             }
 
         for field, ranking_of, ks in [
-            ("node_recall", lambda r: r.node_ranking, RECALL_KS),
+            ("node_recall", lambda r: nodes_of[r.qid], RECALL_KS),
             ("rank_by_node_recall", lambda r: [e for e, _ in r.answer_ranking], RECALL_KS),
             ("rank_by_path_recall", lambda r: r.path_terminals, PATH_RECALL_KS),
         ]:
