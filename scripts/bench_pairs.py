@@ -1,24 +1,27 @@
 """Run the benchmark in alternating parent/change pairs and summarise them.
 
-Usage: python scripts/bench_pairs.py PARENT_REV N [--out FILE] [--seconds S]
-           [--first-seed SEED] [--workload NAME ...]
+Usage: python scripts/bench_pairs.py PARENT_REV N [--out FILE] [--first-seed SEED]
+           [--workload NAME ...]
 
 PARENT_REV is checked out with ``git worktree add --detach`` into a
 temporary directory outside the repository, and removed on exit. For each
 workload of ``BENCHMARK.json`` (or each ``--workload``), N pairs run the
-unchanged ``perfbench/run.py --trace 0`` once in that checkout and once in
-the checkout this script sits in, on the same seed. Pair i runs seed
-FIRST_SEED + i (default 1), so every pair has a fresh seed, and the side that
-runs first alternates: the parent in even pairs, the change in odd ones.
-``--seconds`` defaults to ``BENCHMARK.json``'s ``run_seconds``.
+unchanged ``perfbench/run.py --trace 0`` for ``BENCHMARK.json``'s
+``run_seconds`` once in that checkout and once in the checkout this script
+sits in, on the same seed. Pair i runs seed FIRST_SEED + i (default 1), so
+every pair has a fresh seed, and the side that runs first alternates: the
+parent in even pairs, the change in odd ones. The change side is HEAD: a
+checkout with uncommitted changes to tracked files is refused.
 
 The JSON written to FILE (default ``BENCH.json``), rewritten after every
-pair, holds the two revisions, the host, and per workload every pair's seed,
-first side and both runs' result lines, and for each end-to-end metric of
-``BENCHMARK.json``: both sides' median and quartiles, the change's wins and
-the parent's (a tie counts for neither side), the pairs compared, and the
-metric's bound and direction. Per side it also sums the failed and attempted
-operations.
+pair, holds the two revisions and the git tree ids of their ``src`` and
+``perfbench``, what the benchmark runs (so a later commit that leaves those
+trees alone can be checked against the file), the run length, the host, and
+per workload every pair's seed, first side and both runs' result lines, and
+for each end-to-end metric of ``BENCHMARK.json``: both sides' median and
+quartiles, the change's wins and the parent's (a tie counts for neither
+side), the pairs compared, and the metric's bound and direction. Per side it
+also sums the failed and attempted operations.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+TREES = ("src", "perfbench")
 
 
 def perfbench_run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -109,12 +113,11 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     return {"metrics": metrics, "operations": operations}
 
 
-def parse_args(argv: list[str], run_seconds: float) -> argparse.Namespace:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("parent_rev")
     parser.add_argument("n", type=int)
     parser.add_argument("--out", type=Path, default=Path("BENCH.json"))
-    parser.add_argument("--seconds", type=float, default=run_seconds)
     parser.add_argument("--first-seed", type=int, default=1)
     parser.add_argument("--workload", action="append")
     args = parser.parse_args(argv)
@@ -124,14 +127,20 @@ def parse_args(argv: list[str], run_seconds: float) -> argparse.Namespace:
 
 
 def main(argv: list[str], runner: Callable = perfbench_run, root: Path = ROOT) -> int:
+    args = parse_args(argv)
+    if git(root, "status", "--porcelain", "--untracked-files=no"):
+        raise SystemExit("bench_pairs: uncommitted changes to tracked files; commit them first")
     bench = json.loads((root / "BENCHMARK.json").read_text(encoding="utf-8"))
-    args = parse_args(argv, bench["run_seconds"])
+    seconds = bench["run_seconds"]
     workloads = args.workload or [w["name"] for w in bench["workloads"]]
+    revs = {side: git(root, "rev-parse", rev) for side, rev in zip(SIDES, (args.parent_rev, "HEAD"))}
     report = {
-        "parent_rev": git(root, "rev-parse", args.parent_rev),
-        "change_rev": git(root, "rev-parse", "HEAD"),
+        "parent_rev": revs["parent"],
+        "change_rev": revs["change"],
+        "trees": {side: {t: git(root, "rev-parse", f"{rev}:{t}") for t in TREES}
+                  for side, rev in revs.items()},
         "pairs": args.n,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "host": {
             "nproc": os.cpu_count(),
             "machine": platform.machine(),
@@ -150,7 +159,7 @@ def main(argv: list[str], runner: Callable = perfbench_run, root: Path = ROOT) -
                 order = SIDES if i % 2 == 0 else SIDES[::-1]
                 run = {"seed": seed, "first": order[0]}
                 for side in order:
-                    run[side] = runner(checkout[side], workload, seed, args.seconds)
+                    run[side] = runner(checkout[side], workload, seed, seconds)
                 runs.append(run)
                 report["workloads"][workload] = {**summarise(runs, bench["end_to_end"]), "runs": runs}
                 args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")

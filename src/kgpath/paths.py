@@ -319,11 +319,11 @@ def _path_labels(batch: PathBatch, gt_pos: np.ndarray, n_rows: int) -> np.ndarra
     return is_gt[batch.last(batch.rows)].astype(np.float64)
 
 
-def aggregate_answers(batch: PathBatch) -> list[tuple[int, float]]:
-    """Rank terminal entities by their best path score (ties: lower id first)."""
+def aggregate_answers(batch: PathBatch, terminals: np.ndarray) -> list[tuple[int, float]]:
+    """Rank terminal entities by their best path score (ties: lower id first).
+    ``terminals`` is ``batch.last(batch.paths)``, which the caller reads too."""
     if batch.scores is None:
         raise ValueError("aggregate_answers needs a scored batch")
-    terminals = batch.last(batch.paths)
     order = np.lexsort((terminals, -batch.scores))
     _, first = np.unique(terminals[order], return_index=True)
     best = order[np.sort(first)]

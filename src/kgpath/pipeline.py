@@ -206,7 +206,7 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
         k=cfg.k,
         seed=mix_seed(cfg.seed, "eval-paths", sample.qid),
     )
-    order = ranked_paths(batch)
+    order, terminals = ranked_paths(batch), batch.last(batch.paths)
     top = order[:10]
     top_paths = [
         (tuple(nodes[: n + 1]), tuple(rels[:n]), score)
@@ -222,8 +222,8 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
         gt=sample.gt,
         annotations=sample.annotations,
         node_rank=node_gt_rank(sample.sg.nodes, s_cos, sample.gt_pos),
-        answer_ranking=aggregate_answers(batch),
-        path_terminals=batch.last(batch.paths)[order].tolist(),
+        answer_ranking=aggregate_answers(batch, terminals),
+        path_terminals=terminals[order].tolist(),
         top_paths=top_paths,
     )
 

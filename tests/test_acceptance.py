@@ -476,7 +476,7 @@ def test_criterion_4_oracle_equivalences(tmp_path):
         batch = pack(
             [((0, t), (0,)) for t, _ in scored], 3, ids=range(10), scores=[s for _, s in scored]
         )
-        assert aggregate_answers(batch) == expected
+        assert aggregate_answers(batch, batch.last(batch.paths)) == expected
 
     report(4, "oracle equivalences")
 

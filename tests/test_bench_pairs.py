@@ -1,8 +1,9 @@
 """``scripts/bench_pairs.py`` on a stub runner: no benchmark runs.
 
-A throwaway git repository with a ``BENCHMARK.json`` and two commits stands
-in for the project; the stub runner records which checkout ran which seed
-and returns metrics read off the checkout's marker file and the seed.
+A throwaway git repository with a ``BENCHMARK.json``, a ``src`` and a
+``perfbench`` directory and two commits stands in for the project; the stub
+runner records which checkout ran which seed and returns metrics read off the
+checkout's marker file and the seed.
 """
 
 import importlib.util
@@ -40,11 +41,15 @@ def repo(tmp_path):
     repo.mkdir()
     git(repo, "init", "-q")
     (repo / "BENCHMARK.json").write_text(json.dumps(BENCH), encoding="utf-8")
+    for tree in ("src", "perfbench"):
+        (repo / tree).mkdir()
+        (repo / tree / "run.py").write_text(tree, encoding="utf-8")
     (repo / "side.txt").write_text("parent", encoding="utf-8")
     git(repo, "add", "-A")
     git(repo, "commit", "-q", "-m", "parent")
     parent = git(repo, "rev-parse", "HEAD")
     (repo / "side.txt").write_text("change", encoding="utf-8")
+    (repo / "src" / "run.py").write_text("src, changed", encoding="utf-8")
     git(repo, "commit", "-q", "-am", "change")
     return repo, parent
 
@@ -86,6 +91,14 @@ def test_pairs_alternate_on_fresh_seeds_and_count_wins(repo, tmp_path):
     assert {c[3] for c in runner.calls} == {30}
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["parent_rev"] == parent and report["change_rev"] == git(repo, "rev-parse", "HEAD")
+    assert report["seconds"] == 30
+    # each side's src and perfbench trees, by the ids a later commit reproduces
+    assert report["trees"] == {
+        side: {t: git(repo, "rev-parse", f"{rev}:{t}") for t in ("src", "perfbench")}
+        for side, rev in (("parent", parent), ("change", "HEAD"))
+    }
+    assert report["trees"]["parent"]["src"] != report["trees"]["change"]["src"]
+    assert report["trees"]["parent"]["perfbench"] == report["trees"]["change"]["perfbench"]
     w2 = report["workloads"]["w2"]
     assert list(report["workloads"]) == ["w2"]
     assert [r["seed"] for r in w2["runs"]] == [7, 8, 9, 10]
@@ -112,7 +125,7 @@ def test_pairs_alternate_on_fresh_seeds_and_count_wins(repo, tmp_path):
     assert git(repo, "worktree", "list").count("\n") == 0
 
 
-def test_every_workload_and_the_default_seconds(repo, tmp_path):
+def test_every_workload_at_the_benchmark_run_seconds(repo, tmp_path):
     repo, parent = repo
     runner = StubRunner()
     out = tmp_path / "bench.json"
@@ -130,6 +143,16 @@ def test_a_failing_run_still_removes_the_worktree(repo, tmp_path):
 
     with pytest.raises(RuntimeError, match="run failed"):
         bench_pairs.main([parent, "2", "--out", str(tmp_path / "b.json")], runner=runner, root=repo)
+    assert git(repo, "worktree", "list").count("\n") == 0
+
+
+def test_uncommitted_changes_are_refused(repo, tmp_path):
+    repo, parent = repo
+    (repo / "src" / "run.py").write_text("src, edited", encoding="utf-8")
+    runner = StubRunner()
+    with pytest.raises(SystemExit, match="uncommitted"):
+        bench_pairs.main([parent, "1", "--out", str(tmp_path / "b.json")], runner=runner, root=repo)
+    assert runner.calls == [] and not (tmp_path / "b.json").exists()
     assert git(repo, "worktree", "list").count("\n") == 0
 
 

@@ -291,7 +291,7 @@ def test_labels_match_reference():
 
 def test_answers_and_ranking_match_reference():
     for sg, pg, batch, ref in cases():
-        got = aggregate_answers(batch)
+        got = aggregate_answers(batch, batch.last(batch.paths))
         want = ref_aggregate_answers(ref)
         assert got == want and repr(got) == repr(want)
         order = ranked_paths(batch)
@@ -321,4 +321,4 @@ def test_unscored_batch_is_refused():
     sg = random_local_graph(np.random.default_rng(3), max_nodes=4, max_edges=8)
     batch = sample_paths(as_pruned(sg), 10, K, seed=0)
     with pytest.raises(ValueError, match="scored"):
-        aggregate_answers(batch)
+        aggregate_answers(batch, batch.last(batch.paths))

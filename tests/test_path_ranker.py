@@ -617,8 +617,9 @@ def test_aggregate_answers_max_rule():
     batch = pack(
         [((0, 1), (0,)), ((0, 2, 1), (0, 1)), ((0, 2), (1,))], 3, scores=[0.9, 0.2, 0.5]
     )
-    assert aggregate_answers(batch) == [(1, 0.9), (2, 0.5)]
-    assert aggregate_answers(pack([], 3, ids=[0], scores=[])) == []
+    assert aggregate_answers(batch, batch.last(batch.paths)) == [(1, 0.9), (2, 0.5)]
+    empty = pack([], 3, ids=[0], scores=[])
+    assert aggregate_answers(empty, empty.last(empty.paths)) == []
 
 
 def test_aggregate_matches_group_by_max_oracle():
@@ -634,7 +635,7 @@ def test_aggregate_matches_group_by_max_oracle():
         for (nodes, _), score in zip(paths, scores):
             best[nodes[-1]] = max(best.get(nodes[-1], -np.inf), score)
         expected = sorted(best.items(), key=lambda kv: (-kv[1], kv[0]))
-        assert aggregate_answers(batch) == expected
+        assert aggregate_answers(batch, batch.last(batch.paths)) == expected
 
 
 def make_samples(model, n_queries=3, n_nodes=10, seed=0):
