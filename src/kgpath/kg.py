@@ -136,6 +136,14 @@ def load_relations(path: Optional[Path | str]) -> RelationTable:
     return RelationTable(names)
 
 
+def csr_slots(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slots ``indptr[r]:indptr[r + 1]`` of each of ``rows``, end to end,
+    and each row's count of slots."""
+    lo = indptr[rows]
+    counts = indptr[rows + 1] - lo
+    return np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum()), counts
+
+
 class KnowledgeGraph:
     """Entities, relations and a CSR adjacency over all directed edges.
 
@@ -214,14 +222,10 @@ class KnowledgeGraph:
         bad = eids[(eids < 0) | (eids >= self.n_entities)]
         if bad.size:
             raise IndexError(f"invalid entity id {bad[0]}")
-        lo = self._offsets[eids]
-        counts = self._offsets[eids + 1] - lo
-        total = int(counts.sum())
-        if total == 0:
+        take, counts = csr_slots(self._offsets, eids)
+        if take.size == 0:
             empty = np.empty(0, dtype=np.int32)
             return empty, empty, empty.copy(), np.empty(0, dtype=np.float64)
-        # every entity's row indices lo..hi-1, end to end
-        take = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(total)
         src = np.repeat(eids.astype(np.int32), counts)
         nbr = self._nbr[take]
         if within is not None:

@@ -2,20 +2,21 @@
 
 Paths are simple walks of at most k steps rooted at key nodes of the pruned
 graph. A pruned graph is a set of surviving rows over its schema graph, so
-walks run over the schema graph's one adjacency restricted to those rows, and
-a walk's nodes are schema-graph rows from the start. A schema graph's
-(head, relation, tail) edges are distinct, so every adjacency slot is one
-walk step of its own. ``list_walks`` lists every walk, each with its
-probability under a random walk (uniform start among key nodes, uniform
-edge choice among edges that do not revisit a node, 1/3 stop chance after
-each step), and a Gumbel-top-k keeps ``n_paths`` of them: all of them when
-they fit, with no draw, otherwise a draw without replacement, each walk in
-proportion to its probability. The listing holds every walk at once, as
-per-level 1-D arrays of a few numbers per walk (its parent's index, last
-node, last relation, log-probability and DFS position) rather than as rows;
-only the kept walks are built into rows. At k = 3 a pruned graph held at most 502
-walks on the ``infer-dense`` benchmark suite (untrained model) and 5,405 on
-``train-toy`` (during a 5 + 5 epoch training).
+walks read the schema graph's one adjacency through a mask of those rows (a
+step to a pruned row is not taken), and a walk's nodes are schema-graph rows
+from the start. A schema graph's (head, relation, tail) edges are distinct,
+so every adjacency slot is one walk step of its own. ``list_walks`` lists
+every walk, each with its probability under a random walk (uniform start
+among key nodes, uniform edge choice among the edges to kept rows that do
+not revisit a node, 1/3 stop chance after each step), and a Gumbel-top-k
+keeps ``n_paths`` of them: all of them when they fit, with no draw,
+otherwise a draw without replacement, each walk in proportion to its
+probability. The listing holds every walk at once, as per-level 1-D arrays
+of a few numbers per walk (its parent's index, last node, last relation,
+log-probability and DFS position) rather than as rows; only the kept walks
+are built into rows. At k = 3 a pruned graph held at most 502 walks on the
+``infer-dense`` benchmark suite (untrained model) and 5,405 on ``train-toy``
+(during a 5 + 5 epoch training).
 
 A batch of n paths is held as padded arrays, one row per path: ``rows``
 (n, k+1) are the walked nodes' row positions in the unpruned schema graph,
@@ -44,6 +45,7 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from .kg import csr_slots
 from .metrics import recall_rates
 from .neural import Adam, ColumnBlocks, ScoringModel, bce_loss_backward, cosine_rows, make_optimizer
 from .pruning import (
@@ -136,24 +138,25 @@ class WalkList(NamedTuple):
         return rows, rels[:, 1:]
 
 
-def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int) -> WalkList:
-    """Every simple walk of 1..k edges from ``roots`` over ``adj``, with its
-    log-probability under the walk process and its DFS position.
+def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int, kept: np.ndarray) -> WalkList:
+    """Every simple walk of 1..k edges from ``roots`` over the rows of ``adj``
+    that the boolean row mask ``kept`` marks, with its log-probability under
+    the walk process and its DFS position. The roots must be kept rows.
 
     ``adj`` must hold distinct (head, neighbour, relation) slots, as the
     adjacency of every ``SchemaGraph`` does: each slot is then one walk. DFS
     order takes the roots in the given order and each row's slots in
     adjacency order, and lists a walk before its extensions. The walk
     process: the root is uniform over ``roots``; each step is uniform over
-    the slots whose neighbour is not on the walk yet; below k steps the walk
-    stops with probability ``WALK_STOP_PROB`` after each step, and it stops
-    for sure at a dead end or after k steps.
+    the slots whose neighbour is kept and not on the walk yet; below k steps
+    the walk stops with probability ``WALK_STOP_PROB`` after each step, and
+    it stops for sure at a dead end or after k steps.
 
     Each level is listed as 1-D arrays, one entry per walk, and a step is
-    simple if its neighbour differs from the node of every ancestor, read by
-    following the parent indices. No walk is sorted or built into a row.
+    free if its neighbour is kept and differs from the node of every
+    ancestor, read by following the parent indices. No walk is sorted or
+    built into a row.
     """
-    indptr, nbr, degree = adj.indptr, adj.nbr, np.diff(adj.indptr)
     # per level (level 0: the roots), each entry's parent index in the level
     # above, last node, last relation and log-probability
     logq = np.full(roots.size, -np.log(roots.size))  # log P(the walk passes here)
@@ -161,11 +164,10 @@ def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int) -> WalkList:
     rels, logps = [np.full(roots.size, -1, dtype=adj.rel.dtype)], [logq]
     for length in range(k):
         last = nodes[-1]
-        deg = degree[last]
+        slot, deg = csr_slots(adj.indptr, last)
         parent = np.repeat(np.arange(last.size), deg)
-        slot = np.arange(parent.size) + np.repeat(indptr[last] - np.cumsum(deg) + deg, deg)
-        step, up = nbr[slot], parent
-        free = step != last[up]
+        step, up = adj.nbr[slot], parent
+        free = kept[step] & (step != last[up])
         for parent_of, node in zip(parents[:0:-1], nodes[-2::-1]):
             up = parent_of[up]
             free &= step != node[up]
@@ -176,7 +178,7 @@ def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int) -> WalkList:
         go_on = np.log1p(-WALK_STOP_PROB) if length else 0.0
         logq = logq[parent] + go_on + np.log(1.0 / n_free[parent])
         parents.append(parent)
-        nodes.append(nbr[slot])
+        nodes.append(step[free])
         rels.append(adj.rel[slot])
     logps.append(logq)
 
@@ -240,7 +242,9 @@ def sample_paths(
     key_pos = pg.sg.key_rows
     if not key_pos.size:
         raise ValueError("pruned graph has no key node to root paths at")
-    walks = list_walks(pg.sg.adjacency.restricted(pg.rows), key_pos, k)
+    kept = np.zeros(pg.sg.n_nodes, dtype=bool)
+    kept[pg.rows] = True
+    walks = list_walks(pg.sg.adjacency, key_pos, k, kept)
     keep = walks.order
     if keep.size > n_paths:
         gumbel = np.random.default_rng(seed).gumbel(size=keep.size)

@@ -31,7 +31,7 @@ import numpy as np
 
 from .config import InputError
 from .embeddings import QueryContext, TextFeatureProvider
-from .kg import KnowledgeGraph
+from .kg import KnowledgeGraph, csr_slots
 from .neural import Adam, ColumnBlocks, ScoringModel, cosine_rows
 from .schema import SchemaGraph
 
@@ -41,10 +41,10 @@ class PrunedGraph:
     """Surviving rows of the schema graph ``sg``, ordered by descending prune
     score, with their scores.
 
-    ``rows`` index ``sg`` and hold every key row; walks run over
-    ``sg.adjacency.restricted(rows)``. ``base``, the survivors as a graph
-    of their own (``base.nodes[i]`` is ``sg.nodes[rows[i]]``), is built the
-    first time it is read.
+    ``rows`` index ``sg`` and hold every key row; walks read ``sg.adjacency``
+    through a mask of ``rows``, with no adjacency of their own. ``base``, the
+    survivors as a graph of their own (``base.nodes[i]`` is
+    ``sg.nodes[rows[i]]``), is built the first time it is read.
     """
 
     sg: SchemaGraph
@@ -81,11 +81,7 @@ def bfs_scores(sg: SchemaGraph) -> np.ndarray:
     frontier, hops, unreached = keys, 0, sg.n_nodes - keys.size
     while frontier.size and unreached:
         hops += 1
-        lo = adj.indptr[frontier]
-        counts = adj.indptr[frontier + 1] - lo
-        # the frontier's slots lo..hi-1, end to end
-        slots = np.repeat(lo - (np.cumsum(counts) - counts), counts) + np.arange(counts.sum())
-        reached = adj.nbr[slots]
+        reached = adj.nbr[csr_slots(adj.indptr, frontier)[0]]
         dist[reached[dist[reached] < 0]] = hops
         frontier = np.flatnonzero(dist == hops)
         unreached -= frontier.size

@@ -46,22 +46,13 @@ _TYPE_BY_NAME = {t.name: t for t in NodeType}
 @dataclass(frozen=True)
 class LocalAdjacency:
     """CSR over a schema graph's row positions: slots ``indptr[i]:indptr[i + 1]``
-    are the out-edges of row ``i``, from ``head`` to ``nbr`` by ``rel``. Each
-    schema graph builds one; a pruned graph walks a ``restricted`` copy."""
+    are the out-edges of row ``i``, to ``nbr`` by ``rel``. Each schema graph
+    builds one, its only one: a pruned graph's walks read it through a mask
+    of the surviving rows."""
 
     indptr: np.ndarray
-    head: np.ndarray
     nbr: np.ndarray
     rel: np.ndarray
-
-    def restricted(self, rows: np.ndarray) -> "LocalAdjacency":
-        """The edges between ``rows`` only, same row numbering and slot order."""
-        kept = np.zeros(self.indptr.size - 1, dtype=bool)
-        kept[rows] = True
-        keep = kept[self.head] & kept[self.nbr]
-        indptr = np.zeros_like(self.indptr)
-        np.cumsum(np.bincount(self.head[keep], minlength=kept.size), out=indptr[1:])
-        return LocalAdjacency(indptr, self.head[keep], self.nbr[keep], self.rel[keep])
 
 
 @dataclass
@@ -77,9 +68,10 @@ class SchemaGraph:
     subset of the edges and ``from_json_obj`` refuses a repeated edge.
     ``build_rank[i]`` is the construction rank of ``nodes[i]``: for a fixed
     one-hop cap, the graph built at any smaller budget b holds exactly the
-    nodes of rank < b. It is None for graphs loaded from a dump or restricted
-    to a subset.
-    ``adjacency`` and ``key_rows`` are built the first time they are read.
+    nodes of rank < b. It is None for graphs loaded from a dump or cut down
+    by ``restricted_to``.
+    ``adjacency`` and ``key_rows`` are built the first time they are read;
+    the adjacency is the graph's only one, which pruned graphs share.
     """
 
     qid: str
@@ -129,7 +121,7 @@ class SchemaGraph:
         by_head = np.argsort(head.astype(np.min_scalar_type(self.n_nodes)), kind="stable")
         indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
         np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
-        return LocalAdjacency(indptr, head[by_head], tail[by_head], rel[by_head].astype(np.int32))
+        return LocalAdjacency(indptr, tail[by_head], rel[by_head].astype(np.int32))
 
     def key_ids(self) -> frozenset[int]:
         return (self.q_nodes | self.v_nodes) & self.node_set()

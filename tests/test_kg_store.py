@@ -6,6 +6,7 @@ from kgpath.kg import (
     DEFAULT_RELATIONS,
     KnowledgeGraph,
     RelationTable,
+    csr_slots,
     dedup_max_weight,
     load_graph,
     load_relations,
@@ -173,6 +174,27 @@ def test_edges_from_matches_arange_loop(tmp_path):
         for a, b in zip(got, want, strict=True):
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
+
+
+def test_csr_slots_matches_python_loop():
+    rng = np.random.default_rng(14)
+    shapes = [
+        [0, 3, 0, 0, 1, 5, 2, 0],  # empty rows between full ones
+        [0, 0, 0],  # no slot at all
+        rng.integers(0, 4, size=20).tolist(),
+    ]
+    for counts in shapes:
+        n = len(counts)
+        for dtype in (np.int32, np.int64):
+            indptr = np.concatenate([[0], np.cumsum(counts)]).astype(dtype)
+            cases = [[], [0], [n - 1, 0], [1, 1, 1], list(range(n))[::-1],
+                     rng.integers(n, size=30).tolist()]
+            for rows in cases:
+                for row_dtype in (np.int32, np.int64):
+                    slots, got = csr_slots(indptr, np.asarray(rows, dtype=row_dtype))
+                    bounds = [(int(indptr[r]), int(indptr[r + 1])) for r in rows]
+                    assert slots.tolist() == [s for lo, hi in bounds for s in range(lo, hi)]
+                    assert got.tolist() == [hi - lo for lo, hi in bounds]
 
 
 def test_edges_from_within_matches_filtered_reference(tmp_path):

@@ -164,7 +164,7 @@ def test_paths_subset_of_exhaustive_enumeration():
 def listed_walks(sg, roots, k):
     """The walks ``list_walks`` lists, in DFS order, as (node ids, relations)
     pairs of tuples, and their log-probabilities."""
-    walks = list_walks(sg.adjacency, np.asarray(roots), k)
+    walks = list_walks(sg.adjacency, np.asarray(roots), k, np.ones(sg.n_nodes, dtype=bool))
     rows, rels = walks.cells(walks.order, k)
     logp = walks.logp[walks.order]
     ids = sg.nodes.tolist()

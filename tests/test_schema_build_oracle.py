@@ -15,6 +15,7 @@ from kgpath.linking import KeyNodeSet
 from kgpath.schema import Gather, NodeType, SchemaGraph, build_schema
 
 from conftest import out_edges, write_edges, write_relations
+from test_pruning import slot_heads
 
 
 def reference_rank_candidates(
@@ -261,7 +262,7 @@ def assert_distinct_edges(sg):
         edges = np.stack([graph.edges_head, graph.edges_rel, graph.edges_tail], axis=1)
         assert len(np.unique(edges, axis=0)) == graph.n_edges
         adj = graph.adjacency
-        slots = np.stack([adj.head, adj.nbr, adj.rel], axis=1)
+        slots = np.stack([slot_heads(adj), adj.nbr, adj.rel], axis=1)
         assert len(np.unique(slots, axis=0)) == adj.nbr.size
 
 

@@ -15,7 +15,7 @@ from kgpath.schema import (
 )
 
 from conftest import CFG, out_edges, random_graph, write_edges, write_relations
-from test_pruning import make_sg, random_local_graph
+from test_pruning import make_sg, random_local_graph, restricted, slot_heads
 
 CAP = CFG.one_hop_cap  # the operating point's one-hop cap
 
@@ -287,10 +287,12 @@ def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
             want = [(int(t), int(r)) for h, r, t in
                     zip(sg.edges_head, sg.edges_rel, sg.edges_tail) if h == eid and t != eid]
             assert got == want
+        assert adj.indptr[-1] == adj.nbr.size == adj.rel.size
         heads = [i for i in range(sg.n_nodes) for _ in range(adj.indptr[i], adj.indptr[i + 1])]
-        assert adj.head.tolist() == heads
+        assert slot_heads(adj).tolist() == heads
+        # the restricted copy that row-mask walks are checked against
         rows = np.arange(sg.n_nodes)[rng.random(sg.n_nodes) < 0.5]
-        sub = adj.restricted(rows)
+        sub = restricted(adj, rows)
         kept = set(rows.tolist())
         for i in range(sg.n_nodes):
             lo, hi = adj.indptr[i], adj.indptr[i + 1]

@@ -7,8 +7,11 @@ order with a ``lexsort`` and kept the top ``n_paths`` with a stable
 took flat lists and padded them again. The package now lists walks as
 per-level parent indices, reads DFS positions from subtree sizes, keeps the
 top keys with a partition, builds only the kept walks and packs their
-padded rows as they are; every batch must be equal bytes. The old listing
-also merged slots that repeat a (head, neighbour, relation), which no
+padded rows as they are; every batch must be equal bytes. The restricted
+copy of the adjacency the old route walked is the test-side ``restricted``;
+the package walks the schema graph's own adjacency through a row mask, and
+a separate test holds that listing to the copy's field for field. The old
+listing also merged slots that repeat a (head, neighbour, relation), which no
 schema graph holds, so every graph here has distinct edges. A separate
 test holds the selection's tie rule to the stable-argsort slice it
 replaces.
@@ -18,12 +21,11 @@ from typing import Sequence
 
 import numpy as np
 
-from kgpath.paths import WALK_STOP_PROB, PathBatch, sample_paths, top_positions
+from kgpath.paths import WALK_STOP_PROB, PathBatch, list_walks, sample_paths, top_positions
 from kgpath.pruning import PrunedGraph
-from kgpath.schema import LocalAdjacency
 
 from test_path_ranker import as_pruned, batch_bytes, itertools_walks, tiny_graphs
-from test_pruning import distinct, make_sg, random_local_graph, sym
+from test_pruning import RestrictedAdjacency, distinct, make_sg, random_local_graph, restricted, sym
 
 # ---------------------------------------------------------------------------
 # reference: list every walk as a full row, lexsort, stable argsort
@@ -31,7 +33,7 @@ from test_pruning import distinct, make_sg, random_local_graph, sym
 
 
 def old_list_walks(
-    adj: LocalAdjacency, roots: np.ndarray, k: int
+    adj: RestrictedAdjacency, roots: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Every distinct simple walk of 1..k edges from ``roots`` over ``adj``,
     in DFS order, with its log-probability under the walk process.
@@ -106,7 +108,7 @@ def old_sample_paths(
     key_pos = pg.sg.key_rows
     if not key_pos.size:
         raise ValueError("pruned graph has no key node to root paths at")
-    rows, rels, logp = old_list_walks(pg.sg.adjacency.restricted(pg.rows), key_pos, k)
+    rows, rels, logp = old_list_walks(restricted(pg.sg.adjacency, pg.rows), key_pos, k)
     gumbel = np.random.default_rng(seed).gumbel(size=logp.size)
     keep = np.sort(np.argsort(-(logp + gumbel), kind="stable")[:n_paths])
     rows, rels = rows[keep], rels[keep]
@@ -150,7 +152,7 @@ def assert_same_batches(pg, k, n_paths_list, seeds):
 
 
 def walk_count(pg, k):
-    return len(old_list_walks(pg.sg.adjacency.restricted(pg.rows), pg.sg.key_rows, k)[2])
+    return len(old_list_walks(restricted(pg.sg.adjacency, pg.rows), pg.sg.key_rows, k)[2])
 
 
 def test_tiny_graphs_give_the_sorting_route_bytes():
@@ -199,6 +201,34 @@ def test_graphs_of_over_a_thousand_walks_give_the_sorting_route_bytes():
             big += total > 1000
             assert_same_batches(pg, 3, (1, 5, 200, total - 1, total), (0, 1, 2))
     assert big >= 6
+
+
+def assert_mask_walks_restricted_copy(sg, rows, k):
+    """``list_walks`` through the mask of ``rows`` equals ``list_walks`` over
+    the reference restricted copy, whose rows are all kept, field for field."""
+    kept = np.zeros(sg.n_nodes, dtype=bool)
+    kept[rows] = True
+    got = list_walks(sg.adjacency, sg.key_rows, k, kept)
+    want = list_walks(restricted(sg.adjacency, rows), sg.key_rows, k, np.ones(sg.n_nodes, dtype=bool))
+    for name, a, b in zip(got._fields, got, want, strict=True):
+        assert a.dtype == b.dtype and np.array_equal(a, b), (sg.qid, rows, k, name)
+    return got.order.size
+
+
+def test_row_mask_walks_match_the_restricted_copy():
+    rng = np.random.default_rng(2203)
+    walked = {"random": 0, "keys only": 0, "all": 0}  # masks under which some walk exists
+    graphs = [random_local_graph(rng, duplicates=trial % 2 == 0) for trial in range(40)]
+    graphs += [dense_graph(rng, 30, 150, 1 + trial % 3) for trial in range(4)]
+    graphs.append(make_sg([4, 9, 2], [0, 2, 2], [], q_nodes={9}, qid="bare"))  # no edge
+    for sg in graphs:
+        n = sg.n_nodes
+        random_rows = np.union1d(sg.key_rows, np.flatnonzero(rng.random(n) < rng.random()))
+        for name, rows in (("random", random_rows), ("keys only", sg.key_rows),
+                           ("all", np.arange(n))):
+            for k in (1, 2, 3):
+                walked[name] += assert_mask_walks_restricted_copy(sg, rows, k) > 0
+    assert walked["random"] >= 50 and walked["keys only"] >= 15, walked
 
 
 def test_selection_keeps_the_stable_argsort_tie_rule():
