@@ -19,7 +19,7 @@ from typing import Optional
 
 from .config import (
     InputError, RunConfig, atomic_write, load_config, new_qid, read_blocks, read_jsonl,
-    write_jsonl, write_manifest,
+    require_number, require_str, write_jsonl, write_manifest,
 )
 from .dot import export_dot
 from .linking import ground_truth_ids
@@ -341,8 +341,16 @@ def _dot_graph(qid: str, obj: dict) -> dict:
 
 
 def _dot_paths(obj: dict) -> tuple:
-    """An inference output record as (qid, [(flat path, score), ...])."""
-    return str(obj["qid"]), [([str(x) for x in flat], float(score)) for flat, score in obj["paths"]]
+    """An inference output record as (qid, [(flat path, score), ...]). A path
+    is a list of an odd number, at least 3, of strings (node, relation, node,
+    ...) and its score a number; anything else raises ``ValueError``."""
+    paths = []
+    for flat, score in obj["paths"]:
+        if not isinstance(flat, list) or len(flat) < 3 or len(flat) % 2 == 0:
+            raise ValueError(f"a path must list node, relation, node, ..., got {flat!r}")
+        paths.append(([require_str(x, "a path's node or relation") for x in flat],
+                      require_number(score, "a path's score")))
+    return str(obj["qid"]), paths
 
 
 def cmd_export_dot(args: argparse.Namespace) -> int:
@@ -356,6 +364,8 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
         return _dot_graph(qid, obj)
 
     graphs = read_jsonl(args.dump, checked)
+    if not graphs:
+        raise InputError(args.dump, msg="holds no graph record")
     dump = next((d for d in graphs if args.qid is None or d["qid"] == args.qid), None)
     if dump is None:
         raise InputError(msg=f"qid {args.qid!r} not found in {args.dump}")

@@ -279,6 +279,15 @@ def require_str(value, what: str) -> str:
     return value
 
 
+def require_number(value, what: str, kind: type = float):
+    """``value`` as a ``kind`` if it is a JSON number of that kind: an integer
+    for ``int``, an integer or a float for ``float``. A bool, a string or
+    anything else raises ``ValueError`` naming ``what``."""
+    if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
+        raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    return kind(value)
+
+
 def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:
     """``build`` applied to each object of a JSON Lines file read by
     ``read_lines``.

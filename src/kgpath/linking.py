@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Optional
 
-from .config import InputError, new_qid, read_jsonl, read_lines, require_str
+from .config import InputError, new_qid, read_jsonl, read_lines, require_number, require_str
 from .kg import Edge, KnowledgeGraph, normalize_surface
 
 #: Question words discarded before matching. The exact list is a choice, not
@@ -78,7 +78,8 @@ def load_queries(path: Path | str) -> list[QueryRecord]:
     """Parse the JSON Lines query file; a qid given twice, whatever the
     splits, is refused at its second line, and so is a token, POS tag, scene
     label, triplet subject, predicate or object, or answer that is not a
-    string."""
+    string, a label or triplet confidence that is not a JSON number and an
+    answer count that is not a JSON integer (a bool is neither)."""
     seen: set[str] = set()
 
     def build(obj: dict) -> QueryRecord:
@@ -89,14 +90,18 @@ def load_queries(path: Path | str) -> list[QueryRecord]:
                 for t, p in obj.get("question_tokens", [])
             ],
             scene_labels=[
-                (require_str(l, "scene label"), float(c)) for l, c in obj.get("scene_labels", [])
+                (require_str(l, "scene label"), require_number(c, "label confidence"))
+                for l, c in obj.get("scene_labels", [])
             ],
             scene_triplets=[
                 (require_str(h, "triplet subject"), require_str(p, "triplet predicate"),
-                 require_str(o, "triplet object"), float(c))
+                 require_str(o, "triplet object"), require_number(c, "triplet confidence"))
                 for h, p, o, c in obj.get("scene_triplets", [])
             ],
-            answers=[(require_str(a, "answer"), int(c)) for a, c in obj.get("answers", [])],
+            answers=[
+                (require_str(a, "answer"), require_number(c, "answer count", int))
+                for a, c in obj.get("answers", [])
+            ],
             split=obj.get("split", "train"),
         )
 

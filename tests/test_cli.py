@@ -521,6 +521,27 @@ MALFORMED_INPUT = {
         "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", 0]])),
         "q0001: answer count must be >= 1",
     ),
+    "queries-answer-count-fraction": (
+        "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", 2.7]])),
+        "answer count must be an integer, got 2.7",
+    ),
+    "queries-answer-count-bool": (
+        "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", True]])),
+        "answer count must be an integer, got True",
+    ),
+    "queries-answer-count-string": (
+        "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", "3"]])),
+        "answer count must be an integer, got '3'",
+    ),
+    "queries-label-confidence-bool": (
+        "train", "queries", 2, json_edit(replaced("scene_labels", [["ent_0023", True]])),
+        "label confidence must be a number, got True",
+    ),
+    "queries-triplet-confidence-string": (
+        "train", "queries", 2,
+        json_edit(replaced("scene_triplets", [["ent_0023", "has", "ent_0024", "0.5"]])),
+        "triplet confidence must be a number, got '0.5'",
+    ),
     "queries-not-utf8": ("train", "queries", 2, not_utf8, "not UTF-8 text"),
     "queries-duplicate-qid": (
         "train", "queries", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
@@ -627,6 +648,31 @@ MALFORMED_INPUT = {
         "export-dot", "paths", 2, lambda line: line[:-1], "bad JSON: "
     ),
     "export-dot-paths-not-utf8": ("export-dot", "paths", 2, not_utf8, "not UTF-8 text"),
+    "export-dot-paths-path-a-string": (
+        "export-dot", "paths", 2, json_edit(replaced("paths", [["abc", 0.5]])),
+        "a path must list node, relation, node, ..., got 'abc'",
+    ),
+    "export-dot-paths-path-one-step-short": (
+        "export-dot", "paths", 2, json_edit(replaced("paths", [[["ent_0000", "isa"], 0.5]])),
+        "a path must list node, relation, node, ..., got ['ent_0000', 'isa']",
+    ),
+    "export-dot-paths-trailing-relation": (
+        "export-dot", "paths", 2,
+        json_edit(replaced("paths", [[["ent_0000", "isa", "ent_0001", "isa"], 0.5]])),
+        "a path must list node, relation, node, ..., got ['ent_0000', 'isa', 'ent_0001', 'isa']",
+    ),
+    "export-dot-paths-step-not-a-string": (
+        "export-dot", "paths", 2, json_edit(replaced("paths", [[["ent_0000", 3, "ent_0001"], 0.5]])),
+        "a path's node or relation must be a string, got 3",
+    ),
+    "export-dot-paths-score-bool": (
+        "export-dot", "paths", 2,
+        json_edit(replaced("paths", [[["ent_0000", "isa", "ent_0001"], True]])),
+        "a path's score must be a number, got True",
+    ),
+    "export-dot-dump-empty": (
+        "export-dot", "dump", None, lambda data: b"", "holds no graph record",
+    ),
     "export-dot-max-paths-negative": (
         "export-dot", "--max-paths", None, "-1", "--max-paths must be >= 0, got -1"
     ),
@@ -1033,6 +1079,13 @@ def test_export_dot_structure(tmp_path):
     assert text.count("{") == text.count("}")
     # gt node is styled as ground truth, not neighbor
     assert re.search(r'"gamma" \[fillcolor="#F47C64"\]', text)
+
+
+def test_export_dot_of_an_empty_dump_names_the_file(tmp_path, capsys):
+    path = tmp_path / "dump.jsonl"
+    path.write_text("# no record\n")
+    assert main(["export-dot", "--dump", str(path)]) == 1
+    assert error_lines(capsys) == [f"error: {path}: holds no graph record"]
 
 
 def test_export_dot_overlays_the_last_record_of_a_qid(tmp_path):
