@@ -26,15 +26,16 @@ relation of each step. A path of L steps fills the first L+1 cells of its
 is -1. ``WalkList.cells`` builds the kept walks' rows and relations in this
 layout, and ``pack_paths`` adds their entity ids.
 
-``_forward_paths`` is the one scoring route, shared by inference
-(``run_query``) and training (``train_joint_step``): it gathers the encoder
-outputs of each path's walked nodes and zeroes the -1 cells, so short paths
-are zero-padded to k blocks, passes them through f_t, joins the
-textual and visual context through f_p (one shared [t || v] block, so its
-product is taken once per batch), and scores against the query context with
-the bilinear layer. Training labels a path 1 iff its terminal entity is
-a ground-truth answer and couples the binary cross-entropy path loss with the
-pruning triplet loss as an unweighted sum.
+``run_query`` is the one per-question route, for inference and, in training
+mode, for each question of ``train_joint_step``: ``prune``, ``sample_paths``,
+then ``_forward_paths``, the one scoring route, which a batch with no path
+passes as zero rows. It gathers the encoder outputs of each path's walked
+nodes and zeroes the -1 cells, so short paths are zero-padded to k blocks,
+passes them through f_t, joins the textual and visual context through f_p
+(one shared [t || v] block, so its product is taken once per batch), and
+scores against the query context with the bilinear layer. Training labels a
+path 1 iff its terminal entity is a ground-truth answer and couples the binary
+cross-entropy path loss with the pruning triplet loss as an unweighted sum.
 """
 
 from __future__ import annotations
@@ -54,7 +55,6 @@ from .pruning import (
     check_prune_target,
     prune,
     node_gt_rank,
-    prune_from_scores,
     train_prune_step,
     triplet_terms,
 )
@@ -275,7 +275,7 @@ def _forward_paths(
     batch: PathBatch,
     h: np.ndarray,
     ctx,
-    train: bool = False,
+    train: bool,
 ) -> tuple[np.ndarray, np.ndarray, tuple]:
     """Run f_t, f_p, f_bi over a path batch; returns (scores, h_p, cache).
 
@@ -352,16 +352,17 @@ def run_query(
     n_paths: int,
     k: int,
     seed: int,
-) -> tuple[PrunedGraph, PathBatch, np.ndarray]:
-    """Eval-mode pipeline for one query: prune, sample, score.
-
-    Returns the pruned graph, the scored path batch, and the schema-node
-    cosine scores (for node-level ranking).
+    train: bool = False,
+) -> tuple[PrunedGraph, PathBatch, np.ndarray, np.ndarray, tuple, tuple]:
+    """One query through the pipeline: prune, sample, score (with dropout if
+    ``train``). Returns the pruned graph, the scored path batch, the
+    schema-node cosine scores (for node-level ranking), and what the backward
+    pass reads: the node encodings, f_n's cache and the path cache.
     """
-    pg, h, s_cos = prune(model, sample, theta_p, target)
+    pg, h, s_cos, cache_n = prune(model, sample, theta_p, target, train)
     batch = sample_paths(pg, n_paths, k, seed)
-    batch.scores = _forward_paths(model, batch, h, sample.ctx)[0] if len(batch) else np.empty(0)
-    return pg, batch, s_cos
+    batch.scores, _, path_cache = _forward_paths(model, batch, h, sample.ctx, train)
+    return pg, batch, s_cos, h, cache_n, path_cache
 
 
 def train_joint_step(
@@ -378,49 +379,36 @@ def train_joint_step(
 ) -> tuple[float, float]:
     """One optimizer step of the joint loss (path BCE + pruning triplets).
 
-    Paths are resampled for every step with a step- and query-dependent seed.
-    Queries with no positive path still contribute negative labels to the
-    BCE term. Node selection for pruning always uses eval-mode scores:
-    dropout regularizes the gradients, but letting it randomize which nodes
-    survive would starve the path loss of positives. Both come from one f_n
-    pass, since dropout acts only after its hidden layer.
+    Each query runs ``run_query`` in training mode, so paths are resampled
+    for every step with a step- and query-dependent seed. One BCE is taken
+    over every query's path scores together; queries with no positive path
+    still contribute negative labels, and a query with no path adds zero
+    rows.
     """
     model.zero_grad()
     staged = []
-    all_scores: list[np.ndarray] = []
-    all_labels: list[np.ndarray] = []
     n_terms_total = 0
     for sample in batch:
-        h, cache_n, h_eval = model.f_n.forward(
-            sample.node_input, train=True, rng=model.rng, with_eval=True
+        _, pbatch, _, h, cache_n, path_cache = run_query(
+            model, sample, theta_p, target, n_paths, k, mix_seed(step_seed, sample.qid), train=True
         )
-        s_cos = cosine_rows(sample.ctx.z, h_eval)
-        pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
-        pbatch = sample_paths(pg, n_paths, k, mix_seed(step_seed, sample.qid))
-        path_cache = None
-        scores = np.empty(0)
-        if len(pbatch):
-            scores, _, path_cache = _forward_paths(model, pbatch, h, sample.ctx, train=True)
-            all_scores.append(scores)
-            all_labels.append(_path_labels(pbatch, sample.gt_pos, sample.sg.n_nodes))
         loss_sum, n_terms, dh_trip = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
         )
         n_terms_total += n_terms
-        staged.append((sample, cache_n, pbatch, path_cache, dh_trip, loss_sum, len(scores)))
+        staged.append((sample, pbatch, path_cache, cache_n, dh_trip, loss_sum))
 
-    flat_scores = np.concatenate(all_scores) if all_scores else np.empty(0)
-    flat_labels = np.concatenate(all_labels) if all_labels else np.empty(0)
-    loss_cls, dscore_flat = bce_loss_backward(flat_scores, flat_labels)
+    loss_cls, dscores = bce_loss_backward(
+        np.concatenate([pb.scores for _, pb, *_ in staged]),
+        np.concatenate([_path_labels(pb, s.gt_pos, s.sg.n_nodes) for s, pb, *_ in staged]),
+    )
 
     loss_prune = 0.0
     offset = 0
-    for sample, cache_n, pbatch, path_cache, dh_trip, loss_sum, n_scores in staged:
+    for sample, pbatch, path_cache, cache_n, dh_trip, loss_sum in staged:
         dh = np.zeros((sample.sg.n_nodes, model.d))
-        if n_scores:
-            dscores = dscore_flat[offset : offset + n_scores]
-            offset += n_scores
-            _backward_paths(model, pbatch, dscores, path_cache, dh)
+        _backward_paths(model, pbatch, dscores[offset : offset + len(pbatch)], path_cache, dh)
+        offset += len(pbatch)
         if n_terms_total:
             dh += dh_trip / n_terms_total
             loss_prune += loss_sum

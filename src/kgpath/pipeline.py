@@ -197,7 +197,7 @@ def _eval_one(i: int) -> QueryResult:
 
 
 def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> QueryResult:
-    pg, batch, s_cos = run_query(
+    _, batch, s_cos, *_ = run_query(
         model,
         sample,
         theta_p=cfg.theta_p,

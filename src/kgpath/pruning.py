@@ -93,15 +93,22 @@ def prune(
     sample: QuerySample,
     theta_p: float,
     target: int,
-) -> tuple[PrunedGraph, np.ndarray, np.ndarray]:
-    """Eval-mode node selection for one prepared query.
+    train: bool = False,
+) -> tuple[PrunedGraph, np.ndarray, np.ndarray, tuple]:
+    """Node selection for one prepared query, from one f_n pass.
 
     Returns the pruned graph, the node encodings of the unpruned schema graph
-    and their cosine scores against the query context.
+    (from the dropout pass when ``train`` is set), their eval-mode cosines
+    against the query context and f_n's cache. Selection reads eval-mode
+    scores: dropout regularizes the gradients, but letting it randomize which
+    nodes survive would starve the path loss of positives. One pass gives
+    both, since dropout acts only after f_n's hidden layer.
     """
-    h, _ = model.f_n.forward(sample.node_input, train=False)
-    s_cos = cosine_rows(sample.ctx.z, h)
-    return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos
+    h, cache_n, h_eval = model.f_n.forward(
+        sample.node_input, train=train, rng=model.rng, with_eval=True
+    )
+    s_cos = cosine_rows(sample.ctx.z, h_eval)
+    return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos, cache_n
 
 
 def check_prune_target(sg: SchemaGraph, target: int) -> None:

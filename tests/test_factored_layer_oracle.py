@@ -104,7 +104,7 @@ def test_prune_survivors_match_the_dense_input(tmp_path, mode):
         work.mkdir()
         model, sample, _ = node_case(work, mode, 5, 6, seed=300 + trial)
         target = max(sample.sg.key_rows.size, sample.sg.n_nodes // 2)
-        pg, h, s_cos = prune(model, sample, 0.3, target)
+        pg, h, s_cos, _ = prune(model, sample, 0.3, target)
         r_h, _ = model.f_n.forward(sample.x, train=False)
         r_s_cos = cosine_rows(sample.ctx.z, r_h)
         r_pg = prune_from_scores(sample.sg, r_s_cos, sample.s_bfs, 0.3, target)

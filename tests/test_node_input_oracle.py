@@ -319,7 +319,7 @@ def test_training_matches_materialised_route(small_runtime, monkeypatch):
 
     # eval on the held-out questions: the same survivors, close encodings and scores
     for sample, ref in zip(samples[18:], ref_samples[18:]):
-        pg, h, s_cos = prune(model, sample, rt.cfg.theta_p, rt.cfg.prune_target)
+        pg, h, s_cos, _ = prune(model, sample, rt.cfg.theta_p, rt.cfg.prune_target)
         ref_pg, ref_h, ref_s_cos = reference_prune(
             ref_model, ref, rt.cfg.theta_p, rt.cfg.prune_target)
         assert pg.rows.tobytes() == ref_pg.rows.tobytes()

@@ -309,7 +309,8 @@ def test_result_lists_match_reference(monkeypatch):
         sample = SimpleNamespace(
             qid=sg.qid, split="test", gt=gt, annotations={}, sg=sg, gt_pos=gt_pos,
         )
-        monkeypatch.setattr(pipeline, "run_query", lambda *a, **kw: (pg, batch, s_cos))
+        monkeypatch.setattr(pipeline, "run_query",
+                            lambda *a, **kw: (pg, batch, s_cos, None, None, None))
         result = pipeline.evaluate_query(None, sample, cfg)
         got = (result.node_rank, result.answer_ranking, result.path_terminals,
                result.top_paths)

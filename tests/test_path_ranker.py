@@ -75,7 +75,7 @@ def forward(model, paths, vectors, ctx, k=None):
     ids = sorted(vectors)
     h = np.stack([vectors[i] for i in ids])
     batch = pack(paths, k or model.k, ids)
-    scores, h_p, _ = _forward_paths(model, batch, h, ctx)
+    scores, h_p, _ = _forward_paths(model, batch, h, ctx, train=False)
     return scores, h_p
 
 
@@ -534,7 +534,7 @@ def test_labels_mark_gt_terminals():
         h, _ = model.f_n.forward(s.x, train=False)
         pg = prune_from_scores(s.sg, cosine_rows(s.ctx.z, h), s.s_bfs, 0.3, 100)
         batch = sample_paths(pg, 200, 3, mix_seed(step_seed, s.qid))
-        scores.append(_forward_paths(model, batch, h, s.ctx)[0])
+        scores.append(_forward_paths(model, batch, h, s.ctx, train=False)[0])
         labels += [t in s.gt for t in batch.last(batch.paths).tolist()]
     scores = np.concatenate(scores)
     labels = np.array(labels, dtype=np.float64)
@@ -752,7 +752,10 @@ def test_all_triplets_ablation_trains_reproducibly(small_runtime):
 def test_run_query_returns_consistent_bundle():
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.0, seed=21)
     (sample,) = make_samples(model, n_queries=1, seed=22)
-    pg, batch, s_cos = run_query(model, sample, theta_p=0.3, target=5, n_paths=50, k=3, seed=3)
+    pg, batch, s_cos, h, _, _ = run_query(
+        model, sample, theta_p=0.3, target=5, n_paths=50, k=3, seed=3
+    )
+    assert h.shape == (sample.sg.n_nodes, model.d)
     assert len(pg.base.nodes) == 5
     assert s_cos.shape == (sample.sg.n_nodes,)
     surv = set(int(e) for e in pg.base.nodes)
