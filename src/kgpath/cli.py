@@ -329,13 +329,14 @@ def _flatten_path(g, rel, nodes, rels) -> list[str]:
     return flat
 
 
-def _dot_graph(qid: str, obj: dict) -> dict:
-    """A dump record of qid ``qid`` as the strings and floats ``export_dot``
-    reads; a field of another shape raises ``TypeError`` or ``ValueError``."""
+def _dot_graph(qid: str, obj: dict, weights: list[float]) -> dict:
+    """A dump record of qid ``qid``, its edges' ``weights`` as ``check_dump``
+    returned them, as the strings and floats ``export_dot`` reads; a field of
+    another shape raises ``TypeError`` or ``ValueError``."""
     return {
         "qid": qid,
         "nodes": [(str(surface), str(kind)) for surface, kind in obj["nodes"]],
-        "edges": [(str(h), str(r), str(t), float(w)) for h, r, t, w in obj["edges"]],
+        "edges": [(str(h), str(r), str(t), w) for (h, r, t, _), w in zip(obj["edges"], weights)],
         "gt": [str(surface) for surface in obj.get("gt", [])],
     }
 
@@ -360,8 +361,7 @@ def cmd_export_dot(args: argparse.Namespace) -> int:
 
     def checked(obj: dict) -> dict:
         qid = new_qid(obj, seen)
-        check_dump(obj)
-        return _dot_graph(qid, obj)
+        return _dot_graph(qid, obj, check_dump(obj))
 
     graphs = read_jsonl(args.dump, checked)
     if not graphs:

@@ -27,6 +27,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator, Optional, TypeVar
 
+import numpy as np
+
 T = TypeVar("T")
 
 
@@ -286,6 +288,18 @@ def require_number(value, what: str, kind: type = float):
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
     return kind(value)
+
+
+def require_vector(value, what: str) -> np.ndarray:
+    """``value`` as a float64 vector if it is a JSON list of JSON numbers; any
+    other ``value``, or an entry that ``require_number`` refuses (a bool, a
+    string, a list, ...), raises ``ValueError`` naming ``what``."""
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    if not {int, float}.issuperset(map(type, value)):  # cheap on every row
+        for x in value:  # only to name the first bad entry
+            require_number(x, f"an entry of {what}")
+    return np.array(value, dtype=np.float64)
 
 
 def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .config import InputError, new_qid, read_bulk, read_jsonl, require_str
+from .config import InputError, new_qid, read_bulk, read_jsonl, require_str, require_vector
 from .kg import KnowledgeGraph
 
 
@@ -183,9 +183,9 @@ def load_contexts(path: Path | str) -> dict[str, QueryContext]:
         nonlocal dim
         ctx = QueryContext(
             qid=new_qid(obj, seen),
-            z=np.asarray(obj["z"], dtype=np.float64),
-            v=np.asarray(obj["v"], dtype=np.float64),
-            t=np.asarray(obj["t"], dtype=np.float64),
+            z=require_vector(obj["z"], "z"),
+            v=require_vector(obj["v"], "v"),
+            t=require_vector(obj["t"], "t"),
         )
         dim = dim or ctx.dim
         if ctx.dim != dim:
@@ -212,7 +212,7 @@ class TextFeatureProvider:
 
             def build(obj: dict):
                 eid = g.match_entity(require_str(obj["entity"], "entity"))
-                vec = np.asarray(obj["p"], dtype=np.float64)
+                vec = require_vector(obj["p"], "p")
                 where = f"text feature for ({obj['qid']}, {obj['entity']})"
                 if vec.shape != (dim,):
                     raise InputError(msg=f"{where} has shape {vec.shape}, expected dimension {dim}")

@@ -18,6 +18,7 @@ lookup into a boolean mask over entities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -25,7 +26,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .config import InputError, new_qid, read_jsonl
+from .config import InputError, new_qid, read_jsonl, require_number
 from .kg import Edge, KnowledgeGraph, dedup_max_weight
 from .linking import KeyNodeSet
 
@@ -184,7 +185,7 @@ class SchemaGraph:
             for h, r, t, _ in obj["edges"]
         ]
         q_nodes, v_nodes = ([_entity_id(g, s) for s in obj[name]] for name in ("key_q", "key_v"))
-        check_dump(obj)
+        weights = check_dump(obj)
         eh, er, et = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
         return cls(
             qid=str(obj["qid"]),  # the string ``config.new_qid`` checks for repeats
@@ -193,17 +194,19 @@ class SchemaGraph:
             edges_head=eh,
             edges_rel=er,
             edges_tail=et,
-            edges_weight=np.array([float(w) for *_, w in obj["edges"]], dtype=np.float64),
+            edges_weight=np.array(weights, dtype=np.float64),
             q_nodes=frozenset(q_nodes),
             v_nodes=frozenset(v_nodes),
         )
 
 
-def check_dump(obj: dict) -> None:
+def check_dump(obj: dict) -> list[float]:
     """The rules of a schema or pruned dump record, checked on its surfaces
     alone: a ``ValueError`` names an unknown node type, a node or (head,
     relation, tail) edge listed twice, an edge endpoint or ``key_q``/``key_v``
-    entity that is not a listed node, or a record without key nodes."""
+    entity that is not a listed node, an edge weight that is not a finite
+    JSON number >= 0 (the rule of a KG edge), or a record without key nodes.
+    Returns the edges' weights as floats."""
     nodes = set()
     for s, t in obj["nodes"]:
         if s in nodes:
@@ -211,20 +214,26 @@ def check_dump(obj: dict) -> None:
         if t not in _TYPE_BY_NAME:
             raise ValueError(f"unknown node type {t!r}")
         nodes.add(s)
-    edges = set()
-    for h, r, t, _ in obj["edges"]:
+    edges, weights = set(), []
+    for h, r, t, w in obj["edges"]:
         for end in (h, t):
             if end not in nodes:
                 raise ValueError(f"edge endpoint {end!r} is not a listed node")
         if (h, r, t) in edges:
             raise ValueError(f"edge ({h!r}, {r!r}, {t!r}) is listed twice")
         edges.add((h, r, t))
+        what = f"the weight of edge ({h!r}, {r!r}, {t!r})"
+        weight = require_number(w, what)
+        if not math.isfinite(weight) or weight < 0:
+            raise ValueError(f"{what} is {w!r}, not a non-negative real")
+        weights.append(weight)
     keys = obj["key_q"] + obj["key_v"]
     for s in keys:
         if s not in nodes:
             raise ValueError(f"key node {s!r} is not a listed node")
     if not keys:
         raise ValueError("no key node")
+    return weights
 
 
 def _lookup(table, key, what: str):

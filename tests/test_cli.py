@@ -334,6 +334,14 @@ def json_edit(edit):
     return lambda line: edit(json.loads(line))
 
 
+def one_edge(weight):
+    """A dump-record edit to the graph of one edge, ent_0000 -antonym->
+    ent_0001, of weight ``weight``, rooted at ent_0000."""
+    graph = {"nodes": [["ent_0000", "Q"], ["ent_0001", "N1"]], "key_q": ["ent_0000"], "key_v": [],
+             "gt": [], "edges": [["ent_0000", "antonym", "ent_0001", weight]]}
+    return json_edit(lambda obj: json.dumps({**obj, **graph}))
+
+
 def not_utf8(line):
     return b"\xff" + line.encode("utf-8")
 
@@ -514,6 +522,18 @@ MALFORMED_INPUT = {
         "eval", "contexts", None, each_line(json_edit(shortened(8))),
         "vectors have dimension 8, but the config sets d = 12",
     ),
+    "contexts-z-bool": (
+        "train", "contexts", 2, json_edit(replaced("z", [True] + [0.5] * 11)),
+        "an entry of z must be a number, got True",
+    ),
+    "contexts-t-strings": (
+        "train", "contexts", 2, json_edit(replaced("t", ["0.5"] * 12)),
+        "an entry of t must be a number, got '0.5'",
+    ),
+    "contexts-v-not-a-list": (
+        "train", "contexts", 2, json_edit(replaced("v", {"0": 0.5})),
+        "v must be a list of numbers, got {'0': 0.5}",
+    ),
     "contexts-duplicate-qid": (
         "train", "contexts", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
     ),
@@ -554,6 +574,10 @@ MALFORMED_INPUT = {
         "train", "text_features", 2, json_edit(without("entity")), "missing field 'entity'"
     ),
     "text_features-not-utf8": ("train", "text_features", 2, not_utf8, "not UTF-8 text"),
+    "text_features-bool": (
+        "train", "text_features", 2, json_edit(replaced("p", [0.5] * 11 + [False])),
+        "an entry of p must be a number, got False",
+    ),
     "text_features-non-finite": (
         "train", "text_features", 2, json_edit(replaced("p", [0.5] * 11 + [float("nan")])),
         "text feature for (q0001, ent_0007) has a non-finite value",
@@ -603,6 +627,14 @@ MALFORMED_INPUT = {
         json_edit(lambda obj: json.dumps({**obj, "edges": obj["edges"] + obj["edges"][:1]})),
         "edge ('ent_0001', 'relatedto', 'ent_0064') is listed twice",
     ),
+    "prune-weight-string": (
+        "prune", "schemas", 2, one_edge("nan"),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') must be a number, got 'nan'",
+    ),
+    "prune-weight-nan": (
+        "prune", "schemas", 2, one_edge(float("nan")),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') is nan, not a non-negative real",
+    ),
     "prune-duplicate-qid": (
         "prune", "schemas", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
     ),
@@ -640,6 +672,22 @@ MALFORMED_INPUT = {
         "export-dot", "dump", 2,
         json_edit(lambda obj: json.dumps({**obj, "nodes": [[s, "N3"] for s, _ in obj["nodes"]]})),
         "unknown node type 'N3'",
+    ),
+    "export-dot-dump-weight-string": (
+        "export-dot", "dump", 2, one_edge("nan"),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') must be a number, got 'nan'",
+    ),
+    "export-dot-dump-weight-bool": (
+        "export-dot", "dump", 2, one_edge(True),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') must be a number, got True",
+    ),
+    "export-dot-dump-weight-nan": (
+        "export-dot", "dump", 2, one_edge(float("nan")),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') is nan, not a non-negative real",
+    ),
+    "export-dot-dump-weight-negative": (
+        "export-dot", "dump", 2, one_edge(-0.5),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') is -0.5, not a non-negative real",
     ),
     "export-dot-dump-duplicate-qid": (
         "export-dot", "dump", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
