@@ -353,11 +353,12 @@ def run_query(
     k: int,
     seed: int,
     train: bool = False,
-) -> tuple[PrunedGraph, PathBatch, np.ndarray, np.ndarray, tuple, tuple]:
+) -> tuple[PrunedGraph, PathBatch, np.ndarray, np.ndarray, Optional[tuple], tuple]:
     """One query through the pipeline: prune, sample, score (with dropout if
     ``train``). Returns the pruned graph, the scored path batch, the
     schema-node cosine scores (for node-level ranking), and what the backward
-    pass reads: the node encodings, f_n's cache and the path cache.
+    pass reads: the node encodings, f_n's cache (None unless ``train``) and
+    the path cache.
     """
     pg, h, s_cos, cache_n = prune(model, sample, theta_p, target, train)
     batch = sample_paths(pg, n_paths, k, seed)

@@ -94,12 +94,14 @@ def prune(
     theta_p: float,
     target: int,
     train: bool = False,
-) -> tuple[PrunedGraph, np.ndarray, np.ndarray, tuple]:
+) -> tuple[PrunedGraph, np.ndarray, np.ndarray, Optional[tuple]]:
     """Node selection for one prepared query, from one f_n pass.
 
     Returns the pruned graph, the node encodings of the unpruned schema graph
     (from the dropout pass when ``train`` is set), their eval-mode cosines
-    against the query context and f_n's cache. Selection reads eval-mode
+    against the query context and, when ``train`` is set, f_n's cache (else
+    None: held through an eval query's path scoring, it made ``train-toy``
+    eval queries about 2% slower on a 2-core host). Selection reads eval-mode
     scores: dropout regularizes the gradients, but letting it randomize which
     nodes survive would starve the path loss of positives. One pass gives
     both, since dropout acts only after f_n's hidden layer.
@@ -108,7 +110,8 @@ def prune(
         sample.node_input, train=train, rng=model.rng, with_eval=True
     )
     s_cos = cosine_rows(sample.ctx.z, h_eval)
-    return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos, cache_n
+    pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
+    return pg, h, s_cos, cache_n if train else None
 
 
 def check_prune_target(sg: SchemaGraph, target: int) -> None:

@@ -177,8 +177,9 @@ def test_eval_route_matches_the_guarded_copy_with_and_without_paths():
 def test_prune_in_training_mode_selects_by_eval_scores():
     model, twin = twin_models(0.5)
     (sample,) = make_samples(model, n_queries=1, seed=44)
-    pg, h, s_cos, _ = prune(model, sample, CFG.theta_p, 5, train=True)
-    ref_pg, ref_h, ref_s_cos, _ = prune(twin, sample, CFG.theta_p, 5)
+    pg, h, s_cos, cache_n = prune(model, sample, CFG.theta_p, 5, train=True)
+    ref_pg, ref_h, ref_s_cos, ref_cache_n = prune(twin, sample, CFG.theta_p, 5)
+    assert cache_n is not None and ref_cache_n is None  # eval mode runs no backward pass
     assert pg.rows.tobytes() == ref_pg.rows.tobytes()
     assert s_cos.tobytes() == ref_s_cos.tobytes()
     assert not np.array_equal(h, ref_h)  # the dropout pass's encodings
