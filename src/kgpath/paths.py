@@ -388,7 +388,7 @@ def train_joint_step(
     """
     model.zero_grad()
     staged = []
-    n_terms_total = 0
+    loss_prune, n_terms_total = 0.0, 0
     for sample in batch:
         _, pbatch, _, h, cache_n, path_cache = run_query(
             model, sample, theta_p, target, n_paths, k, mix_seed(step_seed, sample.qid), train=True
@@ -396,23 +396,22 @@ def train_joint_step(
         loss_sum, n_terms, dh_trip = triplet_terms(
             sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
         )
+        loss_prune += loss_sum
         n_terms_total += n_terms
-        staged.append((sample, pbatch, path_cache, cache_n, dh_trip, loss_sum))
+        staged.append((sample, pbatch, path_cache, cache_n, dh_trip))
 
     loss_cls, dscores = bce_loss_backward(
         np.concatenate([pb.scores for _, pb, *_ in staged]),
         np.concatenate([_path_labels(pb, s.gt_pos, s.sg.n_nodes) for s, pb, *_ in staged]),
     )
 
-    loss_prune = 0.0
     offset = 0
-    for sample, pbatch, path_cache, cache_n, dh_trip, loss_sum in staged:
+    for sample, pbatch, path_cache, cache_n, dh_trip in staged:
         dh = np.zeros((sample.sg.n_nodes, model.d))
         _backward_paths(model, pbatch, dscores[offset : offset + len(pbatch)], path_cache, dh)
         offset += len(pbatch)
         if n_terms_total:
             dh += dh_trip / n_terms_total
-            loss_prune += loss_sum
         model.f_n.backward(dh, cache_n)
     if n_terms_total:
         loss_prune /= n_terms_total
@@ -443,74 +442,55 @@ def staged_training(
     optimizer: str = "adam",
     progress: bool = False,
 ) -> list[dict]:
-    """Two-phase schedule: prune-only epochs, then joint epochs.
+    """Two-phase schedule, one epoch loop: ``epochs_prune`` prune epochs,
+    then ``epochs_joint`` joint epochs.
 
-    During phase one only the node encoder is updated; the path networks stay
-    bit-identical to their initialization. Per-epoch metrics (losses and
-    training node R@1) are returned, one dict per epoch, for the caller to
-    write once the schedule has ended. A ``target`` too small for some
-    sample's key nodes is an ``InputError`` before any epoch runs.
+    - prune: ``train_prune_step`` over the samples with a ground-truth node
+      and a negative, drawing no seed; only the node encoder is updated.
+      Entry keys: ``phase``, ``epoch``, ``loss``, ``node_r1``.
+    - joint: ``train_joint_step`` over every sample, step ``s`` of epoch
+      ``e`` seeded ``mix_seed(seed, "joint", e, s)``. Entry keys: ``phase``,
+      ``epoch``, ``loss`` (``loss_cls`` + ``loss_prune``), ``loss_cls``,
+      ``loss_prune``, ``node_r1``.
+
+    An epoch takes its samples in a fresh permutation, ``batch_size`` per
+    step; each loss is its mean over the steps (0.0 without a step) and
+    ``node_r1`` the training node R@1 after the epoch. The entries are
+    returned, one per epoch, for the caller to write. A ``target`` too small
+    for some sample's key nodes is an ``InputError`` before any epoch runs.
     """
     for sample in train_samples:
         check_prune_target(sample.sg, target)
     optimizer = make_optimizer(optimizer, lr)
     order_rng = np.random.default_rng(mix_seed(seed, "epoch-order"))
-    metrics: list[dict] = []
 
-    def emit(entry: dict) -> None:
-        metrics.append(entry)
-        if progress:
-            print(
-                f"[{entry['phase']}] epoch {entry['epoch']:3d} "
-                f"loss={entry['loss']:.4f} train-node-R@1={entry['node_r1']:.3f}"
-            )
+    def prune_step(chunk, epoch, step):
+        return (train_prune_step(model, chunk, optimizer, margin, semi_hard),)
+
+    def joint_step(chunk, epoch, step):
+        return train_joint_step(model, chunk, optimizer, theta_p, target, n_paths, k, margin,
+                                semi_hard, step_seed=mix_seed(seed, "joint", epoch, step))
 
     trainable = [s for s in train_samples if s.gt_pos.size and s.neg_pos.size]
-    for epoch in range(epochs_prune):
-        order = order_rng.permutation(len(trainable))
-        losses = []
-        for lo in range(0, len(trainable), batch_size):
-            chunk = [trainable[i] for i in order[lo : lo + batch_size]]
-            losses.append(train_prune_step(model, chunk, optimizer, margin, semi_hard))
-        emit(
-            {
-                "phase": "prune",
-                "epoch": epoch,
-                "loss": float(np.mean(losses)) if losses else 0.0,
-                "node_r1": node_recall_rate(model, train_samples, 1),
-            }
-        )
-    for epoch in range(epochs_joint):
-        order = order_rng.permutation(len(train_samples))
-        losses_cls, losses_prune = [], []
-        for step, lo in enumerate(range(0, len(train_samples), batch_size)):
-            chunk = [train_samples[i] for i in order[lo : lo + batch_size]]
-            loss_cls, loss_prune = train_joint_step(
-                model,
-                chunk,
-                optimizer,
-                theta_p,
-                target,
-                n_paths,
-                k,
-                margin,
-                semi_hard,
-                step_seed=mix_seed(seed, "joint", epoch, step),
-            )
-            losses_cls.append(loss_cls)
-            losses_prune.append(loss_prune)
-        emit(
-            {
-                "phase": "joint",
-                "epoch": epoch,
-                "loss": float(np.mean(losses_cls) + np.mean(losses_prune))
-                if losses_cls
-                else 0.0,
-                "loss_cls": float(np.mean(losses_cls)) if losses_cls else 0.0,
-                "loss_prune": float(np.mean(losses_prune)) if losses_prune else 0.0,
-                "node_r1": node_recall_rate(model, train_samples, 1),
-            }
-        )
+    phases = (
+        ("prune", epochs_prune, trainable, prune_step, ("loss",)),
+        ("joint", epochs_joint, train_samples, joint_step, ("loss_cls", "loss_prune")),
+    )
+    metrics: list[dict] = []
+    for phase, epochs, samples, run_step, names in phases:
+        for epoch in range(epochs):
+            order = order_rng.permutation(len(samples))
+            losses = [
+                run_step([samples[i] for i in order[lo : lo + batch_size]], epoch, step)
+                for step, lo in enumerate(range(0, len(samples), batch_size))
+            ]
+            columns = zip(*losses) if losses else [[0.0]] * len(names)  # one loss list per name
+            means = {name: float(np.mean(column)) for name, column in zip(names, columns)}
+            loss = sum(means.values())
+            node_r1 = node_recall_rate(model, train_samples, 1)
+            metrics.append({"phase": phase, "epoch": epoch, "loss": loss, **means, "node_r1": node_r1})
+            if progress:
+                print(f"[{phase}] epoch {epoch:3d} loss={loss:.4f} train-node-R@1={node_r1:.3f}")
     return metrics
 
 
