@@ -282,11 +282,17 @@ def require_str(value, what: str) -> str:
 
 
 def require_number(value, what: str, kind: type = float):
-    """``value`` as a ``kind`` if it is a JSON number of that kind: an integer
-    for ``int``, an integer or a float for ``float``. A bool, a string or
-    anything else raises ``ValueError`` naming ``what``."""
+    """``value`` as a ``kind`` if it is a JSON number of that kind that a
+    float64 holds: an integer for ``int``, an integer or a float for
+    ``float``. A bool, a string, an integer past float64's range or anything
+    else raises ``ValueError`` naming ``what``."""
     if isinstance(value, bool) or not isinstance(value, int if kind is int else (int, float)):
         raise ValueError(f"{what} must be {'an integer' if kind is int else 'a number'}, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        digits = len(str(abs(value)))
+        raise ValueError(f"{what} is too large for a float64: an integer of {digits} digits") from None
     return kind(value)
 
 
@@ -296,10 +302,12 @@ def require_vector(value, what: str) -> np.ndarray:
     string, a list, ...), raises ``ValueError`` naming ``what``."""
     if not isinstance(value, list):
         raise ValueError(f"{what} must be a list of numbers, got {value!r}")
-    if not {int, float}.issuperset(map(type, value)):  # cheap on every row
-        for x in value:  # only to name the first bad entry
-            require_number(x, f"an entry of {what}")
-    return np.array(value, dtype=np.float64)
+    try:
+        if {int, float}.issuperset(map(type, value)):  # cheap on every row
+            return np.array(value, dtype=np.float64)
+    except OverflowError:  # an integer past float64's range, named below
+        pass
+    return np.array([require_number(x, f"an entry of {what}") for x in value], dtype=np.float64)
 
 
 def read_jsonl(path: Path | str, build: Callable[[dict], T]) -> list[T]:

@@ -446,7 +446,7 @@ def staged_training(
     then ``epochs_joint`` joint epochs.
 
     - prune: ``train_prune_step`` over the samples with a ground-truth node
-      and a negative, drawing no seed; only the node encoder is updated.
+      and a negative, with no step seed; only the node encoder is updated.
       Entry keys: ``phase``, ``epoch``, ``loss``, ``node_r1``.
     - joint: ``train_joint_step`` over every sample, step ``s`` of epoch
       ``e`` seeded ``mix_seed(seed, "joint", e, s)``. Entry keys: ``phase``,

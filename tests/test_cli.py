@@ -534,6 +534,10 @@ MALFORMED_INPUT = {
         "train", "contexts", 2, json_edit(replaced("v", {"0": 0.5})),
         "v must be a list of numbers, got {'0': 0.5}",
     ),
+    "contexts-z-too-large": (
+        "train", "contexts", 2, json_edit(replaced("z", [10**400] + [0.5] * 11)),
+        "an entry of z is too large for a float64: an integer of 401 digits",
+    ),
     "contexts-duplicate-qid": (
         "train", "contexts", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
     ),
@@ -552,6 +556,10 @@ MALFORMED_INPUT = {
     "queries-answer-count-string": (
         "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", "3"]])),
         "answer count must be an integer, got '3'",
+    ),
+    "queries-answer-count-too-large": (
+        "train", "queries", 2, json_edit(replaced("answers", [["ent_0023", 10**400]])),
+        "answer count is too large for a float64: an integer of 401 digits",
     ),
     "queries-label-confidence-bool": (
         "train", "queries", 2, json_edit(replaced("scene_labels", [["ent_0023", True]])),
@@ -577,6 +585,10 @@ MALFORMED_INPUT = {
     "text_features-bool": (
         "train", "text_features", 2, json_edit(replaced("p", [0.5] * 11 + [False])),
         "an entry of p must be a number, got False",
+    ),
+    "text_features-too-large": (
+        "train", "text_features", 2, json_edit(replaced("p", [0.5] * 11 + [-(10**400)])),
+        "an entry of p is too large for a float64: an integer of 401 digits",
     ),
     "text_features-non-finite": (
         "train", "text_features", 2, json_edit(replaced("p", [0.5] * 11 + [float("nan")])),
@@ -634,6 +646,11 @@ MALFORMED_INPUT = {
     "prune-weight-nan": (
         "prune", "schemas", 2, one_edge(float("nan")),
         "the weight of edge ('ent_0000', 'antonym', 'ent_0001') is nan, not a non-negative real",
+    ),
+    "prune-weight-too-large": (
+        "prune", "schemas", 2, one_edge(10**400),
+        "the weight of edge ('ent_0000', 'antonym', 'ent_0001') is too large for a float64: "
+        "an integer of 401 digits",
     ),
     "prune-duplicate-qid": (
         "prune", "schemas", 2, json_edit(replaced("qid", "q0000")), "duplicate qid 'q0000'"
