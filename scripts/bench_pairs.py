@@ -20,8 +20,13 @@ trees alone can be checked against the file), the run length, the host, and
 per workload every pair's seed, first side and both runs' result lines, and
 for each end-to-end metric of ``BENCHMARK.json``: both sides' median and
 quartiles, the change's wins and the parent's (a tie counts for neither
-side), the pairs compared, and the metric's bound and direction. Per side it
-also sums the failed and attempted operations.
+side), the pairs compared, the metric's bound and direction, and two
+verdicts. ``gain_rule``: the change wins at least 9 in 10 of the pairs and
+its median beats the parent's, in the better direction, by more than the
+parent's interquartile range. ``within_bound``: the change's median is worse
+than the parent's by at most the bound, a fraction of the parent's median.
+Both are None where a side reads no value. Per side it also sums the failed
+and attempted operations.
 """
 
 from __future__ import annotations
@@ -85,10 +90,24 @@ def spread(values: list[float]) -> dict:
     return {"median": float(median), "q1": float(q1), "q3": float(q3)}
 
 
+def verdicts(parent: dict, change: dict, change_wins: int, pairs: int, lower: bool,
+             bound: float) -> dict:
+    """``gain_rule`` and ``within_bound`` from both sides' spreads, None
+    where a side has no median."""
+    if parent["median"] is None or change["median"] is None:
+        return {"gain_rule": None, "within_bound": None}
+    sign = -1.0 if lower else 1.0  # a positive gain is an improvement
+    gain = sign * (change["median"] - parent["median"])
+    return {
+        "gain_rule": 0 < 9 * pairs <= 10 * change_wins and gain > parent["q3"] - parent["q1"],
+        "within_bound": gain >= -bound * abs(parent["median"]),
+    }
+
+
 def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per metric of ``end_to_end`` (``BENCHMARK.json``'s entries): each
-    side's spread and each side's wins over the pairs where both read a
-    value; and per side the failed and attempted operations."""
+    side's spread, each side's wins over the pairs where both read a value,
+    and the two verdicts; and per side the failed and attempted operations."""
     metrics = {}
     for spec in end_to_end:
         name, lower = spec["name"], spec["better"] == "lower"
@@ -97,14 +116,17 @@ def summarise(runs: list[dict], end_to_end: list[dict]) -> dict:
                 if p is not None and c is not None]
         change_wins = sum((c < p) if lower else (c > p) for p, c in both)
         parent_wins = sum((p < c) if lower else (p > c) for p, c in both)
+        sides = {side: spread([v for v in read[side] if v is not None]) for side in SIDES}
         metrics[name] = {
             "unit": spec["unit"],
             "better": spec["better"],
             "bound": spec["bound"],
-            **{side: spread([v for v in read[side] if v is not None]) for side in SIDES},
+            **sides,
             "change_wins": change_wins,
             "parent_wins": parent_wins,
             "pairs": len(both),
+            **verdicts(sides["parent"], sides["change"], change_wins, len(both), lower,
+                       spec["bound"]),
         }
     operations = {
         side: {key: sum(r[side][key] for r in runs) for key in ("failed", "attempted")}

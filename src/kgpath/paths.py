@@ -2,13 +2,13 @@
 
 Paths are simple walks of at most k steps rooted at key nodes of the pruned
 graph. A pruned graph is a set of surviving rows over its schema graph, so
-walks read the schema graph's one adjacency through a mask of those rows (a
+walks read the schema graph's one edge store through a mask of those rows (a
 step to a pruned row is not taken), and a walk's nodes are schema-graph rows
 from the start. A schema graph's (head, relation, tail) edges are distinct,
-so every adjacency slot is one walk step of its own. ``list_walks`` lists
-every walk, each with its probability under a random walk (uniform start
-among key nodes, uniform edge choice among the edges to kept rows that do
-not revisit a node, 1/3 stop chance after each step), and a Gumbel-top-k
+so every slot but a self-loop is one walk step. ``list_walks`` lists every
+walk, each with its probability under a random walk (uniform start among
+key nodes, uniform edge choice among the edges to kept rows that do not
+revisit a node, 1/3 stop chance after each step), and a Gumbel-top-k
 keeps ``n_paths`` of them: all of them when they fit, with no draw,
 otherwise a draw without replacement, each walk in proportion to its
 probability. The listing holds every walk at once, as per-level 1-D arrays
@@ -144,9 +144,10 @@ def list_walks(adj: LocalAdjacency, roots: np.ndarray, k: int, kept: np.ndarray)
     the walk process and its DFS position. The roots must be kept rows.
 
     ``adj`` must hold distinct (head, neighbour, relation) slots, as the
-    adjacency of every ``SchemaGraph`` does: each slot is then one walk. DFS
-    order takes the roots in the given order and each row's slots in
-    adjacency order, and lists a walk before its extensions. The walk
+    adjacency of every ``SchemaGraph`` does: each slot but a self-loop (never
+    free) is then one walk. DFS order takes the roots in the given order and
+    each row's slots in adjacency order, and lists a walk before its
+    extensions. The walk
     process: the root is uniform over ``roots``; each step is uniform over
     the slots whose neighbour is kept and not on the walk yet; below k steps
     the walk stops with probability ``WALK_STOP_PROB`` after each step, and

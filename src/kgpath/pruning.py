@@ -18,7 +18,8 @@ from the shared entity matrix, p_i only when the question has them, and the
 node type as an index into f_n's one-hot columns. ``QuerySample.x``, the same
 input as one dense matrix with zeros for absent text features, is the
 reference that tests check against. BFS and pruning read the schema graph's
-``key_rows`` and ``adjacency``, each built once per graph on first read.
+``key_rows`` and ``adjacency``, its one edge store, where every slot but a
+self-loop is one walk step.
 """
 
 from __future__ import annotations
@@ -41,10 +42,10 @@ class PrunedGraph:
     """Surviving rows of the schema graph ``sg``, ordered by descending prune
     score, with their scores.
 
-    ``rows`` index ``sg`` and hold every key row; walks read ``sg.adjacency``
-    through a mask of ``rows``, with no adjacency of their own. ``base``, the
-    survivors as a graph of their own (``base.nodes[i]`` is
-    ``sg.nodes[rows[i]]``), is built the first time it is read.
+    ``rows`` index ``sg`` and hold every key row; walks read ``sg``'s one
+    edge store through a mask of ``rows``, each slot but a self-loop one
+    step. ``base``, the survivors as a graph of their own (``base.nodes[i]``
+    is ``sg.nodes[rows[i]]``), is built the first time it is read.
     """
 
     sg: SchemaGraph
@@ -169,7 +170,8 @@ class QuerySample:
     text-feature rows ``p`` (one per schema node, or None when the question
     has no text feature) and a reference to the shared entity matrix ``emb``;
     ``node_input`` builds the column blocks that f_n reads, and ``x`` the same
-    input as one dense matrix, on each read.
+    input as one dense matrix, on each read. ``sg`` keeps each edge once, by
+    row: every slot but a self-loop is one walk step.
     """
 
     qid: str

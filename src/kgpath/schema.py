@@ -6,7 +6,9 @@ budget is full. Candidates at each stage are ranked by a four-part key: summed
 edge weight into the current graph, best relation priority among those edges,
 number of distinct connected schema nodes, and number of connected question
 nodes, with entity id as the final tie-break. Close-set mode runs the same
-procedure but only recruits entities from a fixed candidate set.
+procedure but only recruits entities from a fixed candidate set. The graph
+keeps each edge once, by row (``LocalAdjacency``), where every slot but a
+self-loop is one walk step.
 
 Each ranking stage gathers the full KG rows it ranks over: the keys' rows,
 then the one-hop nodes' rows. The graph's edges are then read by one
@@ -27,7 +29,7 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .config import InputError, new_qid, read_jsonl, require_number
-from .kg import Edge, KnowledgeGraph, dedup_max_weight
+from .kg import Edge, KnowledgeGraph, csr_slots, dedup_max_weight
 from .linking import KeyNodeSet
 
 
@@ -46,14 +48,17 @@ _TYPE_BY_NAME = {t.name: t for t in NodeType}
 
 @dataclass(frozen=True)
 class LocalAdjacency:
-    """CSR over a schema graph's row positions: slots ``indptr[i]:indptr[i + 1]``
-    are the out-edges of row ``i``, to ``nbr`` by ``rel``. Each schema graph
-    builds one, its only one: a pruned graph's walks read it through a mask
-    of the surviving rows."""
+    """A schema graph's one edge store, a CSR over its row positions: slots
+    ``indptr[i]:indptr[i + 1]`` are the out-edges of row ``i``, to ``nbr`` by
+    ``rel`` at ``weight``, 16 B per edge. A self-loop keeps its slot, but
+    every other slot is one walk step: no walk steps to its own node, and
+    BFS reaches nothing new along a loop. A pruned graph's walks read the
+    store through a mask of the surviving rows."""
 
     indptr: np.ndarray
     nbr: np.ndarray
     rel: np.ndarray
+    weight: np.ndarray
 
 
 @dataclass
@@ -61,30 +66,50 @@ class SchemaGraph:
     """A question-conditioned subgraph of the KG.
 
     ``nodes``/``types`` are aligned arrays whose order is a seeded shuffle of
-    construction order; ``edges_*`` hold all directed edges (reversals
-    included) among the nodes, plus any scene edges. Its (head, relation,
-    tail) edges are distinct, so each adjacency slot is one walk step:
-    ``build_schema`` reads distinct KG rows and collapses a scene edge that
-    repeats one through ``dedup_max_weight``, ``restricted_to`` keeps a
-    subset of the edges and ``from_json_obj`` refuses a repeated edge.
+    construction order; ``adjacency`` holds, once and by row, all directed
+    edges (reversals included) among the nodes, plus any scene edges. Its
+    (head, relation, tail) edges are distinct, so each slot but a self-loop
+    is one walk step: ``build_schema`` reads distinct KG rows and collapses
+    a scene edge that repeats one through ``dedup_max_weight``,
+    ``restricted_to`` keeps a subset of the edges and ``from_json_obj``
+    refuses a repeated edge. ``edges_*`` list them in id space on each read.
     ``build_rank[i]`` is the construction rank of ``nodes[i]``: for a fixed
     one-hop cap, the graph built at any smaller budget b holds exactly the
     nodes of rank < b. It is None for graphs loaded from a dump or cut down
-    by ``restricted_to``.
-    ``adjacency`` and ``key_rows`` are built the first time they are read;
-    the adjacency is the graph's only one, which pruned graphs share.
+    by ``restricted_to``. ``key_rows`` is built the first time it is read.
     """
 
     qid: str
     nodes: np.ndarray
     types: np.ndarray
-    edges_head: np.ndarray
-    edges_rel: np.ndarray
-    edges_tail: np.ndarray
-    edges_weight: np.ndarray
+    adjacency: LocalAdjacency
     q_nodes: frozenset[int]
     v_nodes: frozenset[int]
     build_rank: Optional[np.ndarray] = None
+
+    @classmethod
+    def from_edges(cls, qid: str, nodes: np.ndarray, types: np.ndarray, edges: Sequence[np.ndarray],
+                   q_nodes: Iterable[int], v_nodes: Iterable[int],
+                   build_rank: Optional[np.ndarray] = None) -> "SchemaGraph":
+        """The graph over distinct ``nodes`` holding the id-space ``edges``,
+        (head, relation, tail, weight) arrays, stored by head row with each
+        head's edges in their given order; a ``ValueError`` names an edge
+        endpoint that is not a node."""
+        head, rel, tail, weight = edges
+        n = nodes.size
+        top = max(int(ids.max(initial=-1)) for ids in (nodes, head, tail))
+        row_of = np.full(top + 1, -1, dtype=np.int32)
+        row_of[nodes] = np.arange(n)
+        head, tail = row_of[head], row_of[tail]
+        if (head < 0).any() or (tail < 0).any():
+            raise ValueError(f"{qid}: an edge endpoint is not a node of the graph")
+        # numpy's stable sort is a radix sort for 8- and 16-bit keys
+        by_head = np.argsort(head.astype(np.min_scalar_type(n)), kind="stable")
+        indptr = np.zeros(n + 1, dtype=np.int32)
+        np.cumsum(np.bincount(head, minlength=n), out=indptr[1:])
+        adjacency = LocalAdjacency(indptr, tail[by_head], rel[by_head].astype(np.int32, copy=False),
+                                   weight[by_head].astype(np.float64, copy=False))
+        return cls(qid, nodes, types, adjacency, frozenset(q_nodes), frozenset(v_nodes), build_rank)
 
     @property
     def n_nodes(self) -> int:
@@ -92,37 +117,33 @@ class SchemaGraph:
 
     @property
     def n_edges(self) -> int:
-        return int(self.edges_head.shape[0])
+        return int(self.adjacency.nbr.shape[0])
 
     def node_set(self) -> frozenset[int]:
         return frozenset(self.nodes.tolist())
 
-    def edge_rows(self) -> tuple[np.ndarray, np.ndarray]:
-        """Row positions of every edge's head and tail, in edge order."""
-        top = max(int(ids.max(initial=-1)) for ids in (self.nodes, self.edges_head, self.edges_tail))
-        # int32 rows halve the adjacency every prepared sample keeps
-        row_of = np.full(top + 1, -1, dtype=np.int32)
-        row_of[self.nodes] = np.arange(self.n_nodes)
-        head, tail = row_of[self.edges_head], row_of[self.edges_tail]
-        if (head < 0).any() or (tail < 0).any():
-            raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
-        return head, tail
+    def _listed(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every slot by ascending head id, each head's in stored order, and
+        the slot's head row: the order of the ``edges_*`` listings."""
+        by_id = np.argsort(self.nodes)
+        slots, deg = csr_slots(self.adjacency.indptr, by_id)
+        return slots, np.repeat(by_id, deg)
 
-    @cached_property
-    def adjacency(self) -> LocalAdjacency:
-        """Out-edges by row position, self-loops left out.
+    @property
+    def edges_head(self) -> np.ndarray:
+        return self.nodes[self._listed()[1]]
 
-        Each row's edges keep their order in the ``edges_*`` arrays, so a
-        walk that picks the j-th out-edge picks the same edge either way.
-        """
-        head, tail = self.edge_rows()
-        keep = head != tail
-        head, tail, rel = head[keep], tail[keep], self.edges_rel[keep]
-        # numpy's stable sort is a radix sort for 8- and 16-bit keys
-        by_head = np.argsort(head.astype(np.min_scalar_type(self.n_nodes)), kind="stable")
-        indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-        np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
-        return LocalAdjacency(indptr, tail[by_head], rel[by_head].astype(np.int32))
+    @property
+    def edges_rel(self) -> np.ndarray:
+        return self.adjacency.rel[self._listed()[0]]
+
+    @property
+    def edges_tail(self) -> np.ndarray:
+        return self.nodes[self.adjacency.nbr[self._listed()[0]]]
+
+    @property
+    def edges_weight(self) -> np.ndarray:
+        return self.adjacency.weight[self._listed()[0]]
 
     def key_ids(self) -> frozenset[int]:
         return (self.q_nodes | self.v_nodes) & self.node_set()
@@ -136,23 +157,16 @@ class SchemaGraph:
 
     def restricted_to(self, rows: np.ndarray) -> "SchemaGraph":
         """Copy keeping the nodes at row positions ``rows``, in that order,
-        and the edges between them."""
+        and the edges between them, each head's in stored order."""
         kept = np.zeros(self.n_nodes, dtype=bool)
         kept[rows] = True
-        head, tail = self.edge_rows()
-        mask = kept[head] & kept[tail]
+        adj = self.adjacency
+        head = np.repeat(np.arange(self.n_nodes), np.diff(adj.indptr))
+        mask = kept[head] & kept[adj.nbr]
         keys = self.nodes[rows].tolist()
-        return SchemaGraph(
-            qid=self.qid,
-            nodes=self.nodes[rows],
-            types=self.types[rows],
-            edges_head=self.edges_head[mask],
-            edges_rel=self.edges_rel[mask],
-            edges_tail=self.edges_tail[mask],
-            edges_weight=self.edges_weight[mask],
-            q_nodes=self.q_nodes.intersection(keys),
-            v_nodes=self.v_nodes.intersection(keys),
-        )
+        edges = (self.nodes[head[mask]], adj.rel[mask], self.nodes[adj.nbr[mask]], adj.weight[mask])
+        return SchemaGraph.from_edges(self.qid, self.nodes[rows], self.types[rows], edges,
+                                      self.q_nodes.intersection(keys), self.v_nodes.intersection(keys))
 
     # -- serialization -------------------------------------------------------
 
@@ -186,17 +200,12 @@ class SchemaGraph:
         ]
         q_nodes, v_nodes = ([_entity_id(g, s) for s in obj[name]] for name in ("key_q", "key_v"))
         weights = check_dump(obj)
-        eh, er, et = np.array(edges, dtype=np.int64).reshape(-1, 3).T.copy()
-        return cls(
-            qid=str(obj["qid"]),  # the string ``config.new_qid`` checks for repeats
-            nodes=np.array(nodes, dtype=np.int64),
-            types=np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8),
-            edges_head=eh,
-            edges_rel=er,
-            edges_tail=et,
-            edges_weight=np.array(weights, dtype=np.float64),
-            q_nodes=frozenset(q_nodes),
-            v_nodes=frozenset(v_nodes),
+        head, rel, tail = np.array(edges, dtype=np.int64).reshape(-1, 3).T
+        return cls.from_edges(
+            str(obj["qid"]),  # the string ``config.new_qid`` checks for repeats
+            np.array(nodes, dtype=np.int64),
+            np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8),
+            (head, rel, tail, np.array(weights, dtype=np.float64)), q_nodes, v_nodes,
         )
 
 
@@ -371,21 +380,10 @@ def build_schema(
         np.array([NodeType.Q, NodeType.V, NodeType.N1, NodeType.N2], dtype=np.int8),
         [q_ids.size, v_ids.size, n1.size, n2.size],
     )
-    eh, er, et, ew = _collect_edges(g, nodes, scene_edges)
 
     perm = np.random.default_rng(seed).permutation(nodes.size)
-    return SchemaGraph(
-        qid=qid,
-        nodes=nodes[perm],
-        types=types[perm],
-        edges_head=eh,
-        edges_rel=er,
-        edges_tail=et,
-        edges_weight=ew,
-        q_nodes=frozenset(keys.q_nodes),
-        v_nodes=frozenset(keys.v_nodes),
-        build_rank=perm,
-    )
+    edges = _collect_edges(g, nodes, scene_edges)
+    return SchemaGraph.from_edges(qid, nodes[perm], types[perm], edges, keys.q_nodes, keys.v_nodes, perm)
 
 
 def _collect_edges(
@@ -394,7 +392,7 @@ def _collect_edges(
     scene_edges: Sequence[Edge],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """All KG edges among distinct ``nodes`` plus scene edges (and their
-    reversals), sorted by (head, tail, relation).
+    reversals), as (head, relation, tail, weight) by (head, tail, relation).
 
     One ``edges_from`` over the nodes in ascending id order, filtered to
     rows that end in the graph, reads the KG edges already distinct and in
@@ -404,8 +402,7 @@ def _collect_edges(
     """
     in_graph = np.zeros(g.n_entities, dtype=bool)
     in_graph[nodes] = True
-    src, nbr, rel, w = g.edges_from(np.sort(nodes), within=in_graph)
-    eh, et, er, ew = src.astype(np.int64), nbr.astype(np.int64), rel.astype(np.int64), w
+    eh, et, er, ew = g.edges_from(np.sort(nodes), within=in_graph)
     if not scene_edges:
         return eh, er, et, ew
 

@@ -74,6 +74,13 @@ def out_edges(g, eid):
     return [Edge(eid, r, n, wt) for n, r, wt in zip(nbr.tolist(), rel.tolist(), w.tolist())]
 
 
+def no_edges():
+    """The head, relation, tail and weight arrays ``SchemaGraph.from_edges``
+    reads for a graph without edges."""
+    ids = np.empty(0, dtype=np.int64)
+    return ids, ids, ids, np.empty(0)
+
+
 def random_graph(tmp_path, rng, n_entities=30, n_edges=120, relations=("r0", "r1", "r2")):
     """Random lowercase graph with dyadic weights (exact float sums)."""
     rows = []

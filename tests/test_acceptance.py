@@ -540,16 +540,10 @@ def test_criterion_5_pruning_contract(toy_runtime, staged_runs):
         for shuffle_seed in (1, 2):
             sg = schema_for_record(rt, rec)
             perm = np.random.default_rng(shuffle_seed).permutation(sg.n_nodes)
-            shuffled = SchemaGraph(
-                qid=sg.qid,
-                nodes=sg.nodes[perm],
-                types=sg.types[perm],
-                edges_head=sg.edges_head,
-                edges_rel=sg.edges_rel,
-                edges_tail=sg.edges_tail,
-                edges_weight=sg.edges_weight,
-                q_nodes=sg.q_nodes,
-                v_nodes=sg.v_nodes,
+            shuffled = SchemaGraph.from_edges(
+                sg.qid, sg.nodes[perm], sg.types[perm],
+                (sg.edges_head, sg.edges_rel, sg.edges_tail, sg.edges_weight),
+                sg.q_nodes, sg.v_nodes,
             )
             sample = QuerySample.build(model, shuffled, ctx, (), rt.emb, rt.textfeat)
             pg = prune(model, sample, cfg.theta_p, cfg.prune_target)[0]

@@ -117,12 +117,53 @@ def test_pairs_alternate_on_fresh_seeds_and_count_wins(repo, tmp_path):
     setup = w2["metrics"]["setup_s"]
     assert setup["pairs"] == 0 and setup["change"]["median"] is None
     assert setup["parent"]["median"] == 0.5
+    assert (setup["gain_rule"], setup["within_bound"]) == (None, None)
     assert w2["operations"] == {
         "parent": {"failed": 0, "attempted": 434},
         "change": {"failed": 4, "attempted": 434},
     }
     # the worktree is gone
     assert git(repo, "worktree", "list").count("\n") == 0
+
+
+def test_gain_rule_and_bound_per_metric(repo, tmp_path):
+    """``gain_rule`` asks for 9 wins in 10 and a median gap past the
+    parent's IQR, in the better direction; ``within_bound`` for a change
+    median no worse than the parent's by more than the bound's fraction."""
+    repo, parent = repo
+    table = {  # name: (parent value, change value) at seed s
+        # 10 wins, but a gap of 1 inside the parent's IQR of 4.5
+        "qps": lambda s: (100.0 + s, 101.0 + s),
+        # 9 wins, a gap of 1 past an IQR of 0; one pair lost
+        "query_ms_p50": lambda s: (5.0, 6.0 if s == 4 else 4.0),
+        # 30% slower, past the 25% bound
+        "setup_s": lambda s: (1.0, 1.3),
+    }
+
+    def runner(root, workload, seed, seconds):
+        change = (Path(root) / "side.txt").read_text(encoding="utf-8") == "change"
+        metrics = {name: {"value": pick(seed)[change]} for name, pick in table.items()}
+        return {"attempted": 1, "failed": 0, "metrics": metrics}
+
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main([parent, "10", "--out", str(out), "--workload", "w1"],
+                            runner=runner, root=repo) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w1"]["metrics"]
+    assert {name: (m["change_wins"], m["gain_rule"], m["within_bound"])
+            for name, m in got.items()} == {
+        "qps": (10, False, True),
+        "query_ms_p50": (9, True, True),
+        "setup_s": (0, False, False),
+    }
+
+    # 8 wins in 10 is too few, however wide the gap
+    table["query_ms_p50"] = lambda s: (5.0, 6.0 if s in (4, 7) else 1.0)
+    table["setup_s"] = lambda s: (1.0, 1.25)  # at the bound, not past it
+    assert bench_pairs.main([parent, "10", "--out", str(out), "--workload", "w1"],
+                            runner=runner, root=repo) == 0
+    got = json.loads(out.read_text(encoding="utf-8"))["workloads"]["w1"]["metrics"]
+    assert (got["query_ms_p50"]["gain_rule"], got["query_ms_p50"]["within_bound"]) == (False, True)
+    assert (got["setup_s"]["gain_rule"], got["setup_s"]["within_bound"]) == (False, True)
 
 
 def test_every_workload_at_the_benchmark_run_seconds(repo, tmp_path):

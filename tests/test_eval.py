@@ -19,6 +19,8 @@ from kgpath.pipeline import load_runtime, schema_for_record
 from kgpath.schema import SchemaGraph
 from kgpath.synth import SuiteSpec, generate_suite
 
+from conftest import no_edges
+
 
 def test_annotation_score_protocol():
     anns = annotation_scores([(1, 1), (2, 2), (3, 3), (4, 4)])
@@ -84,16 +86,9 @@ def test_split_open_rules():
 
 def _sg(nodes, build_rank=None, qid="q"):
     n = len(nodes)
-    return SchemaGraph(
-        qid=qid,
-        nodes=np.asarray(nodes, dtype=np.int64),
-        types=np.zeros(n, dtype=np.int8),
-        edges_head=np.empty(0, dtype=np.int64),
-        edges_rel=np.empty(0, dtype=np.int64),
-        edges_tail=np.empty(0, dtype=np.int64),
-        edges_weight=np.empty(0, dtype=np.float64),
-        q_nodes=frozenset({nodes[0]}) if nodes else frozenset(),
-        v_nodes=frozenset(),
+    return SchemaGraph.from_edges(
+        qid, np.asarray(nodes, dtype=np.int64), np.zeros(n, dtype=np.int8), no_edges(),
+        {nodes[0]} if nodes else (), (),
         build_rank=None if build_rank is None else np.asarray(build_rank),
     )
 

@@ -31,7 +31,8 @@ N_GRAPHS = 50
 
 
 # ---------------------------------------------------------------------------
-# the old route, verbatim but for ``self`` becoming an argument
+# the old route, verbatim but for ``self`` becoming an argument and the copy
+# being made by ``SchemaGraph.from_edges``
 # ---------------------------------------------------------------------------
 
 
@@ -85,16 +86,13 @@ def old_restricted_to(self: SchemaGraph, rows: np.ndarray) -> SchemaGraph:
     mask = kept[head] & kept[tail]
     key_rows = old_key_rows(self)
     keys = self.nodes[key_rows[kept[key_rows]]].tolist()
-    return SchemaGraph(
-        qid=self.qid,
-        nodes=self.nodes[rows],
-        types=self.types[rows],
-        edges_head=self.edges_head[mask],
-        edges_rel=self.edges_rel[mask],
-        edges_tail=self.edges_tail[mask],
-        edges_weight=self.edges_weight[mask],
-        q_nodes=self.q_nodes.intersection(keys),
-        v_nodes=self.v_nodes.intersection(keys),
+    return SchemaGraph.from_edges(
+        self.qid,
+        self.nodes[rows],
+        self.types[rows],
+        (self.edges_head[mask], self.edges_rel[mask], self.edges_tail[mask], self.edges_weight[mask]),
+        self.q_nodes.intersection(keys),
+        self.v_nodes.intersection(keys),
     )
 
 
@@ -261,32 +259,29 @@ def test_row_set_walks_match_restricted_graph_route(tmp_path):
 def test_query_and_joint_step_walk_each_sample_graphs_one_adjacency(monkeypatch):
     """Eval and joint training prune, sample and score without building a
     graph of the survivors or any adjacency but the one each prepared
-    sample's schema graph already holds."""
+    sample's schema graph holds."""
     model = ScoringModel(d=6, D=5, k=3, dropout_rate=0.5, seed=31)
     samples = make_samples(model, n_queries=4, seed=32)
-    held = {id(s.sg): vars(s.sg).get("adjacency") for s in samples}
-    assert all(adj is not None for adj in held.values())  # built by the BFS scores
+    held = {id(s.sg): s.sg.adjacency for s in samples}
     calls = []
-    adjacency, restricted_to = vars(SchemaGraph)["adjacency"], SchemaGraph.restricted_to
+    from_edges, restricted_to = vars(SchemaGraph)["from_edges"], SchemaGraph.restricted_to
 
-    def spy_adjacency(sg):  # a property, so each read passes here, cached or not
-        calls.append(("adjacency", id(sg), "adjacency" not in vars(sg)))
-        return adjacency.__get__(sg, SchemaGraph)
+    def spy_from_edges(cls, *args, **kwargs):
+        calls.append("from_edges")
+        return from_edges.__func__(cls, *args, **kwargs)
 
     def spy_restricted_to(sg, rows):
-        calls.append(("restricted_to", id(sg), True))
+        calls.append("restricted_to")
         return restricted_to(sg, rows)
 
-    monkeypatch.setattr(SchemaGraph, "adjacency", property(spy_adjacency))
+    monkeypatch.setattr(SchemaGraph, "from_edges", classmethod(spy_from_edges))
     monkeypatch.setattr(SchemaGraph, "restricted_to", spy_restricted_to)
-    for sample in samples:
-        run_query(model, sample, CFG.theta_p, target=5, n_paths=50, k=CFG.k, seed=1)
+    batches = [run_query(model, sample, CFG.theta_p, target=5, n_paths=50, k=CFG.k, seed=1)[1]
+               for sample in samples]
+    assert sum(map(len, batches)), "the path route walks no edge"
     train_joint_step(
         model, samples, Adam(lr=1e-3), CFG.theta_p, target=5, n_paths=50, k=CFG.k,
         margin=CFG.margin, semi_hard=CFG.semi_hard, step_seed=2,
     )
-    assert calls, "the path route reads no adjacency"
-    assert {name for name, _, _ in calls} == {"adjacency"}
-    assert {graph for _, graph, _ in calls} <= set(held)
-    assert not any(built for _, _, built in calls)
-    assert all(vars(s.sg)["adjacency"] is held[id(s.sg)] for s in samples)
+    assert calls == []
+    assert all(s.sg.adjacency is held[id(s.sg)] for s in samples)

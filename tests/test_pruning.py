@@ -36,16 +36,9 @@ def make_sg(nodes, types, edges, q_nodes, v_nodes=frozenset(), qid="q"):
     er = np.array([e[1] for e in edges], dtype=np.int64)
     et = np.array([e[2] for e in edges], dtype=np.int64)
     ew = np.array([e[3] for e in edges], dtype=np.float64)
-    return SchemaGraph(
-        qid=qid,
-        nodes=np.asarray(nodes, dtype=np.int64),
-        types=np.asarray(types, dtype=np.int8),
-        edges_head=eh,
-        edges_rel=er,
-        edges_tail=et,
-        edges_weight=ew,
-        q_nodes=frozenset(q_nodes),
-        v_nodes=frozenset(v_nodes),
+    return SchemaGraph.from_edges(
+        qid, np.asarray(nodes, dtype=np.int64), np.asarray(types, dtype=np.int8),
+        (eh, er, et, ew), q_nodes, v_nodes,
     )
 
 

@@ -19,7 +19,7 @@ from kgpath.paths import node_recall_rate
 from kgpath.pipeline import PATH_RECALL_KS, RECALL_KS, QueryResult, build_report
 from kgpath.schema import SchemaGraph
 
-from conftest import rank_by_score
+from conftest import no_edges, rank_by_score
 from test_path_ranker import make_samples
 
 
@@ -146,17 +146,9 @@ def test_hit_rate_curve_equals_the_first_hit_recount():
         n = int(rng.integers(1, 20))
         nodes = rng.choice(40, size=n, replace=False)
         graphs.append(
-            SchemaGraph(
-                qid=f"q{i}",
-                nodes=nodes.astype(np.int64),
-                types=np.zeros(n, dtype=np.int8),
-                edges_head=np.empty(0, dtype=np.int64),
-                edges_rel=np.empty(0, dtype=np.int64),
-                edges_tail=np.empty(0, dtype=np.int64),
-                edges_weight=np.empty(0, dtype=np.float64),
-                q_nodes=frozenset({int(nodes[0])}),
-                v_nodes=frozenset(),
-                build_rank=rng.permutation(n),
+            SchemaGraph.from_edges(
+                f"q{i}", nodes.astype(np.int64), np.zeros(n, dtype=np.int8),
+                no_edges(), {int(nodes[0])}, (), build_rank=rng.permutation(n),
             )
         )
         gts.append(set(rng.choice(60, size=int(rng.integers(0, 4)), replace=False).tolist()))

@@ -127,16 +127,8 @@ def reference_build(
     eh, er, et, ew = reference_collect_edges(g, nodes, scene_edges)
 
     perm = np.random.default_rng(seed).permutation(nodes.size)
-    return SchemaGraph(
-        qid=qid,
-        nodes=nodes[perm],
-        types=types[perm],
-        edges_head=eh,
-        edges_rel=er,
-        edges_tail=et,
-        edges_weight=ew,
-        q_nodes=frozenset(keys.q_nodes),
-        v_nodes=frozenset(keys.v_nodes),
+    return SchemaGraph.from_edges(
+        qid, nodes[perm], types[perm], (eh, er, et, ew), keys.q_nodes, keys.v_nodes,
         build_rank=perm,
     )
 

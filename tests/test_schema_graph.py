@@ -8,6 +8,7 @@ from kgpath.metrics import hit_rate_curve
 from kgpath.neural import ScoringModel
 from kgpath.schema import (
     NodeType,
+    SchemaGraph,
     build_schema,
     gt_provenance,
     _rank_candidates,
@@ -275,19 +276,26 @@ def test_self_loop_never_recruits(tmp_path):
     assert sg.node_set() == {g.entity_id("k"), g.entity_id("x")}
 
 
-def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
+def test_adjacency_keeps_edge_order_per_row_and_self_loops():
     rng = np.random.default_rng(47)
+    loops = 0
     for trial in range(50):
         sg = random_local_graph(rng, max_nodes=10, max_edges=40, duplicates=True)
+        order = rng.permutation(sg.n_edges)  # each head's edges in a fresh order
+        cols = [col[order] for col in (sg.edges_head, sg.edges_rel, sg.edges_tail, sg.edges_weight)]
+        sg = SchemaGraph.from_edges(sg.qid, sg.nodes, sg.types, cols, sg.q_nodes, sg.v_nodes)
+        edges = [col.tolist() for col in cols]
         adj = sg.adjacency
-        assert adj is sg.adjacency  # cached
         for i, eid in enumerate(sg.nodes.tolist()):
             lo, hi = adj.indptr[i], adj.indptr[i + 1]
-            got = [(int(sg.nodes[t]), int(r)) for t, r in zip(adj.nbr[lo:hi], adj.rel[lo:hi])]
-            want = [(int(t), int(r)) for h, r, t in
-                    zip(sg.edges_head, sg.edges_rel, sg.edges_tail) if h == eid and t != eid]
-            assert got == want
-        assert adj.indptr[-1] == adj.nbr.size == adj.rel.size
+            got = [(int(sg.nodes[t]), r, w) for t, r, w in
+                   zip(adj.nbr[lo:hi], adj.rel[lo:hi].tolist(), adj.weight[lo:hi].tolist())]
+            assert got == [(t, r, w) for h, r, t, w in zip(*edges) if h == eid]
+        # the listing: by ascending head id, each head's edges in stored order
+        listed = [sg.edges_head, sg.edges_rel, sg.edges_tail, sg.edges_weight]
+        assert list(zip(*(col.tolist() for col in listed))) == sorted(zip(*edges), key=lambda e: e[0])
+        loops += any(h == t for h, _, t, _ in zip(*edges))
+        assert adj.indptr[-1] == adj.nbr.size == adj.rel.size == adj.weight.size
         heads = [i for i in range(sg.n_nodes) for _ in range(adj.indptr[i], adj.indptr[i + 1])]
         assert slot_heads(adj).tolist() == heads
         # the restricted copy that row-mask walks are checked against
@@ -302,9 +310,9 @@ def test_adjacency_keeps_edge_order_per_row_and_drops_self_loops():
             assert [(int(t), int(r)) for t, r in zip(sub.nbr[lo:hi], sub.rel[lo:hi])] == want
             assert (sub.head[lo:hi] == i).all()
         assert sub.indptr[-1] == sub.head.size == sub.nbr.size == sub.rel.size
+    assert loops >= 10
 
 
 def test_adjacency_rejects_edge_outside_the_nodes():
-    sg = make_sg([1, 2], [0, 2], [(1, 0, 2, 1.0), (2, 0, 3, 1.0)], q_nodes={1})
     with pytest.raises(ValueError, match="not a node"):
-        sg.adjacency
+        make_sg([1, 2], [0, 2], [(1, 0, 2, 1.0), (2, 0, 3, 1.0)], q_nodes={1})
