@@ -231,8 +231,8 @@ def old_collect_edges(
 
 
 def kg(tmp_path, rng):
-    """A KG over e0..e39 with a chain through every entity, random edges,
-    self-loops and parallel relations between one pair, at dyadic weights."""
+    """A KG over e0..e39 with a chain through every entity, random edges
+    (parallel relations among them) and self-loops, at dyadic weights."""
     rows = [(f"e{i}", RELATIONS[i % 3], f"e{i + 1}", 1.0) for i in range(N_ENTITIES - 1)]
     for a, b in rng.integers(N_ENTITIES, size=(160, 2)).tolist():
         rows.append((f"e{a}", RELATIONS[int(rng.integers(3))], f"e{b}", int(rng.integers(1, 9)) / 4))
@@ -316,8 +316,7 @@ def same_dump(got, want, grouped):
     same edges, each head's in the same order, and the new listing grouped."""
     if grouped:
         assert json.dumps(got) == json.dumps(want)
-    rest = lambda obj: {key: value for key, value in obj.items() if key != "edges"}  # noqa: E731
-    assert rest(got) == rest(want)
+    assert {**got, "edges": None} == {**want, "edges": None}
     assert by_head(got) == by_head(want)
     heads = [edge[0] for edge in got["edges"]]
     assert heads == sorted(heads, key=heads.index)  # each head's edges together
@@ -414,7 +413,8 @@ def test_built_graphs_match_the_two_store_route(tmp_path):
         seen["self-loop"] += any(h == t for h, _, t in triples)
         seen["parallel"] += len({(h, t) for h, _, t in triples}) < len(triples)
         seen["scene repeat"] += repeats_a_kg_edge(g, sg, scene)
-        same_bytes(sg.edges_weight, old.edges_weight, trial)
+        for name in ("edges_head", "edges_rel", "edges_tail", "edges_weight"):
+            assert np.array_equal(getattr(sg, name), getattr(old, name)), (trial, name)
         assert sg.n_edges == old.n_edges
         assert_same_graph(g, sg, old, rng, grouped=True)
         obj = sg.to_json_obj(g)
