@@ -27,7 +27,7 @@ def annotation_scores(answers: Sequence[tuple[int, int]]) -> dict[int, float]:
     Uses min(count / 3, 1), overridden to 1.0 when the question has exactly
     one annotated answer entity.
     """
-    if len(answers) == 1:
+    if len({int(entity) for entity, _ in answers}) == 1:
         return {int(answers[0][0]): 1.0}
     return {int(entity): min(count / 3.0, 1.0) for entity, count in answers}
 

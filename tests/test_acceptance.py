@@ -47,7 +47,7 @@ from kgpath.synth import SuiteSpec, generate_suite
 
 from conftest import random_graph, rank_by_score
 from test_neural import _oracle_semi_hard, check_mining
-from test_path_ranker import as_pruned, enumerate_simple_walks, pack, sigs
+from test_path_ranker import as_pruned, pack, sigs, simple_walks
 from test_pruning import distinct, make_sg, sym
 from test_schema_graph import brute_force_rank
 
@@ -458,7 +458,7 @@ def test_criterion_4_oracle_equivalences(tmp_path):
             if x != y:
                 edges.append((int(x), int(rng.integers(3)), int(y), 1.0))
         sg = make_sg(list(range(n)), [0] + [2] * (n - 1), distinct(sym(edges)), q_nodes={0})
-        universe = enumerate_simple_walks(sg, 3)
+        universe = set(simple_walks(sg, 3))
         for seed in range(10):
             batch = sample_paths(as_pruned(sg), n_paths=200, k=3, seed=seed)
             assert set(sigs(batch)) <= universe
@@ -566,6 +566,7 @@ def test_criterion_6_scoring_protocol():
         assert vqa_score(entity, anns) == score
     assert vqa_score(99, anns) == 0.0
     assert annotation_scores([(7, 1)]) == {7: 1.0}
+    assert annotation_scores([(5, 1), (5, 1)]) == {5: 1.0}  # one entity, given twice
 
     # perfect-oracle suite score equals the mean max annotation score
     rng = np.random.default_rng(606)

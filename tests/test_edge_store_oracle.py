@@ -3,26 +3,28 @@
 ``OldSchemaGraph`` below is a verbatim copy of the ``SchemaGraph`` that kept
 every edge twice: as id-space ``edges_*`` arrays (ids upcast to int64, 32 B
 an edge) and as a row adjacency built on first read, self-loops left out.
-``old_collect_edges`` is the verbatim edge collection that fed it. The
+The schema-build oracle's ``reference_collect_edges`` feeds it. The
 package keeps each edge once, in one row store of 16 B an edge, self-loops
 included, and lists the ``edges_*`` from it on each read. Graphs are built
 over KGs with self-loops and parallel relations, with scene edges that
 repeat KG edges or add new ones, and loaded from dumps. For each, the two
 routes must give the same bytes: the slots but the self-loops, the key rows,
 every ``list_walks`` field, the BFS scores, and the dumps of the graph and of
-a restriction to some rows. A hand-written dump whose edges are not grouped
-by head is written back grouped: the same edges, each head's in its order.
+a restriction to some rows; the two-store graph is restricted by
+``reference_restricted`` of ``tests/reference.py``. A hand-written dump whose
+edges are not grouped by head is written back grouped: the same edges, each
+head's in its order.
 """
 
 import dataclasses
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 import numpy as np
 
-from kgpath.kg import Edge, KnowledgeGraph, dedup_max_weight, load_graph
+from kgpath.kg import Edge, KnowledgeGraph, load_graph
 from kgpath.linking import KeyNodeSet
 from kgpath.paths import list_walks
 from kgpath.pruning import bfs_scores
@@ -38,15 +40,28 @@ from kgpath.schema import (
 )
 
 from conftest import write_edges, write_relations
-from test_pruned_rows_oracle import OldAdjacency, random_dump
+from reference import reference_restricted
+from test_pruned_rows_oracle import random_dump
+from test_schema_build_oracle import reference_collect_edges
 from test_pruning import slot_heads
 
 RELATIONS = ("r0", "r1", "r2")
 N_ENTITIES = 40  # ``random_dump`` names entities e0..e39
 
 # ---------------------------------------------------------------------------
-# the two-store route, verbatim but for the class names
+# the two-store route, verbatim but for the class names and for its
+# ``restricted_to``, which is ``reference_restricted``
 # ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class OldAdjacency:
+    """CSR over a schema graph's row positions: the out-edges of row ``i``
+    go to rows ``nbr[indptr[i]:indptr[i + 1]]`` by relations ``rel[...]``."""
+
+    indptr: np.ndarray
+    nbr: np.ndarray
+    rel: np.ndarray
 
 
 @dataclass
@@ -127,26 +142,6 @@ class OldSchemaGraph:
         rows = np.flatnonzero(np.isin(self.nodes, keys))
         return rows[np.argsort(self.nodes[rows])]
 
-    def restricted_to(self, rows: np.ndarray) -> "OldSchemaGraph":
-        """Copy keeping the nodes at row positions ``rows``, in that order,
-        and the edges between them."""
-        kept = np.zeros(self.n_nodes, dtype=bool)
-        kept[rows] = True
-        head, tail = self.edge_rows()
-        mask = kept[head] & kept[tail]
-        keys = self.nodes[rows].tolist()
-        return OldSchemaGraph(
-            qid=self.qid,
-            nodes=self.nodes[rows],
-            types=self.types[rows],
-            edges_head=self.edges_head[mask],
-            edges_rel=self.edges_rel[mask],
-            edges_tail=self.edges_tail[mask],
-            edges_weight=self.edges_weight[mask],
-            q_nodes=self.q_nodes.intersection(keys),
-            v_nodes=self.v_nodes.intersection(keys),
-        )
-
     # -- serialization -------------------------------------------------------
 
     def to_json_obj(self, g: KnowledgeGraph, gt: Iterable[int] = ()) -> dict:
@@ -191,38 +186,6 @@ class OldSchemaGraph:
             q_nodes=frozenset(q_nodes),
             v_nodes=frozenset(v_nodes),
         )
-
-
-def old_collect_edges(
-    g: KnowledgeGraph,
-    nodes: np.ndarray,
-    scene_edges: Sequence[Edge],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """All KG edges among distinct ``nodes`` plus scene edges (and their
-    reversals), sorted by (head, tail, relation).
-
-    One ``edges_from`` over the nodes in ascending id order, filtered to
-    rows that end in the graph, reads the KG edges already distinct and in
-    that order, since each entity's rows are strictly increasing by
-    (neighbor, relation). Only a scene edge can repeat a KG edge, so the
-    max-weight rule from graph loading runs only when there are scene edges.
-    """
-    in_graph = np.zeros(g.n_entities, dtype=bool)
-    in_graph[nodes] = True
-    src, nbr, rel, w = g.edges_from(np.sort(nodes), within=in_graph)
-    eh, et, er, ew = src.astype(np.int64), nbr.astype(np.int64), rel.astype(np.int64), w
-    if not scene_edges:
-        return eh, er, et, ew
-
-    scene = np.array(scene_edges, dtype=np.float64)  # (head, relation, tail, weight) rows
-    sh, sr, st = scene[:, :3].T.astype(np.int64)
-    keep = in_graph[sh] & in_graph[st]
-    sh, sr, st, sw = sh[keep], sr[keep], st[keep], scene[keep, 3]
-    eh = np.concatenate([eh, sh, st])
-    et = np.concatenate([et, st, sh])
-    er = np.concatenate([er, sr, g.relations.rev(sr)])
-    ew = np.concatenate([ew, sw, sw])
-    return dedup_max_weight(eh, er, et, ew, g.n_entities, g.relations.n_total)
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +233,7 @@ def built_pair(g, rng, trial):
     scene = scene_edges(g, rng, keys) if trial % 2 else ()
     sg = build_schema(g, key_set, scene, budget=int(rng.integers(len(keys), 25)),
                       one_hop_cap=int(rng.integers(1, 12)), seed=trial, qid=f"b{trial}")
-    old = OldSchemaGraph(sg.qid, sg.nodes, sg.types, *old_collect_edges(g, sg.nodes, scene),
+    old = OldSchemaGraph(sg.qid, sg.nodes, sg.types, *reference_collect_edges(g, sg.nodes, scene),
                          frozenset(key_set.q_nodes), frozenset(key_set.v_nodes), sg.build_rank)
     return sg, old, scene
 
@@ -343,8 +306,9 @@ def assert_same_graph(g, sg, old, rng, grouped):
     same_dump(sg.to_json_obj(g, gt), old.to_json_obj(g, gt), grouped)
     rows = np.union1d(sg.key_rows[:1], np.flatnonzero(masks[1]))
     rows = rng.permutation(rows)
-    same_dump(sg.restricted_to(rows).to_json_obj(g), old.restricted_to(rows).to_json_obj(g),
-              grouped)
+    nodes, types, edges, q_nodes, v_nodes = reference_restricted(old, rows)
+    old_rows = OldSchemaGraph(old.qid, nodes, types, *edges, q_nodes, v_nodes)
+    same_dump(sg.restricted_to(rows).to_json_obj(g), old_rows.to_json_obj(g), grouped)
 
 
 def held_arrays(obj):

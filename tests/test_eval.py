@@ -22,15 +22,6 @@ from kgpath.synth import SuiteSpec, generate_suite
 from conftest import no_edges
 
 
-def test_annotation_score_protocol():
-    anns = annotation_scores([(1, 1), (2, 2), (3, 3), (4, 4)])
-    assert list(anns.values()) == pytest.approx([1 / 3, 2 / 3, 1.0, 1.0])
-
-
-def test_single_entity_answer_overrides_to_one():
-    assert annotation_scores([(7, 1)]) == {7: 1.0}
-
-
 def test_vqa_score_lookup():
     scores = annotation_scores([(1, 3), (2, 1)])
     assert vqa_score(1, scores) == 1.0

@@ -1,34 +1,34 @@
-"""The per-question route against the inline copies it replaced.
+"""The per-question route against the inline route it replaced.
 
-``reference_train_joint_step`` is a verbatim copy of ``train_joint_step``
-from before each question ran through ``run_query``: one f_n pass in
-training mode with the eval-mode cosines beside it, ``prune_from_scores``,
-``sample_paths``, and ``_forward_paths`` only for a batch that holds a path,
-with branches that leave a batch without one out of the BCE and the
-backward passes. ``reference_run_query`` is the eval route's copy, with its
-own branch. The package runs a batch without a path through the scorer and
-back as zero rows, and must agree with the copies byte for byte: every
-parameter, the Adam moments and step counts, the state of ``model.rng``
-afterwards, both losses, and every eval output.
+``reference_train_joint_step`` of ``tests/reference.py`` is
+``train_joint_step`` from before each question ran through ``run_query``:
+an f_n pass in training mode and one in eval mode for the cosines,
+``prune_from_scores``, ``sample_paths``, and the path score only for a batch
+that holds a path, with branches that leave a batch without one out of the
+BCE and the backward passes. ``reference_run_query`` is the eval route with
+its own branch, built from the same references. The package runs a batch
+without a path through the scorer and back as zero rows, and must agree with
+the references byte for byte: every parameter, the Adam moments and step
+counts, the state of ``model.rng`` afterwards, both losses, and every eval
+output.
 """
 
 import numpy as np
 import pytest
 
 from kgpath.embeddings import QueryContext
-from kgpath.neural import Adam, ScoringModel, bce_loss_backward, cosine_rows
-from kgpath.paths import (
-    _backward_paths,
-    _forward_paths,
-    _path_labels,
-    mix_seed,
-    run_query,
-    sample_paths,
-    train_joint_step,
-)
-from kgpath.pruning import QuerySample, prune, prune_from_scores, triplet_terms
+from kgpath.neural import Adam, ScoringModel
+from kgpath.paths import run_query, sample_paths, train_joint_step
+from kgpath.pruning import QuerySample, prune
 
 from conftest import CFG, FakeTextFeatures
+from reference import (
+    batch_bytes,
+    batch_walks,
+    reference_forward_paths,
+    reference_prune,
+    reference_train_joint_step,
+)
 from test_path_ranker import make_samples
 from test_pruning import make_sg, sym
 
@@ -36,66 +36,16 @@ ROUTE = dict(theta_p=CFG.theta_p, target=5, n_paths=50, k=3)
 LOSS = dict(margin=CFG.margin, semi_hard=CFG.semi_hard)
 
 # ---------------------------------------------------------------------------
-# reference: the inline forward of the joint step and the eval route
+# reference: the eval route
 # ---------------------------------------------------------------------------
 
 
-def reference_train_joint_step(
-    model, batch, optimizer, theta_p, target, n_paths, k, margin, semi_hard, step_seed,
-):
-    model.zero_grad()
-    staged = []
-    all_scores: list[np.ndarray] = []
-    all_labels: list[np.ndarray] = []
-    n_terms_total = 0
-    for sample in batch:
-        h, cache_n, h_eval = model.f_n.forward(
-            sample.node_input, train=True, rng=model.rng, with_eval=True
-        )
-        s_cos = cosine_rows(sample.ctx.z, h_eval)
-        pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
-        pbatch = sample_paths(pg, n_paths, k, mix_seed(step_seed, sample.qid))
-        path_cache = None
-        scores = np.empty(0)
-        if len(pbatch):
-            scores, _, path_cache = _forward_paths(model, pbatch, h, sample.ctx, train=True)
-            all_scores.append(scores)
-            all_labels.append(_path_labels(pbatch, sample.gt_pos, sample.sg.n_nodes))
-        loss_sum, n_terms, dh_trip = triplet_terms(
-            sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
-        )
-        n_terms_total += n_terms
-        staged.append((sample, cache_n, pbatch, path_cache, dh_trip, loss_sum, len(scores)))
-
-    flat_scores = np.concatenate(all_scores) if all_scores else np.empty(0)
-    flat_labels = np.concatenate(all_labels) if all_labels else np.empty(0)
-    loss_cls, dscore_flat = bce_loss_backward(flat_scores, flat_labels)
-
-    loss_prune = 0.0
-    offset = 0
-    for sample, cache_n, pbatch, path_cache, dh_trip, loss_sum, n_scores in staged:
-        dh = np.zeros((sample.sg.n_nodes, model.d))
-        if n_scores:
-            dscores = dscore_flat[offset : offset + n_scores]
-            offset += n_scores
-            _backward_paths(model, pbatch, dscores, path_cache, dh)
-        if n_terms_total:
-            dh += dh_trip / n_terms_total
-            loss_prune += loss_sum
-        model.f_n.backward(dh, cache_n)
-    if n_terms_total:
-        loss_prune /= n_terms_total
-
-    optimizer.step(model.parameters())
-    return loss_cls, loss_prune
-
-
 def reference_run_query(model, sample, theta_p, target, n_paths, k, seed):
-    h, _ = model.f_n.forward(sample.node_input, train=False)
-    s_cos = cosine_rows(sample.ctx.z, h)
-    pg = prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target)
+    pg, h, s_cos = reference_prune(model, sample, theta_p, target)
     batch = sample_paths(pg, n_paths, k, seed)
-    batch.scores = _forward_paths(model, batch, h, sample.ctx, False)[0] if len(batch) else np.empty(0)
+    walks = batch_walks(batch)
+    batch.scores = (reference_forward_paths(model, walks, h, sample.ctx, train=False, tiled=False)[0]
+                    if walks else np.empty(0))
     return pg, batch, s_cos
 
 
@@ -126,10 +76,6 @@ def state_bytes(model, optimizer):
     params = [(name, arr.tobytes()) for name, arr, _ in model.parameters()]
     moments = sorted((name, m.tobytes(), v.tobytes(), t) for name, (m, v, t) in optimizer.state.items())
     return params, moments, model.rng.bit_generator.state
-
-
-def batch_bytes(batch):
-    return [a.dtype.str + a.tobytes().hex() for a in (batch.rows, batch.paths, batch.rels, batch.scores)]
 
 
 # ---------------------------------------------------------------------------

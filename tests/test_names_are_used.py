@@ -22,6 +22,9 @@ must be left unset by some call there: a default that every caller overrides
 restates a value whose home is elsewhere (the operating point's is
 ``RunConfig``), and the parameter is required instead. ``ALWAYS_SET`` lists
 the exceptions.
+
+On the test side, each reference route is defined in one module under
+``tests/``, most of them in ``tests/reference.py``.
 """
 
 import ast
@@ -192,3 +195,18 @@ def test_every_default_is_set_by_some_call():
 def test_every_default_is_left_to_some_call():
     always_set = [param for param, sets in defaults_by_setting().items() if all(sets)]
     assert sorted(always_set) == sorted(ALWAYS_SET)
+
+
+REFERENCE_PREFIXES = ("reference_", "ref_", "old_", "Old", "two_pass_")
+
+
+def test_each_test_side_reference_is_defined_once():
+    """A top-level function or class named ``reference_*``, ``ref_*``,
+    ``old_*``, ``Old*`` or ``two_pass_*`` is defined in one test module, so a
+    route change edits one copy."""
+    modules: dict[str, list[str]] = {}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith(REFERENCE_PREFIXES):
+                modules.setdefault(node.name, []).append(path.name)
+    assert {name: where for name, where in modules.items() if len(where) > 1} == {}

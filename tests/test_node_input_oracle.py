@@ -3,15 +3,14 @@ materialised-input route they replaced.
 
 The functions under "reference" are verbatim copies of that route:
 ``node_input_matrix``, ``DenseLayer.backward`` (which always returned
-dL/dx), ``MLP2.forward`` and ``MLP2.backward``, the eval-mode ``prune`` that
-the joint step called after its training pass, ``train_prune_step``,
-``train_joint_step``, and ``_forward_paths`` and ``_backward_paths``, which
-gave f_p the tiled [t || v || h_t] matrix. Only the ``self`` of the two layer
-methods became an explicit first argument, the joint step calls the two
-path copies, and the prune step, like the package's, returns its loss alone
-and no longer re-filters its batch (training batches only samples with a
-ground-truth node and a negative). Assembled inputs are compared by their bytes. The package's f_n
-and f_p now read their inputs as column blocks and sum in another order, so
+dL/dx), ``MLP2.forward``, ``MLP2.backward`` and ``train_prune_step``. Only
+the ``self`` of the two layer methods became an explicit first argument,
+and the prune step, like the package's, returns its loss alone and no longer
+re-filters its batch (training batches only samples with a ground-truth node
+and a negative). The joint step, its eval-mode pruning and the path score
+are ``tests/reference.py``'s, with f_p given the tiled [t || v || h_t]
+matrix. Assembled inputs are compared by their bytes. The package's f_n and
+f_p now read their inputs as column blocks and sum in another order, so
 training runs are compared by their epoch histories and every parameter,
 and held-out questions by their encodings and scores, at ``RTOL``; the
 survivors of pruning are still compared by their bytes.
@@ -26,18 +25,13 @@ import pytest
 
 from kgpath import paths
 from kgpath.embeddings import QueryContext, TextFeatureProvider
-from kgpath.neural import ScoringModel, bce_loss_backward, cosine_rows
-from kgpath.paths import (
-    _path_labels,
-    _step_rows,
-    mix_seed,
-    sample_paths,
-    staged_training,
-)
+from kgpath.neural import ScoringModel
+from kgpath.paths import staged_training
 from kgpath.pipeline import prepare_samples
-from kgpath.pruning import QuerySample, prune, prune_from_scores, triplet_terms
+from kgpath.pruning import QuerySample, prune, triplet_terms
 
 from conftest import CFG, random_graph
+from reference import reference_prune, reference_train_joint_step
 from test_pruning import make_sg
 
 RTOL = 1e-12  # the worst parameter after 2 + 2 epochs reads about 7e-14
@@ -92,39 +86,6 @@ def reference_mlp_backward(self, dy, cache):
     return reference_dense_backward(self.hidden, dh, cache_h)
 
 
-def reference_forward_paths(model, batch, h, ctx, train=False):
-    d, n = model.d, len(batch)
-    padded = np.concatenate([h, np.zeros((1, d))])  # row -1 reads zeros
-    blocks = padded[_step_rows(batch, model.k)].reshape(n, model.k * d)
-    h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
-    feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
-    h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
-    scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
-    return scores, h_p, (cache_t, cache_p, cache_bi)
-
-
-def reference_backward_paths(model, batch, dscores, cache, dh):
-    cache_t, cache_p, cache_bi = cache
-    dh_p = model.f_bi.backward(dscores, cache_bi)
-    dfeat = model.f_p.backward(dh_p, cache_p)
-    d = model.d
-    dh_t = dfeat[:, 2 * d : 3 * d]
-    dblocks = model.f_t.backward(dh_t, cache_t)
-    cells = _step_rows(batch, model.k).ravel()
-    walked = cells >= 0
-    slots = (cells[walked, None] * d + np.arange(d)).ravel()
-    grads = dblocks.reshape(-1, d)[walked].ravel()
-    dh += np.bincount(slots, weights=grads, minlength=dh.size).reshape(dh.shape)
-
-
-def reference_prune(model, sample, theta_p=0.3, target=100):
-    if not 0.0 <= theta_p <= 1.0:
-        raise ValueError("theta_p must lie in [0, 1]")
-    h, _ = model.f_n.forward(sample.x, train=False)
-    s_cos = cosine_rows(sample.ctx.z, h)
-    return prune_from_scores(sample.sg, s_cos, sample.s_bfs, theta_p, target), h, s_cos
-
-
 def reference_train_prune_step(model, batch, optimizer, margin=0.5, semi_hard=True):
     model.zero_grad()
     staged = []
@@ -145,56 +106,6 @@ def reference_train_prune_step(model, batch, optimizer, margin=0.5, semi_hard=Tr
         model.f_n.backward(dh / n_terms_total, cache)
     optimizer.step(model.parameters("f_n."))
     return total_loss / n_terms_total
-
-
-def reference_train_joint_step(
-    model, batch, optimizer, theta_p=0.3, target=100, n_paths=200, k=3,
-    margin=0.5, semi_hard=True, step_seed=0,
-):
-    model.zero_grad()
-    staged = []
-    all_scores = []
-    all_labels = []
-    n_terms_total = 0
-    for sample in batch:
-        h, cache_n = model.f_n.forward(sample.x, train=True, rng=model.rng)
-        pg = reference_prune(model, sample, theta_p, target)[0]
-        pbatch = sample_paths(pg, n_paths, k, mix_seed(step_seed, sample.qid))
-        path_cache = None
-        scores = np.empty(0)
-        if len(pbatch):
-            scores, _, path_cache = reference_forward_paths(
-                model, pbatch, h, sample.ctx, train=True
-            )
-            all_scores.append(scores)
-            all_labels.append(_path_labels(pbatch, sample.gt_pos, sample.sg.n_nodes))
-        loss_sum, n_terms, dh_trip = triplet_terms(
-            sample.ctx.z, h, sample.gt_pos, sample.neg_pos, margin, semi_hard
-        )
-        n_terms_total += n_terms
-        staged.append((sample, cache_n, pbatch, path_cache, dh_trip, loss_sum, len(scores)))
-
-    flat_scores = np.concatenate(all_scores) if all_scores else np.empty(0)
-    flat_labels = np.concatenate(all_labels) if all_labels else np.empty(0)
-    loss_cls, dscore_flat = bce_loss_backward(flat_scores, flat_labels)
-
-    loss_prune = 0.0
-    offset = 0
-    for sample, cache_n, pbatch, path_cache, dh_trip, loss_sum, n_scores in staged:
-        dh = np.zeros((sample.sg.n_nodes, model.d))
-        if n_scores:
-            dscores = dscore_flat[offset : offset + n_scores]
-            offset += n_scores
-            reference_backward_paths(model, pbatch, dscores, path_cache, dh)
-        if n_terms_total:
-            dh += dh_trip / n_terms_total
-            loss_prune += loss_sum
-        model.f_n.backward(dh, cache_n)
-    if n_terms_total:
-        loss_prune /= n_terms_total
-
-    optimizer.step(model.parameters())
-    return loss_cls, loss_prune
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +216,8 @@ def test_training_matches_materialised_route(small_runtime, monkeypatch):
         monkeypatch.setattr(net, "backward", functools.partial(reference_mlp_backward, net),
                             raising=False)
     monkeypatch.setattr(paths, "train_prune_step", reference_train_prune_step)
-    monkeypatch.setattr(paths, "train_joint_step", reference_train_joint_step)
+    monkeypatch.setattr(paths, "train_joint_step",
+                        functools.partial(reference_train_joint_step, tiled=True))
     ref_history = train(rt, ref_model, ref_samples[:18])
 
     assert len(history) == 4

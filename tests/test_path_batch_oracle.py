@@ -1,13 +1,14 @@
 """Array path batches against the object-per-path route they replaced.
 
 The functions under "reference" are verbatim copies of the list-of-objects
-route (``InferencePath``, ``_path_blocks``, the backward scatter loop, the
-label comprehension, ``aggregate_answers``, ``ranked_paths`` and the list
-building of ``evaluate_query``). Every comparison asserts equal bytes for
-arrays and equal Python lists (with equal ``repr``, so types and the sign of
-a zero score count too). One exception: the reference scoring route can give
-f_p its input as the tiled [t || v || h_t] matrix it was written with, or as
-the column blocks the package builds now. Against the blocks, scores and
+route (``InferencePath``, the label comprehension, ``aggregate_answers``,
+``ranked_paths`` and the list building of ``evaluate_query``); the path
+score, forward and backward, is ``tests/reference.py``'s, run over each
+object's walked rows. Every comparison asserts equal bytes for arrays and
+equal Python lists (with equal ``repr``, so types and the sign of a zero
+score count too). One exception: the reference scoring route can give f_p
+its input as the tiled [t || v || h_t] matrix it was written with, or as the
+column blocks the package builds now. Against the blocks, scores and
 gradients are equal bytes; against the tiled matrix, whose sums run in
 another order, they agree to rtol 1e-12 (``assert_close``).
 """
@@ -15,14 +16,14 @@ another order, they agree to rtol 1e-12 (``assert_close``).
 import copy
 from dataclasses import dataclass
 from types import SimpleNamespace
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 import pytest
 
 from kgpath import pipeline
 from kgpath.embeddings import QueryContext
-from kgpath.neural import ColumnBlocks, ScoringModel
+from kgpath.neural import ScoringModel
 from kgpath.paths import (
     _backward_paths,
     _forward_paths,
@@ -36,6 +37,7 @@ from kgpath.metrics import gt_rank
 from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores
 
 from conftest import rank_by_score
+from reference import reference_backward_paths, reference_forward_paths
 from test_node_input_oracle import assert_close
 from test_path_ranker import as_pruned
 from test_pruning import random_local_graph
@@ -60,47 +62,6 @@ class InferencePath:
     @property
     def length(self) -> int:
         return len(self.relations)
-
-
-def _path_blocks(
-    model: ScoringModel,
-    paths: Sequence[InferencePath],
-    h: np.ndarray,
-    positions: dict[int, int],
-) -> np.ndarray:
-    d, k = model.d, model.k
-    blocks = np.zeros((len(paths), k * d))
-    for j, path in enumerate(paths):
-        if path.length > k:
-            raise ValueError(f"path of length {path.length} exceeds k={k}")
-        for step, eid in enumerate(path.nodes[1:]):
-            blocks[j, step * d : (step + 1) * d] = h[positions[eid]]
-    return blocks
-
-
-def ref_forward_paths(model, paths, h, positions, ctx, train=False, tiled=True):
-    blocks = _path_blocks(model, paths, h, positions)
-    h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
-    n = len(paths)
-    if tiled:
-        feat = np.concatenate([np.tile(ctx.t, (n, 1)), np.tile(ctx.v, (n, 1)), h_t], axis=1)
-    else:
-        feat = ColumnBlocks(np.concatenate([ctx.t, ctx.v]), [(2 * model.d, h_t)])
-    h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
-    scores, cache_bi = model.f_bi.forward(ctx.z, h_p)  # z' := z
-    return scores, h_p, (cache_t, cache_p, cache_bi)
-
-
-def ref_backward_paths(model, paths, dscores, cache, positions, dh):
-    cache_t, cache_p, cache_bi = cache
-    dh_p = model.f_bi.backward(dscores, cache_bi)
-    dfeat = model.f_p.backward(dh_p, cache_p)
-    d = model.d
-    dh_t = dfeat[:, -d:]  # the h_t columns of a tiled input; all of them for blocks
-    dblocks = model.f_t.backward(dh_t, cache_t)
-    for j, path in enumerate(paths):
-        for step, eid in enumerate(path.nodes[1:]):
-            dh[positions[eid]] += dblocks[j, step * d : (step + 1) * d]
 
 
 def ref_labels(paths, gt):
@@ -255,6 +216,7 @@ def test_forward_and_backward_match_reference_bytes():
         if not ref:
             continue
         positions = {int(e): i for i, e in enumerate(sg.nodes)}
+        walks = [tuple(positions[e] for e in p.nodes) for p in ref]
         model, h, ctx, rng = model_and_inputs(trial, sg.nodes.size)
         for train in (False, True):
             new_model = copy.deepcopy(model)
@@ -265,11 +227,11 @@ def test_forward_and_backward_match_reference_bytes():
             got = [scores, h_p, dh] + [g for _, _, g in new_model.parameters()]
             for tiled in (False, True):
                 ref_model = copy.deepcopy(model)
-                r_scores, r_h_p, r_cache = ref_forward_paths(
-                    ref_model, ref, h, positions, ctx, train=train, tiled=tiled
+                r_scores, r_h_p, r_cache = reference_forward_paths(
+                    ref_model, walks, h, ctx, train=train, tiled=tiled
                 )
                 r_dh = np.zeros_like(h)
-                ref_backward_paths(ref_model, ref, dscores, r_cache, positions, r_dh)
+                reference_backward_paths(ref_model, walks, dscores, r_cache, r_dh)
                 want = [r_scores, r_h_p, r_dh] + [g for _, _, g in ref_model.parameters()]
                 for a, b in zip(got, want):
                     if tiled:

@@ -1,5 +1,4 @@
 import itertools
-from typing import Optional, Sequence
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from kgpath.embeddings import QueryContext
 from kgpath.neural import Adam, ScoringModel, cosine_rows
 from kgpath.paths import (
     WALK_STOP_PROB,
-    PathBatch,
     _forward_paths,
     aggregate_answers,
     list_walks,
@@ -22,9 +20,9 @@ from kgpath.paths import (
 )
 from kgpath.pipeline import prepare_samples
 from kgpath.pruning import PrunedGraph, QuerySample, bfs_scores, prune_from_scores
-from kgpath.schema import LocalAdjacency
 
 from conftest import CFG, FakeTextFeatures
+from reference import batch_bytes, reference_sample_paths, reference_walks
 from test_pruning import distinct, make_sg, providers, random_local_graph, sym
 
 #: the operating point's prune and path arguments of a training step
@@ -85,26 +83,12 @@ def triangle_pg():
     return as_pruned(sg)
 
 
-def enumerate_simple_walks(sg, k):
-    """Exhaustive DFS over simple walks of length 1..k from key nodes."""
-    adj = {}
-    for h, r, t in zip(sg.edges_head, sg.edges_rel, sg.edges_tail):
-        if h != t:
-            adj.setdefault(int(h), []).append((int(t), int(r)))
-    walks = set()
-
-    def extend(nodes, rels):
-        if rels:
-            walks.add((tuple(nodes), tuple(rels)))
-        if len(rels) == k:
-            return
-        for t, r in adj.get(nodes[-1], []):
-            if t not in nodes:
-                extend(nodes + [t], rels + [r])
-
-    for key in sorted(sg.key_ids()):
-        extend([key], [])
-    return walks
+def simple_walks(sg, k):
+    """Every key-rooted simple walk of 1..k edges over ``sg``, in DFS order,
+    as (node ids, relations) pairs of tuples: ``reference_walks`` in ids."""
+    ids = sg.nodes.tolist()
+    walks, _ = reference_walks(sg.adjacency, sg.key_rows, k)
+    return [(tuple(ids[p] for p in rows), rels) for rows, rels in walks]
 
 
 def test_sampled_paths_are_valid_simple_walks():
@@ -153,7 +137,7 @@ def test_paths_subset_of_exhaustive_enumeration():
         keys = {0}
         sg = make_sg(list(range(n)), [0] + [2] * (n - 1), distinct(sym(edges)), q_nodes=keys)
         pg = as_pruned(sg)
-        universe = enumerate_simple_walks(sg, 3)
+        universe = set(simple_walks(sg, 3))
         for seed in range(10):
             batch = sample_paths(pg, n_paths=200, k=3, seed=seed)
             got = set(sigs(batch))
@@ -183,7 +167,7 @@ def test_sampler_matches_reference_loop():
         sg = random_local_graph(rng, duplicates=trial % 5 == 0)
         pg = as_pruned(sg)
         for k in (1, 2, 3):
-            universe = enumerate_simple_walks(sg, k)
+            universe = set(simple_walks(sg, k))
             total = len(universe)
             for n_paths in sorted({1, max(1, total // 2), max(1, total), total + 1, 60}):
                 for seed in (0, 1):
@@ -192,121 +176,6 @@ def test_sampler_matches_reference_loop():
                     assert set(got) <= universe
                     exact += n_paths >= total > 0
     assert exact > 50  # the exact route is exercised, not just the sampler
-
-
-# The two-pass route as it stood before the walk collector became one listing
-# DFS, copied verbatim but for its rejection sampler, whose stream is gone: a
-# counting-only pass up to ``n_paths + 1`` walks, then a listing pass when the
-# graph fits. The one route must give the same batch bytes wherever the graph
-# fits. The copy walks the pruned graph's own ``base`` numbering, so it keeps
-# the ``pack_paths`` of its time, which maps those positions back through
-# ``pg.rows``.
-
-
-def two_pass_pack_paths(
-    pg: PrunedGraph,
-    nodes: Sequence[int],
-    rels: Sequence[int],
-    lengths: Sequence[int],
-    k: int,
-) -> PathBatch:
-    """A batch from flat lists, path after path: ``nodes`` holds each path's
-    row positions in ``pg.base`` (root first), ``rels`` its relations and
-    ``lengths`` its step count (at most ``k``)."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    at = np.asarray(nodes, dtype=np.intp)
-    node_cells = np.arange(k + 1) <= lengths[:, None]
-    rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
-    rows[node_cells] = pg.rows[at]
-    paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
-    paths[node_cells] = pg.base.nodes[at]
-    rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
-    rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(rows=rows, paths=paths, rels=rel_cells)
-
-
-def two_pass_simple_walks(
-    adj: LocalAdjacency,
-    roots: Sequence[int],
-    k: int,
-    cap: int,
-    out: Optional[tuple[list[int], list[int], list[int]]] = None,
-) -> int:
-    """Count the first ``cap`` distinct simple walks of 1..k edges from
-    ``roots`` over ``adj``; given ``out`` = (nodes, rels, lengths) flat lists,
-    also append each walk's row positions, relations and step count.
-
-    The DFS takes the roots in the given order and each row's edges in
-    adjacency order, and lists a walk before its extensions. A repeated
-    (head, relation, tail) edge would give the same walk twice, so each row
-    takes only the first of its equal (neighbour, relation) edges.
-    """
-    indptr = adj.indptr.tolist()
-    nbr = adj.nbr.tolist()
-    rel = adj.rel.tolist()
-    rows: dict[int, list[tuple[int, int]]] = {}  # row -> distinct (neighbour, relation)
-    count = 0
-
-    def extend(nodes: tuple[int, ...], rels: tuple[int, ...]) -> bool:
-        nonlocal count
-        u = nodes[-1]
-        steps = rows.get(u)
-        if steps is None:
-            lo, hi = indptr[u], indptr[u + 1]
-            steps = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
-        if out is None and len(rels) + 1 == k:
-            # counting at the last step: each edge that does not revisit ends a walk
-            count += sum([v not in nodes for v, _ in steps])
-            return count >= cap
-        for v, r in steps:
-            if v in nodes:
-                continue
-            count += 1
-            if out is not None:
-                out[0].extend(nodes)
-                out[0].append(v)
-                out[1].extend(rels)
-                out[1].append(r)
-                out[2].append(len(rels) + 1)
-            if count >= cap or (len(rels) + 1 < k and extend(nodes + (v,), rels + (r,))):
-                return True
-        return False
-
-    if cap > 0:
-        for root in roots:
-            if extend((root,), ()):
-                break
-    return min(count, cap)
-
-
-def two_pass_sample_paths(
-    pg: PrunedGraph,
-    n_paths: int = 200,
-    k: int = 3,
-) -> PathBatch:
-    """All distinct simple walks of 1..k edges from the key nodes, for a graph
-    that holds at most ``n_paths`` of them.
-
-    They come in ``simple_walks`` order from the key nodes sorted by id, and
-    no random number is drawn; the walks are counted before any is listed.
-    """
-    base = pg.base
-    key_pos = base.key_rows.tolist()
-    if not key_pos:
-        raise ValueError("pruned graph has no key node to root paths at")
-    adj = base.adjacency
-    flat_nodes: list[int] = []
-    flat_rels: list[int] = []
-    lengths: list[int] = []
-
-    assert two_pass_simple_walks(adj, key_pos, k, n_paths + 1) <= n_paths
-    two_pass_simple_walks(adj, key_pos, k, n_paths, (flat_nodes, flat_rels, lengths))
-    return two_pass_pack_paths(pg, flat_nodes, flat_rels, lengths, k)
-
-
-def batch_bytes(batch):
-    """dtype, shape and bytes of each array of a batch."""
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in (batch.rows, batch.paths, batch.rels)]
 
 
 def test_one_pass_walks_match_two_pass_route_bytes():
@@ -324,12 +193,12 @@ def test_one_pass_walks_match_two_pass_route_bytes():
         target = int(rng.integers(n_keys, sg.n_nodes + 1))
         pg = prune_from_scores(sg, rng.uniform(-1, 1, sg.n_nodes), bfs_scores(sg), 0.3, target)
         for k in (1, 2, 3):
-            total = len(enumerate_simple_walks(pg.base, k))
+            total = len(simple_walks(pg.base, k))
             for n_paths in sorted({1, total - 1, total, total + 1} - {-1, 0}):
                 for seed in (0, 1, 2):
                     got = sample_paths(pg, n_paths, k, seed)
                     if n_paths >= total:
-                        want = two_pass_sample_paths(pg, n_paths, k)
+                        want = reference_sample_paths(pg, n_paths, k, seed)
                         assert batch_bytes(got) == batch_bytes(want), (trial, k, n_paths, seed)
                     else:
                         assert len(got) == len(set(sigs(got))) == n_paths
@@ -355,27 +224,17 @@ def itertools_walks(sg, k):
 
 def test_count_walks_matches_itertools_enumeration():
     # list_walks, the one listing behind every batch, against brute force and
-    # against the DFS order of the verbatim two-pass copy
+    # against the DFS order and log-probabilities of the reference
     rng = np.random.default_rng(43)
     for trial in range(40):
         sg = random_local_graph(rng, max_nodes=6, max_edges=12, duplicates=trial % 4 == 0)
         roots = sg.key_rows
         for k in (1, 2, 3):
             universe = itertools_walks(sg, k)
-            assert universe == enumerate_simple_walks(sg, k)
-            got, _ = listed_walks(sg, roots, k)
+            got, logp = listed_walks(sg, roots, k)
             assert set(got) == universe and len(got) == len(universe)
-            flat_nodes, flat_rels, lengths = [], [], []
-            two_pass_simple_walks(sg.adjacency, roots.tolist(), k, 10**6,
-                                  (flat_nodes, flat_rels, lengths))
-            ends = np.cumsum(lengths)
-            ids = sg.nodes.tolist()
-            dfs = [
-                (tuple(ids[p] for p in flat_nodes[end + i - n : end + i + 1]),
-                 tuple(flat_rels[end - n : end]))
-                for i, (n, end) in enumerate(zip(lengths, ends.tolist()))
-            ]
-            assert got == dfs, (trial, k)
+            assert got == simple_walks(sg, k), (trial, k)
+            assert logp == pytest.approx(reference_walks(sg.adjacency, roots, k)[1], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -490,18 +349,6 @@ def test_inclusion_frequencies_match_plackett_luce():
         assert (np.abs(freq - pi) <= Z * np.sqrt(pi * (1 - pi) / N)).all(), (freq, pi)
         checked += 1
     assert checked == 2
-
-
-def test_batches_are_full_and_seed_determined():
-    for sg in tiny_graphs():
-        pg = as_pruned(sg)
-        for k in (1, 2, 3):
-            total = len(itertools_walks(sg, k))
-            for n_paths in (1, 2, 3, 5, 200):
-                for seed in (0, 1, 2):
-                    got = sample_paths(pg, n_paths, k, seed)
-                    assert len(got) == len(set(sigs(got))) == min(n_paths, total)
-                    assert batch_bytes(got) == batch_bytes(sample_paths(pg, n_paths, k, seed))
 
 
 def test_sampling_deterministic_per_seed():

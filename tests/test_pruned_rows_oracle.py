@@ -4,163 +4,30 @@ Walks are drawn over the schema graph's one adjacency restricted to the
 surviving rows, and a batch records those rows directly. The route it
 replaced built a second ``SchemaGraph`` per pruned graph (``restricted_to``),
 gave it its own key rows and adjacency in its own row numbering, walked that,
-and mapped every walk back through ``pg.rows``. That route's walk listing is
-copied verbatim below as the oracle: wherever a graph holds at most
-``n_paths`` walks, both must give the same batch bytes. Where it holds more,
-the draw follows each walk's DFS rank, so sampling the row set must give the
-bytes of sampling the survivors' own graph, mapped through ``pg.rows``.
+and mapped every walk back through ``pg.rows``. The survivors' own graph must
+be the reference's (``reference_restricted`` in ``tests/reference.py``),
+field for field. Wherever it holds at most ``n_paths`` walks, the batch must
+be the bytes of the reference sampler over it, mapped through ``pg.rows``.
+Where it holds more, the draw follows each walk's DFS rank, so sampling the
+row set must give the bytes of sampling the survivors' own graph, mapped the
+same way.
 """
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from kgpath.kg import load_graph
 from kgpath.neural import Adam, ScoringModel
-from kgpath.paths import PathBatch, run_query, sample_paths, train_joint_step
-from kgpath.pruning import PrunedGraph, bfs_scores, prune_from_scores
+from kgpath.paths import run_query, sample_paths, train_joint_step
+from kgpath.pruning import bfs_scores, prune_from_scores
 from kgpath.schema import SchemaGraph
 
 from conftest import CFG, write_edges, write_relations
+from reference import batch_bytes, reference_restricted, reference_sample_paths, reference_walks
 from test_path_ranker import as_pruned, make_samples
 
 RELATIONS = ("r0", "r1", "r2")
 N_ENTITIES = 40
 N_GRAPHS = 50
-
-
-# ---------------------------------------------------------------------------
-# the old route, verbatim but for ``self`` becoming an argument and the copy
-# being made by ``SchemaGraph.from_edges``
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class OldAdjacency:
-    """CSR over a schema graph's row positions: the out-edges of row ``i``
-    go to rows ``nbr[indptr[i]:indptr[i + 1]]`` by relations ``rel[...]``."""
-
-    indptr: np.ndarray
-    nbr: np.ndarray
-    rel: np.ndarray
-
-
-def old_edge_rows(self: SchemaGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Row positions of every edge's head and tail, in edge order."""
-    ends = np.concatenate([self.nodes, self.edges_head, self.edges_tail])
-    # int32 rows halve the cache every prepared sample keeps
-    row_of = np.full(int(ends.max(initial=-1)) + 1, -1, dtype=np.int32)
-    row_of[self.nodes] = np.arange(self.n_nodes)
-    head, tail = row_of[self.edges_head], row_of[self.edges_tail]
-    if (head < 0).any() or (tail < 0).any():
-        raise ValueError(f"{self.qid}: an edge endpoint is not a node of the graph")
-    return head, tail
-
-
-def old_adjacency(self: SchemaGraph) -> OldAdjacency:
-    """Out-edges by row position, self-loops left out."""
-    head, tail = old_edge_rows(self)
-    keep = head != tail
-    head, tail, rel = head[keep], tail[keep], self.edges_rel[keep]
-    # numpy's stable sort is a radix sort for 8- and 16-bit keys
-    by_head = np.argsort(head.astype(np.min_scalar_type(self.n_nodes)), kind="stable")
-    indptr = np.zeros(self.n_nodes + 1, dtype=np.int32)
-    np.cumsum(np.bincount(head, minlength=self.n_nodes), out=indptr[1:])
-    return OldAdjacency(indptr=indptr, nbr=tail[by_head], rel=rel[by_head].astype(np.int32))
-
-
-def old_key_rows(self: SchemaGraph) -> np.ndarray:
-    """Row positions of the key nodes, in ascending entity-id order."""
-    keys = np.fromiter(self.q_nodes | self.v_nodes, dtype=np.int64)
-    rows = np.flatnonzero(np.isin(self.nodes, keys))
-    return rows[np.argsort(self.nodes[rows])]
-
-
-def old_restricted_to(self: SchemaGraph, rows: np.ndarray) -> SchemaGraph:
-    """Copy keeping the nodes at row positions ``rows``, in that order,
-    and the edges between them."""
-    kept = np.zeros(self.n_nodes, dtype=bool)
-    kept[rows] = True
-    head, tail = old_edge_rows(self)
-    mask = kept[head] & kept[tail]
-    key_rows = old_key_rows(self)
-    keys = self.nodes[key_rows[kept[key_rows]]].tolist()
-    return SchemaGraph.from_edges(
-        self.qid,
-        self.nodes[rows],
-        self.types[rows],
-        (self.edges_head[mask], self.edges_rel[mask], self.edges_tail[mask], self.edges_weight[mask]),
-        self.q_nodes.intersection(keys),
-        self.v_nodes.intersection(keys),
-    )
-
-
-def old_pack_paths(pg, base, nodes, rels, lengths, k) -> PathBatch:
-    """A batch from flat lists, path after path: ``nodes`` holds each path's
-    row positions in ``pg.base`` (root first), ``rels`` its relations and
-    ``lengths`` its step count (at most ``k``)."""
-    lengths = np.asarray(lengths, dtype=np.intp)
-    at = np.asarray(nodes, dtype=np.intp)
-    node_cells = np.arange(k + 1) <= lengths[:, None]
-    rows = np.full((lengths.size, k + 1), -1, dtype=np.intp)
-    rows[node_cells] = pg.rows[at]
-    paths = np.full((lengths.size, k + 1), -1, dtype=np.int64)
-    paths[node_cells] = base.nodes[at]
-    rel_cells = np.full((lengths.size, k), -1, dtype=np.int64)
-    rel_cells[np.arange(k) < lengths[:, None]] = rels
-    return PathBatch(rows=rows, paths=paths, rels=rel_cells)
-
-
-def old_simple_walks(adj, roots: Sequence[int], k: int, cap: int, out) -> int:
-    """List the first ``cap`` distinct simple walks of 1..k edges from
-    ``roots`` over ``adj`` into the flat lists ``out`` = (nodes, rels,
-    lengths); return how many were appended."""
-    indptr = adj.indptr.tolist()
-    nbr = adj.nbr.tolist()
-    rel = adj.rel.tolist()
-    flat_nodes, flat_rels, lengths = out
-    rows: dict[int, list[tuple[int, int]]] = {}  # row -> distinct (neighbour, relation)
-    count = 0
-
-    def extend(nodes: tuple[int, ...], rels: tuple[int, ...]) -> bool:
-        nonlocal count
-        u = nodes[-1]
-        steps = rows.get(u)
-        if steps is None:
-            lo, hi = indptr[u], indptr[u + 1]
-            steps = rows[u] = list(dict.fromkeys(zip(nbr[lo:hi], rel[lo:hi])))
-        for v, r in steps:
-            if v in nodes:
-                continue
-            count += 1
-            flat_nodes.extend(nodes)
-            flat_nodes.append(v)
-            flat_rels.extend(rels)
-            flat_rels.append(r)
-            lengths.append(len(rels) + 1)
-            if count >= cap or (len(rels) + 1 < k and extend(nodes + (v,), rels + (r,))):
-                return True
-        return False
-
-    if cap > 0:
-        for root in roots:
-            if extend((root,), ()):
-                break
-    return count
-
-
-def old_sample_paths(pg: PrunedGraph, n_paths: int, k: int) -> PathBatch:
-    """``sample_paths`` over the pruned graph's own ``SchemaGraph``, for a
-    graph that holds at most ``n_paths`` walks."""
-    base = old_restricted_to(pg.sg, pg.rows)
-    key_pos = old_key_rows(base).tolist()
-    if not key_pos:
-        raise ValueError("pruned graph has no key node to root paths at")
-    adj = old_adjacency(base)
-    listed: tuple[list[int], list[int], list[int]] = ([], [], [])
-    assert old_simple_walks(adj, key_pos, k, n_paths + 1, listed) <= n_paths
-    return old_pack_paths(pg, base, *listed, k)
 
 
 # ---------------------------------------------------------------------------
@@ -211,10 +78,6 @@ def random_dump(rng, trial):
     }
 
 
-def batch_bytes(batch):
-    return [(a.dtype.str, a.shape, a.tobytes()) for a in (batch.rows, batch.paths, batch.rels)]
-
-
 def test_row_set_walks_match_restricted_graph_route(tmp_path):
     g = kg(tmp_path)
     rng = np.random.default_rng(1313)
@@ -232,24 +95,23 @@ def test_row_set_walks_match_restricted_graph_route(tmp_path):
         target = int(rng.integers(n_keys, sg.n_nodes + 1))
         pg = prune_from_scores(sg, rng.uniform(-1, 1, sg.n_nodes), bfs_scores(sg), 0.3, target)
 
-        # the survivors as a graph of their own are the old copy, field for field
-        want = old_restricted_to(sg, pg.rows)
+        # the survivors as a graph of their own are the reference's, field for field
+        want = SchemaGraph.from_edges(sg.qid, *reference_restricted(sg, pg.rows))
         for name in ("nodes", "types", "edges_head", "edges_rel", "edges_tail", "edges_weight"):
             a, b = getattr(pg.base, name), getattr(want, name)
             assert (a.dtype, a.tobytes()) == (b.dtype, b.tobytes()), (trial, name)
         assert (pg.base.q_nodes, pg.base.v_nodes) == (want.q_nodes, want.v_nodes)
 
         for k in (1, 2, 3):
-            total = old_simple_walks(old_adjacency(want), old_key_rows(want).tolist(), k,
-                                     10**6, ([], [], []))
+            total = len(reference_walks(want.adjacency, want.key_rows, k)[0])
             for n_paths in sorted({1, total - 1, total, total + 1} - {-1, 0}):
                 for seed in (0, 1, 2):
                     got = sample_paths(pg, n_paths, k, seed)
                     if n_paths >= total:
-                        oracle = old_sample_paths(pg, n_paths, k)
+                        oracle = reference_sample_paths(as_pruned(want), n_paths, k, seed)
                     else:
                         oracle = sample_paths(as_pruned(pg.base), n_paths, k, seed)
-                        oracle.rows = np.where(oracle.rows >= 0, pg.rows[oracle.rows], -1)
+                    oracle.rows = np.where(oracle.rows >= 0, pg.rows[oracle.rows], -1)
                     assert batch_bytes(got) == batch_bytes(oracle), (trial, k, n_paths, seed)
                     routes["exact" if n_paths >= total else "sampled"] += total > 0
     assert min(shapes.values()) >= 20, shapes

@@ -1,5 +1,4 @@
 from collections import deque
-from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -64,28 +63,6 @@ def distinct(edges):
 def slot_heads(adj):
     """Each adjacency slot's row, read from ``indptr``."""
     return np.repeat(np.arange(adj.indptr.size - 1), np.diff(adj.indptr))
-
-
-class RestrictedAdjacency(NamedTuple):
-    """A ``LocalAdjacency`` with each slot's ``head`` row besides."""
-
-    indptr: np.ndarray
-    head: np.ndarray
-    nbr: np.ndarray
-    rel: np.ndarray
-
-
-def restricted(adj, rows):
-    """The edges of ``adj`` between ``rows`` only, same row numbering and slot
-    order: the copy of the schema graph's adjacency that pruned graphs once
-    walked, the reference for walking it through a row mask."""
-    kept = np.zeros(adj.indptr.size - 1, dtype=bool)
-    kept[rows] = True
-    head = slot_heads(adj)
-    keep = kept[head] & kept[adj.nbr]
-    indptr = np.zeros_like(adj.indptr)
-    np.cumsum(np.bincount(head[keep], minlength=kept.size), out=indptr[1:])
-    return RestrictedAdjacency(indptr, head[keep], adj.nbr[keep], adj.rel[keep])
 
 
 def random_local_graph(rng, max_nodes=8, max_edges=16, duplicates=False):
