@@ -25,7 +25,6 @@ from .dot import export_dot
 from .linking import ground_truth_ids
 from .metrics import hit_rate_curve, write_curve_csv
 from .neural import ScoringModel
-from .paths import staged_training
 from .pipeline import (
     Runtime,
     build_report,
@@ -35,6 +34,7 @@ from .pipeline import (
     load_runtime,
     prepare_samples,
     schema_for_record,
+    train_model,
 )
 from .pruning import QuerySample, prune
 from .schema import check_dump, load_schema_graphs
@@ -231,28 +231,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = resolve_config(args)
     rt = load_runtime(cfg)
     out = _out_dir(args, cfg)
-    model = ScoringModel(cfg.d, cfg.D, cfg.k, dropout_rate=cfg.dropout, seed=cfg.seed)
-    samples, skipped = prepare_samples(rt, model, rt.train_records())
-    if not samples:
-        raise InputError(msg="no trainable queries (check linking inputs)")
-    logger.info("training on %d queries (%d skipped)", len(samples), skipped)
-    metrics = staged_training(
-        model,
-        samples,
-        epochs_prune=cfg.epochs_prune,
-        epochs_joint=cfg.epochs_joint,
-        lr=cfg.lr,
-        batch_size=cfg.batch_size,
-        theta_p=cfg.theta_p,
-        target=cfg.prune_target,
-        n_paths=cfg.n_paths,
-        k=cfg.k,
-        margin=cfg.margin,
-        semi_hard=cfg.semi_hard,
-        seed=cfg.seed,
-        optimizer=cfg.optimizer,
-        progress=args.progress,
-    )
+    model, samples, metrics = train_model(rt, progress=args.progress)
     write_jsonl(out / "metrics.jsonl", metrics)
     ckpt = out / "checkpoint.gpr"
     model.save_checkpoint(ckpt)
@@ -274,10 +253,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     results = evaluate_queries(model, samples, cfg)
     curve = _hit_rate_curve(cfg, [s.sg for s in samples], [s.gt for s in samples])
 
-    train_answers = frozenset().union(
-        *[ground_truth_ids(rt.g, r) for r in rt.train_records()] or [frozenset()]
-    )
-    report = build_report(results, train_answers, dict(curve))
+    report = build_report(results, rt.train_answers, dict(curve))
     report.save(out / "report.json", out / "report.txt")
     write_curve_csv(out / "hit_rate.csv", curve)
     write_manifest(out, "eval", cfg, rt.inputs)

@@ -258,19 +258,6 @@ def sample_paths(
 # ---------------------------------------------------------------------------
 
 
-def _step_rows(batch: PathBatch, k: int) -> np.ndarray:
-    """(n, k) rows of each path's walked nodes, -1 padded.
-
-    The root key node is excluded: a k-step path contributes exactly k node
-    vectors, and the root's information reaches the scorer through the query
-    context instead.
-    """
-    steps = batch.rows[:, 1:]
-    if steps.shape[1] > k:
-        raise ValueError(f"a batch of paths up to {steps.shape[1]} steps exceeds k={k}")
-    return steps
-
-
 def _forward_paths(
     model: ScoringModel,
     batch: PathBatch,
@@ -281,11 +268,14 @@ def _forward_paths(
     """Run f_t, f_p, f_bi over a path batch; returns (scores, h_p, cache).
 
     ``h`` holds the node encodings of the unpruned schema graph, by row.
+    f_t reads each path's walked nodes, root excluded: a k-step path gives k
+    node vectors, and the root reaches the score through the query context.
+    A batch of paths past k steps is refused by f_t's input width.
     """
-    steps = _step_rows(batch, model.k)
+    steps = batch.rows[:, 1:]
     blocks = h[steps]
     blocks[steps < 0] = 0.0  # a -1 cell reads a zero row
-    blocks = blocks.reshape(len(batch), model.k * model.d)
+    blocks = blocks.reshape(len(batch), steps.shape[1] * model.d)
     h_t, cache_t = model.f_t.forward(blocks, train=train, rng=model.rng)
     feat = ColumnBlocks(np.concatenate([ctx.t, ctx.v]), [(2 * model.d, h_t)])
     h_p, cache_p = model.f_p.forward(feat, train=train, rng=model.rng)
@@ -310,7 +300,7 @@ def _backward_paths(
     dh_t = model.f_p.backward(dh_p, cache_p)
     d = model.d
     dblocks = model.f_t.backward(dh_t, cache_t)
-    cells = _step_rows(batch, model.k).ravel()
+    cells = batch.rows[:, 1:].ravel()
     walked = cells >= 0
     slots = (cells[walked, None] * d + np.arange(d)).ravel()
     grads = dblocks.reshape(-1, d)[walked].ravel()
@@ -440,8 +430,8 @@ def staged_training(
     margin: float,
     semi_hard: bool,
     seed: int,
-    optimizer: str = "adam",
-    progress: bool = False,
+    optimizer: str,
+    progress: bool,
 ) -> list[dict]:
     """Two-phase schedule, one epoch loop: ``epochs_prune`` prune epochs,
     then ``epochs_joint`` joint epochs.

@@ -1,4 +1,5 @@
-"""Shared orchestration for the CLI: runtime loading, sample prep, eval loops.
+"""Shared orchestration for the CLI: runtime loading, sample prep, training
+from a config, eval loops.
 
 The runtime bundles the loaded graph and providers; samples pair each query
 with its schema graph, text features and BFS scores. Evaluation can fan out
@@ -23,7 +24,7 @@ from .kg import KnowledgeGraph, load_graph
 from .linking import QueryRecord, extract_key_nodes, ground_truth_ids, load_queries, load_synonyms
 from .metrics import EvalReport, annotation_scores, gt_rank, recall_rates, split_open, vqa_score
 from .neural import ScoringModel
-from .paths import aggregate_answers, mix_seed, ranked_paths, run_query
+from .paths import aggregate_answers, mix_seed, ranked_paths, run_query, staged_training
 from .pruning import QuerySample, node_gt_rank
 from .schema import SchemaGraph, build_schema
 
@@ -59,6 +60,12 @@ class Runtime:
         """Close-set vocabulary: every answer entity across all splits,
         collected on the first read and kept."""
         return frozenset().union(*(ground_truth_ids(self.g, rec) for rec in self.queries))
+
+    @cached_property
+    def train_answers(self) -> frozenset[int]:
+        """Every answer entity of the train split, which the open-set tag
+        reads, collected on the first read and kept."""
+        return frozenset().union(*(ground_truth_ids(self.g, rec) for rec in self.train_records()))
 
 
 def load_edge_graph(cfg: RunConfig) -> tuple[KnowledgeGraph, dict[str, Path]]:
@@ -166,6 +173,26 @@ def prepare_samples(
     return samples, skipped
 
 
+def train_model(rt: Runtime, progress: bool = False) -> tuple[ScoringModel, list[QuerySample], list[dict]]:
+    """The one training route from a config: a fresh ``ScoringModel`` of
+    ``rt.cfg``, trained by ``staged_training`` with every config value on the
+    linkable train records. Returns the model, its samples and the epoch
+    entries; no linkable train record is an ``InputError``."""
+    cfg = rt.cfg
+    model = ScoringModel(cfg.d, cfg.D, cfg.k, dropout_rate=cfg.dropout, seed=cfg.seed)
+    samples, skipped = prepare_samples(rt, model, rt.train_records())
+    if not samples:
+        raise InputError(msg="no trainable queries (check linking inputs)")
+    logger.info("training on %d queries (%d skipped)", len(samples), skipped)
+    metrics = staged_training(
+        model, samples, epochs_prune=cfg.epochs_prune, epochs_joint=cfg.epochs_joint,
+        lr=cfg.lr, batch_size=cfg.batch_size, theta_p=cfg.theta_p, target=cfg.prune_target,
+        n_paths=cfg.n_paths, k=cfg.k, margin=cfg.margin, semi_hard=cfg.semi_hard,
+        seed=cfg.seed, optimizer=cfg.optimizer, progress=progress,
+    )
+    return model, samples, metrics
+
+
 # ---------------------------------------------------------------------------
 # per-query inference and suite evaluation
 # ---------------------------------------------------------------------------
@@ -197,7 +224,7 @@ def _eval_one(i: int) -> QueryResult:
 
 
 def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> QueryResult:
-    _, batch, s_cos, *_ = run_query(
+    batch, s_cos = run_query(
         model,
         sample,
         theta_p=cfg.theta_p,
@@ -205,7 +232,7 @@ def evaluate_query(model: ScoringModel, sample: QuerySample, cfg: RunConfig) -> 
         n_paths=cfg.n_paths,
         k=cfg.k,
         seed=mix_seed(cfg.seed, "eval-paths", sample.qid),
-    )
+    )[1:3]  # h and the caches are freed here, not held to the return
     order, terminals = ranked_paths(batch), batch.last(batch.paths)
     top = order[:10]
     top_paths = [

@@ -42,10 +42,6 @@ class NodeType(IntEnum):
     N2 = 3
 
 
-_TYPE_NAMES = {t: t.name for t in NodeType}
-_TYPE_BY_NAME = {t.name: t for t in NodeType}
-
-
 @dataclass(frozen=True)
 class LocalAdjacency:
     """A schema graph's one edge store, a CSR over its row positions: slots
@@ -175,7 +171,7 @@ class SchemaGraph:
         return {
             "qid": self.qid,
             "nodes": [
-                [g.surface(int(n)), _TYPE_NAMES[NodeType(int(t))]]
+                [g.surface(int(n)), NodeType(int(t)).name]
                 for n, t in zip(self.nodes, self.types)
             ],
             "edges": [
@@ -204,7 +200,7 @@ class SchemaGraph:
         return cls.from_edges(
             str(obj["qid"]),  # the string ``config.new_qid`` checks for repeats
             np.array(nodes, dtype=np.int64),
-            np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8),
+            np.array([NodeType[t] for _, t in obj["nodes"]], dtype=np.int8),
             (head, rel, tail, np.array(weights, dtype=np.float64)), q_nodes, v_nodes,
         )
 
@@ -220,7 +216,7 @@ def check_dump(obj: dict) -> list[float]:
     for s, t in obj["nodes"]:
         if s in nodes:
             raise ValueError(f"node {s!r} is listed twice")
-        if t not in _TYPE_BY_NAME:
+        if t not in NodeType.__members__:
             raise ValueError(f"unknown node type {t!r}")
         nodes.add(s)
     edges, weights = set(), []

@@ -98,6 +98,8 @@ def run_staged_once(rt):
         margin=cfg.margin,
         semi_hard=cfg.semi_hard,
         seed=cfg.seed,
+        optimizer=cfg.optimizer,
+        progress=False,
     )
     return model, samples, metrics, time.time() - t0
 

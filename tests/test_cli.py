@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -11,10 +12,16 @@ import pytest
 
 from kgpath import paths
 from kgpath.cli import main
-from kgpath.config import InputError, RunConfig, sha256_file
+from kgpath.config import InputError, RunConfig, load_config, sha256_file
 from kgpath.dot import export_dot
 from kgpath.neural import ScoringModel
+from kgpath.pipeline import load_runtime
 from kgpath.synth import SuiteSpec, generate_suite
+
+ROOT = Path(__file__).resolve().parent.parent
+spec = importlib.util.spec_from_file_location("seed_grid", ROOT / "scripts" / "seed_grid.py")
+seed_grid = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(seed_grid)
 
 
 @pytest.fixture(scope="module")
@@ -103,6 +110,32 @@ def test_schema_command(suite):
     assert curve[0] == "budget,rate"
     rates = [float(r.split(",")[1]) for r in curve[1:]]
     assert rates == sorted(rates)  # monotone in budget
+
+
+def test_seed_grid_trains_what_train_writes(suite, tmp_path, monkeypatch):
+    """The seed grid trains through the route ``kgpath train`` runs, every
+    config value included: with ``optimizer = sgd`` the model it evaluates
+    holds the checkpoint's parameters, compared in float32."""
+    _, out = suite
+    sgd = ["--set", "optimizer=sgd", "--set", "epochs_prune=1", "--set", "epochs_joint=1"]
+    argv = run_args(tmp_path / "train", out, sgd)
+    assert main(["train", *argv]) == 0
+    cfg = load_config(out / "suite.config", dict(item.split("=", 1) for item in argv[3::2]))
+    assert cfg.optimizer == "sgd"
+    trained, evaluate_queries = [], seed_grid.evaluate_queries
+
+    def capture(model, samples, cfg):
+        trained.append([arr.astype(np.float32) for _, arr, _ in model.parameters()])
+        return evaluate_queries(model, samples, cfg)
+
+    monkeypatch.setattr(seed_grid, "evaluate_queries", capture)
+    monkeypatch.setattr(seed_grid, "N_EVAL_SEEDS", 1)
+    seed_grid.grid_row(load_runtime(cfg), cfg.seed)
+    ckpt = ScoringModel.load_checkpoint(tmp_path / "train" / "checkpoint.gpr", 0.0, (cfg.d, cfg.D, cfg.k))
+    (params,) = trained
+    assert len(params) == len(ckpt.parameters())
+    for got, (name, want, _) in zip(params, ckpt.parameters()):
+        assert np.array_equal(got, want.astype(np.float32)), name
 
 
 def test_train_eval_infer_round_trip(suite):

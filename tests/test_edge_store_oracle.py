@@ -29,8 +29,6 @@ from kgpath.linking import KeyNodeSet
 from kgpath.paths import list_walks
 from kgpath.pruning import bfs_scores
 from kgpath.schema import (
-    _TYPE_BY_NAME,
-    _TYPE_NAMES,
     NodeType,
     SchemaGraph,
     _entity_id,
@@ -149,7 +147,7 @@ class OldSchemaGraph:
         return {
             "qid": self.qid,
             "nodes": [
-                [g.surface(int(n)), _TYPE_NAMES[NodeType(int(t))]]
+                [g.surface(int(n)), NodeType(int(t)).name]
                 for n, t in zip(self.nodes, self.types)
             ],
             "edges": [
@@ -178,7 +176,7 @@ class OldSchemaGraph:
         return cls(
             qid=str(obj["qid"]),  # the string ``config.new_qid`` checks for repeats
             nodes=np.array(nodes, dtype=np.int64),
-            types=np.array([_TYPE_BY_NAME[t] for _, t in obj["nodes"]], dtype=np.int8),
+            types=np.array([NodeType[t] for _, t in obj["nodes"]], dtype=np.int8),
             edges_head=eh,
             edges_rel=er,
             edges_tail=et,

@@ -10,7 +10,8 @@ its own branch, built from the same references. The package runs a batch
 without a path through the scorer and back as zero rows, and must agree with
 the references byte for byte: every parameter, the Adam moments and step
 counts, the state of ``model.rng`` afterwards, both losses, and every eval
-output.
+output. The joint steps run once with every walk kept and once with
+``n_paths`` below each graph's walk count, so that the walk seed draws.
 """
 
 import numpy as np
@@ -33,6 +34,7 @@ from test_path_ranker import make_samples
 from test_pruning import make_sg, sym
 
 ROUTE = dict(theta_p=CFG.theta_p, target=5, n_paths=50, k=3)
+DRAWN = 4  # an ``n_paths`` below every path-holding graph's walk count: a Gumbel draw
 LOSS = dict(margin=CFG.margin, semi_hard=CFG.semi_hard)
 
 # ---------------------------------------------------------------------------
@@ -89,22 +91,24 @@ def test_the_pathless_question_has_no_path_and_the_others_do():
     for sample in samples + [pathless_sample(model)]:
         batch = run_query(model, sample, seed=0, **ROUTE)[1]
         assert (len(batch) == 0) == (sample.qid == "qx")
+        assert sample.qid == "qx" or len(batch) > DRAWN
 
 
 @pytest.mark.parametrize("dropout", [0.0, 0.5])
 @pytest.mark.parametrize("where", [0, 1, 3])
 def test_joint_steps_with_a_pathless_question_match_the_inline_route(dropout, where):
-    model, ref_model = twin_models(dropout)
-    batch = make_samples(model, n_queries=3, seed=42)
-    batch.insert(where, pathless_sample(model))
-    opt, ref_opt = Adam(lr=1e-2), Adam(lr=1e-2)
-    steps = [batch, batch[where : where + 1], batch[::-1]]  # mixed, pathless alone, reversed
-    for step, chunk in enumerate(steps * 2):
-        got = train_joint_step(model, chunk, opt, step_seed=step, **ROUTE, **LOSS)
-        want = reference_train_joint_step(ref_model, chunk, ref_opt, step_seed=step, **ROUTE, **LOSS)
-        assert repr(got) == repr(want)
-        assert state_bytes(model, opt) == state_bytes(ref_model, ref_opt)
-    assert state_bytes(model, opt)[0] != state_bytes(twin_models(dropout)[0], Adam(lr=1e-2))[0]
+    for route in (ROUTE, dict(ROUTE, n_paths=DRAWN)):  # every walk kept; a seeded draw
+        model, ref_model = twin_models(dropout)
+        batch = make_samples(model, n_queries=3, seed=42)
+        batch.insert(where, pathless_sample(model))
+        opt, ref_opt = Adam(lr=1e-2), Adam(lr=1e-2)
+        steps = [batch, batch[where : where + 1], batch[::-1]]  # mixed, pathless alone, reversed
+        for step, chunk in enumerate(steps * 2):
+            got = train_joint_step(model, chunk, opt, step_seed=step, **route, **LOSS)
+            want = reference_train_joint_step(ref_model, chunk, ref_opt, step_seed=step, **route, **LOSS)
+            assert repr(got) == repr(want)
+            assert state_bytes(model, opt) == state_bytes(ref_model, ref_opt)
+        assert state_bytes(model, opt)[0] != state_bytes(twin_models(dropout)[0], Adam(lr=1e-2))[0]
 
 
 def test_eval_route_matches_the_guarded_copy_with_and_without_paths():

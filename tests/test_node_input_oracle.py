@@ -186,6 +186,7 @@ def train(rt, model, samples):
         model, samples, epochs_prune=2, epochs_joint=2, lr=cfg.lr,
         batch_size=cfg.batch_size, theta_p=cfg.theta_p, target=cfg.prune_target,
         n_paths=cfg.n_paths, k=cfg.k, margin=cfg.margin, semi_hard=cfg.semi_hard, seed=cfg.seed,
+        optimizer=cfg.optimizer, progress=False,
     )
 
 

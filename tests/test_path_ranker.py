@@ -414,7 +414,7 @@ def test_path_too_long_rejected():
     vectors = {i: np.zeros(4) for i in range(5)}
     ctx = QueryContext(qid="q", z=np.ones(4), v=np.ones(4), t=np.ones(4))
     path = ((0, 1, 2, 3), (0, 0, 0))
-    with pytest.raises(ValueError, match="exceeds"):
+    with pytest.raises(ValueError, match="input width"):  # f_t's width check
         forward(model, [path], vectors, ctx, k=3)
 
 
@@ -535,7 +535,7 @@ def test_staged_training_zero_epochs_keeps_init():
     samples = make_samples(model, seed=16)
     metrics = staged_training(
         model, samples, epochs_prune=0, epochs_joint=0, lr=CFG.lr, batch_size=CFG.batch_size,
-        seed=0, **JOINT,
+        seed=0, optimizer=CFG.optimizer, progress=False, **JOINT,
     )
     assert metrics == []
     for n, a, _ in model.parameters():
@@ -550,7 +550,7 @@ def test_staged_training_freezes_path_nets_in_phase_one():
     }
     staged_training(
         model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3, batch_size=CFG.batch_size,
-        seed=0, **JOINT,
+        seed=0, optimizer=CFG.optimizer, progress=False, **JOINT,
     )
     for n, a, _ in model.parameters():
         if not n.startswith("f_n."):
@@ -564,7 +564,7 @@ def test_staged_training_bit_identical_reruns():
         samples = make_samples(model, seed=20)
         metrics = staged_training(
             model, samples, epochs_prune=2, epochs_joint=2, lr=1e-3, batch_size=CFG.batch_size,
-            seed=4, **JOINT,
+            seed=4, optimizer=CFG.optimizer, progress=False, **JOINT,
         )
         results.append((metrics, {n: a.copy() for n, a, _ in model.parameters()}))
     (m1, p1), (m2, p2) = results
@@ -585,6 +585,7 @@ def test_all_triplets_ablation_trains_reproducibly(small_runtime):
             model, samples, epochs_prune=2, epochs_joint=2, lr=cfg.lr,
             batch_size=cfg.batch_size, target=cfg.prune_target, n_paths=cfg.n_paths,
             theta_p=cfg.theta_p, k=cfg.k, margin=cfg.margin, seed=cfg.seed, semi_hard=False,
+            optimizer=cfg.optimizer, progress=False,
         )
         results.append((metrics, {n: a.copy() for n, a, _ in model.parameters()}))
     (m1, p1), (m2, p2) = results

@@ -583,7 +583,7 @@ def test_staged_training_skips_gt_absent_samples():
         staged_training(
             model, samples, epochs_prune=3, epochs_joint=0, lr=1e-3, batch_size=CFG.batch_size,
             theta_p=CFG.theta_p, target=CFG.prune_target, n_paths=CFG.n_paths, k=CFG.k,
-            margin=CFG.margin, semi_hard=CFG.semi_hard, seed=0,
+            margin=CFG.margin, semi_hard=CFG.semi_hard, seed=0, optimizer=CFG.optimizer, progress=False,
         )
         return model, samples
 

@@ -31,7 +31,7 @@ from test_path_ranker import make_samples
 
 # n_paths below a question's walk count, so the step seeds draw paths
 SCHEDULE = dict(lr=1e-2, theta_p=CFG.theta_p, target=5, n_paths=8, k=3, margin=CFG.margin,
-                semi_hard=CFG.semi_hard, seed=3, progress=True)
+                semi_hard=CFG.semi_hard, seed=3, optimizer=CFG.optimizer, progress=True)
 
 # ---------------------------------------------------------------------------
 # reference: the two-loop schedule
